@@ -228,31 +228,24 @@ class Downloader:
                 hit = self.cache.get(record.chunk_id)
                 if hit is not None:
                     cached[record.chunk_id] = hit
-        states = self._chunk_states(window_node, skip=set(cached))
-        plans = self._select(states) if states else []
-        share_results = self._gather(states, plans)
-        # assemble only the window: chunks verify individually by id
-        decoded: dict[str, bytes] = dict(cached)
-        for chunk_id, state in states.items():
-            sharer = get_sharer(self.config.key, state.t, state.n)
-            shares = [
-                Share(index=i, data=blob, t=state.t, n=state.n,
-                      chunk_size=state.size)
-                for i, blob in sorted(state.shares.items())
-            ]
-            plaintext = sharer.join(shares)
-            if sha1_hex(plaintext) != chunk_id:
-                plaintext = self._repair_chunk(state, sharer)
-            decoded[chunk_id] = plaintext
-            if self.cache is not None:
-                self.cache.put(chunk_id, plaintext)
-        window = bytearray(end - offset if end > offset else 0)
-        for record in needed:
-            blob = decoded[record.chunk_id]
-            src_lo = max(0, offset - record.offset)
-            src_hi = min(record.size, end - record.offset)
-            dst = record.offset + src_lo - offset
-            window[dst : dst + (src_hi - src_lo)] = blob[src_lo:src_hi]
+        obs = getattr(self.engine, "obs", None)
+        with span_if(obs, "download", file=node.name, size=node.size,
+                     offset=offset, length=length):
+            states = self._chunk_states(window_node, skip=set(cached))
+            with span_if(obs, "select", chunks=len(states)):
+                plans = self._select(states) if states else []
+            with span_if(obs, "gather"):
+                share_results = self._gather(states, plans)
+            with span_if(obs, "decode"):
+                # assemble only the window: chunks verify individually by id
+                decoded = self._decode_chunks(states, cached)
+                window = bytearray(end - offset if end > offset else 0)
+                for record in needed:
+                    blob = decoded[record.chunk_id]
+                    src_lo = max(0, offset - record.offset)
+                    src_hi = min(record.size, end - record.offset)
+                    dst = record.offset + src_lo - offset
+                    window[dst : dst + (src_hi - src_lo)] = blob[src_lo:src_hi]
         finished = self.engine.clock.now()
         return DownloadReport(
             data=bytes(window),
@@ -499,6 +492,31 @@ class Downloader:
         cached: dict[str, bytes] | None = None,
     ) -> bytes:
         """Decode each unique chunk once and lay chunks out by offset."""
+        decoded = self._decode_chunks(states, cached)
+        out = bytearray(node.size)
+        covered = 0
+        for record in node.chunks:
+            blob = decoded[record.chunk_id]
+            if len(blob) != record.size:
+                raise ShareIntegrityError(
+                    f"chunk {record.chunk_id[:8]} decoded to {len(blob)} "
+                    f"bytes, ChunkMap says {record.size}"
+                )
+            out[record.offset : record.offset + record.size] = blob
+            covered += record.size
+        if covered != node.size:
+            raise MetadataError(
+                f"ChunkMap covers {covered} bytes of a {node.size}-byte file"
+            )
+        return bytes(out)
+
+    def _decode_chunks(
+        self,
+        states: dict[str, _ChunkState],
+        cached: dict[str, bytes] | None = None,
+    ) -> dict[str, bytes]:
+        """Plaintext per chunk id: cache hits plus every fetched chunk,
+        decoded once, verified by id and repaired if a share lied."""
         decoded: dict[str, bytes] = dict(cached or {})
         obs = getattr(self.engine, "obs", None)
         for chunk_id, state in states.items():
@@ -522,22 +540,7 @@ class Downloader:
             state.decoded = plaintext
             if self.cache is not None:
                 self.cache.put(chunk_id, plaintext)
-        out = bytearray(node.size)
-        covered = 0
-        for record in node.chunks:
-            blob = decoded[record.chunk_id]
-            if len(blob) != record.size:
-                raise ShareIntegrityError(
-                    f"chunk {record.chunk_id[:8]} decoded to {len(blob)} "
-                    f"bytes, ChunkMap says {record.size}"
-                )
-            out[record.offset : record.offset + record.size] = blob
-            covered += record.size
-        if covered != node.size:
-            raise MetadataError(
-                f"ChunkMap covers {covered} bytes of a {node.size}-byte file"
-            )
-        return bytes(out)
+        return decoded
 
     def _repair_chunk(self, state: _ChunkState, sharer) -> bytes:
         """Recover a chunk whose fetched shares include corrupt ones.

@@ -14,9 +14,12 @@ considered):
    exactly by enumeration, or greedily for very wide problems);
 4. fix the selection (line 6) and continue.
 
-Re-solving the relaxation for *every* chunk is the paper's letter;
-``resolve_every`` lets large batches amortise it with negligible loss
-(the ablation benchmark quantifies this).
+Re-solving the relaxation for *every* chunk is the paper's letter and
+the default (``resolve_every=1``); a larger ``resolve_every`` lets big
+batches amortise it with negligible loss (the ablation benchmark
+quantifies this; the downloader passes 4).  The last unfixed chunk has
+no fractional remainder beside it, so it is rounded against the fixed
+loads alone and a one-chunk download solves nothing.
 """
 
 from __future__ import annotations
@@ -148,40 +151,32 @@ class CyrusSelector:
         assignments: dict[str, tuple[str, ...]] = {}
         fixed_loads: dict[str, float] = {c: 0.0 for c in problem.csps}
         fixed_chunks: set[str] = set()
-        fractional: FractionalSolution | None = None
         since_resolve = self.resolve_every  # force solve on first chunk
-        for chunk in chunk_order:
-            if since_resolve >= self.resolve_every:
+        for position, chunk in enumerate(chunk_order):
+            if position == len(chunk_order) - 1:
+                # the only unfixed chunk: its background is exactly the
+                # fixed loads, so there is nothing to solve
+                d, loads = {}, dict(fixed_loads)
+            elif since_resolve >= self.resolve_every:
                 fractional = self._solve_fractional(
                     problem, fixed_loads, fixed_chunks
                 )
+                d, loads = fractional.d, fractional.loads
                 since_resolve = 0
-            assert fractional is not None
             # background: fixed loads + fractional loads of *other* chunks
-            # (clamped: LP round-off can leave ~1e-9 negative residues)
-            base = dict(fractional.loads)
-            for csp, frac in fractional.chunk_fractions(chunk.chunk_id).items():
-                base[csp] = max(0.0, base[csp] - chunk.share_size * frac)
-            for csp in base:
-                base[csp] = max(0.0, base[csp])
+            # (clamped: round-off can leave ~1e-9 negative residues)
+            for csp, frac in d.pop(chunk.chunk_id, {}).items():
+                loads[csp] = max(0.0, loads[csp] - chunk.share_size * frac)
             chosen = self._pick_integral(
-                chunk, problem.t, base, link_caps, problem.client_cap
+                chunk, problem.t, loads, link_caps, problem.client_cap
             )
             assignments[chunk.chunk_id] = chosen
             fixed_chunks.add(chunk.chunk_id)
+            # fold the decision into the working loads so later chunks
+            # (before the next re-solve) see it
             for c in chosen:
-                fixed_loads[c] = fixed_loads.get(c, 0.0) + chunk.share_size
-            # fold the decision into the working fractional solution so
-            # later chunks (before the next re-solve) see it
-            for csp, frac in list(
-                fractional.chunk_fractions(chunk.chunk_id).items()
-            ):
-                fractional.loads[csp] = max(
-                    0.0, fractional.loads[csp] - chunk.share_size * frac
-                )
-                fractional.d.pop((chunk.chunk_id, csp), None)
-            for c in chosen:
-                fractional.loads[c] = fractional.loads.get(c, 0.0) + chunk.share_size
+                fixed_loads[c] += chunk.share_size
+                loads[c] += chunk.share_size
             since_resolve += 1
         plan = SelectionPlan(assignments=assignments)
         evaluate_plan(problem, plan)

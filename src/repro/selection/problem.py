@@ -13,6 +13,7 @@ subject to exactly ``t`` selections per chunk, availability
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Collection, Mapping, Sequence
 
 from repro.errors import SelectionError
@@ -67,9 +68,9 @@ class DownloadProblem:
                     f"({usable}), need t={self.t}"
                 )
 
-    @property
+    @cached_property
     def csps(self) -> list[str]:
-        """All CSPs referenced by any chunk (sorted)."""
+        """All CSPs referenced by any chunk (sorted; computed once)."""
         seen: set[str] = set()
         for chunk in self.chunks:
             seen.update(chunk.available)

@@ -2,15 +2,18 @@
 
 Two engines produce a fractional assignment ``d_{r,c}``:
 
-* ``alternating`` — coordinate descent between the two exactly-solvable
-  sub-problems: an LP in ``(d, y)`` for fixed bandwidths (scipy HiGHS)
-  and the closed-form bandwidth allocation for fixed ``d``
-  (:mod:`repro.selection.bandwidth`).  Converges in a few rounds.
+* ``alternating`` — the two exactly-solvable sub-problems, each solved
+  once: the fractional assignment for bandwidths at the link caps
+  (:func:`lp_given_bandwidth`, a direct solver on availability groups)
+  and the closed-form bandwidth allocation for the resulting loads
+  (:mod:`repro.selection.bandwidth`).  Together they are the joint
+  optimum (see :func:`solve_fractional_alternating`).
 
 * ``convexified`` — the paper's construction: substitute
   ``D_{r,c} = d_{r,c}^(1/2)``, over-estimate it with the closest linear
   function ``D-hat = 3^(1/4) d / 2 + 3^(-1/4) / 2`` and solve the
-  resulting jointly convex program in ``(d, beta, y)`` with SLSQP.
+  resulting jointly convex program in ``(d, beta, y)`` with SLSQP
+  (scipy, imported only there).
   Because D-hat is an over-estimator, any feasible point of the
   convexified program is feasible for the true problem.
 
@@ -20,15 +23,14 @@ compares them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
-from scipy import optimize, sparse
 
 from repro.errors import SelectionError
 from repro.selection.bandwidth import optimal_bandwidth_allocation
-from repro.selection.problem import DownloadProblem
+from repro.selection.problem import ChunkDownload, DownloadProblem
 
 #: Linear over-estimator coefficients for sqrt(d) on [0, 1] (paper §4.3).
 DHAT_SLOPE = 3.0 ** 0.25 / 2.0
@@ -39,14 +41,14 @@ DHAT_INTERCEPT = 3.0 ** -0.25 / 2.0
 class FractionalSolution:
     """A fractional assignment with its loads and bandwidth split."""
 
-    d: dict[tuple[str, str], float]  # (chunk_id, csp) -> fraction in [0, 1]
+    d: dict[str, dict[str, float]]  # chunk_id -> {csp: fraction in [0, 1]}
     loads: dict[str, float]
     bandwidths: dict[str, float]
     y: float
 
     def chunk_fractions(self, chunk_id: str) -> dict[str, float]:
         """CSP -> fraction for one chunk."""
-        return {c: v for (r, c), v in self.d.items() if r == chunk_id}
+        return self.d.get(chunk_id, {})
 
 
 def _index_problem(problem: DownloadProblem, skip: set[str]):
@@ -64,118 +66,167 @@ def _index_problem(problem: DownloadProblem, skip: set[str]):
 
 def lp_given_bandwidth(
     problem: DownloadProblem,
-    bandwidths: dict[str, float],
+    bandwidths: Mapping[str, float],
     fixed_loads: dict[str, float] | None = None,
     fixed_chunks: set[str] | None = None,
 ) -> FractionalSolution:
-    """LP over (d, y) with bandwidths held constant.
+    """Exact ``min y`` over ``d`` with bandwidths held constant.
 
-    ``fixed_loads`` are byte loads from already-integrally-assigned
-    chunks (Algorithm 1's ``r < eta``); those chunks are listed in
-    ``fixed_chunks`` and excluded from the variables.
+    Solves ``min y  s.t.  F_c + sum_r b_r d_rc <= y beta_c,
+    sum_c d_rc = t,  0 <= d <= 1`` directly.  ``fixed_loads`` (``F``)
+    are byte loads from already-integrally-assigned chunks (Algorithm
+    1's ``r < eta``); those chunks are listed in ``fixed_chunks`` and
+    excluded from the variables.  CSPs without capacity or bandwidth
+    get no fraction.
+
+    Chunks with the same usable availability set are interchangeable in
+    the relaxation (give each the group's mean fractions: same loads,
+    still feasible), so the unknowns are one fraction per (group, CSP)
+    edge — at most ``C(C, n)`` groups however many chunks there are.
     """
     fixed_loads = fixed_loads or {}
     fixed_chunks = fixed_chunks or set()
-    chunks, csps, csp_index, var_index = _index_problem(problem, fixed_chunks)
-    n_d = len(var_index)
-    n_vars = n_d + 1  # + y
-    y_col = n_d
-    if not chunks:
-        loads = {c: fixed_loads.get(c, 0.0) for c in csps}
-        y, betas = optimal_bandwidth_allocation(
-            loads, dict(problem.link_caps), problem.client_cap
-        )
-        return FractionalSolution(d={}, loads=loads, bandwidths=betas, y=y)
-
-    cost = np.zeros(n_vars)
-    cost[y_col] = 1.0
-
-    rows, cols, vals = [], [], []
-    b_ub = []
-    row = 0
-    for csp in csps:
-        beta = bandwidths.get(csp, 0.0)
-        members = [
-            (var_index[(ch.chunk_id, csp)], ch.share_size)
-            for ch in chunks
-            if (ch.chunk_id, csp) in var_index
-        ]
-        if not members:
+    csps = [
+        c for c in problem.csps
+        if problem.link_caps.get(c, 0.0) > 0 and bandwidths.get(c, 0.0) > 0
+    ]
+    index = {c: i for i, c in enumerate(csps)}
+    groups: dict[tuple[int, ...], list[ChunkDownload]] = {}
+    for chunk in problem.chunks:
+        if chunk.chunk_id in fixed_chunks:
             continue
-        if beta <= 0:
-            # unusable this round: forbid by bounding those d at 0 below
-            for col, _ in members:
-                rows.append(row)
-                cols.append(col)
-                vals.append(1.0)
-            b_ub.append(0.0)
-            row += 1
-            continue
-        for col, size in members:
-            rows.append(row)
-            cols.append(col)
-            vals.append(float(size))
-        rows.append(row)
-        cols.append(y_col)
-        vals.append(-beta)
-        b_ub.append(-fixed_loads.get(csp, 0.0))
-        row += 1
-    a_ub = sparse.coo_matrix((vals, (rows, cols)), shape=(row, n_vars))
-
-    e_rows, e_cols, e_vals = [], [], []
-    for i, chunk in enumerate(chunks):
-        for csp in chunk.available:
-            key = (chunk.chunk_id, csp)
-            if key in var_index:
-                e_rows.append(i)
-                e_cols.append(var_index[key])
-                e_vals.append(1.0)
-    a_eq = sparse.coo_matrix((e_vals, (e_rows, e_cols)), shape=(len(chunks), n_vars))
-    b_eq = np.full(len(chunks), float(problem.t))
-
-    bounds = [(0.0, 1.0)] * n_d + [(0.0, None)]
-    res = optimize.linprog(
-        cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds,
-        method="highs",
+        key = tuple(sorted(index[c] for c in chunk.available if c in index))
+        if len(key) < problem.t:
+            raise SelectionError(
+                f"chunk {chunk.chunk_id}: {len(key)} CSPs with bandwidth, "
+                f"need t={problem.t}"
+            )
+        groups.setdefault(key, []).append(chunk)
+    avail = list(groups)
+    sizes = [float(sum(ch.share_size for ch in g)) for g in groups.values()]
+    fractions = _balance_groups(
+        avail, sizes, problem.t,
+        [bandwidths[c] for c in csps],
+        [fixed_loads.get(c, 0.0) for c in csps],
     )
-    if not res.success:
-        raise SelectionError(f"LP relaxation failed: {res.message}")
-    d = {key: float(res.x[i]) for key, i in var_index.items()}
-    loads = {c: fixed_loads.get(c, 0.0) for c in csps}
-    for (chunk_id, csp), frac in d.items():
-        size = next(
-            ch.share_size for ch in chunks if ch.chunk_id == chunk_id
-        )
-        loads[csp] += size * frac
+    d: dict[str, dict[str, float]] = {}
+    loads = {c: fixed_loads.get(c, 0.0) for c in problem.csps}
+    for key, size, x, members in zip(avail, sizes, fractions, groups.values()):
+        fracs = {csps[c]: min(1.0, max(0.0, v)) for c, v in zip(key, x)}
+        for csp, v in fracs.items():
+            loads[csp] += size * v
+        for chunk in members:
+            d[chunk.chunk_id] = dict(fracs)
     y, betas = optimal_bandwidth_allocation(
-        loads, dict(problem.link_caps), problem.client_cap
+        loads, problem.link_caps, problem.client_cap
     )
     return FractionalSolution(d=d, loads=loads, bandwidths=betas, y=y)
 
 
+def _balance_groups(
+    avail: list[tuple[int, ...]],
+    sizes: list[float],
+    t: int,
+    beta: list[float],
+    fixed: list[float],
+) -> list[list[float]]:
+    """Fractions ``x[g][k]`` of group g on CSP ``avail[g][k]`` minimising
+    ``max_c (fixed_c + sum_g sizes_g x_gc) / beta_c``.
+
+    Every group starts spread evenly (always feasible: ``t`` per group,
+    each edge in [0, 1]) and ``y`` at the all-CSP mean, a lower bound.
+    Then, as in max-flow, CSPs above ``y beta_c`` shed bytes to CSPs
+    below it along shortest alternating paths (a -> b through a group
+    holding a fraction on a and room on b).  When the overloaded CSPs
+    reach no underloaded one, the reached set S is closed: its members
+    are full and every group using S already fills its CSPs outside S,
+    so what S carries is forced on it by any assignment and
+    ``load(S) / beta(S)`` is a lower bound above ``y`` (the min-cut step
+    of discrete Newton); raise ``y`` to it and go on inside S.  Each
+    raise shrinks S, each path saturates an edge or an endpoint, so the
+    work is polynomial in groups and CSPs; it ends with no CSP above a
+    ``y`` that is a lower bound, i.e. at the optimum.
+    """
+    eps = 1e-12
+    x = [[t / len(a)] * len(a) for a in avail]
+    total = list(fixed)
+    member: list[list[tuple[int, int]]] = [[] for _ in beta]
+    for g, a in enumerate(avail):
+        if sizes[g] > 0:
+            for k, c in enumerate(a):
+                member[c].append((g, k))
+                total[c] += sizes[g] * x[g][k]
+    used = [c for c, m in enumerate(member) if m]
+    if not used:
+        return x
+    y = sum(total[c] for c in used) / sum(beta[c] for c in used)
+    while True:
+        room = {c: y * beta[c] - total[c] for c in used}
+        parent: dict[int, tuple[int, int, int, int] | None] = {
+            c: None for c in used if room[c] < -eps * y * beta[c]
+        }
+        if not parent:
+            return x
+        reached = list(parent)
+        opened: set[int] = set()  # a group's exits do not depend on the entry
+        for a in reached:  # breadth-first; grows as it is walked
+            for g, ka in member[a]:
+                if g not in opened and x[g][ka] > eps:
+                    opened.add(g)
+                    for kb, b in enumerate(avail[g]):
+                        if b not in parent and x[g][kb] < 1 - eps:
+                            parent[b] = (a, g, ka, kb)
+                            reached.append(b)
+        pushed = False
+        for b in reached:
+            if room[b] <= eps * y * beta[b]:
+                continue
+            path = []
+            root = b
+            while parent[root] is not None:
+                path.append(parent[root])
+                root = parent[root][0]
+            delta = min(
+                room[b], -room[root],
+                *(sizes[g] * min(x[g][ka], 1 - x[g][kb]) for _, g, ka, kb in path),
+            )
+            if delta <= 0:
+                continue
+            for _, g, ka, kb in path:
+                x[g][ka] -= delta / sizes[g]
+                x[g][kb] += delta / sizes[g]
+            total[root] -= delta
+            total[b] += delta
+            room[root] += delta
+            room[b] -= delta
+            pushed = True
+        if not pushed:
+            bound = sum(total[c] for c in reached) / sum(beta[c] for c in reached)
+            if bound <= y:  # excesses are all within float tolerance
+                return x
+            y = bound
+
+
 def solve_fractional_alternating(
     problem: DownloadProblem,
-    rounds: int = 3,
     fixed_loads: dict[str, float] | None = None,
     fixed_chunks: set[str] | None = None,
 ) -> FractionalSolution:
-    """Alternate the LP and the closed-form bandwidth allocation."""
-    caps = dict(problem.link_caps)
-    total_cap = sum(caps.values())
-    scale = min(1.0, problem.client_cap / total_cap) if total_cap > 0 else 1.0
-    bandwidths = {c: caps[c] * scale for c in caps}
-    best: FractionalSolution | None = None
-    for _ in range(max(1, rounds)):
-        sol = lp_given_bandwidth(problem, bandwidths, fixed_loads, fixed_chunks)
-        if best is None or sol.y < best.y - 1e-12:
-            best = sol
-        # keep idle CSPs usable next round with a small bandwidth floor
-        floor = {c: 0.01 * caps[c] for c in caps}
-        bandwidths = {
-            c: max(sol.bandwidths.get(c, 0.0), floor[c]) for c in caps
-        }
-    assert best is not None
-    return best
+    """The joint optimum over ``(d, beta)``: one solve at the link caps.
+
+    For fixed loads the bandwidth step has the closed form
+    ``y = max(max_c L_c / cap_c, sum_c L_c / client_cap)``
+    (:mod:`repro.selection.bandwidth`), and ``sum_c L_c = sum_c F_c +
+    t sum_r b_r`` is the same for every ``d``.  So the ``d`` minimising
+    ``max_c L_c / cap_c`` — the fractional solve with ``beta`` at the
+    caps — minimises ``y`` jointly, and the bandwidth step that
+    :func:`lp_given_bandwidth` ends with completes it.  Alternating
+    further can never lower ``y``: the name records the two steps, there
+    is nothing left to iterate.
+    """
+    return lp_given_bandwidth(
+        problem, problem.link_caps, fixed_loads, fixed_chunks
+    )
 
 
 def solve_fractional_convexified(
@@ -190,11 +241,13 @@ def solve_fractional_convexified(
     ``D-hat(d) = 3^(1/4) d / 2 + 3^(-1/4) / 2`` so that
     ``sum_r b_r D-hat^2 <= y beta_c`` implies the true constraint.
     """
+    from scipy import optimize  # the only scipy user: keep it off `import repro`
+
     fixed_loads = fixed_loads or {}
     fixed_chunks = fixed_chunks or set()
     chunks, csps, csp_index, var_index = _index_problem(problem, fixed_chunks)
     if not chunks:
-        return lp_given_bandwidth(problem, dict(problem.link_caps),
+        return lp_given_bandwidth(problem, problem.link_caps,
                                   fixed_loads, fixed_chunks)
     n_d = len(var_index)
     n_c = len(csps)
@@ -283,12 +336,15 @@ def solve_fractional_convexified(
         method="SLSQP",
         options={"maxiter": 200, "ftol": 1e-9},
     )
-    if not res.success and res.status != 8:  # 8: iteration limit; accept best
+    # 9: iteration limit, 8: line search stalled; accept the best iterate
+    if not res.success and res.status not in (8, 9):
         raise SelectionError(f"convexified solve failed: {res.message}")
     x = res.x
-    d = {key: float(np.clip(x[i], 0.0, 1.0)) for key, i in var_index.items()}
+    d: dict[str, dict[str, float]] = {}
     loads = {c: fixed_loads.get(c, 0.0) for c in csps}
-    for (chunk_id, csp), frac in d.items():
+    for (chunk_id, csp), i in var_index.items():
+        frac = float(np.clip(x[i], 0.0, 1.0))
+        d.setdefault(chunk_id, {})[csp] = frac
         loads[csp] += sizes[chunk_id] * frac
     y, betas = optimal_bandwidth_allocation(
         loads, dict(problem.link_caps), problem.client_cap

@@ -148,16 +148,18 @@ class TestSpanTraces:
         env, client = make_env_client()
         client.put("a.bin", deterministic_bytes(4000, 24), sync_first=False)
         client.get("a.bin", sync_first=False)
+        client.get_range("a.bin", 1000, 500, sync_first=False)
         downloads = env.obs.tracer.find("download")
-        assert len(downloads) == 1
-        (down,) = downloads
-        names = [c.name for c in down.children]
-        for stage in ("select", "gather", "decode"):
-            assert stage in names
-        gather = next(c for c in down.children if c.name == "gather")
-        get_ops = [s for s in gather.children if s.name == "op"]
-        assert get_ops
-        assert all(s.attrs["op_kind"] == "GET" for s in get_ops)
+        assert len(downloads) == 2  # the full read, then the ranged one
+        assert downloads[1].attrs["offset"] == 1000
+        for down in downloads:
+            names = [c.name for c in down.children]
+            for stage in ("select", "gather", "decode"):
+                assert stage in names
+            gather = next(c for c in down.children if c.name == "gather")
+            get_ops = [s for s in gather.children if s.name == "op"]
+            assert get_ops
+            assert all(s.attrs["op_kind"] == "GET" for s in get_ops)
 
     def test_no_orphans_and_children_nest_within_parents(self):
         env, client = make_env_client()
