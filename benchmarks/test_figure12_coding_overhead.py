@@ -8,8 +8,8 @@ is never the transfer bottleneck at the paper's operating points.
 """
 
 import os
-import time
 
+from repro.bench.harness import _best_rate
 from repro.bench.reporting import render_table
 from repro.erasure import RSCodec
 
@@ -21,19 +21,20 @@ CHUNK_BYTES = 8 * 1024 * 1024
 _PAYLOAD = os.urandom(CHUNK_BYTES)
 
 
+#: Best of three: coding an 8 MB chunk takes ~10 ms, the same order as
+#: first-touch page faults on its freshly allocated output.
+_REPEATS = 3
+
+
 def encode_throughput(t: int, n: int) -> float:
     codec = RSCodec(t, n)
-    start = time.perf_counter()
-    codec.encode(_PAYLOAD)
-    return CHUNK_BYTES / (time.perf_counter() - start) / 1e6
+    return _best_rate(lambda: codec.encode(_PAYLOAD), CHUNK_BYTES, _REPEATS)
 
 
 def decode_throughput(t: int, n: int) -> float:
     codec = RSCodec(t, n)
-    shares = codec.encode(_PAYLOAD)
-    start = time.perf_counter()
-    codec.decode(shares[:t])
-    return CHUNK_BYTES / (time.perf_counter() - start) / 1e6
+    shares = codec.encode(_PAYLOAD)[:t]
+    return _best_rate(lambda: codec.decode(shares), CHUNK_BYTES, _REPEATS)
 
 
 def test_figure12_decode_throughput_vs_t(benchmark):

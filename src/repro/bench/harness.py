@@ -167,7 +167,6 @@ def bench_codec(
         ("reference", sca_data),
     ):
         chunker = ContentDefinedChunker(engine=engine, **chunk_kw)
-        chunker.boundaries(payload[: 64 * 1024])  # warm tables
         metrics[f"chunk_{engine}_mbps"] = _best_rate(
             lambda: chunker.boundaries(payload), len(payload), repeats
         )
@@ -192,9 +191,7 @@ def bench_codec(
     }
 
 
-def bench_e2e(
-    quick: bool = True, encode_workers: int = 0, size: int | None = None
-) -> dict:
+def bench_e2e(quick: bool = True, size: int | None = None) -> dict:
     """Wall-clock put/get throughput against in-memory providers.
 
     Providers are in-memory, so this isolates the *client* pipeline —
@@ -214,7 +211,6 @@ def bench_e2e(
         chunk_min=64 * 1024,
         chunk_avg=256 * 1024,
         chunk_max=2 * 1024 * 1024,
-        encode_workers=encode_workers,
     )
     client = CyrusClient.create(providers, config, client_id="bench")
     try:
@@ -240,7 +236,6 @@ def bench_e2e(
             "csps": len(providers),
             "t": config.t,
             "n": config.n,
-            "encode_workers": encode_workers,
             "new_chunks": report.new_chunks,
         },
         "metrics": {

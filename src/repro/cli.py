@@ -94,7 +94,6 @@ def build_client(store: Path) -> CyrusClient:
         parallelism=settings.get("parallelism", 1),
         max_inflight_per_csp=settings.get("max_inflight_per_csp"),
         max_inflight_total=settings.get("max_inflight_total"),
-        encode_workers=settings.get("encode_workers", 0),
         transfer_backend=settings.get("transfer_backend", "thread"),
     )
     from repro.recovery import IntentJournal
@@ -153,7 +152,6 @@ def cmd_init(args) -> int:
         "chunk_max": args.chunk_max,
         "parallelism": args.parallelism,
         "transfer_backend": args.transfer_backend,
-        "encode_workers": args.encode_workers,
         "max_inflight_per_csp": args.max_inflight_per_csp,
         "max_inflight_total": None,
         "client_id": args.client_id or f"cli-{uuid.uuid4().hex[:8]}",
@@ -741,8 +739,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="thread",
                    help="parallel transfer core: 'thread' pool or "
                         "'async' event loop (default: thread)")
-    p.add_argument("--encode-workers", type=int, default=0,
-                   help="erasure-encode worker processes (0 = inline)")
     p.add_argument("--max-inflight-per-csp", type=int, default=None,
                    help="concurrent ops allowed per provider when parallel")
     p.add_argument("--client-id", default=None)

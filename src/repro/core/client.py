@@ -100,7 +100,6 @@ class CyrusClient:
         obs: Observability | None = None,
         journal=None,
         debt_ledger=None,
-        encode_pool=None,
         admission=None,
         store_factory=None,
     ):
@@ -119,16 +118,6 @@ class CyrusClient:
         # engines built by create() belong to the client — close() shuts
         # them down; an injected engine belongs to its creator
         self._owns_engine = False
-        # optional repro.erasure.pool.EncodePool (built automatically by
-        # create() when config.encode_workers > 0); owned by the client
-        # when _owns_encode_pool — close() shuts the workers down
-        self.encode_pool = encode_pool
-        self._owns_encode_pool = False
-        if encode_pool is None and config.encode_workers > 0:
-            from repro.erasure.pool import EncodePool
-
-            self.encode_pool = EncodePool(config.encode_workers)
-            self._owns_encode_pool = True
         # optional repro.recovery.IntentJournal: when attached, put /
         # delete / gc / migrate are crash-journaled and
         # :meth:`run_recovery` replays whatever a dead process left open
@@ -191,7 +180,6 @@ class CyrusClient:
         cache=None,
         journal=None,
         debt_ledger=None,
-        encode_pool=None,
         admission=None,
         store_factory=None,
     ) -> "CyrusClient":
@@ -217,7 +205,6 @@ class CyrusClient:
             cloud, config, engine, client_id,
             selector=selector, chunker=chunker, cache=cache,
             journal=journal, debt_ledger=debt_ledger,
-            encode_pool=encode_pool,
             admission=admission, store_factory=store_factory,
         )
         client._owns_engine = owns_engine
@@ -241,7 +228,6 @@ class CyrusClient:
             engine=self.engine, chunker=self._chunker,
             policy=self._retry_policy, health=self.health,
             journal=self.journal, ledger=self.debt_ledger,
-            encode_pool=self.encode_pool,
         )
         self.downloader = Downloader(
             cloud=self.cloud, tree=self.tree, chunk_table=self.chunk_table,
@@ -257,20 +243,15 @@ class CyrusClient:
         )
 
     def close(self) -> None:
-        """Release every client-owned resource in one place: the encode
-        pool's worker processes and the transfer engine's threads/loop.
+        """Release the client-owned transfer engine's threads/loop.
 
         Idempotent; only resources the client built itself (via
-        ``create()`` or ``__init__`` defaults) are shut down — injected
-        pools and engines belong to their creators.  The client remains
+        ``create()`` or ``__init__`` defaults) are shut down — an
+        injected engine belongs to its creator.  The client remains
         usable for serial work afterwards (closed engines fall back to
         the serial path), so ``with`` blocks can be followed by
         diagnostics.
         """
-        if self._owns_encode_pool and self.encode_pool is not None:
-            self.encode_pool.close()
-            self.encode_pool = None
-            self._owns_encode_pool = False
         if self._owns_engine:
             closer = getattr(self.engine, "close", None)
             if callable(closer):

@@ -41,10 +41,6 @@ class CyrusConfig:
             per provider when parallel; None means no per-CSP bound.
         max_inflight_total: Concurrent in-flight operations allowed
             across all providers; None means "equal to parallelism".
-        encode_workers: Worker *processes* for erasure encoding; 0 (the
-            default) encodes inline on the calling thread.  Threads
-            cannot speed up the CPU-bound GF(2^8) math, so CPU-parallel
-            encode is a separate dial from transfer ``parallelism``.
         transfer_backend: ``"thread"`` (the default) runs parallel
             batches on the scatter/gather worker pool; ``"async"`` runs
             them as coroutines on one asyncio loop (the event-driven
@@ -68,7 +64,6 @@ class CyrusConfig:
     parallelism: int = 1
     max_inflight_per_csp: int | None = None
     max_inflight_total: int | None = None
-    encode_workers: int = 0
     transfer_backend: str = "thread"
 
     def __post_init__(self) -> None:
@@ -99,10 +94,6 @@ class CyrusConfig:
             raise ConfigurationError(
                 f"max_inflight_total must be >= 1, "
                 f"got {self.max_inflight_total}"
-            )
-        if self.encode_workers < 0:
-            raise ConfigurationError(
-                f"encode_workers must be >= 0, got {self.encode_workers}"
             )
         if self.transfer_backend not in ("thread", "async"):
             raise ConfigurationError(

@@ -491,9 +491,13 @@ class Downloader:
         states: dict[str, _ChunkState],
         cached: dict[str, bytes] | None = None,
     ) -> bytes:
-        """Decode each unique chunk once and lay chunks out by offset."""
+        """Decode each unique chunk once and join them in ChunkMap order.
+
+        The records must tile ``[0, node.size)`` in order (the uploader
+        writes them that way), so the file is built with one copy.
+        """
         decoded = self._decode_chunks(states, cached)
-        out = bytearray(node.size)
+        parts: list[bytes] = []
         covered = 0
         for record in node.chunks:
             blob = decoded[record.chunk_id]
@@ -502,13 +506,18 @@ class Downloader:
                     f"chunk {record.chunk_id[:8]} decoded to {len(blob)} "
                     f"bytes, ChunkMap says {record.size}"
                 )
-            out[record.offset : record.offset + record.size] = blob
+            if record.offset != covered:
+                raise MetadataError(
+                    f"ChunkMap record at offset {record.offset} does not "
+                    f"follow the {covered} bytes before it"
+                )
+            parts.append(blob)
             covered += record.size
         if covered != node.size:
             raise MetadataError(
                 f"ChunkMap covers {covered} bytes of a {node.size}-byte file"
             )
-        return bytes(out)
+        return b"".join(parts)
 
     def _decode_chunks(
         self,

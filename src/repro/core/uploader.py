@@ -89,8 +89,6 @@ class _ChunkPlan:
     n: int
     placements: dict[int, str] = field(default_factory=dict)  # index -> csp
     _share_cache: dict[int, bytes] = field(default_factory=dict)
-    # an in-flight EncodePool future; collected on first share_data call
-    prefetch: object | None = None
     # pool workers may pull different shares of one chunk concurrently;
     # the lock makes the one-time encode exactly-once
     _lock: threading.Lock = field(default_factory=threading.Lock)
@@ -100,15 +98,10 @@ class _ChunkPlan:
         with self._lock:
             if not self._share_cache:
                 t0 = obs.clock.now() if obs is not None else 0.0
-                if self.prefetch is not None:
-                    # encoded out-of-process while earlier chunks flew
-                    self._share_cache = self.prefetch.get()
-                    self.prefetch = None
-                else:
-                    sharer = get_sharer(key, self.t, self.n)
-                    self._share_cache = {
-                        s.index: s.data for s in sharer.split(self.chunk.data)
-                    }
+                sharer = get_sharer(key, self.t, self.n)
+                self._share_cache = {
+                    s.index: s.data for s in sharer.split(self.chunk.data)
+                }
                 if obs is not None:
                     obs.metrics.observe("cyrus_chunk_encode_seconds",
                                         obs.clock.now() - t0)
@@ -145,13 +138,8 @@ class Uploader:
         health: HealthRegistry | None = None,
         journal=None,
         ledger=None,
-        encode_pool=None,
     ):
         self.cloud = cloud
-        # optional repro.erasure.pool.EncodePool: when attached, planned
-        # chunks are submitted for out-of-process encoding at scatter
-        # start, overlapping encode with transfer across CPU cores
-        self.encode_pool = encode_pool
         self.store = store
         self.tree = tree
         self.chunk_table = chunk_table
@@ -345,15 +333,6 @@ class Uploader:
         succeeded: dict[str, set[int]] = {cid: set() for cid in outstanding}
 
         obs = getattr(self.engine, "obs", None)
-
-        if self.encode_pool is not None:
-            # fan every planned chunk out to the worker processes now;
-            # share_data() collects each future on first use, so chunk
-            # k+1 encodes while chunk k's shares upload
-            for plan in plans:
-                plan.prefetch = self.encode_pool.submit(
-                    self.config.key, plan.t, plan.n, plan.chunk.data
-                )
 
         # On a parallel engine the encode is deferred into the op itself:
         # the pool worker that dispatches chunk k+1's first share runs

@@ -8,11 +8,12 @@ submatrix formed by the rows of any ``t`` distinct shares.
 
 Two interchangeable backends produce byte-identical shares:
 
-* ``"vector"`` (:mod:`repro.gf.vector`) — one blocked numpy gather
-  through the 256x256 multiplication table encodes all ``n`` rows of a
-  chunk at once and hands out the output rows as zero-copy memoryview
-  payloads.  Throughput is hundreds of MB/s, so transfer rather than
-  coding bounds end-to-end completion time (paper Section 7.1).
+* ``"vector"`` (:mod:`repro.gf.vector`) — a cache-blocked numpy kernel
+  that looks each stripe up in one 256-byte row of the multiplication
+  table per coefficient, xor-accumulates into one ``(n, L)`` matrix and
+  hands out its rows as zero-copy memoryview payloads.  Throughput is
+  ~1 GB/s, so transfer rather than coding bounds end-to-end completion
+  time (paper Section 7.1).
 * ``"scalar"`` (:mod:`repro.gf.scalar`) — pure-Python byte-at-a-time
   loops with independently built tables.  It is the fallback when numpy
   is unavailable and the oracle the equivalence suites compare against.
@@ -116,6 +117,8 @@ class RSCodec:
         self._matrix_np = (
             np.asarray(self._matrix, dtype=np.uint8) if _HAVE_NUMPY else None
         )
+        # share-index tuple -> inverted t x t submatrix (vector decode)
+        self._inverses: dict[tuple[int, ...], "np.ndarray"] = {}
 
     @property
     def dispersal_matrix(self) -> "np.ndarray":
@@ -198,15 +201,15 @@ class RSCodec:
     def _decode_vector(
         self, chosen: Sequence[Share], chunk_size: int, stripe_len: int
     ) -> bytes:
-        sub = self._matrix_np[[s.index for s in chosen], :]
-        try:
-            inv = gf_mat_inv(sub)
-        except np.linalg.LinAlgError as exc:
-            raise CodingError("singular share submatrix") from exc
-        coded = np.stack(
-            [np.frombuffer(s.data, dtype=np.uint8) for s in chosen], axis=0
-        )
-        stripes = gfvec.matmul(inv, coded)
+        indices = tuple(s.index for s in chosen)
+        inv = self._inverses.get(indices)
+        if inv is None:
+            try:
+                inv = gf_mat_inv(self._matrix_np[list(indices), :])
+            except np.linalg.LinAlgError as exc:
+                raise CodingError("singular share submatrix") from exc
+            self._inverses[indices] = inv  # <= C(n, t) t x t entries
+        stripes = gfvec.matmul(inv, [s.data for s in chosen])
         return stripes.reshape(-1)[:chunk_size].tobytes()
 
     def _decode_scalar(self, chosen: Sequence[Share], chunk_size: int) -> bytes:

@@ -1,17 +1,19 @@
 """Batched GF(2^8) kernels over whole 2-D share matrices.
 
 The scalar reference multiplies one coefficient into one stripe at a
-time (``n * t`` Python-level passes per chunk).  These kernels encode a
-chunk in a single table-lookup gather: the full ``(rows, t)`` dispersal
-matrix is broadcast against the ``(t, L)`` stripe matrix through the
-precomputed 256x256 multiplication table, and the ``t`` partial
-products are XOR-reduced in one numpy reduction —
+time in Python.  ``matmul`` does the same walk in numpy, one
+``(coefficient, input row)`` pair at a time:
 
-    out[i, k] = XOR_j MUL_TABLE[matrix[i, j], stripes[j, k]]
+    out[i] ^= MUL_TABLE[matrix[i, j]][stripes[j]]
 
-The gather materialises a ``(rows, t, block)`` intermediate, so long
-stripes are processed in fixed-size column blocks to bound peak memory
-at roughly ``2 * _BLOCK_BYTES`` regardless of chunk size.
+``MUL_TABLE[c]`` is a contiguous 256-byte row, so the lookup is
+``np.take`` over a 1-D table that lives in L1 — numpy's fast path —
+rather than a two-index gather into the full 64 KiB table.  Columns
+are processed in ``_BLOCK``-byte blocks so one input block, one output
+block and the scratch block stay cache-resident across all
+``rows * t`` passes.  A coefficient of 1 xors the stripe in as it is
+and a coefficient of 0 is skipped (the first Vandermonde column is all
+ones).
 
 Outputs are C-contiguous ``uint8`` matrices whose rows the codec hands
 out as zero-copy ``memoryview`` share payloads.
@@ -25,8 +27,8 @@ from repro.gf.tables import MUL_TABLE
 
 __all__ = ["stripe", "matmul", "encode_blocks"]
 
-#: Upper bound on the (rows * t * block) gather intermediate, in bytes.
-_BLOCK_BYTES = 4 * 1024 * 1024
+#: Column block: input, output and scratch blocks of this size stay in L2.
+_BLOCK = 64 * 1024
 
 
 def stripe(data, t: int) -> np.ndarray:
@@ -46,29 +48,44 @@ def stripe(data, t: int) -> np.ndarray:
     return padded.reshape(t, stripe_len)
 
 
-def matmul(matrix: np.ndarray, stripes: np.ndarray) -> np.ndarray:
+def matmul(matrix: np.ndarray, stripes) -> np.ndarray:
     """``matrix @ stripes`` over GF(2^8) via table-lookup xor-accumulate.
 
     Args:
         matrix: ``(rows, t)`` uint8 coefficient matrix.
-        stripes: ``(t, L)`` uint8 data matrix.
+        stripes: ``t`` equal-length uint8 rows — a ``(t, L)`` array or
+            any sequence of 1-D arrays / buffers (only ever read one row
+            at a time, so they need not share a matrix).
 
     Returns:
         ``(rows, L)`` C-contiguous uint8 product.
     """
-    m = np.ascontiguousarray(matrix, dtype=np.uint8)
-    s = np.asarray(stripes, dtype=np.uint8)
+    m = np.asarray(matrix, dtype=np.uint8)
+    # memoryview first: zero-copy for bytes, buffers and (strided) array rows
+    srcs = [np.asarray(memoryview(row), dtype=np.uint8) for row in stripes]
     rows, t = m.shape
-    if s.shape[0] != t:
-        raise ValueError(f"shape mismatch: {m.shape} @ {s.shape}")
-    length = s.shape[1]
+    if len(srcs) != t or len({src.shape for src in srcs}) > 1 or srcs[0].ndim != 1:
+        raise ValueError(
+            f"shape mismatch: {m.shape} @ {[src.shape for src in srcs]}"
+        )
+    length = srcs[0].size
     out = np.empty((rows, length), dtype=np.uint8)
-    step = max(1, _BLOCK_BYTES // max(1, rows * t))
-    row_idx = m[:, :, None]  # (rows, t, 1)
-    for lo in range(0, length, step):
-        hi = min(length, lo + step)
-        partial = MUL_TABLE[row_idx, s[None, :, lo:hi]]  # (rows, t, hi-lo)
-        np.bitwise_xor.reduce(partial, axis=1, out=out[:, lo:hi])
+    tmp = np.empty(min(length, _BLOCK), dtype=np.uint8)
+    coeffs = m.tolist()
+    for lo in range(0, length, _BLOCK):
+        hi = min(length, lo + _BLOCK)
+        blocks = [src[lo:hi] for src in srcs]
+        scratch = tmp[: hi - lo]
+        for i in range(rows):
+            dst = out[i, lo:hi]
+            dst[:] = 0
+            for c, blk in zip(coeffs[i], blocks):
+                if c == 0:
+                    continue
+                if c != 1:
+                    np.take(MUL_TABLE[c], blk, out=scratch, mode="clip")
+                    blk = scratch
+                np.bitwise_xor(dst, blk, out=dst)
     return out
 
 

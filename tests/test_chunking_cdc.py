@@ -1,6 +1,13 @@
 """Unit tests for the content-defined chunker (both engines)."""
 
+import hashlib
+import json
 import os
+import random
+import sys
+import threading
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -149,6 +156,80 @@ class TestSeeds:
         a = ContentDefinedChunker(seed=9, **PARAMS).boundaries(data)
         b = ContentDefinedChunker(seed=9, **PARAMS).boundaries(data)
         assert a == b
+
+
+class TestVectorizedEngine:
+    def test_golden_cuts_pinned(self):
+        """Chunk identity is storage format: the cut points of a seeded
+        buffer, recorded before the scan was re-blocked, must not move."""
+        from repro.core.config import CyrusConfig
+
+        golden = json.loads(
+            (Path(__file__).parent / "data" / "golden_cuts.json").read_text()
+        )
+        data = random.Random(0xC075).randbytes(1 << 20)
+        assert hashlib.sha1(data).hexdigest() == golden["buffer_sha1"]
+        cfg = CyrusConfig(key="k")
+        default = ContentDefinedChunker(
+            min_size=cfg.chunk_min, avg_size=cfg.chunk_avg,
+            max_size=cfg.chunk_max, engine=cfg.chunker_engine,
+            seed=cfg.chunker_seed,
+        )
+        assert default.boundaries(data) == golden["default_config_cuts"]
+        fine = golden["fine"]
+        cuts = ContentDefinedChunker(
+            min_size=fine["min_size"], avg_size=fine["avg_size"],
+            max_size=fine["max_size"],
+        ).boundaries(data)
+        assert len(cuts) == fine["count"]
+        assert (
+            hashlib.sha1(json.dumps(cuts).encode()).hexdigest()
+            == fine["cuts_json_sha1"]
+        )
+
+    def test_one_chunker_shared_by_threads(self):
+        """Scratch is per call, so concurrent puts may share a chunker."""
+        chunker = ContentDefinedChunker(min_size=64, avg_size=256, max_size=4096)
+        buffers = [random.Random(i).randbytes(300_000) for i in range(4)]
+        serial = [chunker.boundaries(b) for b in buffers]
+        got: list = [None] * len(buffers)
+
+        def work(i):
+            for _ in range(5):
+                got[i] = chunker.boundaries(buffers[i])
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert got == serial
+
+    def test_construction_allocates_under_1mb(self):
+        """The power tables are block-sized (2 x 128 KiB), not 2 x 32 MB."""
+        from repro.chunking import cdc
+        from repro.core.config import CyrusConfig
+
+        cfg = CyrusConfig(key="k")
+        cdc._power_series.cache_clear()
+        cdc._byte_table.cache_clear()
+        tracemalloc.start()
+        try:
+            chunker = ContentDefinedChunker(
+                min_size=cfg.chunk_min, avg_size=cfg.chunk_avg,
+                max_size=cfg.chunk_max, seed=cfg.chunker_seed,
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert chunker.engine == "vectorized"
+        assert peak < 1_000_000, peak
 
 
 class TestFixedChunker:
