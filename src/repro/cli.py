@@ -37,6 +37,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 import uuid
 from pathlib import Path
 
@@ -494,10 +495,17 @@ def cmd_fleet(args) -> int:
     print(f"fleet: {spec.tenants} tenants x {spec.ops_per_tenant} ops over "
           f"{topology.csps} {topology.engine} CSPs "
           f"({topology.meta_groups} metadata groups, seed {args.seed}) ...")
+    started = time.perf_counter()
     result = run_fleet(spec, topology, seed=args.seed)
+    wall_s = time.perf_counter() - started
     out = Path(args.out)
     write_fleet_report(result.report, out)
     fleet = result.report["fleet"]
+    ops = int(fleet["op_latency"]["count"])
+    # host cost goes to stderr: the report stays a function of the seed
+    print(f"host: wall_ms_per_op={wall_s / ops * 1e3:.2f} "
+          f"ops/s={ops / wall_s:.0f} ({ops} ops in {wall_s:.2f}s)",
+          file=sys.stderr)
     sync = fleet["sync_latency"]
     print(f"converged: {fleet['converged_tenants']}/{len(result.tenants)} "
           f"tenants, {fleet['namespace_collisions']} namespace collision(s)")

@@ -20,7 +20,11 @@ from dataclasses import dataclass, field
 from repro.core.transfer import OpKind, OpResult, TransferEngine, TransferOp
 from repro.errors import CSPError, MetadataError
 from repro.metadata import GlobalChunkTable, MetadataStore, MetadataTree
-from repro.metadata.codec import METADATA_PREFIX, parse_metadata_share_name
+from repro.metadata.codec import (
+    METADATA_PREFIX,
+    NODE_ID_SLICE,
+    parse_metadata_share_name,
+)
 from repro.metadata.conflicts import Conflict, conflicts_for_node
 from repro.util.hashing import sha1_hex
 
@@ -55,9 +59,13 @@ class SyncService:
         self.chunk_table = chunk_table
         self.engine = engine
 
-    def _remote_listing(self) -> dict[str, list[tuple[int, int, str]]]:
-        """node_id -> [(index, size, csp_id)] across reachable slots."""
-        listing: dict[str, list[tuple[int, int, str]]] = {}
+    def _remote_listing(self) -> dict[str, list[tuple[int, int, str, str]]]:
+        """Unknown node_id -> [(index, size, csp_id, name)] over reachable
+        slots.  An entry of a node the tree already holds is dropped on
+        its id slice, before any parsing: a sync pays one set probe per
+        listed entry and everything else per *new* entry."""
+        listing: dict[str, list[tuple[int, int, str, str]]] = {}
+        known = self.tree.node_ids()
         reachable = 0
         for provider in self.store.providers:
             try:
@@ -65,13 +73,15 @@ class SyncService:
             except CSPError:
                 continue
             reachable += 1
-            for info in infos:
+            for info in [
+                i for i in infos if i.name[NODE_ID_SLICE] not in known
+            ]:
                 try:
                     node_id, index = parse_metadata_share_name(info.name)
                 except MetadataError:
                     continue
                 listing.setdefault(node_id, []).append(
-                    (index, info.size, provider.csp_id)
+                    (index, info.size, provider.csp_id, info.name)
                 )
         if reachable < self.store.t:
             raise MetadataError(
@@ -83,12 +93,10 @@ class SyncService:
     def sync(self) -> SyncReport:
         """Fetch unknown metadata nodes and merge them."""
         started = self.engine.clock.now()
-        listing = self._remote_listing()
-        known = self.tree.node_ids()
         wanted = {
             node_id: shares
-            for node_id, shares in listing.items()
-            if node_id not in known and len(shares) >= self.store.t
+            for node_id, shares in self._remote_listing().items()
+            if len(shares) >= self.store.t
         }
         all_results: list[OpResult] = []
         new_nodes = 0
@@ -101,13 +109,13 @@ class SyncService:
         ops: list[TransferOp] = []
         op_index: dict[int, tuple[str, int, str]] = {}
         for node_id, shares in sorted(wanted.items()):
-            for index, size, csp_id in sorted(shares):
+            for index, size, csp_id, name in sorted(shares):
                 op_index[len(ops)] = (node_id, index, csp_id)
                 ops.append(
                     TransferOp(
                         kind=OpKind.GET_META,
                         csp_id=csp_id,
-                        name=f"{METADATA_PREFIX}{node_id}-{index:03d}",
+                        name=name,
                         size=size,
                     )
                 )

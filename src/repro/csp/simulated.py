@@ -204,10 +204,11 @@ class SimulatedCSP(CloudProvider):
         replaced = 0
         if self._store.overwrite:
             replaced = self._store.object_size(name) or 0
-        if self._store.stored_bytes - replaced + len(data) > self.quota_bytes:
+        total = self._store.stored_bytes - replaced + len(data)
+        if total > self.quota_bytes:
             raise CSPQuotaExceededError(
                 f"{self.csp_id} quota exceeded "
-                f"({self._store.stored_bytes + len(data)} > {self.quota_bytes})",
+                f"({total} > {self.quota_bytes})",
                 csp_id=self.csp_id,
             )
         self._store.upload(name, data)

@@ -187,6 +187,11 @@ def metadata_share_name(node_id: str, index: int) -> str:
     return f"{METADATA_PREFIX}{node_id}-{index:03d}"
 
 
+#: Where a share name carries its node id: sync drops the entries of
+#: nodes it already holds on this slice, without parsing the name.
+NODE_ID_SLICE = slice(len(METADATA_PREFIX), len(METADATA_PREFIX) + 40)
+
+
 def parse_metadata_share_name(name: str) -> tuple[str, int]:
     """Extract ``(node_id, index)``; raises MetadataError on other names."""
     if not name.startswith(METADATA_PREFIX):

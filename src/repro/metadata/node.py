@@ -12,7 +12,8 @@ its lineage-defining fields (content id, parent, name, client), so
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from repro.util.hashing import sha1_hex
 from repro.util.serialization import canonical_dumps
@@ -101,9 +102,14 @@ class MetadataNode:
                     f"share references unknown chunk {share.chunk_id[:8]}"
                 )
 
-    @property
+    @cached_property
     def node_id(self) -> str:
-        """Identity: SHA-1 over (file_id, prev_id, name, client_id)."""
+        """Identity: SHA-1 over (file_id, prev_id, name, client_id).
+
+        Hashed once per node object: the cache lives in the instance
+        ``__dict__``, which the frozen dataclass's equality, hash and
+        ``dataclasses.replace`` never look at.
+        """
         return sha1_hex(
             canonical_dumps(
                 [self.file_id, self.prev_id, self.name, self.client_id]

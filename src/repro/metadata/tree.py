@@ -9,18 +9,32 @@ that lets CYRUS be "as consistent as the CSPs where it stores files".
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from dataclasses import replace
+from typing import Iterable, Iterator, KeysView
 
 from repro.errors import MetadataError
 from repro.metadata.node import ROOT_ID, MetadataNode
 
 
+def _version_order(node: MetadataNode) -> tuple[float, str]:
+    """Listing order of versions: oldest first, node id breaks ties."""
+    return node.modified, node.node_id
+
+
 class MetadataTree:
-    """All known file versions, indexed every way the client needs."""
+    """All known file versions, indexed every way the client needs.
+
+    ``add`` and ``remove`` keep three indexes in step — nodes by id,
+    child ids by parent id, and leaf ids by file name — so every view
+    below costs what it returns, not what the tree holds.  The indexes
+    store ids, never node objects, so the share-merge replacement in
+    ``add`` (same id, name, parent and stamp) leaves them valid.
+    """
 
     def __init__(self) -> None:
         self._nodes: dict[str, MetadataNode] = {}
         self._children: dict[str, set[str]] = {}
+        self._heads: dict[str, set[str]] = {}  # name -> childless node ids
 
     # -- growth ------------------------------------------------------------
 
@@ -45,8 +59,6 @@ class MetadataTree:
                         key=lambda s: (s.chunk_id, s.index, s.csp_id),
                     )
                 )
-                from dataclasses import replace
-
                 self._nodes[node_id] = replace(existing, shares=merged_shares)
                 return False
             raise MetadataError(
@@ -54,12 +66,23 @@ class MetadataTree:
             )
         self._nodes[node_id] = node
         self._children.setdefault(node.prev_id, set()).add(node_id)
+        # nodes arrive in any order: a child may already be waiting
+        if not self._children.get(node_id):
+            self._heads.setdefault(node.name, set()).add(node_id)
+        parent = self._nodes.get(node.prev_id)
+        if parent is not None:
+            self._drop_head(parent)
         return True
+
+    def _drop_head(self, node: MetadataNode) -> None:
+        heads = self._heads.get(node.name)
+        if heads is not None:
+            heads.discard(node.node_id)
+            if not heads:
+                del self._heads[node.name]
 
     @staticmethod
     def _same_except_shares(a: MetadataNode, b: MetadataNode) -> bool:
-        from dataclasses import replace
-
         return replace(a, shares=()) == replace(b, shares=())
 
     def merge(self, nodes: Iterable[MetadataNode]) -> int:
@@ -77,11 +100,17 @@ class MetadataTree:
         node = self._nodes.pop(node_id, None)
         if node is None:
             return False
+        self._drop_head(node)
         kids = self._children.get(node.prev_id)
         if kids is not None:
             kids.discard(node_id)
             if not kids:
                 del self._children[node.prev_id]
+                parent = self._nodes.get(node.prev_id)
+                if parent is not None:  # its last successor just left
+                    self._heads.setdefault(parent.name, set()).add(
+                        node.prev_id
+                    )
         return True
 
     # -- lookup --------------------------------------------------------------
@@ -101,48 +130,52 @@ class MetadataTree:
             raise MetadataError(f"unknown metadata node {node_id[:8]}")
         return node
 
-    def node_ids(self) -> set[str]:
-        """All known node ids."""
-        return set(self._nodes)
+    def node_ids(self) -> KeysView[str]:
+        """All known node ids: a live, set-like, read-only view."""
+        return self._nodes.keys()
 
     def children(self, node_id: str) -> list[MetadataNode]:
         """Direct successors of a node (concurrent edits if > 1)."""
         return sorted(
             (self._nodes[c] for c in self._children.get(node_id, ())),
-            key=lambda n: (n.modified, n.node_id),
+            key=_version_order,
         )
 
     def leaves(self) -> list[MetadataNode]:
         """Nodes with no successors — candidate current versions."""
         return sorted(
             (
-                node
-                for node_id, node in self._nodes.items()
-                if not self._children.get(node_id)
+                self._nodes[node_id]
+                for heads in self._heads.values()
+                for node_id in heads
             ),
-            key=lambda n: (n.modified, n.node_id),
+            key=_version_order,
         )
 
     # -- per-file views ---------------------------------------------------
 
     def file_names(self, include_deleted: bool = False) -> list[str]:
         """Names with at least one live head (or any head when asked)."""
-        names = set()
-        for node in self.leaves():
-            if include_deleted or not node.deleted:
-                names.add(node.name)
-        return sorted(names)
+        return sorted(
+            name
+            for name, heads in self._heads.items()
+            if include_deleted
+            or any(not self._nodes[h].deleted for h in heads)
+        )
 
     def heads(self, name: str) -> list[MetadataNode]:
         """Leaf versions of one file; > 1 means an unresolved conflict."""
-        return [n for n in self.leaves() if n.name == name]
+        return sorted(
+            (self._nodes[h] for h in self._heads.get(name, ())),
+            key=_version_order,
+        )
 
     def latest(self, name: str) -> MetadataNode:
         """The most recent head (ties broken by node id for determinism)."""
-        heads = self.heads(name)
+        heads = self._heads.get(name)
         if not heads:
             raise MetadataError(f"no versions of {name!r}")
-        return max(heads, key=lambda n: (n.modified, n.node_id))
+        return max((self._nodes[h] for h in heads), key=_version_order)
 
     def history(self, node_id: str) -> list[MetadataNode]:
         """The version chain from a node back to its oldest known version.

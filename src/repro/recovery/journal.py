@@ -172,16 +172,18 @@ class Intent:
 class IntentJournal:
     """Append-only JSONL intent journal with atomic compaction.
 
-    Every append opens, writes one full line, flushes, fsyncs and
-    closes — slow by database standards, but a CYRUS client journals a
-    handful of records per put, and the open-per-write discipline means
-    two client generations (the crashed one and its successor) can use
-    the same path without handle coordination.
+    The journal's directory is created once, at construction.  Every
+    append opens, writes one full line, flushes, fsyncs and closes —
+    slow by database standards, but a CYRUS client journals a handful
+    of records per put, and the open-per-write discipline means two
+    client generations (the crashed one and its successor) can use the
+    same path without handle coordination.
     """
 
     def __init__(self, path: str | Path, clock=None, fsync: bool = True,
                  compact_after: int = 256):
         self.path = Path(path)
+        self.path.parent.mkdir(parents=True, exist_ok=True)
         self.clock = clock
         self.fsync = fsync
         self.compact_after = max(1, compact_after)
@@ -200,7 +202,6 @@ class IntentJournal:
         return self.clock.now() if self.clock is not None else 0.0
 
     def _append(self, record: JournalRecord) -> JournalRecord:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         blob = record.encode()
         with open(self.path, "ab") as handle:
             handle.write(blob)

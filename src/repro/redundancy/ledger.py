@@ -107,10 +107,11 @@ class DebtEntry:
 class DebtLedger:
     """Append-only JSONL debt ledger with atomic compaction.
 
-    Mirrors the :class:`IntentJournal` open-per-write discipline: every
-    append opens, writes one line, flushes, fsyncs and closes, so a
-    crashed client generation and its successor can share the path
-    without handle coordination.  The in-memory open-debt view is
+    Mirrors the :class:`IntentJournal` open-per-write discipline: the
+    directory is created once, at construction, and every append
+    opens, writes one line, flushes, fsyncs and closes, so a crashed
+    client generation and its successor can share the path without
+    handle coordination.  The in-memory open-debt view is
     rebuilt from disk at construction and kept in step with every
     append, so reads never re-parse the file.
     """
@@ -118,6 +119,7 @@ class DebtLedger:
     def __init__(self, path: str | Path, clock=None, fsync: bool = True,
                  compact_after: int = 256):
         self.path = Path(path)
+        self.path.parent.mkdir(parents=True, exist_ok=True)
         self.clock = clock
         self.fsync = fsync
         self.compact_after = max(1, compact_after)
@@ -134,7 +136,6 @@ class DebtLedger:
         return self.clock.now() if self.clock is not None else 0.0
 
     def _append(self, doc: dict) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         try:
             blob = (json.dumps(doc, sort_keys=True,
                                separators=(",", ":")) + "\n").encode("utf-8")

@@ -33,6 +33,25 @@ class TestQuota:
         csp.upload("a", b"abcdefghij")  # same name: replaces, fits
         assert csp.download("a") == b"abcdefghij"
 
+    def test_overwrite_at_the_limit_and_the_figures_it_reports(self):
+        csp, _ = make_csp(quota_bytes=10)
+        csp.upload("a", b"123456")
+        csp.upload("b", b"12")
+        csp.upload("a", b"12345678")  # 8 - 6 + 8 = 10: exactly fits
+        assert csp.stored_bytes == 10
+        with pytest.raises(CSPQuotaExceededError) as caught:
+            csp.upload("a", b"123456789")  # 10 - 8 + 9 = 11: one over
+        # the message names the total that was compared, not 10 + 9
+        assert "(11 > 10)" in str(caught.value)
+        assert csp.download("a") == b"12345678"
+
+    def test_revisions_all_count_against_the_quota(self):
+        csp, _ = make_csp(quota_bytes=10, overwrite=False)
+        csp.upload("a", b"123456")
+        with pytest.raises(CSPQuotaExceededError) as caught:
+            csp.upload("a", b"12345")  # a new revision replaces nothing
+        assert "(11 > 10)" in str(caught.value)
+
     def test_delete_frees_space(self):
         csp, _ = make_csp(quota_bytes=10)
         csp.upload("a", b"1234567890")

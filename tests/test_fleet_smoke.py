@@ -13,7 +13,9 @@ Pins the three fleet-harness contracts the CI job relies on:
 
 from __future__ import annotations
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -125,3 +127,27 @@ def test_cli_fleet_writes_report_and_gates(tmp_path):
     assert code == 0
     report = load_fleet_report(out)
     assert report["fleet"]["converged_tenants"] == 4
+
+
+def test_cli_fleet_report_matches_the_cross_commit_golden_digest(
+    tmp_path, capsys,
+):
+    """``cyrus fleet --tenants 8 --seed 7`` is pinned across commits.
+
+    The digest was generated on the commit *before* the provider
+    substrate and the version tree were indexed: namespace digests,
+    simulated latencies and load skew must not notice such a swap.
+    Host timing goes to stderr only, never into the report.
+    """
+    from repro.cli import main
+
+    out = tmp_path / "FLEET_report.json"
+    assert main(["fleet", "--tenants", "8", "--seed", "7",
+                 "--out", str(out)]) == 0
+    golden = Path(__file__).parent / "data" / "golden_fleet_digest.txt"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        golden.read_text().strip()
+    )
+    captured = capsys.readouterr()
+    assert "wall_ms_per_op=" in captured.err and "ops/s=" in captured.err
+    assert "wall_ms_per_op" not in captured.out

@@ -1,9 +1,9 @@
 """The anti-entropy scrub: detect, repair, budget, and report.
 
-Damage is injected straight into the in-memory providers' object
-stores — deleted shares, bit-flipped shares, unrecorded shares — and
-the scrub must find and fix exactly that damage, within its transfer
-budget, journaling every repair as a ``migrate`` intent.
+Damage is injected through the in-memory providers' own primitives —
+deleted shares, shares re-uploaded with a flipped bit, unrecorded
+shares — and the scrub must find and fix exactly that damage, within
+its transfer budget, journaling every repair as a ``migrate`` intent.
 """
 
 from __future__ import annotations
@@ -51,6 +51,10 @@ def _provider(providers, csp_id):
     return next(p for p in providers if p.csp_id == csp_id)
 
 
+def _holds(provider, name):
+    return provider.object_size(name) is not None
+
+
 class TestScrubDetection:
     def test_healthy_table_scrubs_clean(self, tmp_path):
         client, _providers = _world(tmp_path)
@@ -64,23 +68,21 @@ class TestScrubDetection:
         client, providers = _world(tmp_path)
         client.put("a.bin", deterministic_bytes(2000, seed=2))
         victim_csp, victim_obj = _share_locations(client)[0]
-        del _provider(providers, victim_csp)._objects[victim_obj]
+        _provider(providers, victim_csp).delete(victim_obj)
         report = client.scrub()
         assert report.shares_missing >= 1
         assert report.shares_repaired >= 1
         # the object is back, byte-identical to its sibling-reconstruction
-        assert victim_obj in _provider(providers, victim_csp)._objects
+        assert _holds(_provider(providers, victim_csp), victim_obj)
         assert client.scrub().healthy  # second pass: nothing left to fix
 
     def test_corrupt_share_is_found_and_rewritten(self, tmp_path):
         client, providers = _world(tmp_path)
         client.put("a.bin", deterministic_bytes(2000, seed=3))
         victim_csp, victim_obj = _share_locations(client)[0]
-        store = _provider(providers, victim_csp)._objects
-        modified, blob = store[victim_obj][-1]
-        store[victim_obj][-1] = (
-            modified, bytes([blob[0] ^ 0xFF]) + blob[1:],
-        )
+        victim = _provider(providers, victim_csp)
+        blob = victim.download(victim_obj)
+        victim.upload(victim_obj, bytes([blob[0] ^ 0xFF]) + blob[1:])
         report = client.scrub()
         assert report.shares_corrupt >= 1
         assert report.shares_repaired >= 1
@@ -92,7 +94,7 @@ class TestScrubDetection:
         client, providers = _world(tmp_path)
         client.put("a.bin", deterministic_bytes(1500, seed=4))
         victim_csp, victim_obj = _share_locations(client)[0]
-        del _provider(providers, victim_csp)._objects[victim_obj]
+        _provider(providers, victim_csp).delete(victim_obj)
         client.scrub()
         migrates = [i for i in client.journal.intents() if i.op == "migrate"]
         assert migrates and all(i.committed for i in migrates)
@@ -101,17 +103,17 @@ class TestScrubDetection:
         client, providers = _world(tmp_path)
         client.put("a.bin", deterministic_bytes(2000, seed=5))
         victim_csp, victim_obj = _share_locations(client)[0]
-        del _provider(providers, victim_csp)._objects[victim_obj]
+        _provider(providers, victim_csp).delete(victim_obj)
         report = client.scrub(repair=False)
         assert report.shares_missing >= 1
         assert report.shares_repaired == 0
-        assert victim_obj not in _provider(providers, victim_csp)._objects
+        assert not _holds(_provider(providers, victim_csp), victim_obj)
 
     def test_scrub_metrics_match_report(self, tmp_path):
         client, providers = _world(tmp_path)
         client.put("a.bin", deterministic_bytes(2000, seed=6))
         victim_csp, victim_obj = _share_locations(client)[0]
-        del _provider(providers, victim_csp)._objects[victim_obj]
+        _provider(providers, victim_csp).delete(victim_obj)
         report = client.scrub()
         snap = client.obs.snapshot()
         assert snap.counter_total(
@@ -131,7 +133,7 @@ class TestScrubOrphans:
         report = client.scrub()
         assert ("csp0", stray) in report.orphans
         assert report.orphans_deleted == 0
-        assert stray in providers[0]._objects
+        assert _holds(providers[0], stray)
         snap = client.obs.snapshot()
         assert snap.counter_total("cyrus_scrub_orphans_total") >= 1
 
@@ -142,7 +144,7 @@ class TestScrubOrphans:
         providers[1].upload(stray, b"stray bytes")
         report = client.scrub(delete_orphans=True)
         assert report.orphans_deleted == 1
-        assert stray not in providers[1]._objects
+        assert not _holds(providers[1], stray)
 
     def test_non_share_names_are_never_orphans(self, tmp_path):
         client, providers = _world(tmp_path)
@@ -150,7 +152,7 @@ class TestScrubOrphans:
         providers[0].upload("notes.txt", b"operator file")
         report = client.scrub(delete_orphans=True)
         assert all(name != "notes.txt" for _csp, name in report.orphans)
-        assert "notes.txt" in providers[0]._objects
+        assert _holds(providers[0], "notes.txt")
 
     def test_adopts_unrecorded_share_of_known_chunk(self, tmp_path):
         client, providers = _world(tmp_path)
@@ -191,7 +193,7 @@ class TestScrubBudget:
         for i in range(3):
             client.put(f"f{i}.bin", deterministic_bytes(1800, seed=30 + i))
         victim_csp, victim_obj = _share_locations(client)[-1]
-        del _provider(providers, victim_csp)._objects[victim_obj]
+        _provider(providers, victim_csp).delete(victim_obj)
         from repro.recovery import Scrubber
 
         scrubber = Scrubber(client, budget_shares=4)
@@ -202,7 +204,7 @@ class TestScrubBudget:
             if repaired and not report.budget_exhausted:
                 break
         assert repaired >= 1
-        assert victim_obj in _provider(providers, victim_csp)._objects
+        assert _holds(_provider(providers, victim_csp), victim_obj)
 
     def test_unbudgeted_scrub_is_one_full_pass(self, tmp_path):
         client, _providers = _world(tmp_path)
@@ -218,22 +220,22 @@ class TestScrubDaemonIntegration:
         client, providers = _world(tmp_path)
         client.put("a.bin", deterministic_bytes(2400, seed=50))
         victim_csp, victim_obj = _share_locations(client)[0]
-        del _provider(providers, victim_csp)._objects[victim_obj]
+        _provider(providers, victim_csp).delete(victim_obj)
         daemon = SyncDaemon(client, interval_s=10.0, scrub_budget=6)
         ticks = daemon.run_until(100.0)
         assert sum(t.scrub_verified for t in ticks) > 0
         assert sum(t.scrub_repaired for t in ticks) >= 1
-        assert victim_obj in _provider(providers, victim_csp)._objects
+        assert _holds(_provider(providers, victim_csp), victim_obj)
 
     def test_zero_budget_disables_the_scrub(self, tmp_path):
         client, providers = _world(tmp_path)
         client.put("a.bin", deterministic_bytes(2400, seed=51))
         victim_csp, victim_obj = _share_locations(client)[0]
-        del _provider(providers, victim_csp)._objects[victim_obj]
+        _provider(providers, victim_csp).delete(victim_obj)
         daemon = SyncDaemon(client, interval_s=10.0)  # scrub_budget=0
         ticks = daemon.run_until(50.0)
         assert all(t.scrub_verified == 0 for t in ticks)
-        assert victim_obj not in _provider(providers, victim_csp)._objects
+        assert not _holds(_provider(providers, victim_csp), victim_obj)
 
 
 class TestScrubUnrecoverable:
@@ -245,11 +247,13 @@ class TestScrubUnrecoverable:
         survivors = 0
         for index, csp_id in location.placements:
             name = chunk_share_object_name(index, chunk_id)
-            store = _provider(providers, csp_id)._objects
-            if name in store and survivors < location.t - 1:
+            holder = _provider(providers, csp_id)
+            if not _holds(holder, name):
+                continue
+            if survivors < location.t - 1:
                 survivors += 1
                 continue
-            store.pop(name, None)
+            holder.delete(name)
         report = client.scrub()
         assert chunk_id in report.unrecoverable_chunks
         assert not report.healthy
