@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Many concurrent CYRUS sessions on one event loop.
 
-The asyncio core exists for exactly this: a server-side process (a sync
-gateway, a backup fleet controller) holding *hundreds* of client
-sessions open at once.  Every ``async with AsyncCyrusClient(...)``
-session on a loop shares one runtime — two bounded thread pools — so
-sessions cost a small object each, not a thread pool each.
+The async session facade exists for exactly this: a server-side process
+(a sync gateway, a backup fleet controller) holding *hundreds* of
+client sessions open at once.  Every ``async with AsyncCyrusClient(...)``
+session on a loop shares one bounded pipeline executor, so sessions
+cost a small object each, not a thread pool each.
 
 Each session here owns an independent in-memory provider fleet and does
 a real put/get round-trip; a barrier holds every session open at the

@@ -9,10 +9,9 @@ from optimally chosen providers minimise latency.
 
 This module is the **stable public API façade**: everything a caller
 needs — the sync and async clients, configuration, the provider
-protocols, the report types and the error hierarchy — imports from
-here.  Deeper paths (``repro.core.*`` package re-exports) are
-deprecated shims; the canonical implementation modules remain importable
-for advanced use.
+protocol, the report types and the error hierarchy — imports from
+here.  The implementation modules (``repro.core.client`` ...) remain
+importable for advanced use.
 
 Quickstart (sync)::
 
@@ -24,7 +23,7 @@ Quickstart (sync)::
         client.put("hello.txt", b"hello, cyrus")
         print(client.get("hello.txt").data)
 
-Quickstart (async — thousands of concurrent sessions per process)::
+Quickstart (async — many concurrent sessions per event loop)::
 
     from repro import AsyncCyrusClient, CyrusConfig
     from repro.csp import InMemoryCSP
@@ -36,18 +35,15 @@ Quickstart (async — thousands of concurrent sessions per process)::
             await session.put("hello.txt", b"hello, cyrus")
             print((await session.get("hello.txt")).data)
 
-See DESIGN.md's "public API & async core" section for the protocol,
-semaphore model and loop-ownership rules.
+See DESIGN.md's "Concurrency model and public API" section for the
+transfer pool, its admission bounds and the async session facade.
 """
 
 from repro.core.async_client import AsyncCyrusClient
-from repro.core.async_engine import AsyncTransferEngine
-from repro.core.async_retry import AsyncShareRetryLoop
 from repro.core.client import CyrusClient, FileEntry
 from repro.core.cloud import CSPStatus, CyrusCloud
 from repro.core.config import CyrusConfig
 from repro.core.downloader import DownloadReport
-from repro.core.parallel import ParallelEngine
 from repro.core.retry import ShareRetryLoop
 from repro.core.sync import SyncReport
 from repro.core.transfer import (
@@ -58,7 +54,6 @@ from repro.core.transfer import (
     TransferReceiver,
 )
 from repro.core.uploader import UploadReport
-from repro.csp.aio import AsyncCloudProvider, SyncProviderAdapter, as_async_provider
 from repro.csp.base import BytesLike, CloudProvider, ObjectInfo
 from repro.csp.resilient import HealthRegistry, ResilientProvider, RetryPolicy
 from repro.errors import (
@@ -111,23 +106,17 @@ __all__ = [
     "UploadReport",
     "DownloadReport",
     "SyncReport",
-    # provider protocols
+    # provider protocol
     "CloudProvider",
-    "AsyncCloudProvider",
-    "SyncProviderAdapter",
-    "as_async_provider",
     "BytesLike",
     "ObjectInfo",
     # engines & retry
     "DirectEngine",
     "SimulatedEngine",
-    "ParallelEngine",
-    "AsyncTransferEngine",
     "TransferOp",
     "OpResult",
     "TransferReceiver",
     "ShareRetryLoop",
-    "AsyncShareRetryLoop",
     # resilience
     "HealthRegistry",
     "ResilientProvider",

@@ -74,8 +74,8 @@ def load_settings(store: Path) -> dict:
 
 
 #: Clients built during the current command; ``main`` closes them on the
-#: way out, so every command shares one teardown path (encode pool,
-#: engine threads/loop) without per-command boilerplate.
+#: way out, so every command shares one teardown path (the engine's pool
+#: threads) without per-command boilerplate.
 _active_clients: list[CyrusClient] = []
 
 
@@ -95,7 +95,6 @@ def build_client(store: Path) -> CyrusClient:
         parallelism=settings.get("parallelism", 1),
         max_inflight_per_csp=settings.get("max_inflight_per_csp"),
         max_inflight_total=settings.get("max_inflight_total"),
-        transfer_backend=settings.get("transfer_backend", "thread"),
     )
     from repro.recovery import IntentJournal
     from repro.redundancy import DebtLedger
@@ -152,7 +151,6 @@ def cmd_init(args) -> int:
         "chunk_avg": args.chunk_avg,
         "chunk_max": args.chunk_max,
         "parallelism": args.parallelism,
-        "transfer_backend": args.transfer_backend,
         "max_inflight_per_csp": args.max_inflight_per_csp,
         "max_inflight_total": None,
         "client_id": args.client_id or f"cli-{uuid.uuid4().hex[:8]}",
@@ -743,10 +741,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chunk-max", type=int, default=2 * 1024 * 1024)
     p.add_argument("--parallelism", type=int, default=1,
                    help="concurrent transfer ops (1 = serial)")
-    p.add_argument("--transfer-backend", choices=("thread", "async"),
-                   default="thread",
-                   help="parallel transfer core: 'thread' pool or "
-                        "'async' event loop (default: thread)")
     p.add_argument("--max-inflight-per-csp", type=int, default=None,
                    help="concurrent ops allowed per provider when parallel")
     p.add_argument("--client-id", default=None)

@@ -6,42 +6,7 @@ clusters, optimised downlink selection, scattered metadata, optimistic
 concurrency with after-the-fact conflict detection, and lazy share
 migration on CSP change.
 
-Import surface: the package-level re-exports below are **deprecated**
-in favour of the top-level :mod:`repro` façade (for the public names)
-or the canonical implementation modules (``repro.core.client``,
-``repro.core.transfer``, ...).  They keep resolving — via a PEP 562
-``__getattr__`` that emits :class:`DeprecationWarning` — so existing
-callers don't break, but new code should not add to their users.
+The package itself exports nothing: import public names from the
+top-level :mod:`repro` façade, or from the implementation modules
+(``repro.core.client``, ``repro.core.transfer``, ...).
 """
-
-from repro._compat import deprecated_getattr
-
-_MOVED = {
-    "CyrusClient": "repro.core.client",
-    "CyrusCloud": "repro.core.cloud",
-    "CyrusConfig": "repro.core.config",
-    "ChunkCache": "repro.core.cache",
-    "SyncDaemon": "repro.core.daemon",
-    "Uploader": "repro.core.uploader",
-    "UploadReport": "repro.core.uploader",
-    "Downloader": "repro.core.downloader",
-    "DownloadReport": "repro.core.downloader",
-    "SyncService": "repro.core.sync",
-    "SyncReport": "repro.core.sync",
-    "GCReport": "repro.core.maintenance",
-    "PruneReport": "repro.core.maintenance",
-    "ShareRetryLoop": "repro.core.retry",
-    "TransferOp": "repro.core.transfer",
-    "OpResult": "repro.core.transfer",
-    "DirectEngine": "repro.core.transfer",
-    "SimulatedEngine": "repro.core.transfer",
-    "TransferReceiver": "repro.core.transfer",
-}
-
-__all__ = sorted(_MOVED)
-
-__getattr__ = deprecated_getattr(__name__, _MOVED)
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_MOVED))

@@ -1,29 +1,19 @@
 """The asynchronous client session: ``async with AsyncCyrusClient(...)``.
 
 :class:`AsyncCyrusClient` is the event-loop face of
-:class:`repro.core.client.CyrusClient`: an async context manager owning
-the full session lifecycle — an :class:`AsyncTransferEngine` bound to
-the *running* loop, the encode pool, and the underlying sync client —
-with every Table 3 call exposed as a coroutine.
+:class:`repro.core.client.CyrusClient`: an async context manager that
+builds the sync client with :meth:`CyrusClient.create` — so with its
+default engine, serial at ``parallelism=1`` and the scatter/gather pool
+above — and exposes every Table 3 call as a coroutine.
 
 Scale model (the thousand-session property): all sessions on one loop
-share a single :class:`_LoopRuntime` — one bounded *pipeline* executor
-that runs the synchronous pipeline bodies (chunk/encode/metadata logic)
-off the loop, and one bounded *dispatch* executor the engines use for
-sync-adapted provider calls and lazy encodes.  A thousand concurrent
-``async with`` sessions therefore cost a thousand small client objects
-plus two thread pools — not a thousand thread pools.  The runtime is
-refcounted per loop and torn down when its last session exits.
-
-Deadlock freedom: pipeline threads block on coroutines submitted to the
-loop (``run_coroutine_threadsafe``); the loop never blocks — provider
-calls and encodes go to the *separate* dispatch executor.  The wait
-graph pipeline → loop → dispatch is acyclic by construction, which is
-why the two executors must never be merged.
-
-Providers are the ordinary synchronous :class:`CloudProvider`
-implementations; the engine adapts them.  Natively async providers can
-be registered directly on :attr:`engine` for loop-resident I/O.
+share a single :class:`_LoopRuntime`, one bounded *pipeline* executor
+that runs the synchronous pipeline bodies (chunk/encode/transfer/
+metadata) off the loop.  A thousand concurrent ``async with`` sessions
+therefore cost a thousand small client objects plus one thread pool.
+The runtime is refcounted per loop and torn down when its last session
+exits.  The loop never blocks: a call runs start to finish on a
+pipeline thread, provider I/O included.
 """
 
 from __future__ import annotations
@@ -34,26 +24,23 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
-from repro.core.async_engine import AsyncTransferEngine
 from repro.core.client import CyrusClient
 from repro.core.config import CyrusConfig
 from repro.csp.base import CloudProvider
 from repro.errors import TransferError
 
-#: Width of the shared per-loop executors.  Pipeline threads spend most
-#: of their life blocked on loop-side I/O, so a modest pool sustains far
-#: more concurrent sessions than its width; dispatch threads bound the
-#: truly concurrent blocking provider calls per process.
+#: Width of the shared per-loop executor: the most pipeline calls (and
+#: so blocking provider calls outside any session's pool) running at
+#: once per loop.
 _PIPELINE_WORKERS = 32
-_DISPATCH_WORKERS = 32
 
 
 class _LoopRuntime:
-    """Refcounted per-event-loop shared executors.
+    """Refcounted per-event-loop shared pipeline executor.
 
     ``acquire(loop)`` returns the loop's runtime, creating it on first
     use; every ``acquire`` must be paired with a ``release``, and the
-    executors shut down when the count reaches zero.
+    executor shuts down when the count reaches zero.
     """
 
     _registry: dict[int, "_LoopRuntime"] = {}
@@ -64,10 +51,6 @@ class _LoopRuntime:
         self.pipeline = ThreadPoolExecutor(
             max_workers=_PIPELINE_WORKERS,
             thread_name_prefix="cyrus-aio-pipeline",
-        )
-        self.dispatch = ThreadPoolExecutor(
-            max_workers=_DISPATCH_WORKERS,
-            thread_name_prefix="cyrus-aio-dispatch",
         )
         self.refs = 0
 
@@ -89,7 +72,6 @@ class _LoopRuntime:
                 return
             cls._registry.pop(id(runtime.loop), None)
         runtime.pipeline.shutdown(wait=False, cancel_futures=False)
-        runtime.dispatch.shutdown(wait=False, cancel_futures=False)
 
 
 class AsyncCyrusClient:
@@ -101,9 +83,9 @@ class AsyncCyrusClient:
             await session.put("a.txt", b"hello")
             report = await session.get("a.txt")
 
-    Construction is lazy: the engine, runtime and sync client are built
-    inside ``__aenter__`` (binding to the running loop); outside the
-    context every operation raises :class:`TransferError`.
+    Construction is lazy: the runtime and sync client are built inside
+    ``__aenter__``; outside the context every operation raises
+    :class:`TransferError`.
 
     Keyword arguments beyond ``client_id`` are forwarded verbatim to
     :meth:`CyrusClient.create` (``journal``, ``cache``, ``selector``,
@@ -128,33 +110,22 @@ class AsyncCyrusClient:
         self._client_kwargs = client_kwargs
         self._client: CyrusClient | None = None
         self._runtime: _LoopRuntime | None = None
-        self.engine: AsyncTransferEngine | None = None
 
     # -- lifecycle ---------------------------------------------------------
 
     async def __aenter__(self) -> "AsyncCyrusClient":
         if self._client is not None:
             raise TransferError("session already open")
-        loop = asyncio.get_running_loop()
-        runtime = _LoopRuntime.acquire(loop)
+        runtime = _LoopRuntime.acquire(asyncio.get_running_loop())
         try:
-            engine = AsyncTransferEngine(
-                {p.csp_id: p for p in self._providers},
-                parallelism=self._config.parallelism,
-                max_inflight_per_csp=self._config.max_inflight_per_csp,
-                max_inflight_total=self._config.max_inflight_total,
-                loop=loop,
-                executor=runtime.dispatch,
-            )
             client = CyrusClient.create(
                 self._providers, self._config, client_id=self._client_id,
-                engine=engine, **self._client_kwargs,
+                **self._client_kwargs,
             )
         except BaseException:
             _LoopRuntime.release(runtime)
             raise
         self._runtime = runtime
-        self.engine = engine
         self._client = client
         return self
 
@@ -162,17 +133,11 @@ class AsyncCyrusClient:
         await self.aclose()
 
     async def aclose(self) -> None:
-        """Close the session: sync client resources, engine, runtime."""
+        """Close the session: the sync client's engine, then the runtime."""
         client, self._client = self._client, None
-        engine, self.engine = self.engine, None
         runtime, self._runtime = self._runtime, None
         if client is not None:
-            # encode-pool shutdown may join processes: off the loop
-            await asyncio.get_running_loop().run_in_executor(
-                runtime.pipeline if runtime else None, client.close
-            )
-        if engine is not None:
-            engine.close()
+            client.close()
         if runtime is not None:
             _LoopRuntime.release(runtime)
 
@@ -187,11 +152,8 @@ class AsyncCyrusClient:
     # -- offload plumbing --------------------------------------------------
 
     async def _call(self, fn, *args, **kwargs):
-        """Run one synchronous pipeline call on the shared executor.
-
-        The pipeline body blocks its executor thread on engine
-        coroutines; the loop stays free to serve every other session.
-        """
+        """Run one synchronous pipeline call on the shared executor;
+        the loop stays free to serve every other session."""
         runtime = self._runtime
         if runtime is None:
             raise TransferError("session is not open (use 'async with')")

@@ -37,9 +37,8 @@ from repro.core.cloud import CyrusCloud
 from repro.core.config import CyrusConfig
 from repro.core.downloader import Downloader, DownloadReport
 from repro.core.migration import migrate_metadata
-from repro.core.parallel import ParallelEngine
 from repro.core.sync import SyncReport, SyncService
-from repro.core.transfer import TransferEngine
+from repro.core.transfer import DirectEngine, TransferEngine
 from repro.core.uploader import Uploader, UploadReport
 from repro.csp.base import CloudProvider
 from repro.csp.resilient import HealthEvent, HealthRegistry, RetryPolicy
@@ -187,15 +186,7 @@ class CyrusClient:
         cloud = CyrusCloud(providers, clusters=clusters)
         owns_engine = engine is None
         if engine is None:
-            # parallelism=1 (the default) keeps both backends on the
-            # inherited serial DirectEngine path — identical behaviour
-            if config.transfer_backend == "async":
-                from repro.core.async_engine import AsyncTransferEngine
-
-                engine_cls = AsyncTransferEngine
-            else:
-                engine_cls = ParallelEngine
-            engine = engine_cls(
+            engine = DirectEngine(
                 {p.csp_id: p for p in providers},
                 parallelism=config.parallelism,
                 max_inflight_per_csp=config.max_inflight_per_csp,
@@ -243,7 +234,7 @@ class CyrusClient:
         )
 
     def close(self) -> None:
-        """Release the client-owned transfer engine's threads/loop.
+        """Release the client-owned transfer engine's pool threads.
 
         Idempotent; only resources the client built itself (via
         ``create()`` or ``__init__`` defaults) are shut down — an

@@ -35,18 +35,11 @@ class CyrusConfig:
         respect_clusters: Place at most one share of a chunk per
             platform cluster (Section 4.1).
         parallelism: Worker threads for scatter/gather transfer; 1 (the
-            default) keeps the serial engine path, bit-for-bit identical
-            to historical behaviour.
+            default) runs every batch serially on the calling thread.
         max_inflight_per_csp: Concurrent in-flight operations allowed
             per provider when parallel; None means no per-CSP bound.
         max_inflight_total: Concurrent in-flight operations allowed
             across all providers; None means "equal to parallelism".
-        transfer_backend: ``"thread"`` (the default) runs parallel
-            batches on the scatter/gather worker pool; ``"async"`` runs
-            them as coroutines on one asyncio loop (the event-driven
-            core — the scalable choice for many clients per process).
-            Both honour the same parallelism/in-flight caps, and at
-            ``parallelism=1`` both take the identical serial path.
     """
 
     key: str
@@ -64,7 +57,6 @@ class CyrusConfig:
     parallelism: int = 1
     max_inflight_per_csp: int | None = None
     max_inflight_total: int | None = None
-    transfer_backend: str = "thread"
 
     def __post_init__(self) -> None:
         if not self.key:
@@ -94,11 +86,6 @@ class CyrusConfig:
             raise ConfigurationError(
                 f"max_inflight_total must be >= 1, "
                 f"got {self.max_inflight_total}"
-            )
-        if self.transfer_backend not in ("thread", "async"):
-            raise ConfigurationError(
-                f"transfer_backend must be 'thread' or 'async', "
-                f"got {self.transfer_backend!r}"
             )
 
     def plan_n(self, available_csps: int) -> int:

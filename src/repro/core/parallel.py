@@ -1,29 +1,23 @@
 """Parallel scatter/gather transfer execution.
 
 The paper's headline timelines (Figures 14-17) come from moving a
-chunk's ``n`` shares to/from ``n`` CSPs *at the same time*; until this
-module existed only the analytic :class:`repro.netsim` model knew that —
-every real provider path was a serial Python loop.  Two pieces close the
-gap:
+chunk's ``n`` shares to/from ``n`` CSPs *at the same time*.
+:class:`ScatterGatherPool` is the one concurrent transfer path: a
+persistent worker-thread pool that executes one batch of
+:class:`repro.core.transfer.TransferOp` at a time under two admission
+bounds — at most ``max_inflight_per_csp`` concurrent operations per
+provider (one slow CSP cannot monopolise workers; ops for other
+providers are scheduled around it) and at most ``max_inflight_total``
+in flight overall.  Batches support the engine's group quotas (queued
+ops of a satisfied group are cancelled without dispatch — straggler
+cancellation) and *streaming follow-ups*: an ``on_result`` callback
+sees every completion as it happens and may enqueue replacement ops
+into the running batch, which is how the retry loop fails a share over
+to a standby CSP without waiting for the rest of the batch.
 
-* :class:`ScatterGatherPool` — a persistent worker-thread pool that
-  executes one batch of :class:`repro.core.transfer.TransferOp` at a
-  time under two admission bounds: at most ``max_inflight_per_csp``
-  concurrent operations per provider (one slow CSP cannot monopolise
-  workers — ops for other providers are scheduled around it) and at
-  most ``max_inflight_total`` in flight overall.  Batches support the
-  engine's group quotas (queued ops of a satisfied group are cancelled
-  without dispatch — straggler cancellation) and *streaming follow-ups*:
-  an ``on_result`` callback sees every completion as it happens and may
-  enqueue replacement ops into the running batch, which is how the
-  retry loop fails a share over to a standby CSP without waiting for
-  the rest of the batch.
-
-* :class:`ParallelEngine` — a :class:`repro.core.transfer.DirectEngine`
-  whose ``execute`` routes batches through the pool.  With
-  ``parallelism=1`` the pool is never started and every call takes the
-  inherited serial path, bit-for-bit identical to ``DirectEngine`` —
-  the invariant that keeps every pre-existing test and benchmark valid.
+:class:`repro.core.transfer.DirectEngine` routes a batch here when its
+``parallelism`` is above 1; at ``parallelism=1`` the pool is never
+started and the engine runs the same per-op dispatch serially.
 
 Occupancy is exported through the engine's observability registry:
 ``cyrus_pool_inflight{csp}`` / ``cyrus_pool_inflight_total`` gauges
@@ -42,10 +36,12 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Callable, Hashable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Hashable, Mapping, Sequence
 
-from repro.core.transfer import DirectEngine, OpResult, TransferOp
 from repro.errors import TransferError
+
+if TYPE_CHECKING:  # pragma: no cover - transfer.py imports this module
+    from repro.core.transfer import OpResult, TransferOp
 
 # Metric names (referenced by cyrus stats and the pool tests).
 POOL_INFLIGHT = "cyrus_pool_inflight"              # gauge {csp}
@@ -56,7 +52,7 @@ POOL_DISPATCH = "cyrus_pool_dispatch_total"        # counter {csp}
 POOL_CANCELLED = "cyrus_pool_cancelled_total"      # counter
 
 #: on_result may return follow-up ops to enqueue into the running batch.
-ResultHook = Callable[[OpResult], "Sequence[TransferOp] | None"]
+ResultHook = Callable[["OpResult"], "Sequence[TransferOp] | None"]
 
 
 class _Batch:
@@ -278,125 +274,3 @@ class ScatterGatherPool:
                 self._finish(batch, idx, result, dispatched, followups)
                 self._work.notify_all()
                 self._done.notify_all()
-
-
-class ParallelEngine(DirectEngine):
-    """A direct engine that scatters each batch across a thread pool.
-
-    ``parallelism=1`` (the default everywhere) short-circuits to the
-    inherited serial ``DirectEngine.execute`` — identical behaviour,
-    no threads ever started.  ``parallelism>1`` routes batches through
-    a :class:`ScatterGatherPool` bounded by ``max_inflight_per_csp``
-    and ``max_inflight_total``.
-    """
-
-    def __init__(
-        self,
-        providers,
-        clock=None,
-        receiver=None,
-        health=None,
-        obs=None,
-        parallelism: int = 1,
-        max_inflight_per_csp: int | None = None,
-        max_inflight_total: int | None = None,
-    ):
-        super().__init__(providers, clock=clock, receiver=receiver,
-                         health=health, obs=obs)
-        if parallelism < 1:
-            raise ValueError("parallelism must be >= 1")
-        self.parallelism = parallelism
-        self.max_inflight_per_csp = max_inflight_per_csp
-        self.max_inflight_total = max_inflight_total
-        self._pool: ScatterGatherPool | None = None
-
-    # -- capability flags (consulted by the pipelines) ---------------------
-
-    @property
-    def parallel_enabled(self) -> bool:
-        """True when batches genuinely run concurrently — the gate for
-        lazy share encoding and streaming failover in the pipelines."""
-        return self.parallelism > 1
-
-    def pool(self) -> ScatterGatherPool:
-        if self._pool is None:
-            self._pool = ScatterGatherPool(
-                workers=self.parallelism,
-                max_inflight_per_csp=self.max_inflight_per_csp,
-                max_inflight_total=self.max_inflight_total,
-            )
-        return self._pool
-
-    def close(self) -> None:
-        """Stop pool workers (idempotent; a closed engine stays serial)."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-            self.parallelism = 1
-
-    # -- execution ---------------------------------------------------------
-
-    def _dispatch_one(self, op: TransferOp) -> OpResult:
-        """One op end-to-end on the calling (worker) thread.
-
-        Mirrors the per-op body of :meth:`DirectEngine.execute` minus
-        group-quota handling, which the pool owns in parallel mode.
-        """
-        from repro.errors import CSPError, is_retryable
-
-        start = self.clock.now()
-        blocked = self._breaker_blocks(op, start)
-        if blocked is not None:
-            return blocked
-        try:
-            data = self._apply(op)
-            end = self.clock.now()
-            self._record_health(op.csp_id, None)
-            return OpResult(op=op, ok=True, start=start, end=end, data=data)
-        except CSPError as exc:
-            end = self.clock.now()
-            self._record_health(op.csp_id, exc)
-            return OpResult(op=op, ok=False, start=start, end=end,
-                            error=str(exc), error_type=type(exc).__name__,
-                            retryable=is_retryable(exc))
-
-    def _cancel_one(self, op: TransferOp) -> OpResult:
-        now = self.clock.now()
-        return OpResult(op=op, ok=False, start=now, end=now,
-                        cancelled=True, error="group quota satisfied")
-
-    def execute(
-        self,
-        ops: Sequence[TransferOp],
-        group_quota: Mapping[Hashable, int] | None = None,
-        on_result: ResultHook | None = None,
-    ) -> list[OpResult]:
-        if not self.parallel_enabled:
-            results = super().execute(ops, group_quota)
-            if on_result is not None:
-                # serial streaming emulation: feed completions through
-                # the hook and run follow-ups until it stops producing
-                extras = [
-                    extra for result in results
-                    for extra in (on_result(result) or ())
-                ]
-                while extras:
-                    batch = super().execute(extras, group_quota)
-                    results.extend(batch)
-                    extras = [
-                        extra for result in batch
-                        for extra in (on_result(result) or ())
-                    ]
-            return results
-
-        def dispatch(op: TransferOp) -> OpResult:
-            return self._emit(self._dispatch_one(op))
-
-        def cancel(op: TransferOp) -> OpResult:
-            return self._emit(self._cancel_one(op))
-
-        return self.pool().run(
-            ops, dispatch, cancel,
-            group_quota=group_quota, on_result=on_result,
-            metrics=self.obs.metrics if self.obs is not None else None,
-        )

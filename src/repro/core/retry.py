@@ -108,19 +108,25 @@ class ShareRetryLoop:
                 returning False reclassifies the result as a permanent
                 provider failure (fail over, never same-provider retry).
 
+        Each round is one engine batch, and every completion goes through
+        one decision (``settle``).  A transient failure retries the same
+        provider next round, after the policy's backoff.  A give-up fails
+        over to the alternate: next round on a serial engine; at once on
+        a parallel one, as a follow-up op inside the running batch, so a
+        permanent error re-dispatches without waiting for stragglers.
+        On a parallel engine ``settle`` runs on pool workers; one lock
+        makes the caller's callbacks mutually exclusive, so pipeline
+        state never needs its own cross-share coordination.
+
         Returns:
             ``(all op results, per-key attempt history)``.
         """
-        if getattr(self.engine, "parallel_enabled", False):
-            if getattr(self.engine, "native_async", False):
-                return self._run_async(items, build_op, on_success,
-                                       on_giveup, pick_alternate, verify)
-            return self._run_parallel(items, build_op, on_success,
-                                      on_giveup, pick_alternate, verify)
+        stream = self.engine.parallel_enabled
         all_results: list[OpResult] = []
         attempts: dict[Hashable, list[Attempt]] = {key: [] for key, _ in items}
         tried: dict[Hashable, set[str]] = {key: {csp} for key, csp in items}
         per_csp_tries: dict[Item, int] = {}
+        lock = threading.Lock()
         pending: list[Item] = list(items)
         for round_no in range(_MAX_ROUNDS):
             if not pending:
@@ -129,111 +135,10 @@ class ShareRetryLoop:
                 # all pending items are retries/failovers: back off once
                 # per round (batched, like the dispatch itself)
                 self.engine.sleep(self.policy.delay(round_no))
-            ops = [build_op(key, csp) for key, csp in pending]
-            results = [
-                self._check(verify, key, csp, result)
-                for (key, csp), result in zip(
-                    pending, self.engine.execute(ops)
-                )
-            ]
-            all_results.extend(results)
-            next_pending: list[Item] = []
-            for (key, csp), result in zip(pending, results):
-                attempts.setdefault(key, []).append(Attempt(
-                    csp_id=csp, round_no=round_no, ok=result.ok,
-                    error=result.error, error_type=result.error_type,
-                ))
-                if result.ok:
-                    on_success(key, csp, result)
-                    continue
-                per_csp_tries[(key, csp)] = per_csp_tries.get((key, csp), 0) + 1
-                retryable = bool(result.retryable) and not result.cancelled
-                if (retryable
-                        and per_csp_tries[(key, csp)] < self.policy.max_attempts
-                        and self.alternate_is_live(csp)):
-                    obs = getattr(self.engine, "obs", None)
-                    if obs is not None:
-                        obs.metrics.inc("cyrus_share_retries_total", csp=csp)
-                    next_pending.append((key, csp))
-                    continue
-                on_giveup(key, csp, result)
-                alternate = pick_alternate(key, csp, tried[key])
-                if alternate is not None:
-                    obs = getattr(self.engine, "obs", None)
-                    if obs is not None:
-                        obs.metrics.inc("cyrus_share_failovers_total",
-                                        from_csp=csp, to_csp=alternate)
-                    tried[key].add(alternate)
-                    next_pending.append((key, alternate))
-            pending = next_pending
-        return all_results, attempts
-
-    def _run_async(
-        self,
-        items: Sequence[Item],
-        build_op: Callable[[Hashable, str], TransferOp],
-        on_success: Callable[[Hashable, str, OpResult], None],
-        on_giveup: Callable[[Hashable, str, OpResult], None],
-        pick_alternate: Callable[[Hashable, str, set[str]], str | None],
-        verify: Callable[[Hashable, str, OpResult], bool] | None = None,
-    ) -> tuple[list[OpResult], dict[Hashable, list[Attempt]]]:
-        """Delegate the whole campaign to the engine's event loop.
-
-        For natively async engines the coroutine mirror
-        (:class:`repro.core.async_retry.AsyncShareRetryLoop`) runs every
-        round — batches, backoff, streaming failover — loop-resident,
-        instead of hopping a thread per batch through the sync bridge.
-        The calling pipeline thread blocks on the campaign's result, so
-        the pipelines' contract is unchanged.
-        """
-        from repro.core.async_retry import AsyncShareRetryLoop
-
-        aloop = AsyncShareRetryLoop(self.engine, policy=self.policy,
-                                    health=self.health)
-        return self.engine.run_coro(
-            aloop.run(items, build_op, on_success, on_giveup,
-                      pick_alternate, verify)
-        )
-
-    def _run_parallel(
-        self,
-        items: Sequence[Item],
-        build_op: Callable[[Hashable, str], TransferOp],
-        on_success: Callable[[Hashable, str, OpResult], None],
-        on_giveup: Callable[[Hashable, str, OpResult], None],
-        pick_alternate: Callable[[Hashable, str, set[str]], str | None],
-        verify: Callable[[Hashable, str, OpResult], bool] | None = None,
-    ) -> tuple[list[OpResult], dict[Hashable, list[Attempt]]]:
-        """The streaming variant for parallel engines.
-
-        Same classification as the serial loop, but failures are handled
-        the moment they complete: the engine's ``on_result`` hook fails a
-        share over to its alternate *inside the running batch*, so a
-        permanent error on one CSP re-dispatches immediately instead of
-        waiting for every straggler in the round.  Only same-provider
-        transient retries defer to the next round — that preserves the
-        policy's inter-round backoff semantics exactly.
-
-        The hook runs on pool worker threads; one loop-level lock makes
-        the caller's ``on_success``/``on_giveup``/``pick_alternate``
-        callbacks mutually exclusive, so pipeline state (journal appends,
-        gathered shares) never needs its own cross-share coordination.
-        """
-        all_results: list[OpResult] = []
-        attempts: dict[Hashable, list[Attempt]] = {key: [] for key, _ in items}
-        tried: dict[Hashable, set[str]] = {key: {csp} for key, csp in items}
-        per_csp_tries: dict[Item, int] = {}
-        pending: list[Item] = list(items)
-        lock = threading.Lock()
-        for round_no in range(_MAX_ROUNDS):
-            if not pending:
-                break
-            if round_no > 0:
-                self.engine.sleep(self.policy.delay(round_no))
             deferred: list[Item] = []
             assign: dict[int, Item] = {}
             # id(op) -> verify-reclassified result, so all_results shows
-            # the same failure the callbacks saw (as on the serial path)
+            # the same failure the callbacks saw
             checked: dict[int, OpResult] = {}
             ops: list[TransferOp] = []
             for key, csp in pending:
@@ -241,14 +146,11 @@ class ShareRetryLoop:
                 assign[id(op)] = (key, csp)
                 ops.append(op)
 
-            def hook(result: OpResult, _assign=assign, _deferred=deferred,
-                     _checked=checked,
-                     _round=round_no) -> list[TransferOp] | None:
+            def settle(result: OpResult, _assign=assign, _deferred=deferred,
+                       _checked=checked,
+                       _round=round_no) -> list[TransferOp] | None:
                 with lock:
-                    item = _assign.pop(id(result.op), None)
-                    if item is None:  # pragma: no cover - foreign op
-                        return None
-                    key, csp = item
+                    key, csp = _assign.pop(id(result.op))
                     verified = self._check(verify, key, csp, result)
                     if verified is not result:
                         _checked[id(result.op)] = verified
@@ -260,15 +162,13 @@ class ShareRetryLoop:
                     if result.ok:
                         on_success(key, csp, result)
                         return None
-                    per_csp_tries[(key, csp)] = (
+                    tries = per_csp_tries[(key, csp)] = (
                         per_csp_tries.get((key, csp), 0) + 1
                     )
-                    retryable = bool(result.retryable) and not result.cancelled
-                    if (retryable
-                            and per_csp_tries[(key, csp)]
-                            < self.policy.max_attempts
+                    obs = self.engine.obs
+                    if (result.retryable and not result.cancelled
+                            and tries < self.policy.max_attempts
                             and self.alternate_is_live(csp)):
-                        obs = getattr(self.engine, "obs", None)
                         if obs is not None:
                             obs.metrics.inc("cyrus_share_retries_total",
                                             csp=csp)
@@ -278,18 +178,23 @@ class ShareRetryLoop:
                     alternate = pick_alternate(key, csp, tried[key])
                     if alternate is None:
                         return None
-                    obs = getattr(self.engine, "obs", None)
                     if obs is not None:
                         obs.metrics.inc("cyrus_share_failovers_total",
                                         from_csp=csp, to_csp=alternate)
                     tried[key].add(alternate)
+                    if not stream:
+                        _deferred.append((key, alternate))
+                        return None
                     new_op = build_op(key, alternate)
                     _assign[id(new_op)] = (key, alternate)
                     return [new_op]
 
-            results = self.engine.execute(ops, on_result=hook)
-            all_results.extend(
-                checked.get(id(r.op), r) for r in results
-            )
+            if stream:
+                results = self.engine.execute(ops, on_result=settle)
+            else:
+                results = self.engine.execute(ops)
+                for result in results:
+                    settle(result)
+            all_results.extend(checked.get(id(r.op), r) for r in results)
             pending = deferred
         return all_results, attempts

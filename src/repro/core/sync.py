@@ -136,7 +136,7 @@ class SyncService:
         decoded_nodes = []
         for node_id in sorted(assemblers):
             # finish() verifies, attributes corrupt slots to their CSPs
-            # and records repair debts — identically on both backends
+            # and records repair debts — identically serial or pooled
             node = assemblers[node_id].finish()
             if node is None:
                 continue  # no verified quorum this round; next sync

@@ -6,7 +6,10 @@ results with timings.  Two engines:
 
 * :class:`DirectEngine` — performs provider calls immediately; used for
   real providers (e.g. :class:`repro.csp.localfs.LocalDirectoryCSP`)
-  and for logic tests where time is irrelevant.
+  and for logic tests where time is irrelevant.  At ``parallelism=1``
+  it runs a batch serially on the calling thread; above 1 it scatters
+  the batch across a :class:`repro.core.parallel.ScatterGatherPool`.
+  Both paths share one per-op dispatch.
 * :class:`SimulatedEngine` — times every op on the flow-level network
   simulator against each provider's link, advancing a shared
   :class:`repro.util.clock.SimClock`; data operations are applied to
@@ -27,6 +30,7 @@ from typing import TYPE_CHECKING, Any, Callable, Hashable, Mapping, Sequence
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from repro.obs import Observability
 
+from repro.core.parallel import ResultHook, ScatterGatherPool
 from repro.csp.base import CloudProvider
 from repro.csp.resilient import HealthRegistry
 from repro.errors import CSPError, CSPUnavailableError, TransferError, is_retryable
@@ -200,6 +204,10 @@ class TransferReceiver:
 class TransferEngine:
     """Base engine: executes op batches against providers."""
 
+    #: True when batches genuinely run concurrently — the gate for lazy
+    #: share encoding and streaming failover in the pipelines.
+    parallel_enabled = False
+
     def __init__(
         self,
         providers: Mapping[str, CloudProvider],
@@ -314,49 +322,115 @@ class TransferEngine:
 
 
 class DirectEngine(TransferEngine):
-    """Execute ops immediately; timing comes from the wall clock."""
+    """Execute ops against the providers; timing comes from the clock.
+
+    ``parallelism=1`` (the default) runs each batch serially on the
+    calling thread and never starts a thread.  ``parallelism>1`` routes
+    batches through a :class:`ScatterGatherPool` bounded by
+    ``max_inflight_per_csp`` and ``max_inflight_total``.  Both paths run
+    the same :meth:`_dispatch_one` and honour the same group quotas and
+    ``on_result`` follow-ups.
+    """
+
+    def __init__(
+        self,
+        providers: Mapping[str, CloudProvider],
+        clock: Clock | None = None,
+        receiver: TransferReceiver | None = None,
+        health: HealthRegistry | None = None,
+        obs: "Observability | None" = None,
+        parallelism: int = 1,
+        max_inflight_per_csp: int | None = None,
+        max_inflight_total: int | None = None,
+    ):
+        super().__init__(providers, clock=clock, receiver=receiver,
+                         health=health, obs=obs)
+        if parallelism < 1:
+            raise ValueError("parallelism must be >= 1")
+        self.parallelism = parallelism
+        self.max_inflight_per_csp = max_inflight_per_csp
+        self.max_inflight_total = max_inflight_total
+        self._pool: ScatterGatherPool | None = None
+
+    @property
+    def parallel_enabled(self) -> bool:
+        return self.parallelism > 1
+
+    def pool(self) -> ScatterGatherPool:
+        if self._pool is None:
+            self._pool = ScatterGatherPool(
+                workers=self.parallelism,
+                max_inflight_per_csp=self.max_inflight_per_csp,
+                max_inflight_total=self.max_inflight_total,
+            )
+        return self._pool
+
+    def close(self) -> None:
+        """Stop pool workers (idempotent; a closed engine stays serial)."""
+        if self._pool is not None:
+            self._pool.close()
+            self._pool = None
+        self.parallelism = 1
+
+    def _dispatch_one(self, op: TransferOp) -> OpResult:
+        """One op end to end on the calling thread (the serial loop or a
+        pool worker); group quotas are the caller's business."""
+        start = self.clock.now()
+        blocked = self._breaker_blocks(op, start)
+        if blocked is not None:
+            return blocked
+        try:
+            data = self._apply(op)
+            end = self.clock.now()
+            self._record_health(op.csp_id, None)
+            return OpResult(op=op, ok=True, start=start, end=end, data=data)
+        except CSPError as exc:
+            end = self.clock.now()
+            self._record_health(op.csp_id, exc)
+            return OpResult(op=op, ok=False, start=start, end=end,
+                            error=str(exc), error_type=type(exc).__name__,
+                            retryable=is_retryable(exc))
+
+    def _cancel_one(self, op: TransferOp) -> OpResult:
+        now = self.clock.now()
+        return OpResult(op=op, ok=False, start=now, end=now,
+                        cancelled=True, error="group quota satisfied")
 
     def execute(
         self,
         ops: Sequence[TransferOp],
         group_quota: Mapping[Hashable, int] | None = None,
+        on_result: ResultHook | None = None,
     ) -> list[OpResult]:
-        results = []
-        quota_left = dict(group_quota or {})
-        for op in ops:
-            start = self.clock.now()
-            group = op.group
-            if group is not None and group in quota_left and quota_left[group] <= 0:
-                results.append(
-                    self._emit(
-                        OpResult(op=op, ok=False, start=start, end=start,
-                                 cancelled=True, error="group quota satisfied")
-                    )
-                )
-                continue
-            blocked = self._breaker_blocks(op, start)
-            if blocked is not None:
-                results.append(self._emit(blocked))
-                continue
-            try:
-                data = self._apply(op)
-                end = self.clock.now()
-                self._record_health(op.csp_id, None)
-                results.append(
-                    self._emit(OpResult(op=op, ok=True, start=start, end=end,
-                                        data=data))
-                )
-                if group is not None and group in quota_left:
-                    quota_left[group] -= 1
-            except CSPError as exc:
-                end = self.clock.now()
-                self._record_health(op.csp_id, exc)
-                results.append(
-                    self._emit(OpResult(op=op, ok=False, start=start, end=end,
-                                        error=str(exc),
-                                        error_type=type(exc).__name__,
-                                        retryable=is_retryable(exc)))
-                )
+        """Run one batch; results come back in submission order (initial
+        ops first, then ``on_result`` follow-ups in enqueue order)."""
+        if self.parallel_enabled:
+            return self.pool().run(
+                ops,
+                lambda op: self._emit(self._dispatch_one(op)),
+                lambda op: self._emit(self._cancel_one(op)),
+                group_quota=group_quota, on_result=on_result,
+                metrics=self.obs.metrics if self.obs is not None else None,
+            )
+        # serially, follow-ups run as a further wave after the batch,
+        # under the same quota dict
+        quota = dict(group_quota or {})
+        results: list[OpResult] = []
+        wave = ops
+        while wave:
+            followups: list[TransferOp] = []
+            for op in wave:
+                group = op.group
+                if group is not None and group in quota and quota[group] <= 0:
+                    result = self._cancel_one(op)
+                else:
+                    result = self._dispatch_one(op)
+                    if result.ok and group is not None and group in quota:
+                        quota[group] -= 1
+                results.append(self._emit(result))
+                if on_result is not None:
+                    followups.extend(on_result(result) or ())
+            wave = followups
         return results
 
 

@@ -338,7 +338,7 @@ class Uploader:
         # the pool worker that dispatches chunk k+1's first share runs
         # the erasure code while chunk k's shares are still uploading
         # (the chunk -> encode -> scatter pipeline of the tentpole).
-        lazy = bool(getattr(self.engine, "parallel_enabled", False))
+        lazy = self.engine.parallel_enabled
 
         def build_op(key, csp: str) -> TransferOp:
             cid, idx = key

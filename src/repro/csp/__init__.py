@@ -24,7 +24,6 @@ shared :class:`HealthRegistry`.
 """
 
 from repro.csp.account import AuthToken, Credentials
-from repro.csp.aio import AsyncCloudProvider, SyncProviderAdapter, as_async_provider
 from repro.csp.base import BytesLike, CloudProvider, ObjectInfo
 from repro.csp.catalog import CSPSpec, TABLE2, amazon_hosted, spec_by_name
 from repro.csp.localfs import LocalDirectoryCSP
@@ -44,9 +43,6 @@ from repro.csp.simulated import AvailabilitySchedule, SimulatedCSP
 
 __all__ = [
     "CloudProvider",
-    "AsyncCloudProvider",
-    "SyncProviderAdapter",
-    "as_async_provider",
     "BytesLike",
     "ObjectInfo",
     "InMemoryCSP",

@@ -1,35 +1,16 @@
-"""The stable public API façade and its deprecation shims.
+"""The stable public API façade.
 
-Three contracts:
-
-* everything in ``repro.__all__`` (and ``repro.csp.__all__``) resolves
-  to a real object — the façade never advertises a name it can't serve;
-* the pre-façade deep-import paths (``from repro.core import X``) keep
-  returning the *same objects* as the canonical modules, but each fresh
-  access emits a :class:`DeprecationWarning` attributed to the caller;
-* :class:`SyncProviderAdapter` is a pure transport shim — running the
-  five primitives through it leaves a provider in exactly the state a
-  direct synchronous call sequence would.
+Everything in ``repro.__all__`` (and ``repro.csp.__all__``) resolves to
+a real object — the façade never advertises a name it can't serve —
+and the façade's names are the canonical implementation objects.
 """
 
 from __future__ import annotations
 
-import asyncio
-import importlib
-import warnings
-
 import pytest
 
 import repro
-import repro.core
 import repro.csp
-from repro.csp.aio import (
-    AsyncCloudProvider,
-    SyncProviderAdapter,
-    as_async_provider,
-)
-from repro.csp.memory import InMemoryCSP
-from repro.errors import ObjectNotFoundError
 
 
 # ---------------------------------------------------------------------------
@@ -54,108 +35,3 @@ def test_facade_exports_match_canonical_modules():
     assert repro.CyrusClient is CyrusClient
     assert repro.AsyncCyrusClient is AsyncCyrusClient
     assert repro.CyrusConfig is CyrusConfig
-
-
-# ---------------------------------------------------------------------------
-# deprecation shims
-# ---------------------------------------------------------------------------
-
-_MOVED = repro.core._MOVED
-
-
-@pytest.mark.parametrize("name", sorted(_MOVED))
-def test_core_shim_warns_and_returns_canonical_object(name):
-    canonical = getattr(importlib.import_module(_MOVED[name]), name)
-    with pytest.warns(DeprecationWarning, match=name):
-        shimmed = getattr(repro.core, name)
-    assert shimmed is canonical
-
-
-def test_core_shim_warns_on_every_access():
-    # the shim deliberately does not cache: each access re-warns so the
-    # deprecation stays visible instead of firing once per process
-    for _ in range(2):
-        with pytest.warns(DeprecationWarning):
-            getattr(repro.core, "CyrusClient")
-
-
-def test_core_shim_unknown_name_raises_without_warning():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(AttributeError, match="no attribute"):
-            repro.core.definitely_not_a_name  # noqa: B018
-
-
-def test_core_shim_dir_lists_moved_names():
-    listing = dir(repro.core)
-    for name in _MOVED:
-        assert name in listing
-
-
-def test_core_shim_warning_names_replacement_module():
-    with pytest.warns(DeprecationWarning, match="repro.core.transfer"):
-        repro.core.TransferOp  # noqa: B018
-
-
-# ---------------------------------------------------------------------------
-# sync-adapter equivalence
-# ---------------------------------------------------------------------------
-
-def _drive_async(provider: AsyncCloudProvider) -> tuple:
-    """The reference op sequence, run through the async protocol."""
-
-    async def script():
-        await provider.upload("a.bin", b"alpha")
-        await provider.upload("b.bin", bytearray(b"beta"))
-        await provider.upload("a.bin", memoryview(b"alpha-2"))  # overwrite
-        names = sorted(o.name for o in await provider.list(prefix=""))
-        a = await provider.download("a.bin")
-        await provider.delete("b.bin")
-        left = [o.name for o in await provider.list(prefix="a")]
-        return names, a, left
-
-    return asyncio.run(script())
-
-
-def _drive_sync(provider: InMemoryCSP) -> tuple:
-    """The same op sequence, called directly."""
-    provider.upload("a.bin", b"alpha")
-    provider.upload("b.bin", bytearray(b"beta"))
-    provider.upload("a.bin", memoryview(b"alpha-2"))
-    names = sorted(o.name for o in provider.list(prefix=""))
-    a = provider.download("a.bin")
-    provider.delete("b.bin")
-    left = [o.name for o in provider.list(prefix="a")]
-    return names, a, left
-
-
-def test_sync_adapter_is_outcome_identical_to_direct_calls():
-    adapted_store = InMemoryCSP("adapted")
-    direct_store = InMemoryCSP("direct")
-    via_adapter = _drive_async(SyncProviderAdapter(adapted_store))
-    via_direct = _drive_sync(direct_store)
-    assert via_adapter == via_direct
-    # and the stores themselves ended up identical
-    assert {o.name: adapted_store.download(o.name)
-            for o in adapted_store.list(prefix="")} == \
-           {o.name: direct_store.download(o.name)
-            for o in direct_store.list(prefix="")}
-
-
-def test_sync_adapter_propagates_provider_errors_unchanged():
-    adapter = SyncProviderAdapter(InMemoryCSP("empty"))
-
-    async def script():
-        await adapter.download("missing.bin")
-
-    with pytest.raises(ObjectNotFoundError):
-        asyncio.run(script())
-
-
-def test_as_async_provider_is_idempotent():
-    sync = InMemoryCSP("s")
-    adapted = as_async_provider(sync)
-    assert isinstance(adapted, SyncProviderAdapter)
-    assert adapted.inner is sync
-    assert as_async_provider(adapted) is adapted
-    assert adapted.csp_id == "s"

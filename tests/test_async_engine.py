@@ -1,78 +1,91 @@
-"""Deterministic unit tests for the asyncio transfer core.
+"""The transfer engine as an asyncio session drives it.
 
-Mirrors the scatter/gather pool suite's philosophy: concurrency claims
-are proven with counters and cooperative yields on the event loop, not
-timing luck.  The native fake provider yields control inside each
-operation so overlapping admissions genuinely interleave, making the
-semaphore high-water marks exact.
+``AsyncCyrusClient`` runs every pipeline call on its loop's executor,
+so the engine's batches are submitted from off-loop threads while the
+event loop stays free.  These tests submit batches the same way (a
+coroutine awaiting ``run_in_executor``) and pin the engine contracts
+that path relies on: the serial short-circuit, admission caps, group
+quota cancellation, in-batch follow-ups, ``close``, and the retry
+loop's defer / failover / verify decisions.
+
+Concurrency claims are proven with probes and barriers, not timing.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 import threading
 
-import pytest
-
-from repro.core.async_engine import AsyncTransferEngine
 from repro.core.retry import ShareRetryLoop
-from repro.core.transfer import OpKind, TransferOp
-from repro.csp.aio import AsyncCloudProvider, SyncProviderAdapter
-from repro.csp.base import ObjectInfo
+from repro.core.transfer import DirectEngine, OpKind, TransferOp
+from repro.csp.base import CloudProvider, ObjectInfo
 from repro.csp.memory import InMemoryCSP
 from repro.csp.resilient import RetryPolicy
-from repro.errors import (
-    CSPAuthError,
-    CSPUnavailableError,
-    ObjectNotFoundError,
-    TransferError,
-)
+from repro.errors import CSPAuthError, CSPUnavailableError
+
+WAIT = 10.0  # barrier timeout; a broken barrier lets ops through alone
 
 
-class NativeMemCSP(AsyncCloudProvider):
-    """Dict-backed native async provider with concurrency accounting.
+class Probe:
+    """Exact in-flight count and high-water mark, shared as needed."""
 
-    Every operation yields to the loop twice while "in flight", so any
-    other admitted coroutine gets a chance to overlap — the recorded
-    high-water mark is therefore the true admission concurrency.
-    """
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self.current = 0
+        self.peak = 0
 
-    def __init__(self, csp_id: str, probe: dict | None = None):
+    def __enter__(self) -> "Probe":
+        with self._lock:
+            self.current += 1
+            self.peak = max(self.peak, self.current)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        with self._lock:
+            self.current -= 1
+
+
+class ProbedCSP(CloudProvider):
+    """In-memory provider whose uploads pass through probes and an
+    optional barrier (forcing that many uploads to overlap)."""
+
+    def __init__(self, csp_id: str, *probes: Probe,
+                 barrier: threading.Barrier | None = None):
         super().__init__(csp_id)
-        self.store: dict[str, bytes] = {}
-        #: shared mutable {"current": int, "peak": int} counter
-        self.probe = probe if probe is not None else {"current": 0, "peak": 0}
+        self.inner = InMemoryCSP(csp_id)
+        self.probes = probes or (Probe(),)
+        self.barrier = barrier
 
-    async def _occupy(self):
-        self.probe["current"] += 1
-        self.probe["peak"] = max(self.probe["peak"], self.probe["current"])
-        await asyncio.sleep(0)
-        await asyncio.sleep(0)
-        self.probe["current"] -= 1
+    @property
+    def probe(self) -> Probe:
+        return self.probes[0]
 
-    async def authenticate(self, credentials):
-        raise NotImplementedError
+    def authenticate(self, credentials):
+        return self.inner.authenticate(credentials)
 
-    async def list(self, *, prefix: str = "") -> list[ObjectInfo]:
-        await self._occupy()
-        return [ObjectInfo(name=n, size=len(b))
-                for n, b in sorted(self.store.items())
-                if n.startswith(prefix)]
+    def list(self, *, prefix: str = "") -> list[ObjectInfo]:
+        return self.inner.list(prefix=prefix)
 
-    async def upload(self, name: str, data) -> None:
-        await self._occupy()
-        self.store[name] = bytes(data)
-
-    async def download(self, name: str) -> bytes:
-        await self._occupy()
+    def upload(self, name: str, data: bytes) -> None:
+        for probe in self.probes:
+            probe.__enter__()
         try:
-            return self.store[name]
-        except KeyError:
-            raise ObjectNotFoundError(name, csp_id=self.csp_id) from None
+            if self.barrier is not None:
+                try:
+                    self.barrier.wait(timeout=WAIT)
+                except threading.BrokenBarrierError:
+                    pass
+            self.inner.upload(name, data)
+        finally:
+            for probe in self.probes:
+                probe.__exit__()
 
-    async def delete(self, name: str) -> None:
-        await self._occupy()
-        self.store.pop(name, None)
+    def download(self, name: str) -> bytes:
+        return self.inner.download(name)
+
+    def delete(self, name: str) -> None:
+        self.inner.delete(name)
 
 
 def _put_ops(csp_id: str, n: int, group=None) -> list[TransferOp]:
@@ -81,45 +94,40 @@ def _put_ops(csp_id: str, n: int, group=None) -> list[TransferOp]:
             for i in range(n)]
 
 
+def _from_loop(fn, *args, **kwargs):
+    """Run a blocking engine call the way a session does: on an
+    executor thread, awaited from a coroutine on a running loop."""
+    async def main():
+        loop = asyncio.get_running_loop()
+        return await loop.run_in_executor(
+            None, functools.partial(fn, *args, **kwargs))
+    return asyncio.run(main())
+
+
 # ---------------------------------------------------------------------------
-# serial short-circuit: parallelism=1 + sync providers never touch asyncio
+# serial short-circuit: parallelism=1 starts no thread of its own
 
 
 def test_serial_sync_path_never_starts_loop_or_executor():
-    engine = AsyncTransferEngine({"m": InMemoryCSP("m")}, parallelism=1)
+    engine = DirectEngine({"m": InMemoryCSP("m")}, parallelism=1)
+    before = set(threading.enumerate())
     results = engine.execute(_put_ops("m", 3))
     assert all(r.ok for r in results)
-    assert engine._loop is None
-    assert engine._executor is None
-    engine.close()
-
-
-def test_serial_streaming_emulation_runs_followups():
-    engine = AsyncTransferEngine({"m": InMemoryCSP("m")}, parallelism=1)
-    fired = []
-
-    def on_result(result):
-        fired.append(result.op.name)
-        if result.op.name == "obj-0":
-            return [TransferOp(kind=OpKind.PUT, csp_id="m",
-                               name="followup", data=b"f")]
-        return []
-
-    results = engine.execute(_put_ops("m", 2), on_result=on_result)
-    assert [r.op.name for r in results] == ["obj-0", "obj-1", "followup"]
-    assert "followup" in fired  # the hook saw the follow-up's result too
+    assert engine._pool is None
+    assert set(threading.enumerate()) - before == set()
     engine.close()
 
 
 # ---------------------------------------------------------------------------
-# semaphore admission caps
+# admission caps
 
 
 def test_per_csp_and_total_caps_bound_native_concurrency():
-    probe_a = {"current": 0, "peak": 0}
-    probe_b = {"current": 0, "peak": 0}
-    a, b = NativeMemCSP("a", probe_a), NativeMemCSP("b", probe_b)
-    engine = AsyncTransferEngine(
+    total = Probe()
+    barrier = threading.Barrier(2)  # forces pairs of uploads to overlap
+    a = ProbedCSP("a", Probe(), total, barrier=barrier)
+    b = ProbedCSP("b", Probe(), total, barrier=barrier)
+    engine = DirectEngine(
         {"a": a, "b": b}, parallelism=8,
         max_inflight_per_csp=2, max_inflight_total=3,
     )
@@ -128,24 +136,22 @@ def test_per_csp_and_total_caps_bound_native_concurrency():
             TransferOp(kind=OpKind.PUT, csp_id="b", name=f"b-{i}", data=b"z")
             for i in range(6)
         ]
-        results = engine.execute(ops)
+        results = _from_loop(engine.execute, ops)
         assert all(r.ok for r in results)
-        assert probe_a["peak"] <= 2 and probe_b["peak"] <= 2
-        assert probe_a["peak"] + probe_b["peak"] >= 2  # genuinely concurrent
-        assert len(a.store) == 6 and len(b.store) == 6
+        assert a.probe.peak <= 2 and b.probe.peak <= 2
+        assert 2 <= total.peak <= 3  # genuinely concurrent, total-capped
+        assert a.inner.object_count == 6 and b.inner.object_count == 6
     finally:
         engine.close()
 
 
 def test_total_cap_of_one_serialises_native_ops():
-    probe = {"current": 0, "peak": 0}
-    csp = NativeMemCSP("n", probe)
-    engine = AsyncTransferEngine({"n": csp}, parallelism=4,
-                                 max_inflight_total=1)
+    csp = ProbedCSP("n")
+    engine = DirectEngine({"n": csp}, parallelism=4, max_inflight_total=1)
     try:
-        results = engine.execute(_put_ops("n", 5))
+        results = _from_loop(engine.execute, _put_ops("n", 5))
         assert all(r.ok for r in results)
-        assert probe["peak"] == 1
+        assert csp.probe.peak == 1
     finally:
         engine.close()
 
@@ -155,24 +161,24 @@ def test_total_cap_of_one_serialises_native_ops():
 
 
 def test_group_quota_cancels_queued_stragglers():
-    csp = NativeMemCSP("n")
-    engine = AsyncTransferEngine({"n": csp}, parallelism=2,
-                                 max_inflight_total=1)
+    csp = ProbedCSP("n")
+    engine = DirectEngine({"n": csp}, parallelism=2, max_inflight_total=1)
     try:
-        results = engine.execute(_put_ops("n", 3, group="chunk-A"),
-                                 group_quota={"chunk-A": 1})
+        results = _from_loop(engine.execute,
+                             _put_ops("n", 3, group="chunk-A"),
+                             group_quota={"chunk-A": 1})
         assert sum(1 for r in results if r.ok) == 1
         cancelled = [r for r in results if r.cancelled]
         assert len(cancelled) == 2
         assert all(not r.ok and r.error_type is None for r in cancelled)
-        assert len(csp.store) == 1  # the extras never reached the provider
+        assert csp.inner.object_count == 1  # extras never reached it
     finally:
         engine.close()
 
 
 def test_on_result_followups_join_the_same_batch():
-    csp = NativeMemCSP("n")
-    engine = AsyncTransferEngine({"n": csp}, parallelism=2)
+    csp = ProbedCSP("n")
+    engine = DirectEngine({"n": csp}, parallelism=2)
     try:
         def on_result(result):
             if result.op.name == "obj-0":
@@ -180,117 +186,44 @@ def test_on_result_followups_join_the_same_batch():
                                    name="followup", data=b"f")]
             return []
 
-        results = engine.execute(_put_ops("n", 2), on_result=on_result)
+        results = _from_loop(engine.execute, _put_ops("n", 2),
+                             on_result=on_result)
         names = {r.op.name for r in results}
         assert names == {"obj-0", "obj-1", "followup"}
         assert all(r.ok for r in results)
-        assert "followup" in csp.store
+        assert "followup" in {o.name for o in csp.list()}
     finally:
         engine.close()
 
 
 # ---------------------------------------------------------------------------
-# loop discipline
-
-
-def test_run_coro_refuses_to_run_from_the_loop_thread():
-    engine = AsyncTransferEngine({"m": InMemoryCSP("m")}, parallelism=2)
-
-    async def script():
-        with pytest.raises(TransferError, match="event loop"):
-            engine.run_coro(engine.execute_async(_put_ops("m", 1)))
-
-    try:
-        asyncio.run(script())
-    finally:
-        engine.close()
-
-
-def test_execute_async_awaits_directly_on_callers_loop():
-    csp = NativeMemCSP("n")
-    engine = AsyncTransferEngine({"n": csp}, parallelism=2)
-
-    async def script():
-        return await engine.execute_async(_put_ops("n", 3))
-
-    try:
-        results = asyncio.run(script())
-        assert all(r.ok for r in results)
-        assert len(csp.store) == 3
-        # the engine borrowed the caller's loop; it owns nothing to stop
-        assert engine._owns_loop is False
-    finally:
-        engine.close()
-
-
-def test_native_provider_forces_loop_even_at_parallelism_one():
-    csp = NativeMemCSP("n")
-    engine = AsyncTransferEngine({"n": csp}, parallelism=1)
-    try:
-        results = engine.execute(_put_ops("n", 2))
-        assert all(r.ok for r in results)
-        assert engine._loop is not None  # background loop was required
-    finally:
-        engine.close()
+# lifecycle
 
 
 def test_close_is_idempotent_and_leaves_a_serial_usable_engine():
-    engine = AsyncTransferEngine({"m": InMemoryCSP("m")}, parallelism=4)
-    assert all(r.ok for r in engine.execute(_put_ops("m", 2)))
-    assert engine._loop is not None
-    loop_thread = engine._loop_thread
+    engine = DirectEngine({"m": InMemoryCSP("m")}, parallelism=4)
+    assert all(r.ok for r in _from_loop(engine.execute, _put_ops("m", 2)))
+    pool = engine._pool
+    assert pool is not None
+    workers = list(pool._threads)
+    assert workers
     engine.close()
     engine.close()  # idempotent
-    assert engine._loop is None and engine._executor is None
-    assert engine.parallelism == 1
-    if loop_thread is not None:
-        loop_thread.join(timeout=10)
-        assert not loop_thread.is_alive()
-    # closed engine still serves serial sync batches (like ParallelEngine)
+    assert engine._pool is None
+    assert engine.parallelism == 1 and not engine.parallel_enabled
+    for worker in workers:
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+    # a closed engine still serves batches, serially
     results = engine.execute(
         [TransferOp(kind=OpKind.GET, csp_id="m", name="obj-0", size=16)]
     )
     assert results[0].ok
+    assert engine._pool is None
 
 
 # ---------------------------------------------------------------------------
-# provider faces
-
-
-def test_sync_face_refuses_native_only_providers():
-    engine = AsyncTransferEngine(
-        {"n": NativeMemCSP("n"), "m": InMemoryCSP("m")}
-    )
-    try:
-        with pytest.raises(TransferError, match="native async"):
-            engine.provider("n")
-        assert engine.provider("m").csp_id == "m"
-        adapter = engine.async_provider("m")
-        assert isinstance(adapter, SyncProviderAdapter)
-        assert engine.async_provider("m") is adapter  # cached
-        assert isinstance(engine.async_provider("n"), NativeMemCSP)
-    finally:
-        engine.close()
-
-
-def test_register_and_unregister_move_providers_between_faces():
-    engine = AsyncTransferEngine({"m": InMemoryCSP("m")})
-    try:
-        engine.register_provider(NativeMemCSP("m"))  # sync -> native swap
-        with pytest.raises(TransferError):
-            engine.provider("m")
-        engine.register_provider(InMemoryCSP("m"))  # native -> sync swap
-        assert engine.provider("m").csp_id == "m"
-        engine.unregister_provider("m")
-        with pytest.raises(TransferError):
-            engine.provider("m")
-        assert "m" in engine.link_caps("up") or True  # no crash on caps
-    finally:
-        engine.close()
-
-
-# ---------------------------------------------------------------------------
-# async retry campaign (ShareRetryLoop delegation)
+# retry campaign (ShareRetryLoop over the pooled engine)
 
 
 class FlakyOnce(InMemoryCSP):
@@ -312,11 +245,12 @@ class AlwaysAuthFail(InMemoryCSP):
 
 def test_retry_loop_transient_defers_to_next_round_on_async_engine():
     flaky = FlakyOnce("flaky")
-    engine = AsyncTransferEngine({"flaky": flaky}, parallelism=2)
+    engine = DirectEngine({"flaky": flaky}, parallelism=2)
     try:
         loop = ShareRetryLoop(engine, policy=RetryPolicy(max_attempts=3,
                                                          base_delay=0.0))
-        results, attempts = loop.run(
+        results, attempts = _from_loop(
+            loop.run,
             items=[("s0", "flaky")],
             build_op=lambda key, csp: TransferOp(
                 kind=OpKind.PUT, csp_id=csp, name="s0", data=b"y" * 16),
@@ -333,12 +267,13 @@ def test_retry_loop_transient_defers_to_next_round_on_async_engine():
 
 def test_retry_loop_fails_over_to_alternate_on_async_engine():
     bad, alt = AlwaysAuthFail("bad"), InMemoryCSP("alt")
-    engine = AsyncTransferEngine({"bad": bad, "alt": alt}, parallelism=2)
+    engine = DirectEngine({"bad": bad, "alt": alt}, parallelism=2)
     try:
         loop = ShareRetryLoop(engine, policy=RetryPolicy(max_attempts=2,
                                                          base_delay=0.0))
         landed = {}
-        results, attempts = loop.run(
+        results, attempts = _from_loop(
+            loop.run,
             items=[("s0", "bad")],
             build_op=lambda key, csp: TransferOp(
                 kind=OpKind.PUT, csp_id=csp, name="s0", data=b"x" * 16),
@@ -360,12 +295,13 @@ def test_retry_loop_verify_reclassifies_as_permanent_on_async_engine():
     src, alt = InMemoryCSP("src"), InMemoryCSP("alt")
     src.upload("s0", b"corrupt")
     alt.upload("s0", b"genuine")
-    engine = AsyncTransferEngine({"src": src, "alt": alt}, parallelism=2)
+    engine = DirectEngine({"src": src, "alt": alt}, parallelism=2)
     try:
         loop = ShareRetryLoop(engine, policy=RetryPolicy(max_attempts=3,
                                                          base_delay=0.0))
         got = {}
-        results, attempts = loop.run(
+        results, attempts = _from_loop(
+            loop.run,
             items=[("s0", "src")],
             build_op=lambda key, csp: TransferOp(
                 kind=OpKind.GET, csp_id=csp, name="s0", size=7),
@@ -379,36 +315,5 @@ def test_retry_loop_verify_reclassifies_as_permanent_on_async_engine():
         assert got == {"s0": ("alt", b"genuine")}
         history = [(a.csp_id, a.ok) for a in attempts["s0"]]
         assert history == [("src", False), ("alt", True)]
-    finally:
-        engine.close()
-
-
-# ---------------------------------------------------------------------------
-# sync pipelines from multiple threads share one engine safely
-
-
-def test_concurrent_sync_callers_share_the_background_loop():
-    csp = NativeMemCSP("n")
-    engine = AsyncTransferEngine({"n": csp}, parallelism=4)
-    errors: list[BaseException] = []
-
-    def worker(tag: int) -> None:
-        try:
-            ops = [TransferOp(kind=OpKind.PUT, csp_id="n",
-                              name=f"t{tag}-{i}", data=b"d") for i in range(4)]
-            results = engine.execute(ops)
-            assert all(r.ok for r in results)
-        except BaseException as exc:  # noqa: BLE001 - surfaced below
-            errors.append(exc)
-
-    try:
-        threads = [threading.Thread(target=worker, args=(t,))
-                   for t in range(6)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-        assert not errors
-        assert len(csp.store) == 24
     finally:
         engine.close()

@@ -1,11 +1,11 @@
 """Scale acceptance: many concurrent AsyncCyrusClient sessions, one process.
 
-The async core's reason to exist: a thousand ``async with`` sessions on
-one event loop share a single :class:`_LoopRuntime` (two bounded thread
-pools) instead of costing a thousand thread pools.  The tests *force*
-simultaneity — every session must be open at the same instant before
-any is allowed to transfer — so the session count is a proven
-concurrency level, not a sequential throughput number.
+The async facade's reason to exist: a thousand ``async with`` sessions
+on one event loop share a single :class:`_LoopRuntime` (one bounded
+pipeline executor) instead of costing a thousand thread pools.  The
+tests *force* simultaneity — every session must be open at the same
+instant before any is allowed to transfer — so the session count is a
+proven concurrency level, not a sequential throughput number.
 
 The 1000-session run is ``slow`` (CI's stress job executes it under a
 faulthandler hang dump); the 64-session smoke keeps the same shape in
@@ -39,7 +39,7 @@ async def _drive_sessions(count: int) -> None:
     async def one_session(i: int) -> int:
         nonlocal opened
         csps = [InMemoryCSP(f"s{i}-csp{j}") for j in range(4)]
-        # a slice of the fleet runs parallel dispatch on the shared loop;
+        # a slice of the fleet scatters through its own engine's pool;
         # the rest take the serial path on the pipeline executor
         config = CyrusConfig(
             key=f"key-{i}", t=2, n=3,
@@ -88,7 +88,8 @@ def test_sessions_share_one_loop_runtime():
                 assert len(_LoopRuntime._registry) == 1
                 runtime = next(iter(_LoopRuntime._registry.values()))
                 assert runtime.refs == 2
-                assert sa.engine is not sb.engine  # engines stay per-session
+                # engines stay per-session
+                assert sa.client.engine is not sb.client.engine
                 await sa.put("x", b"1")
                 await sb.put("y", b"2")
             assert runtime.refs == 1

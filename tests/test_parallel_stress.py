@@ -28,11 +28,8 @@ import pytest
 
 from repro.core.client import CyrusClient
 from repro.core.config import CyrusConfig
-from repro.core.parallel import (
-    POOL_DISPATCH,
-    POOL_INFLIGHT_PEAK,
-    ParallelEngine,
-)
+from repro.core.parallel import POOL_DISPATCH, POOL_INFLIGHT_PEAK
+from repro.core.transfer import DirectEngine
 from repro.csp.base import CloudProvider
 from repro.csp.memory import InMemoryCSP
 from repro.faults import FaultKind, FaultPlan, FaultyProvider
@@ -121,7 +118,7 @@ def _run_parallel_scenario(seed: int):
         parallelism=PARALLELISM, max_inflight_per_csp=2,
         **SMALL_CHUNKS,
     )
-    engine = ParallelEngine(
+    engine = DirectEngine(
         {p.csp_id: p for p in providers}, clock=clock,
         parallelism=PARALLELISM, max_inflight_per_csp=2,
     )
