@@ -7,20 +7,34 @@ on window *content*, an insertion early in a file shifts boundaries only
 until the hash re-synchronises — downstream chunks keep their identity,
 which is what makes deduplication effective.
 
-Two interchangeable engines compute the rolling hash:
+Three engines compute the rolling hash:
 
-* ``"vectorized"`` (default) — a multiplicative rolling hash evaluated
-  with numpy prefix sums.  The multiplier is odd and therefore
-  invertible modulo 2^32, which lets the hash of the window ending at
-  byte ``i`` be written as ``a^i * (S[i+1] - S[i-w+1])`` for a single
-  prefix-sum array ``S`` — one pass over the data, no per-byte loop.
+* ``"vectorized"`` (default) — a multiplicative hash, the window ending
+  at byte ``i`` hashing to ``Σ_j table[data[i-j]] · a^j mod 2^32``,
+  evaluated for a whole slice of windows by doubling the window width:
+  ``G_2m(k) = a^m · G_m(k) + G_m(k+m)`` (plus ``a · G_m(k) + v[k+m]``
+  for an odd bit of ``w``) — log2(w) multiply+add passes, no tables
+  beyond the 256-entry byte table, no per-byte loop.
 * ``"rabin"`` — the same GF(2) Rabin fingerprint as the reference,
   computed in batch by :class:`repro.chunking.rabin_vec.VectorRabin`
   (one table gather per window offset).  Produces **bit-identical cut
   points** to ``"reference"`` at vectorised speed.
 * ``"reference"`` — the classic GF(2) Rabin fingerprint
-  (:class:`repro.chunking.rabin.RabinFingerprint`), byte-at-a-time.
-  The oracle the ``"rabin"`` engine is verified against.
+  (:class:`repro.chunking.rabin.RabinFingerprint`), byte-at-a-time,
+  every candidate fed through :func:`select_boundaries`.  The oracle
+  the ``"rabin"`` engine is verified against.
+
+The two vectorised engines share one cut loop that hashes only windows
+whose cut point could be kept.  It hashes ``_BLOCK`` cut points per
+slice and runs the hits through the :func:`select_boundaries` rules;
+each slice starts at ``last + min_size`` or later, where ``last`` is the
+last cut.  So when ``min_size`` exceeds a slice (the default config), it
+stops at the first hit, skips ``min_size`` and force-cuts at
+``last + max_size`` when nothing hits.  :func:`select_boundaries` never
+keeps a candidate closer than ``min_size`` to the previous cut (forced
+cuts included) and the cut after ``last`` depends only on bytes after
+it, so the cuts are exactly those of the full candidate list — and a
+file no larger than ``min_size`` hashes nothing.
 
 ``"vectorized"`` uses a different hash function, so its boundaries
 differ from the Rabin pair, but all engines are deterministic and
@@ -42,14 +56,13 @@ from repro.chunking.rabin import RabinFingerprint
 from repro.chunking.rabin_vec import VectorRabin
 from repro.errors import ChunkingError
 
-#: Odd 32-bit multiplier (Knuth); odd => invertible mod 2^32.
+#: Odd 32-bit multiplier (Knuth).
 _MULTIPLIER = 0x9E3779B1
-_MULT_INV = pow(_MULTIPLIER, -1, 1 << 32)
 _U32 = np.uint32
 
-#: Window positions scanned per pass by the vectorised and rabin engines.
-#: 32 Ki keeps the vectorised scan's two uint32 scratch arrays and two
-#: power tables (128 KiB each) L2-resident; 16-64 Ki measure within 10 %.
+#: Cut points hashed per slice by the vectorised and rabin engines.
+#: 32 Ki keeps a slice's two uint32 scratch arrays (128 KiB each)
+#: L2-resident while bounding the work past the first hit in a slice.
 _BLOCK = 32 * 1024
 
 
@@ -69,24 +82,20 @@ def _byte_table(seed: int) -> np.ndarray:
     return table
 
 
-@functools.lru_cache(maxsize=8)
-def _power_series(base: int, count: int) -> np.ndarray:
-    """[base^0, base^1, ..., base^(count-1)] modulo 2^32.
-
-    Cached and frozen: a series is ``_BLOCK + window`` entries (128 KiB,
-    ~0.2 ms to build), read-only, and shared by every chunker instance
-    of the same window.
-    """
-    out = np.empty(count, dtype=np.uint32)
-    out[0] = _U32(1)
-    if count > 1:
-        with np.errstate(over="ignore"):
-            np.multiply.accumulate(
-                np.full(count - 1, _U32(base & 0xFFFFFFFF), dtype=np.uint32),
-                out=out[1:],
-            )
-    out.setflags(write=False)
-    return out
+def size_error(min_size: int, avg_size: int, max_size: int) -> str | None:
+    """Why ``(min_size, avg_size, max_size)`` cannot configure a chunker,
+    or None if it can; :class:`repro.core.config.CyrusConfig` applies
+    the same rules up front."""
+    if avg_size & (avg_size - 1) or avg_size <= 0:
+        return f"avg_size must be a power of two, got {avg_size}"
+    if avg_size > 1 << 24:
+        return f"avg_size above 2^24 unsupported, got {avg_size}"
+    if not 0 < min_size <= avg_size <= max_size:
+        return (
+            f"need 0 < min_size <= avg_size <= max_size, got "
+            f"({min_size}, {avg_size}, {max_size})"
+        )
+    return None
 
 
 def select_boundaries(
@@ -144,15 +153,9 @@ class ContentDefinedChunker:
         engine: str = "vectorized",
         seed: int = 0x5EED,
     ):
-        if avg_size & (avg_size - 1) or avg_size <= 0:
-            raise ChunkingError(f"avg_size must be a power of two, got {avg_size}")
-        if avg_size > 1 << 24:
-            raise ChunkingError(f"avg_size above 2^24 unsupported, got {avg_size}")
-        if not 0 < min_size <= avg_size <= max_size:
-            raise ChunkingError(
-                f"need 0 < min_size <= avg_size <= max_size, got "
-                f"({min_size}, {avg_size}, {max_size})"
-            )
+        problem = size_error(min_size, avg_size, max_size)
+        if problem:
+            raise ChunkingError(problem)
         if window < 2:
             raise ChunkingError(f"window must be >= 2, got {window}")
         if engine not in ("vectorized", "rabin", "reference"):
@@ -168,9 +171,6 @@ class ContentDefinedChunker:
         self._bits = avg_size.bit_length() - 1  # log2(M)
         if engine == "vectorized":
             self._table = _byte_table(seed)
-            # data-independent power tables, shared by every block
-            self._pows = _power_series(_MULTIPLIER, _BLOCK + window)
-            self._inv_pows = _power_series(_MULT_INV, _BLOCK + window)
         elif engine == "rabin":
             self._vrabin = VectorRabin(window=window)
         else:
@@ -180,65 +180,36 @@ class ContentDefinedChunker:
     # candidate generation
     # ------------------------------------------------------------------
 
-    def _candidates_vectorized(self, data: bytes) -> list[int]:
-        w = self.window
-        full = np.frombuffer(data, dtype=np.uint8)
-        n = full.size
-        if n < w:
-            return []
-        out: list[int] = []
+    def _window_hits(self, buf: np.ndarray) -> np.ndarray:
+        """Indices ``j`` of the windows ``buf[j : j + w]`` that pass the
+        boundary test — the per-slice hash of both vectorised engines."""
+        if self.engine == "rabin":
+            fps = self._vrabin.masked_fingerprints(buf, self._mask)
+            return np.flatnonzero(fps == fps.dtype.type(self._target))
+        # per-call scratch: the instance stays read-only, so concurrent
+        # calls on one chunker are safe.  mode: uint8 indices cannot
+        # miss a 256-entry table, and "raise" would buffer the gather
+        g = np.take(self._table, buf, mode="clip")
+        spare = np.empty_like(g)
+        # G_m(k): hash of the m bytes buf[k : k + m], the newest weighted
+        # a^0; g[k] = G_m(k) is valid for k < span - m + 1
+        span, m = g.size, 1
+        for bit in bin(self.window)[3:]:
+            count = span - 2 * m + 1
+            np.multiply(g[:count], _U32(pow(_MULTIPLIER, m, 1 << 32)),
+                        out=spare[:count])
+            np.add(spare[:count], g[m : m + count], out=spare[:count])
+            g, spare, m = spare, g, 2 * m
+            if bit == "1":
+                count -= 1
+                np.take(self._table, buf[m : m + count], out=spare[:count],
+                        mode="clip")
+                np.multiply(g[:count], _U32(_MULTIPLIER), out=g[:count])
+                np.add(g[:count], spare[:count], out=g[:count])
+                m += 1
         # "top log2(M) bits of the 32-bit hash are all ones" == "hash >= floor"
         floor = _U32(self._target << (32 - self._bits))
-        # per-call scratch: the instance stays read-only, so concurrent
-        # calls on one chunker are safe
-        span = min(_BLOCK, n - w + 1)  # windows per pass
-        vals = np.empty(span + w - 1, dtype=np.uint32)
-        s = np.zeros(span + w, dtype=np.uint32)
-        for lo in range(0, n - w + 1, span):
-            count = min(n - w + 1, lo + span) - lo  # windows in this block
-            m = count + w - 1  # bytes they cover: [lo, lo + m)
-            v = vals[:m]
-            # mode: uint8 indices cannot miss a 256-entry table, and
-            # "raise" would buffer the whole gather before writing out
-            np.take(self._table, full[lo : lo + m], out=v, mode="clip")
-            # S[k] = sum_{j<k} vals[j] * a^-j (block-relative, mod 2^32)
-            np.multiply(v, self._inv_pows[:m], out=v)
-            np.add.accumulate(v, out=s[1 : m + 1])
-            # hash of window ending at i: a^i * (S[i+1] - S[i-w+1]);
-            # pure slice arithmetic — no gathers (vals is dead: reuse it)
-            h = vals[:count]
-            np.subtract(s[w : m + 1], s[:count], out=h)
-            np.multiply(h, self._pows[w - 1 : m], out=h)
-            hits = np.flatnonzero(h >= floor)
-            if hits.size == 0:
-                continue
-            # hit k is the window starting at block byte k; the cut
-            # point is one past its end, in absolute coordinates
-            out.extend((hits + (lo + w)).tolist())
-        return out
-
-    def _candidates_rabin(self, data) -> list[int]:
-        """Rabin candidates in batch — bit-identical to the reference engine.
-
-        Blocked over window end positions so the uint64 fingerprint array
-        stays bounded regardless of input size.
-        """
-        w = self.window
-        full = np.frombuffer(data, dtype=np.uint8)
-        n = full.size
-        if n < w:
-            return []
-        out: list[int] = []
-        for lo in range(0, n - w + 1, _BLOCK):
-            hi = min(n - w + 1, lo + _BLOCK)
-            # windows starting at lo..hi-1 need bytes [lo, hi + w - 1)
-            fps = self._vrabin.masked_fingerprints(full[lo : hi + w - 1], self._mask)
-            target = fps.dtype.type(self._target)
-            hits = np.nonzero(fps == target)[0]
-            # hit j is the window ending at absolute byte lo + j + w - 1;
-            # the cut point is one past it, as in the reference engine
-            out.extend((hits + (lo + w)).tolist())
-        return out
+        return np.flatnonzero(g[: span - m + 1] >= floor)
 
     def _candidates_reference(self, data: bytes) -> list[int]:
         rabin = self._rabin
@@ -259,13 +230,41 @@ class ContentDefinedChunker:
 
     def boundaries(self, data: bytes) -> list[int]:
         """Cut points (exclusive chunk ends) for ``data``, ending at len."""
-        if self.engine == "vectorized":
-            candidates = self._candidates_vectorized(data)
-        elif self.engine == "rabin":
-            candidates = self._candidates_rabin(data)
-        else:
-            candidates = self._candidates_reference(data)
-        return select_boundaries(candidates, len(data), self.min_size, self.max_size)
+        if self.engine == "reference":
+            return select_boundaries(
+                self._candidates_reference(data), len(data),
+                self.min_size, self.max_size,
+            )
+        full = np.frombuffer(data, dtype=np.uint8)
+        n, w = full.size, self.window
+        cuts: list[int] = []
+        last, s = 0, w  # s: first cut point not yet hashed
+        while True:
+            # cut points closer than min_size to the last cut are never
+            # kept, so they are never hashed
+            s = max(s, last + self.min_size)
+            end = min(n, s + _BLOCK)
+            if s < end:
+                # cut point s + j ends the window buf[j : j + w]
+                hits = self._window_hits(full[s - w : end - 1]) + s
+                for c in hits.tolist():  # select_boundaries, inlined
+                    while c - last > self.max_size:
+                        last += self.max_size
+                        cuts.append(last)
+                    if c - last >= self.min_size:
+                        cuts.append(c)
+                        last = c
+            # every cut point below end is decided: force-cut spans that
+            # reached max_size without a candidate
+            while end - last > self.max_size:
+                last += self.max_size
+                cuts.append(last)
+            if end >= n:
+                break
+            s = end
+        if n:
+            cuts.append(n)
+        return cuts
 
     def chunk_bytes(self, data) -> list[Chunk]:
         """Split ``data`` into content-addressed chunks.

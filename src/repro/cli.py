@@ -79,13 +79,8 @@ def load_settings(store: Path) -> dict:
 _active_clients: list[CyrusClient] = []
 
 
-def build_client(store: Path) -> CyrusClient:
-    settings = load_settings(store)
-    providers = [
-        LocalDirectoryCSP(name, Path(path))
-        for name, path in settings["providers"].items()
-    ]
-    config = CyrusConfig(
+def config_from_settings(settings: dict) -> CyrusConfig:
+    return CyrusConfig(
         key=settings["key"],
         t=settings["t"],
         n=settings["n"],
@@ -96,6 +91,15 @@ def build_client(store: Path) -> CyrusClient:
         max_inflight_per_csp=settings.get("max_inflight_per_csp"),
         max_inflight_total=settings.get("max_inflight_total"),
     )
+
+
+def build_client(store: Path) -> CyrusClient:
+    settings = load_settings(store)
+    providers = [
+        LocalDirectoryCSP(name, Path(path))
+        for name, path in settings["providers"].items()
+    ]
+    config = config_from_settings(settings)
     from repro.recovery import IntentJournal
     from repro.redundancy import DebtLedger
 
@@ -159,6 +163,9 @@ def cmd_init(args) -> int:
             for name, path in csps.items()
         },
     }
+    # validate before anything is written: a rejected config must not
+    # leave a store behind that every later command fails to open
+    config_from_settings(settings)
     save_settings(store, settings)
     client = build_client(store)
     existing = client.list_files(sync_first=False)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from repro.chunking.cdc import size_error
 from repro.errors import ConfigurationError
 from repro.reliability.planner import minimum_shares
 
@@ -71,6 +72,11 @@ class CyrusConfig:
             )
         if self.epsilon is not None and not 0 < self.epsilon < 1:
             raise ConfigurationError(f"epsilon must be in (0,1), got {self.epsilon}")
+        problem = size_error(self.chunk_min, self.chunk_avg, self.chunk_max)
+        if problem:
+            raise ConfigurationError(
+                f"chunk sizes (chunk_min, chunk_avg, chunk_max): {problem}"
+            )
         if self.meta_t < 1:
             raise ConfigurationError(f"meta_t must be >= 1, got {self.meta_t}")
         if self.parallelism < 1:

@@ -15,6 +15,7 @@ from repro.chunking import ContentDefinedChunker, FixedSizeChunker
 from repro.chunking.cdc import select_boundaries
 from repro.errors import ChunkingError
 
+DATA = Path(__file__).parent / "data"
 PARAMS = dict(min_size=64, avg_size=256, max_size=1024, window=16)
 
 
@@ -164,9 +165,7 @@ class TestVectorizedEngine:
         buffer, recorded before the scan was re-blocked, must not move."""
         from repro.core.config import CyrusConfig
 
-        golden = json.loads(
-            (Path(__file__).parent / "data" / "golden_cuts.json").read_text()
-        )
+        golden = _golden()
         data = random.Random(0xC075).randbytes(1 << 20)
         assert hashlib.sha1(data).hexdigest() == golden["buffer_sha1"]
         cfg = CyrusConfig(key="k")
@@ -212,24 +211,125 @@ class TestVectorizedEngine:
         assert got == serial
 
     def test_construction_allocates_under_1mb(self):
-        """The power tables are block-sized (2 x 128 KiB), not 2 x 32 MB."""
-        from repro.chunking import cdc
-        from repro.core.config import CyrusConfig
+        """The only tables are the 1 KiB byte table (vectorized) and the
+        window x 256 Rabin tables: nothing scales with the block or the
+        input, so a chunker costs kilobytes."""
+        import numpy as np
 
-        cfg = CyrusConfig(key="k")
-        cdc._power_series.cache_clear()
-        cdc._byte_table.cache_clear()
-        tracemalloc.start()
-        try:
-            chunker = ContentDefinedChunker(
-                min_size=cfg.chunk_min, avg_size=cfg.chunk_avg,
-                max_size=cfg.chunk_max, seed=cfg.chunker_seed,
-            )
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert chunker.engine == "vectorized"
-        assert peak < 1_000_000, peak
+        from repro.chunking import cdc
+
+        np.random.default_rng(0)  # numpy.random imports lazily
+        for engine, bound in (("vectorized", 16 * 1024), ("rabin", 64 * 1024)):
+            cdc._byte_table.cache_clear()
+            tracemalloc.start()
+            try:
+                chunker = ContentDefinedChunker(engine=engine, **_default_sizes())
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert chunker.engine == engine
+            assert peak < bound, (engine, peak)
+
+
+def _default_sizes() -> dict:
+    from repro.core.config import CyrusConfig
+
+    cfg = CyrusConfig(key="k")
+    return dict(min_size=cfg.chunk_min, avg_size=cfg.chunk_avg,
+                max_size=cfg.chunk_max, seed=cfg.chunker_seed)
+
+
+def _golden() -> dict:
+    return json.loads((DATA / "golden_cuts.json").read_text())
+
+
+class TestSkipPaths:
+    """Cut lists recorded under the full-candidate scan, for the paths
+    the min-size skip adds (``tests/data/golden_cuts.json``)."""
+
+    @pytest.fixture(scope="class")
+    def buffer(self):
+        return random.Random(0xC075).randbytes(1 << 20)
+
+    @pytest.mark.parametrize("engine", ["vectorized", "rabin"])
+    def test_forced_cut_then_skip(self, engine):
+        case = _golden()["zero_run"]
+        data = (random.Random(0xC075).randbytes(1 << 20) + bytes(3505208)
+                + random.Random(0xC076).randbytes(1 << 20))
+        assert hashlib.sha1(data).hexdigest() == case["buffer_sha1"]
+        chunker = ContentDefinedChunker(engine=engine, **_default_sizes())
+        key = "cuts" if engine == "vectorized" else "rabin_cuts"
+        assert chunker.boundaries(data) == case[key]
+
+    def test_gap_longer_than_a_block(self, buffer):
+        from repro.chunking import cdc
+
+        case = _golden()["long_gap"]
+        sizes = {k: case[k] for k in ("min_size", "avg_size", "max_size")}
+        cuts = ContentDefinedChunker(**sizes).boundaries(buffer)
+        assert cuts == case["cuts"]
+        gaps = [b - a - sizes["min_size"] for a, b in zip([0] + cuts, cuts)]
+        assert sizes["min_size"] < cdc._BLOCK < max(gaps)
+
+    def test_files_of_chunk_min_and_one_more_byte(self, buffer):
+        case = _golden()["min_edge"]
+        chunker = ContentDefinedChunker(**_default_sizes())
+        m, o = chunker.min_size, case["offset"]
+        assert chunker.boundaries(buffer[:m]) == case["prefix_min"]
+        assert chunker.boundaries(buffer[: m + 1]) == case["prefix_min_plus_one"]
+        assert chunker.boundaries(buffer[o : o + m]) == case["at_offset_min"]
+        # a candidate exactly chunk_min into the file is kept
+        assert (chunker.boundaries(buffer[o : o + m + 1])
+                == case["at_offset_min_plus_one"] == [m, m + 1])
+
+    def test_rabin_engine_on_the_golden_buffer(self, buffer):
+        golden = _golden()
+        rabin = ContentDefinedChunker(engine="rabin", **_default_sizes())
+        assert rabin.boundaries(buffer) == golden["rabin_default_config_cuts"]
+        fine = golden["rabin_fine"]
+        cuts = ContentDefinedChunker(
+            engine="rabin", min_size=256, avg_size=1024, max_size=8192
+        ).boundaries(buffer)
+        assert len(cuts) == fine["count"]
+        assert (hashlib.sha1(json.dumps(cuts).encode()).hexdigest()
+                == fine["cuts_json_sha1"])
+
+
+class TestScanBudget:
+    """Bytes the default chunker hashes, pinned in ``op_budget.json``."""
+
+    budget = json.loads((DATA / "op_budget.json").read_text())[
+        "chunker_scanned_bytes"
+    ]
+
+    @staticmethod
+    def scanned(data) -> int:
+        chunker = ContentDefinedChunker(**_default_sizes())
+        window_hits = chunker._window_hits
+        total = 0
+
+        def counting(buf):
+            nonlocal total
+            total += buf.size
+            return window_hits(buf)
+
+        chunker._window_hits = counting
+        chunker.boundaries(data)
+        return total
+
+    def test_nothing_hashed_up_to_chunk_min(self):
+        m = _default_sizes()["min_size"]
+        for size in (0, 1, 17, m - 1, m):
+            data = random.Random(size).randbytes(size)
+            assert self.scanned(data) == self.budget["input_at_most_chunk_min"]
+
+    def test_golden_buffer_exact(self):
+        data = random.Random(0xC075).randbytes(1 << 20)
+        assert self.scanned(data) == self.budget["golden_cuts_buffer"]
+
+    def test_large_buffer_skips(self):
+        data = random.Random(8).randbytes(8 << 20)
+        assert self.scanned(data) <= self.budget["seeded_8mib_max_share"] * len(data)
 
 
 class TestFixedChunker:

@@ -67,6 +67,19 @@ class TestInit:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize("sizes", [["--chunk-avg", "300000"],
+                                       ["--chunk-min", "4000000"]])
+    def test_bad_chunk_sizes_leave_no_store(self, tmp_path, capsys, sizes):
+        store_dir = tmp_path / "s"
+        init = ["--store", str(store_dir), "init", "--key", "k"] + [
+            a for i in range(3) for a in ("--csp", f"d{i}={tmp_path / f'd{i}'}")
+        ]
+        assert main(init + sizes) == 1
+        assert "chunk sizes" in capsys.readouterr().err
+        assert not store_dir.exists()
+        # nothing bricked: a valid init of the same store then works
+        assert main(init) == 0
+
     def test_bad_csp_spec(self, tmp_path):
         rc = main(
             ["--store", str(tmp_path / "s"), "init", "--key", "k",

@@ -31,6 +31,21 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             CyrusConfig(key="k", t=0)
 
+    @pytest.mark.parametrize("sizes", [
+        dict(chunk_avg=300_000),  # not a power of two
+        dict(chunk_min=1, chunk_avg=1 << 25, chunk_max=1 << 26),  # above 2^24
+        dict(chunk_min=4_000_000),  # min > avg
+        dict(chunk_max=1024),  # max < avg
+        dict(chunk_min=0),
+    ])
+    def test_bad_chunk_sizes(self, sizes):
+        """The chunker's rules are checked here, before any client (or
+        stored config) is built from them."""
+        with pytest.raises(ConfigurationError, match="chunk sizes"):
+            CyrusConfig(key="k", **sizes)
+        with pytest.raises(ConfigurationError):
+            CyrusConfig(key="k").with_params(**sizes)
+
 
 class TestPlanN:
     def test_fixed_n(self):
