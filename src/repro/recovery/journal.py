@@ -10,40 +10,44 @@ progress records as the pipeline advances, and finally a ``commit``
 record once local state reflects the published node.  On restart,
 :mod:`repro.recovery.recover` replays any intent without a ``commit``.
 
-Record stages, in pipeline order::
+Record stages, in pipeline order.  Group commit
+(:class:`repro.util.appendlog.AppendLog`): every record reaches the
+kernel at once, but only the four marked * are fsync barriers; a power
+loss keeps everything up to the last one and may tear the final line,
+which the parser drops instead of failing::
 
-    begin(put|delete|gc|migrate)   what is about to happen + planned
-                                   share placements (the rollback set)
-    share-intent                   a failover re-planned one share onto
-                                   a new CSP (extends the rollback set)
-    share-uploaded(csp, object)    one share landed
-    debt(chunk, missing, failed)   a chunk reached t but not n stored
-                                   shares — a redundancy debt recovery
-                                   must reconcile into the debt ledger
-    meta-intent                    the encoded node about to be
-                                   published (the roll-forward payload)
-    meta-published                 >= t metadata shares landed
-    commit                         local tree/table updated; intent done
+    begin(put|delete|...)        * planned share placements (the
+                                   rollback set), on disk before any
+                                   share leaves
+    share-intent                 * a failover re-planned one share onto
+                                   a new CSP, before the re-dispatch
+    share-uploaded(csp, object)    one share landed (``begin`` already
+                                   names it)
+    debt(chunk, missing, failed)   t <= stored < n: a redundancy debt
+                                   recovery reconciles into the ledger
+    meta-intent                  * the encoded node about to be
+                                   published (the roll-forward payload);
+                                   its fsync also covers the records
+                                   before it
+    meta-published                 >= t metadata shares landed (if lost,
+                                   recovery re-publishes: idempotent)
+    commit                       * local state updated; intent done
 
-Durability model: each record is one JSON line appended with flush +
-fsync, so a crash can at worst tear the *final* line — the parser drops
-an undecodable tail instead of failing.  The file is compacted
-(committed intents dropped) through a temp file + ``os.replace``, the
-same atomic-rename discipline the snapshot writer uses, so a crash
-during compaction leaves either the old or the new journal, never a
-mix.
+A fault-free one-chunk put is 7 writes and 3 fsyncs.  Compaction
+(committed intents dropped) is the log's temp file + ``os.replace`` +
+directory fsync: a crash leaves the old or the new journal, never a mix.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import threading
 import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.errors import CyrusError
+from repro.util.appendlog import AppendLog, json_line
 
 #: Stage names, in pipeline order.
 BEGIN = "begin"
@@ -56,6 +60,10 @@ COMMIT = "commit"
 
 STAGES = (BEGIN, SHARE_INTENT, SHARE_UPLOADED, DEBT, META_INTENT,
           META_PUBLISHED, COMMIT)
+
+#: Stages appended with an fsync (the module docstring says why the
+#: others may be lost).
+BARRIERS = frozenset((BEGIN, SHARE_INTENT, META_INTENT, COMMIT))
 
 #: Operations a ``begin`` record may name.
 OPS = ("put", "delete", "gc", "migrate", "meta-repair")
@@ -96,8 +104,7 @@ class JournalRecord:
         if self.fields:
             doc["fields"] = self.fields
         try:
-            return (json.dumps(doc, sort_keys=True,
-                               separators=(",", ":")) + "\n").encode("utf-8")
+            return json_line(doc)
         except (TypeError, ValueError) as exc:
             raise JournalError(f"unencodable journal record: {exc}") from exc
 
@@ -172,67 +179,56 @@ class Intent:
 class IntentJournal:
     """Append-only JSONL intent journal with atomic compaction.
 
-    The journal's directory is created once, at construction.  Every
-    append opens, writes one full line, flushes, fsyncs and closes —
-    slow by database standards, but a CYRUS client journals a handful
-    of records per put, and the open-per-write discipline means two
-    client generations (the crashed one and its successor) can use the
-    same path without handle coordination.
+    Records go through one :class:`AppendLog` descriptor, fsynced only
+    at :data:`BARRIERS`.  The descriptor appends with ``O_APPEND``, so a
+    successor generation can append to the path its crashed predecessor
+    left open.  ``fsync=False`` keeps every write and skips every fsync.
     """
 
     def __init__(self, path: str | Path, clock=None, fsync: bool = True,
                  compact_after: int = 256):
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._log = AppendLog(path, fsync)
+        self.path = self._log.path
         self.clock = clock
-        self.fsync = fsync
         self.compact_after = max(1, compact_after)
-        self._seq = self._max_seq() + 1
+        self._seq = max((r.seq for r in self._parse()[0]), default=-1) + 1
         self._commits_since_compact = 0
-        # seq allocation + file append must be one atomic step: pool
-        # workers journal share-uploaded records concurrently, and the
-        # lock guarantees the on-disk seq order matches append order —
-        # records of one intent stay ordered-per-intent (reentrant so
-        # commit's record() nests)
+        # seq allocation + append are one step: pool workers journal
+        # share-uploaded records concurrently, and on-disk seq order must
+        # match append order (reentrant so commit's record() nests)
         self._lock = threading.RLock()
+
+    @property
+    def fsync(self) -> bool:
+        return self._log.fsync
 
     # -- writing ----------------------------------------------------------
 
     def _now(self) -> float:
         return self.clock.now() if self.clock is not None else 0.0
 
-    def _append(self, record: JournalRecord) -> JournalRecord:
-        blob = record.encode()
-        with open(self.path, "ab") as handle:
-            handle.write(blob)
-            handle.flush()
-            if self.fsync:
-                os.fsync(handle.fileno())
-        return record
+    def _append(self, intent_id: str, stage: str, fields: dict,
+                op: str = "") -> JournalRecord:
+        with self._lock:
+            record = JournalRecord(
+                intent_id=intent_id, stage=stage, seq=self._seq, op=op,
+                time=self._now(), fields=fields,
+            )
+            self._seq += 1
+            self._log.append(record.encode(), barrier=stage in BARRIERS)
+            return record
 
     def begin(self, op: str, **fields) -> str:
         """Open a new intent; returns its id."""
         if op not in OPS:
             raise JournalError(f"unknown journal op {op!r}")
         intent_id = uuid.uuid4().hex[:16]
-        with self._lock:
-            record = JournalRecord(
-                intent_id=intent_id, stage=BEGIN, seq=self._seq, op=op,
-                time=self._now(), fields=fields,
-            )
-            self._seq += 1
-            self._append(record)
+        self._append(intent_id, BEGIN, fields, op)
         return intent_id
 
     def record(self, intent_id: str, stage: str, **fields) -> JournalRecord:
         """Append one progress record to an open intent."""
-        with self._lock:
-            record = JournalRecord(
-                intent_id=intent_id, stage=stage, seq=self._seq,
-                time=self._now(), fields=fields,
-            )
-            self._seq += 1
-            return self._append(record)
+        return self._append(intent_id, stage, fields)
 
     def commit(self, intent_id: str, outcome: str = "committed") -> None:
         """Close an intent; periodically compacts the file."""
@@ -245,29 +241,19 @@ class IntentJournal:
     # -- reading ----------------------------------------------------------
 
     def _parse(self) -> tuple[list[JournalRecord], int]:
-        """All decodable records plus the count of skipped lines.
-
-        A torn final line (the one partial write a crash can produce)
-        and any corrupt interior line are skipped, not fatal: the
-        journal must never be the component that prevents recovery.
+        """All decodable records in seq order plus the count of skipped
+        lines: a torn final line or a corrupt interior one is skipped,
+        never fatal — the journal must not be what prevents recovery.
         """
-        if not self.path.exists():
-            return [], 0
         records: list[JournalRecord] = []
         skipped = 0
-        for line in self.path.read_bytes().split(b"\n"):
-            if not line.strip():
-                continue
+        for line in self._log.lines():
             try:
                 records.append(JournalRecord.decode(line))
             except JournalError:
                 skipped += 1
         records.sort(key=lambda r: r.seq)
         return records, skipped
-
-    def _max_seq(self) -> int:
-        records, _ = self._parse()
-        return max((r.seq for r in records), default=-1)
 
     def intents(self) -> list[Intent]:
         """All intents on disk, in begin order."""
@@ -300,23 +286,15 @@ class IntentJournal:
     def compact(self) -> int:
         """Drop committed intents; returns records removed.
 
-        Incomplete intents keep every record.  Atomic: the survivors are
-        written to a temp file that replaces the journal in one rename.
+        Incomplete intents keep every record.  Atomic: the survivors
+        replace the journal in one rename (:meth:`AppendLog.rewrite`).
         """
-        records, skipped = self._parse()
-        keep_ids = {i.intent_id for i in self.intents() if not i.committed}
-        survivors = [r for r in records if r.intent_id in keep_ids]
-        removed = len(records) - len(survivors) + skipped
-        if removed == 0:
+        with self._lock:
+            records, skipped = self._parse()
+            done = {r.intent_id for r in records if r.stage == COMMIT}
+            survivors = [r for r in records if r.intent_id not in done]
+            removed = len(records) - len(survivors) + skipped
+            if removed:
+                self._log.rewrite(r.encode() for r in survivors)
             self._commits_since_compact = 0
-            return 0
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        with open(tmp, "wb") as handle:
-            for record in survivors:
-                handle.write(record.encode())
-            handle.flush()
-            if self.fsync:
-                os.fsync(handle.fileno())
-        os.replace(tmp, self.path)
-        self._commits_since_compact = 0
-        return removed
+            return removed

@@ -12,33 +12,34 @@ or suspect, and the providers that failed or lied.  The repair loop
 ``n``-way redundancy and appends a **retire** record once the chunk is
 whole again.
 
-Durability model — the same torn-tail-tolerant JSONL idiom as
-:class:`repro.recovery.journal.IntentJournal`: each record is one JSON
-line appended with flush + fsync, so a crash can at worst tear the
-final line, and the parser skips undecodable lines instead of failing.
-Retired debts are compacted away through a temp file + ``os.replace``.
+Record kinds, in lifecycle order (group commit through
+:class:`repro.util.appendlog.AppendLog`: every record reaches the
+kernel at once, only a ``debt`` is an fsync barrier)::
 
-Record kinds, in lifecycle order::
+    debt(chunk, missing, failed)   barrier — it must outlive the journal
+                                   intent compaction drops, and corrupt-
+                                   share debts belong to no intent; re-
+                                   records for one chunk merge under one id
+    attempt(ok, detail)            a failed repair try; drives backoff
+                                   (a power loss only resets it)
+    retire                         the chunk is back to n verified shares
+                                   (a lost one reopens the debt; the next
+                                   repair retires it with zero transfers)
 
-    debt(chunk, missing, failed)   the deficit was observed; re-records
-                                   for the same chunk merge (union of
-                                   indices and suspects) under one id
-    attempt(ok, detail)            the repair loop tried and failed;
-                                   drives the per-entry backoff
-    retire                         the chunk is back to n verified
-                                   shares (or no longer exists)
+The parser skips a torn or alien line instead of failing; retired
+debts are compacted away through the log's atomic rewrite.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import threading
 import uuid
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from repro.errors import CyrusError
+from repro.util.appendlog import AppendLog, json_line
 
 #: Record kinds, in lifecycle order.
 DEBT = "debt"
@@ -104,62 +105,77 @@ class DebtEntry:
         return self.last_attempt + delay
 
 
+def _merge(prior: DebtEntry | None, debt_id: str, chunk_id: str,
+           missing, failed, time: float, kind: str) -> DebtEntry:
+    """A new entry, or ``prior`` with the union of indices and suspects."""
+    base = prior or DebtEntry(debt_id=debt_id, chunk_id=chunk_id, missing=(),
+                              failed_csps=(), created=time, kind=kind)
+    return replace(
+        base, missing=tuple(sorted(set(base.missing) | set(missing))),
+        failed_csps=tuple(sorted(set(base.failed_csps) | set(failed))),
+    )
+
+
+def _encode(doc: dict) -> bytes:
+    try:
+        return json_line(doc)
+    except (TypeError, ValueError) as exc:
+        raise LedgerError(f"unencodable ledger record: {exc}") from exc
+
+
 class DebtLedger:
     """Append-only JSONL debt ledger with atomic compaction.
 
-    Mirrors the :class:`IntentJournal` open-per-write discipline: the
-    directory is created once, at construction, and every append
-    opens, writes one line, flushes, fsyncs and closes, so a crashed
-    client generation and its successor can share the path without
-    handle coordination.  The in-memory open-debt view is
-    rebuilt from disk at construction and kept in step with every
-    append, so reads never re-parse the file.
+    Records go through one :class:`AppendLog` descriptor; only ``debt``
+    records are fsynced.  The in-memory open-debt view is rebuilt from
+    disk at construction and every append is folded into it by the same
+    :meth:`_apply`, so reads never re-parse the file.
     """
 
     def __init__(self, path: str | Path, clock=None, fsync: bool = True,
                  compact_after: int = 256):
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._log = AppendLog(path, fsync)
+        self.path = self._log.path
         self.clock = clock
-        self.fsync = fsync
         self.compact_after = max(1, compact_after)
         self._lock = threading.RLock()
         self._open: dict[str, DebtEntry] = {}  # debt_id -> entry
-        self._by_chunk: dict[str, str] = {}  # chunk_id -> open debt_id
+        self._by_chunk: dict[str, str] = {}  # chunk key -> open debt_id
         self._seq = 0
         self._retires_since_compact = 0
         self._load()
+
+    @property
+    def fsync(self) -> bool:
+        return self._log.fsync
 
     # -- writing ----------------------------------------------------------
 
     def _now(self) -> float:
         return self.clock.now() if self.clock is not None else 0.0
 
-    def _append(self, doc: dict) -> None:
-        try:
-            blob = (json.dumps(doc, sort_keys=True,
-                               separators=(",", ":")) + "\n").encode("utf-8")
-        except (TypeError, ValueError) as exc:
-            raise LedgerError(f"unencodable ledger record: {exc}") from exc
-        with open(self.path, "ab") as handle:
-            # a crash can leave a torn final line with no newline; start
-            # a fresh line so the new record doesn't glue onto the wreck
-            if handle.tell() > 0:
-                with open(self.path, "rb") as probe:
-                    probe.seek(-1, os.SEEK_END)
-                    if probe.read(1) != b"\n":
-                        handle.write(b"\n")
-            handle.write(blob)
-            handle.flush()
-            if self.fsync:
-                os.fsync(handle.fileno())
-
     @staticmethod
     def _chunk_key(chunk_id: str, kind: str) -> str:
-        """Open-debt merge key: chunk and meta ids live in one 40-hex
-        namespace, so the kind disambiguates (a legacy plain chunk id
-        keys as ``chunk:<id>``)."""
+        """Open-debt merge key: chunk and meta ids share one 40-hex
+        namespace, so the kind disambiguates (legacy ids: ``chunk:``)."""
         return f"{kind}:{chunk_id}"
+
+    @staticmethod
+    def _debt_doc(entry: DebtEntry, time: float) -> dict:
+        doc = {"kind": DEBT, "id": entry.debt_id, "time": time,
+               "chunk": entry.chunk_id, "missing": list(entry.missing),
+               "failed": list(entry.failed_csps)}
+        # only metadata debts carry "obj": chunk lines predate the field
+        if entry.kind != "chunk":
+            doc["obj"] = entry.kind
+        return doc
+
+    def _write(self, doc: dict) -> None:
+        """Append one record (a barrier iff it is a debt) and fold it in."""
+        self._seq += 1
+        doc["seq"] = self._seq
+        self._log.append(_encode(doc), barrier=doc["kind"] == DEBT)
+        self._apply(doc)
 
     def record(
         self,
@@ -177,77 +193,30 @@ class DebtLedger:
         (the default) from metadata nodes (``"meta"``).
         """
         with self._lock:
-            existing_id = self._by_chunk.get(self._chunk_key(chunk_id, kind))
             now = self._now()
-            if existing_id is not None:
-                entry = self._open[existing_id]
-                merged = replace(
-                    entry,
-                    missing=tuple(sorted(set(entry.missing) | set(missing))),
-                    failed_csps=tuple(sorted(
-                        set(entry.failed_csps) | set(failed_csps)
-                    )),
-                )
-                if merged == entry:
-                    return existing_id  # nothing new to persist
-                entry = merged
-            else:
-                entry = DebtEntry(
-                    debt_id=uuid.uuid4().hex[:16],
-                    chunk_id=chunk_id,
-                    missing=tuple(sorted(set(missing))),
-                    failed_csps=tuple(sorted(set(failed_csps))),
-                    created=now,
-                    kind=kind,
-                )
-            doc = {
-                "kind": DEBT,
-                "id": entry.debt_id,
-                "seq": self._seq + 1,
-                "time": now,
-                "chunk": entry.chunk_id,
-                "missing": list(entry.missing),
-                "failed": list(entry.failed_csps),
-            }
-            # chunk-debt lines stay byte-identical to the pre-meta
-            # format; only metadata debts carry the extra field
-            if entry.kind != "chunk":
-                doc["obj"] = entry.kind
-            self._seq += 1
-            self._append(doc)
-            self._open[entry.debt_id] = entry
-            self._by_chunk[self._chunk_key(chunk_id, entry.kind)] = entry.debt_id
+            debt_id = self._by_chunk.get(self._chunk_key(chunk_id, kind))
+            prior = self._open.get(debt_id)
+            entry = _merge(prior, debt_id or uuid.uuid4().hex[:16], chunk_id,
+                           missing, failed_csps, now, kind)
+            if entry != prior:  # an identical re-record persists nothing
+                self._write(self._debt_doc(entry, now))
             return entry.debt_id
 
     def note_attempt(self, debt_id: str, ok: bool = False,
                      detail: str = "") -> None:
         """Record one failed (or partial) repair try; bumps the backoff."""
         with self._lock:
-            entry = self._open.get(debt_id)
-            if entry is None:
-                return
-            now = self._now()
-            self._seq += 1
-            self._append({
-                "kind": ATTEMPT, "id": debt_id, "seq": self._seq,
-                "time": now, "ok": bool(ok), "detail": detail,
-            })
-            self._open[debt_id] = replace(
-                entry, attempts=entry.attempts + 1, last_attempt=now,
-            )
+            if debt_id in self._open:
+                self._write({"kind": ATTEMPT, "id": debt_id,
+                             "time": self._now(), "ok": bool(ok),
+                             "detail": detail})
 
     def retire(self, debt_id: str) -> None:
         """Close a debt; periodically compacts the file."""
         with self._lock:
-            entry = self._open.pop(debt_id, None)
-            if entry is None:
+            if debt_id not in self._open:
                 return
-            self._by_chunk.pop(self._chunk_key(entry.chunk_id, entry.kind), None)
-            self._seq += 1
-            self._append({
-                "kind": RETIRE, "id": debt_id, "seq": self._seq,
-                "time": self._now(),
-            })
+            self._write({"kind": RETIRE, "id": debt_id, "time": self._now()})
             self._retires_since_compact += 1
             if self._retires_since_compact >= self.compact_after:
                 self.compact()
@@ -263,92 +232,65 @@ class DebtLedger:
     def debt_for(self, chunk_id: str, kind: str = "chunk") -> DebtEntry | None:
         """The open entry for one chunk (or metadata node), if any."""
         with self._lock:
-            debt_id = self._by_chunk.get(self._chunk_key(chunk_id, kind))
-            return self._open.get(debt_id) if debt_id is not None else None
+            return self._open.get(
+                self._by_chunk.get(self._chunk_key(chunk_id, kind)))
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._open)
 
     def _parse(self) -> tuple[list[dict], int]:
-        """All decodable records in seq order plus skipped-line count.
-
-        A torn final line (the one partial write a crash can produce)
-        and any corrupt interior line are skipped, not fatal: the ledger
-        must never be the component that blocks repair.
-        """
-        if not self.path.exists():
-            return [], 0
+        """All well-formed records in seq order plus the count of skipped
+        lines: a torn final line or an alien interior one is skipped,
+        never fatal — the ledger must not be what blocks repair."""
         records: list[dict] = []
         skipped = 0
-        for line in self.path.read_bytes().split(b"\n"):
-            if not line.strip():
-                continue
+        for line in self._log.lines():
             try:
-                doc = json.loads(line.decode("utf-8"))
-                if (not isinstance(doc, dict) or doc.get("kind") not in KINDS
-                        or "id" not in doc):
-                    skipped += 1
-                    continue
+                doc = json.loads(line)
+            except ValueError:
+                doc = None
+            if isinstance(doc, dict) and doc.get("kind") in KINDS \
+                    and "id" in doc:
                 records.append(doc)
-            except (UnicodeDecodeError, ValueError):
+            else:
                 skipped += 1
         records.sort(key=lambda d: int(d.get("seq", 0)))
         return records, skipped
 
+    def _apply(self, doc: dict) -> None:
+        """Fold one record into the open-debt view (load and append)."""
+        debt_id = str(doc["id"])
+        time = float(doc.get("time", 0.0))
+        prior = self._open.get(debt_id)
+        if doc["kind"] == DEBT:
+            entry = _merge(prior, debt_id, str(doc["chunk"]),
+                           [int(i) for i in doc["missing"]],
+                           [str(c) for c in doc.get("failed", ())], time,
+                           str(doc.get("obj", "chunk")))
+            self._open[debt_id] = entry
+            self._by_chunk[self._chunk_key(entry.chunk_id, entry.kind)] = debt_id
+        elif prior is None:
+            return  # progress on a debt that is not open
+        elif doc["kind"] == ATTEMPT:
+            self._open[debt_id] = replace(
+                prior, attempts=prior.attempts + 1, last_attempt=time,
+            )
+        else:  # RETIRE
+            del self._open[debt_id]
+            self._by_chunk.pop(self._chunk_key(prior.chunk_id, prior.kind),
+                               None)
+
     def _load(self) -> None:
         records, _skipped = self._parse()
-        open_entries: dict[str, DebtEntry] = {}
-        by_chunk: dict[str, str] = {}
-        max_seq = 0
-        for doc in records:
-            try:
-                debt_id = str(doc["id"])
-                kind = str(doc["kind"])
-                seq = int(doc.get("seq", 0))
-                time = float(doc.get("time", 0.0))
-            except (TypeError, ValueError):
-                continue
-            max_seq = max(max_seq, seq)
-            if kind == DEBT:
-                try:
-                    chunk_id = str(doc["chunk"])
-                    missing = tuple(sorted(int(i) for i in doc["missing"]))
-                    failed = tuple(sorted(str(c) for c in doc.get("failed", ())))
-                    obj_kind = str(doc.get("obj", "chunk"))
-                except (KeyError, TypeError, ValueError):
-                    continue
-                prior = open_entries.get(debt_id)
-                if prior is None:
-                    open_entries[debt_id] = DebtEntry(
-                        debt_id=debt_id, chunk_id=chunk_id,
-                        missing=missing, failed_csps=failed, created=time,
-                        kind=obj_kind,
-                    )
-                else:
-                    open_entries[debt_id] = replace(
-                        prior,
-                        missing=tuple(sorted(set(prior.missing) | set(missing))),
-                        failed_csps=tuple(sorted(
-                            set(prior.failed_csps) | set(failed)
-                        )),
-                    )
-                by_chunk[self._chunk_key(chunk_id, obj_kind)] = debt_id
-            elif kind == ATTEMPT:
-                prior = open_entries.get(debt_id)
-                if prior is not None:
-                    open_entries[debt_id] = replace(
-                        prior, attempts=prior.attempts + 1, last_attempt=time,
-                    )
-            elif kind == RETIRE:
-                prior = open_entries.pop(debt_id, None)
-                if prior is not None:
-                    by_chunk.pop(self._chunk_key(prior.chunk_id, prior.kind),
-                                 None)
         with self._lock:
-            self._open = open_entries
-            self._by_chunk = by_chunk
-            self._seq = max_seq
+            for doc in records:
+                try:
+                    self._apply(doc)
+                except (KeyError, TypeError, ValueError):
+                    continue  # a malformed record of a known kind
+            self._seq = max((int(d.get("seq", 0)) for d in records),
+                            default=0)
 
     # -- compaction -------------------------------------------------------
 
@@ -357,46 +299,24 @@ class DebtLedger:
 
         Open debts are rewritten as one merged ``debt`` record plus one
         synthetic ``attempt`` per recorded try, preserving the backoff
-        state exactly.  Atomic: survivors go to a temp file that
-        replaces the ledger in one rename.
+        state exactly.  Atomic: :meth:`AppendLog.rewrite`.
         """
         with self._lock:
             records, skipped = self._parse()
-            keep = {e.debt_id for e in self._open.values()}
-            removed = sum(1 for d in records
-                          if str(d.get("id")) not in keep) + skipped
-            if removed == 0:
-                self._retires_since_compact = 0
-                return 0
-            tmp = self.path.with_name(self.path.name + ".tmp")
-            with open(tmp, "wb") as handle:
-                seq = 0
-                for entry in sorted(self._open.values(),
-                                    key=lambda e: (e.created, e.debt_id)):
-                    seq += 1
-                    doc = {
-                        "kind": DEBT, "id": entry.debt_id, "seq": seq,
-                        "time": entry.created, "chunk": entry.chunk_id,
-                        "missing": list(entry.missing),
-                        "failed": list(entry.failed_csps),
-                    }
-                    if entry.kind != "chunk":
-                        doc["obj"] = entry.kind
-                    handle.write((json.dumps(
-                        doc, sort_keys=True, separators=(",", ":")) + "\n")
-                        .encode("utf-8"))
-                    for _ in range(entry.attempts):
-                        seq += 1
-                        handle.write((json.dumps({
-                            "kind": ATTEMPT, "id": entry.debt_id, "seq": seq,
-                            "time": entry.last_attempt, "ok": False,
-                            "detail": "(compacted)",
-                        }, sort_keys=True, separators=(",", ":")) + "\n")
-                            .encode("utf-8"))
-                handle.flush()
-                if self.fsync:
-                    os.fsync(handle.fileno())
-            os.replace(tmp, self.path)
-            self._seq = seq
+            removed = skipped + sum(1 for d in records
+                                    if str(d.get("id")) not in self._open)
+            if removed:
+                docs: list[dict] = []
+                for entry in self.open_debts():
+                    docs.append(self._debt_doc(entry, entry.created))
+                    docs.extend({
+                        "kind": ATTEMPT, "id": entry.debt_id,
+                        "time": entry.last_attempt, "ok": False,
+                        "detail": "(compacted)",
+                    } for _ in range(entry.attempts))
+                for seq, doc in enumerate(docs, 1):
+                    doc["seq"] = seq
+                self._log.rewrite(_encode(doc) for doc in docs)
+                self._seq = len(docs)
             self._retires_since_compact = 0
             return removed

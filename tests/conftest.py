@@ -6,16 +6,73 @@ multi-chunk files; they do not change any algorithmic behaviour.
 
 from __future__ import annotations
 
+import os
 import random
+from collections import Counter
 
 import pytest
 
 from repro.core.client import CyrusClient
 from repro.core.config import CyrusConfig
 from repro.csp.memory import InMemoryCSP
+from repro.util import appendlog
 
 
 SMALL_CHUNKS = dict(chunk_min=128, chunk_avg=512, chunk_max=4096)
+
+
+class LogOS:
+    """Stands in for ``os`` inside :mod:`repro.util.appendlog`.
+
+    Counts the log's ``open`` / ``write`` / ``fsync`` calls and records
+    each file's size at its last fsync (keyed by inode, so a compacted
+    file inherits its temp file's record) — the prefix a power loss
+    keeps.  :meth:`power_loss` cuts files back to that prefix.
+    """
+
+    def __init__(self):
+        self.calls: Counter[str] = Counter()
+        self.durable: dict[tuple[int, int], int] = {}
+
+    def __getattr__(self, name):
+        return getattr(os, name)
+
+    def open(self, *args, **kwargs):
+        self.calls["open"] += 1
+        return os.open(*args, **kwargs)
+
+    def write(self, fd, data):
+        self.calls["write"] += 1
+        return os.write(fd, data)
+
+    def fsync(self, fd):
+        self.calls["fsync"] += 1
+        os.fsync(fd)
+        st = os.fstat(fd)
+        self.durable[st.st_dev, st.st_ino] = st.st_size
+
+    def measure(self, op):
+        """Run ``op()``; returns its result and the log calls it made,
+        in ``op_budget.json``'s terms."""
+        self.calls.clear()
+        result = op()
+        return result, {"appends": self.calls["write"],
+                        "fsyncs": self.calls["fsync"],
+                        "opens": self.calls["open"]}
+
+    def power_loss(self, *paths) -> None:
+        """Truncate each file to its size at its last fsync (or empty)."""
+        for path in paths:
+            st = os.stat(path)
+            os.truncate(path, self.durable.get((st.st_dev, st.st_ino), 0))
+
+
+@pytest.fixture
+def log_os(monkeypatch) -> LogOS:
+    """The append log's ``os``, replaced by a counting :class:`LogOS`."""
+    spy = LogOS()
+    monkeypatch.setattr(appendlog, "os", spy)
+    return spy
 
 
 def pytest_addoption(parser: pytest.Parser) -> None:

@@ -16,6 +16,13 @@ After recovery the ground truth (a raw listing of every provider) must
 show zero orphan shares, every stored chunk with >= t live shares, all
 committed files byte-intact — and a second recovery run must be a
 no-op.
+
+The put and delete sweeps run under two crash models.  ``process``: the
+process dies, every journal record it wrote survives in the kernel.
+``power``: the machine dies, so the journal keeps only what its last
+fsync barrier made durable — the sweep cuts the file back to that
+prefix before the survivor starts, which is what makes the barrier set
+(:data:`repro.recovery.journal.BARRIERS`) a tested claim.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from repro.csp.memory import InMemoryCSP
 from repro.faults import FaultKind, FaultPlan, FaultSpec, FaultyProvider
 from repro.faults.plan import SimulatedCrash
 from repro.recovery import IntentJournal
+from repro.redundancy import DebtLedger
 from repro.util.clock import SimClock
 
 from tests.conftest import SMALL_CHUNKS, deterministic_bytes
@@ -42,18 +50,24 @@ CONFIG = dict(key="crash-key", t=2, n=3, **SMALL_CHUNKS)
 #: fires at all (the control case).
 KILL_POINTS = range(0, 12)
 
+#: The kill-point sweep under both crash models; the process-crash ids
+#: stay the bare kill point.
+SWEEP = [pytest.param(k, "process", id=str(k)) for k in KILL_POINTS] + [
+    pytest.param(k, "power", id=f"power-{k}") for k in KILL_POINTS
+]
 
-def _client(providers, journal_path, clock=None):
+
+def _client(providers, journal_path, clock=None, fsync=False, ledger=None):
     clock = clock or SimClock()
     engine = DirectEngine({p.csp_id: p for p in providers}, clock=clock)
-    journal = IntentJournal(journal_path, clock=clock, fsync=False)
+    journal = IntentJournal(journal_path, clock=clock, fsync=fsync)
     return CyrusClient.create(
         providers, CyrusConfig(**CONFIG), client_id="alice",
-        engine=engine, journal=journal,
+        engine=engine, journal=journal, debt_ledger=ledger,
     )
 
 
-def _crash_world(inner, journal_path, kill_op):
+def _crash_world(inner, journal_path, kill_op, fsync=False):
     """A victim client whose k-th provider op raises SimulatedCrash."""
     clock = SimClock()
     plan = FaultPlan(
@@ -62,7 +76,7 @@ def _crash_world(inner, journal_path, kill_op):
         seed=0,
     )
     wrapped = [FaultyProvider(p, plan, clock=clock) for p in inner]
-    return _client(wrapped, journal_path, clock=clock)
+    return _client(wrapped, journal_path, clock=clock, fsync=fsync)
 
 
 def _ground_truth(inner):
@@ -103,22 +117,25 @@ def _assert_invariants(client, inner):
 
 
 class TestCrashDuringPut:
-    @pytest.mark.parametrize("kill_op", KILL_POINTS)
+    @pytest.mark.parametrize("kill_op, durability", SWEEP)
     def test_recovery_restores_invariants(self, tmp_path, kill_op,
-                                          fault_seed):
+                                          durability, fault_seed, log_os):
+        power = durability == "power"
         journal_path = tmp_path / "journal.jsonl"
         inner = [InMemoryCSP(f"csp{i}") for i in range(4)]
-        warmup = _client(inner, journal_path)
+        warmup = _client(inner, journal_path, fsync=power)
         stable = deterministic_bytes(2500, seed=fault_seed)
         warmup.put("stable.bin", stable)
 
-        victim = _crash_world(inner, journal_path, kill_op)
+        victim = _crash_world(inner, journal_path, kill_op, fsync=power)
         attempted = deterministic_bytes(3100, seed=fault_seed + 1)
         crashed = False
         try:
             victim.put("victim.bin", attempted)
         except SimulatedCrash:
             crashed = True
+        if power:
+            log_os.power_loss(journal_path)
 
         survivor = _client(inner, journal_path)
         report = survivor.run_recovery()
@@ -188,20 +205,23 @@ class TestCrashDuringPut:
 
 
 class TestCrashDuringDelete:
-    @pytest.mark.parametrize("kill_op", KILL_POINTS)
+    @pytest.mark.parametrize("kill_op, durability", SWEEP)
     def test_delete_is_atomic_across_crashes(self, tmp_path, kill_op,
-                                             fault_seed):
+                                             durability, fault_seed, log_os):
+        power = durability == "power"
         journal_path = tmp_path / "journal.jsonl"
         inner = [InMemoryCSP(f"csp{i}") for i in range(4)]
-        warmup = _client(inner, journal_path)
+        warmup = _client(inner, journal_path, fsync=power)
         data = deterministic_bytes(2200, seed=fault_seed)
         warmup.put("doomed.bin", data)
 
-        victim = _crash_world(inner, journal_path, kill_op)
+        victim = _crash_world(inner, journal_path, kill_op, fsync=power)
         try:
             victim.delete("doomed.bin")
         except SimulatedCrash:
             pass
+        if power:
+            log_os.power_loss(journal_path)
 
         survivor = _client(inner, journal_path)
         report = survivor.run_recovery()
@@ -284,3 +304,30 @@ class TestCrashDuringRecovery:
         survivor.sync()
         _assert_invariants(survivor, inner)
         assert survivor.run_recovery().clean
+
+
+class TestPowerLossLedger:
+    def test_degraded_put_debt_survives_power_loss(self, tmp_path,
+                                                   fault_seed, log_os):
+        """A ``debt`` is a ledger barrier: it outlives a power loss even
+        though the journal intent that carried it is committed (and so
+        never replays) — nothing else would remember the deficit."""
+        clock = SimClock()
+        inner = [InMemoryCSP(f"csp{i}") for i in range(3)]
+        plan = FaultPlan([FaultSpec(kind=FaultKind.OUTAGE, csp_ids=("csp2",),
+                                    ops=("upload",))], seed=fault_seed)
+        wrapped = [FaultyProvider(p, plan, clock=clock) for p in inner]
+        journal_path = tmp_path / "journal.jsonl"
+        ledger_path = tmp_path / "debts.jsonl"
+        victim = _client(wrapped, journal_path, clock=clock, fsync=True,
+                         ledger=DebtLedger(ledger_path, clock=clock))
+        report = victim.put("wounded.bin",
+                            deterministic_bytes(2600, seed=fault_seed))
+        assert report.degraded_chunks
+        log_os.power_loss(journal_path, ledger_path)
+
+        survivor = _client(inner, journal_path, ledger=DebtLedger(ledger_path))
+        assert survivor.run_recovery().clean  # the put was committed
+        for chunk_id in report.degraded_chunks:
+            entry = survivor.debt_ledger.debt_for(chunk_id)
+            assert entry is not None and "csp2" in entry.failed_csps

@@ -10,11 +10,16 @@ must round-trip encode/decode byte-exactly for any JSON-safe payload
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.client import CyrusClient
+from repro.core.config import CyrusConfig
+from repro.core.transfer import DirectEngine
+from repro.csp.memory import InMemoryCSP
 from repro.recovery import (
     BEGIN,
     COMMIT,
@@ -26,6 +31,8 @@ from repro.recovery import (
     JournalRecord,
 )
 from repro.util.clock import SimClock
+
+from tests.conftest import deterministic_bytes
 
 
 # -- encode/decode round-trip (hypothesis) --------------------------------
@@ -204,6 +211,29 @@ class TestIntentJournal:
         assert journal.intents() == []
         assert journal.incomplete() == []
 
+    def test_append_after_torn_tail_starts_a_fresh_line(self, tmp_path):
+        # a predecessor died mid-line; the successor's first record must
+        # not glue onto the fragment, or its intent could never replay
+        path = tmp_path / "journal.jsonl"
+        path.write_bytes(b'{"id":"dead","seq":0,"stage":"beg')
+        iid = IntentJournal(path).begin("put", placements=[])
+        assert [i.intent_id for i in IntentJournal(path).incomplete()] == [iid]
+
+    def test_append_after_compaction_lands_in_the_new_file(self, journal):
+        journal.commit(journal.begin("put", placements=[]))
+        journal.record(journal.begin("put", placements=[]), SHARE_UPLOADED)
+        assert journal.compact() == 2
+        # the descriptor must follow the rename, not the replaced inode
+        iid = journal.begin("delete", placements=[])
+        assert iid in {i.intent_id for i in
+                       IntentJournal(journal.path).incomplete()}
+
+    def test_compaction_fsyncs_the_directory(self, journal, log_os):
+        journal.commit(journal.begin("put", placements=[]))
+        journal.compact()
+        parent = journal.path.parent.stat()
+        assert (parent.st_dev, parent.st_ino) in log_os.durable
+
     def test_begin_without_commit_from_torn_begin_is_ignored(self, journal):
         # records whose begin line was the torn one are unreplayable:
         # they must not surface as incomplete intents
@@ -213,3 +243,38 @@ class TestIntentJournal:
             handle.write(record.encode())
         assert journal.incomplete() == []
         assert len(journal.intents()) == 1  # still visible to inspection
+
+
+# -- group commit: the pinned per-op syscall budget -----------------------
+
+BUDGET = json.loads(
+    (Path(__file__).parent / "data" / "op_budget.json").read_text()
+)["journal_per_op"]
+
+
+class TestGroupCommitBudget:
+    """A change to any of these counts is a reviewed diff of
+    ``op_budget.json``, not a silent drift."""
+
+    @pytest.fixture
+    def client(self, tmp_path):
+        clock = SimClock()
+        providers = [InMemoryCSP(f"csp{i}") for i in range(3)]
+        engine = DirectEngine({p.csp_id: p for p in providers}, clock=clock)
+        client = CyrusClient.create(
+            providers, CyrusConfig(key="budget-key", t=2, n=3),
+            client_id="alice", engine=engine,
+            journal=IntentJournal(tmp_path / "journal.jsonl", clock=clock),
+        )
+        client.put("warm.bin", deterministic_bytes(2048, seed=1))
+        return client
+
+    def test_fault_free_one_chunk_put(self, client, log_os):
+        report, counts = log_os.measure(
+            lambda: client.put("a.bin", deterministic_bytes(2048, seed=2)))
+        assert report.new_chunks == 1 and not report.degraded_chunks
+        assert counts == BUDGET["put_one_chunk"]
+
+    def test_tombstone_delete(self, client, log_os):
+        _, counts = log_os.measure(lambda: client.delete("warm.bin"))
+        assert counts == BUDGET["tombstone_delete"]

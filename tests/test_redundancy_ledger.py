@@ -9,6 +9,7 @@ compaction that preserves backoff state exactly.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 from repro.redundancy import DebtEntry, DebtLedger
 from repro.util.clock import SimClock
@@ -101,6 +102,24 @@ class TestTornTail:
             "a" * 40, "b" * 40,
         }
 
+    def test_torn_tail_is_fenced_once_per_descriptor(self, tmp_path,
+                                                     log_os):
+        path = tmp_path / "debts.jsonl"
+        path.write_bytes(b'{"kind":"debt","id":"torn","se')
+        ledger = DebtLedger(path)
+        first = ledger.record("a" * 40, missing=(0,))
+        ledger.note_attempt(first)
+        ledger.record("b" * 40, missing=(1,))
+        # one open for three records, no probe per append; the fragment
+        # stays one skipped line and every record after it survives
+        assert log_os.calls["open"] == 1
+        reopened = DebtLedger(path)
+        assert reopened._parse()[1] == 1
+        assert sorted((e.chunk_id, e.attempts)
+                      for e in reopened.open_debts()) == [
+            ("a" * 40, 1), ("b" * 40, 0),
+        ]
+
 
 class TestBackoff:
     def test_never_tried_entry_is_due_immediately(self):
@@ -183,3 +202,33 @@ class TestCompaction:
         before = path.read_bytes()
         assert ledger.compact() == 0
         assert path.read_bytes() == before
+
+
+class TestGroupCommit:
+    def test_only_debt_records_are_barriers(self, tmp_path, log_os):
+        budget = json.loads(
+            (Path(__file__).parent / "data" / "op_budget.json").read_text()
+        )["journal_per_op"]
+        ledger = DebtLedger(tmp_path / "debts.jsonl")
+        ledger.record("0" * 40, missing=(0,))  # opens the descriptor
+        debt_id, counts = log_os.measure(
+            lambda: ledger.record("a" * 40, missing=(2,)))
+        assert counts == budget["ledger_debt"]
+        _, counts = log_os.measure(lambda: ledger.note_attempt(debt_id))
+        assert counts == budget["ledger_attempt"]
+        _, counts = log_os.measure(lambda: ledger.retire(debt_id))
+        assert counts == budget["ledger_retire"]
+
+    def test_power_loss_keeps_debts_and_may_reopen_a_retired_one(
+            self, tmp_path, log_os):
+        """A lost ``retire`` only reopens the debt (the next repair pass
+        retires it again with zero transfers); a ``debt`` is never lost."""
+        path = tmp_path / "debts.jsonl"
+        ledger = DebtLedger(path)
+        ledger.record("a" * 40, missing=(0,))
+        ledger.retire(ledger.record("b" * 40, missing=(1,)))
+        assert len(ledger) == 1
+        log_os.power_loss(path)
+        assert {e.chunk_id for e in DebtLedger(path).open_debts()} == {
+            "a" * 40, "b" * 40,
+        }

@@ -1,7 +1,9 @@
-"""Unit tests for the util package (hashing, clocks, units, serialization)."""
+"""Unit tests for the util package (hashing, clocks, units, serialization,
+the append log)."""
 
 import pytest
 
+from repro.util.appendlog import AppendLog
 from repro.util.clock import SimClock, WallClock
 from repro.util.hashing import sha1_hex, share_name, stable_hash64
 from repro.util.serialization import canonical_dumps, canonical_loads
@@ -96,3 +98,25 @@ class TestSerialization:
     def test_unicode(self):
         doc = {"name": "fichier-éü.txt"}
         assert canonical_loads(canonical_dumps(doc)) == doc
+
+
+class TestAppendLog:
+    def test_power_loss_keeps_the_prefix_up_to_the_last_barrier(
+            self, tmp_path, log_os):
+        log = AppendLog(tmp_path / "x.jsonl")
+        log.append(b"a\n", barrier=False)
+        log.append(b"b\n", barrier=True)
+        log.append(b"c\n", barrier=False)
+        assert log.lines() == [b"a", b"b", b"c"]  # all in the kernel
+        log_os.power_loss(log.path)
+        assert log.lines() == [b"a", b"b"]
+
+    def test_close_makes_every_record_durable_and_append_reopens(
+            self, tmp_path, log_os):
+        log = AppendLog(tmp_path / "x.jsonl")
+        log.append(b"a\n", barrier=False)
+        log.close()
+        log.append(b"b\n", barrier=False)
+        assert log_os.calls["open"] == 2
+        log_os.power_loss(log.path)
+        assert log.lines() == [b"a"]
