@@ -26,6 +26,7 @@ from repro.core.uploader import get_sharer
 from repro.csp.resilient import HealthRegistry, RetryPolicy
 from repro.erasure import Share
 from repro.errors import (
+    CodingError,
     CyrusError,
     InsufficientSharesError,
     MetadataError,
@@ -536,11 +537,14 @@ class Downloader:
                 for i, blob in sorted(state.shares.items())
             ]
             t0 = obs.clock.now() if obs is not None else 0.0
-            plaintext = sharer.join(shares)
+            try:
+                plaintext = sharer.join(shares)
+            except CodingError:
+                plaintext = None  # e.g. a share of the wrong length
             if obs is not None:
                 obs.metrics.observe("cyrus_chunk_decode_seconds",
                                     obs.clock.now() - t0)
-            if sha1_hex(plaintext) != chunk_id:
+            if plaintext is None or sha1_hex(plaintext) != chunk_id:
                 # a fetched share is corrupt; pull the chunk's remaining
                 # shares and decode a verifying t-subset (Section 5.1's
                 # beyond-secret-sharing error tolerance)

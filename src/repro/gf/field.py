@@ -1,7 +1,7 @@
 """Scalar GF(2^8) operations.
 
 These are the readable reference implementations; the erasure codec uses
-the vectorised kernels in :mod:`repro.gf.matrix` for bulk data.  All
+the vectorised kernels in :mod:`repro.gf.vector` for bulk data.  All
 functions operate on Python ints in ``[0, 255]`` and raise
 :class:`ValueError` on out-of-range inputs so that coding bugs surface at
 the field boundary rather than as silent wraparound.

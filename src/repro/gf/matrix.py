@@ -1,11 +1,11 @@
 """Matrix algebra over GF(2^8).
 
-Matrices are numpy ``uint8`` arrays.  Bulk multiplication is expressed
-through the log/exp tables with numpy gather operations so that encoding
-a chunk touches no Python-level per-byte loop.  Gaussian elimination is
-used for inversion; ranks are computed the same way, which the keyed
-codec uses to verify that every t-subset of its dispersal matrix is
-invertible.
+Matrices are numpy ``uint8`` arrays: small-matrix algebra (product via
+the log/exp tables, Gauss--Jordan inverse, rank, Vandermonde
+construction) for analysis and tests, e.g. checking that every
+t-subset of a dispersal matrix is invertible.  The codec does not use
+it: its bulk kernels, decode included, are the row programs in
+:mod:`repro.gf.vector`.
 """
 
 from __future__ import annotations

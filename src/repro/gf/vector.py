@@ -1,19 +1,35 @@
-"""Batched GF(2^8) kernels over whole 2-D share matrices.
+"""Batched GF(2^8) kernels: one row-operation interpreter for both
+directions of the codec.
 
-The scalar reference multiplies one coefficient into one stripe at a
-time in Python.  ``matmul`` does the same walk in numpy, one
-``(coefficient, input row)`` pair at a time:
+Encode and decode are both short *programs* of row operations, run by
+:func:`run` over whole share rows:
 
-    out[i] ^= MUL_TABLE[matrix[i, j]][stripes[j]]
+    row_i ^= c * row_j      (i != j; a bare xor when c == 1)
+    row_i  = c * row_i      (i == j)
 
-``MUL_TABLE[c]`` is a contiguous 256-byte row, so the lookup is
-``np.take`` over a 1-D table that lives in L1 — numpy's fast path —
-rather than a two-index gather into the full 64 KiB table.  Columns
-are processed in ``_BLOCK``-byte blocks so one input block, one output
-block and the scratch block stay cache-resident across all
-``rows * t`` passes.  A coefficient of 1 xors the stripe in as it is
-and a coefficient of 0 is skipped (the first Vandermonde column is all
-ones).
+Rows ``0 .. rows-1`` are the output rows, each starting as zero; rows
+``rows .. rows+t-1`` are the ``t`` input rows, which are only read.
+
+* **Encode** (:func:`matmul_program`) is one op per non-zero matrix
+  coefficient, ``out_i ^= m[i, j] * in_j``.
+* **Decode** (:func:`elimination_program`) loads share ``r`` into row
+  ``r`` and records the Gauss--Jordan elimination of the ``t x t`` share
+  submatrix as row operations: applied to the share rows they leave the
+  stripes.  For the Vandermonde rows ``[1, p, p^2, ...]`` the first
+  column is all ones, so the first elimination step is ``t - 1`` bare
+  xors, and a ``(2, 3)`` decode is 2 table lookups + 2 xors per stripe
+  byte where multiplying by the dense inverse took 4 + 4.
+
+``c * row`` is ``np.take(MUL_TABLE[c], row, out=...)``: ``MUL_TABLE[c]``
+is a contiguous 256-byte row, so the lookup is numpy's 1-D ``take``
+over a table that lives in L1.  The interpreter walks the rows in
+``_BLOCK``-byte column blocks so the input, output and scratch blocks
+stay cache-resident across every op.  Writes are copy-on-write: an op
+on a row that is still zero writes its term straight into the output
+(a lookup, or for ``c == 1`` an alias of the read-only input row), and
+an op on a row that still aliases an input reads the input and writes
+the output.  Nothing is zero-filled; a row the program leaves aliased
+is copied once.
 
 Outputs are C-contiguous ``uint8`` matrices whose rows the codec hands
 out as zero-copy ``memoryview`` share payloads.
@@ -21,14 +37,33 @@ out as zero-copy ``memoryview`` share payloads.
 
 from __future__ import annotations
 
+from typing import NamedTuple, Sequence
+
 import numpy as np
 
+from repro.errors import CodingError
+from repro.gf import scalar as gfscalar
 from repro.gf.tables import MUL_TABLE
 
-__all__ = ["stripe", "matmul", "encode_blocks"]
+__all__ = [
+    "RowProgram",
+    "stripe",
+    "matmul_program",
+    "elimination_program",
+    "run",
+    "matmul",
+    "encode_blocks",
+]
 
 #: Column block: input, output and scratch blocks of this size stay in L2.
 _BLOCK = 64 * 1024
+
+
+class RowProgram(NamedTuple):
+    """Row operations ``(i, j, c)`` over ``rows`` output rows (see module)."""
+
+    rows: int
+    ops: tuple[tuple[int, int, int], ...]
 
 
 def stripe(data, t: int) -> np.ndarray:
@@ -48,45 +83,118 @@ def stripe(data, t: int) -> np.ndarray:
     return padded.reshape(t, stripe_len)
 
 
+def matmul_program(matrix: np.ndarray) -> RowProgram:
+    """``matrix @ inputs``: one accumulate per non-zero coefficient."""
+    rows = len(matrix)
+    return RowProgram(rows, tuple(
+        (i, rows + j, c)
+        for i, coeffs in enumerate(np.asarray(matrix).tolist())
+        for j, c in enumerate(coeffs)
+        if c
+    ))
+
+
+def elimination_program(matrix: Sequence[Sequence[int]]) -> RowProgram:
+    """Solve ``matrix @ stripes = shares``: Gauss--Jordan as row ops.
+
+    Built once per share-index tuple from the pure-Python field ops.
+    Pivot swaps only relabel rows, so they cost no pass over the data;
+    the rows are renumbered at the end so row ``k`` holds stripe ``k``.
+    A Vandermonde submatrix over distinct points never needs one (every
+    leading minor is itself Vandermonde, so every pivot is non-zero),
+    but any invertible matrix is handled.
+
+    Raises:
+        CodingError: ``matrix`` is singular (or not square).
+    """
+    k = len(matrix)
+    a = [[int(v) for v in row] for row in matrix]
+    if any(len(row) != k for row in a):
+        raise CodingError(f"share submatrix must be square, got {k} rows")
+    ops = [(r, k + r, 1) for r in range(k)]  # row r starts as share r
+    order = list(range(k))  # order[col]: the row whose pivot is column col
+    for col in range(k):
+        at = next((p for p in range(col, k) if a[order[p]][col]), None)
+        if at is None:
+            raise CodingError("singular share submatrix")
+        order[col], order[at] = order[at], order[col]
+        p = order[col]
+        if a[p][col] != 1:
+            scale = gfscalar.inv(a[p][col])
+            a[p] = [gfscalar.mul(scale, v) for v in a[p]]
+            ops.append((p, p, scale))
+        for r in range(k):
+            f = a[r][col]
+            if r != p and f:
+                a[r] = [v ^ gfscalar.mul(f, w) for v, w in zip(a[r], a[p])]
+                ops.append((r, p, f))
+    slot = {row: col for col, row in enumerate(order)}  # inputs keep theirs
+    return RowProgram(k, tuple((slot[i], slot.get(j, j), c) for i, j, c in ops))
+
+
+def run(program: RowProgram, stripes) -> np.ndarray:
+    """Apply ``program`` to ``stripes``, block by block.
+
+    Args:
+        program: The row operations; its input rows are ``stripes``.
+        stripes: Equal-length uint8 rows — a ``(t, L)`` array or any
+            sequence of 1-D arrays / buffers (only ever read one row at
+            a time, so they need not share a matrix).
+
+    Returns:
+        ``(program.rows, L)`` C-contiguous uint8 result.
+    """
+    # memoryview first: zero-copy for bytes, buffers and (strided) array rows
+    srcs = [np.asarray(memoryview(row), dtype=np.uint8) for row in stripes]
+    if len({src.shape for src in srcs}) != 1 or srcs[0].ndim != 1:
+        raise ValueError(f"ragged input rows: {[src.shape for src in srcs]}")
+    rows = program.rows
+    length = srcs[0].size
+    out = np.empty((rows, length), dtype=np.uint8)
+    tmp = np.empty(min(length, _BLOCK), dtype=np.uint8)
+    for lo in range(0, length, _BLOCK):
+        hi = min(length, lo + _BLOCK)
+        dst = list(out[:, lo:hi])
+        cur = [None] * rows + [src[lo:hi] for src in srcs]
+        scratch = tmp[: hi - lo]
+        for i, j, c in program.ops:
+            term, acc = cur[j], cur[i]
+            if acc is None or i == j:  # overwrite: row_i = c * row_j
+                if c != 1:
+                    np.take(MUL_TABLE[c], term, out=dst[i], mode="clip")
+                elif j >= rows:  # a read-only input: alias it
+                    cur[i] = term
+                    continue
+                else:
+                    np.copyto(dst[i], term)
+            else:
+                if c != 1:
+                    np.take(MUL_TABLE[c], term, out=scratch, mode="clip")
+                    term = scratch
+                np.bitwise_xor(acc, term, out=dst[i])
+            cur[i] = dst[i]
+        for i in range(rows):
+            if cur[i] is None:
+                dst[i].fill(0)
+            elif cur[i] is not dst[i]:
+                np.copyto(dst[i], cur[i])
+    return out
+
+
 def matmul(matrix: np.ndarray, stripes) -> np.ndarray:
-    """``matrix @ stripes`` over GF(2^8) via table-lookup xor-accumulate.
+    """``matrix @ stripes`` over GF(2^8) (see :func:`run` for ``stripes``).
 
     Args:
         matrix: ``(rows, t)`` uint8 coefficient matrix.
-        stripes: ``t`` equal-length uint8 rows — a ``(t, L)`` array or
-            any sequence of 1-D arrays / buffers (only ever read one row
-            at a time, so they need not share a matrix).
+        stripes: ``t`` equal-length uint8 rows.
 
     Returns:
         ``(rows, L)`` C-contiguous uint8 product.
     """
     m = np.asarray(matrix, dtype=np.uint8)
-    # memoryview first: zero-copy for bytes, buffers and (strided) array rows
-    srcs = [np.asarray(memoryview(row), dtype=np.uint8) for row in stripes]
-    rows, t = m.shape
-    if len(srcs) != t or len({src.shape for src in srcs}) > 1 or srcs[0].ndim != 1:
-        raise ValueError(
-            f"shape mismatch: {m.shape} @ {[src.shape for src in srcs]}"
-        )
-    length = srcs[0].size
-    out = np.empty((rows, length), dtype=np.uint8)
-    tmp = np.empty(min(length, _BLOCK), dtype=np.uint8)
-    coeffs = m.tolist()
-    for lo in range(0, length, _BLOCK):
-        hi = min(length, lo + _BLOCK)
-        blocks = [src[lo:hi] for src in srcs]
-        scratch = tmp[: hi - lo]
-        for i in range(rows):
-            dst = out[i, lo:hi]
-            dst[:] = 0
-            for c, blk in zip(coeffs[i], blocks):
-                if c == 0:
-                    continue
-                if c != 1:
-                    np.take(MUL_TABLE[c], blk, out=scratch, mode="clip")
-                    blk = scratch
-                np.bitwise_xor(dst, blk, out=dst)
-    return out
+    if m.ndim != 2 or m.shape[1] != len(stripes):
+        raise ValueError(f"shape mismatch: {m.shape} @ {len(stripes)} rows")
+    return run(matmul_program(m), stripes)
 
 
 def encode_blocks(matrix: np.ndarray, data, t: int) -> np.ndarray:

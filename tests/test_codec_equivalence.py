@@ -161,8 +161,25 @@ def test_encode_rows_identical(data, tn, seed):
 
 _KBLOCK = 61  # patched gfvec._BLOCK: awkward, and small enough for the oracle
 
-# 0 and 1 are the kernel's special cases (skip / plain copy-xor)
+# 0 and 1 are the kernel's special cases (no op / a bare xor or alias)
 _coeff = st.one_of(st.sampled_from([0, 1]), st.integers(0, 255))
+
+
+def _layout(stripes, layout):
+    """``stripes`` as the kernel's three kinds of input rows."""
+    import numpy as np
+
+    if layout == "matrix":  # the (t, L) array encode passes
+        return np.frombuffer(b"".join(stripes), dtype=np.uint8).reshape(
+            len(stripes), -1
+        )
+    if layout == "memoryviews":  # what the stack-free decode passes
+        return [memoryview(s) for s in stripes]
+    # non-contiguous rows: every other byte of a wider buffer
+    return [
+        np.frombuffer(bytes(b for x in s for b in (x, 0xAA)), dtype=np.uint8)[::2]
+        for s in stripes
+    ]
 
 
 @st.composite
@@ -191,19 +208,9 @@ def test_vector_matmul_matches_scalar_oracle(case):
     from repro.gf import vector as gfvec
 
     matrix, stripes, layout = case
-    if layout == "matrix":  # the (t, L) array encode passes
-        rows_in = np.frombuffer(b"".join(stripes), dtype=np.uint8).reshape(
-            len(stripes), -1
-        )
-    elif layout == "memoryviews":  # what the stack-free decode passes
-        rows_in = [memoryview(s) for s in stripes]
-    else:  # non-contiguous rows: every other byte of a wider buffer
-        rows_in = [
-            np.frombuffer(bytes(b for x in s for b in (x, 0xAA)), dtype=np.uint8)[::2]
-            for s in stripes
-        ]
     with mock.patch.object(gfvec, "_BLOCK", _KBLOCK):
-        got = gfvec.matmul(np.array(matrix, dtype=np.uint8), rows_in)
+        got = gfvec.matmul(np.array(matrix, dtype=np.uint8),
+                           _layout(stripes, layout))
     assert got.flags.c_contiguous and got.dtype == np.uint8
     expected = gfscalar.matmul_rows(matrix, stripes)
     assert [bytes(r) for r in got] == [bytes(r) for r in expected]
@@ -234,6 +241,185 @@ def test_vector_matmul_rejects_ragged_rows():
         gfvec.matmul(np.ones((2, 2), dtype=np.uint8), [b"abc", b"ab"])
     with pytest.raises(ValueError):
         gfvec.matmul(np.ones((2, 3), dtype=np.uint8), [b"abc", b"abc"])
+
+
+# ----------------------------------------------------------------------
+# the elimination program: decode by row operations, scalar oracle
+# ----------------------------------------------------------------------
+
+
+def _invertible(matrix) -> bool:
+    from repro.gf import scalar as gfscalar
+
+    try:
+        gfscalar.mat_inv(matrix)
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def _elimination_case(draw):
+    t = draw(st.integers(1, 5))
+    matrix = [[draw(_coeff) for _ in range(t)] for _ in range(t)]
+    if t > 1 and draw(st.booleans()):
+        matrix[0][0] = 0  # the first column needs a pivot swap
+    length = draw(
+        st.sampled_from([1, _KBLOCK - 1, _KBLOCK, _KBLOCK + 1, 3 * _KBLOCK + 7])
+    )
+    stripes = [draw(st.binary(min_size=length, max_size=length)) for _ in range(t)]
+    layout = draw(st.sampled_from(["matrix", "memoryviews", "strided"]))
+    return matrix, stripes, layout
+
+
+@given(case=_elimination_case())
+@settings(max_examples=120, deadline=None)
+def test_elimination_program_inverts_the_scalar_oracle(case):
+    """Shares made by the oracle's matmul solve back to the stripes."""
+    from unittest import mock
+
+    from hypothesis import assume
+
+    from repro.gf import scalar as gfscalar
+    from repro.gf import vector as gfvec
+
+    matrix, stripes, layout = case
+    assume(_invertible(matrix))
+    shares = [bytes(r) for r in gfscalar.matmul_rows(matrix, stripes)]
+    program = gfvec.elimination_program(matrix)
+    with mock.patch.object(gfvec, "_BLOCK", _KBLOCK):
+        got = gfvec.run(program, _layout(shares, layout))
+    assert got.flags.c_contiguous and got.shape == (len(stripes), len(stripes[0]))
+    assert [bytes(r) for r in got] == stripes
+
+
+def test_elimination_program_swaps_pivots_at_the_real_block_seam():
+    import random
+
+    from repro.gf import scalar as gfscalar
+    from repro.gf import vector as gfvec
+
+    rng = random.Random(5)
+    matrix = [[0, 3, 1], [1, 0, 0], [7, 1, 0]]  # zero leading entry
+    stripes = [rng.randbytes(gfvec._BLOCK + 1) for _ in range(3)]
+    shares = [bytes(r) for r in gfscalar.matmul_rows(matrix, stripes)]
+    got = gfvec.run(gfvec.elimination_program(matrix), shares)
+    assert [bytes(r) for r in got] == stripes
+
+
+@pytest.mark.parametrize("matrix", [
+    [[1, 2], [1, 2]],
+    [[0, 5], [0, 9]],
+    [[1, 2, 3], [4, 5, 6], [5, 7, 5]],  # row 3 = row 1 ^ row 2
+    [[0]],
+])
+def test_elimination_program_rejects_singular_matrices(matrix):
+    from repro.gf import vector as gfvec
+
+    with pytest.raises(CodingError, match="singular share submatrix"):
+        gfvec.elimination_program(matrix)
+
+
+@pytest.mark.parametrize("tn", [(1, 1), (2, 3), (3, 5), (4, 6), (5, 9)])
+def test_every_t_subset_decodes_like_the_oracle(tn):
+    """Every t-subset of keyed shares, at lengths around t and across
+    several patched blocks: the vector decode equals the input and the
+    scalar backend's decode."""
+    from unittest import mock
+
+    from repro.gf import vector as gfvec
+
+    t, n = tn
+    vec = KeyedSharer("subset-key", t, n, backend="vector")
+    sca = KeyedSharer("subset-key", t, n, backend="scalar")
+    for length in (0, 1, t - 1, t + 1, t * (2 * _KBLOCK + 5) + 3):
+        data = bytes((7 * i + length) % 256 for i in range(length))
+        shares = sca.split(data)
+        with mock.patch.object(gfvec, "_BLOCK", _KBLOCK):
+            for combo in itertools.combinations(shares, t):
+                assert vec.join(list(combo)) == data == sca.join(list(combo))
+
+
+# ----------------------------------------------------------------------
+# row passes: the codec_row_passes count budget
+# ----------------------------------------------------------------------
+
+
+ROW_PASSES = json.loads(
+    (Path(__file__).parent / "data" / "op_budget.json").read_text()
+)["codec_row_passes"]
+
+
+class _CountingNumpy:
+    """Stands in for ``np`` inside :mod:`repro.gf.vector`, counting the
+    interpreter's ``take`` (lookup) and ``bitwise_xor`` passes."""
+
+    def __init__(self):
+        import numpy
+
+        self._np = numpy
+        self.passes = {"lookups": 0, "xors": 0}
+
+    def __getattr__(self, name):
+        return getattr(self._np, name)
+
+    def take(self, *args, **kwargs):
+        self.passes["lookups"] += 1
+        return self._np.take(*args, **kwargs)
+
+    def bitwise_xor(self, *args, **kwargs):
+        self.passes["xors"] += 1
+        return self._np.bitwise_xor(*args, **kwargs)
+
+
+@pytest.fixture
+def row_passes(monkeypatch):
+    from repro.gf import vector as gfvec
+
+    spy = _CountingNumpy()
+    monkeypatch.setattr(gfvec, "np", spy)
+
+    def measure(op):
+        spy.passes.update(lookups=0, xors=0)
+        op()
+        return dict(spy.passes)
+
+    return measure
+
+
+@pytest.mark.parametrize("tn", [(2, 3), (3, 5)])
+def test_decode_row_passes_per_subset(row_passes, tn):
+    t, n = tn
+    sharer = KeyedSharer(ROW_PASSES["key"], t, n, backend="vector")
+    shares = sharer.split(bytes(range(256)) * 4)  # one block per row
+    budget = ROW_PASSES[f"decode_{t}_{n}"]
+    for combo in itertools.combinations(shares, t):
+        assert row_passes(lambda: sharer.join(list(combo))) == budget, combo
+
+
+def test_encode_row_passes(row_passes):
+    sharer = KeyedSharer(ROW_PASSES["key"], 2, 3, backend="vector")
+    assert row_passes(lambda: sharer.split(bytes(1000))) == ROW_PASSES["encode_2_3"]
+
+
+@pytest.mark.parametrize("keyed", [False, True])
+def test_elimination_never_looks_up_more_than_the_inverse(keyed):
+    """Over every t-subset at (t, t + 1), t <= 10 (Figure 12's sweep),
+    the program's lookups (one per op with c != 1) are at most the
+    dense inverse's coefficients other than 0 and 1: a decode can never
+    get slower than multiplying by the inverse."""
+    from repro.gf import scalar as gfscalar
+    from repro.gf import vector as gfvec
+
+    for t in range(1, 11):
+        codec = (KeyedSharer(ROW_PASSES["key"], t, t + 1).codec if keyed
+                 else RSCodec(t, t + 1))
+        rows = gfscalar.vandermonde_rows(codec._points, t)
+        for subset in itertools.combinations(rows, t):
+            ops = gfvec.elimination_program(subset).ops
+            inverse = gfscalar.mat_inv(subset)
+            dense = sum(1 for row in inverse for c in row if c not in (0, 1))
+            assert sum(1 for *_, c in ops if c != 1) <= dense
 
 
 # ----------------------------------------------------------------------

@@ -114,3 +114,43 @@ class TestDownloadRepair:
         assert repaired.data == data
         # the repair fetched at least one additional share
         assert len(repaired.share_results) >= len(clean.share_results)
+
+
+class TestWrongLengthShare:
+    """A share one byte short fails the codec's length check, not the
+    chunk hash.  On a chunk recorded without share digests (the
+    pre-fingerprint record shape, still honoured) nothing catches it
+    before decode, so the downloader must repair it like any other
+    lying share rather than surface the ``CodingError``."""
+
+    DATA = deterministic_bytes(6000, 5)
+
+    @pytest.fixture
+    def truncate(self, client, csps, monkeypatch):
+        from repro.core.uploader import _ChunkPlan
+
+        monkeypatch.setattr(_ChunkPlan, "share_digests",
+                            lambda self, key, obs=None: ())
+        node = client.put("f.bin", self.DATA).node
+        assert not node.chunks[0].share_digests
+
+        def cut(index: int) -> None:
+            chunk_id = node.chunks[0].chunk_id
+            share = next(s for s in node.shares_of(chunk_id)
+                         if s.index == index)
+            name = chunk_share_object_name(index, chunk_id)
+            provider = next(c for c in csps if c.csp_id == share.csp_id)
+            provider.upload(name, provider.download(name)[:-1])
+
+        return cut
+
+    @pytest.mark.parametrize("victim", [0, 1, 2])
+    def test_get_repairs_a_truncated_share(self, client, truncate, victim):
+        truncate(victim)
+        assert client.get("f.bin").data == self.DATA
+
+    @pytest.mark.parametrize("victim", [0, 1, 2])
+    def test_range_read_repairs_a_truncated_share(self, client, truncate,
+                                                  victim):
+        truncate(victim)
+        assert client.get_range("f.bin", 10, 100).data == self.DATA[10:110]
