@@ -55,7 +55,7 @@ from repro.core.transfer import (
 )
 from repro.core.uploader import UploadReport
 from repro.csp.base import BytesLike, CloudProvider, ObjectInfo
-from repro.csp.resilient import HealthRegistry, ResilientProvider, RetryPolicy
+from repro.csp.resilient import HealthRegistry, RetryPolicy
 from repro.errors import (
     Attempt,
     ChunkingError,
@@ -119,7 +119,6 @@ __all__ = [
     "ShareRetryLoop",
     # resilience
     "HealthRegistry",
-    "ResilientProvider",
     "RetryPolicy",
     "FaultKind",
     "FaultPlan",

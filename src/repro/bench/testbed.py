@@ -46,13 +46,12 @@ class SimEnvironment:
         selector=None,
         chunker=None,
         clusters=None,
-        cache=None,
     ) -> CyrusClient:
         """A CYRUS client over this environment's providers."""
         return CyrusClient.create(
             list(self.csps.values()), config, client_id=client_id,
             engine=self.engine, selector=selector, chunker=chunker,
-            clusters=clusters, cache=cache,
+            clusters=clusters,
         )
 
     def csp_ids(self) -> list[str]:

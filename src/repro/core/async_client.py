@@ -88,7 +88,7 @@ class AsyncCyrusClient:
     :class:`TransferError`.
 
     Keyword arguments beyond ``client_id`` are forwarded verbatim to
-    :meth:`CyrusClient.create` (``journal``, ``cache``, ``selector``,
+    :meth:`CyrusClient.create` (``journal``, ``selector``,
     ``debt_ledger`` ...), except ``engine``, which the session owns.
     """
 

@@ -20,11 +20,7 @@ Failure handling: every client owns (or adopts from its engine) a
 :class:`repro.csp.resilient.HealthRegistry` — the shared per-CSP
 breaker state consulted by the transfer engine, both pipelines, and
 the download selector.  Structured :class:`HealthEvent` records
-accumulate in :attr:`CyrusClient.health_events`.  When a read cannot
-reach ``t`` providers, :meth:`get` falls back to the local chunk cache
-and returns a report explicitly marked ``degraded=True`` (cache entries
-are content-addressed, so a degraded read is stale-versioned at worst,
-never corrupt).
+accumulate in :attr:`CyrusClient.health_events`.
 """
 
 from __future__ import annotations
@@ -63,7 +59,6 @@ from repro.metadata.conflicts import (
     resolution_winner,
 )
 from repro.obs import Observability, span_if
-from repro.util.hashing import sha1_hex
 
 
 @dataclass(frozen=True)
@@ -93,7 +88,6 @@ class CyrusClient:
         client_id: str,
         selector=None,
         chunker: ContentDefinedChunker | None = None,
-        cache=None,
         health: HealthRegistry | None = None,
         retry_policy: RetryPolicy | None = None,
         obs: Observability | None = None,
@@ -134,7 +128,6 @@ class CyrusClient:
         self.chunk_table = GlobalChunkTable()
         self._selector = selector
         self._chunker = chunker
-        self.cache = cache  # optional repro.core.cache.ChunkCache
         if health is None:
             health = getattr(engine, "health", None)
         if health is None:
@@ -154,8 +147,6 @@ class CyrusClient:
         self.engine.obs = obs
         if self.health.metrics is None:
             self.health.bind_metrics(obs.metrics)
-        if self.cache is not None and hasattr(self.cache, "bind_metrics"):
-            self.cache.bind_metrics(obs.metrics)
         self._retry_policy = retry_policy
         self.health_events: list[HealthEvent] = []
         self.health.subscribe(self.health_events.append)
@@ -176,7 +167,6 @@ class CyrusClient:
         clusters=None,
         selector=None,
         chunker: ContentDefinedChunker | None = None,
-        cache=None,
         journal=None,
         debt_ledger=None,
         admission=None,
@@ -194,7 +184,7 @@ class CyrusClient:
             )
         client = cls(
             cloud, config, engine, client_id,
-            selector=selector, chunker=chunker, cache=cache,
+            selector=selector, chunker=chunker,
             journal=journal, debt_ledger=debt_ledger,
             admission=admission, store_factory=store_factory,
         )
@@ -223,7 +213,6 @@ class CyrusClient:
         self.downloader = Downloader(
             cloud=self.cloud, tree=self.tree, chunk_table=self.chunk_table,
             config=self.config, engine=self.engine, selector=self._selector,
-            cache=self.cache,
             policy=self._retry_policy, health=self.health,
         )
         self.downloader.journal = self.journal
@@ -307,22 +296,14 @@ class CyrusClient:
     ) -> DownloadReport:
         """Download a file (Algorithm 3); ``version`` walks history back.
 
-        Degraded mode: when fewer than ``t`` providers are reachable
-        (or shares are corrupted beyond repair), the read is served from
-        the local chunk cache when every chunk of the requested version
-        is cached — the returned report carries ``degraded=True`` and
-        the original error is re-raised when the cache cannot cover the
-        file.  A read that completes entirely from cache *after a
-        failed sync* is marked degraded too: the bytes never touched
-        the unreachable cloud, so the version could not be confirmed
-        fresh.  A degraded read may be a stale *version* (the failed
-        sync could hide newer heads) but never stale *bytes*: cache
-        entries are keyed by content hash and re-verified against the
-        node.
+        The pre-read sync is best effort: when the metadata plane is
+        unreachable the read proceeds on the local tree.  A download
+        that cannot reach ``t`` providers (or finds shares corrupted
+        beyond repair) re-probes the failed providers and, when any
+        recovered, retries once; otherwise the original error is raised.
         """
-        sync_failed = False
         if sync_first:
-            sync_failed = self._sync_for_read() is None
+            self._sync_for_read()
         node = self.tree.version_at_depth(name, version)
         if node.deleted:
             # the paper lets clients recover deleted files by locating
@@ -334,88 +315,24 @@ class CyrusClient:
                 raise MetadataError(f"{name!r} has no non-deleted version")
             node = live
         try:
-            report = self.downloader.download(node)
-        except (InsufficientSharesError, TransferError,
-                ShareIntegrityError) as exc:
+            return self.downloader.download(node)
+        except (InsufficientSharesError, TransferError, ShareIntegrityError):
             # a transient streak can sideline a provider that is in
-            # fact up; re-probe before settling for the cache, and
-            # retry the download once when anything recovered
-            if self.probe_failed_csps():
-                try:
-                    report = self.downloader.download(node)
-                except (InsufficientSharesError, TransferError,
-                        ShareIntegrityError) as retry_exc:
-                    return self._degraded_get(node, retry_exc)
-            else:
-                return self._degraded_get(node, exc)
-        if (sync_failed and node.chunks and report.bytes_downloaded == 0
-                and not report.degraded):
-            # served entirely from the chunk cache while the cloud was
-            # unreachable: correct bytes, unconfirmed version
-            report.degraded = True
-            self.obs.metrics.inc("cyrus_degraded_reads_total")
-            self.health.emit(
-                "degraded_read", csp_id="*",
-                detail=(
-                    f"{node.name!r}: cache-served read after a failed "
-                    f"sync — version could not be confirmed fresh"
-                ),
-            )
-        return report
+            # fact up; re-probe, and retry the download once when
+            # anything recovered
+            if not self.probe_failed_csps():
+                raise
+        return self.downloader.download(node)
 
-    def _sync_for_read(self) -> SyncReport | None:
+    def _sync_for_read(self) -> None:
         """Best-effort sync before a read; reads outlive metadata loss."""
         try:
-            return self.sync()
+            self.sync()
         except CyrusError as exc:
             self.health.emit(
                 "sync_degraded", csp_id="*",
                 detail=f"metadata sync failed, reading local tree: {exc}",
             )
-            return None
-
-    def _degraded_get(self, node: MetadataNode, exc: CyrusError) -> DownloadReport:
-        """Serve a read entirely from the chunk cache, or re-raise.
-
-        Only possible when every chunk of the version is cached; the
-        assembled bytes are verified against the node's content id, so
-        the degraded path can never return wrong data — only (at worst)
-        a version the failed sync could not refresh.
-        """
-        if self.cache is None:
-            raise exc
-        cached: dict[str, bytes] = {}
-        for record in node.chunks:
-            if record.chunk_id in cached:
-                continue
-            hit = self.cache.get(record.chunk_id)
-            if hit is None:
-                raise exc
-            cached[record.chunk_id] = hit
-        out = bytearray(node.size)
-        covered = 0
-        for record in node.chunks:
-            blob = cached[record.chunk_id]
-            if len(blob) != record.size:
-                raise exc
-            out[record.offset:record.offset + record.size] = blob
-            covered += record.size
-        data = bytes(out)
-        if covered != node.size or sha1_hex(data) != node.file_id:
-            raise exc
-        self.obs.metrics.inc("cyrus_degraded_reads_total")
-        self.health.emit(
-            "degraded_read", csp_id="*",
-            detail=(
-                f"{node.name!r}: served {len(data)} bytes from chunk "
-                f"cache after {type(exc).__name__}"
-            ),
-        )
-        now = self.engine.clock.now()
-        return DownloadReport(
-            data=data, node=node, started=now, finished=now,
-            bytes_downloaded=0, degraded=True,
-        )
 
     def get_node(self, node: MetadataNode) -> DownloadReport:
         """Download a specific version node (used for history browsing)."""

@@ -60,10 +60,6 @@ class DownloadReport:
     conflicts: tuple[Conflict, ...] = ()
     migrations: tuple[ShareMigration, ...] = ()
     share_results: tuple[OpResult, ...] = ()
-    #: True when the bytes came from the local chunk cache because
-    #: fewer than t providers were reachable (possibly a stale version,
-    #: never stale bytes — content hashes are re-verified)
-    degraded: bool = False
 
     @property
     def duration(self) -> float:
@@ -77,18 +73,13 @@ class _ChunkState:
     t: int
     n: int
     placements: dict[int, str]  # index -> csp (usable only)
-    digests: tuple[str, ...] = ()  # per-index share SHA-1s (may be empty)
+    digests: tuple[str, ...]  # per-index share SHA-1s
     shares: dict[int, bytes] = field(default_factory=dict)
     tried: set[str] = field(default_factory=set)
     decoded: bytes | None = None
 
     def share_size(self) -> int:
         return max(1, -(-self.size // self.t))
-
-    def digest_of(self, index: int) -> str | None:
-        if not self.digests or not 0 <= index < self.n:
-            return None
-        return self.digests[index]
 
     def index_at(self, csp: str) -> int:
         for index, holder in sorted(self.placements.items()):
@@ -108,9 +99,7 @@ class Downloader:
         config: CyrusConfig,
         engine: TransferEngine,
         selector=None,
-        retry_rounds: int = 2,
         lazy_migration: bool = True,
-        cache=None,
         policy: RetryPolicy | None = None,
         health: HealthRegistry | None = None,
     ):
@@ -121,9 +110,6 @@ class Downloader:
         self.engine = engine
         self.selector = selector or CyrusSelector(resolve_every=4)
         self.lazy_migration = lazy_migration
-        self.cache = cache  # optional repro.core.cache.ChunkCache
-        if policy is None:
-            policy = RetryPolicy(max_attempts=retry_rounds + 1)
         self.retry_loop = ShareRetryLoop(
             engine, policy=policy,
             health=health if health is not None else engine.health,
@@ -146,23 +132,15 @@ class Downloader:
                 f"earlier version from its history"
             )
         started = self.engine.clock.now()
-        cached: dict[str, bytes] = {}
-        if self.cache is not None:
-            for record in node.chunks:
-                if record.chunk_id in cached:
-                    continue
-                hit = self.cache.get(record.chunk_id)
-                if hit is not None:
-                    cached[record.chunk_id] = hit
         obs = getattr(self.engine, "obs", None)
         with span_if(obs, "download", file=node.name, size=node.size):
-            states = self._chunk_states(node, skip=set(cached))
+            states = self._chunk_states(node)
             with span_if(obs, "select", chunks=len(states)):
                 plans = self._select(states) if states else []
             with span_if(obs, "gather"):
                 share_results = self._gather(states, plans)
             with span_if(obs, "decode"):
-                data = self._assemble(node, states, cached)
+                data = self._assemble(node, states)
             if sha1_hex(data) != node.file_id:
                 raise ShareIntegrityError(
                     f"reconstructed {node.name!r} does not match its content id"
@@ -223,23 +201,17 @@ class Downloader:
                 if s.chunk_id in {r.chunk_id for r in needed}
             ),
         )
-        cached: dict[str, bytes] = {}
-        if self.cache is not None:
-            for record in needed:
-                hit = self.cache.get(record.chunk_id)
-                if hit is not None:
-                    cached[record.chunk_id] = hit
         obs = getattr(self.engine, "obs", None)
         with span_if(obs, "download", file=node.name, size=node.size,
                      offset=offset, length=length):
-            states = self._chunk_states(window_node, skip=set(cached))
+            states = self._chunk_states(window_node)
             with span_if(obs, "select", chunks=len(states)):
                 plans = self._select(states) if states else []
             with span_if(obs, "gather"):
                 share_results = self._gather(states, plans)
             with span_if(obs, "decode"):
                 # assemble only the window: chunks verify individually by id
-                decoded = self._decode_chunks(states, cached)
+                decoded = self._decode_chunks(states)
                 window = bytearray(end - offset if end > offset else 0)
                 for record in needed:
                     blob = decoded[record.chunk_id]
@@ -264,32 +236,24 @@ class Downloader:
 
     # ------------------------------------------------------------------
 
-    def _chunk_states(
-        self, node: MetadataNode, skip: set[str] = frozenset()
-    ) -> dict[str, _ChunkState]:
+    def _chunk_states(self, node: MetadataNode) -> dict[str, _ChunkState]:
         """Unique chunks with their usable share placements.
 
         Placements come from the node's ShareMap *unioned with* the
         global chunk table — lazy migrations by other clients may have
-        added locations the node predates.  Chunks in ``skip`` (cache
-        hits) need no network state.
+        added locations the node predates.
         """
         states: dict[str, _ChunkState] = {}
         for record in node.chunks:
-            if record.chunk_id in states or record.chunk_id in skip:
+            if record.chunk_id in states:
                 continue
             placements: dict[int, str] = {}
             for share in node.shares_of(record.chunk_id):
                 placements[share.index] = share.csp_id
-            digests = record.share_digests
             table_entry = self.chunk_table.get(record.chunk_id)
             if table_entry is not None:
                 for index, csp in table_entry.placements:
                     placements.setdefault(index, csp)
-                if not digests:
-                    # a newer node of another file may have fingerprinted
-                    # this (deduped) chunk even if ours predates digests
-                    digests = table_entry.share_digests
             active = set(self.cloud.active_csps())
             usable = {
                 index: csp
@@ -307,7 +271,7 @@ class Downloader:
                 t=record.t,
                 n=record.n,
                 placements=usable,
-                digests=digests,
+                digests=record.share_digests,
             )
         return states
 
@@ -379,13 +343,10 @@ class Downloader:
 
         def verify(key, csp: str, result: OpResult) -> bool:
             # Byzantine defense: check the share against its recorded
-            # fingerprint *before* it can poison the decode.  Nodes
-            # written before fingerprints existed have no digest and
-            # fall through to the post-decode t-subset search.
+            # fingerprint *before* it can poison the decode
             state = states[key[0]]
             index = state.index_at(csp)
-            expected = state.digest_of(index)
-            if expected is None or sha1_hex(result.data) == expected:
+            if sha1_hex(result.data) == state.digests[index]:
                 return True
             self._note_corruption(state, index, csp)
             return False
@@ -487,17 +448,14 @@ class Downloader:
             )
 
     def _assemble(
-        self,
-        node: MetadataNode,
-        states: dict[str, _ChunkState],
-        cached: dict[str, bytes] | None = None,
+        self, node: MetadataNode, states: dict[str, _ChunkState]
     ) -> bytes:
         """Decode each unique chunk once and join them in ChunkMap order.
 
         The records must tile ``[0, node.size)`` in order (the uploader
         writes them that way), so the file is built with one copy.
         """
-        decoded = self._decode_chunks(states, cached)
+        decoded = self._decode_chunks(states)
         parts: list[bytes] = []
         covered = 0
         for record in node.chunks:
@@ -521,13 +479,11 @@ class Downloader:
         return b"".join(parts)
 
     def _decode_chunks(
-        self,
-        states: dict[str, _ChunkState],
-        cached: dict[str, bytes] | None = None,
+        self, states: dict[str, _ChunkState]
     ) -> dict[str, bytes]:
-        """Plaintext per chunk id: cache hits plus every fetched chunk,
-        decoded once, verified by id and repaired if a share lied."""
-        decoded: dict[str, bytes] = dict(cached or {})
+        """Plaintext per chunk id: every fetched chunk decoded once,
+        verified by id and repaired if a share lied."""
+        decoded: dict[str, bytes] = {}
         obs = getattr(self.engine, "obs", None)
         for chunk_id, state in states.items():
             sharer = get_sharer(self.config.key, state.t, state.n)
@@ -551,8 +507,6 @@ class Downloader:
                 plaintext = self._repair_chunk(state, sharer)
             decoded[chunk_id] = plaintext
             state.decoded = plaintext
-            if self.cache is not None:
-                self.cache.put(chunk_id, plaintext)
         return decoded
 
     def _repair_chunk(self, state: _ChunkState, sharer) -> bytes:

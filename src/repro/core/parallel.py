@@ -27,9 +27,9 @@ Occupancy is exported through the engine's observability registry:
 
 Thread-safety contract: the pool calls provider code and the engine's
 ``_emit``/``on_result`` hooks *outside* its internal lock, so everything
-those hooks touch (metrics, tracer, receiver, health registry, journal,
-chunk cache) carries its own lock — see DESIGN.md's concurrency model
-for the full lock map.
+those hooks touch (metrics, tracer, receiver, health registry, journal)
+carries its own lock — see DESIGN.md's concurrency model for the full
+lock map.
 """
 
 from __future__ import annotations

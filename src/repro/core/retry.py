@@ -1,10 +1,7 @@
 """The shared share-transfer retry loop.
 
-Before this module existed, :class:`Uploader` and :class:`Downloader`
-each hard-coded their own ``retry_rounds`` loop: blind re-dispatch, no
-backoff, no transient/permanent distinction, no record of what was
-tried.  :class:`ShareRetryLoop` centralises the round structure both
-pipelines share:
+:class:`ShareRetryLoop` is the one place a share transfer is retried;
+the round structure :class:`Uploader` and :class:`Downloader` share:
 
 * execute the current round as one parallel batch;
 * classify each failure — transient errors retry the *same* provider

@@ -56,8 +56,8 @@ def get_sharer(key: str, t: int, n: int) -> KeyedSharer:
     """Cached keyed sharers — (t, n) pairs recur across every chunk.
 
     The resolved codec backend is part of the cache key so a
-    ``CYRUS_CODEC`` change between calls cannot hand back a sharer
-    built for the other backend.
+    ``CYRUS_NO_NUMPY_ACCEL`` change between calls cannot hand back a
+    sharer built for the other backend.
     """
     return _cached_sharer(key, t, n, default_backend())
 
@@ -133,7 +133,6 @@ class Uploader:
         config: CyrusConfig,
         engine: TransferEngine,
         chunker: ContentDefinedChunker | None = None,
-        retry_rounds: int = 2,
         policy: RetryPolicy | None = None,
         health: HealthRegistry | None = None,
         journal=None,
@@ -158,9 +157,6 @@ class Uploader:
             engine=config.chunker_engine,
             seed=config.chunker_seed,
         )
-        # legacy retry_rounds maps onto the shared policy's attempt budget
-        if policy is None:
-            policy = RetryPolicy(max_attempts=retry_rounds + 1)
         self.retry_loop = ShareRetryLoop(
             engine, policy=policy,
             health=health if health is not None else engine.health,
@@ -470,9 +466,6 @@ class Uploader:
                 location = self.chunk_table.get(chunk.id)
                 assert location is not None, "dedup chunk missing from table"
                 t, n = location.t, location.n
-                # dedup chunks inherit whatever fingerprints the table
-                # has; pre-digest chunks stay unfingerprinted (their
-                # recorded rows must keep matching the stored node)
                 digests = location.share_digests
             chunk_records.append(
                 ChunkRecord(

@@ -17,10 +17,10 @@ package defines that interface and three implementations:
 commercial CSPs with their protocols, auth schemes, measured RTTs and
 derived throughputs.
 
-:mod:`repro.csp.resilient` wraps any provider in the failure-handling
-envelope (Section 5.5): per-operation deadlines, exponential backoff
-with deterministic jitter, and a per-CSP circuit breaker feeding the
-shared :class:`HealthRegistry`.
+:mod:`repro.csp.resilient` holds the failure-handling state the
+transfer layer applies (Section 5.5): exponential backoff with
+deterministic jitter, and a per-CSP circuit breaker feeding the shared
+:class:`HealthRegistry`.
 """
 
 from repro.csp.account import AuthToken, Credentials
@@ -35,9 +35,7 @@ from repro.csp.resilient import (
     CSPHealth,
     HealthEvent,
     HealthRegistry,
-    ResilientProvider,
     RetryPolicy,
-    wrap_resilient,
 )
 from repro.csp.simulated import AvailabilitySchedule, SimulatedCSP
 
@@ -62,7 +60,5 @@ __all__ = [
     "CSPHealth",
     "HealthEvent",
     "HealthRegistry",
-    "ResilientProvider",
     "RetryPolicy",
-    "wrap_resilient",
 ]

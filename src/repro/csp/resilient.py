@@ -1,24 +1,23 @@
-"""Resilient provider layer: deadlines, backoff, circuit breakers, health.
+"""Failure-handling primitives: backoff policy, circuit breakers, health.
 
 The paper's Section 5.5 treats CSP failure as a first-class event:
 autonomous providers go down, come back, throttle, and expire tokens on
 their own schedules, and the client must keep serving through it all.
-This module gives every :class:`repro.csp.base.CloudProvider` a uniform
-resilience envelope:
+This module holds the state that decision runs on; the transfer layer
+applies it:
 
-* :class:`RetryPolicy` — exponential backoff with deterministic jitter
+* :class:`RetryPolicy` — exponential backoff with deterministic jitter;
+  :class:`repro.core.retry.ShareRetryLoop` spends its attempt budget
   over the transient/permanent classification in :mod:`repro.errors`;
 * :class:`CircuitBreaker` — per-CSP closed → open → half-open breaker so
   a dead provider stops eating retry budget after a few failures;
 * :class:`HealthRegistry` — the shared per-CSP health view (breaker
-  states, failure counts, last errors) that the transfer engine, the
-  upload/download pipelines and the download selector all consult;
-* :class:`ResilientProvider` — a wrapper applying a per-operation
-  deadline, the retry policy and the breaker to any provider.
+  states, failure counts, last errors) that the transfer engine gates
+  every op on and the upload/download pipelines and the download
+  selector consult.
 
 Everything takes a :class:`repro.util.clock.Clock`, so breaker timeouts
-and backoff sleeps are exact on a :class:`SimClock` and real against
-wall-clock providers.
+are exact on a :class:`SimClock` and real against wall-clock providers.
 """
 
 from __future__ import annotations
@@ -27,17 +26,9 @@ import enum
 import random
 import threading
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
-from repro.csp.base import BytesLike, CloudProvider, ObjectInfo
-from repro.errors import (
-    CircuitOpenError,
-    CSPError,
-    CSPTimeoutError,
-    CSPUnavailableError,
-    is_retryable,
-)
-from repro.util.clock import Clock, WallClock, sleep_on
+from repro.util.clock import Clock, WallClock
 
 
 # ---------------------------------------------------------------------------
@@ -83,10 +74,6 @@ class RetryPolicy:
             return raw
         u = random.Random(f"{self.seed}:{attempt}").random()
         return raw * (1.0 + self.jitter * (2.0 * u - 1.0))
-
-    def should_retry(self, exc: BaseException, attempt: int) -> bool:
-        """Retry the *same* provider? (transient error, budget left)."""
-        return attempt < self.max_attempts and is_retryable(exc)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +216,7 @@ class HealthEvent:
     """One structured failure-handling event (for logs and clients)."""
 
     time: float
-    kind: str  # "failure" | "breaker_open" | "breaker_close" | "probe_failed" | "degraded_read" | "sync_degraded" | "corrupt_share" | "quarantined"
+    kind: str  # "failure" | "breaker_open" | "breaker_close" | "probe_failed" | "sync_degraded" | "corrupt_share" | "quarantined"
     csp_id: str | None
     detail: str
 
@@ -438,187 +425,3 @@ class HealthRegistry:
         with self._lock:
             known = sorted(self._breakers)
         return {csp_id: self.health_of(csp_id) for csp_id in known}
-
-
-# ---------------------------------------------------------------------------
-# resilient provider wrapper
-
-
-def _default_sleep(clock: Clock) -> Callable[[float], None]:
-    """Backoff sleeper honouring the injected clock (see :func:`sleep_on`)."""
-    return lambda seconds: sleep_on(clock, seconds)
-
-
-class ResilientProvider(CloudProvider):
-    """A provider wrapped in deadline + retry + breaker.
-
-    Every one of the five primitives runs through the same envelope:
-
-    1. breaker gate — if this CSP's circuit is open, raise
-       :class:`CircuitOpenError` without touching the provider;
-    2. dispatch, measuring elapsed time on ``clock``; an operation whose
-       *measured* duration exceeds ``deadline_s`` is treated as a
-       :class:`CSPTimeoutError` (synchronous providers cannot be
-       interrupted mid-call, so the deadline detects — rather than
-       aborts — a stall; with a shared SimClock the detection is exact);
-    3. classify the outcome — transient errors back off per ``policy``
-       and retry the same provider; permanent errors raise immediately;
-    4. record the outcome in the shared :class:`HealthRegistry`.
-
-    Only unavailability-type failures (outage, timeout) count toward the
-    breaker: an auth or quota refusal proves the provider is *up*.
-    """
-
-    def __init__(
-        self,
-        inner: CloudProvider,
-        policy: RetryPolicy | None = None,
-        registry: HealthRegistry | None = None,
-        deadline_s: float | None = None,
-        clock: Clock | None = None,
-        sleep: Callable[[float], None] | None = None,
-        metrics=None,
-    ):
-        super().__init__(inner.csp_id)
-        self.inner = inner
-        self.policy = policy if policy is not None else RetryPolicy()
-        self.clock = clock if clock is not None else WallClock()
-        self.registry = (registry if registry is not None
-                         else HealthRegistry(clock=self.clock))
-        self.deadline_s = deadline_s
-        self._sleep = sleep if sleep is not None else _default_sleep(self.clock)
-        # optional repro.obs.metrics.MetricsRegistry.  Attempt-level
-        # byte counters live here because internal retries are invisible
-        # to the transfer engine: payload bytes are counted once per
-        # *successful* call in cyrus_provider_bytes_total, and once per
-        # *attempt* in cyrus_provider_attempt_bytes_total — the gap
-        # between the two is exactly the retry traffic that used to
-        # double-count in ad-hoc benchmark accounting.
-        self.metrics = metrics
-
-    # -- envelope ---------------------------------------------------------
-
-    def _call(self, op: str, fn: Callable[[], object],
-              up_bytes: int = 0) -> object:
-        last_exc: CSPError | None = None
-        for attempt in range(1, self.policy.max_attempts + 1):
-            if not self.registry.allow(self.csp_id):
-                raise CircuitOpenError(
-                    f"circuit open; {op} not dispatched", csp_id=self.csp_id
-                )
-            if self.metrics is not None:
-                self.metrics.inc("cyrus_provider_attempts_total",
-                                 csp=self.csp_id, op=op.split(" ", 1)[0])
-                if up_bytes:
-                    self.metrics.inc("cyrus_provider_attempt_bytes_total",
-                                     up_bytes, csp=self.csp_id, direction="up")
-            started = self.clock.now()
-            try:
-                result = fn()
-            except CSPError as exc:
-                if isinstance(exc, CSPUnavailableError):
-                    self.registry.record_failure(self.csp_id, exc)
-                else:
-                    # the provider answered: auth/quota/not-found are
-                    # application-level refusals, not health failures
-                    self.registry.record_success(self.csp_id)
-                if self.policy.should_retry(exc, attempt):
-                    last_exc = exc
-                    if self.metrics is not None:
-                        self.metrics.inc("cyrus_provider_retries_total",
-                                         csp=self.csp_id)
-                    self._sleep(self.policy.delay(attempt))
-                    continue
-                raise
-            elapsed = self.clock.now() - started
-            if self.deadline_s is not None and elapsed > self.deadline_s:
-                exc = CSPTimeoutError(
-                    f"{op} took {elapsed:.3f}s, deadline {self.deadline_s:g}s",
-                    csp_id=self.csp_id,
-                )
-                self.registry.record_failure(self.csp_id, exc)
-                if self.policy.should_retry(exc, attempt):
-                    last_exc = exc
-                    if self.metrics is not None:
-                        self.metrics.inc("cyrus_provider_retries_total",
-                                         csp=self.csp_id)
-                    self._sleep(self.policy.delay(attempt))
-                    continue
-                raise exc
-            self.registry.record_success(self.csp_id)
-            if self.metrics is not None:
-                down_bytes = (
-                    len(result)
-                    if isinstance(result, (bytes, bytearray, memoryview))
-                    else 0
-                )
-                if down_bytes:
-                    self.metrics.inc("cyrus_provider_attempt_bytes_total",
-                                     down_bytes, csp=self.csp_id,
-                                     direction="down")
-                    self.metrics.inc("cyrus_provider_bytes_total",
-                                     down_bytes, csp=self.csp_id,
-                                     direction="down")
-                if up_bytes:
-                    self.metrics.inc("cyrus_provider_bytes_total",
-                                     up_bytes, csp=self.csp_id, direction="up")
-            return result
-        raise last_exc  # pragma: no cover - loop always raises or returns
-
-    # -- the five primitives ----------------------------------------------
-
-    def authenticate(self, credentials):
-        return self._call("authenticate",
-                          lambda: self.inner.authenticate(credentials))
-
-    def list(self, *, prefix: str = "") -> list[ObjectInfo]:
-        """List stored objects whose names start with ``prefix``."""
-        return self._call("list", lambda: self.inner.list(prefix=prefix))
-
-    def upload(self, name: str, data: BytesLike) -> None:
-        """Store ``data`` (any bytes-like object) under ``name``.
-
-        The buffer passes through untouched; retention (if any) is the
-        wrapped provider's.
-        """
-        self._call(f"upload {name}", lambda: self.inner.upload(name, data),
-                   up_bytes=len(data))
-
-    def download(self, name: str) -> bytes:
-        return self._call(f"download {name}",
-                          lambda: self.inner.download(name))
-
-    def delete(self, name: str) -> None:
-        self._call(f"delete {name}", lambda: self.inner.delete(name))
-
-    # -- passthroughs -----------------------------------------------------
-
-    def is_up(self, t: float | None = None) -> bool:
-        """Delegate reachability to the wrapped provider when it models it."""
-        checker = getattr(self.inner, "is_up", None)
-        if callable(checker):
-            return bool(checker(t))
-        return True
-
-
-def wrap_resilient(
-    providers: Sequence[CloudProvider],
-    policy: RetryPolicy | None = None,
-    registry: HealthRegistry | None = None,
-    deadline_s: float | None = None,
-    clock: Clock | None = None,
-    metrics=None,
-) -> list[ResilientProvider]:
-    """Wrap a provider fleet with one shared policy and registry."""
-    clock = clock if clock is not None else WallClock()
-    registry = registry if registry is not None else HealthRegistry(clock=clock)
-    policy = policy if policy is not None else RetryPolicy()
-    if metrics is not None and registry.metrics is None:
-        registry.bind_metrics(metrics)
-    return [
-        ResilientProvider(
-            p, policy=policy, registry=registry,
-            deadline_s=deadline_s, clock=clock, metrics=metrics,
-        )
-        for p in providers
-    ]

@@ -47,8 +47,6 @@ class DepSkyClient:
         writer_id: This client's identity for lock objects.
         backoff_range: Post-lock random backoff bounds (seconds).
         seed: Deterministic backoff.
-        lease_ttl: Lock lease lifetime in seconds; a crashed writer's
-            lock is swept by the next acquirer after this long.
     """
 
     def __init__(
@@ -61,7 +59,6 @@ class DepSkyClient:
         writer_id: str = "writer-1",
         backoff_range: tuple[float, float] = (0.5, 1.0),
         seed: int = 0,
-        lease_ttl: float = 30.0,
     ):
         if n > len(csp_ids):
             raise TransferError(
@@ -75,7 +72,6 @@ class DepSkyClient:
         self.writer_id = writer_id
         self.locks = LockProtocol(
             engine, self.csp_ids, backoff_range=backoff_range, seed=seed,
-            lease_ttl=lease_ttl,
         )
         # cumulative per-CSP stored-share counter (Figure 18)
         self.shares_stored: dict[str, int] = {c: 0 for c in self.csp_ids}

@@ -1,4 +1,4 @@
-"""DepSky's write-lock protocol, with lease expiry.
+"""DepSky's write-lock protocol.
 
 Paper Section 7.3: DepSky's upload "require[s] two round-trip
 communications with CSPs to set lock files, preventing simultaneous
@@ -6,46 +6,19 @@ updates, and a random backoff time after setting the lock."  We model
 the protocol's cost and its contention behaviour: a writer PUTs a lock
 object at every CSP (round trip 1), LISTs lock objects to detect
 competing writers (round trip 2), backs off a random interval, and
-rechecks; on contention it releases and retries.
-
-Lock objects carry a **lease**: a JSON payload naming the writer and an
-expiry stamp (``now + lease_ttl`` on the protocol's clock).  A writer
-that crashes between acquire and release leaves its lock objects
-behind; without leases that lock blocks every later writer forever.
-With leases, an acquiring writer that sees a foreign lock downloads it,
-and if the lease has expired, *sweeps* it — deletes the stale lock at
-every CSP — instead of treating it as contention.  Legacy locks (bare
-writer-id payloads from before leases) and unparseable payloads are
-conservatively treated as live.
+rechecks; on contention it releases and retries.  Any foreign lock
+object is contention, as in DepSky's protocol.
 """
 
 from __future__ import annotations
 
-import json
 import random
 
 from repro.core.transfer import OpKind, OpResult, TransferEngine, TransferOp
 from repro.errors import ConflictError
 
-#: Lock objects are tiny JSON blobs, padded to a fixed size.
+#: Lock objects hold the writer id, padded to a fixed size.
 _LOCK_SIZE = 64
-
-#: Metric name (mirrors the repro.obs constant style).
-LOCK_LEASES_SWEPT = "cyrus_lock_leases_swept_total"
-
-
-def _parse_lease(blob: bytes) -> float | None:
-    """Expiry stamp from a lock payload, or None when there is none.
-
-    Pre-lease lock objects held only the writer id; those (and any
-    payload we cannot parse) return None and are treated as live —
-    never steal a lock we cannot prove stale.
-    """
-    try:
-        doc = json.loads(blob.rstrip(b"\0").decode("utf-8"))
-        return float(doc["expires"])
-    except (ValueError, KeyError, TypeError, UnicodeDecodeError):
-        return None
 
 
 class LockProtocol:
@@ -57,9 +30,6 @@ class LockProtocol:
         backoff_range: (lo, hi) seconds of random post-lock backoff.
         max_attempts: Contention retries before giving up.
         seed: Deterministic backoff draws for reproducible benches.
-        lease_ttl: Seconds a lock stays valid without renewal; a
-            crashed holder's lock is swept by the next acquirer once
-            the lease expires.
     """
 
     def __init__(
@@ -69,38 +39,27 @@ class LockProtocol:
         backoff_range: tuple[float, float] = (0.5, 1.0),
         max_attempts: int = 5,
         seed: int = 0,
-        lease_ttl: float = 30.0,
     ):
         self.engine = engine
         self.csp_ids = list(csp_ids)
         self.backoff_range = backoff_range
         self.max_attempts = max_attempts
-        self.lease_ttl = lease_ttl
         self._rng = random.Random(seed)
-        self.leases_swept = 0
 
     def _lock_name(self, object_key: str, writer_id: str) -> str:
         return f"ds-lock-{object_key}-{writer_id}"
-
-    def _lease_payload(self, writer_id: str) -> bytes:
-        doc = {
-            "writer": writer_id,
-            "expires": self.engine.clock.now() + self.lease_ttl,
-        }
-        blob = json.dumps(doc, separators=(",", ":")).encode("utf-8")
-        return blob.ljust(_LOCK_SIZE, b"\0")
 
     def acquire(self, object_key: str, writer_id: str) -> list[OpResult]:
         """Two round trips + backoff; raises ConflictError on contention."""
         results: list[OpResult] = []
         for _attempt in range(self.max_attempts):
-            # round trip 1: place our leased lock at every CSP
+            # round trip 1: place our lock at every CSP
             put_ops = [
                 TransferOp(
                     kind=OpKind.PUT,
                     csp_id=csp,
                     name=self._lock_name(object_key, writer_id),
-                    data=self._lease_payload(writer_id),
+                    data=writer_id.encode("utf-8").ljust(_LOCK_SIZE, b"\0"),
                 )
                 for csp in self.csp_ids
             ]
@@ -110,32 +69,13 @@ class LockProtocol:
             self._advance(backoff)
             # round trip 2: list locks to detect competing writers
             prefix = f"ds-lock-{object_key}-"
-            foreign: dict[str, str] = {}  # owner -> a CSP holding its lock
+            contended = False
             for csp in self.csp_ids:
                 try:
                     infos = self.engine.provider(csp).list(prefix=prefix)
                 except Exception:  # provider down: can't see contention there
                     continue
-                for info in infos:
-                    owner = info.name[len(prefix):]
-                    if owner != writer_id:
-                        foreign.setdefault(owner, csp)
-            # judge each foreign lock's lease: expired ones belong to a
-            # crashed writer and are swept, not contended
-            contended = False
-            now = self.engine.clock.now()
-            for owner, csp in sorted(foreign.items()):
-                try:
-                    blob = self.engine.provider(csp).download(
-                        self._lock_name(object_key, owner)
-                    )
-                except Exception:
-                    contended = True  # vanished or unreadable: assume live
-                    continue
-                expires = _parse_lease(blob)
-                if expires is not None and expires <= now:
-                    self._sweep_stale(object_key, owner)
-                else:
+                if any(info.name[len(prefix):] != writer_id for info in infos):
                     contended = True
             # the listing itself costs one RTT per CSP (zero-byte GETs)
             probe_ops = [
@@ -164,14 +104,6 @@ class LockProtocol:
             for csp in self.csp_ids
         ]
         self.engine.execute(ops)
-
-    def _sweep_stale(self, object_key: str, owner: str) -> None:
-        """Delete a crashed writer's expired lock at every CSP."""
-        self.release(object_key, owner)
-        self.leases_swept += 1
-        obs = getattr(self.engine, "obs", None)
-        if obs is not None:
-            obs.metrics.inc(LOCK_LEASES_SWEPT)
 
     def _advance(self, seconds: float) -> None:
         clock = self.engine.clock

@@ -22,9 +22,8 @@ Two interchangeable backends produce byte-identical shares:
   loops with independently built tables.  It is the fallback when numpy
   is unavailable and the oracle the equivalence suites compare against.
 
-Selection is automatic (``default_backend``): ``CYRUS_CODEC`` may force
-``vector`` or ``scalar``; ``CYRUS_NO_NUMPY_ACCEL=1`` is an alias for
-scalar; otherwise ``auto`` picks vector whenever numpy imports.
+Selection is automatic (``default_backend``): vector whenever numpy
+imports, scalar when it does not or ``CYRUS_NO_NUMPY_ACCEL=1`` is set.
 """
 
 from __future__ import annotations
@@ -52,22 +51,11 @@ BACKENDS = ("vector", "scalar")
 
 
 def default_backend() -> str:
-    """Resolve the codec backend from the environment.
-
-    ``CYRUS_NO_NUMPY_ACCEL=1`` forces scalar; else ``CYRUS_CODEC`` may
-    name ``vector``/``scalar`` explicitly (``auto``/unset picks vector
-    when numpy is importable, scalar otherwise).
-    """
-    if os.environ.get("CYRUS_NO_NUMPY_ACCEL") == "1":
+    """``"scalar"`` under ``CYRUS_NO_NUMPY_ACCEL=1`` or without numpy,
+    else ``"vector"``."""
+    if os.environ.get("CYRUS_NO_NUMPY_ACCEL") == "1" or not _HAVE_NUMPY:
         return "scalar"
-    choice = os.environ.get("CYRUS_CODEC", "auto").strip().lower()
-    if choice in BACKENDS:
-        return choice
-    if choice not in ("", "auto"):
-        raise CodingError(
-            f"unknown CYRUS_CODEC backend {choice!r}; expected auto, vector or scalar"
-        )
-    return "vector" if _HAVE_NUMPY else "scalar"
+    return "vector"
 
 
 class RSCodec:

@@ -72,7 +72,7 @@ class SimulatedCrash(BaseException):
 
     Deliberately a :class:`BaseException`, not a
     :class:`repro.errors.CyrusError`: no retry loop, circuit breaker or
-    degraded-read fallback may swallow it, because a real ``kill -9``
+    read re-probe may swallow it, because a real ``kill -9``
     gives the client no chance to handle anything.  Only the test
     harness (standing in for the OS) catches it.
     """

@@ -6,9 +6,8 @@ byte.  That makes it the slowest codec backend by two orders of
 magnitude — and exactly why it exists:
 
 * **Fallback** — :mod:`repro.erasure.rs` selects this backend when
-  numpy is unavailable or when ``CYRUS_CODEC=scalar`` (or
-  ``CYRUS_NO_NUMPY_ACCEL=1``) is set, so the whole client keeps working
-  with zero native dependencies.
+  numpy is unavailable or when ``CYRUS_NO_NUMPY_ACCEL=1`` is set, so
+  the whole client keeps working with zero native dependencies.
 * **Oracle** — the golden-vector and hypothesis equivalence suites
   decode/encode through these loops and demand byte-identical output
   from the vectorised kernels in :mod:`repro.gf.vector`.  A silent

@@ -22,9 +22,8 @@ from repro.metadata.node import MetadataNode
 class ChunkLocation:
     """Where one chunk lives: (t, n), size and share placements.
 
-    ``share_digests`` (one SHA-1 per index, empty for chunks recorded
-    only by pre-digest nodes) lets the downloader and scrub verify a
-    fetched share without re-deriving it from plaintext.
+    ``share_digests`` (one SHA-1 per index) lets the uploader
+    fingerprint a deduplicated chunk without re-encoding it.
     """
 
     chunk_id: str
@@ -32,13 +31,7 @@ class ChunkLocation:
     t: int
     n: int
     placements: tuple[tuple[int, str], ...]  # (share index, csp_id)
-    share_digests: tuple[str, ...] = ()
-
-    def digest_of(self, index: int) -> str | None:
-        """Expected SHA-1 of one share, or None when unknown."""
-        if not self.share_digests or not 0 <= index < self.n:
-            return None
-        return self.share_digests[index]
+    share_digests: tuple[str, ...]
 
     def csps(self) -> list[str]:
         """CSPs currently holding a share of this chunk."""
@@ -69,16 +62,14 @@ class GlobalChunkTable:
         }
         for share in node.shares:
             size, t, n, digests = sizes[share.chunk_id]
+            # deterministic coding: every node recording this chunk
+            # carries the same digests, so the first one stands
             entry = self._chunks.setdefault(
                 share.chunk_id,
                 {"size": size, "t": t, "n": n, "placements": set(),
-                 "digests": ()},
+                 "digests": digests},
             )
             entry["placements"].add((share.index, share.csp_id))
-            # deterministic coding: every node that fingerprints this
-            # chunk computes the same digests, so first-non-empty wins
-            if digests and not entry["digests"]:
-                entry["digests"] = tuple(digests)
 
     def rebuild(self, nodes: Iterable[MetadataNode]) -> None:
         """Recompute the table from scratch (used after metadata sync)."""
@@ -97,7 +88,7 @@ class GlobalChunkTable:
             t=entry["t"],
             n=entry["n"],
             placements=tuple(sorted(entry["placements"])),
-            share_digests=tuple(entry.get("digests", ())),
+            share_digests=entry["digests"],
         )
 
     def is_stored(self, chunk_id: str) -> bool:

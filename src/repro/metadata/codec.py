@@ -14,10 +14,8 @@ the share payload (detects a provider that rotted or tampered with the
 bytes it returns), and a SHA-1 over the node plaintext (detects a
 provider that forged a self-consistent envelope around wrong share
 bytes, and groups shares of the same encoding when an interrupted
-publish leaves slots disagreeing).  The legacy v1 frame — a bare
-8-byte chunk-size header — still parses, with the same backward-compat
-discipline as the optional 6th chunkMap column: pre-envelope shares
-are unverifiable-but-usable, never rejected.
+publish leaves slots disagreeing).  It is the only frame: a blob that
+does not open with the magic marker is rejected like any other garbage.
 """
 
 from __future__ import annotations
@@ -36,12 +34,11 @@ CODEC_VERSION = 1
 #: Listing prefix for metadata shares.
 METADATA_PREFIX = "md-"
 
-#: Magic marker opening a v2 (authenticated) share frame.  A legacy v1
-#: frame opens with an 8-byte big-endian chunk size whose first bytes
-#: are zero for any real metadata node, so the two cannot collide.
+#: Magic marker opening a v2 (authenticated) share frame.
 FRAME_MAGIC = b"CYM2"
 
 _DIGEST_LEN = 20  # raw SHA-1
+_HEADER_LEN = len(FRAME_MAGIC) + 8 + 8 + 2 * _DIGEST_LEN
 
 
 def encode_node(node: MetadataNode) -> bytes:
@@ -57,11 +54,8 @@ def encode_node(node: MetadataNode) -> bytes:
             "modified": node.modified,
             "size": node.size,
         },
-        # share digests ride as an optional 6th element so pre-digest
-        # readers (and nodes) keep the exact 5-element row bytes
         "chunkMap": [
-            [c.chunk_id, c.offset, c.size, c.t, c.n]
-            + ([list(c.share_digests)] if c.share_digests else [])
+            [c.chunk_id, c.offset, c.size, c.t, c.n, list(c.share_digests)]
             for c in node.chunks
         ],
         "shareMap": [[s.chunk_id, s.index, s.csp_id] for s in node.shares],
@@ -76,6 +70,8 @@ def decode_node(data: bytes) -> MetadataNode:
         if doc.get("v") != CODEC_VERSION:
             raise MetadataError(f"unsupported metadata version {doc.get('v')!r}")
         fm = doc["fileMap"]
+        if any(len(c) != 6 for c in doc["chunkMap"]):
+            raise MetadataError("chunkMap rows must have 6 columns")
         return MetadataNode(
             file_id=fm["id"],
             prev_id=fm["prevId"],
@@ -87,7 +83,7 @@ def decode_node(data: bytes) -> MetadataNode:
             chunks=tuple(
                 ChunkRecord(
                     chunk_id=c[0], offset=c[1], size=c[2], t=c[3], n=c[4],
-                    share_digests=tuple(c[5]) if len(c) > 5 else (),
+                    share_digests=tuple(c[5]),
                 )
                 for c in doc["chunkMap"]
             ),
@@ -110,31 +106,23 @@ class MetaShareFrame:
         payload: The share bytes (the secret-shared node slice).
         chunk_size: Plaintext length the sharer must truncate to.
         stamp: Publish generation (milliseconds of the publisher's
-            clock; 0 for legacy frames and clock-less stores).  Higher
-            stamps are preferred when shares of one node id disagree —
-            an interrupted publish leaves stale slots behind.
-        share_digest: SHA-1 hex of ``payload``, or None for legacy v1
-            frames (unverifiable-but-usable).
+            clock; 0 for clock-less stores).  Higher stamps are
+            preferred when shares of one node id disagree — an
+            interrupted publish leaves stale slots behind.
+        share_digest: SHA-1 hex of ``payload``.
         node_digest: SHA-1 hex of the node plaintext this share was cut
-            from, or None for legacy frames.  Shares are only ever
-            combined within one node-digest group.
+            from.  Shares are only ever combined within one node-digest
+            group.
     """
 
     payload: bytes
     chunk_size: int
-    stamp: int = 0
-    share_digest: str | None = None
-    node_digest: str | None = None
-
-    @property
-    def authenticated(self) -> bool:
-        return self.node_digest is not None
+    stamp: int
+    share_digest: str
+    node_digest: str
 
     def payload_intact(self) -> bool:
-        """Does the payload match its own digest?  (Always True for
-        legacy frames — there is nothing to check against.)"""
-        if self.share_digest is None:
-            return True
+        """Does the payload match its own digest?"""
         return sha1_hex(self.payload) == self.share_digest
 
     def to_share(self, index: int, t: int, n: int) -> Share:
@@ -158,23 +146,17 @@ def pack_meta_share(payload: bytes, chunk_size: int, node_digest: str,
 
 
 def unpack_meta_share(blob: bytes) -> MetaShareFrame:
-    """Parse either frame version; raises MetadataError on garbage."""
-    if blob[:4] == FRAME_MAGIC:
-        header = 4 + 8 + 8 + 2 * _DIGEST_LEN
-        if len(blob) < header:
-            raise MetadataError("metadata share frame truncated")
-        stamp = int.from_bytes(blob[4:12], "big")
-        size = int.from_bytes(blob[12:20], "big")
-        share_digest = blob[20:20 + _DIGEST_LEN].hex()
-        node_digest = blob[20 + _DIGEST_LEN:header].hex()
-        return MetaShareFrame(
-            payload=blob[header:], chunk_size=size, stamp=stamp,
-            share_digest=share_digest, node_digest=node_digest,
-        )
-    if len(blob) < 8:
-        raise MetadataError("metadata share too short")
+    """Parse a v2 frame; raises MetadataError on anything else."""
+    if blob[:4] != FRAME_MAGIC:
+        raise MetadataError("metadata share is not a CYM2 frame")
+    if len(blob) < _HEADER_LEN:
+        raise MetadataError("metadata share frame truncated")
     return MetaShareFrame(
-        payload=blob[8:], chunk_size=int.from_bytes(blob[:8], "big"),
+        payload=blob[_HEADER_LEN:],
+        chunk_size=int.from_bytes(blob[12:20], "big"),
+        stamp=int.from_bytes(blob[4:12], "big"),
+        share_digest=blob[20:20 + _DIGEST_LEN].hex(),
+        node_digest=blob[20 + _DIGEST_LEN:_HEADER_LEN].hex(),
     )
 
 

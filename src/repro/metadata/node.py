@@ -29,9 +29,7 @@ class ChunkRecord:
     ``share_digests`` carries one SHA-1 per share index (the Byzantine
     defense: a downloaded share is verified against its fingerprint
     before decoding, so a lying provider is detected and attributed
-    rather than silently poisoning the decode).  Empty on nodes written
-    before fingerprints existed; readers must treat those as
-    unverifiable-but-trusted and fall back to post-decode checks.
+    rather than silently poisoning the decode).
     """
 
     chunk_id: str
@@ -39,24 +37,18 @@ class ChunkRecord:
     size: int
     t: int
     n: int
-    share_digests: tuple[str, ...] = ()
+    share_digests: tuple[str, ...]
 
     def __post_init__(self) -> None:
         if self.offset < 0 or self.size < 0:
             raise ValueError("offset and size must be non-negative")
         if not 1 <= self.t <= self.n:
             raise ValueError(f"bad (t, n) = ({self.t}, {self.n})")
-        if self.share_digests and len(self.share_digests) != self.n:
+        if len(self.share_digests) != self.n:
             raise ValueError(
                 f"need one share digest per index: got "
                 f"{len(self.share_digests)} for n={self.n}"
             )
-
-    def digest_of(self, index: int) -> str | None:
-        """Expected SHA-1 of one share, or None on a pre-digest node."""
-        if not self.share_digests or not 0 <= index < self.n:
-            return None
-        return self.share_digests[index]
 
 
 @dataclass(frozen=True)
@@ -95,11 +87,16 @@ class MetadataNode:
             raise ValueError("file name must be non-empty")
         if self.size < 0:
             raise ValueError("size must be non-negative")
-        chunk_ids = {c.chunk_id for c in self.chunks}
+        n_of = {c.chunk_id: c.n for c in self.chunks}
         for share in self.shares:
-            if share.chunk_id not in chunk_ids:
+            if share.chunk_id not in n_of:
                 raise ValueError(
                     f"share references unknown chunk {share.chunk_id[:8]}"
+                )
+            if share.index >= n_of[share.chunk_id]:
+                raise ValueError(
+                    f"share index {share.index} out of range for chunk "
+                    f"{share.chunk_id[:8]} (n={n_of[share.chunk_id]})"
                 )
 
     @cached_property

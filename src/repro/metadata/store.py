@@ -60,8 +60,7 @@ class NodeAssembler:
     batch — so serial and async backends verify identically.  Shares
     are grouped by the node digest their envelope claims; a group
     decodes only when a t-subset joins to a plaintext matching that
-    digest (legacy undigested shares form their own group, verified by
-    decoding to the requested node id).  :meth:`finish` performs the
+    digest and naming the requested node id.  :meth:`finish` performs the
     liar attribution and debt recording against the store's health
     registry and ledger.
     """
@@ -69,9 +68,9 @@ class NodeAssembler:
     def __init__(self, store: "MetadataStore", node_id: str):
         self.store = store
         self.node_id = node_id
-        # node-digest -> {index: (csp_id, frame)}; None = legacy group
-        self._groups: dict[str | None, dict[int, tuple[str, MetaShareFrame]]] = {}
-        self._stamps: dict[str | None, int] = {}
+        # node-digest -> {index: (csp_id, frame)}
+        self._groups: dict[str, dict[int, tuple[str, MetaShareFrame]]] = {}
+        self._stamps: dict[str, int] = {}
         self.missing: set[int] = set()  # slots definitively absent
         self.tried: set[int] = set()
         # (index, csp_id, detail) failing their own envelope — attributed
@@ -122,12 +121,11 @@ class NodeAssembler:
 
     # -- decoding ---------------------------------------------------------
 
-    def _ordered_keys(self) -> list[str | None]:
+    def _ordered_keys(self) -> list[str]:
         """Candidate groups, freshest first (stamp, then size, then key)."""
         return sorted(
             self._groups,
-            key=lambda k: (-self._stamps.get(k, 0),
-                           -len(self._groups[k]), k or ""),
+            key=lambda k: (-self._stamps[k], -len(self._groups[k]), k),
         )
 
     def try_decode(self, final: bool = False) -> MetadataNode | None:
@@ -145,20 +143,15 @@ class NodeAssembler:
             group = self._groups[key]
             if len(group) < self.store.t:
                 continue
-            if not final and self._stamps.get(key, 0) < best_stamp:
+            if not final and self._stamps[key] < best_stamp:
                 continue
             shares = [
                 frame.to_share(index, self.store.t, self.store.m)
                 for index, (_csp, frame) in sorted(group.items())
             ]
-            if key is None:
-                verify = self._legacy_plaintext_ok
-            else:
-                def verify(pt: bytes, digest=key) -> bool:
-                    return sha1_hex(pt) == digest
             try:
                 plaintext = self.store._sharer.join_verified(
-                    shares, verify=verify,
+                    shares, verify=lambda pt, digest=key: sha1_hex(pt) == digest,
                 )
             except CyrusError:
                 continue  # no verifying t-subset in this group (yet)
@@ -171,14 +164,6 @@ class NodeAssembler:
             self._node, self._plaintext, self._win_key = node, plaintext, key
             return node
         return None
-
-    def _legacy_plaintext_ok(self, plaintext: bytes) -> bool:
-        """Pre-envelope shares: the only verification is that the bytes
-        decode to the node this share name belongs to."""
-        try:
-            return decode_node(plaintext).node_id == self.node_id
-        except MetadataError:
-            return False
 
     # -- settlement -------------------------------------------------------
 
@@ -198,7 +183,7 @@ class NodeAssembler:
                 for index, (csp_id, frame) in sorted(group.items()):
                     if frame.payload == truth.get(index):
                         continue
-                    if key is not None and key == self._win_key:
+                    if key == self._win_key:
                         # intact envelope claiming the verified digest
                         # around wrong bytes: a forged share, not a stale
                         # one — same attribution as a digest mismatch
@@ -208,8 +193,7 @@ class NodeAssembler:
                         )
                     else:
                         # an honest slot left behind by an interrupted
-                        # publish (or a legacy share we cannot convict):
-                        # needs re-dispersal, not quarantine
+                        # publish: needs re-dispersal, not quarantine
                         stale.add(index)
         bad = self.missing | stale | {index for index, _c, _d in self.corrupt}
         if bad:
@@ -433,15 +417,3 @@ class MetadataStore:
                            failed_csps=tuple(failed_csps), kind="meta")
         if self.metrics is not None:
             self.metrics.inc(META_DEBTS_RECORDED)
-
-    # -- share (de)framing -------------------------------------------------
-
-    @staticmethod
-    def _pack(share: Share) -> bytes:
-        """Legacy v1 framing: chunk_size header + payload (kept so old
-        stored shares — and tests exercising them — stay readable)."""
-        return share.chunk_size.to_bytes(8, "big") + share.data
-
-    def _unpack(self, blob: bytes, index: int) -> Share:
-        """Unframe either envelope version into a bare share."""
-        return unpack_meta_share(blob).to_share(index, self.t, self.m)

@@ -5,7 +5,7 @@ Three cooperating pieces, all driven by the injected
 
 * :class:`MetricsRegistry` / :class:`MetricsSnapshot` — labelled
   counters, gauges and fixed-bucket histograms (bytes per CSP, retries,
-  breaker transitions, cache hit rate, encode/decode time);
+  breaker transitions, encode/decode time);
 * :class:`Tracer` / :class:`Span` — nested span trees per operation
   (sync → chunk → share put/get), exportable as JSON and Chrome-trace;
 * :class:`TransferTimeline` — the paper's Figure 14/17 per-CSP parallel

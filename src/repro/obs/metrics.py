@@ -4,10 +4,10 @@ The paper's evaluation (Sections 6-8) is built on *measured* quantities
 — bytes moved per CSP, per-chunk completion times, retry counts under
 churn — which the repro previously re-derived ad hoc inside each
 benchmark.  :class:`MetricsRegistry` is the single place those numbers
-accumulate: the transfer engines, the retry loops, the resilient
-provider wrapper, the chunk cache and the network simulator all record
-into one registry, and tests/benchmarks read an immutable
-:class:`MetricsSnapshot` instead of recomputing from reports.
+accumulate: the transfer engine, the retry loops, the health registry
+and the network simulator all record into one registry, and
+tests/benchmarks read an immutable :class:`MetricsSnapshot` instead of
+recomputing from reports.
 
 Design rules (all load-bearing for the test suite):
 
@@ -90,7 +90,7 @@ class Counter:
 
 
 class Gauge:
-    """A labelled value that can move both ways (e.g. cache occupancy)."""
+    """A labelled value that can move both ways (e.g. inflight ops)."""
 
     kind = "gauge"
 

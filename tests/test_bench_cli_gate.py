@@ -255,8 +255,7 @@ def test_cli_bench_gate_failure_exit_code(tmp_path, monkeypatch):
 
 @pytest.mark.slow
 @pytest.mark.skipif(
-    bool(os.environ.get("CYRUS_NO_NUMPY_ACCEL"))
-    or os.environ.get("CYRUS_CODEC") == "scalar",
+    bool(os.environ.get("CYRUS_NO_NUMPY_ACCEL")),
     reason="floors are for the vectorized path; scalar fallback is forced",
 )
 def test_real_quick_bench_meets_committed_floors(tmp_path):

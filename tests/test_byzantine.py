@@ -146,27 +146,3 @@ class TestByzantineReads:
                 "cyrus_corrupt_shares_total", "csp",
             )
             assert set(blamed) == {"csp0"}
-
-    def test_legacy_nodes_without_fingerprints_still_recover(self,
-                                                             tmp_path,
-                                                             fault_seed):
-        """A node written before fingerprints existed falls back to the
-        post-decode t-subset search — bit-exact, just without per-share
-        attribution."""
-        reader, data = _reader_world(tmp_path, fault_seed, ("csp0",))
-        # simulate a pre-fingerprint deployment: strip the digests from
-        # the reader's view of every chunk record
-        import dataclasses
-
-        reader.sync()
-        head = reader.tree.latest("big.bin")
-        stripped = dataclasses.replace(head, chunks=tuple(
-            dataclasses.replace(c, share_digests=())
-            for c in head.chunks
-        ))
-        reader.tree._nodes[stripped.node_id] = stripped  # same id: lineage
-        for chunk in stripped.chunks:
-            entry = reader.chunk_table._chunks.get(chunk.chunk_id)
-            if entry is not None:
-                entry["digests"] = ()
-        assert reader.get("big.bin", sync_first=False).data == data

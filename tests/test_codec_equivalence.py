@@ -662,29 +662,18 @@ def test_vector_rabin_full_fingerprints_match_reference():
 
 
 def test_default_backend_env(monkeypatch):
-    monkeypatch.delenv("CYRUS_CODEC", raising=False)
     monkeypatch.delenv("CYRUS_NO_NUMPY_ACCEL", raising=False)
     assert default_backend() == "vector"
-    monkeypatch.setenv("CYRUS_CODEC", "scalar")
-    assert default_backend() == "scalar"
-    monkeypatch.setenv("CYRUS_CODEC", "vector")
-    assert default_backend() == "vector"
-    monkeypatch.setenv("CYRUS_CODEC", "auto")
-    assert default_backend() == "vector"
-    # the no-accel alias wins over an explicit vector request
     monkeypatch.setenv("CYRUS_NO_NUMPY_ACCEL", "1")
     assert default_backend() == "scalar"
-    monkeypatch.delenv("CYRUS_NO_NUMPY_ACCEL")
-    monkeypatch.setenv("CYRUS_CODEC", "nonsense")
-    with pytest.raises(CodingError):
-        default_backend()
+    monkeypatch.setenv("CYRUS_NO_NUMPY_ACCEL", "0")
+    assert default_backend() == "vector"
 
 
 def test_codec_uses_env_backend(monkeypatch):
-    monkeypatch.delenv("CYRUS_NO_NUMPY_ACCEL", raising=False)
-    monkeypatch.setenv("CYRUS_CODEC", "scalar")
+    monkeypatch.setenv("CYRUS_NO_NUMPY_ACCEL", "1")
     assert RSCodec(2, 3).backend == "scalar"
-    monkeypatch.setenv("CYRUS_CODEC", "vector")
+    monkeypatch.delenv("CYRUS_NO_NUMPY_ACCEL")
     assert RSCodec(2, 3).backend == "vector"
 
 
@@ -692,9 +681,8 @@ def test_get_sharer_cache_tracks_backend(monkeypatch):
     from repro.core.uploader import get_sharer
 
     monkeypatch.delenv("CYRUS_NO_NUMPY_ACCEL", raising=False)
-    monkeypatch.setenv("CYRUS_CODEC", "vector")
     assert get_sharer("k", 2, 3).codec.backend == "vector"
-    monkeypatch.setenv("CYRUS_CODEC", "scalar")
+    monkeypatch.setenv("CYRUS_NO_NUMPY_ACCEL", "1")
     assert get_sharer("k", 2, 3).codec.backend == "scalar"
 
 

@@ -1,8 +1,7 @@
-"""Unit tests for maintenance: import, pruning, GC, and the chunk cache."""
+"""Unit tests for maintenance: import, pruning and GC."""
 
 import pytest
 
-from repro.core.cache import ChunkCache
 from repro.core.client import CyrusClient
 from repro.errors import CSPError, MetadataError
 from tests.conftest import deterministic_bytes
@@ -128,94 +127,3 @@ class TestGarbageCollection:
         report = client.collect_garbage()
         assert report.chunks_deleted == 0  # history still references them
         assert client.get("f.bin").data == data
-
-
-class TestChunkCache:
-    def test_lru_semantics(self):
-        cache = ChunkCache(capacity_bytes=100)
-        cache.put("a", b"x" * 40)
-        cache.put("b", b"y" * 40)
-        assert cache.get("a") == b"x" * 40  # refresh a
-        cache.put("c", b"z" * 40)  # evicts b (LRU)
-        assert cache.get("b") is None
-        assert cache.get("a") is not None
-        assert cache.get("c") is not None
-
-    def test_size_accounting(self):
-        cache = ChunkCache(capacity_bytes=1000)
-        cache.put("a", b"1" * 300)
-        cache.put("a", b"2" * 500)  # replace
-        assert cache.size_bytes == 500
-        assert len(cache) == 1
-
-    def test_oversized_entry_skipped(self):
-        cache = ChunkCache(capacity_bytes=10)
-        cache.put("big", b"x" * 100)
-        assert cache.get("big") is None
-
-    def test_zero_capacity_disables(self):
-        cache = ChunkCache(capacity_bytes=0)
-        cache.put("a", b"x")
-        assert cache.get("a") is None
-
-    def test_clear(self):
-        cache = ChunkCache()
-        cache.put("a", b"x")
-        cache.clear()
-        assert len(cache) == 0 and cache.size_bytes == 0
-
-    def test_negative_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            ChunkCache(capacity_bytes=-1)
-
-    def test_hit_miss_counters(self):
-        cache = ChunkCache()
-        cache.put("a", b"x")
-        cache.get("a")
-        cache.get("ghost")
-        assert cache.hits == 1 and cache.misses == 1
-
-
-class TestCachedDownloads:
-    def test_second_download_skips_network(self, csps, config):
-        cache = ChunkCache()
-        client = CyrusClient.create(csps, config, client_id="c",
-                                    cache=cache)
-        data = deterministic_bytes(10_000, 30)
-        client.put("f.bin", data)
-        first = client.get("f.bin")
-        assert first.data == data
-        second = client.get("f.bin")
-        assert second.data == data
-        assert second.bytes_downloaded == 0  # everything came from cache
-        assert not second.share_results
-
-    def test_cache_shared_across_versions(self, csps, config):
-        cache = ChunkCache()
-        client = CyrusClient.create(csps, config, client_id="c",
-                                    cache=cache)
-        v1 = deterministic_bytes(20_000, 31)
-        client.put("f.bin", v1)
-        client.get("f.bin")
-        v2 = v1[:10_000] + b"EDIT" + v1[10_000:]
-        client.put("f.bin", v2)
-        report = client.get("f.bin")
-        assert report.data == v2
-        # most chunks were already cached from v1
-        assert report.bytes_downloaded < len(v2) // 2
-
-    def test_cached_download_timed_as_instant(self, config):
-        from repro.bench import build_paper_testbed
-
-        env = build_paper_testbed()
-        cache = ChunkCache()
-        client = env.new_client(
-            config.with_params(chunk_min=32 * 1024, chunk_avg=128 * 1024,
-                               chunk_max=1024 * 1024),
-            cache=cache,
-        )
-        data = deterministic_bytes(2_000_000, 32)
-        client.put("f.bin", data)
-        cold = client.get("f.bin")
-        warm = client.get("f.bin")
-        assert warm.duration < cold.duration / 5

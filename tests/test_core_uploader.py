@@ -97,10 +97,9 @@ class TestDedup:
         shares_before = share_objects()
         client.put("two.bin", data)
         after = sum(c.stored_bytes for c in csps)
-        # only new metadata is stored for the duplicate file (the node
-        # carries n per-share fingerprints per chunk, so it outweighs a
-        # digest-less node); re-storing the chunk shares would have
-        # added >= size * n/t = 12000 bytes
+        # only new metadata is stored for the duplicate file (a node
+        # carrying n per-share fingerprints per chunk); re-storing the
+        # chunk shares would have added >= size * n/t = 12000 bytes
         assert after - before < 12000
         assert share_objects() == shares_before  # not one new share
 

@@ -2,6 +2,7 @@
 R-S goes beyond secret sharing: errors in fetched shares are survivable
 while a clean t-subset exists)."""
 
+import dataclasses
 import os
 
 import pytest
@@ -117,40 +118,106 @@ class TestDownloadRepair:
 
 
 class TestWrongLengthShare:
-    """A share one byte short fails the codec's length check, not the
-    chunk hash.  On a chunk recorded without share digests (the
-    pre-fingerprint record shape, still honoured) nothing catches it
-    before decode, so the downloader must repair it like any other
-    lying share rather than surface the ``CodingError``."""
+    """A share one byte short fails its recorded digest before decode,
+    so the downloader fails over to another holder and blames the
+    provider that served it, exactly as for a flipped byte."""
 
     DATA = deterministic_bytes(6000, 5)
 
     @pytest.fixture
-    def truncate(self, client, csps, monkeypatch):
-        from repro.core.uploader import _ChunkPlan
-
-        monkeypatch.setattr(_ChunkPlan, "share_digests",
-                            lambda self, key, obs=None: ())
+    def truncate(self, client, csps):
         node = client.put("f.bin", self.DATA).node
-        assert not node.chunks[0].share_digests
 
-        def cut(index: int) -> None:
+        def cut(index: int) -> tuple[str, str]:
             chunk_id = node.chunks[0].chunk_id
             share = next(s for s in node.shares_of(chunk_id)
                          if s.index == index)
             name = chunk_share_object_name(index, chunk_id)
             provider = next(c for c in csps if c.csp_id == share.csp_id)
             provider.upload(name, provider.download(name)[:-1])
+            return name, share.csp_id
 
         return cut
 
+    @staticmethod
+    def assert_attributed(client, report, name: str, csp: str) -> None:
+        blamed = client.obs.snapshot().counter_by(
+            "cyrus_corrupt_shares_total", "csp")
+        fetched = {r.op.name for r in report.share_results}
+        assert blamed == ({csp: 1} if name in fetched else {})
+
     @pytest.mark.parametrize("victim", [0, 1, 2])
     def test_get_repairs_a_truncated_share(self, client, truncate, victim):
-        truncate(victim)
-        assert client.get("f.bin").data == self.DATA
+        name, csp = truncate(victim)
+        report = client.get("f.bin")
+        assert report.data == self.DATA
+        self.assert_attributed(client, report, name, csp)
 
     @pytest.mark.parametrize("victim", [0, 1, 2])
     def test_range_read_repairs_a_truncated_share(self, client, truncate,
                                                   victim):
-        truncate(victim)
-        assert client.get_range("f.bin", 10, 100).data == self.DATA[10:110]
+        name, csp = truncate(victim)
+        report = client.get_range("f.bin", 10, 100)
+        assert report.data == self.DATA[10:110]
+        self.assert_attributed(client, report, name, csp)
+
+
+class TestRepairPastAWrongDigest:
+    """A node whose recorded digest vouches for a tampered share lets
+    the gather accept that share; only the chunk-id check after decode
+    catches it, and the t-subset repair must recover the chunk."""
+
+    DATA = deterministic_bytes(6000, 6)
+
+    @pytest.fixture
+    def lie(self, client, csps, monkeypatch):
+        node = client.put("f.bin", self.DATA).node
+        record = node.chunks[0]
+
+        def forge(read) -> str:
+            # tamper a share this kind of read is known to gather
+            fetched = {r.op.name for r in read().share_results}
+            victim = next(
+                s for s in node.shares_of(record.chunk_id)
+                if chunk_share_object_name(s.index, s.chunk_id) in fetched
+            )
+            name = chunk_share_object_name(victim.index, record.chunk_id)
+            provider = next(c for c in csps if c.csp_id == victim.csp_id)
+            blob = bytearray(provider.download(name))
+            blob[0] ^= 0xFF
+            provider.upload(name, bytes(blob))
+            digests = list(record.share_digests)
+            digests[victim.index] = sha1_hex(bytes(blob))
+            lying = dataclasses.replace(node, chunks=(
+                dataclasses.replace(record, share_digests=tuple(digests)),
+                *node.chunks[1:],
+            ))
+            monkeypatch.setattr(client.tree, "version_at_depth",
+                                lambda *_args, **_kw: lying)
+            return name
+
+        return forge
+
+    @staticmethod
+    def assert_repaired(client, read, lie, expected: bytes) -> None:
+        def repairs() -> float:
+            return client.obs.snapshot().counter_total(
+                "cyrus_chunk_repairs_total")
+
+        name = lie(read)
+        before = repairs()
+        report = read()
+        assert name in {r.op.name for r in report.share_results}
+        assert report.data == expected
+        assert repairs() == before + 1
+
+    def test_get_repairs_the_chunk(self, client, lie):
+        self.assert_repaired(
+            client, lambda: client.get("f.bin", sync_first=False), lie,
+            self.DATA)
+
+    def test_range_read_repairs_the_chunk(self, client, lie):
+        self.assert_repaired(
+            client,
+            lambda: client.get_range("f.bin", 10, 100, sync_first=False),
+            lie, self.DATA[10:110])

@@ -1,80 +1,17 @@
-"""Resilient provider layer: retry policy, breaker, registry, wrapper."""
+"""Failure-handling primitives: retry policy, breaker, health registry."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.csp.base import CloudProvider
-from repro.csp.memory import InMemoryCSP
 from repro.csp.resilient import (
     BreakerState,
     CircuitBreaker,
     HealthRegistry,
-    ResilientProvider,
     RetryPolicy,
-    wrap_resilient,
 )
-from repro.errors import (
-    CircuitOpenError,
-    CSPAuthError,
-    CSPQuotaExceededError,
-    CSPTimeoutError,
-    CSPUnavailableError,
-    ObjectNotFoundError,
-    is_retryable,
-)
+from repro.errors import CSPUnavailableError
 from repro.util.clock import SimClock
-
-
-class _FlakyCSP(CloudProvider):
-    """Fails the first ``fail_times`` calls of every op, then delegates."""
-
-    def __init__(self, csp_id: str, fail_times: int = 0,
-                 error: type = CSPUnavailableError):
-        super().__init__(csp_id)
-        self.inner = InMemoryCSP(csp_id)
-        self.fail_times = fail_times
-        self.error = error
-        self.calls = 0
-
-    def _maybe_fail(self):
-        self.calls += 1
-        if self.calls <= self.fail_times:
-            raise self.error(f"induced failure #{self.calls}",
-                             csp_id=self.csp_id)
-
-    def authenticate(self, credentials):
-        self._maybe_fail()
-        return self.inner.authenticate(credentials)
-
-    def list(self, *, prefix: str = ""):
-        self._maybe_fail()
-        return self.inner.list(prefix=prefix)
-
-    def upload(self, name, data):
-        self._maybe_fail()
-        self.inner.upload(name, data)
-
-    def download(self, name):
-        self._maybe_fail()
-        return self.inner.download(name)
-
-    def delete(self, name):
-        self._maybe_fail()
-        self.inner.delete(name)
-
-
-class _SlowCSP(_FlakyCSP):
-    """Every call takes ``op_seconds`` on the shared SimClock."""
-
-    def __init__(self, csp_id: str, clock: SimClock, op_seconds: float):
-        super().__init__(csp_id)
-        self.clock = clock
-        self.op_seconds = op_seconds
-
-    def _maybe_fail(self):
-        self.calls += 1
-        self.clock.advance(self.op_seconds)
 
 
 # ---------------------------------------------------------------------------
@@ -100,15 +37,6 @@ class TestRetryPolicy:
             raw = min(a.max_delay, 0.1 * a.multiplier ** (attempt - 1))
             assert raw * 0.75 <= a.delay(attempt) <= raw * 1.25
         assert any(a.delay(k) != c.delay(k) for k in range(1, 6))
-
-    def test_should_retry_classifies(self):
-        policy = RetryPolicy(max_attempts=3)
-        outage = CSPUnavailableError("down", csp_id="x")
-        auth = CSPAuthError("expired", csp_id="x")
-        assert policy.should_retry(outage, 1)
-        assert policy.should_retry(outage, 2)
-        assert not policy.should_retry(outage, 3)  # budget exhausted
-        assert not policy.should_retry(auth, 1)  # permanent
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -208,111 +136,3 @@ class TestHealthRegistry:
         assert (health.successes, health.failures) == (1, 1)
         assert health.last_error == "boom"
         assert set(reg.snapshot()) == {"a"}
-
-
-# ---------------------------------------------------------------------------
-# ResilientProvider
-
-
-class TestResilientProvider:
-    def test_transient_failures_retry_then_succeed(self):
-        clock = SimClock()
-        flaky = _FlakyCSP("c1", fail_times=2)
-        reg = HealthRegistry(clock=clock)
-        prov = ResilientProvider(
-            flaky, policy=RetryPolicy(max_attempts=3, jitter=0.0),
-            registry=reg, clock=clock,
-        )
-        prov.upload("obj", b"payload")
-        assert flaky.calls == 3  # two failures + one success
-        assert prov.download("obj") == b"payload"
-        assert clock.now() > 0  # backoff advanced the sim clock
-        assert reg.health_of("c1").state is BreakerState.CLOSED
-
-    def test_budget_exhaustion_raises_last_error(self):
-        flaky = _FlakyCSP("c1", fail_times=99)
-        prov = ResilientProvider(
-            flaky, policy=RetryPolicy(max_attempts=2, jitter=0.0,
-                                      base_delay=0.0),
-            clock=SimClock(),
-        )
-        with pytest.raises(CSPUnavailableError):
-            prov.download("obj")
-        assert flaky.calls == 2
-
-    def test_permanent_errors_do_not_retry_and_count_as_up(self):
-        flaky = _FlakyCSP("c1", fail_times=99, error=CSPAuthError)
-        reg = HealthRegistry(clock=SimClock(), failure_threshold=1)
-        prov = ResilientProvider(flaky, registry=reg, clock=SimClock())
-        with pytest.raises(CSPAuthError):
-            prov.list()
-        assert flaky.calls == 1  # no retry
-        # the provider answered: an auth refusal is not a health failure
-        assert reg.is_live("c1")
-        flaky2 = _FlakyCSP("c2", fail_times=99, error=CSPQuotaExceededError)
-        prov2 = ResilientProvider(flaky2, registry=reg, clock=SimClock())
-        with pytest.raises(CSPQuotaExceededError):
-            prov2.upload("o", b"x")
-        assert flaky2.calls == 1
-
-    def test_missing_object_is_immediate(self):
-        prov = ResilientProvider(InMemoryCSP("c1"), clock=SimClock())
-        with pytest.raises(ObjectNotFoundError):
-            prov.download("nope")
-
-    def test_breaker_fails_fast_without_touching_provider(self):
-        clock = SimClock()
-        flaky = _FlakyCSP("dead", fail_times=10**6)
-        reg = HealthRegistry(clock=clock, failure_threshold=3,
-                             reset_timeout=60.0)
-        prov = ResilientProvider(
-            flaky, policy=RetryPolicy(max_attempts=1),
-            registry=reg, clock=clock,
-        )
-        for _ in range(3):
-            with pytest.raises(CSPUnavailableError):
-                prov.download("obj")
-        assert flaky.calls == 3
-        with pytest.raises(CircuitOpenError) as ei:
-            prov.download("obj")
-        assert flaky.calls == 3  # not dispatched
-        assert not is_retryable(ei.value)
-        clock.advance(60.0)
-        with pytest.raises(CSPUnavailableError):
-            prov.download("obj")  # the half-open probe
-        assert flaky.calls == 4
-        with pytest.raises(CircuitOpenError):
-            prov.download("obj")  # failed probe re-opened the circuit
-        assert flaky.calls == 4
-
-    def test_deadline_detects_stalls(self):
-        clock = SimClock()
-        slow = _SlowCSP("c1", clock, op_seconds=5.0)
-        reg = HealthRegistry(clock=clock)
-        prov = ResilientProvider(
-            slow, policy=RetryPolicy(max_attempts=2, jitter=0.0),
-            registry=reg, deadline_s=1.0, clock=clock,
-        )
-        slow.inner.upload("obj", b"x")
-        with pytest.raises(CSPTimeoutError):
-            prov.download("obj")
-        assert slow.calls == 2  # a timeout is transient: one retry
-        assert reg.health_of("c1").failures == 2
-
-    def test_deadline_passes_fast_ops(self):
-        clock = SimClock()
-        slow = _SlowCSP("c1", clock, op_seconds=0.1)
-        prov = ResilientProvider(slow, deadline_s=1.0, clock=clock)
-        prov.upload("obj", b"x")
-        assert prov.download("obj") == b"x"
-
-    def test_wrap_resilient_shares_registry(self):
-        clock = SimClock()
-        fleet = wrap_resilient(
-            [InMemoryCSP("a"), InMemoryCSP("b")],
-            registry=HealthRegistry(clock=clock), clock=clock,
-        )
-        assert [p.csp_id for p in fleet] == ["a", "b"]
-        assert fleet[0].registry is fleet[1].registry
-        fleet[0].upload("o", b"1")
-        assert fleet[0].registry.health_of("a").successes == 1

@@ -10,7 +10,6 @@ from repro.depsky.locks import LockProtocol
 from repro.core.transfer import DirectEngine
 from repro.csp import InMemoryCSP
 from repro.errors import ConflictError, ObjectNotFoundError, TransferError
-from repro.util.clock import SimClock
 
 
 def direct_engine(count=4):
@@ -46,6 +45,13 @@ class TestLockProtocol:
         other.release("obj", "w-other")
         mine = LockProtocol(engine, ids, backoff_range=(0.0, 0.0))
         mine.acquire("obj", "w-mine")  # must not raise
+
+    def test_lock_payload_is_writer_id_padded(self):
+        engine, ids = direct_engine()
+        LockProtocol(engine, ids, backoff_range=(0.0, 0.0)).acquire("obj", "w1")
+        for csp in ids:
+            blob = engine.provider(csp).download("ds-lock-obj-w1")
+            assert blob == b"w1".ljust(64, b"\0")
 
     def test_locks_are_per_object(self):
         engine, ids = direct_engine()
@@ -126,75 +132,3 @@ class TestDepSkyBehaviour:
         for info in list(provider.list(prefix="ds-share-")):
             provider.delete(info.name)
         assert ds.download("f").data == data
-
-
-def sim_engine(count=4):
-    """A DirectEngine on a controllable clock, for lease-expiry tests."""
-    clock = SimClock()
-    providers = {f"c{i}": InMemoryCSP(f"c{i}") for i in range(count)}
-    return DirectEngine(providers, clock=clock), sorted(providers), clock
-
-
-class TestLockLeases:
-    """Locks carry leases: a crashed writer's lock expires and is swept
-    by the next acquirer instead of blocking writes forever."""
-
-    def test_crashed_writer_lock_swept_after_ttl(self):
-        engine, ids, clock = sim_engine()
-        dead = LockProtocol(engine, ids, backoff_range=(0.0, 0.0),
-                            lease_ttl=30.0)
-        dead.acquire("obj", "w-dead")
-        # the holder dies without release; its lease runs out
-        clock.advance(31.0)
-        live = LockProtocol(engine, ids, backoff_range=(0.0, 0.0),
-                            lease_ttl=30.0)
-        live.acquire("obj", "w-live")  # must not raise
-        assert live.leases_swept == 1
-        # the dead writer's lock objects are gone at every CSP
-        for csp in ids:
-            names = [info.name
-                     for info in engine.provider(csp).list(prefix="ds-lock-obj-")]
-            assert names == ["ds-lock-obj-w-live"]
-
-    def test_unexpired_lease_still_contends(self):
-        engine, ids, clock = sim_engine()
-        other = LockProtocol(engine, ids, backoff_range=(0.0, 0.0),
-                             lease_ttl=30.0)
-        other.acquire("obj", "w-other")
-        clock.advance(29.0)  # inside the lease
-        mine = LockProtocol(engine, ids, backoff_range=(0.0, 0.0),
-                            max_attempts=2, lease_ttl=30.0)
-        with pytest.raises(ConflictError):
-            mine.acquire("obj", "w-mine")
-        assert mine.leases_swept == 0
-        # the live holder's locks survived the contender
-        for csp in ids:
-            names = {info.name
-                     for info in engine.provider(csp).list(prefix="ds-lock-obj-")}
-            assert "ds-lock-obj-w-other" in names
-
-    def test_legacy_bare_lock_is_never_stolen(self):
-        engine, ids, clock = sim_engine()
-        # a pre-lease lock object: the payload is just the writer id,
-        # so there is no expiry to prove stale — treated as live forever
-        for csp in ids:
-            engine.provider(csp).upload("ds-lock-obj-w-old", b"w-old")
-        clock.advance(10_000.0)
-        mine = LockProtocol(engine, ids, backoff_range=(0.0, 0.0),
-                            max_attempts=2, lease_ttl=30.0)
-        with pytest.raises(ConflictError):
-            mine.acquire("obj", "w-mine")
-        assert mine.leases_swept == 0
-
-    def test_depsky_upload_recovers_from_crashed_writer(self):
-        engine, ids, clock = sim_engine()
-        dead = LockProtocol(engine, ids, backoff_range=(0.0, 0.0),
-                            lease_ttl=30.0)
-        dead.acquire("file", "w-dead")
-        clock.advance(40.0)
-        ds = DepSkyClient(engine, ids, key="k", t=2, n=3,
-                          backoff_range=(0.0, 0.0), lease_ttl=30.0)
-        data = os.urandom(10_000)
-        ds.upload("file", data)  # sweeps the stale lock, then writes
-        assert ds.locks.leases_swept == 1
-        assert ds.download("file").data == data

@@ -15,12 +15,13 @@ breaker timeouts advance simulated time — the suite never really sleeps.
 
 from __future__ import annotations
 
-from repro.core.cache import ChunkCache
+import pytest
+
 from repro.core.client import CyrusClient
 from repro.core.config import CyrusConfig
 from repro.core.transfer import DirectEngine, OpKind, TransferOp
 from repro.csp.memory import InMemoryCSP
-from repro.errors import CSPError
+from repro.errors import CSPError, InsufficientSharesError
 from repro.csp.resilient import BreakerState, HealthRegistry
 from repro.faults import FaultKind, FaultPlan, FaultSpec, FaultyProvider
 from repro.util.clock import SimClock
@@ -71,7 +72,6 @@ def _run_scenario(seed: int):
         stored[name] = data
         got = client.get(name)
         assert got.data == data, f"cycle {cycle}: fresh read lost data"
-        assert not got.degraded
         # and one older file per cycle, to cross fault windows
         old = f"file-{cycle // 2}.bin"
         assert client.get(old).data == stored[old], (
@@ -138,10 +138,10 @@ class TestChaos:
         assert [r.error_type for r in results].count("CircuitOpenError") == 3
         assert health.health_of("dead").state is BreakerState.OPEN
 
-    def test_degraded_read_serves_cache_during_total_outage(self):
-        # every provider goes dark after op 30; a file read (and thus
-        # cached) before the outage stays readable — marked degraded,
-        # because the failed sync could not confirm the version fresh
+    def test_get_during_total_outage_raises_after_probe(self):
+        # every provider goes dark after op 30: the pre-read sync fails
+        # soft, the download fails, one re-probe recovers nothing, and
+        # the download's error surfaces
         plan = FaultPlan(
             [FaultSpec(kind=FaultKind.OUTAGE, window_ops=(30, 10**9))],
             seed=3,
@@ -150,24 +150,23 @@ class TestChaos:
             FaultyProvider(InMemoryCSP(f"csp{i}"), plan) for i in range(3)
         ]
         config = CyrusConfig(key="deg-key", t=2, n=3, **SMALL_CHUNKS)
-        client = CyrusClient.create(
-            providers, config, client_id="alice", cache=ChunkCache()
-        )
+        client = CyrusClient.create(providers, config, client_id="alice")
         data = deterministic_bytes(2000, seed=9)
         client.put("warm.bin", data)
-        fresh = client.get("warm.bin")  # warms the chunk cache
-        assert fresh.data == data and not fresh.degraded
+        assert client.get("warm.bin").data == data
         for prov in providers:  # burn ops into the outage window
             while sum(prov.op_counts.values()) < 30:
                 try:
                     prov.list()
                 except CSPError:
                     pass
-        degraded = client.get("warm.bin")
-        assert degraded.data == data
-        assert degraded.degraded
-        assert degraded.bytes_downloaded == 0
-        assert any(e.kind == "degraded_read" for e in client.health_events)
+        probes = []
+        probe = client.probe_failed_csps
+        client.probe_failed_csps = lambda: probes.append(probe()) or probes[-1]
+        with pytest.raises(InsufficientSharesError):
+            client.get("warm.bin")
+        assert probes == [[]]
+        assert any(e.kind == "sync_degraded" for e in client.health_events)
 
     def test_breaker_events_surface_to_the_client(self, fault_seed):
         logs, providers, _client = _run_scenario(seed=fault_seed)

@@ -35,6 +35,7 @@ from tests.conftest import deterministic_bytes
 # -- MetadataTree ------------------------------------------------------------
 
 NAMES = ("a", "b", "c")
+DIGESTS = tuple(sha1_hex(b"share%d" % i) for i in range(3))
 
 
 def _node(tag: int, prev: str, name: str, modified: float, deleted: bool):
@@ -42,7 +43,8 @@ def _node(tag: int, prev: str, name: str, modified: float, deleted: bool):
     return MetadataNode(
         file_id=sha1_hex(b"file%d" % tag), prev_id=prev, client_id="c1",
         name=name, deleted=deleted, modified=modified, size=5,
-        chunks=(ChunkRecord(chunk_id=chunk_id, offset=0, size=5, t=2, n=3),),
+        chunks=(ChunkRecord(chunk_id=chunk_id, offset=0, size=5, t=2, n=3,
+                            share_digests=DIGESTS),),
         shares=(ShareRecord(chunk_id=chunk_id, index=0, csp_id="p0"),),
     )
 

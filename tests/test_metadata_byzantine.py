@@ -6,7 +6,7 @@ forge (self-consistent envelopes around wrong share bytes), that serve
 stale slots left by an interrupted publish, or that are simply down.
 These tests cover the whole stack:
 
-* the authenticated v2 share envelope and its legacy v1 fallback,
+* the authenticated v2 share envelope, the only frame a reader accepts,
 * :class:`MetadataStore`'s verified quorum fetch — all m slots probed,
   corrupt shares attributed to their CSP, the freshest verified publish
   generation preferred, damage recorded as ``meta`` repair debts,
@@ -88,13 +88,12 @@ def _rot(provider, name: str) -> None:
 
 
 class TestEnvelope:
-    """The authenticated v2 frame and its legacy v1 fallback."""
+    """The authenticated v2 frame; anything else fails closed."""
 
     def test_v2_roundtrip(self):
         digest = sha1_hex(b"the node plaintext")
         blob = pack_meta_share(b"share-bytes", 77, digest, stamp=12345)
         frame = unpack_meta_share(blob)
-        assert frame.authenticated
         assert frame.payload == b"share-bytes"
         assert frame.chunk_size == 77
         assert frame.stamp == 12345
@@ -108,39 +107,18 @@ class TestEnvelope:
         )
         blob[-1] ^= 0xFF
         frame = unpack_meta_share(bytes(blob))
-        assert frame.authenticated
         assert not frame.payload_intact()
 
-    def test_legacy_v1_parses_unauthenticated(self):
-        # the pre-envelope framing: bare chunk-size header + payload
-        blob = (512).to_bytes(8, "big") + b"legacy-payload"
-        frame = unpack_meta_share(blob)
-        assert not frame.authenticated
-        assert frame.share_digest is None
-        assert frame.payload == b"legacy-payload"
-        assert frame.chunk_size == 512
-        assert frame.payload_intact()  # nothing to check against
-
-    def test_store_legacy_pack_is_v1(self, tmp_path):
-        store, _providers, _h, _m, _l = _store_world(tmp_path)
-        _provider, _name, share = store.shares_for(_node())[0]
-        frame = unpack_meta_share(MetadataStore._pack(share))
-        assert not frame.authenticated
-        assert frame.payload == share.data
-        assert frame.chunk_size == share.chunk_size
+    def test_bare_frame_rejected(self):
+        # an 8-byte chunk-size header + payload, no envelope
+        with pytest.raises(MetadataError):
+            unpack_meta_share((512).to_bytes(8, "big") + b"bare-payload")
 
     def test_garbage_and_truncation_rejected(self):
         with pytest.raises(MetadataError):
             unpack_meta_share(b"short")
         with pytest.raises(MetadataError):
             unpack_meta_share(FRAME_MAGIC + b"\x00" * 8)  # truncated v2
-
-    def test_frame_versions_cannot_collide(self, tmp_path):
-        # a v1 frame of any real node opens with zero bytes (the 8-byte
-        # big-endian chunk size), never with the v2 magic
-        store, _providers, _h, _m, _l = _store_world(tmp_path)
-        _provider, _name, share = store.shares_for(_node())[0]
-        assert MetadataStore._pack(share)[:4] != FRAME_MAGIC
 
 
 class TestVerifiedFetch:
@@ -164,6 +142,27 @@ class TestVerifiedFetch:
         assert entry is not None
         assert 0 in entry.missing
         assert "csp0" in entry.failed_csps
+
+    def test_bare_frame_slot_is_attributed(self, tmp_path):
+        # a slot overwritten with the share bytes minus their envelope
+        # is unauthenticated, so it is rejected and blamed like garbage
+        store, providers, health, metrics, ledger = _store_world(tmp_path)
+        node = _node()
+        store.publish(node)
+        name0 = metadata_share_name(node.node_id, 0)
+        honest = unpack_meta_share(providers[0].download(name0))
+        providers[0].upload(
+            name0, honest.chunk_size.to_bytes(8, "big") + honest.payload,
+        )
+
+        got = store.fetch(node.node_id)
+        assert encode_node(got) == encode_node(node)
+        assert metrics.snapshot().counter_total(
+            META_CORRUPT_SHARES, csp="csp0") == 1
+        assert health.corruption_count("csp1") == 0
+        entry = ledger.debt_for(node.node_id, kind="meta")
+        assert entry is not None
+        assert 0 in entry.missing and "csp0" in entry.failed_csps
 
     def test_missing_slot_records_debt_without_blame(self, tmp_path):
         store, providers, health, metrics, ledger = _store_world(tmp_path)

@@ -12,6 +12,7 @@ from repro.metadata import (
     metadata_share_name,
     parse_metadata_share_name,
 )
+from repro.util.serialization import canonical_dumps, canonical_loads
 from tests.test_metadata_tree import mk
 
 
@@ -34,6 +35,25 @@ class TestCodec:
         blob = encode_node(mk("f", "v1")).replace(b'"v":1', b'"v":99')
         with pytest.raises(MetadataError):
             decode_node(blob)
+
+    def test_five_column_row_rejected(self):
+        doc = canonical_loads(encode_node(mk("f", "v1")))
+        doc["chunkMap"][0] = doc["chunkMap"][0][:5]
+        with pytest.raises(MetadataError):
+            decode_node(canonical_dumps(doc))
+
+    def test_digest_count_must_match_n(self):
+        doc = canonical_loads(encode_node(mk("f", "v1")))
+        for digests in ([], doc["chunkMap"][0][5][:-1]):
+            doc["chunkMap"][0][5] = digests
+            with pytest.raises(MetadataError):
+                decode_node(canonical_dumps(doc))
+
+    def test_share_index_beyond_n_rejected(self):
+        doc = canonical_loads(encode_node(mk("f", "v1")))
+        doc["shareMap"][0][1] = doc["chunkMap"][0][4]  # index == n
+        with pytest.raises(MetadataError, match="out of range"):
+            decode_node(canonical_dumps(doc))
 
     def test_share_names(self):
         node = mk("f", "v1")
@@ -99,9 +119,8 @@ class TestStore:
         # fewer than t shares visible => node not listed (mid-upload)
         store, providers = self.make(m=4, t=3)
         node = mk("f", "v1")
-        trio = store.shares_for(node)
-        provider, name, share = trio[0]
-        provider.upload(name, MetadataStore._pack(share))
+        provider, name, blob, _index = store.frames_for(node)[0]
+        provider.upload(name, blob)
         assert store.list_node_ids() == set()
 
     def test_fetch_all(self):

@@ -7,6 +7,7 @@ from repro.util.hashing import sha1_hex
 
 FID = sha1_hex(b"content-v1")
 CID = sha1_hex(b"chunk-1")
+DIGESTS = tuple(sha1_hex(b"share%d" % i) for i in range(3))
 
 
 def node(**overrides):
@@ -18,7 +19,8 @@ def node(**overrides):
         deleted=False,
         modified=1.0,
         size=10,
-        chunks=(ChunkRecord(chunk_id=CID, offset=0, size=10, t=2, n=3),),
+        chunks=(ChunkRecord(chunk_id=CID, offset=0, size=10, t=2, n=3,
+                            share_digests=DIGESTS),),
         shares=tuple(
             ShareRecord(chunk_id=CID, index=i, csp_id=f"csp{i}")
             for i in range(3)
@@ -72,11 +74,26 @@ class TestValidation:
             node(shares=(ShareRecord(chunk_id=sha1_hex(b"other"), index=0,
                                      csp_id="c"),))
 
+    def test_share_index_must_be_below_n(self):
+        node(shares=(ShareRecord(chunk_id=CID, index=2, csp_id="c"),))
+        with pytest.raises(ValueError, match="out of range"):
+            node(shares=(ShareRecord(chunk_id=CID, index=3, csp_id="c"),))
+
     def test_chunk_record_validation(self):
         with pytest.raises(ValueError):
-            ChunkRecord(chunk_id=CID, offset=-1, size=1, t=2, n=3)
+            ChunkRecord(chunk_id=CID, offset=-1, size=1, t=2, n=3,
+                        share_digests=DIGESTS)
         with pytest.raises(ValueError):
-            ChunkRecord(chunk_id=CID, offset=0, size=1, t=4, n=3)
+            ChunkRecord(chunk_id=CID, offset=0, size=1, t=4, n=3,
+                        share_digests=DIGESTS)
+
+    def test_chunk_record_needs_n_digests(self):
+        with pytest.raises(TypeError):
+            ChunkRecord(chunk_id=CID, offset=0, size=1, t=2, n=3)
+        for digests in ((), DIGESTS[:2], DIGESTS + DIGESTS[:1]):
+            with pytest.raises(ValueError):
+                ChunkRecord(chunk_id=CID, offset=0, size=1, t=2, n=3,
+                            share_digests=digests)
 
     def test_share_record_validation(self):
         with pytest.raises(ValueError):

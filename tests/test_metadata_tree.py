@@ -6,6 +6,9 @@ from repro.errors import MetadataError
 from repro.metadata import ChunkRecord, MetadataNode, MetadataTree, ROOT_ID, ShareRecord
 from repro.util.hashing import sha1_hex
 
+#: One share digest per index at n=3 (no test here fetches a share).
+DIGESTS = tuple(sha1_hex(b"share%d" % i) for i in range(3))
+
 
 def mk(name, tag, prev=ROOT_ID, client="c1", modified=1.0, deleted=False):
     cid = sha1_hex(b"chunk" + tag.encode())
@@ -17,7 +20,8 @@ def mk(name, tag, prev=ROOT_ID, client="c1", modified=1.0, deleted=False):
         deleted=deleted,
         modified=modified,
         size=5,
-        chunks=(ChunkRecord(chunk_id=cid, offset=0, size=5, t=2, n=3),),
+        chunks=(ChunkRecord(chunk_id=cid, offset=0, size=5, t=2, n=3,
+                            share_digests=DIGESTS),),
         shares=(ShareRecord(chunk_id=cid, index=0, csp_id="a"),
                 ShareRecord(chunk_id=cid, index=1, csp_id="b"),),
     )

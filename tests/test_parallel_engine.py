@@ -509,24 +509,3 @@ def test_retry_backoff_uses_injected_clock_not_wall_clock():
     assert [a.ok for a in attempts["s0"]] == [False, False, True]
     assert fake.slept == [policy.delay(1), policy.delay(2)]
     assert elapsed < 5.0  # no real 10s/20s sleeps happened
-
-
-def test_resilient_provider_backoff_uses_injected_clock():
-    from repro.csp.resilient import ResilientProvider
-
-    calls = {"n": 0}
-
-    class Flaky(GateProvider):
-        def upload(self, name: str, data: bytes) -> None:
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise CSPUnavailableError("blip", csp_id=self.csp_id)
-            super().upload(name, data)
-
-    fake = FakeClock()
-    policy = RetryPolicy(max_attempts=2, base_delay=10.0, jitter=0.0)
-    wrapped = ResilientProvider(Flaky("f"), clock=fake, policy=policy)
-    t0 = time.monotonic()
-    wrapped.upload("obj", b"data")
-    assert time.monotonic() - t0 < 5.0
-    assert fake.slept == [policy.delay(1)]  # capped by max_delay, no real sleep

@@ -2,8 +2,6 @@
 
 import pytest
 
-from repro.core.cache import ChunkCache
-from repro.core.client import CyrusClient
 from tests.conftest import deterministic_bytes
 
 
@@ -57,17 +55,6 @@ class TestGetRange:
         length = second.size + 20
         report = client.get_range("f.bin", offset, length)
         assert report.data == data[offset : offset + length]
-
-    def test_range_uses_cache(self, csps, config):
-        cache = ChunkCache()
-        client = CyrusClient.create(csps, config, client_id="c",
-                                    cache=cache)
-        data = deterministic_bytes(20_000, 9)
-        client.put("f.bin", data)
-        client.get("f.bin")  # warm the cache
-        report = client.get_range("f.bin", 5_000, 1_000)
-        assert report.data == data[5_000:6_000]
-        assert report.bytes_downloaded == 0  # all from cache
 
     def test_corrupt_chunk_repaired_in_range(self, client, csps):
         from repro.core.naming import chunk_share_object_name
