@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.chunking import ContentDefinedChunker
+from repro.core.chunkcache import ChunkCache
 from repro.core.cloud import CyrusCloud
 from repro.core.config import CyrusConfig
 from repro.core.downloader import Downloader, DownloadReport
@@ -150,6 +151,9 @@ class CyrusClient:
         self._retry_policy = retry_policy
         self.health_events: list[HealthEvent] = []
         self.health.subscribe(self.health_events.append)
+        # the device's verified-chunk cache outlives the pipelines that
+        # recover() and CSP membership changes rebuild
+        self.chunk_cache = ChunkCache(metrics=obs.metrics)
         # built after health/obs/ledger so the metadata plane shares the
         # data path's quarantine rules and debt ledger
         self._rebuild_store()
@@ -209,11 +213,13 @@ class CyrusClient:
             engine=self.engine, chunker=self._chunker,
             policy=self._retry_policy, health=self.health,
             journal=self.journal, ledger=self.debt_ledger,
+            cache=self.chunk_cache,
         )
         self.downloader = Downloader(
             cloud=self.cloud, tree=self.tree, chunk_table=self.chunk_table,
             config=self.config, engine=self.engine, selector=self._selector,
             policy=self._retry_policy, health=self.health,
+            cache=self.chunk_cache,
         )
         self.downloader.journal = self.journal
         self.downloader.ledger = self.debt_ledger
@@ -302,27 +308,57 @@ class CyrusClient:
         beyond repair) re-probes the failed providers and, when any
         recovered, retries once; otherwise the original error is raised.
         """
+        return self._read(self.downloader.download, name, version,
+                          sync_first)
+
+    def get_range(
+        self, name: str, offset: int, length: int,
+        version: int = 0, sync_first: bool = True,
+    ) -> DownloadReport:
+        """Download only ``[offset, offset + length)`` of a file.
+
+        Touches only the chunks overlapping the window — cheap random
+        access into large files (previews, seeks, partial restores).
+        Resolves the version, syncs and retries exactly as :meth:`get`.
+        """
+        return self._read(
+            lambda node: self.downloader.download_range(node, offset, length),
+            name, version, sync_first,
+        )
+
+    def _read(self, download, name: str, version: int,
+              sync_first: bool) -> DownloadReport:
+        """The one read path of :meth:`get` and :meth:`get_range`."""
         if sync_first:
             self._sync_for_read()
-        node = self.tree.version_at_depth(name, version)
-        if node.deleted:
-            # the paper lets clients recover deleted files by locating
-            # their metadata; get() of a tombstone resolves to the last
-            # live version when one exists
-            chain = self.tree.history(node.node_id)
-            live = next((n for n in chain if not n.deleted), None)
-            if live is None:
-                raise MetadataError(f"{name!r} has no non-deleted version")
-            node = live
+        node = self._resolve(name, version)
         try:
-            return self.downloader.download(node)
+            return download(node)
         except (InsufficientSharesError, TransferError, ShareIntegrityError):
             # a transient streak can sideline a provider that is in
             # fact up; re-probe, and retry the download once when
             # anything recovered
             if not self.probe_failed_csps():
                 raise
-        return self.downloader.download(node)
+        return download(node)
+
+    def _resolve(self, name: str, version: int) -> MetadataNode:
+        """The node a read of ``name`` at ``version`` returns.
+
+        The paper lets clients recover deleted files by locating their
+        metadata, so a tombstone resolves to the last live version when
+        one exists.
+        """
+        node = self.tree.version_at_depth(name, version)
+        if not node.deleted:
+            return node
+        live = next(
+            (n for n in self.tree.history(node.node_id) if not n.deleted),
+            None,
+        )
+        if live is None:
+            raise MetadataError(f"{name!r} has no non-deleted version")
+        return live
 
     def _sync_for_read(self) -> None:
         """Best-effort sync before a read; reads outlive metadata loss."""
@@ -337,20 +373,6 @@ class CyrusClient:
     def get_node(self, node: MetadataNode) -> DownloadReport:
         """Download a specific version node (used for history browsing)."""
         return self.downloader.download(node)
-
-    def get_range(
-        self, name: str, offset: int, length: int,
-        version: int = 0, sync_first: bool = True,
-    ) -> DownloadReport:
-        """Download only ``[offset, offset + length)`` of a file.
-
-        Touches only the chunks overlapping the window — cheap random
-        access into large files (previews, seeks, partial restores).
-        """
-        if sync_first:
-            self.sync()
-        node = self.tree.version_at_depth(name, version)
-        return self.downloader.download_range(node, offset, length)
 
     def delete(self, name: str, sync_first: bool = True) -> UploadReport:
         """Tombstone a file (metadata marked deleted; shares kept)."""

@@ -9,6 +9,12 @@ shares through the shared :class:`repro.core.retry.ShareRetryLoop`
 chunk's remaining CSPs), decode, assemble, verify content hash, check
 for conflicts (Section 5.4), and lazily migrate shares stranded on
 removed/failed CSPs (Section 5.5, Figure 9).
+
+Chunks found in the client's :class:`repro.core.chunkcache.ChunkCache`
+skip selection, gather and decode; every other step, the placement
+check and the whole-file hash included, still covers them.  Their
+shares are not read, so a lost or corrupt share of a cached chunk is
+found by scrub, not by a get.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from repro.core.chunkcache import ChunkCache
 from repro.core.cloud import CSPStatus, CyrusCloud
 from repro.core.config import CyrusConfig
 from repro.core.migration import ShareMigration, migrate_chunk_shares
@@ -102,6 +109,8 @@ class Downloader:
         lazy_migration: bool = True,
         policy: RetryPolicy | None = None,
         health: HealthRegistry | None = None,
+        *,
+        cache: ChunkCache,
     ):
         self.cloud = cloud
         self.tree = tree
@@ -121,6 +130,8 @@ class Downloader:
         # set by the client so corrupt shares become repair debts
         # (optional repro.redundancy.DebtLedger)
         self.ledger = None
+        # the client's chunk cache, read only: a get admits nothing
+        self.cache = cache
 
     # ------------------------------------------------------------------
 
@@ -135,12 +146,8 @@ class Downloader:
         obs = getattr(self.engine, "obs", None)
         with span_if(obs, "download", file=node.name, size=node.size):
             states = self._chunk_states(node)
-            with span_if(obs, "select", chunks=len(states)):
-                plans = self._select(states) if states else []
-            with span_if(obs, "gather"):
-                share_results = self._gather(states, plans)
-            with span_if(obs, "decode"):
-                data = self._assemble(node, states)
+            plans, share_results = self._read_chunks(states)
+            data = self._assemble(node, states)
             if sha1_hex(data) != node.file_id:
                 raise ShareIntegrityError(
                     f"reconstructed {node.name!r} does not match its content id"
@@ -205,20 +212,15 @@ class Downloader:
         with span_if(obs, "download", file=node.name, size=node.size,
                      offset=offset, length=length):
             states = self._chunk_states(window_node)
-            with span_if(obs, "select", chunks=len(states)):
-                plans = self._select(states) if states else []
-            with span_if(obs, "gather"):
-                share_results = self._gather(states, plans)
-            with span_if(obs, "decode"):
-                # assemble only the window: chunks verify individually by id
-                decoded = self._decode_chunks(states)
-                window = bytearray(end - offset if end > offset else 0)
-                for record in needed:
-                    blob = decoded[record.chunk_id]
-                    src_lo = max(0, offset - record.offset)
-                    src_hi = min(record.size, end - record.offset)
-                    dst = record.offset + src_lo - offset
-                    window[dst : dst + (src_hi - src_lo)] = blob[src_lo:src_hi]
+            plans, share_results = self._read_chunks(states)
+            # assemble only the window: chunks verify individually by id
+            window = bytearray(end - offset if end > offset else 0)
+            for record in needed:
+                blob = states[record.chunk_id].decoded
+                src_lo = max(0, offset - record.offset)
+                src_hi = min(record.size, end - record.offset)
+                dst = record.offset + src_lo - offset
+                window[dst : dst + (src_hi - src_lo)] = blob[src_lo:src_hi]
         finished = self.engine.clock.now()
         return DownloadReport(
             data=bytes(window),
@@ -235,6 +237,21 @@ class Downloader:
         )
 
     # ------------------------------------------------------------------
+
+    def _read_chunks(
+        self, states: dict[str, _ChunkState]
+    ) -> tuple[list[SelectionPlan], list[OpResult]]:
+        """Give every state its plaintext: cache hits as they are, every
+        other chunk selected, gathered, verified and decoded."""
+        obs = getattr(self.engine, "obs", None)
+        fetch = self._uncached(states)
+        with span_if(obs, "select", chunks=len(fetch)):
+            plans = self._select(fetch) if fetch else []
+        with span_if(obs, "gather"):
+            share_results = self._gather(fetch, plans)
+        with span_if(obs, "decode"):
+            self._decode_chunks(fetch)
+        return plans, share_results
 
     def _chunk_states(self, node: MetadataNode) -> dict[str, _ChunkState]:
         """Unique chunks with their usable share placements.
@@ -450,16 +467,15 @@ class Downloader:
     def _assemble(
         self, node: MetadataNode, states: dict[str, _ChunkState]
     ) -> bytes:
-        """Decode each unique chunk once and join them in ChunkMap order.
+        """Join the decoded (or cached) chunks in ChunkMap order.
 
         The records must tile ``[0, node.size)`` in order (the uploader
         writes them that way), so the file is built with one copy.
         """
-        decoded = self._decode_chunks(states)
         parts: list[bytes] = []
         covered = 0
         for record in node.chunks:
-            blob = decoded[record.chunk_id]
+            blob = states[record.chunk_id].decoded
             if len(blob) != record.size:
                 raise ShareIntegrityError(
                     f"chunk {record.chunk_id[:8]} decoded to {len(blob)} "
@@ -478,12 +494,18 @@ class Downloader:
             )
         return b"".join(parts)
 
-    def _decode_chunks(
+    def _uncached(
         self, states: dict[str, _ChunkState]
-    ) -> dict[str, bytes]:
-        """Plaintext per chunk id: every fetched chunk decoded once,
+    ) -> dict[str, _ChunkState]:
+        """The chunks left to fetch once cache hits hold their plaintext."""
+        hits = self.cache.lookup(states)
+        for chunk_id, blob in hits.items():
+            states[chunk_id].decoded = blob
+        return {c: s for c, s in states.items() if c not in hits}
+
+    def _decode_chunks(self, states: dict[str, _ChunkState]) -> None:
+        """Decode every fetched chunk once into ``state.decoded``,
         verified by id and repaired if a share lied."""
-        decoded: dict[str, bytes] = {}
         obs = getattr(self.engine, "obs", None)
         for chunk_id, state in states.items():
             sharer = get_sharer(self.config.key, state.t, state.n)
@@ -505,9 +527,7 @@ class Downloader:
                 # shares and decode a verifying t-subset (Section 5.1's
                 # beyond-secret-sharing error tolerance)
                 plaintext = self._repair_chunk(state, sharer)
-            decoded[chunk_id] = plaintext
             state.decoded = plaintext
-        return decoded
 
     def _repair_chunk(self, state: _ChunkState, sharer) -> bytes:
         """Recover a chunk whose fetched shares include corrupt ones.

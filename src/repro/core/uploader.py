@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.chunking import Chunk, ContentDefinedChunker
+from repro.core.chunkcache import ChunkCache
 from repro.core.cloud import CyrusCloud
 from repro.core.config import CyrusConfig
 from repro.core.naming import chunk_share_object_name
@@ -137,6 +138,8 @@ class Uploader:
         health: HealthRegistry | None = None,
         journal=None,
         ledger=None,
+        *,
+        cache: ChunkCache,
     ):
         self.cloud = cloud
         self.store = store
@@ -150,6 +153,8 @@ class Uploader:
         # optional repro.redundancy.DebtLedger: when attached, every
         # degraded write (t <= stored < n) is recorded as a repair debt
         self.ledger = ledger
+        # the client's chunk cache: an edit's chunks are written through
+        self.cache = cache
         self.chunker = chunker or ContentDefinedChunker(
             min_size=config.chunk_min,
             avg_size=config.chunk_avg,
@@ -245,6 +250,8 @@ class Uploader:
         self.chunk_table.record_node(node)
         if intent_id is not None:
             self.journal.commit(intent_id)
+        # every chunk was just hashed to its id: verified plaintext
+        self.cache.admit_edit([(c.id, c.data) for c in chunks], head)
         finished = self.engine.clock.now()
         uploaded = sum(
             r.op.payload_size() for r in share_results if r.ok

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.config import CyrusConfig
 from tests.conftest import deterministic_bytes
 
 
@@ -70,3 +71,50 @@ class TestGetRange:
         provider.upload(name, bytes(blob))
         report = client.get_range("f.bin", target.offset, 50)
         assert report.data == data[target.offset : target.offset + 50]
+
+
+class TestGetRangeReadsLikeGet:
+    """``get_range`` resolves, syncs and retries through ``get``'s path."""
+
+    def test_reads_past_an_unreachable_metadata_plane(self):
+        from repro.core.client import CyrusClient
+        from repro.core.transfer import DirectEngine
+        from repro.csp.memory import InMemoryCSP
+        from repro.faults import FaultKind, FaultPlan, FaultSpec, FaultyProvider
+        from repro.util.clock import SimClock
+        from tests.conftest import SMALL_CHUNKS
+
+        # from t=100 on, listing the metadata namespace fails everywhere
+        plan = FaultPlan([FaultSpec(
+            kind=FaultKind.OUTAGE, ops=("list",), name_prefix="md-",
+            window_time=(100.0, float("inf")),
+        )], seed=0)
+        clock = SimClock()
+        providers = [FaultyProvider(InMemoryCSP(f"csp{i}"), plan, clock=clock)
+                     for i in range(3)]
+        client = CyrusClient.create(
+            providers, CyrusConfig(key="k", t=2, n=3, **SMALL_CHUNKS),
+            engine=DirectEngine({p.csp_id: p for p in providers},
+                                clock=clock),
+        )
+        data = deterministic_bytes(5_000, 11)
+        client.put("f.bin", data)
+        clock.advance(100.0)
+        assert client.get_range("f.bin", 100, 900).data == data[100:1000]
+        assert any(e.kind == "sync_degraded" for e in client.health_events)
+
+    def test_tombstone_reads_the_last_live_version(self, client):
+        data = deterministic_bytes(5_000, 12)
+        client.put("f.bin", data)
+        client.delete("f.bin")
+        assert client.get("f.bin").data == data
+        assert client.get_range("f.bin", 100, 900).data == data[100:1000]
+
+    def test_reprobes_failed_providers_and_retries_once(self, client):
+        data = deterministic_bytes(300, 13)  # one chunk
+        node = client.put("f.bin", data).node
+        # sideline two of the chunk's three holders, though both are up
+        for share in node.shares[:2]:
+            client.cloud.mark_failed(share.csp_id)
+        assert client.get_range("f.bin", 10, 100).data == data[10:110]
+        assert not client.cloud.unusable_csps()
