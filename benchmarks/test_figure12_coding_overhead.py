@@ -8,8 +8,8 @@ is never the transfer bottleneck at the paper's operating points.
 """
 
 import os
+import time
 
-from repro.bench.harness import _best_rate
 from repro.bench.reporting import render_table
 from repro.erasure import RSCodec
 
@@ -24,6 +24,16 @@ _PAYLOAD = os.urandom(CHUNK_BYTES)
 #: Best of three: coding an 8 MB chunk takes ~10 ms, the same order as
 #: first-touch page faults on its freshly allocated output.
 _REPEATS = 3
+
+
+def _best_rate(fn, payload_bytes: int, repeats: int) -> float:
+    """MB/s of the best of ``repeats`` timed runs (noise-resistant)."""
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - t0)
+    return payload_bytes / best / 1e6
 
 
 def encode_throughput(t: int, n: int) -> float:

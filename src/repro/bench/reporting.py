@@ -1,87 +1,16 @@
-"""Plain-text rendering of benchmark tables and series, and the
-checked BENCH_*.json report format.
+"""Plain-text rendering of benchmark tables and series.
 
 The benchmarks print the same rows/series the paper's tables and
 figures report; these helpers keep that output consistent and readable
 in pytest's captured output (run with ``-s`` or read the benchmark
 logs).
-
-``cyrus bench`` persists machine-readable reports
-(``BENCH_codec.json`` / ``BENCH_e2e.json``) in the ``cyrus-bench/v1``
-schema validated by :func:`validate_bench_report` — the CI regression
-gate (:mod:`repro.bench.gate`) refuses malformed reports rather than
-silently passing them.
 """
 
 from __future__ import annotations
 
-import json
-import math
 from typing import Sequence
 
 from repro.util.units import format_bytes
-
-#: Schema tag every bench report must carry.
-BENCH_SCHEMA = "cyrus-bench/v1"
-
-#: The report kinds ``cyrus bench`` emits (one file per kind).
-BENCH_KINDS = ("codec", "e2e")
-
-
-def validate_bench_report(report: dict) -> None:
-    """Raise ValueError unless ``report`` is a well-formed bench report.
-
-    Required shape::
-
-        {"schema": "cyrus-bench/v1", "kind": "codec"|"e2e",
-         "quick": bool, "params": {str: ...},
-         "metrics": {str: finite number}}
-
-    ``metrics`` must be non-empty — an empty report would make every
-    regression gate vacuously pass.
-    """
-    if not isinstance(report, dict):
-        raise ValueError(f"bench report must be a dict, got {type(report).__name__}")
-    if report.get("schema") != BENCH_SCHEMA:
-        raise ValueError(
-            f"bench report schema {report.get('schema')!r} != {BENCH_SCHEMA!r}"
-        )
-    kind = report.get("kind")
-    if kind not in BENCH_KINDS:
-        raise ValueError(f"bench report kind {kind!r} not in {BENCH_KINDS}")
-    if not isinstance(report.get("quick"), bool):
-        raise ValueError("bench report 'quick' must be a bool")
-    params = report.get("params")
-    if not isinstance(params, dict) or not all(
-        isinstance(k, str) for k in params
-    ):
-        raise ValueError("bench report 'params' must be a str-keyed dict")
-    metrics = report.get("metrics")
-    if not isinstance(metrics, dict) or not metrics:
-        raise ValueError("bench report 'metrics' must be a non-empty dict")
-    for name, value in metrics.items():
-        if not isinstance(name, str):
-            raise ValueError(f"metric name {name!r} must be a string")
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"metric {name!r} must be a number, got {value!r}")
-        if not math.isfinite(value):
-            raise ValueError(f"metric {name!r} must be finite, got {value!r}")
-
-
-def write_bench_report(report: dict, path) -> None:
-    """Validate then write one bench report as pretty-printed JSON."""
-    validate_bench_report(report)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_bench_report(path) -> dict:
-    """Read and validate one bench report."""
-    with open(path, "r", encoding="utf-8") as fh:
-        report = json.load(fh)
-    validate_bench_report(report)
-    return report
 
 
 def render_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:

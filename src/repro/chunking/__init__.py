@@ -4,11 +4,10 @@ CYRUS cuts files into chunks at content-dependent boundaries so that a
 local edit only changes the chunks whose bytes changed; unchanged chunks
 keep their identity and are deduplicated.  This package provides:
 
+* :class:`ContentDefinedChunker` — the chunker, one vectorised rolling
+  hash whose only settings are the chunk sizes and the window;
 * :class:`RabinFingerprint` — the classic GF(2) polynomial rolling hash
-  the paper cites, as a readable reference implementation;
-* :class:`ContentDefinedChunker` — the production chunker with a fully
-  vectorised rolling-hash engine (the reference engine is selectable for
-  cross-checking);
+  the paper cites, kept as a readable oracle for the tests;
 * :class:`FixedSizeChunker` — the baseline the paper contrasts against.
 """
 

@@ -7,38 +7,29 @@ on window *content*, an insertion early in a file shifts boundaries only
 until the hash re-synchronises — downstream chunks keep their identity,
 which is what makes deduplication effective.
 
-Three engines compute the rolling hash:
+The rolling hash is multiplicative: the window ending at byte ``i``
+hashes to ``Σ_j table[data[i-j]] · a^j mod 2^32``, evaluated for a
+whole slice of windows by doubling the window width:
+``G_2m(k) = a^m · G_m(k) + G_m(k+m)`` (plus ``a · G_m(k) + v[k+m]`` for
+an odd bit of ``w``) — log2(w) multiply+add passes, no tables beyond
+the 256-entry byte table, no per-byte loop.  The byte table is drawn
+from a fixed seed: chunk identity is storage format, so every client of
+every cloud must cut identically for dedup to work.  The paper's GF(2)
+Rabin fingerprint (:class:`repro.chunking.rabin.RabinFingerprint`)
+stays as a readable oracle for the tests; it cuts elsewhere, but by the
+same :func:`select_boundaries` rules.
 
-* ``"vectorized"`` (default) — a multiplicative hash, the window ending
-  at byte ``i`` hashing to ``Σ_j table[data[i-j]] · a^j mod 2^32``,
-  evaluated for a whole slice of windows by doubling the window width:
-  ``G_2m(k) = a^m · G_m(k) + G_m(k+m)`` (plus ``a · G_m(k) + v[k+m]``
-  for an odd bit of ``w``) — log2(w) multiply+add passes, no tables
-  beyond the 256-entry byte table, no per-byte loop.
-* ``"rabin"`` — the same GF(2) Rabin fingerprint as the reference,
-  computed in batch by :class:`repro.chunking.rabin_vec.VectorRabin`
-  (one table gather per window offset).  Produces **bit-identical cut
-  points** to ``"reference"`` at vectorised speed.
-* ``"reference"`` — the classic GF(2) Rabin fingerprint
-  (:class:`repro.chunking.rabin.RabinFingerprint`), byte-at-a-time,
-  every candidate fed through :func:`select_boundaries`.  The oracle
-  the ``"rabin"`` engine is verified against.
-
-The two vectorised engines share one cut loop that hashes only windows
-whose cut point could be kept.  It hashes ``_BLOCK`` cut points per
-slice and runs the hits through the :func:`select_boundaries` rules;
-each slice starts at ``last + min_size`` or later, where ``last`` is the
-last cut.  So when ``min_size`` exceeds a slice (the default config), it
-stops at the first hit, skips ``min_size`` and force-cuts at
-``last + max_size`` when nothing hits.  :func:`select_boundaries` never
-keeps a candidate closer than ``min_size`` to the previous cut (forced
-cuts included) and the cut after ``last`` depends only on bytes after
-it, so the cuts are exactly those of the full candidate list — and a
-file no larger than ``min_size`` hashes nothing.
-
-``"vectorized"`` uses a different hash function, so its boundaries
-differ from the Rabin pair, but all engines are deterministic and
-content-defined; tests verify the structural properties for each.
+The cut loop hashes only windows whose cut point could be kept.  It
+hashes ``_BLOCK`` cut points per slice and runs the hits through the
+:func:`select_boundaries` rules; each slice starts at ``last +
+min_size`` or later, where ``last`` is the last cut.  So when
+``min_size`` exceeds a slice (the default config), it stops at the
+first hit, skips ``min_size`` and force-cuts at ``last + max_size``
+when nothing hits.  :func:`select_boundaries` never keeps a candidate
+closer than ``min_size`` to the previous cut (forced cuts included) and
+the cut after ``last`` depends only on bytes after it, so the cuts are
+exactly those of the full candidate list — and a file no larger than
+``min_size`` hashes nothing.
 
 ``chunk_bytes`` slices chunks as ``memoryview`` windows over the input
 buffer rather than copying each chunk out — the zero-copy entry of the
@@ -52,29 +43,30 @@ import functools
 import numpy as np
 
 from repro.chunking.chunk import Chunk
-from repro.chunking.rabin import RabinFingerprint
-from repro.chunking.rabin_vec import VectorRabin
 from repro.errors import ChunkingError
 
 #: Odd 32-bit multiplier (Knuth).
 _MULTIPLIER = 0x9E3779B1
 _U32 = np.uint32
 
-#: Cut points hashed per slice by the vectorised and rabin engines.
+#: Seed of the byte table.  Changing it moves every cut point.
+_SEED = 0x5EED
+
+#: Cut points hashed per slice.
 #: 32 Ki keeps a slice's two uint32 scratch arrays (128 KiB each)
 #: L2-resident while bounding the work past the first hit in a slice.
 _BLOCK = 32 * 1024
 
 
-@functools.lru_cache(maxsize=8)
-def _byte_table(seed: int) -> np.ndarray:
+@functools.lru_cache(maxsize=1)
+def _byte_table() -> np.ndarray:
     """Random odd uint32 per byte value; decorrelates the hash input.
 
-    Cached and frozen: the table is a pure function of the seed and is
-    only ever read, so every chunker instance in the process (there is
-    one per client session) shares one copy.
+    Cached and frozen: the table is only ever read, so every chunker
+    instance in the process (there is one per client session) shares
+    one copy.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_SEED)
     table = (
         rng.integers(0, 1 << 31, size=256, dtype=np.uint32) * _U32(2) + _U32(1)
     )
@@ -139,9 +131,6 @@ class ContentDefinedChunker:
             becomes the modulus M of the boundary test).
         max_size: Largest chunk; longer runs are force-cut.
         window: Rolling-hash window width in bytes.
-        engine: ``"vectorized"``, ``"rabin"``, or ``"reference"``.
-        seed: Seed for the byte-mixing table (vectorized engine) — all
-            clients of one CYRUS cloud must share it for dedup to work.
     """
 
     def __init__(
@@ -150,31 +139,20 @@ class ContentDefinedChunker:
         avg_size: int = 8 * 1024,
         max_size: int = 64 * 1024,
         window: int = 16,
-        engine: str = "vectorized",
-        seed: int = 0x5EED,
     ):
         problem = size_error(min_size, avg_size, max_size)
         if problem:
             raise ChunkingError(problem)
         if window < 2:
             raise ChunkingError(f"window must be >= 2, got {window}")
-        if engine not in ("vectorized", "rabin", "reference"):
-            raise ChunkingError(f"unknown engine {engine!r}")
         self.min_size = min_size
         self.avg_size = avg_size
         self.max_size = max_size
         self.window = window
-        self.engine = engine
-        self.seed = seed
         self._mask = avg_size - 1
         self._target = self._mask  # K in "hash mod M == K"
         self._bits = avg_size.bit_length() - 1  # log2(M)
-        if engine == "vectorized":
-            self._table = _byte_table(seed)
-        elif engine == "rabin":
-            self._vrabin = VectorRabin(window=window)
-        else:
-            self._rabin = RabinFingerprint(window=window)
+        self._table = _byte_table()
 
     # ------------------------------------------------------------------
     # candidate generation
@@ -182,10 +160,7 @@ class ContentDefinedChunker:
 
     def _window_hits(self, buf: np.ndarray) -> np.ndarray:
         """Indices ``j`` of the windows ``buf[j : j + w]`` that pass the
-        boundary test — the per-slice hash of both vectorised engines."""
-        if self.engine == "rabin":
-            fps = self._vrabin.masked_fingerprints(buf, self._mask)
-            return np.flatnonzero(fps == fps.dtype.type(self._target))
+        boundary test — the per-slice hash."""
         # per-call scratch: the instance stays read-only, so concurrent
         # calls on one chunker are safe.  mode: uint8 indices cannot
         # miss a 256-entry table, and "raise" would buffer the gather
@@ -211,30 +186,12 @@ class ContentDefinedChunker:
         floor = _U32(self._target << (32 - self._bits))
         return np.flatnonzero(g[: span - m + 1] >= floor)
 
-    def _candidates_reference(self, data: bytes) -> list[int]:
-        rabin = self._rabin
-        rabin.reset()
-        out: list[int] = []
-        mask = self._mask
-        target = self._target
-        w = self.window
-        for i, byte in enumerate(data):
-            fp = rabin.push(byte)
-            if i >= w - 1 and (fp & mask) == target:
-                out.append(i + 1)
-        return out
-
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
 
     def boundaries(self, data: bytes) -> list[int]:
         """Cut points (exclusive chunk ends) for ``data``, ending at len."""
-        if self.engine == "reference":
-            return select_boundaries(
-                self._candidates_reference(data), len(data),
-                self.min_size, self.max_size,
-            )
         full = np.frombuffer(data, dtype=np.uint8)
         n, w = full.size, self.window
         cuts: list[int] = []

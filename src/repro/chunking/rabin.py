@@ -7,9 +7,10 @@ modulo an irreducible polynomial.  Appending a byte is a shift-and-
 reduce; expiring the oldest byte subtracts its (precomputed)
 contribution, so the window slides in O(1) per byte.
 
-This implementation favours clarity over speed and is used for tests and
-small inputs; :class:`repro.chunking.cdc.ContentDefinedChunker` uses a
-vectorised engine for bulk data.
+This implementation favours clarity over speed: it is the paper-fidelity
+oracle the tests cut with, while
+:class:`repro.chunking.cdc.ContentDefinedChunker` uses a vectorised
+multiplicative hash for every real file.
 """
 
 from __future__ import annotations

@@ -20,7 +20,6 @@ drives or private storage servers):
     cyrus debts [--json]
     cyrus repair [--budget N]
     cyrus stats [--json]
-    cyrus bench [--quick] [--out-dir DIR] [--gate BASELINE]
     cyrus fleet [--tenants N] [--seed S] [--out FLEET_report.json] [--gate]
     cyrus trace (put|get|sync) [...] --out trace.json
     cyrus add-csp name=path
@@ -450,29 +449,6 @@ def cmd_sync_dir(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    from repro.bench.gate import check_reports, load_baseline
-    from repro.bench.harness import run_bench
-
-    out_dir = Path(args.out_dir).expanduser()
-    out_dir.mkdir(parents=True, exist_ok=True)
-    mode = "quick" if args.quick else "full"
-    print(f"running {mode} bench (codec + e2e) ...")
-    reports = run_bench(quick=args.quick, out_dir=out_dir)
-    for kind in sorted(reports):
-        metrics = reports[kind]["metrics"]
-        print(f"{kind} (BENCH_{kind}.json):")
-        for name in sorted(metrics):
-            print(f"  {name}: {metrics[name]:.3f}")
-    print(f"reports written to {out_dir}")
-    if args.gate:
-        baseline = load_baseline(args.gate)
-        result = check_reports(reports, baseline, tolerance=args.tolerance)
-        print(result.describe())
-        return 0 if result.passed else 1
-    return 0
-
-
 def cmd_fleet(args) -> int:
     """Run the multi-tenant fleet simulation and write FLEET_report.json.
 
@@ -839,18 +815,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("object")
     p.add_argument("--as", dest="as_name", default=None)
     p.set_defaults(func=cmd_import)
-
-    p = sub.add_parser("bench", help="measure coding/chunking/e2e throughput "
-                                     "and write BENCH_codec.json / BENCH_e2e.json")
-    p.add_argument("--quick", action="store_true",
-                   help="small payloads (the CI-sized run)")
-    p.add_argument("--out-dir", default=".",
-                   help="directory for the BENCH_*.json reports")
-    p.add_argument("--gate", default=None, metavar="BASELINE",
-                   help="exit 1 on regression against this baseline JSON")
-    p.add_argument("--tolerance", type=float, default=None,
-                   help="override the baseline's committed tolerance")
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("fleet", help="simulate a multi-tenant fleet and "
                                      "write FLEET_report.json")

@@ -8,7 +8,7 @@ share count ``n`` or a failure bound ``epsilon`` from which the minimum
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.chunking.cdc import size_error
 from repro.errors import ConfigurationError
@@ -52,8 +52,6 @@ class CyrusConfig:
     chunk_min: int = 64 * 1024
     chunk_avg: int = 256 * 1024
     chunk_max: int = 2 * 1024 * 1024
-    chunker_engine: str = "vectorized"
-    chunker_seed: int = 0x5EED
     respect_clusters: bool = True
     parallelism: int = 1
     max_inflight_per_csp: int | None = None

@@ -32,7 +32,6 @@ from repro.core.retry import ShareRetryLoop
 from repro.core.transfer import OpKind, OpResult, TransferEngine, TransferOp
 from repro.csp.resilient import HealthRegistry, RetryPolicy
 from repro.erasure import KeyedSharer
-from repro.erasure.rs import default_backend
 from repro.errors import TransferError
 from repro.metadata import (
     ChunkRecord,
@@ -49,18 +48,9 @@ from repro.util.hashing import sha1_hex
 
 
 @functools.lru_cache(maxsize=64)
-def _cached_sharer(key: str, t: int, n: int, backend: str) -> KeyedSharer:
-    return KeyedSharer(key, t, n, backend=backend)
-
-
 def get_sharer(key: str, t: int, n: int) -> KeyedSharer:
-    """Cached keyed sharers — (t, n) pairs recur across every chunk.
-
-    The resolved codec backend is part of the cache key so a
-    ``CYRUS_NO_NUMPY_ACCEL`` change between calls cannot hand back a
-    sharer built for the other backend.
-    """
-    return _cached_sharer(key, t, n, default_backend())
+    """Cached keyed sharers — (t, n) pairs recur across every chunk."""
+    return KeyedSharer(key, t, n)
 
 
 @dataclass
@@ -159,8 +149,6 @@ class Uploader:
             min_size=config.chunk_min,
             avg_size=config.chunk_avg,
             max_size=config.chunk_max,
-            engine=config.chunker_engine,
-            seed=config.chunker_seed,
         )
         self.retry_loop = ShareRetryLoop(
             engine, policy=policy,

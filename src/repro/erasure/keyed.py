@@ -52,13 +52,11 @@ class KeyedSharer:
     client holding shares but no key cannot decode.
     """
 
-    def __init__(self, key: str, t: int, n: int, backend: str | None = None):
+    def __init__(self, key: str, t: int, n: int):
         self.key = key
         self.t = t
         self.n = n
-        self._codec = RSCodec(
-            t, n, points=derive_dispersal_points(key, n), backend=backend
-        )
+        self._codec = RSCodec(t, n, points=derive_dispersal_points(key, n))
 
     @property
     def codec(self) -> RSCodec:

@@ -6,56 +6,30 @@ no row of the default Vandermonde matrix is a unit vector, so no share
 contains plaintext (paper Figure 5).  Decoding solves the ``t x t``
 system formed by the rows of any ``t`` distinct shares.
 
-Two interchangeable backends produce byte-identical shares:
-
-* ``"vector"`` (:mod:`repro.gf.vector`) — a cache-blocked numpy row-
-  operation interpreter.  Encode accumulates one table lookup per
-  non-1 coefficient into one ``(n, L)`` matrix whose rows become
-  zero-copy memoryview payloads; decode replays the Gauss--Jordan
-  elimination of the share submatrix (memoised per share-index tuple)
-  on the share rows, so a (2, 3) decode is 2 lookups + 2 xors per
-  stripe byte.  On a 2-vCPU box an 8 MiB chunk encodes and decodes at
-  0.7--1 GB/s at (2, 3) and at 110--150 MB/s at (10, 11), so transfer
-  rather than coding bounds end-to-end completion time (paper
-  Section 7.1).
-* ``"scalar"`` (:mod:`repro.gf.scalar`) — pure-Python byte-at-a-time
-  loops with independently built tables.  It is the fallback when numpy
-  is unavailable and the oracle the equivalence suites compare against.
-
-Selection is automatic (``default_backend``): vector whenever numpy
-imports, scalar when it does not or ``CYRUS_NO_NUMPY_ACCEL=1`` is set.
+Both directions run on :mod:`repro.gf.vector`, a cache-blocked numpy
+row-operation interpreter.  Encode accumulates one table lookup per
+non-1 coefficient into one ``(n, L)`` matrix whose rows become
+zero-copy memoryview payloads; decode replays the Gauss--Jordan
+elimination of the share submatrix (memoised per share-index tuple) on
+the share rows, so a (2, 3) decode is 2 lookups + 2 xors per stripe
+byte.  On a 2-vCPU box an 8 MiB chunk encodes and decodes at 0.7--1
+GB/s at (2, 3) and at 110--150 MB/s at (10, 11), so transfer rather
+than coding bounds end-to-end completion time (paper Section 7.1).
+The pure-Python :mod:`repro.gf.scalar` is the oracle the equivalence
+suites compare against; the codec borrows only its matrix construction.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from repro.errors import CodingError, InsufficientSharesError
 from repro.erasure.share import Share
 from repro.gf import scalar as gfscalar
-
-try:  # pragma: no cover - exercised implicitly by backend selection
-    import numpy as np
-
-    from repro.gf import vector as gfvec
-
-    _HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - container always ships numpy
-    np = None
-    gfvec = None
-    _HAVE_NUMPY = False
-
-BACKENDS = ("vector", "scalar")
-
-
-def default_backend() -> str:
-    """``"scalar"`` under ``CYRUS_NO_NUMPY_ACCEL=1`` or without numpy,
-    else ``"vector"``."""
-    if os.environ.get("CYRUS_NO_NUMPY_ACCEL") == "1" or not _HAVE_NUMPY:
-        return "scalar"
-    return "vector"
+from repro.gf import vector as gfvec
 
 
 class RSCodec:
@@ -68,17 +42,9 @@ class RSCodec:
             non-zero field elements).  Defaults to ``1..n``, which is what
             an unkeyed deployment uses; :class:`repro.erasure.KeyedSharer`
             passes key-derived points instead.
-        backend: ``"vector"``, ``"scalar"``, or None for
-            :func:`default_backend`.
     """
 
-    def __init__(
-        self,
-        t: int,
-        n: int,
-        points: Sequence[int] | None = None,
-        backend: str | None = None,
-    ):
+    def __init__(self, t: int, n: int, points: Sequence[int] | None = None):
         if t < 1:
             raise CodingError(f"t must be >= 1, got {t}")
         if n < t:
@@ -89,39 +55,27 @@ class RSCodec:
             points = list(range(1, n + 1))
         if len(points) != n:
             raise CodingError(f"expected {n} dispersal points, got {len(points)}")
-        backend = default_backend() if backend is None else backend
-        if backend not in BACKENDS:
-            raise CodingError(f"unknown codec backend {backend!r}")
-        if backend == "vector" and not _HAVE_NUMPY:
-            raise CodingError("vector backend requested but numpy is unavailable")
         self.t = t
         self.n = n
-        self.backend = backend
         self._points = list(points)
         try:
-            # Pure-Python construction either way; the two backends must
-            # agree on the matrix bit-for-bit.
             self._matrix = gfscalar.vandermonde_rows(self._points, t)
         except ValueError as exc:
             raise CodingError(str(exc)) from exc
-        self._matrix_np = (
-            np.asarray(self._matrix, dtype=np.uint8) if _HAVE_NUMPY else None
-        )
-        # share-index tuple -> elimination program (vector decode)
-        self._programs: dict[tuple[int, ...], "gfvec.RowProgram"] = {}
+        self._matrix_np = np.asarray(self._matrix, dtype=np.uint8)
+        # share-index tuple -> elimination program
+        self._programs: dict[tuple[int, ...], gfvec.RowProgram] = {}
 
     @property
-    def dispersal_matrix(self) -> "np.ndarray":
+    def dispersal_matrix(self) -> np.ndarray:
         """The n x t encoding matrix (copy; rows index shares)."""
-        if self._matrix_np is None:  # pragma: no cover - numpy-less fallback
-            raise CodingError("dispersal_matrix requires numpy")
         return self._matrix_np.copy()
 
     def encode(self, data) -> list[Share]:
         """Encode chunk bytes into ``n`` shares of ``ceil(len/t)`` bytes each.
 
-        On the vector backend the share payloads are zero-copy
-        memoryviews over one contiguous ``(n, L)`` output matrix.
+        The share payloads are zero-copy memoryviews over one contiguous
+        ``(n, L)`` output matrix.
         """
         return self._encode_rows(data, range(self.n))
 
@@ -140,17 +94,11 @@ class RSCodec:
     def _encode_rows(self, data, indices: Iterable[int]) -> list[Share]:
         idx = list(indices)
         size = len(data)
-        if self.backend == "vector":
-            sub = self._matrix_np[idx, :]
-            coded = gfvec.encode_blocks(sub, data, self.t)
-            payloads = [coded[row].data for row in range(len(idx))]
-        else:
-            stripes = gfscalar.stripe_rows(data, self.t)
-            rows = [self._matrix[i] for i in idx]
-            payloads = [bytes(p) for p in gfscalar.matmul_rows(rows, stripes)]
+        coded = gfvec.encode_blocks(self._matrix_np[idx, :], data, self.t)
         return [
-            Share(index=i, data=payload, t=self.t, n=self.n, chunk_size=size)
-            for i, payload in zip(idx, payloads)
+            Share(index=i, data=coded[row].data, t=self.t, n=self.n,
+                  chunk_size=size)
+            for row, i in enumerate(idx)
         ]
 
     def decode(self, shares: Sequence[Share]) -> bytes:
@@ -184,11 +132,6 @@ class RSCodec:
                 raise CodingError(
                     f"share {s.index} has {len(s.data)} bytes, expected {stripe_len}"
                 )
-        if self.backend == "vector":
-            return self._decode_vector(chosen, chunk_size)
-        return self._decode_scalar(chosen, chunk_size)
-
-    def _decode_vector(self, chosen: Sequence[Share], chunk_size: int) -> bytes:
         indices = tuple(s.index for s in chosen)
         program = self._programs.get(indices)
         if program is None:
@@ -198,16 +141,6 @@ class RSCodec:
             self._programs[indices] = program  # <= C(n, t) entries of ~t^2 ops
         stripes = gfvec.run(program, [s.data for s in chosen])
         return stripes.reshape(-1)[:chunk_size].tobytes()
-
-    def _decode_scalar(self, chosen: Sequence[Share], chunk_size: int) -> bytes:
-        sub = [self._matrix[s.index] for s in chosen]
-        try:
-            inv_rows = gfscalar.mat_inv(sub)
-        except ValueError as exc:
-            raise CodingError("singular share submatrix") from exc
-        coded = [bytes(s.data) for s in chosen]
-        stripes = gfscalar.matmul_rows(inv_rows, coded)
-        return b"".join(bytes(row) for row in stripes)[:chunk_size]
 
     def decode_verified(
         self,

@@ -1,7 +1,6 @@
 """The schema-versioned ``FLEET_report.json`` format.
 
-Mirrors the ``cyrus-bench/v1`` discipline (:mod:`repro.bench.reporting`):
-a fleet run emits one JSON document tagged ``cyrus-fleet/v1``,
+A fleet run emits one JSON document tagged ``cyrus-fleet/v1``,
 :func:`validate_fleet_report` refuses malformed documents, and the CI
 fleet job gates on :func:`fleet_gate` — p99 sync latency must be finite
 and per-CSP load skew must stay under 2x under balanced placement.

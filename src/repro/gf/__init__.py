@@ -1,43 +1,18 @@
 """Galois field GF(2^8) arithmetic.
 
-This package implements the finite-field math underlying CYRUS's
-non-systematic Reed--Solomon secret sharing (paper Section 5.1, Figure 5).
-It provides scalar operations, vectorised numpy kernels, and matrix
-algebra (multiplication, inversion, Vandermonde construction) over
-GF(2^8) with the standard AES polynomial 0x11B.
+The finite-field math underlying CYRUS's non-systematic Reed--Solomon
+secret sharing (paper Section 5.1, Figure 5), over the AES polynomial
+0x11B:
+
+* :mod:`repro.gf.tables` — the log/exp and 256 x 256 multiplication
+  tables the codec kernel reads;
+* :mod:`repro.gf.vector` — the numpy row-operation interpreter that
+  encodes and decodes every share;
+* :mod:`repro.gf.scalar` — pure-Python field and matrix operations,
+  built from first principles: the oracle the equivalence suites check
+  the kernel against, and the source of the codec's matrices.
 """
 
-from repro.gf.field import (
-    GF_ORDER,
-    GF_POLY,
-    gf_add,
-    gf_div,
-    gf_inv,
-    gf_mul,
-    gf_pow,
-)
-from repro.gf.matrix import (
-    gf_mat_inv,
-    gf_mat_mul,
-    gf_mat_rank,
-    gf_mat_vec,
-    vandermonde,
-)
-from repro.gf.tables import EXP_TABLE, LOG_TABLE
+from repro.gf.tables import EXP_TABLE, GF_ORDER, GF_POLY, LOG_TABLE
 
-__all__ = [
-    "GF_ORDER",
-    "GF_POLY",
-    "EXP_TABLE",
-    "LOG_TABLE",
-    "gf_add",
-    "gf_mul",
-    "gf_div",
-    "gf_inv",
-    "gf_pow",
-    "gf_mat_mul",
-    "gf_mat_vec",
-    "gf_mat_inv",
-    "gf_mat_rank",
-    "vandermonde",
-]
+__all__ = ["GF_ORDER", "GF_POLY", "EXP_TABLE", "LOG_TABLE"]

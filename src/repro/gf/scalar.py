@@ -1,18 +1,15 @@
-"""Pure-Python GF(2^8) coding kernels — the fallback and the oracle.
+"""Pure-Python GF(2^8) coding kernels — the oracle.
 
 Everything in this module runs on plain Python ints, lists and
 bytearrays: no numpy import, no vectorisation, one field operation per
-byte.  That makes it the slowest codec backend by two orders of
-magnitude — and exactly why it exists:
-
-* **Fallback** — :mod:`repro.erasure.rs` selects this backend when
-  numpy is unavailable or when ``CYRUS_NO_NUMPY_ACCEL=1`` is set, so
-  the whole client keeps working with zero native dependencies.
-* **Oracle** — the golden-vector and hypothesis equivalence suites
-  decode/encode through these loops and demand byte-identical output
-  from the vectorised kernels in :mod:`repro.gf.vector`.  A silent
-  wire-format drift in the fast path cannot survive a comparison
-  against code this simple.
+byte.  That makes it two orders of magnitude slower than the codec in
+:mod:`repro.gf.vector` — and exactly why it exists.  The golden-vector
+and hypothesis equivalence suites encode and decode through these loops
+(:func:`matmul_rows`, :func:`mat_inv`) and demand byte-identical output
+from the vectorised kernels; a silent wire-format drift in the fast
+path cannot survive a comparison against code this simple.  The codec
+itself only borrows :func:`vandermonde_rows` and the field ops its
+elimination programs are built from.
 
 The tables are rebuilt here from first principles (same generator 0x03
 and AES polynomial 0x11B as :mod:`repro.gf.tables`) rather than
@@ -107,8 +104,9 @@ def matmul_rows(
 def vandermonde_rows(points: Sequence[int], width: int) -> list[list[int]]:
     """Vandermonde matrix rows V[i][j] = points[i] ** j.
 
-    Same validity rules as :func:`repro.gf.matrix.vandermonde`:
-    distinct non-zero evaluation points.
+    The evaluation points must be distinct and non-zero: then any
+    ``width`` of the rows form an invertible matrix, which is what lets
+    any ``t`` shares decode.
     """
     pts = list(points)
     if len(set(pts)) != len(pts):

@@ -1,12 +1,15 @@
-"""Scalar-vs-vector codec equivalence: golden vectors, hypothesis
-properties, backend selection, and the zero-copy regression guard.
+"""Codec-vs-oracle equivalence: golden vectors, hypothesis properties,
+and the zero-copy regression guard.
 
-The scalar backend (:mod:`repro.gf.scalar`) is the oracle — tables
-rebuilt from first principles, one field op per byte.  Every test here
-demands the vectorised backend reproduce it byte-for-byte, so a silent
-wire-format drift in the numpy kernels cannot survive CI.
+The oracle is :mod:`repro.gf.scalar` — tables rebuilt from first
+principles, one field op per byte.  Encoding there is the Vandermonde
+rows times the stripes (``matmul_rows``), decoding is the dense inverse
+of the chosen shares' rows (``mat_inv``).  Every test here demands the
+numpy codec reproduce it byte-for-byte, so a silent wire-format drift
+in the kernels cannot survive CI.
 """
 
+import functools
 import hashlib
 import itertools
 import json
@@ -16,9 +19,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.chunking.cdc import ContentDefinedChunker
-from repro.erasure.keyed import KeyedSharer
-from repro.erasure.rs import BACKENDS, RSCodec, default_backend
+from repro.erasure.keyed import KeyedSharer, derive_dispersal_points
+from repro.erasure.rs import RSCodec
+from repro.erasure.share import Share
 from repro.errors import CodingError
+from repro.gf import scalar as gfscalar
 
 GOLDEN = Path(__file__).parent / "data" / "golden_vectors.json"
 
@@ -34,8 +39,36 @@ odd_sizes = st.one_of(
 )
 
 
+def _oracle_encode(points, t, data, indices=None) -> list[bytes]:
+    """Share payloads by the oracle: Vandermonde rows times the stripes."""
+    rows = gfscalar.vandermonde_rows(points, t)
+    if indices is not None:
+        rows = [rows[i] for i in indices]
+    stripes = gfscalar.stripe_rows(data, t)
+    return [bytes(row) for row in gfscalar.matmul_rows(rows, stripes)]
+
+
+def _oracle_shares(points, t, data) -> list[Share]:
+    return [
+        Share(index=i, data=payload, t=t, n=len(points), chunk_size=len(data))
+        for i, payload in enumerate(_oracle_encode(points, t, data))
+    ]
+
+
+def _oracle_decode(points, t, shares) -> bytes:
+    """Chunk bytes by the oracle: the inverse of the ``t`` shares' rows."""
+    rows = gfscalar.vandermonde_rows(points, t)
+    inverse = gfscalar.mat_inv([rows[s.index] for s in shares])
+    stripes = gfscalar.matmul_rows(inverse, [bytes(s.data) for s in shares])
+    return b"".join(bytes(row) for row in stripes)[: shares[0].chunk_size]
+
+
+def _payloads(shares) -> list[bytes]:
+    return [bytes(s.data) for s in shares]
+
+
 # ----------------------------------------------------------------------
-# golden vectors (committed fixture, generated by the scalar codec)
+# golden vectors (committed fixture): the codec and the oracle both
 # ----------------------------------------------------------------------
 
 
@@ -44,43 +77,53 @@ def _golden_cases():
         return json.load(fh)["cases"]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_golden_vectors_reproduced(backend):
-    """Both backends must regenerate the committed shares byte-for-byte."""
+def _golden_points(case) -> list[int]:
+    if case["key"] is None:
+        points = list(range(1, case["n"] + 1))
+    else:
+        points = derive_dispersal_points(case["key"], case["n"])
+    assert points == case["points"]
+    return points
+
+
+@pytest.mark.parametrize("impl", ["vector", "scalar"])
+def test_golden_vectors_reproduced(impl):
+    """The codec and the oracle both regenerate the committed shares
+    byte-for-byte, so neither can drift without the fixture noticing."""
     for case in _golden_cases():
         data = bytes.fromhex(case["data_hex"])
-        if case["key"] is None:
-            codec = RSCodec(case["t"], case["n"], backend=backend)
+        t = case["t"]
+        if impl == "scalar":
+            payloads = _oracle_encode(_golden_points(case), t, data)
+        elif case["key"] is None:
+            payloads = _payloads(RSCodec(t, case["n"]).encode(data))
         else:
-            codec = KeyedSharer(
-                case["key"], case["t"], case["n"], backend=backend
-            ).codec
-        shares = codec.encode(data)
-        assert [bytes(s.data).hex() for s in shares] == case["shares_hex"]
+            payloads = _payloads(KeyedSharer(case["key"], t, case["n"]).split(data))
+        assert [p.hex() for p in payloads] == case["shares_hex"]
         # the PR 6 per-share SHA-1 fingerprints are wire format too:
         # a codec change that altered them would strand every stored node
         assert [
-            hashlib.sha1(s.data).hexdigest() for s in shares
+            hashlib.sha1(p).hexdigest() for p in payloads
         ] == case["share_sha1"]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_golden_vectors_decode(backend):
+@pytest.mark.parametrize("impl", ["vector", "scalar"])
+def test_golden_vectors_decode(impl):
     for case in _golden_cases():
         data = bytes.fromhex(case["data_hex"])
-        codec = RSCodec(
-            case["t"], case["n"], points=case["points"], backend=backend
-        )
+        t, points = case["t"], case["points"]
         shares = [
             # rebuild shares from the committed hex, not from encode()
-            type(codec.encode(b"x")[0])(
-                index=i, data=bytes.fromhex(h), t=case["t"], n=case["n"],
-                chunk_size=len(data),
-            )
+            Share(index=i, data=bytes.fromhex(h), t=t, n=case["n"],
+                  chunk_size=len(data))
             for i, h in enumerate(case["shares_hex"])
         ]
-        assert codec.decode(shares[: case["t"]]) == data
-        assert codec.decode(shares[-case["t"]:]) == data
+        if impl == "scalar":
+            decode = functools.partial(_oracle_decode, points, t)
+        else:
+            decode = RSCodec(t, case["n"], points=points).decode
+        assert decode(shares[:t]) == data
+        assert decode(shares[-t:]) == data
 
 
 # ----------------------------------------------------------------------
@@ -92,9 +135,8 @@ def test_golden_vectors_decode(backend):
 @settings(max_examples=60, deadline=None)
 def test_encode_identical_across_backends(data, tn):
     t, n = tn
-    vec = RSCodec(t, n, backend="vector").encode(data)
-    sca = RSCodec(t, n, backend="scalar").encode(data)
-    assert [bytes(s.data) for s in vec] == [bytes(s.data) for s in sca]
+    got = _payloads(RSCodec(t, n).encode(data))
+    assert got == _oracle_encode(range(1, n + 1), t, data)
 
 
 @given(data=st.binary(min_size=0, max_size=1500), tn=params,
@@ -103,27 +145,26 @@ def test_encode_identical_across_backends(data, tn):
 def test_odd_sizes_identical(data, tn, size):
     t, n = tn
     payload = (data * (size // max(1, len(data)) + 1))[:size] if data else b"\x00" * size
-    vec = RSCodec(t, n, backend="vector").encode(payload)
-    sca = RSCodec(t, n, backend="scalar").encode(payload)
-    assert [bytes(s.data) for s in vec] == [bytes(s.data) for s in sca]
+    got = _payloads(RSCodec(t, n).encode(payload))
+    assert got == _oracle_encode(range(1, n + 1), t, payload)
 
 
 @given(data=st.binary(min_size=0, max_size=1200), tn=params,
        seed=st.integers(0, 2**31))
 @settings(max_examples=60, deadline=None)
 def test_cross_backend_decode_roundtrip(data, tn, seed):
-    """Shares from either backend decode on the other, for any t-subset."""
+    """Codec shares decode on the oracle and oracle shares on the codec,
+    for any t-subset."""
     import random
 
     t, n = tn
     rng = random.Random(seed)
-    vec = RSCodec(t, n, backend="vector")
-    sca = RSCodec(t, n, backend="scalar")
-    shares = vec.encode(data)
-    subset = rng.sample(shares, t)
-    assert sca.decode(subset) == data
-    subset2 = rng.sample(sca.encode(data), t)
-    assert vec.decode(subset2) == data
+    points = list(range(1, n + 1))
+    codec = RSCodec(t, n)
+    subset = rng.sample(codec.encode(data), t)
+    assert _oracle_decode(points, t, subset) == data
+    subset2 = rng.sample(_oracle_shares(points, t, data), t)
+    assert codec.decode(subset2) == data
 
 
 @given(data=st.binary(min_size=0, max_size=1000),
@@ -131,15 +172,15 @@ def test_cross_backend_decode_roundtrip(data, tn, seed):
 @settings(max_examples=40, deadline=None)
 def test_keyed_mode_identical(data, key, tn):
     t, n = tn
-    vec = KeyedSharer(key, t, n, backend="vector")
-    sca = KeyedSharer(key, t, n, backend="scalar")
-    vs, ss = vec.split(data), sca.split(data)
-    assert [bytes(s.data) for s in vs] == [bytes(s.data) for s in ss]
+    points = derive_dispersal_points(key, n)
+    sharer = KeyedSharer(key, t, n)
+    vs, ss = sharer.split(data), _oracle_shares(points, t, data)
+    assert _payloads(vs) == _payloads(ss)
     # share-loss subsets: drop down to exactly t shares, both join paths
     for combo in itertools.islice(itertools.combinations(vs, t), 3):
-        assert sca.join(list(combo)) == data
+        assert _oracle_decode(points, t, list(combo)) == data
     for combo in itertools.islice(itertools.combinations(ss, t), 3):
-        assert vec.join(list(combo)) == data
+        assert sharer.join(list(combo)) == data
 
 
 @given(data=st.binary(min_size=1, max_size=800), tn=params,
@@ -150,9 +191,18 @@ def test_encode_rows_identical(data, tn, seed):
 
     t, n = tn
     idx = random.Random(seed).sample(range(n), random.Random(seed + 1).randint(1, n))
-    vec = RSCodec(t, n, backend="vector").encode_rows(data, idx)
-    sca = RSCodec(t, n, backend="scalar").encode_rows(data, idx)
-    assert [bytes(s.data) for s in vec] == [bytes(s.data) for s in sca]
+    got = RSCodec(t, n).encode_rows(data, idx)
+    assert [s.index for s in got] == idx
+    assert _payloads(got) == _oracle_encode(range(1, n + 1), t, data, idx)
+
+
+def test_mul_table_matches_the_oracle():
+    """``MUL_TABLE`` is the only table the kernel reads: all 65,536
+    products against the oracle's log/exp multiply."""
+    from repro.gf.tables import MUL_TABLE
+
+    expected = [[gfscalar.mul(a, b) for b in range(256)] for a in range(256)]
+    assert MUL_TABLE.tolist() == expected
 
 
 # ----------------------------------------------------------------------
@@ -204,7 +254,6 @@ def test_vector_matmul_matches_scalar_oracle(case):
 
     import numpy as np
 
-    from repro.gf import scalar as gfscalar
     from repro.gf import vector as gfvec
 
     matrix, stripes, layout = case
@@ -221,7 +270,6 @@ def test_vector_matmul_at_the_real_block_seam():
 
     import numpy as np
 
-    from repro.gf import scalar as gfscalar
     from repro.gf import vector as gfvec
 
     rng = random.Random(3)
@@ -249,8 +297,6 @@ def test_vector_matmul_rejects_ragged_rows():
 
 
 def _invertible(matrix) -> bool:
-    from repro.gf import scalar as gfscalar
-
     try:
         gfscalar.mat_inv(matrix)
     except ValueError:
@@ -280,7 +326,6 @@ def test_elimination_program_inverts_the_scalar_oracle(case):
 
     from hypothesis import assume
 
-    from repro.gf import scalar as gfscalar
     from repro.gf import vector as gfvec
 
     matrix, stripes, layout = case
@@ -296,7 +341,6 @@ def test_elimination_program_inverts_the_scalar_oracle(case):
 def test_elimination_program_swaps_pivots_at_the_real_block_seam():
     import random
 
-    from repro.gf import scalar as gfscalar
     from repro.gf import vector as gfvec
 
     rng = random.Random(5)
@@ -323,21 +367,24 @@ def test_elimination_program_rejects_singular_matrices(matrix):
 @pytest.mark.parametrize("tn", [(1, 1), (2, 3), (3, 5), (4, 6), (5, 9)])
 def test_every_t_subset_decodes_like_the_oracle(tn):
     """Every t-subset of keyed shares, at lengths around t and across
-    several patched blocks: the vector decode equals the input and the
-    scalar backend's decode."""
+    several patched blocks: the codec's decode equals the input and the
+    oracle's decode."""
     from unittest import mock
 
     from repro.gf import vector as gfvec
 
     t, n = tn
-    vec = KeyedSharer("subset-key", t, n, backend="vector")
-    sca = KeyedSharer("subset-key", t, n, backend="scalar")
+    sharer = KeyedSharer("subset-key", t, n)
+    points = derive_dispersal_points("subset-key", n)
     for length in (0, 1, t - 1, t + 1, t * (2 * _KBLOCK + 5) + 3):
         data = bytes((7 * i + length) % 256 for i in range(length))
-        shares = sca.split(data)
+        shares = _oracle_shares(points, t, data)
         with mock.patch.object(gfvec, "_BLOCK", _KBLOCK):
             for combo in itertools.combinations(shares, t):
-                assert vec.join(list(combo)) == data == sca.join(list(combo))
+                subset = list(combo)
+                assert sharer.join(subset) == data == _oracle_decode(
+                    points, t, subset
+                )
 
 
 # ----------------------------------------------------------------------
@@ -390,7 +437,7 @@ def row_passes(monkeypatch):
 @pytest.mark.parametrize("tn", [(2, 3), (3, 5)])
 def test_decode_row_passes_per_subset(row_passes, tn):
     t, n = tn
-    sharer = KeyedSharer(ROW_PASSES["key"], t, n, backend="vector")
+    sharer = KeyedSharer(ROW_PASSES["key"], t, n)
     shares = sharer.split(bytes(range(256)) * 4)  # one block per row
     budget = ROW_PASSES[f"decode_{t}_{n}"]
     for combo in itertools.combinations(shares, t):
@@ -398,7 +445,7 @@ def test_decode_row_passes_per_subset(row_passes, tn):
 
 
 def test_encode_row_passes(row_passes):
-    sharer = KeyedSharer(ROW_PASSES["key"], 2, 3, backend="vector")
+    sharer = KeyedSharer(ROW_PASSES["key"], 2, 3)
     assert row_passes(lambda: sharer.split(bytes(1000))) == ROW_PASSES["encode_2_3"]
 
 
@@ -408,7 +455,6 @@ def test_elimination_never_looks_up_more_than_the_inverse(keyed):
     the program's lookups (one per op with c != 1) are at most the
     dense inverse's coefficients other than 0 and 1: a decode can never
     get slower than multiplying by the inverse."""
-    from repro.gf import scalar as gfscalar
     from repro.gf import vector as gfvec
 
     for t in range(1, 11):
@@ -436,33 +482,6 @@ def _all_candidates(chunker, data):
         return []
     hits = chunker._window_hits(np.frombuffer(data, dtype=np.uint8))
     return (hits + chunker.window).tolist()
-
-
-@given(data=st.binary(min_size=0, max_size=6000),
-       window=st.sampled_from([4, 8, 16, 32]),
-       avg=st.sampled_from([64, 256, 1024]))
-@settings(max_examples=40, deadline=None)
-def test_rabin_cut_points_identical(data, window, avg):
-    kw = dict(min_size=16, avg_size=avg, max_size=8192, window=window)
-    ref = ContentDefinedChunker(engine="reference", **kw)
-    vec = ContentDefinedChunker(engine="rabin", **kw)
-    assert ref._candidates_reference(data) == _all_candidates(vec, data)
-    assert ref.boundaries(data) == vec.boundaries(data)
-
-
-def test_rabin_cut_points_across_block_boundaries(monkeypatch):
-    """The slice loop must carry windows across slice seams."""
-    import random
-
-    import repro.chunking.cdc as cdc
-
-    monkeypatch.setattr(cdc, "_BLOCK", 257)  # awkward, non-power-of-two
-    data = random.Random(9).randbytes(20_000)
-    for avg in (64, 1024):  # several cuts per slice / several slices per cut
-        kw = dict(min_size=16, avg_size=avg, max_size=2048, window=16)
-        ref = ContentDefinedChunker(engine="reference", **kw)
-        vec = ContentDefinedChunker(engine="rabin", **kw)
-        assert ref.boundaries(data) == vec.boundaries(data)
 
 
 def _direct_candidates(chunker, data):
@@ -509,29 +528,22 @@ def test_vectorized_candidates_across_block_seams(blocks, delta, window, seed):
 
 def _oracle_candidates(chunker, data):
     """Every candidate cut point, by an O(n*w) numpy evaluation of the
-    engine's window hash over the whole buffer, independent of the slice
-    hash: a weighted sum of byte-table values (vectorized) or full uint64
-    Rabin residues, masked afterwards (rabin; the residues are checked
-    against the byte-at-a-time reference below)."""
+    window hash over the whole buffer, independent of the slice hash: a
+    weighted sum of byte-table values."""
     import numpy as np
 
     from repro.chunking import cdc
-    from repro.chunking.rabin_vec import VectorRabin
 
     w, buf = chunker.window, np.frombuffer(data, dtype=np.uint8)
     if buf.size < w:
         return []
-    if chunker.engine == "rabin":
-        fps = VectorRabin(window=w).fingerprints(buf)
-        hit = (fps & np.uint64(chunker._mask)) == np.uint64(chunker._target)
-    else:
-        vals = chunker._table[buf]
-        h = np.zeros(buf.size - w + 1, dtype=np.uint32)
-        for j in range(w):  # the byte j before a window's end weighs a^j
-            h += vals[w - 1 - j : buf.size - j] * np.uint32(
-                pow(cdc._MULTIPLIER, j, 1 << 32)
-            )
-        hit = h >> np.uint32(32 - chunker._bits) == chunker._target
+    vals = chunker._table[buf]
+    h = np.zeros(buf.size - w + 1, dtype=np.uint32)
+    for j in range(w):  # the byte j before a window's end weighs a^j
+        h += vals[w - 1 - j : buf.size - j] * np.uint32(
+            pow(cdc._MULTIPLIER, j, 1 << 32)
+        )
+    hit = h >> np.uint32(32 - chunker._bits) == chunker._target
     return (np.flatnonzero(hit) + w).tolist()
 
 
@@ -542,7 +554,6 @@ _SEAM = 257  # patched cdc._BLOCK
 def _cut_loop_case(draw):
     import random
 
-    engine = draw(st.sampled_from(["vectorized", "rabin"]))
     window = draw(st.sampled_from([2, 3, 5, 16, 17, 48]))
     avg = draw(st.sampled_from([4, 16, 64, 256, 1024]))
     min_size = draw(st.one_of(st.integers(1, min(window, avg)),
@@ -564,15 +575,15 @@ def _cut_loop_case(draw):
         data = rng.randbytes(third) + bytes(third) + rng.randbytes(length - 2 * third)
     else:
         data = rng.randbytes(length)
-    return engine, dict(min_size=min_size, avg_size=avg, max_size=max_size,
-                        window=window), data
+    return dict(min_size=min_size, avg_size=avg, max_size=max_size,
+                window=window), data
 
 
 @given(case=_cut_loop_case())
 @settings(max_examples=150, deadline=None)
 def test_cut_loop_matches_full_candidate_list(case):
-    """For both vectorised engines, the skip loop's cuts are the min/max
-    filter applied to every candidate: windows wider than min_size,
+    """The skip loop's cuts are the min/max filter applied to every
+    candidate: windows wider than min_size,
     all-zero runs that force max cuts, lengths at min/max and at the
     slice seams of a patched block of 257."""
     from unittest import mock
@@ -580,8 +591,8 @@ def test_cut_loop_matches_full_candidate_list(case):
     import repro.chunking.cdc as cdc
     from repro.chunking.cdc import select_boundaries
 
-    engine, kw, data = case
-    chunker = ContentDefinedChunker(engine=engine, **kw)
+    kw, data = case
+    chunker = ContentDefinedChunker(**kw)
     expected = select_boundaries(
         _oracle_candidates(chunker, data), len(data),
         kw["min_size"], kw["max_size"],
@@ -593,8 +604,8 @@ def test_cut_loop_matches_full_candidate_list(case):
 @pytest.mark.slow
 def test_cut_loop_wide_sweep():
     """Over 2,000 configs on MiB-scale buffers (random, a long zero run,
-    low entropy) and prefixes of them, both engines, at the real block
-    size: every cut list is the filtered full candidate list."""
+    low entropy) and prefixes of them, at the real block size: every
+    cut list is the filtered full candidate list."""
     import random
 
     from repro.chunking.cdc import select_boundaries
@@ -606,84 +617,33 @@ def test_cut_loop_wide_sweep():
         rng.randbytes(mib // 4) + bytes(mib // 2) + rng.randbytes(mib // 4),
         bytes(rng.choice(b"ab") for _ in range(mib // 2)),
     ]
-    avgs = (256, 4096, 65536)
+    windows, avgs = (2, 3, 5, 16, 17, 48), (256, 4096, 65536)
+    per_case = 2100 // (len(windows) * len(avgs) * len(buffers))
     configs = 0
-    for engine, windows, budget in (("vectorized", [2, 3, 5, 16, 17, 48], 1500),
-                                    ("rabin", [2, 3, 5], 600)):
-        per_case = budget // (len(windows) * len(avgs) * len(buffers))
-        for window in windows:
-            for avg in avgs:
-                for data in buffers:
-                    probe = ContentDefinedChunker(
-                        engine=engine, window=window,
-                        min_size=1, avg_size=avg, max_size=avg,
+    for window in windows:
+        for avg in avgs:
+            for data in buffers:
+                probe = ContentDefinedChunker(
+                    window=window, min_size=1, avg_size=avg, max_size=avg,
+                )
+                candidates = _oracle_candidates(probe, data)
+                for _ in range(per_case):
+                    min_size = rng.randint(1, avg)
+                    max_size = rng.randint(avg, 16 * avg)
+                    n = rng.choice([len(data), rng.randint(0, len(data))])
+                    chunker = ContentDefinedChunker(
+                        window=window, min_size=min_size,
+                        avg_size=avg, max_size=max_size,
                     )
-                    candidates = _oracle_candidates(probe, data)
-                    for _ in range(per_case):
-                        min_size = rng.randint(1, avg)
-                        max_size = rng.randint(avg, 16 * avg)
-                        n = rng.choice([len(data), rng.randint(0, len(data))])
-                        chunker = ContentDefinedChunker(
-                            engine=engine, window=window, min_size=min_size,
-                            avg_size=avg, max_size=max_size,
-                        )
-                        expected = select_boundaries(
-                            [c for c in candidates if c < n], n,
-                            min_size, max_size,
-                        )
-                        got = chunker.boundaries(memoryview(data)[:n])
-                        assert got == expected, (engine, window, avg,
-                                                 min_size, max_size, n)
-                        configs += 1
+                    expected = select_boundaries(
+                        [c for c in candidates if c < n], n,
+                        min_size, max_size,
+                    )
+                    got = chunker.boundaries(memoryview(data)[:n])
+                    assert got == expected, (window, avg, min_size,
+                                             max_size, n)
+                    configs += 1
     assert configs >= 2000
-
-
-def test_vector_rabin_full_fingerprints_match_reference():
-    import random
-
-    from repro.chunking.rabin import RabinFingerprint
-    from repro.chunking.rabin_vec import VectorRabin
-
-    data = random.Random(4).randbytes(300)
-    w = 16
-    ref = RabinFingerprint(window=w)
-    expected = []
-    for i, b in enumerate(data):
-        fp = ref.push(b)
-        if i >= w - 1:
-            expected.append(fp)
-    got = VectorRabin(window=w).fingerprints(data)
-    assert list(got) == expected
-
-
-# ----------------------------------------------------------------------
-# backend selection
-# ----------------------------------------------------------------------
-
-
-def test_default_backend_env(monkeypatch):
-    monkeypatch.delenv("CYRUS_NO_NUMPY_ACCEL", raising=False)
-    assert default_backend() == "vector"
-    monkeypatch.setenv("CYRUS_NO_NUMPY_ACCEL", "1")
-    assert default_backend() == "scalar"
-    monkeypatch.setenv("CYRUS_NO_NUMPY_ACCEL", "0")
-    assert default_backend() == "vector"
-
-
-def test_codec_uses_env_backend(monkeypatch):
-    monkeypatch.setenv("CYRUS_NO_NUMPY_ACCEL", "1")
-    assert RSCodec(2, 3).backend == "scalar"
-    monkeypatch.delenv("CYRUS_NO_NUMPY_ACCEL")
-    assert RSCodec(2, 3).backend == "vector"
-
-
-def test_get_sharer_cache_tracks_backend(monkeypatch):
-    from repro.core.uploader import get_sharer
-
-    monkeypatch.delenv("CYRUS_NO_NUMPY_ACCEL", raising=False)
-    assert get_sharer("k", 2, 3).codec.backend == "vector"
-    monkeypatch.setenv("CYRUS_NO_NUMPY_ACCEL", "1")
-    assert get_sharer("k", 2, 3).codec.backend == "scalar"
 
 
 # ----------------------------------------------------------------------
@@ -698,7 +658,7 @@ def test_vector_shares_are_memoryviews_not_copies():
     reintroduces a ``.tobytes()``/``bytes()`` copy per share in the
     encode path, this type check fails.
     """
-    shares = RSCodec(2, 4, backend="vector").encode(b"x" * 1000)
+    shares = RSCodec(2, 4).encode(b"x" * 1000)
     for s in shares:
         assert isinstance(s.data, memoryview), type(s.data)
         # still equality-comparable and hashable at the byte level
@@ -708,15 +668,12 @@ def test_vector_shares_are_memoryviews_not_copies():
 
 def test_chunker_slices_are_memoryviews():
     data = b"y" * 50_000
-    for engine in ("vectorized", "rabin", "reference"):
-        chunker = ContentDefinedChunker(
-            min_size=256, avg_size=1024, max_size=8192, engine=engine
-        )
-        chunks = chunker.chunk_bytes(data)
-        assert chunks, engine
-        for c in chunks:
-            assert isinstance(c.data, memoryview), (engine, type(c.data))
-        assert b"".join(c.data for c in chunks) == data
+    chunker = ContentDefinedChunker(min_size=256, avg_size=1024, max_size=8192)
+    chunks = chunker.chunk_bytes(data)
+    assert chunks
+    for c in chunks:
+        assert isinstance(c.data, memoryview), type(c.data)
+    assert b"".join(c.data for c in chunks) == data
 
 
 def test_transfer_op_payload_is_the_encoded_buffer():
@@ -728,7 +685,7 @@ def test_transfer_op_payload_is_the_encoded_buffer():
     network send.
     """
     from repro.core.transfer import OpKind, TransferOp
-    from repro.core.uploader import _ChunkPlan, get_sharer
+    from repro.core.uploader import _ChunkPlan
     from repro.chunking.chunk import Chunk
 
     chunk = Chunk.from_data(memoryview(b"z" * 4096))
@@ -740,6 +697,4 @@ def test_transfer_op_payload_is_the_encoded_buffer():
     )
     assert op.resolve_data() is payload
     # and that payload is a zero-copy view of the codec's output matrix
-    sharer = get_sharer("k", 2, 3)
-    if sharer.codec.backend == "vector":
-        assert isinstance(payload, memoryview)
+    assert isinstance(payload, memoryview)
