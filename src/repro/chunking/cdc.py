@@ -31,6 +31,18 @@ the cut after ``last`` depends only on bytes after it, so the cuts are
 exactly those of the full candidate list — and a file no larger than
 ``min_size`` hashes nothing.
 
+A re-save skips what its predecessor already proved.  ``known`` spans
+are chunks this chunker cut before (the client's cached chunks), and
+such a span holds no cut point: its first ``min_size`` bytes are never
+candidates, and the scan that cut it found no hit before its end, a
+verdict that depends only on its own bytes when ``min_size >= window``.
+So at each cut the loop looks up a known span that the data repeats
+from there; the next cut is that span's end if its one window there
+hits, the span is ``max_size`` long or it reaches EOF, and otherwise the
+scan resumes past its end — where the full scan would cut too.  A span
+this chunker did not cut can move a cut, never an id: ids are hashed
+from the bytes being cut.
+
 ``chunk_bytes`` slices chunks as ``memoryview`` windows over the input
 buffer rather than copying each chunk out — the zero-copy entry of the
 chunk → encode → upload hot path.
@@ -39,6 +51,7 @@ chunk → encode → upload hot path.
 from __future__ import annotations
 
 import functools
+from typing import Iterable
 
 import numpy as np
 
@@ -57,6 +70,9 @@ _SEED = 0x5EED
 #: L2-resident while bounding the work past the first hit in a slice.
 _BLOCK = 32 * 1024
 
+#: Leading bytes a known span is indexed by (``min_size`` if fewer).
+_PREFIX = 32
+
 
 @functools.lru_cache(maxsize=1)
 def _byte_table() -> np.ndarray:
@@ -72,6 +88,12 @@ def _byte_table() -> np.ndarray:
     )
     table.setflags(write=False)
     return table
+
+
+@functools.lru_cache(maxsize=1)
+def _byte_list() -> list[int]:
+    """:func:`_byte_table` as Python ints, for one window at a time."""
+    return _byte_table().tolist()
 
 
 def size_error(min_size: int, avg_size: int, max_size: int) -> str | None:
@@ -152,7 +174,10 @@ class ContentDefinedChunker:
         self._mask = avg_size - 1
         self._target = self._mask  # K in "hash mod M == K"
         self._bits = avg_size.bit_length() - 1  # log2(M)
+        # "top log2(M) bits of the 32-bit hash are all ones" == "hash >= floor"
+        self._floor = self._target << (32 - self._bits)
         self._table = _byte_table()
+        self._prefix = min(_PREFIX, min_size)
 
     # ------------------------------------------------------------------
     # candidate generation
@@ -182,55 +207,121 @@ class ContentDefinedChunker:
                 np.multiply(g[:count], _U32(_MULTIPLIER), out=g[:count])
                 np.add(g[:count], spare[:count], out=g[:count])
                 m += 1
-        # "top log2(M) bits of the 32-bit hash are all ones" == "hash >= floor"
-        floor = _U32(self._target << (32 - self._bits))
-        return np.flatnonzero(g[: span - m + 1] >= floor)
+        return np.flatnonzero(g[: span - m + 1] >= _U32(self._floor))
+
+    def _hit_at(self, data: bytes, end: int) -> bool:
+        """Whether the one window ending at ``end`` passes the boundary
+        test: :meth:`_window_hits` by Horner's rule, ~8x cheaper than
+        a numpy call for a single window."""
+        table, h = _byte_list(), 0
+        for byte in data[end - self.window : end]:
+            h = (h * _MULTIPLIER + table[byte]) & 0xFFFFFFFF
+        return h >= self._floor
+
+    def _span_index(self, known: Iterable) -> dict[bytes, list[bytes]]:
+        """Usable known spans by their leading bytes, longest first.
+
+        Empty when ``min_size < window``: a window at a span's start
+        then reaches back before it, so the span proves nothing.
+        """
+        index: dict[bytes, list[bytes]] = {}
+        if self.min_size < self.window:
+            return index
+        for span in known:
+            # a span no longer than min_size skips nothing
+            if self.min_size < len(span) <= self.max_size:
+                span = bytes(span)
+                index.setdefault(span[: self._prefix], []).append(span)
+        for spans in index.values():
+            spans.sort(key=len, reverse=True)
+        return index
+
+    def _known_at(self, index, data: bytes, at: int) -> bytes | None:
+        """The longest known span that ``data`` repeats from ``at``."""
+        for span in index.get(data[at : at + self._prefix], ()):
+            # startswith compares in place; a memoryview == would go
+            # element by element
+            if data.startswith(span, at):
+                return span
+        return None
 
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
 
-    def boundaries(self, data: bytes) -> list[int]:
-        """Cut points (exclusive chunk ends) for ``data``, ending at len."""
+    def boundaries(self, data, known: Iterable = ()) -> list[int]:
+        """Cut points (exclusive chunk ends) for ``data``, ending at len.
+
+        ``known`` are chunks this chunker cut before; the scan skips
+        each one the data repeats from a cut (module docstring).
+        """
         full = np.frombuffer(data, dtype=np.uint8)
         n, w = full.size, self.window
+        index = self._span_index(known)
+        if index and not isinstance(data, bytes):
+            data = bytes(data)  # for startswith, and hashable slices
         cuts: list[int] = []
-        last, s = 0, w  # s: first cut point not yet hashed
+        # every cut point below `hashed` is decided: hashed, with its
+        # hits not yet consumed in `todo` (nearest last), skipped as part
+        # of a known span, or never a candidate
+        last, hashed, todo = 0, min(w, n), []
         while True:
-            # cut points closer than min_size to the last cut are never
-            # kept, so they are never hashed
-            s = max(s, last + self.min_size)
-            end = min(n, s + _BLOCK)
-            if s < end:
-                # cut point s + j ends the window buf[j : j + w]
-                hits = self._window_hits(full[s - w : end - 1]) + s
-                for c in hits.tolist():  # select_boundaries, inlined
-                    while c - last > self.max_size:
-                        last += self.max_size
-                        cuts.append(last)
+            span = self._known_at(index, data, last) if index else None
+            if span is not None:
+                end = last + len(span)
+                if end == n:
+                    break
+                if self._hit_at(data, end):
+                    cuts.append(end)
+                    last = end
+                    continue
+                # no candidate in (last + min_size, end]: the scan
+                # resumes past it (and force-cuts at end if it is
+                # max_size long)
+                hashed = max(hashed, end + 1)
+            while True:  # the next cut: select_boundaries, inlined
+                if todo:
+                    c = todo[-1]
+                    if c - last > self.max_size:
+                        cut = last + self.max_size
+                        break
+                    todo.pop()
                     if c - last >= self.min_size:
-                        cuts.append(c)
-                        last = c
-            # every cut point below end is decided: force-cut spans that
-            # reached max_size without a candidate
-            while end - last > self.max_size:
-                last += self.max_size
-                cuts.append(last)
-            if end >= n:
+                        cut = c
+                        break
+                elif hashed - last > self.max_size:
+                    # decided up to past max_size without a candidate
+                    cut = last + self.max_size
+                    break
+                else:
+                    # cut points closer than min_size to the last cut
+                    # are never kept, so they are never hashed
+                    s = max(hashed, last + self.min_size)
+                    if s >= n:
+                        cut = n
+                        break
+                    hashed = min(n, s + _BLOCK)
+                    # cut point s + j ends the window buf[j : j + w]
+                    hits = self._window_hits(full[s - w : hashed - 1]) + s
+                    todo = hits[::-1].tolist()
+            if cut == n:
                 break
-            s = end
+            cuts.append(cut)
+            last = cut
         if n:
             cuts.append(n)
         return cuts
 
-    def chunk_bytes(self, data) -> list[Chunk]:
+    def chunk_bytes(self, data, known: Iterable = ()) -> list[Chunk]:
         """Split ``data`` into content-addressed chunks.
 
         Chunk payloads are zero-copy ``memoryview`` slices of ``data``;
         the caller must keep the source buffer alive while the chunks
         are in use (and may call ``Chunk.to_bytes()`` to detach one).
+        ``known`` only places cuts (see :meth:`boundaries`): every id is
+        the SHA-1 of the chunk's own bytes.
         """
-        cuts = self.boundaries(data)
+        cuts = self.boundaries(data, known)
         view = memoryview(data)
         chunks: list[Chunk] = []
         prev = 0

@@ -5,7 +5,8 @@ stale and the cache needs no invalidation.  Only verified chunks enter,
 through one door: the client's own put writes through the chunks it
 just chunked and hashed.  The get path reads it to shrink the set of
 chunks it fetches; it never stands in for a provider that cannot be
-reached (DESIGN.md, "Chunk cache").
+reached.  A re-save's chunker reads a snapshot of it to skip the spans
+it already cut; that only places cuts (DESIGN.md, "Chunk cache").
 """
 
 from __future__ import annotations
@@ -49,6 +50,13 @@ class ChunkCache:
                 if count:
                     self._requests.inc(count, outcome=outcome)
         return hits
+
+    def spans(self) -> tuple[bytes, ...]:
+        """A snapshot of every cached plaintext, for a put's chunker to
+        skip (``ContentDefinedChunker.boundaries``' ``known``); it
+        leaves the LRU order and the counters alone."""
+        with self._lock:
+            return tuple(self._entries.values())
 
     def admit_edit(self, chunks: Sequence[tuple[str, bytes]], prev) -> None:
         """Insert a version's verified ``(chunk id, plaintext)`` pairs

@@ -187,7 +187,10 @@ class Uploader:
         with span_if(obs, "upload", file=name, size=len(data)):
             # line 5: chunking
             with span_if(obs, "chunk"):
-                chunks = self.chunker.chunk_bytes(data)
+                # a re-save skips the spans its cached predecessor
+                # proves cut-free; ids are still hashed from ``data``
+                known = self.cache.spans() if head is not None else ()
+                chunks = self.chunker.chunk_bytes(data, known)
             # lines 6-9: dedup + scatter
             plans, dedup_count = self._plan_chunks(chunks)
             if obs is not None:

@@ -264,12 +264,13 @@ class MetadataStore:
 
     def shares_for(self, node: MetadataNode) -> list[tuple[CloudProvider, str, Share]]:
         """(provider, object name, share) triples for one node."""
-        payload = encode_node(node)
-        shares = self._sharer.split(payload)
+        return self._split(node, encode_node(node))
+
+    def _split(self, node: MetadataNode, payload: bytes):
         node_id = node.node_id
         return [
             (self.providers[s.index], metadata_share_name(node_id, s.index), s)
-            for s in shares
+            for s in self._sharer.split(payload)
         ]
 
     def frames_for(
@@ -289,7 +290,7 @@ class MetadataStore:
             (provider, name,
              pack_meta_share(share.data, share.chunk_size, node_digest, stamp),
              share.index)
-            for provider, name, share in self.shares_for(node)
+            for provider, name, share in self._split(node, payload)
         ]
 
     def publish_stamp(self) -> int:

@@ -220,6 +220,17 @@ class TestBudget:
         _admit(cache, [("d", b"d" * 10)])  # evicts b, the least recent
         assert list(cache._entries) == ["c", "a", "d"]
 
+    def test_spans_are_a_snapshot_that_moves_nothing(self):
+        metrics = MetricsRegistry()
+        cache = ChunkCache(30, metrics=metrics)
+        _admit(cache, [("a", b"a" * 10), ("b", b"b" * 10)])
+        spans = cache.spans()
+        _admit(cache, [("c", b"c" * 10)])
+        assert spans == (b"a" * 10, b"b" * 10)
+        assert list(cache._entries) == ["a", "b", "c"]
+        assert not metrics.snapshot().counter_total(
+            "cyrus_chunk_cache_requests_total")
+
     def test_concurrent_admits_and_lookups_keep_the_byte_total(self):
         cache = ChunkCache(5_000)
         errors: list[BaseException] = []
@@ -312,6 +323,39 @@ class TestSafety:
         client.chunk_cache._entries[chunk_id] = bytes([blob[0] ^ 1]) + blob[1:]
         with pytest.raises(ShareIntegrityError):
             client.get("doc.bin")
+
+    def test_a_tampered_entry_moves_a_cut_never_an_id(self):
+        """A cached chunk with one byte flipped, then an edit that flips
+        the same byte and so puts a candidate cut inside that chunk: the
+        put skips the entry's span unscanned, so the cut moves, but
+        every chunk id is the SHA-1 of the bytes stored, and a second
+        device reads the edit back bit-exact."""
+        world = World()
+        writer = world.device("writer")
+        writer.put("doc.bin", V0)
+        head = writer.put("doc.bin", V1).node
+        chunker = writer.uploader.chunker
+
+        def flips():
+            for record in head.chunks[:-1]:
+                lo = record.offset + chunker.min_size - 1
+                for pos in range(lo, record.offset + record.size - 1):
+                    for bit in range(8):
+                        edit = bytearray(V1)
+                        edit[pos] ^= 1 << bit
+                        if chunker._hit_at(bytes(edit), pos + 1):
+                            return record, bytes(edit)
+
+        record, v2 = flips()
+        end = record.offset + record.size
+        writer.chunk_cache._entries[record.chunk_id] = v2[record.offset:end]
+        node = writer.put("doc.bin", v2).node
+        stored = [(r.offset, r.offset + r.size) for r in node.chunks]
+        assert [b for _a, b in stored] != chunker.boundaries(v2)
+        assert (record.offset, end) in stored
+        assert all(r.chunk_id == sha1_hex(v2[r.offset:r.offset + r.size])
+                   for r in node.chunks)
+        assert world.device("reader").get("doc.bin").data == v2
 
     def test_lazy_migration_rehomes_cached_chunks(self):
         world = World()

@@ -26,7 +26,7 @@ class RabinOracle(ContentDefinedChunker):
     differently from the chunker, so it cuts elsewhere, by the same
     rules; ``golden_cuts.json`` pins its cuts too."""
 
-    def boundaries(self, data) -> list[int]:
+    def boundaries(self, data, known=()) -> list[int]:
         rabin, mask, w = RabinFingerprint(window=self.window), self._mask, self.window
         candidates = [
             i + 1 for i, byte in enumerate(bytes(data))
@@ -299,9 +299,9 @@ class TestScanBudget:
     ]
 
     @staticmethod
-    def scanned(data) -> int:
+    def scanned(data, known=()) -> int:
         chunker = ContentDefinedChunker(**_default_sizes())
-        window_hits = chunker._window_hits
+        window_hits, hit_at = chunker._window_hits, chunker._hit_at
         total = 0
 
         def counting(buf):
@@ -309,9 +309,31 @@ class TestScanBudget:
             total += buf.size
             return window_hits(buf)
 
-        chunker._window_hits = counting
-        chunker.boundaries(data)
+        def counting_one(data, end):
+            nonlocal total
+            total += chunker.window
+            return hit_at(data, end)
+
+        chunker._window_hits, chunker._hit_at = counting, counting_one
+        chunker.boundaries(data, known)
         return total
+
+    @staticmethod
+    def resave() -> tuple[bytes, bytes]:
+        """A seeded 8 MiB document and its re-save after an insert, a
+        delete and an overwrite of at most 4 KiB each."""
+        rng = random.Random(28)
+        doc = rng.randbytes(8 << 20)
+        out = bytearray(doc)
+        for kind in ("insert", "delete", "overwrite"):
+            pos, length = rng.randrange(len(out)), rng.randint(1, 4096)
+            if kind == "insert":
+                out[pos:pos] = rng.randbytes(length)
+            elif kind == "delete":
+                del out[pos:pos + length]
+            else:
+                out[pos:pos + length] = rng.randbytes(length)
+        return doc, bytes(out)
 
     def test_nothing_hashed_up_to_chunk_min(self):
         m = _default_sizes()["min_size"]
@@ -326,6 +348,84 @@ class TestScanBudget:
     def test_large_buffer_skips(self):
         data = random.Random(8).randbytes(8 << 20)
         assert self.scanned(data) <= self.budget["seeded_8mib_max_share"] * len(data)
+
+    def test_resave_hashes_what_the_edits_touched(self):
+        doc, edited = self.resave()
+        chunker = ContentDefinedChunker(**_default_sizes())
+        known = [c.to_bytes() for c in chunker.chunk_bytes(doc)]
+        assert chunker.boundaries(edited, known) == chunker.boundaries(edited)
+        assert (self.scanned(edited, ()) == self.scanned(edited)
+                == self.budget["resave_8mib_empty_cache"])
+        assert self.scanned(edited, known) == self.budget["resave_8mib_cached"]
+
+
+class TestKnownSpans:
+    """``known`` places cuts; what the chunk ids are, it cannot change."""
+
+    chunker = ContentDefinedChunker(min_size=16, avg_size=16, max_size=4096,
+                                    window=16)
+
+    def _last_chunk(self, accept):
+        """(last chunk, doc, doc + 100 bytes) for the first seeded
+        200-byte doc whose last chunk is longer than min_size and that
+        ``accept(doc, edited)`` takes."""
+        for seed in range(2000):
+            rng = random.Random(seed)
+            doc = rng.randbytes(200)
+            start = ([0] + self.chunker.boundaries(doc))[-2]
+            edited = doc + rng.randbytes(100)
+            if len(doc) - start > self.chunker.min_size and accept(doc, edited):
+                return doc[start:], doc, edited
+        pytest.fail("no seed fits")
+
+    def test_the_scan_resumes_right_past_a_known_chunk(self):
+        """A known last chunk, now followed by a candidate one byte past
+        its end: the cut lands there, though no slice hashed it yet."""
+        from unittest import mock
+
+        from repro.chunking import cdc
+
+        span, doc, edited = self._last_chunk(
+            lambda doc, edited: len(doc) + 1 in self.chunker.boundaries(edited))
+        with mock.patch.object(cdc, "_BLOCK", 8):
+            assert (self.chunker.boundaries(edited, [span])
+                    == self.chunker.boundaries(edited))
+
+    def test_a_known_chunk_reaching_eof_on_a_candidate(self):
+        span, doc, _ = self._last_chunk(
+            lambda doc, _edited: self.chunker._hit_at(doc, len(doc)))
+        assert self.chunker.boundaries(doc, [span]) == self.chunker.boundaries(doc)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_spans_it_did_not_cut_move_cuts_never_ids(self, seed):
+        rng = random.Random(seed)
+        chunker = ContentDefinedChunker(min_size=16, avg_size=32, max_size=128)
+        doc = rng.randbytes(rng.randint(2_000, 20_000))
+        cuts = chunker.boundaries(doc)
+        # the data: doc with one byte of its second chunk flipped, so
+        # that chunk, flipped, is repeated by the data but never cut
+        data = bytearray(doc)
+        data[rng.randrange(cuts[0], cuts[1])] ^= 1 << rng.randrange(8)
+        data = bytes(data)
+        known = [data[cuts[0] : cuts[1]]]
+        # random blobs, and blobs the data repeats from an old cut: of
+        # any length, and one byte past max_size
+        known += [rng.randbytes(rng.randint(1, 256)) for _ in range(5)]
+        for c in [0] + cuts[:-1]:
+            known += [data[c : c + rng.randint(1, 2 * chunker.max_size)],
+                      data[c : c + chunker.max_size + 1]]
+        # the chunks of another config
+        other = ContentDefinedChunker(min_size=16, avg_size=64, max_size=512)
+        known += [c.to_bytes() for c in other.chunk_bytes(data)]
+        chunks = chunker.chunk_bytes(data, known)
+        assert b"".join(c.data for c in chunks) == data
+        assert [c.offset for c in chunks] == [0] + [
+            c.offset + c.size for c in chunks[:-1]]
+        assert all(c.id == hashlib.sha1(c.data).hexdigest() for c in chunks)
+        assert all(chunker.min_size <= c.size <= chunker.max_size
+                   for c in chunks[:-1])
+        assert chunks[-1].size <= chunker.max_size
+        assert [c.offset + c.size for c in chunks] != chunker.boundaries(data)
 
 
 class TestFixedChunker:

@@ -13,6 +13,7 @@ import functools
 import hashlib
 import itertools
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -550,10 +551,48 @@ def _oracle_candidates(chunker, data):
 _SEAM = 257  # patched cdc._BLOCK
 
 
+def _edited_candidates(chunker, candidates, edited, pos, removed, added):
+    """The oracle candidates of ``edited``, the data of ``candidates``
+    with ``removed`` bytes at ``pos`` replaced by ``added`` new ones:
+    only the windows that overlap the new bytes are hashed again."""
+    w, shift = chunker.window, added - removed
+    lo = max(0, pos + 1 - w)
+    local = [lo + c for c in _oracle_candidates(
+        chunker, edited[lo : pos + added + w - 1])]
+    return ([c for c in candidates if c <= pos] + local
+            + [c + shift for c in candidates if c - w >= pos + removed])
+
+
+def _apply_edit(data, cuts, seam, edit):
+    """``(edited, pos, removed, added)`` for one drawn edit: an insert,
+    delete or overwrite of random or zero bytes, placed at offset 0, at
+    EOF, near a cut, near a slice seam, mid-file or anywhere."""
+    kind, anchor, delta, length, pick = edit
+    n = len(data)
+    base = {"start": 0, "end": n, "middle": n // 2, "anywhere": pick % (n + 1),
+            "cut": cuts[pick % len(cuts)] if cuts else 0,
+            "seam": seam * (pick % (n // seam + 1))}[anchor]
+    pos = min(max(0, base + delta), n)
+    removed = 0 if kind == "insert" else min(length, n - pos)
+    added = 0 if kind == "delete" else length if kind == "insert" else removed
+    content = bytes(added) if pick % 4 == 0 else random.Random(pick).randbytes(added)
+    return data[:pos] + content + data[pos + removed:], pos, removed, added
+
+
+def _spans(data, cuts) -> list[bytes]:
+    return [data[a:b] for a, b in zip([0] + cuts, cuts)]
+
+
+_KINDS = ("insert", "delete", "overwrite")
+_ANCHORS = ("start", "end", "cut", "seam", "middle", "anywhere")
+_EDITS = st.lists(st.tuples(
+    st.sampled_from(_KINDS), st.sampled_from(_ANCHORS),
+    st.integers(-20, 20), st.integers(1, 300), st.integers(0, 2**31),
+), min_size=1, max_size=3)
+
+
 @st.composite
 def _cut_loop_case(draw):
-    import random
-
     window = draw(st.sampled_from([2, 3, 5, 16, 17, 48]))
     avg = draw(st.sampled_from([4, 16, 64, 256, 1024]))
     min_size = draw(st.one_of(st.integers(1, min(window, avg)),
@@ -576,7 +615,7 @@ def _cut_loop_case(draw):
     else:
         data = rng.randbytes(length)
     return dict(min_size=min_size, avg_size=avg, max_size=max_size,
-                window=window), data
+                window=window), data, draw(_EDITS)
 
 
 @given(case=_cut_loop_case())
@@ -585,29 +624,39 @@ def test_cut_loop_matches_full_candidate_list(case):
     """The skip loop's cuts are the min/max filter applied to every
     candidate: windows wider than min_size,
     all-zero runs that force max cuts, lengths at min/max and at the
-    slice seams of a patched block of 257."""
+    slice seams of a patched block of 257.  So are the cuts of a chain
+    of edits, each re-chunked with its predecessor's chunks as
+    ``known`` (with ``min_size < window`` they must change nothing)."""
     from unittest import mock
 
     import repro.chunking.cdc as cdc
     from repro.chunking.cdc import select_boundaries
 
-    kw, data = case
+    kw, data, edits = case
     chunker = ContentDefinedChunker(**kw)
-    expected = select_boundaries(
-        _oracle_candidates(chunker, data), len(data),
-        kw["min_size"], kw["max_size"],
-    )
+    candidates = _oracle_candidates(chunker, data)
+    expected = select_boundaries(candidates, len(data),
+                                 kw["min_size"], kw["max_size"])
     with mock.patch.object(cdc, "_BLOCK", _SEAM):
         assert chunker.boundaries(data) == expected
+        assert chunker.boundaries(data, _spans(data, expected)) == expected
+        for edit in edits:
+            edited, *where = _apply_edit(data, expected, _SEAM, edit)
+            candidates = _edited_candidates(chunker, candidates, edited, *where)
+            assert candidates == _oracle_candidates(chunker, edited)
+            cuts = select_boundaries(candidates, len(edited),
+                                     kw["min_size"], kw["max_size"])
+            assert chunker.boundaries(edited, _spans(data, expected)) == cuts
+            data, expected = edited, cuts
 
 
 @pytest.mark.slow
 def test_cut_loop_wide_sweep():
     """Over 2,000 configs on MiB-scale buffers (random, a long zero run,
     low entropy) and prefixes of them, at the real block size: every
-    cut list is the filtered full candidate list."""
-    import random
-
+    cut list is the filtered full candidate list, and so is the cut list
+    of an edit re-chunked with the unedited chunks as ``known``."""
+    from repro.chunking import cdc
     from repro.chunking.cdc import select_boundaries
 
     rng = random.Random(0x5EEB)
@@ -642,6 +691,21 @@ def test_cut_loop_wide_sweep():
                     got = chunker.boundaries(memoryview(data)[:n])
                     assert got == expected, (window, avg, min_size,
                                              max_size, n)
+                    edit = (rng.choice(_KINDS), rng.choice(_ANCHORS),
+                            rng.randint(-64, 64), rng.randint(1, 4096),
+                            rng.randrange(2**31))
+                    prefix = data[:n]
+                    edited, *where = _apply_edit(prefix, expected,
+                                                 cdc._BLOCK, edit)
+                    resaved = select_boundaries(
+                        _edited_candidates(
+                            probe, [c for c in candidates if c <= n],
+                            edited, *where),
+                        len(edited), min_size, max_size,
+                    )
+                    got = chunker.boundaries(edited, _spans(prefix, expected))
+                    assert got == resaved, (window, avg, min_size,
+                                            max_size, n, edit)
                     configs += 1
     assert configs >= 2000
 

@@ -115,6 +115,32 @@ class TestStore:
         store.publish(b)
         assert store.list_node_ids() == {a.node_id, b.node_id}
 
+    def test_a_publish_encodes_its_node_once(self, monkeypatch):
+        import repro.metadata.store as store_module
+        from repro.metadata.codec import pack_meta_share
+        from repro.util.hashing import sha1_hex
+
+        encode, calls = store_module.encode_node, []
+
+        def counting(node):
+            calls.append(node)
+            return encode(node)
+
+        monkeypatch.setattr(store_module, "encode_node", counting)
+        store, _ = self.make()
+        node = mk("f", "v1")
+        store.publish(node, stamp=7)
+        assert len(calls) == 1
+        frames = store.frames_for(node, stamp=7)
+        assert len(calls) == 2
+        # the same bytes as framing each share of the node's shares_for
+        payload = encode(node)
+        assert frames == [
+            (p, name, pack_meta_share(share.data, share.chunk_size,
+                                      sha1_hex(payload), 7), share.index)
+            for p, name, share in store.shares_for(node)
+        ]
+
     def test_partial_upload_invisible(self):
         # fewer than t shares visible => node not listed (mid-upload)
         store, providers = self.make(m=4, t=3)
