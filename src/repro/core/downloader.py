@@ -51,7 +51,7 @@ from repro.selection import (
     SelectionPlan,
     restrict_to_live,
 )
-from repro.util.hashing import sha1_hex
+from repro.util.hashing import HashLane, sha1_hex, sha1_stream
 
 
 @dataclass
@@ -144,11 +144,14 @@ class Downloader:
             )
         started = self.engine.clock.now()
         obs = getattr(self.engine, "obs", None)
-        with span_if(obs, "download", file=node.name, size=node.size):
+        with span_if(obs, "download", file=node.name, size=node.size), \
+                HashLane(node.size, getattr(obs, "metrics", None)) as lane:
             states = self._chunk_states(node)
-            plans, share_results = self._read_chunks(states)
+            whole = _WholeFileDigest(node)
+            plans, share_results = self._read_chunks(states, lane, whole)
+            digest = lane.submit("file", node.size, whole.hexdigest)
             data = self._assemble(node, states)
-            if sha1_hex(data) != node.file_id:
+            if lane.join(digest) != node.file_id:
                 raise ShareIntegrityError(
                     f"reconstructed {node.name!r} does not match its content id"
                 )
@@ -194,6 +197,7 @@ class Downloader:
             for record in node.chunks
             if record.offset < end and record.offset + record.size > offset
         ]
+        needed_ids = {record.chunk_id for record in needed}
         window_node = MetadataNode(
             file_id=node.file_id,
             prev_id=node.prev_id,
@@ -203,16 +207,15 @@ class Downloader:
             modified=node.modified,
             size=node.size,
             chunks=tuple(needed),
-            shares=tuple(
-                s for s in node.shares
-                if s.chunk_id in {r.chunk_id for r in needed}
-            ),
+            shares=tuple(s for s in node.shares if s.chunk_id in needed_ids),
         )
         obs = getattr(self.engine, "obs", None)
         with span_if(obs, "download", file=node.name, size=node.size,
-                     offset=offset, length=length):
+                     offset=offset, length=length), \
+                HashLane(sum(r.size for r in needed),
+                         getattr(obs, "metrics", None)) as lane:
             states = self._chunk_states(window_node)
-            plans, share_results = self._read_chunks(states)
+            plans, share_results = self._read_chunks(states, lane)
             # assemble only the window: chunks verify individually by id
             window = bytearray(end - offset if end > offset else 0)
             for record in needed:
@@ -239,18 +242,26 @@ class Downloader:
     # ------------------------------------------------------------------
 
     def _read_chunks(
-        self, states: dict[str, _ChunkState]
+        self, states: dict[str, _ChunkState], lane: HashLane,
+        whole: _WholeFileDigest | None = None,
     ) -> tuple[list[SelectionPlan], list[OpResult]]:
-        """Give every state its plaintext: cache hits as they are, every
-        other chunk selected, gathered, verified and decoded."""
+        """Give every state its verified plaintext: cache hits as they
+        are, every other chunk selected, gathered, decoded and checked
+        by id on ``lane``.  ``whole`` is fed, as lane jobs, the chunks
+        known good: all cache hits at once, first, then each other
+        chunk once it checks out."""
         obs = getattr(self.engine, "obs", None)
         fetch = self._uncached(states)
+        hits = [(chunk_id, state.decoded) for chunk_id, state
+                in states.items() if chunk_id not in fetch]
+        if whole is not None and hits:
+            lane.submit("file", 0, whole.verified, hits)
         with span_if(obs, "select", chunks=len(fetch)):
             plans = self._select(fetch) if fetch else []
         with span_if(obs, "gather"):
             share_results = self._gather(fetch, plans)
         with span_if(obs, "decode"):
-            self._decode_chunks(fetch)
+            self._decode_chunks(fetch, lane, whole)
         return plans, share_results
 
     def _chunk_states(self, node: MetadataNode) -> dict[str, _ChunkState]:
@@ -503,10 +514,19 @@ class Downloader:
             states[chunk_id].decoded = blob
         return {c: s for c, s in states.items() if c not in hits}
 
-    def _decode_chunks(self, states: dict[str, _ChunkState]) -> None:
+    def _decode_chunks(
+        self, states: dict[str, _ChunkState], lane: HashLane,
+        whole: _WholeFileDigest | None,
+    ) -> None:
         """Decode every fetched chunk once into ``state.decoded``,
-        verified by id and repaired if a share lied."""
+        verified by id and repaired if a share lied.
+
+        Each chunk's id check runs on ``lane`` while the next chunk
+        decodes; the verdicts are joined, in order, before any
+        plaintext is stored, so every repair happens on the caller.
+        """
         obs = getattr(self.engine, "obs", None)
+        decoded = []
         for chunk_id, state in states.items():
             sharer = get_sharer(self.config.key, state.t, state.n)
             shares = [
@@ -522,11 +542,19 @@ class Downloader:
             if obs is not None:
                 obs.metrics.observe("cyrus_chunk_decode_seconds",
                                     obs.clock.now() - t0)
-            if plaintext is None or sha1_hex(plaintext) != chunk_id:
+            check = None if plaintext is None else lane.submit(
+                "chunk", len(plaintext), _verify_chunk, chunk_id, plaintext,
+                whole)
+            decoded.append((state, sharer, plaintext, check))
+        for state, sharer, plaintext, check in decoded:
+            if check is None or not lane.join(check):
                 # a fetched share is corrupt; pull the chunk's remaining
                 # shares and decode a verifying t-subset (Section 5.1's
                 # beyond-secret-sharing error tolerance)
                 plaintext = self._repair_chunk(state, sharer)
+                if whole is not None:
+                    lane.submit("file", 0, whole.verified,
+                                [(state.chunk_id, plaintext)])
             state.decoded = plaintext
 
     def _repair_chunk(self, state: _ChunkState, sharer) -> bytes:
@@ -612,3 +640,39 @@ class Downloader:
                 )
             )
         return migrations
+
+
+def _verify_chunk(chunk_id: str, plaintext: bytes,
+                  whole: _WholeFileDigest | None) -> bool:
+    """The chunk-id check of one decode (a lane job); a chunk that
+    passes goes on into the whole-file check."""
+    if sha1_hex(plaintext) != chunk_id:
+        return False
+    if whole is not None:
+        whole.verified([(chunk_id, plaintext)])
+    return True
+
+
+class _WholeFileDigest:
+    """SHA-1 of a version's bytes, fed in ChunkMap order as each chunk
+    is verified.  Only lane jobs call it, and a lane runs one job at a
+    time, in order, so it needs no lock.  A chunk never fed leaves the
+    digest short, and the check fails closed."""
+
+    def __init__(self, node: MetadataNode):
+        self._order = [record.chunk_id for record in node.chunks]
+        self._next = 0
+        self._ready: dict[str, bytes] = {}
+        self._hasher = sha1_stream()
+
+    def verified(self, chunks: list[tuple[str, bytes]]) -> None:
+        """Take verified ``(chunk id, plaintext)`` pairs and hash every
+        chunk now next in ChunkMap order."""
+        self._ready.update(chunks)
+        order = self._order
+        while self._next < len(order) and order[self._next] in self._ready:
+            self._hasher.update(self._ready[order[self._next]])
+            self._next += 1
+
+    def hexdigest(self) -> str:
+        return self._hasher.hexdigest()

@@ -44,7 +44,7 @@ from repro.metadata import (
 from repro.metadata.codec import encode_node
 from repro.metadata.node import ROOT_ID
 from repro.obs import span_if
-from repro.util.hashing import sha1_hex
+from repro.util.hashing import HashLane, LaneJob, sha1_hex
 
 
 @functools.lru_cache(maxsize=64)
@@ -78,14 +78,17 @@ class _ChunkPlan:
     chunk: Chunk
     t: int
     n: int
+    lane: HashLane  # the put's: share digests are hashed there
     placements: dict[int, str] = field(default_factory=dict)  # index -> csp
     _share_cache: dict[int, bytes] = field(default_factory=dict)
+    _digests: LaneJob | None = None
     # pool workers may pull different shares of one chunk concurrently;
     # the lock makes the one-time encode exactly-once
     _lock: threading.Lock = field(default_factory=threading.Lock)
 
     def share_data(self, key: str, index: int, obs=None) -> bytes:
-        """Coded bytes for one share index (all n computed on first use)."""
+        """Coded bytes for one share index (all n computed on first use;
+        their digests go on the put's hashing lane at once)."""
         with self._lock:
             if not self._share_cache:
                 t0 = obs.clock.now() if obs is not None else 0.0
@@ -93,9 +96,12 @@ class _ChunkPlan:
                 self._share_cache = {
                     s.index: s.data for s in sharer.split(self.chunk.data)
                 }
+                blobs = tuple(self._share_cache[i] for i in range(self.n))
                 if obs is not None:
                     obs.metrics.observe("cyrus_chunk_encode_seconds",
                                         obs.clock.now() - t0)
+                self._digests = self.lane.submit(
+                    "share", sum(map(len, blobs)), _share_digests, blobs)
             return self._share_cache[index]
 
     def share_digests(self, key: str, obs=None) -> tuple[str, ...]:
@@ -106,10 +112,11 @@ class _ChunkPlan:
         computes the same values.
         """
         self.share_data(key, 0, obs=obs)  # ensure the one-time encode ran
-        with self._lock:
-            return tuple(
-                sha1_hex(self._share_cache[i]) for i in range(self.n)
-            )
+        return self.lane.join(self._digests)
+
+
+def _share_digests(blobs: tuple[bytes, ...]) -> tuple[str, ...]:
+    return tuple(sha1_hex(blob) for blob in blobs)
 
 
 class Uploader:
@@ -176,67 +183,71 @@ class Uploader:
         else:
             head = None
             prev_id = ROOT_ID
-        file_id = sha1_hex(data)
-        if head is not None and head.file_id == file_id and not head.deleted:
-            return UploadReport(
-                node=head, started=started, finished=started,
-                bytes_uploaded=0, new_chunks=0, dedup_chunks=len(head.chunks),
-                unchanged=True,
-            )
         obs = getattr(self.engine, "obs", None)
-        with span_if(obs, "upload", file=name, size=len(data)):
-            # line 5: chunking
-            with span_if(obs, "chunk"):
-                # a re-save skips the spans its cached predecessor
-                # proves cut-free; ids are still hashed from ``data``
-                known = self.cache.spans() if head is not None else ()
-                chunks = self.chunker.chunk_bytes(data, known)
-            # lines 6-9: dedup + scatter
-            plans, dedup_count = self._plan_chunks(chunks)
-            if obs is not None:
-                obs.metrics.inc("cyrus_chunks_new_total", len(plans))
-                obs.metrics.inc("cyrus_chunks_dedup_total", dedup_count)
-            # journal the intent (planned share objects = the rollback
-            # set) before any provider is touched
-            intent_id = self._journal_begin("put", name, file_id, plans)
-            with span_if(obs, "scatter", chunks=len(plans)):
-                share_results, degraded = self._scatter(plans, intent_id)
-            # degraded writes become durable redundancy debts *inside*
-            # the intent: a crash before commit replays the put, and the
-            # recovery pass reconciles these records into the ledger
-            for cid, (missing, failed_csps) in sorted(degraded.items()):
+        # the whole-file id hashes on the lane while the caller chunks
+        with HashLane(len(data), getattr(obs, "metrics", None)) as lane:
+            file_job = lane.submit("file", len(data), sha1_hex, data)
+            with span_if(obs, "upload", file=name, size=len(data)):
+                # line 5: chunking
+                with span_if(obs, "chunk"):
+                    # a re-save skips the spans its cached predecessor
+                    # proves cut-free; ids are still hashed from ``data``
+                    known = self.cache.spans() if head is not None else ()
+                    chunks = self.chunker.chunk_bytes(data, known)
+                file_id = lane.join(file_job)
+                if (head is not None and head.file_id == file_id
+                        and not head.deleted):
+                    return UploadReport(
+                        node=head, started=started, finished=started,
+                        bytes_uploaded=0, new_chunks=0,
+                        dedup_chunks=len(head.chunks), unchanged=True,
+                    )
+                # lines 6-9: dedup + scatter
+                plans, dedup_count = self._plan_chunks(chunks, lane)
                 if obs is not None:
-                    obs.metrics.inc("cyrus_upload_degraded_chunks_total")
-                if intent_id is not None:
-                    self.journal.record(
-                        intent_id, "debt", chunk=cid,
-                        missing=list(missing), failed=list(failed_csps),
-                    )
-                if self.ledger is not None:
-                    self.ledger.record(
-                        cid, missing=missing, failed_csps=failed_csps,
-                    )
+                    obs.metrics.inc("cyrus_chunks_new_total", len(plans))
+                    obs.metrics.inc("cyrus_chunks_dedup_total", dedup_count)
+                # journal the intent (planned share objects = the rollback
+                # set) before any provider is touched
+                intent_id = self._journal_begin("put", name, file_id, plans)
+                with span_if(obs, "scatter", chunks=len(plans)):
+                    share_results, degraded = self._scatter(plans, intent_id)
+                # degraded writes become durable redundancy debts *inside*
+                # the intent: a crash before commit replays the put, and the
+                # recovery pass reconciles these records into the ledger
+                for cid, (missing, failed_csps) in sorted(degraded.items()):
                     if obs is not None:
-                        from repro.redundancy.ledger import DEBT_RECORDED
-                        obs.metrics.inc(DEBT_RECORDED)
-            # line 10: metadata — only after every chunk upload resolved
-            node = self._build_node(
-                name=name, file_id=file_id, prev_id=prev_id,
-                client_id=client_id, modified=modified, size=len(data),
-                chunks=chunks, plans=plans,
-            )
-            if intent_id is not None:
-                # the roll-forward payload: shares are all durable now,
-                # so a crash past this point finishes the publish
-                self.journal.record(
-                    intent_id, "meta-intent",
-                    node=encode_node(node).decode("utf-8"),
+                        obs.metrics.inc("cyrus_upload_degraded_chunks_total")
+                    if intent_id is not None:
+                        self.journal.record(
+                            intent_id, "debt", chunk=cid,
+                            missing=list(missing), failed=list(failed_csps),
+                        )
+                    if self.ledger is not None:
+                        self.ledger.record(
+                            cid, missing=missing, failed_csps=failed_csps,
+                        )
+                        if obs is not None:
+                            from repro.redundancy.ledger import DEBT_RECORDED
+                            obs.metrics.inc(DEBT_RECORDED)
+                # line 10: metadata — only after every chunk upload resolved
+                node = self._build_node(
+                    name=name, file_id=file_id, prev_id=prev_id,
+                    client_id=client_id, modified=modified, size=len(data),
+                    chunks=chunks, plans=plans,
                 )
-            with span_if(obs, "publish_meta"):
-                meta_results = self._publish(node)
-            if intent_id is not None:
-                self.journal.record(intent_id, "meta-published",
-                                    node_id=node.node_id)
+                if intent_id is not None:
+                    # the roll-forward payload: shares are all durable now,
+                    # so a crash past this point finishes the publish
+                    self.journal.record(
+                        intent_id, "meta-intent",
+                        node=encode_node(node).decode("utf-8"),
+                    )
+                with span_if(obs, "publish_meta"):
+                    meta_results = self._publish(node)
+                if intent_id is not None:
+                    self.journal.record(intent_id, "meta-published",
+                                        node_id=node.node_id)
         self.tree.add(node)
         self.chunk_table.record_node(node)
         if intent_id is not None:
@@ -277,7 +288,7 @@ class Uploader:
         )
 
     def _plan_chunks(
-        self, chunks: Sequence[Chunk]
+        self, chunks: Sequence[Chunk], lane: HashLane
     ) -> tuple[list[_ChunkPlan], int]:
         """Split chunks into new (to scatter) vs already stored."""
         plans: list[_ChunkPlan] = []
@@ -314,6 +325,7 @@ class Uploader:
                     chunk=chunk,
                     t=self.config.t,
                     n=n,
+                    lane=lane,
                     placements={i: csp for i, csp in enumerate(csps)},
                 )
             )

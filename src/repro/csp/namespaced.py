@@ -23,6 +23,7 @@ from repro.csp.base import BytesLike, CloudProvider, ObjectInfo
 #: Namespace prefix template; the trailing slash keeps tenants like
 #: ``t1`` and ``t10`` from shadowing each other's listings.
 NAMESPACE_TEMPLATE = "t/{tenant}/"
+_ROOT = NAMESPACE_TEMPLATE.split("{tenant}")[0]
 
 
 def namespace_prefix(tenant_id: str) -> str:
@@ -30,6 +31,19 @@ def namespace_prefix(tenant_id: str) -> str:
     if not tenant_id or "/" in tenant_id:
         raise ValueError(f"invalid tenant id {tenant_id!r}")
     return NAMESPACE_TEMPLATE.format(tenant=tenant_id)
+
+
+def owning_prefix(name: str) -> str | None:
+    """The one namespace prefix a raw object name can sit under, or None.
+
+    Tenant ids hold no ``/``, so no tenant's prefix starts another's and
+    a name matches at most one: the text up to the ``/`` that ends its
+    tenant segment.
+    """
+    if not name.startswith(_ROOT):
+        return None
+    end = name.find("/", len(_ROOT))
+    return None if end < 0 else name[:end + 1]
 
 
 class NamespacedCSP(CloudProvider):

@@ -36,7 +36,11 @@ from repro.core.config import CyrusConfig
 from repro.core.transfer import DirectEngine, SimulatedEngine
 from repro.csp.base import CloudProvider
 from repro.csp.memory import InMemoryCSP
-from repro.csp.namespaced import NamespacedCSP, namespace_prefix
+from repro.csp.namespaced import (
+    NamespacedCSP,
+    namespace_prefix,
+    owning_prefix,
+)
 from repro.csp.simulated import SimulatedCSP
 from repro.errors import CyrusError
 from repro.fleet.quota import FleetQuota
@@ -304,18 +308,17 @@ class FleetHarness:
         return acc.hexdigest()
 
     def _namespace_collisions(self, tenant_order: list[str]) -> int:
-        """Objects not attributable to exactly one tenant namespace."""
-        prefixes = {tid: namespace_prefix(tid) for tid in tenant_order}
-        bad = 0
-        for raw in self.raw_csps.values():
-            for info in raw.list():
-                owners = [
-                    tid for tid, p in prefixes.items()
-                    if info.name.startswith(p)
-                ]
-                if len(owners) != 1:
-                    bad += 1
-        return bad
+        """Objects not attributable to exactly one tenant namespace.
+
+        A name can match at most one prefix (``owning_prefix``), so one
+        set lookup per object decides it.
+        """
+        owned = {namespace_prefix(tid) for tid in tenant_order}
+        return sum(
+            owning_prefix(info.name) not in owned
+            for raw in self.raw_csps.values()
+            for info in raw.list()
+        )
 
     # -- reporting ---------------------------------------------------------
 

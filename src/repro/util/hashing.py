@@ -4,16 +4,34 @@ Share names follow the paper's scheme H'(index, H(chunk.content)) from
 Section 5.1: the inner SHA-1 identifies the chunk, the outer hash mixes
 in the share index so no CSP can learn which index it holds, yet any
 client can recompute the name.
+
+It also holds the *verification lane* (:class:`HashLane`): a SHA-1 pass
+whose verdict nothing needs at once runs beside the op that asked for
+it, on a process-wide pool sized to the CPUs this process may use, and
+the op joins it only where it needs the result (DESIGN.md, "Concurrency
+model").
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
+import threading
+import time
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor, wait
+from typing import Union
 
 
 def sha1_hex(data: bytes) -> str:
     """Hex SHA-1 digest — the paper's H, used for chunk and file IDs."""
     return hashlib.sha1(data).hexdigest()
+
+
+def sha1_stream():
+    """An incremental SHA-1 (``update`` / ``hexdigest``): the same H as
+    :func:`sha1_hex`, fed piece by piece."""
+    return hashlib.sha1()
 
 
 def share_name(index: int, chunk_id: str) -> str:
@@ -35,3 +53,151 @@ def stable_hash64(text: str) -> int:
     vary across Python processes (``hash()`` is salted per process).
     """
     return int.from_bytes(hashlib.sha1(text.encode("utf-8")).digest()[:8], "big")
+
+
+# -- the verification lane ----------------------------------------------------
+
+#: An op hashing fewer bytes runs its lane inline: a hand-off costs a few
+#: microseconds per job, against about 1 ms of SHA-1 per MiB it could overlap.
+LANE_MIN_BYTES = 1 << 20
+
+LANE_BYTES = "cyrus_hash_lane_bytes_total"
+LANE_WAIT = "cyrus_hash_lane_wait_seconds"
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _cpus() -> int:
+    """CPUs this process may run on (the pool's width)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _lane_pool() -> ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max_workers=_cpus(),
+                                       thread_name_prefix="cyrus-hash-lane")
+        return _pool
+
+
+def _drop_pool_in_child() -> None:
+    # a forked child inherits the pool object but none of its threads
+    global _pool, _pool_lock
+    _pool = None
+    _pool_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool_in_child)
+
+
+class _Done:
+    """An inline job's outcome: what a ``Future`` would hold, without
+    the condition variable nobody waits on."""
+
+    __slots__ = ("_value", "_error")
+
+    def set_result(self, value) -> None:
+        self._value, self._error = value, None
+
+    def set_exception(self, error: Exception) -> None:
+        self._value, self._error = None, error
+
+    def done(self) -> bool:
+        return True
+
+    def result(self):
+        if self._error is not None:
+            raise self._error
+        return self._value
+
+
+#: What :meth:`HashLane.submit` returns; ``result()`` is the job's value.
+LaneJob = Union[Future, _Done]
+
+
+def _run(job: LaneJob, fn, args) -> None:
+    try:
+        job.set_result(fn(*args))
+    except Exception as exc:  # re-raised on the caller by join()
+        job.set_exception(exc)
+
+
+class HashLane:
+    """The hashing jobs of one put or get: a FIFO run in order, one job
+    at a time, on a worker of the process-wide pool.
+
+    An op of fewer than :data:`LANE_MIN_BYTES`, or on a one-CPU host,
+    runs each job inline at :meth:`submit`; the caller's code is the
+    same either way.  :meth:`join` returns a job's result, or re-raises
+    its exception, on the caller.  Leaving the ``with`` block waits for
+    every job, so nothing of the op is queued or running once it
+    returns, and re-raises the first job's failure unless the block is
+    already raising.  ``metrics`` (a ``MetricsRegistry``) gets the
+    bytes a threaded lane hashed and the time its caller waited.
+    """
+
+    def __init__(self, nbytes: int, metrics=None):
+        self._threaded = nbytes >= LANE_MIN_BYTES and _cpus() > 1
+        self._jobs: deque = deque()
+        self._submitted: list[LaneJob] = []
+        self._lock = threading.Lock()
+        self._draining = False
+        self._metrics = metrics if self._threaded else None
+
+    def submit(self, kind: str, nbytes: int, fn, *args) -> LaneJob:
+        """Queue ``fn(*args)``, hashing ``nbytes`` bytes of ``kind``
+        (``file``, ``chunk`` or ``share``; 0 when another job of the
+        lane counts them)."""
+        if not self._threaded:
+            done = _Done()
+            self._submitted.append(done)
+            _run(done, fn, args)
+            return done
+        job = Future()
+        if self._metrics is not None and nbytes:
+            self._metrics.inc(LANE_BYTES, nbytes, kind=kind)
+        with self._lock:
+            self._submitted.append(job)
+            self._jobs.append((job, fn, args))
+            start = not self._draining
+            self._draining = True
+        if start:
+            _lane_pool().submit(self._drain)
+        return job
+
+    def _drain(self) -> None:
+        while True:
+            with self._lock:
+                if not self._jobs:
+                    self._draining = False
+                    return
+                job, fn, args = self._jobs.popleft()
+            _run(job, fn, args)
+
+    def join(self, job: LaneJob):
+        """The job's result, blocking until the lane has run it."""
+        if self._metrics is None or job.done():
+            return job.result()
+        started = time.perf_counter()
+        try:
+            return job.result()
+        finally:
+            self._metrics.observe(LANE_WAIT, time.perf_counter() - started)
+
+    def __enter__(self) -> "HashLane":
+        return self
+
+    def __exit__(self, exc_type, _exc, _tb) -> None:
+        with self._lock:
+            jobs = list(self._submitted)
+        if self._threaded:
+            wait(jobs)
+        if exc_type is None:
+            for job in jobs:
+                job.result()

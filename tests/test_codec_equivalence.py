@@ -751,9 +751,10 @@ def test_transfer_op_payload_is_the_encoded_buffer():
     from repro.core.transfer import OpKind, TransferOp
     from repro.core.uploader import _ChunkPlan
     from repro.chunking.chunk import Chunk
+    from repro.util.hashing import HashLane
 
     chunk = Chunk.from_data(memoryview(b"z" * 4096))
-    plan = _ChunkPlan(chunk=chunk, t=2, n=3)
+    plan = _ChunkPlan(chunk=chunk, t=2, n=3, lane=HashLane(0))
     payload = plan.share_data("k", 1)
     op = TransferOp(
         kind=OpKind.PUT, csp_id="c", name="o",

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.csp.namespaced import namespace_prefix
+from repro.csp.namespaced import namespace_prefix, owning_prefix
 from repro.fleet import (
     FleetHarness,
     FleetTopology,
@@ -66,6 +66,31 @@ def test_smoke_32_tenants_converge_and_gate(tmp_path):
     assert load_fleet_report(out) == json.loads(
         json.dumps(result.report)  # writer normalises tuples -> lists
     )
+
+
+def test_unowned_objects_count_as_collisions():
+    """The audit's one-lookup-per-object count agrees with matching every
+    name against every tenant prefix, unowned objects included."""
+    harness = FleetHarness(
+        FleetWorkloadSpec(tenants=4, files_per_tenant=2, ops_per_tenant=3),
+        SMOKE_TOPOLOGY, seed=SMOKE_SEED,
+    )
+    tenants = list(harness.run().tenants)
+    assert harness._namespace_collisions(tenants) == 0
+    first = namespace_prefix(tenants[0])
+    strays = ["stray", "t/", "t//x", "t/ghost/x", first[:-1] + "0/y"]
+    raw = next(iter(harness.raw_csps.values()))
+    for name in strays + [first + "extra"]:
+        raw.upload(name, b"x")
+    prefixes = [namespace_prefix(tid) for tid in tenants]
+    reference = sum(
+        sum(info.name.startswith(p) for p in prefixes) != 1
+        for provider in harness.raw_csps.values()
+        for info in provider.list()
+    )
+    assert harness._namespace_collisions(tenants) == reference == len(strays)
+    assert owning_prefix(first + "extra") == first
+    assert [owning_prefix(name) for name in strays[:2]] == [None, None]
 
 
 def test_same_seed_runs_are_bit_identical(tmp_path):

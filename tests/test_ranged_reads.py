@@ -57,6 +57,27 @@ class TestGetRange:
         report = client.get_range("f.bin", offset, length)
         assert report.data == data[offset : offset + length]
 
+    def test_window_node_carries_exactly_the_window_shares(
+            self, client, monkeypatch):
+        data = deterministic_bytes(40_000, 9)
+        node = client.put("f.bin", data).node
+        seen = []
+        states = client.downloader._chunk_states
+
+        def spy(window_node):
+            seen.append(window_node)
+            return states(window_node)
+
+        monkeypatch.setattr(client.downloader, "_chunk_states", spy)
+        offset, length = node.chunks[1].offset - 10, node.chunks[1].size + 20
+        client.get_range("f.bin", offset, length)
+        (window,) = seen
+        ids = {r.chunk_id for r in node.chunks[:3]}
+        assert {r.chunk_id for r in window.chunks} == ids
+        assert window.shares == tuple(
+            s for s in node.shares if s.chunk_id in ids)
+        assert len(window.shares) == len(ids) * node.chunks[0].n
+
     def test_corrupt_chunk_repaired_in_range(self, client, csps):
         from repro.core.naming import chunk_share_object_name
 
