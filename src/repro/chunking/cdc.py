@@ -51,12 +51,13 @@ chunk → encode → upload hot path.
 from __future__ import annotations
 
 import functools
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from repro.chunking.chunk import Chunk
 from repro.errors import ChunkingError
+from repro.util.hashing import HashLane, sha1_hex
 
 #: Odd 32-bit multiplier (Knuth).
 _MULTIPLIER = 0x9E3779B1
@@ -255,12 +256,15 @@ class ContentDefinedChunker:
         ``known`` are chunks this chunker cut before; the scan skips
         each one the data repeats from a cut (module docstring).
         """
+        return list(self.iter_cuts(data, known))
+
+    def iter_cuts(self, data, known: Iterable = ()) -> Iterator[int]:
+        """:meth:`boundaries`, yielding each cut as soon as it is found."""
         full = np.frombuffer(data, dtype=np.uint8)
         n, w = full.size, self.window
         index = self._span_index(known)
         if index and not isinstance(data, bytes):
             data = bytes(data)  # for startswith, and hashable slices
-        cuts: list[int] = []
         # every cut point below `hashed` is decided: hashed, with its
         # hits not yet consumed in `todo` (nearest last), skipped as part
         # of a known span, or never a candidate
@@ -272,7 +276,7 @@ class ContentDefinedChunker:
                 if end == n:
                     break
                 if self._hit_at(data, end):
-                    cuts.append(end)
+                    yield end
                     last = end
                     continue
                 # no candidate in (last + min_size, end]: the scan
@@ -306,26 +310,31 @@ class ContentDefinedChunker:
                     todo = hits[::-1].tolist()
             if cut == n:
                 break
-            cuts.append(cut)
+            yield cut
             last = cut
         if n:
-            cuts.append(n)
-        return cuts
+            yield n
 
-    def chunk_bytes(self, data, known: Iterable = ()) -> list[Chunk]:
+    def chunk_bytes(self, data, known: Iterable = (),
+                    lane: HashLane | None = None) -> list[Chunk]:
         """Split ``data`` into content-addressed chunks.
 
         Chunk payloads are zero-copy ``memoryview`` slices of ``data``;
         the caller must keep the source buffer alive while the chunks
         are in use (and may call ``Chunk.to_bytes()`` to detach one).
         ``known`` only places cuts (see :meth:`boundaries`): every id is
-        the SHA-1 of the chunk's own bytes.
+        the SHA-1 of the chunk's own bytes.  Each id is hashed on
+        ``lane`` (inline without one) as soon as its cut is found, so
+        the scan and the hashing overlap.
         """
-        cuts = self.boundaries(data, known)
+        lane = HashLane(0) if lane is None else lane
         view = memoryview(data)
-        chunks: list[Chunk] = []
+        pieces = []
         prev = 0
-        for cut in cuts:
-            chunks.append(Chunk.from_data(view[prev:cut], offset=prev))
+        for cut in self.iter_cuts(data, known):
+            piece = view[prev:cut]
+            pieces.append((prev, piece,
+                           lane.submit("chunk", cut - prev, sha1_hex, piece)))
             prev = cut
-        return chunks
+        return [Chunk(id=lane.join(job), data=piece, offset=offset)
+                for offset, piece, job in pieces]

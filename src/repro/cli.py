@@ -402,7 +402,6 @@ def cmd_sync_dir(args) -> int:
     resolved.
     """
     from repro.core.sync import LocalChangeDetector
-    from repro.util.hashing import sha1_hex
 
     client = build_client(_store_path(args))
     root = Path(args.directory).expanduser()
@@ -421,7 +420,7 @@ def cmd_sync_dir(args) -> int:
     for name, (_mtime, content) in local.items():
         if name in remote_names:
             head = client.tree.latest(name)
-            if head.file_id == sha1_hex(content):
+            if head.file_id == client.content_id(content):
                 continue
         report = client.put(name, content, sync_first=False)
         if not report.unchanged:

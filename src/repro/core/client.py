@@ -60,6 +60,7 @@ from repro.metadata.conflicts import (
     resolution_winner,
 )
 from repro.obs import Observability, span_if
+from repro.util.hashing import file_id_of
 
 
 @dataclass(frozen=True)
@@ -296,6 +297,12 @@ class CyrusClient:
             if grant is not None:
                 self.admission.release(grant)
             raise
+
+    def content_id(self, data: bytes) -> str:
+        """The file id a :meth:`put` of ``data`` gives its version: this
+        client's chunk ids and the size, through ``file_id_of``."""
+        chunks = self.uploader.chunker.chunk_bytes(data)
+        return file_id_of(len(data), [chunk.id for chunk in chunks])
 
     def get(
         self, name: str, version: int = 0, sync_first: bool = True

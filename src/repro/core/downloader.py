@@ -6,19 +6,25 @@ chunks, pick the t download CSPs per chunk with the configured selector
 (health-filtered so breaker-open providers are never chosen), fetch
 shares through the shared :class:`repro.core.retry.ShareRetryLoop`
 (transient failures back off and retry, permanent ones fail over to the
-chunk's remaining CSPs), decode, assemble, verify content hash, check
-for conflicts (Section 5.4), and lazily migrate shares stranded on
-removed/failed CSPs (Section 5.5, Figure 9).
+chunk's remaining CSPs), decode, verify each chunk by id, assemble,
+check for conflicts (Section 5.4), and lazily migrate shares stranded
+on removed/failed CSPs (Section 5.5, Figure 9).
+
+Before anything is fetched, the ChunkMap must hash to the node's
+``file_id`` and tile ``[0, size)`` in order; chunk ids commit to every
+byte, so with each chunk checked by id the file needs no hash of its own.
 
 Chunks found in the client's :class:`repro.core.chunkcache.ChunkCache`
-skip selection, gather and decode; every other step, the placement
-check and the whole-file hash included, still covers them.  Their
-shares are not read, so a lost or corrupt share of a cached chunk is
-found by scrub, not by a get.
+skip selection, gather and decode; they are checked by id on the
+verification lane like decoded ones, and every other step, the
+placement check included, still covers them.  Their shares are not
+read, so a lost or corrupt share of a cached chunk is found by scrub,
+not by a get.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -51,7 +57,7 @@ from repro.selection import (
     SelectionPlan,
     restrict_to_live,
 )
-from repro.util.hashing import HashLane, sha1_hex, sha1_stream
+from repro.util.hashing import HashLane, LaneJob, file_id_of, sha1_hex
 
 
 @dataclass
@@ -146,15 +152,13 @@ class Downloader:
         obs = getattr(self.engine, "obs", None)
         with span_if(obs, "download", file=node.name, size=node.size), \
                 HashLane(node.size, getattr(obs, "metrics", None)) as lane:
+            _check_chunk_map(node)
             states = self._chunk_states(node)
-            whole = _WholeFileDigest(node)
-            plans, share_results = self._read_chunks(states, lane, whole)
-            digest = lane.submit("file", node.size, whole.hexdigest)
+            plans, share_results, hits = self._read_chunks(states, lane)
+            # the cache hits hash on the lane while the file is assembled
             data = self._assemble(node, states)
-            if lane.join(digest) != node.file_id:
-                raise ShareIntegrityError(
-                    f"reconstructed {node.name!r} does not match its content id"
-                )
+            if hits is not None:
+                lane.join(hits)
             conflicts = tuple(conflicts_for_node(self.tree, node))
             migrations: list[ShareMigration] = []
             if self.lazy_migration:
@@ -181,15 +185,15 @@ class Downloader:
         The ChunkMap records each chunk's offset and size, so a ranged
         read touches only the chunks overlapping the window — for a
         small read out of a large file, a fraction of the shares (and
-        the transfer time) of a full download.  Per-chunk integrity is
-        still verified (chunk ids are content hashes); the whole-file
-        hash cannot be checked without the whole file, which is the
-        point of the ranged read.
+        the transfer time) of a full download.  The checks are those of
+        :meth:`download`: the whole ChunkMap against the file id and
+        its tiling before any fetch, and every chunk read by its id.
         """
         if node.deleted:
             raise MetadataError(f"{node.name!r} is deleted at this version")
         if offset < 0 or length < 0:
             raise ValueError("offset and length must be non-negative")
+        _check_chunk_map(node)
         end = min(offset + length, node.size)
         started = self.engine.clock.now()
         needed = [
@@ -215,15 +219,17 @@ class Downloader:
                 HashLane(sum(r.size for r in needed),
                          getattr(obs, "metrics", None)) as lane:
             states = self._chunk_states(window_node)
-            plans, share_results = self._read_chunks(states, lane)
+            plans, share_results, hits = self._read_chunks(states, lane)
             # assemble only the window: chunks verify individually by id
             window = bytearray(end - offset if end > offset else 0)
             for record in needed:
-                blob = states[record.chunk_id].decoded
+                blob = _plaintext(states, record)
                 src_lo = max(0, offset - record.offset)
                 src_hi = min(record.size, end - record.offset)
                 dst = record.offset + src_lo - offset
                 window[dst : dst + (src_hi - src_lo)] = blob[src_lo:src_hi]
+            if hits is not None:
+                lane.join(hits)
         finished = self.engine.clock.now()
         return DownloadReport(
             data=bytes(window),
@@ -243,26 +249,26 @@ class Downloader:
 
     def _read_chunks(
         self, states: dict[str, _ChunkState], lane: HashLane,
-        whole: _WholeFileDigest | None = None,
-    ) -> tuple[list[SelectionPlan], list[OpResult]]:
-        """Give every state its verified plaintext: cache hits as they
-        are, every other chunk selected, gathered, decoded and checked
-        by id on ``lane``.  ``whole`` is fed, as lane jobs, the chunks
-        known good: all cache hits at once, first, then each other
-        chunk once it checks out."""
+    ) -> tuple[list[SelectionPlan], list[OpResult], LaneJob | None]:
+        """Give every state its plaintext: every fetched chunk selected,
+        gathered, decoded and checked by id on ``lane``; cache hits as
+        they are, with their id check submitted to ``lane`` as one job,
+        returned (None without hits) for the caller to join before it
+        hands out any byte."""
         obs = getattr(self.engine, "obs", None)
         fetch = self._uncached(states)
         hits = [(chunk_id, state.decoded) for chunk_id, state
                 in states.items() if chunk_id not in fetch]
-        if whole is not None and hits:
-            lane.submit("file", 0, whole.verified, hits)
+        hits_job = lane.submit(
+            "chunk", sum(len(blob) for _cid, blob in hits),
+            _verify_hits, hits) if hits else None
         with span_if(obs, "select", chunks=len(fetch)):
             plans = self._select(fetch) if fetch else []
         with span_if(obs, "gather"):
             share_results = self._gather(fetch, plans)
         with span_if(obs, "decode"):
-            self._decode_chunks(fetch, lane, whole)
-        return plans, share_results
+            self._decode_chunks(fetch, lane)
+        return plans, share_results, hits_job
 
     def _chunk_states(self, node: MetadataNode) -> dict[str, _ChunkState]:
         """Unique chunks with their usable share placements.
@@ -480,30 +486,10 @@ class Downloader:
     ) -> bytes:
         """Join the decoded (or cached) chunks in ChunkMap order.
 
-        The records must tile ``[0, node.size)`` in order (the uploader
-        writes them that way), so the file is built with one copy.
+        :func:`_check_chunk_map` proved the records tile ``[0,
+        node.size)`` in order, so the file is built with one copy.
         """
-        parts: list[bytes] = []
-        covered = 0
-        for record in node.chunks:
-            blob = states[record.chunk_id].decoded
-            if len(blob) != record.size:
-                raise ShareIntegrityError(
-                    f"chunk {record.chunk_id[:8]} decoded to {len(blob)} "
-                    f"bytes, ChunkMap says {record.size}"
-                )
-            if record.offset != covered:
-                raise MetadataError(
-                    f"ChunkMap record at offset {record.offset} does not "
-                    f"follow the {covered} bytes before it"
-                )
-            parts.append(blob)
-            covered += record.size
-        if covered != node.size:
-            raise MetadataError(
-                f"ChunkMap covers {covered} bytes of a {node.size}-byte file"
-            )
-        return b"".join(parts)
+        return b"".join(_plaintext(states, record) for record in node.chunks)
 
     def _uncached(
         self, states: dict[str, _ChunkState]
@@ -516,7 +502,6 @@ class Downloader:
 
     def _decode_chunks(
         self, states: dict[str, _ChunkState], lane: HashLane,
-        whole: _WholeFileDigest | None,
     ) -> None:
         """Decode every fetched chunk once into ``state.decoded``,
         verified by id and repaired if a share lied.
@@ -543,8 +528,7 @@ class Downloader:
                 obs.metrics.observe("cyrus_chunk_decode_seconds",
                                     obs.clock.now() - t0)
             check = None if plaintext is None else lane.submit(
-                "chunk", len(plaintext), _verify_chunk, chunk_id, plaintext,
-                whole)
+                "chunk", len(plaintext), _verify_chunk, chunk_id, plaintext)
             decoded.append((state, sharer, plaintext, check))
         for state, sharer, plaintext, check in decoded:
             if check is None or not lane.join(check):
@@ -552,9 +536,6 @@ class Downloader:
                 # shares and decode a verifying t-subset (Section 5.1's
                 # beyond-secret-sharing error tolerance)
                 plaintext = self._repair_chunk(state, sharer)
-                if whole is not None:
-                    lane.submit("file", 0, whole.verified,
-                                [(state.chunk_id, plaintext)])
             state.decoded = plaintext
 
     def _repair_chunk(self, state: _ChunkState, sharer) -> bytes:
@@ -642,37 +623,42 @@ class Downloader:
         return migrations
 
 
-def _verify_chunk(chunk_id: str, plaintext: bytes,
-                  whole: _WholeFileDigest | None) -> bool:
-    """The chunk-id check of one decode (a lane job); a chunk that
-    passes goes on into the whole-file check."""
-    if sha1_hex(plaintext) != chunk_id:
-        return False
-    if whole is not None:
-        whole.verified([(chunk_id, plaintext)])
-    return True
+def _check_chunk_map(node: MetadataNode) -> None:
+    """Fail closed, before any fetch, on a ChunkMap that does not hash
+    to the node's file id or does not tile ``[0, size)`` in order."""
+    if file_id_of(node.size, (r.chunk_id for r in node.chunks)) \
+            != node.file_id:
+        raise MetadataError(
+            f"{node.name!r}: ChunkMap does not match its file id")
+    ends = [0, *itertools.accumulate(r.size for r in node.chunks)]
+    if ends[-1] != node.size or any(
+            r.offset != end or r.size <= 0
+            for r, end in zip(node.chunks, ends)):
+        raise MetadataError(f"{node.name!r}: ChunkMap does not tile its "
+                            f"{node.size} bytes in order")
 
 
-class _WholeFileDigest:
-    """SHA-1 of a version's bytes, fed in ChunkMap order as each chunk
-    is verified.  Only lane jobs call it, and a lane runs one job at a
-    time, in order, so it needs no lock.  A chunk never fed leaves the
-    digest short, and the check fails closed."""
+def _plaintext(states: dict[str, _ChunkState], record) -> bytes:
+    """A record's decoded (or cached) bytes, as long as it says."""
+    blob = states[record.chunk_id].decoded
+    if len(blob) != record.size:
+        raise ShareIntegrityError(
+            f"chunk {record.chunk_id[:8]} decoded to {len(blob)} "
+            f"bytes, ChunkMap says {record.size}"
+        )
+    return blob
 
-    def __init__(self, node: MetadataNode):
-        self._order = [record.chunk_id for record in node.chunks]
-        self._next = 0
-        self._ready: dict[str, bytes] = {}
-        self._hasher = sha1_stream()
 
-    def verified(self, chunks: list[tuple[str, bytes]]) -> None:
-        """Take verified ``(chunk id, plaintext)`` pairs and hash every
-        chunk now next in ChunkMap order."""
-        self._ready.update(chunks)
-        order = self._order
-        while self._next < len(order) and order[self._next] in self._ready:
-            self._hasher.update(self._ready[order[self._next]])
-            self._next += 1
+def _verify_chunk(chunk_id: str, plaintext: bytes) -> bool:
+    """The chunk-id check of one decode (a lane job)."""
+    return sha1_hex(plaintext) == chunk_id
 
-    def hexdigest(self) -> str:
-        return self._hasher.hexdigest()
+
+def _verify_hits(hits: list[tuple[str, bytes]]) -> None:
+    """The id check of every cache hit of a read (one lane job): a
+    wrong entry fails the read."""
+    for chunk_id, plaintext in hits:
+        if not _verify_chunk(chunk_id, plaintext):
+            raise ShareIntegrityError(
+                f"cached chunk {chunk_id[:8]} does not match its content id"
+            )

@@ -44,7 +44,7 @@ from repro.metadata import (
 from repro.metadata.codec import encode_node
 from repro.metadata.node import ROOT_ID
 from repro.obs import span_if
-from repro.util.hashing import HashLane, LaneJob, sha1_hex
+from repro.util.hashing import HashLane, LaneJob, file_id_of, sha1_hex
 
 
 @functools.lru_cache(maxsize=64)
@@ -184,17 +184,16 @@ class Uploader:
             head = None
             prev_id = ROOT_ID
         obs = getattr(self.engine, "obs", None)
-        # the whole-file id hashes on the lane while the caller chunks
+        # chunk ids hash on the lane while the caller scans for cuts
         with HashLane(len(data), getattr(obs, "metrics", None)) as lane:
-            file_job = lane.submit("file", len(data), sha1_hex, data)
             with span_if(obs, "upload", file=name, size=len(data)):
                 # line 5: chunking
                 with span_if(obs, "chunk"):
                     # a re-save skips the spans its cached predecessor
                     # proves cut-free; ids are still hashed from ``data``
                     known = self.cache.spans() if head is not None else ()
-                    chunks = self.chunker.chunk_bytes(data, known)
-                file_id = lane.join(file_job)
+                    chunks = self.chunker.chunk_bytes(data, known, lane)
+                file_id = file_id_of(len(data), [c.id for c in chunks])
                 if (head is not None and head.file_id == file_id
                         and not head.deleted):
                     return UploadReport(

@@ -273,7 +273,8 @@ class FleetHarness:
                 for name, op in expected.items():
                     node = entries[name].node
                     if (node.size != op.size
-                            or node.file_id != sha1_hex(op.content())):
+                            or node.file_id != client.content_id(
+                                op.content())):
                         converged = False
                         res.errors.append(f"{name!r}: wrong head version")
                         break

@@ -68,7 +68,7 @@ class ShareRecord:
 class MetadataNode:
     """One file version: FileMap fields plus chunk and share tables."""
 
-    file_id: str  # SHA-1 of the file content
+    file_id: str  # SHA-1 of size + ordered chunk ids (hashing.file_id_of)
     prev_id: str  # parent node id; ROOT_ID for new files
     client_id: str
     name: str

@@ -5,6 +5,11 @@ Section 5.1: the inner SHA-1 identifies the chunk, the outer hash mixes
 in the share index so no CSP can learn which index it holds, yet any
 client can recompute the name.
 
+A file version is named by :func:`file_id_of`, a SHA-1 over its size
+and its ChunkMap's ordered chunk ids: the chunk ids already commit to
+every byte, so no pass over the whole file is needed to name or check
+one.
+
 It also holds the *verification lane* (:class:`HashLane`): a SHA-1 pass
 whose verdict nothing needs at once runs beside the op that asked for
 it, on a process-wide pool sized to the CPUs this process may use, and
@@ -18,20 +23,21 @@ import hashlib
 import os
 import threading
 import time
-from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor, wait
-from typing import Union
+from typing import Iterable, Union
 
 
 def sha1_hex(data: bytes) -> str:
-    """Hex SHA-1 digest — the paper's H, used for chunk and file IDs."""
+    """Hex SHA-1 digest — the paper's H, used for chunk IDs."""
     return hashlib.sha1(data).hexdigest()
 
 
-def sha1_stream():
-    """An incremental SHA-1 (``update`` / ``hexdigest``): the same H as
-    :func:`sha1_hex`, fed piece by piece."""
-    return hashlib.sha1()
+def file_id_of(size: int, chunk_ids: Iterable[str]) -> str:
+    """A version's file id: SHA-1 over ``size`` (8 bytes, big-endian)
+    and its ordered raw 20-byte chunk ids."""
+    return hashlib.sha1(
+        size.to_bytes(8, "big") + b"".join(map(bytes.fromhex, chunk_ids))
+    ).hexdigest()
 
 
 def share_name(index: int, chunk_id: str) -> str:
@@ -129,8 +135,8 @@ def _run(job: LaneJob, fn, args) -> None:
 
 
 class HashLane:
-    """The hashing jobs of one put or get: a FIFO run in order, one job
-    at a time, on a worker of the process-wide pool.
+    """The hashing jobs of one put or get, each handed to the
+    process-wide pool as it is submitted, so they run side by side.
 
     An op of fewer than :data:`LANE_MIN_BYTES`, or on a one-CPU host,
     runs each job inline at :meth:`submit`; the caller's code is the
@@ -144,41 +150,24 @@ class HashLane:
 
     def __init__(self, nbytes: int, metrics=None):
         self._threaded = nbytes >= LANE_MIN_BYTES and _cpus() > 1
-        self._jobs: deque = deque()
         self._submitted: list[LaneJob] = []
+        # a parallel engine's workers submit share digests concurrently
         self._lock = threading.Lock()
-        self._draining = False
         self._metrics = metrics if self._threaded else None
 
     def submit(self, kind: str, nbytes: int, fn, *args) -> LaneJob:
-        """Queue ``fn(*args)``, hashing ``nbytes`` bytes of ``kind``
-        (``file``, ``chunk`` or ``share``; 0 when another job of the
-        lane counts them)."""
-        if not self._threaded:
-            done = _Done()
-            self._submitted.append(done)
-            _run(done, fn, args)
-            return done
-        job = Future()
-        if self._metrics is not None and nbytes:
-            self._metrics.inc(LANE_BYTES, nbytes, kind=kind)
+        """Run ``fn(*args)``, hashing ``nbytes`` bytes of ``kind``
+        (``chunk`` or ``share``)."""
+        job = Future() if self._threaded else _Done()
         with self._lock:
             self._submitted.append(job)
-            self._jobs.append((job, fn, args))
-            start = not self._draining
-            self._draining = True
-        if start:
-            _lane_pool().submit(self._drain)
-        return job
-
-    def _drain(self) -> None:
-        while True:
-            with self._lock:
-                if not self._jobs:
-                    self._draining = False
-                    return
-                job, fn, args = self._jobs.popleft()
+        if not self._threaded:
             _run(job, fn, args)
+            return job
+        if self._metrics is not None and nbytes:
+            self._metrics.inc(LANE_BYTES, nbytes, kind=kind)
+        _lane_pool().submit(_run, job, fn, args)
+        return job
 
     def join(self, job: LaneJob):
         """The job's result, blocking until the lane has run it."""

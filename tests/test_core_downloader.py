@@ -1,8 +1,11 @@
 """Unit tests for the download pipeline (Algorithm 3)."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import InsufficientSharesError, MetadataError
+from repro.util.hashing import file_id_of, sha1_hex
 from tests.conftest import deterministic_bytes
 
 
@@ -110,3 +113,52 @@ class TestDeletedFiles:
         assert tomb.deleted
         with pytest.raises(MetadataError):
             client.downloader.download(tomb)
+
+
+class TestChunkMapFailsClosed:
+    """A node whose ChunkMap does not hash to its file id, or whose
+    records do not tile ``[0, size)`` in order, is refused before any
+    share is fetched, by a full and by a ranged read alike."""
+
+    DATA = deterministic_bytes(6000, 11)
+
+    def _refused(self, client, forged) -> None:
+        def engine_ops() -> float:
+            return client.obs.snapshot().counter_total("cyrus_ops_total")
+
+        before = engine_ops()
+        with pytest.raises(MetadataError, match="ChunkMap"):
+            client.downloader.download(forged)
+        with pytest.raises(MetadataError, match="ChunkMap"):
+            client.downloader.download_range(forged, 0, 100)
+        assert engine_ops() == before
+
+    def _retiled(self, node, size=None, **shift):
+        """``node`` with record 1 moved by ``shift`` and ``size``, its
+        file id recomputed so only the tiling is wrong."""
+        first, second, *rest = node.chunks
+        chunks = (first, dataclasses.replace(second, **shift), *rest)
+        size = node.size if size is None else size
+        return dataclasses.replace(
+            node, chunks=chunks, size=size,
+            file_id=file_id_of(size, (r.chunk_id for r in chunks)))
+
+    def test_a_forged_file_id(self, client):
+        node = client.put("f.bin", self.DATA).node
+        # the id of the whole file's bytes is not the ChunkMap's
+        self._refused(client, dataclasses.replace(
+            node, file_id=sha1_hex(self.DATA)))
+
+    def test_a_gap(self, client):
+        node = client.put("f.bin", self.DATA).node
+        second = node.chunks[1]
+        self._refused(client, self._retiled(node, offset=second.offset + 1))
+
+    def test_an_overlap(self, client):
+        node = client.put("f.bin", self.DATA).node
+        second = node.chunks[1]
+        self._refused(client, self._retiled(node, offset=second.offset - 1))
+
+    def test_a_short_size(self, client):
+        node = client.put("f.bin", self.DATA).node
+        self._refused(client, self._retiled(node, size=node.size - 1))

@@ -24,6 +24,15 @@ class TestBasicUpload:
         assert r1.node.prev_id == ROOT_ID
         assert r2.node.prev_id == r1.node.node_id
 
+    def test_content_id_is_the_put_file_id(self, client):
+        v0 = deterministic_bytes(16_000, 12)
+        v1 = v0[:4_000] + deterministic_bytes(64, 13) + v0[4_064:]
+        v2 = v1[:9_000] + deterministic_bytes(64, 14) + v1[9_064:]
+        assert client.content_id(v0) == client.put("f.bin", v0).node.file_id
+        client.put("f.bin", v1)  # an edit: the cache now holds v1's chunks
+        assert client.chunk_cache.spans()
+        assert client.content_id(v2) == client.put("f.bin", v2).node.file_id
+
     def test_unchanged_upload_is_noop(self, client):
         data = deterministic_bytes(3000, 3)
         r1 = client.put("f.bin", data)

@@ -1,8 +1,9 @@
 """The verification lane: SHA-1 passes moved off the op's thread, every
 check kept.
 
-``repro.util.hashing.HashLane`` runs an op's hashing jobs in order on a
-process-wide pool and the op joins them only where it needs a verdict.
+``repro.util.hashing.HashLane`` hands an op's hashing jobs to a
+process-wide pool, where they run side by side, and the op joins them
+only where it needs a verdict.
 The fixtures here force the lane on for every op (threshold 0, two
 CPUs even on a one-CPU host) or off, and the safety scenarios must read
 the same bytes and count the same repairs and blame either way.  The
@@ -268,11 +269,11 @@ class TestLaneContract:
         lane = HashLane(0)
         with pytest.raises(ZeroDivisionError):
             with lane:
-                lane.submit("file", 0, lambda: 1 / 0)
+                lane.submit("chunk", 0, lambda: 1 / 0)
         # an error already leaving the block is not replaced
         with pytest.raises(KeyError):
             with HashLane(0) as lane:
-                lane.submit("file", 0, lambda: 1 / 0)
+                lane.submit("chunk", 0, lambda: 1 / 0)
                 raise KeyError("first")
 
     def test_nothing_runs_once_put_or_get_returned(self, monkeypatch, jobs):
@@ -301,21 +302,40 @@ class TestLaneContract:
         assert set(threading.enumerate()) == threads
         assert set(jobs.threads) == {threading.get_ident()}
 
-    def test_lanes_keep_their_order_under_contention(self, monkeypatch):
+    def test_every_job_runs_once_under_contention(self, monkeypatch):
         """More submitting threads than CPUs, a tiny switch interval:
-        every lane runs its jobs exactly once, in submission order."""
+        every job of every lane runs exactly once, all of a lane's jobs
+        are done when its ``with`` block exits, and a raising job
+        re-raises on the thread that submitted it."""
         _set_mode(monkeypatch, "lane")
         errors: list[BaseException] = []
 
         def worker(seed: int) -> None:
             try:
-                for _ in range(40):
-                    seen: list[int] = []
+                for rep in range(40):
+                    runs = [0] * 25
+                    lock = threading.Lock()
+
+                    def hit(i: int) -> int:
+                        with lock:
+                            runs[i] += 1
+                        return i
+
                     with HashLane(0) as lane:
-                        futures = [lane.submit("chunk", 1, seen.append, i)
-                                   for i in range(25)]
-                        lane.join(futures[-1])
-                    assert seen == list(range(25)), seen
+                        jobs = [lane.submit("chunk", 1, hit, i)
+                                for i in range(25)]
+                    assert all(job.done() for job in jobs)
+                    assert runs == [1] * 25, runs
+                    assert [lane.join(job) for job in jobs] == list(range(25))
+                    marker = (seed, rep)
+                    with pytest.raises(LookupError) as caught:
+                        with HashLane(0) as lane:
+                            lane.submit("chunk", 1, hit, 0)
+                            failing = lane.submit(
+                                "chunk", 1, _raise, LookupError(marker))
+                    assert caught.value.args == (marker,)
+                    with pytest.raises(LookupError):
+                        lane.join(failing)
             except BaseException as exc:  # surfaced by the main thread
                 errors.append(exc)
 
@@ -344,9 +364,13 @@ class TestLaneContract:
         node = client.tree.latest("f.bin")
         share_bytes = sum(
             record.n * -(-record.size // record.t) for record in node.chunks)
-        assert by_kind == {"file": 2 * len(data), "chunk": len(data),
-                           "share": share_bytes}
+        # chunk: the put's ids, then the get's checks of every decode
+        assert by_kind == {"chunk": 2 * len(data), "share": share_bytes}
         assert snap.histogram_data(hashing.LANE_WAIT) is not None
+
+
+def _raise(error: Exception):
+    raise error
 
 
 # -- the exact hashed-bytes budget --------------------------------------------
