@@ -33,7 +33,6 @@ from repro.core.chunkcache import ChunkCache
 from repro.core.cloud import CyrusCloud
 from repro.core.config import CyrusConfig
 from repro.core.downloader import Downloader, DownloadReport
-from repro.core.migration import migrate_metadata
 from repro.core.sync import SyncReport, SyncService
 from repro.core.transfer import DirectEngine, TransferEngine
 from repro.core.uploader import Uploader, UploadReport
@@ -60,6 +59,7 @@ from repro.metadata.conflicts import (
     resolution_winner,
 )
 from repro.obs import Observability, span_if
+from repro.redundancy.reconcile import backfill_metadata
 from repro.util.hashing import file_id_of
 
 
@@ -260,7 +260,7 @@ class CyrusClient:
         self._rebuild_store()
         self._rebuild_pipelines()
         # metadata is cheap: replicate it onto the new slot immediately
-        migrate_metadata(self.store, self.tree, self.engine)
+        backfill_metadata(self)
 
     def remove_csp(self, csp_id: str) -> None:
         """Detach a CSP; its chunk shares migrate lazily on download."""
@@ -268,7 +268,7 @@ class CyrusClient:
         self.chunk_table.drop_csp(csp_id)
         self._rebuild_store()
         self._rebuild_pipelines()
-        migrate_metadata(self.store, self.tree, self.engine)
+        backfill_metadata(self)
 
     # -- data plane (Table 3 put / get / delete / list) ----------------------
 

@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from repro.core.chunkcache import ChunkCache
 from repro.core.cloud import CSPStatus, CyrusCloud
 from repro.core.config import CyrusConfig
-from repro.core.migration import ShareMigration, migrate_chunk_shares
 from repro.core.naming import chunk_share_object_name
 from repro.core.retry import ShareRetryLoop
 from repro.core.transfer import OpKind, OpResult, TransferEngine, TransferOp
@@ -50,6 +49,12 @@ from repro.errors import (
 from repro.metadata import GlobalChunkTable, MetadataNode, MetadataTree
 from repro.metadata.conflicts import Conflict, conflicts_for_node
 from repro.obs import span_if
+from repro.redundancy.reconcile import (
+    Budget,
+    ShareMigration,
+    assess_chunk,
+    reconcile_chunk,
+)
 from repro.selection import (
     ChunkDownload,
     CyrusSelector,
@@ -112,7 +117,6 @@ class Downloader:
         config: CyrusConfig,
         engine: TransferEngine,
         selector=None,
-        lazy_migration: bool = True,
         policy: RetryPolicy | None = None,
         health: HealthRegistry | None = None,
         *,
@@ -124,13 +128,9 @@ class Downloader:
         self.config = config
         self.engine = engine
         self.selector = selector or CyrusSelector(resolve_every=4)
-        self.lazy_migration = lazy_migration
-        self.retry_loop = ShareRetryLoop(
-            engine, policy=policy,
-            health=health if health is not None else engine.health,
-        )
-        # set by the client so migrations can persist (optional)
-        self.store = None
+        self.health = health if health is not None else engine.health
+        self.retry_loop = ShareRetryLoop(engine, policy=policy,
+                                         health=self.health)
         # set by the client so migrations are crash-journaled (optional)
         self.journal = None
         # set by the client so corrupt shares become repair debts
@@ -160,9 +160,7 @@ class Downloader:
             if hits is not None:
                 lane.join(hits)
             conflicts = tuple(conflicts_for_node(self.tree, node))
-            migrations: list[ShareMigration] = []
-            if self.lazy_migration:
-                migrations = self._migrate(states)
+            migrations = self._migrate(states)
         finished = self.engine.clock.now()
         downloaded = sum(r.op.payload_size() for r in share_results if r.ok)
         return DownloadReport(
@@ -600,26 +598,19 @@ class Downloader:
         ) from last_exc
 
     def _migrate(self, states: dict[str, _ChunkState]) -> list[ShareMigration]:
-        """Figure 9: re-home shares stranded on unusable CSPs."""
+        """Figure 9: re-home shares stranded on unusable CSPs, from the
+        plaintext this read already holds (no share is fetched)."""
         migrations: list[ShareMigration] = []
         for chunk_id, state in states.items():
-            location = self.chunk_table.get(chunk_id)
-            if location is None:
+            if state.decoded is None or chunk_id not in self.chunk_table:
                 continue
-            data = getattr(state, "decoded", None)
-            if data is None:
-                continue
-            migrations.extend(
-                migrate_chunk_shares(
-                    chunk_data=data,
-                    location=location,
-                    cloud=self.cloud,
-                    chunk_table=self.chunk_table,
-                    engine=self.engine,
-                    key=self.config.key,
-                    journal=self.journal,
-                )
-            )
+            # the downloader holds every handle a reconcile reads: cloud,
+            # chunk table, health, config and engine
+            owed = assess_chunk(self, chunk_id)
+            if owed.regenerate:
+                migrations.extend(reconcile_chunk(
+                    owed, self.journal, Budget(None),
+                    plaintext=state.decoded).moved)
         return migrations
 
 

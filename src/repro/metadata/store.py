@@ -76,6 +76,8 @@ class NodeAssembler:
         # (index, csp_id, detail) failing their own envelope — attributed
         # the moment they are seen, decode success or not
         self.corrupt: list[tuple[int, str, str]] = []
+        # slots an interrupted publish left behind (set by finish)
+        self.stale: set[int] = set()
         self._node: MetadataNode | None = None
         self._plaintext: bytes | None = None
         self._win_key: str | None = None
@@ -173,7 +175,6 @@ class NodeAssembler:
         if self._finished:
             return node
         self._finished = True
-        stale: set[int] = set()
         if node is not None and self._plaintext is not None:
             truth = {
                 s.index: s.data
@@ -194,8 +195,8 @@ class NodeAssembler:
                     else:
                         # an honest slot left behind by an interrupted
                         # publish: needs re-dispersal, not quarantine
-                        stale.add(index)
-        bad = self.missing | stale | {index for index, _c, _d in self.corrupt}
+                        self.stale.add(index)
+        bad = self.missing | self.stale | {i for i, _c, _d in self.corrupt}
         if bad:
             self.store._record_meta_debt(
                 self.node_id,

@@ -1,11 +1,13 @@
-"""Self-healing redundancy: the debt ledger and the repair loop.
+"""Self-healing redundancy: the debt ledger, the repair loop, and the
+one reconcile path.
 
 CYRUS accepts a write once ``t`` of ``n`` shares land — recoverable but
 under-dispersed.  This package makes the gap explicit and self-healing:
 :class:`DebtLedger` durably records every redundancy deficit (degraded
 writes, corrupt shares detected at decode time), and :func:`run_repair`
-drains it back to ``n`` verified shares using the keyed codec's
-per-index regeneration and journaled migration.
+drains it back to ``n`` verified shares through
+:mod:`repro.redundancy.reconcile`, which also serves the scrub, lazy
+migration and the metadata back-fill.
 """
 
 from repro.redundancy.ledger import (

@@ -2,62 +2,43 @@
 
 A debt names a chunk holding fewer than ``n`` verifiable shares — or,
 for ``kind == "meta"`` entries, a metadata node with missing, stale or
-corrupt scattered shares.  The repair loop turns each one back into a
-fully dispersed object using only machinery that already exists for
-migration:
-
-1. **Re-derive the deficit** from the global chunk table — the ledger
-   entry's ``missing`` list is advisory; the placements adopted by
-   recovery replay or scrub since the debt was recorded are the truth.
-   A share only counts toward redundancy if its CSP is ACTIVE, its
-   breaker is not open, and the CSP is not one of the entry's suspects
-   (a provider that failed the original write or returned a corrupt
-   share never satisfies the target, even if the table still lists it).
-2. **Regenerate** the missing indices from any ``t`` healthy shares via
-   the keyed codec (``join_verified`` against the chunk's content hash,
-   then ``split_indices`` — the same per-index regeneration scrub uses).
-3. **Re-disperse** onto health-filtered replacement CSPs, journaling the
-   repair as a ``migrate`` intent first, so a crash between upload and
-   debt retirement replays like any crashed migration: recovery adopts
-   the landed shares, and the next repair tick finds the chunk whole
-   and retires the debt with zero transfers — the idempotency the
-   kill-point tests sweep.
-4. **Retire** the debt; a failed attempt instead records an ``attempt``
-   so the entry backs off exponentially while the fleet is unhealthy.
-
-Metadata debts follow the same shape with fixed slots instead of
-replacement CSPs: the node plaintext is recovered from the local tree
-(or a verified quorum fetch — any t healthy shares), the damaged slots
-are re-framed in fresh authenticated envelopes, and the re-uploads are
-journaled as a ``meta-repair`` intent.  Slot names are fixed per node
-and index, so a kill point between upload and retirement replays as an
-idempotent overwrite — never a duplicate share.
-
-The ``budget_shares`` budget counts share *transfers* (downloads +
-uploads), the same unit the scrub budget uses, so a
-:class:`repro.core.daemon.SyncDaemon` tick can bound both with one
-knob's worth of provider traffic.
+corrupt scattered shares.  The repair loop drives
+:mod:`repro.redundancy.reconcile` from the ledger: each due debt is
+reconciled with the CSPs that failed the write or served a corrupt
+share as suspects (they never count toward the target, even if the
+table still lists them).  For chunks the entry's ``missing`` list is
+advisory, the chunk table is the truth; for metadata it names slots
+found stale or corrupt, which no listing can see.  A reconcile is
+journaled, so a crash before retirement replays like any intent and
+the next pass retires the debt with zero transfers.  A debt not healed
+records an ``attempt`` and backs off exponentially while the fleet is
+unhealthy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.cloud import CSPStatus
-from repro.core.naming import chunk_share_object_name
-from repro.core.transfer import OpKind, TransferOp
-from repro.core.uploader import get_sharer
-from repro.erasure import Share
-from repro.errors import CyrusError
 from repro.obs import span_if
 from repro.redundancy.ledger import (
     DEBT_OPEN,
     DEBT_RETIRED,
-    DebtEntry,
     DebtLedger,
     REPAIR_SHARES,
 )
-from repro.util.hashing import sha1_hex
+from repro.redundancy.reconcile import (
+    OVER_BUDGET,
+    REPAIRED,
+    UNRECOVERABLE,
+    WHOLE,
+    Budget,
+    Outcome,
+    assess_chunk,
+    assess_node,
+    reconcile_chunk,
+    reconcile_node,
+    slot_listing,
+)
 
 
 @dataclass
@@ -102,8 +83,8 @@ def run_repair(
     if journal is None:
         journal = getattr(client, "journal", None)
     obs = client.obs
-    budget = [budget_shares if budget_shares is not None else None]
-    unrecoverable: list[str] = []
+    budget = Budget(budget_shares)
+    listing = None  # the metadata slots' listing, taken at the first meta debt
     with span_if(obs, "repair", budget=budget_shares or 0):
         now = client.engine.clock.now()
         for entry in ledger.open_debts():
@@ -112,285 +93,37 @@ def run_repair(
                               backoff_max) > now:
                 report.debts_deferred += 1
                 continue
-            if budget[0] is not None and budget[0] <= 0:
+            if budget.exhausted:
                 report.budget_exhausted = True
                 break
-            outcome = _repair_entry(client, ledger, entry, journal,
-                                    budget, report, unrecoverable)
-            if outcome == "retired":
+            if entry.kind == "meta":
+                if listing is None:
+                    listing = slot_listing(client.store)
+                out = reconcile_node(assess_node(
+                    client, entry.chunk_id, listing, entry.failed_csps,
+                    entry.missing), journal, budget)
+            elif entry.chunk_id in client.chunk_table:
+                out = reconcile_chunk(assess_chunk(
+                    client, entry.chunk_id, entry.failed_csps), journal, budget)
+            else:  # the chunk was garbage-collected: the deficit is moot
+                out = Outcome()
+            if out.status == OVER_BUDGET:
+                report.budget_exhausted = True
+                break
+            report.transfers_used += out.transfers
+            report.shares_rebuilt += out.written
+            if out.status in (WHOLE, REPAIRED):
+                ledger.retire(entry.debt_id)
                 report.debts_retired += 1
                 obs.metrics.inc(DEBT_RETIRED)
-            elif outcome == "failed":
-                report.debts_failed += 1
-            elif outcome == "budget":
-                report.budget_exhausted = True
-                break
-        report.unrecoverable_chunks = tuple(unrecoverable)
+                continue
+            if out.status == UNRECOVERABLE:
+                report.unrecoverable_chunks += (entry.chunk_id,)
+            ledger.note_attempt(entry.debt_id, detail=(
+                f"{out.status}: rewrote {out.written} of {out.owed} owed "
+                f"shares after {out.transfers} transfers"))
+            report.debts_failed += 1
         report.debts_open = len(ledger)
         obs.metrics.set_gauge(DEBT_OPEN, report.debts_open)
         obs.metrics.inc(REPAIR_SHARES, report.shares_rebuilt)
     return report
-
-
-def _usable(client, csp_id: str, suspects: set[str]) -> bool:
-    """May a share at this CSP count toward the redundancy target?"""
-    if csp_id in suspects:
-        return False
-    try:
-        status = client.cloud.status_of(csp_id)
-    except KeyError:
-        return False
-    return status is CSPStatus.ACTIVE and client.health.is_live(csp_id)
-
-
-def _repair_entry(client, ledger: DebtLedger, entry: DebtEntry, journal,
-                  budget, report: RepairReport,
-                  unrecoverable: list[str]) -> str:
-    """Repair one debt; returns retired | failed | budget."""
-    if entry.kind == "meta":
-        return _repair_meta_entry(client, ledger, entry, journal,
-                                  budget, report, unrecoverable)
-    location = client.chunk_table.get(entry.chunk_id)
-    if location is None:
-        # the chunk was garbage-collected (or never published); the
-        # deficit is moot
-        ledger.retire(entry.debt_id)
-        return "retired"
-    suspects = set(entry.failed_csps)
-    healthy: dict[int, str] = {}  # index -> one usable csp holding it
-    for index, csp_id in sorted(location.placements):
-        if index not in healthy and _usable(client, csp_id, suspects):
-            healthy[index] = csp_id
-    deficit = [i for i in range(location.n) if i not in healthy]
-    if not deficit:
-        # already whole — a prior repair landed and crashed before
-        # retirement, or scrub/recovery fixed it first.  Zero transfers.
-        ledger.retire(entry.debt_id)
-        return "retired"
-    if len(healthy) < location.t:
-        # cannot reconstruct yet; wait for providers to come back
-        ledger.note_attempt(
-            entry.debt_id,
-            detail=f"only {len(healthy)} healthy shares, need t={location.t}",
-        )
-        return "failed"
-    # plan replacement targets for every missing index
-    holding = set(healthy.values())
-    dead = {
-        c for c in client.cloud.writable_csps()
-        if not client.health.is_live(c)
-    }
-    moves: list[tuple[int, str]] = []
-    for index in deficit:
-        target = client.cloud.replacement_csp(
-            entry.chunk_id, holding=holding, exclude=suspects | dead,
-        )
-        if target is None:
-            # every non-suspect is holding a share or down.  A suspect
-            # that is healthy *now* may receive a freshly regenerated
-            # share: the distrust covers bytes it already holds (failed
-            # or corrupt), not bytes we are about to write — without
-            # this, a (t, n) = (t, #CSPs) deployment could never retire
-            # a degraded-write debt, because the missing share's only
-            # possible home is the provider that failed the write.
-            target = client.cloud.replacement_csp(
-                entry.chunk_id, holding=holding, exclude=dead,
-            )
-        if target is None:
-            break  # no live CSP left for further indices
-        moves.append((index, target))
-        holding.add(target)
-    if not moves:
-        ledger.note_attempt(
-            entry.debt_id,
-            detail=f"no replacement CSP for indices {deficit}",
-        )
-        return "failed"
-    # budget: t downloads to reconstruct + one upload per regenerated share
-    fetch = sorted(healthy.items())[:location.t]
-    cost = len(fetch) + len(moves)
-    if budget[0] is not None and budget[0] < cost:
-        return "budget"
-    if budget[0] is not None:
-        budget[0] -= cost
-    report.transfers_used += cost
-    share_size = max(1, -(-location.size // location.t))
-    results = client.engine.execute([
-        TransferOp(kind=OpKind.GET, csp_id=csp_id,
-                   name=chunk_share_object_name(index, entry.chunk_id),
-                   size=share_size, chunk_id=entry.chunk_id)
-        for index, csp_id in fetch
-    ])
-    shares = [
-        Share(index=index, data=result.data, t=location.t, n=location.n,
-              chunk_size=location.size)
-        for (index, _csp), result in zip(fetch, results)
-        if result.ok
-    ]
-    sharer = get_sharer(client.config.key, location.t, location.n)
-    try:
-        plaintext = sharer.join_verified(
-            shares, verify=lambda pt: sha1_hex(pt) == entry.chunk_id,
-        )
-    except CyrusError:
-        unrecoverable.append(entry.chunk_id)
-        ledger.note_attempt(
-            entry.debt_id,
-            detail=f"no verifying t-subset among {len(shares)} fetched shares",
-        )
-        return "failed"
-    intent_id = None
-    if journal is not None:
-        intent_id = journal.begin("migrate", chunk=entry.chunk_id, moves=[
-            [index, csp_id, chunk_share_object_name(index, entry.chunk_id)]
-            for index, csp_id in moves
-        ])
-    put_results = client.engine.execute([
-        TransferOp(kind=OpKind.PUT, csp_id=csp_id,
-                   name=chunk_share_object_name(index, entry.chunk_id),
-                   data=sharer.split_indices(plaintext, [index])[0].data,
-                   chunk_id=entry.chunk_id)
-        for index, csp_id in moves
-    ])
-    landed = 0
-    for (index, csp_id), result in zip(moves, put_results):
-        if not result.ok:
-            continue
-        if (index, csp_id) not in location.placements:
-            client.chunk_table.add_placement(entry.chunk_id, index, csp_id)
-        if intent_id is not None:
-            journal.record(
-                intent_id, "share-uploaded", chunk=entry.chunk_id,
-                index=index, csp=csp_id,
-                object=chunk_share_object_name(index, entry.chunk_id),
-            )
-        landed += 1
-        report.shares_rebuilt += 1
-    if intent_id is not None:
-        journal.commit(intent_id)
-    if landed == len(deficit):
-        ledger.retire(entry.debt_id)
-        return "retired"
-    ledger.note_attempt(
-        entry.debt_id,
-        detail=f"re-dispersed {landed}/{len(deficit)} missing shares",
-    )
-    return "failed"
-
-
-def _repair_meta_entry(client, ledger: DebtLedger, entry: DebtEntry, journal,
-                       budget, report: RepairReport,
-                       unrecoverable: list[str]) -> str:
-    """Re-disperse one metadata node's damaged slots.
-
-    Unlike chunk repair there is no replacement placement: metadata
-    slot i lives at provider i forever, so healing means overwriting
-    the fixed object name with a freshly framed share — idempotent
-    under any kill point, and incapable of creating duplicates.
-    """
-    from repro.metadata.codec import metadata_share_name
-
-    node_id = entry.chunk_id
-    store = client.store
-    suspects = set(entry.failed_csps)
-    # census the fixed slots: which hold an object on a reachable provider
-    reachable: set[int] = set()
-    present: set[int] = set()
-    for index, provider in enumerate(store.providers):
-        name = metadata_share_name(node_id, index)
-        try:
-            infos = provider.list(prefix=name)
-        except CyrusError:
-            continue  # slot down; cannot verify or write there now
-        reachable.add(index)
-        if any(info.name == name for info in infos):
-            present.add(index)
-    try:
-        node = client.tree.get(node_id)
-    except CyrusError:
-        node = None
-    fetch_cost = 0
-    if node is None:
-        if len(reachable) == store.m and not present:
-            # gone from every (reachable = all) slot and unknown to the
-            # tree: the node was pruned; the deficit is moot
-            ledger.retire(entry.debt_id)
-            return "retired"
-        # reconstruct from any verified t-quorum of the surviving shares
-        cost = len(present)
-        if budget[0] is not None and budget[0] < cost:
-            return "budget"
-        try:
-            node = store.fetch(node_id)
-        except CyrusError as exc:
-            unrecoverable.append(node_id)
-            ledger.note_attempt(
-                entry.debt_id,
-                detail=f"no verified quorum among {len(present)} shares: {exc}",
-            )
-            return "failed"
-        fetch_cost = cost
-    # a slot needs re-dispersal when its object is missing, was flagged
-    # in the debt (stale or corrupt at detection time), or sits on a
-    # suspect provider — fresh bytes overwrite whatever the liar holds
-    advisory = set(entry.missing)
-    need: list[int] = []
-    unwritable_bad = 0
-    for index, provider in enumerate(store.providers):
-        bad = (index not in present or index in advisory
-               or provider.csp_id in suspects)
-        if not bad:
-            continue
-        if index in reachable:
-            need.append(index)
-        else:
-            unwritable_bad += 1
-    if not need and unwritable_bad == 0:
-        # healed elsewhere (another client's repair or republish)
-        ledger.retire(entry.debt_id)
-        return "retired"
-    cost = fetch_cost + len(need)
-    if budget[0] is not None and budget[0] < cost:
-        return "budget"
-    if budget[0] is not None:
-        budget[0] -= cost
-    report.transfers_used += cost
-    frames = {
-        index: (prov.csp_id, name, blob)
-        for prov, name, blob, index in store.frames_for(node)
-    }
-    intent_id = None
-    if journal is not None:
-        from repro.metadata.codec import encode_node
-
-        intent_id = journal.begin(
-            "meta-repair", node_id=node_id,
-            node=encode_node(node).decode("utf-8"),
-            slots=[[index, frames[index][0], frames[index][1]]
-                   for index in need],
-        )
-    results = client.engine.execute([
-        TransferOp(kind=OpKind.PUT_META, csp_id=frames[index][0],
-                   name=frames[index][1], data=frames[index][2])
-        for index in need
-    ])
-    landed = 0
-    for index, result in zip(need, results):
-        if not result.ok:
-            continue
-        if intent_id is not None:
-            journal.record(intent_id, "share-uploaded", index=index,
-                           csp=frames[index][0], object=frames[index][1])
-        landed += 1
-        report.shares_rebuilt += 1
-    if intent_id is not None:
-        journal.commit(intent_id)
-    if landed == len(need) and unwritable_bad == 0:
-        ledger.retire(entry.debt_id)
-        return "retired"
-    ledger.note_attempt(
-        entry.debt_id,
-        detail=(f"re-dispersed {landed}/{len(need)} metadata shares "
-                f"({unwritable_bad} slot(s) unreachable)"),
-    )
-    return "failed"

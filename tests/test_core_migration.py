@@ -3,9 +3,23 @@
 import pytest
 
 from repro.core.cloud import CSPStatus
-from repro.core.migration import migrate_metadata, plan_chunk_migrations
 from repro.csp import InMemoryCSP
+from repro.redundancy.reconcile import (
+    Budget,
+    assess_chunk,
+    backfill_metadata,
+    reconcile_chunk,
+)
 from tests.conftest import deterministic_bytes
+
+
+def _plan(client, record, data):
+    """(index, old_csp, new_csp) of a lazy migration of one chunk, with
+    its plaintext in hand."""
+    state = assess_chunk(client, record.chunk_id)
+    plaintext = data[record.offset:record.offset + record.size]
+    return [(m.index, m.old_csp, m.new_csp) for m in reconcile_chunk(
+        state, None, Budget(None), plaintext=plaintext).moved]
 
 
 class TestPlanning:
@@ -15,19 +29,19 @@ class TestPlanning:
         return data, node
 
     def test_no_moves_when_healthy(self, client, csps):
-        _, node = self.setup_state(client, csps)
+        data, node = self.setup_state(client, csps)
         for record in node.chunks:
-            location = client.chunk_table.get(record.chunk_id)
-            assert plan_chunk_migrations(location, client.cloud) == []
+            assert assess_chunk(client, record.chunk_id).regenerate == []
+            assert _plan(client, record, data) == []
 
     def test_moves_planned_after_failure(self, client, csps):
-        _, node = self.setup_state(client, csps)
+        data, node = self.setup_state(client, csps)
         victim = node.shares[0].csp_id
         client.cloud.mark_failed(victim)
         moved_any = False
         for record in node.chunks:
             location = client.chunk_table.get(record.chunk_id)
-            for index, old, new in plan_chunk_migrations(location, client.cloud):
+            for index, old, new in _plan(client, record, data):
                 moved_any = True
                 assert client.cloud.status_of(new) is CSPStatus.ACTIVE
                 assert new not in location.csps()
@@ -35,7 +49,7 @@ class TestPlanning:
 
     def test_no_replacement_available(self, client, csps):
         # all CSPs hold shares or are down: nothing can be planned
-        _, node = self.setup_state(client, csps)
+        data, node = self.setup_state(client, csps)
         record = node.chunks[0]
         location = client.chunk_table.get(record.chunk_id)
         for csp in client.cloud.active_csps():
@@ -43,9 +57,7 @@ class TestPlanning:
                 client.cloud.mark_failed(csp)
         victim = location.csps()[0]
         client.cloud.mark_failed(victim)
-        moves = plan_chunk_migrations(
-            client.chunk_table.get(record.chunk_id), client.cloud
-        )
+        moves = _plan(client, record, data)
         assert moves == []
 
 
@@ -83,20 +95,6 @@ class TestLazyMigration:
         second_client.remove_csp("csp0")
         assert second_client.get("f.bin").data == data
 
-    def test_migration_disabled(self, csps, config):
-        from repro.core.client import CyrusClient
-
-        client = CyrusClient.create(csps, config, client_id="a")
-        data = deterministic_bytes(5000, 5)
-        client.put("f.bin", data)
-        client.remove_csp("csp1")
-        # membership changes rebuild the pipelines, so flip the switch
-        # on the downloader that will actually serve the get()
-        client.downloader.lazy_migration = False
-        report = client.get("f.bin")
-        assert report.data == data
-        assert not report.migrations
-
 
 class TestMetadataMigration:
     def test_new_slot_backfilled(self, client, csps):
@@ -109,7 +107,7 @@ class TestMetadataMigration:
 
     def test_migrate_metadata_idempotent(self, client, csps):
         client.put("f.bin", deterministic_bytes(1000, 8))
-        wrote = migrate_metadata(client.store, client.tree, client.engine)
+        wrote = backfill_metadata(client)
         assert wrote == 0  # everything already in place
 
     def test_restores_wiped_slot(self, client, csps):
@@ -117,7 +115,7 @@ class TestMetadataMigration:
         victim = csps[0]
         for info in list(victim.list(prefix="md-")):
             victim.delete(info.name)
-        wrote = migrate_metadata(client.store, client.tree, client.engine)
+        wrote = backfill_metadata(client)
         assert wrote == len(client.tree.node_ids())
 
 

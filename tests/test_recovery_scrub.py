@@ -257,3 +257,34 @@ class TestScrubUnrecoverable:
         report = client.scrub()
         assert chunk_id in report.unrecoverable_chunks
         assert not report.healthy
+
+
+class TestScrubBudgetEdge:
+    @pytest.mark.parametrize("budget", [1, 2, 3, 4, 5, 6, 7, 64])
+    def test_no_slice_splits_a_healthy_chunk(self, tmp_path, budget):
+        """A slice never starts a chunk it cannot finish, and always
+        takes its first one: over a healthy table, budget-limited slices
+        report nothing unrecoverable and together verify every share of
+        every chunk."""
+        client, _providers = _world(tmp_path / f"b{budget}")
+        for i in range(6):
+            client.put(f"f{i}.bin", deterministic_bytes(3000, seed=70 + i))
+        chunk_ids = client.chunk_table.all_chunk_ids()
+        total = len(chunk_ids)
+        assert total > 21  # past one 64-share slice at n = 3
+        from repro.recovery import Scrubber
+
+        scrubber = Scrubber(client, budget_shares=budget)
+        covered: set[str] = set()
+        for _ in range(2 * total):
+            start = scrubber.cursor
+            report = scrubber.run_slice()
+            assert not report.unrecoverable_chunks, budget
+            assert report.chunks_scanned >= 1
+            assert report.shares_verified == 3 * report.chunks_scanned
+            covered |= {chunk_ids[(start + k) % total]
+                        for k in range(report.chunks_scanned)}
+            if len(covered) == total:
+                break
+        assert covered == set(chunk_ids)
+        assert client.scrub().healthy

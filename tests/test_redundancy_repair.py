@@ -227,6 +227,48 @@ class TestSelfHealing:
         assert len(client.debt_ledger) == 0
 
 
+class TestRepairSearchesSpareShares:
+    def test_corrupt_share_among_the_first_t_is_searched_past(self,
+                                                              tmp_path):
+        """t=2, n=4 on five CSPs: index 3 deleted and owed, index 0
+        bit-flipped.  The first t shares fetched do not verify, so the
+        repair fetches the rest, finds a verifying subset, rewrites
+        index 0 in place (blaming its CSP) and retires the debt."""
+        clock = SimClock()
+        inner = [InMemoryCSP(f"csp{i}") for i in range(5)]
+        engine = DirectEngine({p.csp_id: p for p in inner}, clock=clock)
+        client = CyrusClient.create(
+            inner, CyrusConfig(key="heal-key", t=2, n=4, **SMALL_CHUNKS),
+            client_id="alice", engine=engine,
+            journal=IntentJournal(tmp_path / "journal.jsonl", clock=clock,
+                                  fsync=False),
+            debt_ledger=DebtLedger(tmp_path / "debts.jsonl", fsync=False),
+        )
+        data = deterministic_bytes(100, seed=5)  # one chunk
+        client.put("one.bin", data)
+        [chunk_id] = client.chunk_table.all_chunk_ids()
+        at = dict(client.chunk_table.get(chunk_id).placements)
+        by_id = {p.csp_id: p for p in inner}
+        lost = chunk_share_object_name(3, chunk_id)
+        by_id[at[3]].delete(lost)
+        client.debt_ledger.record(chunk_id, missing=(3,),
+                                  failed_csps=(at[3],))
+        rotted = chunk_share_object_name(0, chunk_id)
+        truth = by_id[at[0]].download(rotted)
+        by_id[at[0]].upload(rotted, bytes([truth[0] ^ 0xFF]) + truth[1:])
+
+        report = run_repair(client)
+        assert report.debts_retired == 1
+        assert not report.unrecoverable_chunks
+        assert len(client.debt_ledger) == 0
+        assert by_id[at[0]].download(rotted) == truth
+        assert client.health.corruption_count(at[0]) == 1
+        holders = {c for i, c in client.chunk_table.get(chunk_id).placements
+                   if i == 3 and by_id[c].object_size(lost) is not None}
+        assert holders and at[3] not in holders
+        assert client.get("one.bin").data == data
+
+
 class TestDebtReconciliation:
     """Crash between the journal's debt record and the ledger append:
     roll-forward re-records the debt from the intent."""
