@@ -10,6 +10,14 @@ chunk's remaining CSPs), decode, verify each chunk by id, assemble,
 check for conflicts (Section 5.4), and lazily migrate shares stranded
 on removed/failed CSPs (Section 5.5, Figure 9).
 
+The chunk-id check after decode is the one integrity check a fault-free
+read pays: with exactly t shares the decode is an invertible map, so a
+corrupt share changes the plaintext and fails the id.  Fetched shares
+are used as delivered; only when a chunk fails its id (or its decode
+raises) does :meth:`Downloader._repair_chunk` hash them against the
+recorded share digests, to blame and drop the ones that lied before it
+fetches the rest and searches for a t-subset that verifies.
+
 Before anything is fetched, the ChunkMap must hash to the node's
 ``file_id`` and tile ``[0, size)`` in order; chunk ids commit to every
 byte, so with each chunk checked by id the file needs no hash of its own.
@@ -252,7 +260,8 @@ class Downloader:
         gathered, decoded and checked by id on ``lane``; cache hits as
         they are, with their id check submitted to ``lane`` as one job,
         returned (None without hits) for the caller to join before it
-        hands out any byte."""
+        hands out any byte.  The op results are the gather's and any
+        repair's, so the report counts every share fetched."""
         obs = getattr(self.engine, "obs", None)
         fetch = self._uncached(states)
         hits = [(chunk_id, state.decoded) for chunk_id, state
@@ -265,7 +274,7 @@ class Downloader:
         with span_if(obs, "gather"):
             share_results = self._gather(fetch, plans)
         with span_if(obs, "decode"):
-            self._decode_chunks(fetch, lane)
+            share_results += self._decode_chunks(fetch, lane)
         return plans, share_results, hits_job
 
     def _chunk_states(self, node: MetadataNode) -> dict[str, _ChunkState]:
@@ -373,24 +382,11 @@ class Downloader:
             state = states[key[0]]
             state.shares[state.index_at(csp)] = result.data
 
-        def verify(key, csp: str, result: OpResult) -> bool:
-            # Byzantine defense: check the share against its recorded
-            # fingerprint *before* it can poison the decode
-            state = states[key[0]]
-            index = state.index_at(csp)
-            if sha1_hex(result.data) == state.digests[index]:
-                return True
-            self._note_corruption(state, index, csp)
-            return False
-
         def on_giveup(key, csp: str, result: OpResult) -> None:
-            # an open breaker, a missing object, or a corrupt payload
-            # says nothing bad about the provider's *availability*
-            # (corruption is the quarantine path's business); everything
-            # else does
+            # an open breaker or a missing object says nothing bad about
+            # the provider's *availability*; everything else does
             if result.error_type not in (
                 "CircuitOpenError", "ObjectNotFoundError",
-                "ShareIntegrityError",
             ):
                 self.cloud.mark_failed(csp)
 
@@ -398,29 +394,10 @@ class Downloader:
             state = states[key[0]]
             if len(state.shares) >= state.t:
                 return None
-            holders = [
-                c
-                for c in sorted(set(state.placements.values()))
+            live, suspects = self._holders(
+                c for c in sorted(set(state.placements.values()))
                 if c not in state.tried
-                and self.cloud.status_of(c) is CSPStatus.ACTIVE
-            ]
-            live = [
-                c for c in holders if self.retry_loop.alternate_is_live(c)
-            ]
-            # corruption-quarantined holders are a last resort, not a
-            # lost cause: the provider is responsive (it answered with
-            # bytes, just wrong ones) and every share is digest-verified
-            # before use, so the worst it can do is fail verification
-            # again — strictly better than failing the read while a
-            # possibly clean share exists.  (Widespread rot can
-            # quarantine the whole fleet mid-gather; avoidance is a
-            # preference, the verify hook is the guarantee.)  Breakers
-            # opened for *unavailability* stay respected: forcing those
-            # is the hammering fail-fast exists to prevent.
-            health = self.retry_loop.health
-            suspects = [] if health is None else [
-                c for c in holders if health.corruption_count(c) > 0
-            ]
+            )
             pool = live or suspects
             if not pool:
                 return None
@@ -437,7 +414,6 @@ class Downloader:
                     items.append(((chunk_id, slot), csp))
         all_results, attempts = self.retry_loop.run(
             items, build_op, on_success, on_giveup, pick_alternate,
-            verify=verify,
         )
         for state in states.values():
             if len(state.shares) < state.t:
@@ -456,6 +432,31 @@ class Downloader:
                     attempts=history,
                 )
         return all_results
+
+    def _holders(self, csps) -> tuple[list[str], list[str]]:
+        """Split the ACTIVE ``csps`` into live ones and corruption
+        suspects whose breaker is open (DESIGN.md, "Quarantine is a
+        preference", rule 1).
+
+        A corruption-quarantined holder is a last resort, not a lost
+        cause: the provider is responsive (it answered with bytes, just
+        wrong ones) and every chunk is checked by id before use, so the
+        worst it can do is fail that check again — strictly better than
+        failing the read while a possibly clean share exists.
+        (Widespread rot can quarantine the whole fleet mid-read;
+        avoidance is a preference, the chunk-id check is the guarantee.)
+        A breaker opened for *unavailability* is never a candidate:
+        forcing it is the hammering fail-fast exists to prevent.
+        """
+        active = [c for c in csps
+                  if self.cloud.status_of(c) is CSPStatus.ACTIVE]
+        live = [c for c in active if self.retry_loop.alternate_is_live(c)]
+        health = self.retry_loop.health
+        suspects = [] if health is None else [
+            c for c in active
+            if c not in live and health.corruption_count(c) > 0
+        ]
+        return live, suspects
 
     def _note_corruption(self, state: _ChunkState, index: int,
                          csp: str) -> None:
@@ -500,9 +501,10 @@ class Downloader:
 
     def _decode_chunks(
         self, states: dict[str, _ChunkState], lane: HashLane,
-    ) -> None:
+    ) -> list[OpResult]:
         """Decode every fetched chunk once into ``state.decoded``,
-        verified by id and repaired if a share lied.
+        verified by id and repaired if a share lied; returns the ops of
+        the repairs.
 
         Each chunk's id check runs on ``lane`` while the next chunk
         decodes; the verdicts are joined, in order, before any
@@ -512,14 +514,9 @@ class Downloader:
         decoded = []
         for chunk_id, state in states.items():
             sharer = get_sharer(self.config.key, state.t, state.n)
-            shares = [
-                Share(index=i, data=blob, t=state.t, n=state.n,
-                      chunk_size=state.size)
-                for i, blob in sorted(state.shares.items())
-            ]
             t0 = obs.clock.now() if obs is not None else 0.0
             try:
-                plaintext = sharer.join(shares)
+                plaintext = sharer.join(_shares_of(state))
             except CodingError:
                 plaintext = None  # e.g. a share of the wrong length
             if obs is not None:
@@ -528,67 +525,62 @@ class Downloader:
             check = None if plaintext is None else lane.submit(
                 "chunk", len(plaintext), _verify_chunk, chunk_id, plaintext)
             decoded.append((state, sharer, plaintext, check))
+        repairs: list[OpResult] = []
         for state, sharer, plaintext, check in decoded:
             if check is None or not lane.join(check):
-                # a fetched share is corrupt; pull the chunk's remaining
-                # shares and decode a verifying t-subset (Section 5.1's
-                # beyond-secret-sharing error tolerance)
-                plaintext = self._repair_chunk(state, sharer)
+                # a fetched share is corrupt; blame it, pull the chunk's
+                # remaining shares and decode a verifying t-subset
+                # (Section 5.1's beyond-secret-sharing error tolerance)
+                plaintext, fetched = self._repair_chunk(state, sharer)
+                repairs += fetched
             state.decoded = plaintext
+        return repairs
 
-    def _repair_chunk(self, state: _ChunkState, sharer) -> bytes:
-        """Recover a chunk whose fetched shares include corrupt ones.
+    def _repair_chunk(
+        self, state: _ChunkState, sharer,
+    ) -> tuple[bytes, list[OpResult]]:
+        """Recover a chunk whose fetched shares include corrupt ones;
+        returns its plaintext and the ops the repair ran.
 
-        Fetches every remaining share of the chunk from active
-        placements, then searches for a t-subset whose decode matches
-        the chunk's content id.  Tolerates up to ``n - t`` corrupted
-        shares, as the paper claims for the non-systematic R-S code.
+        First the attribution the fault-free path skips: each fetched
+        share is hashed against its recorded digest, and each mismatch
+        is blamed on its provider and dropped.  Then the chunk's shares
+        not fetched yet are read from its active placements, and the
+        search looks for a t-subset whose decode matches the chunk's
+        content id.  Tolerates up to ``n - t`` corrupted shares, as the
+        paper claims for the non-systematic R-S code, and a recorded
+        digest that vouches for a corrupt share (the search needs no
+        digest).
 
-        When no subset verifies, every fetched share is suspect (the
-        search cannot tell which ones lied), so the repair evicts them
-        all and refetches with backoff — a share corrupted in transit
-        (or lost to a transient blip) often comes back clean.
+        When no subset verifies, every share is suspect (the search
+        cannot tell which ones lied), so the repair evicts them all and
+        refetches with backoff — a share corrupted in transit (or lost
+        to a transient blip) often comes back clean.
         """
         policy = self.retry_loop.policy
         obs = getattr(self.engine, "obs", None)
         if obs is not None:
             obs.metrics.inc("cyrus_chunk_repairs_total")
+        # the first round skips every index the gather read, the liars'
+        # included: a fresh copy from the same provider proves nothing
+        skip = set(state.shares)
+        for index, blob in sorted(state.shares.items()):
+            if sha1_hex(blob) != state.digests[index]:
+                self._note_corruption(state, index, state.placements[index])
+                del state.shares[index]
+        results: list[OpResult] = []
         last_exc: CyrusError | None = None
         for round_no in range(policy.max_attempts):
             if round_no:
                 self.engine.sleep(policy.delay(round_no))
-            missing = [
-                (index, csp)
-                for index, csp in sorted(state.placements.items())
-                if index not in state.shares
-            ]
-            if missing:
-                ops = [
-                    TransferOp(
-                        kind=OpKind.GET,
-                        csp_id=csp,
-                        name=chunk_share_object_name(index, state.chunk_id),
-                        size=state.share_size(),
-                        chunk_id=state.chunk_id,
-                    )
-                    for index, csp in missing
-                ]
-                for (index, _csp), result in zip(
-                    missing, self.engine.execute(ops)
-                ):
-                    if result.ok:
-                        state.shares[index] = result.data
-            shares = [
-                Share(index=i, data=blob, t=state.t, n=state.n,
-                      chunk_size=state.size)
-                for i, blob in sorted(state.shares.items())
-            ]
+                skip = set()
+            results.extend(self._fetch_rest(state, skip))
             try:
                 return sharer.join_verified(
-                    shares,
-                    verify=lambda plaintext: sha1_hex(plaintext)
-                    == state.chunk_id,
-                )
+                    _shares_of(state),
+                    verify=lambda plaintext: _verify_chunk(
+                        state.chunk_id, plaintext),
+                ), results
             except CyrusError as exc:
                 last_exc = exc
                 state.shares.clear()
@@ -596,6 +588,35 @@ class Downloader:
             f"chunk {state.chunk_id[:8]}: corrupted beyond repair "
             f"({last_exc})"
         ) from last_exc
+
+    def _fetch_rest(self, state: _ChunkState,
+                    skip: set[int]) -> list[OpResult]:
+        """Read into ``state.shares`` every share of the chunk not held
+        and not in ``skip``, from live holders; corruption suspects are
+        forced only when the live ones cannot make up t shares."""
+        wanted = [
+            (index, csp) for index, csp in sorted(state.placements.items())
+            if index not in state.shares and index not in skip
+        ]
+        live, suspects = self._holders({csp for _i, csp in wanted})
+        if len(state.shares) + len(live) < state.t:
+            live += suspects
+        fetch = [(index, csp) for index, csp in wanted if csp in live]
+        results = self.engine.execute([
+            TransferOp(
+                kind=OpKind.GET,
+                csp_id=csp,
+                name=chunk_share_object_name(index, state.chunk_id),
+                size=state.share_size(),
+                chunk_id=state.chunk_id,
+                force_dispatch=not self.retry_loop.alternate_is_live(csp),
+            )
+            for index, csp in fetch
+        ]) if fetch else []
+        for (index, _csp), result in zip(fetch, results):
+            if result.ok:
+                state.shares[index] = result.data
+        return results
 
     def _migrate(self, states: dict[str, _ChunkState]) -> list[ShareMigration]:
         """Figure 9: re-home shares stranded on unusable CSPs, from the
@@ -638,6 +659,15 @@ def _plaintext(states: dict[str, _ChunkState], record) -> bytes:
             f"bytes, ChunkMap says {record.size}"
         )
     return blob
+
+
+def _shares_of(state: _ChunkState) -> list[Share]:
+    """The shares a state holds, in index order, ready to decode."""
+    return [
+        Share(index=i, data=blob, t=state.t, n=state.n,
+              chunk_size=state.size)
+        for i, blob in sorted(state.shares.items())
+    ]
 
 
 def _verify_chunk(chunk_id: str, plaintext: bytes) -> bool:

@@ -13,12 +13,14 @@ the round structure :class:`Uploader` and :class:`Downloader` share:
   errors can carry the full per-CSP history.
 
 The callers keep what is genuinely theirs: how to build an op, what a
-success means, and where alternate shares may live.
+success means, and where alternate shares may live.  The loop judges
+transport outcomes only: a payload that arrives is a success, and
+checking what it holds is the caller's business (the downloader checks
+each decoded chunk by id).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import threading
 from typing import Callable, Hashable, Sequence
 
@@ -60,25 +62,6 @@ class ShareRetryLoop:
         """Health gate for alternate choice (True without a registry)."""
         return self.health is None or self.health.is_live(csp_id)
 
-    @staticmethod
-    def _check(verify, key, csp: str, result: OpResult) -> OpResult:
-        """Apply the caller's verify hook to a transport-level success.
-
-        A payload that fails verification becomes a *permanent* failure
-        of that provider for this item (``ShareIntegrityError``,
-        retryable=False): the provider answered, so re-asking it wins
-        nothing — the loop fails over to an alternate instead.  Identical
-        on the serial and parallel paths, preserving the parallelism=1
-        bit-for-bit equivalence.
-        """
-        if not result.ok or verify is None or verify(key, csp, result):
-            return result
-        return dataclasses.replace(
-            result, ok=False, data=None,
-            error=f"share from {csp} failed verification",
-            error_type="ShareIntegrityError", retryable=False,
-        )
-
     def run(
         self,
         items: Sequence[Item],
@@ -86,7 +69,6 @@ class ShareRetryLoop:
         on_success: Callable[[Hashable, str, OpResult], None],
         on_giveup: Callable[[Hashable, str, OpResult], None],
         pick_alternate: Callable[[Hashable, str, set[str]], str | None],
-        verify: Callable[[Hashable, str, OpResult], bool] | None = None,
     ) -> tuple[list[OpResult], dict[Hashable, list[Attempt]]]:
         """Drive every item to success or exhaustion.
 
@@ -101,9 +83,6 @@ class ShareRetryLoop:
             pick_alternate: ``(key, failed_csp, tried) -> csp | None``;
                 None drops the item (the caller's threshold check
                 decides whether that is fatal).
-            verify: Optional payload check on transport-level successes;
-                returning False reclassifies the result as a permanent
-                provider failure (fail over, never same-provider retry).
 
         Each round is one engine batch, and every completion goes through
         one decision (``settle``).  A transient failure retries the same
@@ -134,9 +113,6 @@ class ShareRetryLoop:
                 self.engine.sleep(self.policy.delay(round_no))
             deferred: list[Item] = []
             assign: dict[int, Item] = {}
-            # id(op) -> verify-reclassified result, so all_results shows
-            # the same failure the callbacks saw
-            checked: dict[int, OpResult] = {}
             ops: list[TransferOp] = []
             for key, csp in pending:
                 op = build_op(key, csp)
@@ -144,14 +120,9 @@ class ShareRetryLoop:
                 ops.append(op)
 
             def settle(result: OpResult, _assign=assign, _deferred=deferred,
-                       _checked=checked,
                        _round=round_no) -> list[TransferOp] | None:
                 with lock:
                     key, csp = _assign.pop(id(result.op))
-                    verified = self._check(verify, key, csp, result)
-                    if verified is not result:
-                        _checked[id(result.op)] = verified
-                    result = verified
                     attempts.setdefault(key, []).append(Attempt(
                         csp_id=csp, round_no=_round, ok=result.ok,
                         error=result.error, error_type=result.error_type,
@@ -192,6 +163,6 @@ class ShareRetryLoop:
                 results = self.engine.execute(ops)
                 for result in results:
                     settle(result)
-            all_results.extend(checked.get(id(r.op), r) for r in results)
+            all_results.extend(results)
             pending = deferred
         return all_results, attempts

@@ -287,33 +287,3 @@ def test_retry_loop_fails_over_to_alternate_on_async_engine():
         assert [a.csp_id for a in attempts["s0"]] == ["bad", "alt"]
     finally:
         engine.close()
-
-
-def test_retry_loop_verify_reclassifies_as_permanent_on_async_engine():
-    # a provider that "succeeds" but serves a corrupt share: verify=False
-    # must fail over, never retry the same provider
-    src, alt = InMemoryCSP("src"), InMemoryCSP("alt")
-    src.upload("s0", b"corrupt")
-    alt.upload("s0", b"genuine")
-    engine = DirectEngine({"src": src, "alt": alt}, parallelism=2)
-    try:
-        loop = ShareRetryLoop(engine, policy=RetryPolicy(max_attempts=3,
-                                                         base_delay=0.0))
-        got = {}
-        results, attempts = _from_loop(
-            loop.run,
-            items=[("s0", "src")],
-            build_op=lambda key, csp: TransferOp(
-                kind=OpKind.GET, csp_id=csp, name="s0", size=7),
-            on_success=lambda key, csp, result: got.setdefault(
-                key, (csp, result.data)),
-            on_giveup=lambda key, csp, result: None,
-            pick_alternate=lambda key, csp, tried: (
-                "alt" if "alt" not in tried else None),
-            verify=lambda key, csp, result: result.data == b"genuine",
-        )
-        assert got == {"s0": ("alt", b"genuine")}
-        history = [(a.csp_id, a.ok) for a in attempts["s0"]]
-        assert history == [("src", False), ("alt", True)]
-    finally:
-        engine.close()

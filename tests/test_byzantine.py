@@ -1,13 +1,14 @@
-"""Byzantine share defense: fingerprint verification at decode time.
+"""Byzantine share defense: the chunk-id check after decode detects,
+per-share fingerprints attribute.
 
 ``FaultKind.CORRUPT_READ`` models a provider whose *stored* data is
 wrong — tampered or rotted — so every fetch of a given object returns
 the same wrong bytes (unlike ``CORRUPT``'s per-transfer line noise).
-With per-share fingerprints in the chunk records, the downloader
-detects the lie before decoding, fails over to an honest provider,
-attributes a ``corrupt_share`` health event, and quarantines repeat
-offenders — while every read still returns bit-exact plaintext as long
-as at most ``n - t`` providers lie.
+A lying share makes its chunk fail its id; the downloader's repair
+then finds the liar by its fingerprint, attributes a ``corrupt_share``
+health event, reads an honest provider's share instead, and
+quarantines repeat offenders — while every read still returns
+bit-exact plaintext as long as at most ``n - t`` providers lie.
 """
 
 from __future__ import annotations

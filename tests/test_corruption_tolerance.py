@@ -8,6 +8,7 @@ import os
 import pytest
 
 from repro.core.naming import chunk_share_object_name
+from repro.core.transfer import OpKind
 from repro.erasure import KeyedSharer, RSCodec, Share
 from repro.errors import CodingError, CyrusError, InsufficientSharesError
 from repro.util.hashing import sha1_hex
@@ -118,9 +119,9 @@ class TestDownloadRepair:
 
 
 class TestWrongLengthShare:
-    """A share one byte short fails its recorded digest before decode,
-    so the downloader fails over to another holder and blames the
-    provider that served it, exactly as for a flipped byte."""
+    """A share one byte short fails its decode, so the downloader
+    repairs the chunk from another holder and blames the provider that
+    served it by its recorded digest, exactly as for a flipped byte."""
 
     DATA = deterministic_bytes(6000, 5)
 
@@ -221,3 +222,86 @@ class TestRepairPastAWrongDigest:
             client,
             lambda: client.get_range("f.bin", 10, 100, sync_first=False),
             lie, self.DATA[10:110])
+
+    @pytest.mark.parametrize("ranged", [False, True], ids=["get", "get_range"])
+    def test_report_lists_the_repair_traffic(self, client, lie, monkeypatch,
+                                             ranged):
+        # every share GET the engine ran, the repair's included, is in
+        # the report, and every one that delivered bytes is downloaded
+        def read():
+            if ranged:
+                return client.get_range("f.bin", 10, 100, sync_first=False)
+            return client.get("f.bin", sync_first=False)
+
+        lie(read)
+        ran = []
+        execute = client.engine.execute
+
+        def spy(ops, *args, **kwargs):
+            results = execute(ops, *args, **kwargs)
+            ran.extend(r for r in results if r.op.kind is OpKind.GET)
+            return results
+
+        monkeypatch.setattr(client.engine, "execute", spy)
+        report = read()
+        listed = [r for r in report.share_results if r.op.kind is OpKind.GET]
+        assert sorted(id(r) for r in listed) == sorted(id(r) for r in ran)
+        assert report.bytes_downloaded == sum(
+            len(r.data) for r in ran if r.ok)
+
+
+class TestRepairFetchLastResort:
+    """The repair's fetch follows the gather's failover rule: a holder
+    quarantined for corruption is forced as a last resort, a breaker
+    opened for unavailability never is."""
+
+    DATA = deterministic_bytes(100, 7)  # one chunk
+
+    @pytest.fixture
+    def read_past(self, client, csps, monkeypatch):
+        node = client.put("f.bin", self.DATA).node
+        fetched = {r.op.csp_id: r.op.name
+                   for r in client.get("f.bin").share_results}
+        liar, name = sorted(fetched.items())[0]
+        provider = {c.csp_id: c for c in csps}
+        blob = bytearray(provider[liar].download(name))
+        blob[0] ^= 0xFF
+        provider[liar].upload(name, bytes(blob))
+        [third] = [s.csp_id for s in node.shares if s.csp_id not in fetched]
+        downloads = []
+        download = provider[third].download
+        monkeypatch.setattr(provider[third], "download",
+                            lambda name: downloads.append(name)
+                            or download(name))
+
+        def read(darken):
+            # the third holder goes dark once the gather is done, so
+            # only the repair can reach for it
+            gather = client.downloader._gather
+
+            def gather_then_darken(*args):
+                results = gather(*args)
+                darken(third)
+                return results
+
+            monkeypatch.setattr(client.downloader, "_gather",
+                                gather_then_darken)
+            return client.get("f.bin")
+
+        return read, downloads
+
+    def test_a_corruption_suspect_is_forced(self, client, read_past):
+        read, downloads = read_past
+
+        def quarantine(csp):
+            for _ in range(client.health.corruption_threshold):
+                client.health.record_corruption(csp)
+
+        assert read(quarantine).data == self.DATA
+        assert len(downloads) == 1
+
+    def test_an_unavailable_holder_is_never_forced(self, client, read_past):
+        read, downloads = read_past
+        with pytest.raises(CyrusError):
+            read(lambda csp: client.health.breaker(csp).trip())
+        assert downloads == []

@@ -33,6 +33,7 @@ from repro.core.transfer import DirectEngine
 from repro.csp.memory import InMemoryCSP
 from repro.errors import InsufficientSharesError, ShareIntegrityError
 from repro.faults import FaultKind, FaultPlan, FaultSpec, FaultyProvider
+from repro.redundancy import DebtLedger
 from repro.selection import RoundRobinSelector
 from repro.util import hashing
 from repro.util.clock import SimClock
@@ -40,9 +41,10 @@ from repro.util.hashing import HashLane, sha1_hex
 
 from tests.conftest import SMALL_CHUNKS, deterministic_bytes
 
-BUDGET = json.loads(
+OP_BUDGET = json.loads(
     (Path(__file__).parent / "data" / "op_budget.json").read_text()
-)["hashed_bytes"]
+)
+BUDGET = OP_BUDGET["hashed_bytes"]
 
 CONFIG = dict(key="lane-key", t=2, n=3, **SMALL_CHUNKS)
 MODES = ("inline", "lane")
@@ -449,3 +451,71 @@ def test_hashed_bytes_per_op(monkeypatch, mode):
     }
     assert client.get("doc.bin").data == v2
     assert got == {case: BUDGET[case] for case in got}
+
+
+class _CountingCSP(InMemoryCSP):
+    """Counts the objects read from it."""
+
+    def __init__(self, csp_id: str):
+        super().__init__(csp_id)
+        self.downloads = 0
+
+    def download(self, name):
+        self.downloads += 1
+        return super().download(name)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_read_verify_cost(monkeypatch, tmp_path, fault_seed, mode):
+    """A one-chunk file at t=2, n=3 on four in-memory CSPs, read fault
+    free and then with one of the two shares that read fetched
+    bit-flipped (the seed picks which).  The fault-free get hashes the
+    decoded chunk once and no share; the liar costs the share GETs,
+    blame and debt of an eager digest check, plus one repair."""
+    _set_mode(monkeypatch, mode)
+    spy = HashlibSpy()
+    monkeypatch.setattr(hashing, "hashlib", spy)
+    budget = OP_BUDGET["read_verify"]
+    csps = [_CountingCSP(f"csp{i}") for i in range(budget["csps"])]
+    ledger = DebtLedger(tmp_path / "debts.jsonl", fsync=False)
+    client = CyrusClient.create(
+        csps, CyrusConfig(key="budget-key", t=budget["t"], n=budget["n"]),
+        engine=DirectEngine({p.csp_id: p for p in csps}, clock=SimClock()),
+        debt_ledger=ledger,
+    )
+    data = deterministic_bytes(budget["file_bytes"], seed=33)
+    [record] = client.put("f.bin", data).node.chunks
+
+    def read() -> dict[str, int]:
+        before = sum(p.downloads for p in csps), _repairs(client)
+        blamed = sum(_blamed(client).values())
+        report = None
+
+        def get():
+            nonlocal report
+            report = client.get("f.bin", sync_first=False)
+
+        cost = spy.measure(get)
+        assert report.data == data
+        return {
+            "share_gets": sum(p.downloads for p in csps) - before[0],
+            "corrupt_shares": int(sum(_blamed(client).values()) - blamed),
+            "debts": len(ledger.open_debts()),
+            "chunk_repairs": int(_repairs(client) - before[1]),
+            **cost,
+        }, report
+
+    fault_free, clean = read()
+    fetched = sorted((r.op.name, r.op.csp_id) for r in clean.share_results)
+    name, csp_id = fetched[fault_seed % len(fetched)]
+    victim = next(p for p in csps if p.csp_id == csp_id)
+    blob = bytearray(victim.download(name))
+    blob[fault_seed % len(blob)] ^= 0xFF
+    victim.upload(name, bytes(blob))
+    one_liar, repaired = read()
+    assert name in {r.op.name for r in repaired.share_results}
+    assert _blamed(client) == {victim.csp_id: 1}
+    # no share pass: the t shares alone hold as many bytes as the chunk
+    assert fault_free["sha1_bytes"] < 2 * record.size
+    assert {"fault_free": fault_free, "one_liar": one_liar} == {
+        case: budget[case] for case in ("fault_free", "one_liar")}
