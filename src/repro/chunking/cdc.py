@@ -21,14 +21,17 @@ same :func:`select_boundaries` rules.
 
 The cut loop hashes only windows whose cut point could be kept.  It
 hashes ``_BLOCK`` cut points per slice and runs the hits through the
-:func:`select_boundaries` rules; each slice starts at ``last +
-min_size`` or later, where ``last`` is the last cut.  So when
-``min_size`` exceeds a slice (the default config), it stops at the
-first hit, skips ``min_size`` and force-cuts at ``last + max_size``
-when nothing hits.  :func:`select_boundaries` never keeps a candidate
-closer than ``min_size`` to the previous cut (forced cuts included) and
-the cut after ``last`` depends only on bytes after it, so the cuts are
-exactly those of the full candidate list — and a file no larger than
+:func:`select_boundaries` rules.  A hit comes once per ``avg_size``
+windows, so a slice's hit test first takes its hash maximum: one
+reduction rules out most slices before a bool array is built and
+scanned for hits.  Each slice starts at ``last + min_size`` or later,
+where ``last`` is the last cut.  So when ``min_size`` exceeds a slice
+(the default config), it stops at the first hit, skips ``min_size``
+and force-cuts at ``last + max_size`` when nothing hits.
+:func:`select_boundaries` never keeps a candidate closer than
+``min_size`` to the previous cut (forced cuts included) and the cut
+after ``last`` depends only on bytes after it, so the cuts are exactly
+those of the full candidate list — and a file no larger than
 ``min_size`` hashes nothing.
 
 A re-save skips what its predecessor already proved.  ``known`` spans
@@ -208,7 +211,12 @@ class ContentDefinedChunker:
                 np.multiply(g[:count], _U32(_MULTIPLIER), out=g[:count])
                 np.add(g[:count], spare[:count], out=g[:count])
                 m += 1
-        return np.flatnonzero(g[: span - m + 1] >= _U32(self._floor))
+        g = g[: span - m + 1]
+        # a hit comes once per avg_size windows: one reduction rules out
+        # most slices before the bool array and its scan are built
+        if g.max() < self._floor:
+            return np.empty(0, dtype=np.intp)
+        return np.flatnonzero(g >= _U32(self._floor))
 
     def _hit_at(self, data: bytes, end: int) -> bool:
         """Whether the one window ending at ``end`` passes the boundary

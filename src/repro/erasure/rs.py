@@ -12,9 +12,11 @@ non-1 coefficient into one ``(n, L)`` matrix whose rows become
 zero-copy memoryview payloads; decode replays the Gauss--Jordan
 elimination of the share submatrix (memoised per share-index tuple) on
 the share rows, so a (2, 3) decode is 2 lookups + 2 xors per stripe
-byte.  On a 2-vCPU box an 8 MiB chunk encodes and decodes at 0.7--1
-GB/s at (2, 3) and at 110--150 MB/s at (10, 11), so transfer rather
-than coding bounds end-to-end completion time (paper Section 7.1).
+byte.  Rows of 64 KiB or more are multiplied two bytes per lookup
+index, through pair tables.  On a 2-vCPU box an 8 MiB chunk encodes
+at 0.6--1 GB/s and decodes at 0.4--0.7 GB/s at (2, 3), and codes at
+65--160 MB/s at (10, 11) and (2, 11), so transfer rather than coding
+bounds end-to-end completion time (paper Section 7.1).
 The pure-Python :mod:`repro.gf.scalar` is the oracle the equivalence
 suites compare against; the codec borrows only its matrix construction.
 """

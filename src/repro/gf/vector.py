@@ -20,16 +20,27 @@ Rows ``0 .. rows-1`` are the output rows, each starting as zero; rows
   xors, and a ``(2, 3)`` decode is 2 table lookups + 2 xors per stripe
   byte where multiplying by the dense inverse took 4 + 4.
 
-``c * row`` is ``np.take(MUL_TABLE[c], row, out=...)``: ``MUL_TABLE[c]``
-is a contiguous 256-byte row, so the lookup is numpy's 1-D ``take``
-over a table that lives in L1.  The interpreter walks the rows in
-``_BLOCK``-byte column blocks so the input, output and scratch blocks
-stay cache-resident across every op.  Writes are copy-on-write: an op
-on a row that is still zero writes its term straight into the output
-(a lookup, or for ``c == 1`` an alias of the read-only input row), and
-an op on a row that still aliases an input reads the input and writes
-the output.  Nothing is zero-filled; a row the program leaves aliased
-is copied once.
+``c * row`` is one ``np.take`` per block (:func:`_mul`).  ``take``
+converts every index to ``intp`` before it gathers, so a lookup costs
+per *index*, not per byte.  Rows of at least one ``_BLOCK`` are
+therefore looked up two bytes at a time: their native ``uint16`` view
+indexes the 65,536-entry pair table of ``c``, which holds ``c * (a, b)``
+for every byte pair ``(a, b)`` (:func:`_pair_table`: built lazily from
+``MUL_TABLE[c]``, read-only, 128 KiB, so at most 32 MiB if every
+coefficient is ever used).  A block's odd last byte goes through
+``MUL_TABLE[c]`` by scalar index, and a strided input row is copied
+contiguous once, at :func:`run` entry.  Shorter rows -- a small file's
+chunks, the many tenant keys of a fleet -- take the 256-byte
+``MUL_TABLE[c]`` row and build no table.  Either way it is one lookup
+per op per block.
+
+The interpreter walks the rows in ``_BLOCK``-byte column blocks so the
+input, output and scratch blocks stay cache-resident across every op.
+Writes are copy-on-write: an op on a row that is still zero writes its
+term straight into the output (a lookup, or for ``c == 1`` an alias of
+the read-only input row), and an op on a row that still aliases an
+input reads the input and writes the output.  Nothing is zero-filled; a
+row the program leaves aliased is copied once.
 
 Outputs are C-contiguous ``uint8`` matrices whose rows the codec hands
 out as zero-copy ``memoryview`` share payloads.
@@ -56,6 +67,8 @@ __all__ = [
 ]
 
 #: Column block: input, output and scratch blocks of this size stay in L2.
+#: Also the shortest row that uses pair tables: a table's build (about a
+#: block's lookup) is then paid back by every block that reads it.
 _BLOCK = 64 * 1024
 
 
@@ -132,6 +145,43 @@ def elimination_program(matrix: Sequence[Sequence[int]]) -> RowProgram:
     return RowProgram(k, tuple((slot[i], slot.get(j, j), c) for i, j, c in ops))
 
 
+#: Pair tables built so far, by coefficient (see :func:`_pair_table`).
+_PAIR_TABLES: dict[int, np.ndarray] = {}
+
+
+def _pair_table(c: int) -> np.ndarray:
+    """``c * (a, b)`` for every byte pair, indexed by the pair's native
+    ``uint16``: 65,536 entries, 128 KiB, read-only.
+
+    Built on first use from ``MUL_TABLE[c]`` over the bytes of every
+    ``uint16`` in native order, so it is endian-neutral.  Two threads
+    may build one table at once; ``setdefault`` keeps the first and
+    hands it to both.
+    """
+    table = _PAIR_TABLES.get(c)
+    if table is None:
+        pairs = np.arange(1 << 16, dtype=np.uint16).view(np.uint8)
+        table = MUL_TABLE[c][pairs].view(np.uint16)
+        table.setflags(write=False)
+        table = _PAIR_TABLES.setdefault(c, table)
+    return table
+
+
+def _mul(c: int, src: np.ndarray, dst: np.ndarray, pairs: bool) -> None:
+    """``dst = c * src`` in one ``np.take``: two bytes per index through
+    the pair table of ``c`` when ``pairs`` (``src`` must then be
+    contiguous), else one through ``MUL_TABLE[c]``."""
+    if not pairs:
+        np.take(MUL_TABLE[c], src, out=dst, mode="clip")
+        return
+    # uint16 indices cannot miss a 65,536-entry table
+    even = src.size & ~1
+    np.take(_pair_table(c), src[:even].view(np.uint16),
+            out=dst[:even].view(np.uint16), mode="clip")
+    if even < src.size:  # an odd last byte
+        dst[even] = MUL_TABLE[c, src[even]]
+
+
 def run(program: RowProgram, stripes) -> np.ndarray:
     """Apply ``program`` to ``stripes``, block by block.
 
@@ -150,6 +200,11 @@ def run(program: RowProgram, stripes) -> np.ndarray:
         raise ValueError(f"ragged input rows: {[src.shape for src in srcs]}")
     rows = program.rows
     length = srcs[0].size
+    # rows of a block or more multiply through pair tables, whose uint16
+    # views need contiguous rows: a strided input row is copied once here
+    pairs = length >= _BLOCK
+    if pairs:
+        srcs = [np.ascontiguousarray(src) for src in srcs]
     out = np.empty((rows, length), dtype=np.uint8)
     tmp = np.empty(min(length, _BLOCK), dtype=np.uint8)
     for lo in range(0, length, _BLOCK):
@@ -161,7 +216,7 @@ def run(program: RowProgram, stripes) -> np.ndarray:
             term, acc = cur[j], cur[i]
             if acc is None or i == j:  # overwrite: row_i = c * row_j
                 if c != 1:
-                    np.take(MUL_TABLE[c], term, out=dst[i], mode="clip")
+                    _mul(c, term, dst[i], pairs)
                 elif j >= rows:  # a read-only input: alias it
                     cur[i] = term
                     continue
@@ -169,7 +224,7 @@ def run(program: RowProgram, stripes) -> np.ndarray:
                     np.copyto(dst[i], term)
             else:
                 if c != 1:
-                    np.take(MUL_TABLE[c], term, out=scratch, mode="clip")
+                    _mul(c, term, scratch, pairs)
                     term = scratch
                 np.bitwise_xor(acc, term, out=dst[i])
             cur[i] = dst[i]

@@ -5,8 +5,8 @@ One byte-budgeted LRU of verified plaintext chunks per client
 version that shares a chunk with its predecessor — fills it, and only
 through one door: the writer writes its chunks through after commit.  A
 get never admits.  A hit only shrinks the set of chunks a download
-fetches; the placement check, the whole-file hash, lazy migration and
-scrub are unchanged.  The counts are pinned in
+fetches; the placement check, every chunk's id check, lazy migration
+and scrub are unchanged.  The counts are pinned in
 ``tests/data/op_budget.json``.
 """
 
@@ -315,7 +315,7 @@ class TestSafety:
         assert name in {info.name for info in victim.list(prefix=name)}
         assert client.scrub().healthy
 
-    def test_a_tampered_entry_fails_the_whole_file_check(self):
+    def test_a_tampered_entry_fails_its_chunk_id_check(self):
         client = World().device("a")
         client.put("doc.bin", V0)
         client.put("doc.bin", V1)

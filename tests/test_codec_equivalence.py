@@ -470,6 +470,143 @@ def test_elimination_never_looks_up_more_than_the_inverse(keyed):
 
 
 # ----------------------------------------------------------------------
+# pair tables: rows of at least one real block, two bytes per lookup
+# ----------------------------------------------------------------------
+
+
+PAIR_TABLES = json.loads(
+    (Path(__file__).parent / "data" / "op_budget.json").read_text()
+)["codec_pair_tables"]
+
+
+@pytest.fixture
+def pair_tables(monkeypatch):
+    """An empty pair-table cache for the test; the process's comes back
+    after it."""
+    from repro.gf import vector as gfvec
+
+    tables = {}
+    monkeypatch.setattr(gfvec, "_PAIR_TABLES", tables)
+    return tables
+
+
+def test_pair_tables_match_the_oracle(pair_tables):
+    """Every coefficient's pair table, read as the byte pairs it maps,
+    against the oracle's multiply on all 65,536 pairs."""
+    import numpy as np
+
+    from repro.gf import vector as gfvec
+
+    oracle = np.array([[gfscalar.mul(a, b) for b in range(256)]
+                       for a in range(256)], dtype=np.uint8)
+    # row v: the two bytes of uint16 index v, in memory order
+    pairs = np.arange(1 << 16, dtype=np.uint16).view(np.uint8).reshape(-1, 2)
+    for c in range(256):
+        table = gfvec._pair_table(c)
+        assert table.dtype == np.uint16 and not table.flags.writeable
+        assert np.array_equal(table.view(np.uint8).reshape(-1, 2),
+                              oracle[c][pairs]), c
+    assert len(pair_tables) == 256
+
+
+def _pair_layout(stripes, layout):
+    """``stripes`` as contiguous, odd-address or strided input rows."""
+    import numpy as np
+
+    if layout == "unaligned":  # every row's uint16 view is unaligned
+        return [np.frombuffer(b"\0" + s, dtype=np.uint8)[1:] for s in stripes]
+    if layout == "strided":  # every other byte of a wider buffer
+        rows = np.full((len(stripes), 2 * len(stripes[0])), 0xAA, np.uint8)
+        rows[:, ::2] = [np.frombuffer(s, dtype=np.uint8) for s in stripes]
+        return list(rows[:, ::2])
+    return _layout(stripes, "matrix")  # odd lengths: odd rows start odd
+
+
+@pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (3, 1)])
+def test_pair_table_rows_match_the_oracle(pair_tables, blocks, extra):
+    """Lengths around the real block seam, an odd last byte, rows at odd
+    addresses and strided rows: encode equals the oracle's matmul and
+    an elimination with a scale op solves back, and only rows of at
+    least one block build pair tables."""
+    import numpy as np
+
+    from repro.gf import vector as gfvec
+
+    length = blocks * gfvec._BLOCK + extra
+    rng = random.Random(length)
+    matrix = [[1, 0], [1, 7], [0, 0], [200, 1], [3, 5]]
+    stripes = [rng.randbytes(length) for _ in range(2)]
+    expected = [bytes(r) for r in gfscalar.matmul_rows(matrix, stripes)]
+    solve = gfvec.elimination_program([matrix[4], matrix[1]])  # pivot 3
+    assert any(i == j for i, j, _ in solve.ops)
+    for layout in ("matrix", "unaligned", "strided"):
+        got = gfvec.matmul(np.array(matrix, dtype=np.uint8),
+                           _pair_layout(stripes, layout))
+        assert [bytes(r) for r in got] == expected, layout
+        shares = _pair_layout([expected[4], expected[1]], layout)
+        assert [bytes(r) for r in gfvec.run(solve, shares)] == stripes, layout
+    assert bool(pair_tables) == (length >= gfvec._BLOCK)
+
+
+@pytest.mark.parametrize("tn", [(2, 3), (3, 5)])
+def test_pair_table_round_trip_every_subset(pair_tables, tn):
+    """An odd-length chunk whose rows are two blocks and a byte:
+    encode, then decode from every t-subset, exact."""
+    from repro.gf import vector as gfvec
+
+    t, n = tn
+    data = random.Random(t).randbytes(2 * gfvec._BLOCK * t + 1)
+    sharer = KeyedSharer(ROW_PASSES["key"], t, n)
+    shares = sharer.split(data)
+    for combo in itertools.combinations(shares, t):
+        assert sharer.join(list(combo)) == data, [s.index for s in combo]
+    assert pair_tables
+
+
+def test_pair_table_footprint(pair_tables, row_passes):
+    """The tables a 4 MiB put and get hold, none for a small file, and
+    on pair-table rows the row passes of codec_row_passes per block."""
+    from repro.core.client import CyrusClient
+    from repro.core.config import CyrusConfig
+    from repro.csp.memory import InMemoryCSP
+    from repro.gf import vector as gfvec
+
+    def held():
+        return {"tables": len(pair_tables),
+                "bytes": sum(t.nbytes for t in pair_tables.values())}
+
+    client = CyrusClient.create(
+        [InMemoryCSP(f"csp{i}") for i in range(4)],
+        CyrusConfig(key=PAIR_TABLES["key"], t=2, n=3),
+    )
+    try:
+        small = random.Random(96 << 10).randbytes(96 << 10)
+        client.put("small.bin", small)
+        assert client.get("small.bin").data == small
+        assert held() == PAIR_TABLES["put_get_96kib"]
+        large = random.Random(4 << 20).randbytes(4 << 20)
+        client.put("large.bin", large)
+        assert held() == PAIR_TABLES["put_4mib"]
+        assert client.get("large.bin").data == large
+        assert held() == PAIR_TABLES["put_get_4mib"]
+    finally:
+        client.close()
+    assert {t.nbytes for t in pair_tables.values()} == {
+        PAIR_TABLES["table_bytes"]}
+
+    sharer = KeyedSharer(ROW_PASSES["key"], 2, 3)
+    block = gfvec._BLOCK
+    for blocks, row in ((1, block), (2, block + 1)):  # one odd last byte
+        shares = sharer.split(random.Random(row).randbytes(2 * row))
+        encode, decode = (
+            {k: blocks * v for k, v in ROW_PASSES[op].items()}
+            for op in ("encode_2_3", "decode_2_3"))
+        assert row_passes(lambda: sharer.split(bytes(2 * row))) == encode
+        for combo in itertools.combinations(shares, 2):
+            assert row_passes(lambda: sharer.join(list(combo))) == decode
+
+
+# ----------------------------------------------------------------------
 # cut points: the skip loop vs the full candidate list
 # ----------------------------------------------------------------------
 
@@ -546,6 +683,44 @@ def _oracle_candidates(chunker, data):
         )
     hit = h >> np.uint32(32 - chunker._bits) == chunker._target
     return (np.flatnonzero(hit) + w).tolist()
+
+
+def test_window_hit_gate_matches_the_oracle():
+    """The max gate only skips slices with no hit: random real-size
+    slices where hits are rare (avg 2^18) and where every slice hits
+    (avg 16), and a slice whose only hit is its last window, all equal
+    the oracle's candidates."""
+    import numpy as np
+
+    from repro.chunking import cdc
+
+    rng = random.Random(0x6A7E)
+    data = rng.randbytes(1 << 20)
+    buf = np.frombuffer(data, dtype=np.uint8)
+    for avg in (1 << 18, 16):
+        chunker = ContentDefinedChunker(min_size=avg, avg_size=avg,
+                                        max_size=4 * avg)
+        w = chunker.window
+        span = cdc._BLOCK + w - 1  # one slice: _BLOCK windows
+        candidates = _oracle_candidates(chunker, data)
+
+        def check(lo):
+            expected = [c - w - lo for c in candidates
+                        if lo + w <= c <= lo + span]
+            got = chunker._window_hits(buf[lo : lo + span]).tolist()
+            assert got == expected, (avg, lo)
+            return got
+
+        hits = [check(rng.randrange(len(data) - span)) for _ in range(8)]
+        if avg == 16:
+            assert all(hits)
+        else:
+            assert not all(hits)
+            # the window ending at a candidate more than a slice past
+            # the one before it
+            end = next(c for prev, c in zip([0] + candidates, candidates)
+                       if c - prev > span)
+            assert check(end - span) == [span - w]
 
 
 _SEAM = 257  # patched cdc._BLOCK
