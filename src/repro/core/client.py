@@ -106,8 +106,8 @@ class CyrusClient:
         # duck-typed quota gate — ``grant = reserve(client_id, name,
         # size)`` before an upload, ``release(grant)`` if it fails — and
         # ``store_factory(client)`` replaces the default MetadataStore
-        # (e.g. with a ShardedMetadataStore routing this tenant's files
-        # across metadata CSP groups)
+        # (e.g. with one routing this tenant's files across several
+        # metadata CSP groups)
         self.admission = admission
         self._store_factory = store_factory
         # engines built by create() belong to the client — close() shuts
@@ -201,7 +201,7 @@ class CyrusClient:
             self.store = self._store_factory(self)
             return
         self.store = MetadataStore(
-            self.cloud.metadata_slots(), key=self.config.key,
+            [self.cloud.metadata_slots()], key=self.config.key,
             t=self.config.meta_t,
             health=self.health, metrics=self.obs.metrics,
             ledger=self.debt_ledger, clock=self.engine.clock,

@@ -91,9 +91,9 @@ def prune_history(
     Only the single current lineage is pruned; unresolved conflicts
     (multiple heads) must be resolved first, since pruning would have to
     pick a branch to destroy.  The pruned nodes' metadata shares are
-    deleted at every reachable provider, and the nodes are dropped from
-    the local tree; chunk shares are reclaimed separately by
-    :func:`collect_garbage`.
+    deleted at every reachable slot of the file's metadata group, and
+    the nodes are dropped from the local tree; chunk shares are
+    reclaimed separately by :func:`collect_garbage`.
     """
     if keep_versions < 1:
         raise MetadataError("must keep at least one version")
@@ -109,26 +109,21 @@ def prune_history(
         return PruneReport(nodes_deleted=0, versions_kept=len(chain))
     # survivors keep their ids; the oldest kept node's parent reference
     # simply dangles, which history() treats as the start of history
-    _delete_nodes(tree, store, engine, [n.node_id for n in doomed])
+    _delete_nodes(tree, store, engine, doomed)
     return PruneReport(
         nodes_deleted=len(doomed), versions_kept=keep_versions
     )
 
 
 def _delete_nodes(tree: MetadataTree, store: MetadataStore,
-                  engine: TransferEngine, node_ids: list[str]) -> None:
-    for node_id in node_ids:
-        ops = []
-        for index, provider in enumerate(store.providers):
-            ops.append(
-                TransferOp(
-                    kind=OpKind.DELETE,
-                    csp_id=provider.csp_id,
-                    name=metadata_share_name(node_id, index),
-                )
-            )
-        engine.execute(ops)  # failures tolerated: share may not exist
-        tree.remove(node_id)
+                  engine: TransferEngine, nodes) -> None:
+    for node in nodes:
+        engine.execute([
+            TransferOp(kind=OpKind.DELETE, csp_id=provider.csp_id,
+                       name=metadata_share_name(node.node_id, index))
+            for index, provider in enumerate(store.slots_for(node.name))
+        ])  # failures tolerated: share may not exist
+        tree.remove(node.node_id)
 
 
 def collect_garbage(client) -> GCReport:

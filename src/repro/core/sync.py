@@ -3,10 +3,11 @@
 Clients discover remote changes by listing the metadata objects at the
 fixed metadata CSPs — every upload creates a new metadata node, so new
 node ids in the listing are exactly the changes.  New nodes are fetched
-from every listed slot, decoded through the verified assembler (corrupt
-shares are attributed to their CSP, the highest verified version wins),
-merged into the local tree, folded into the global chunk table, and
-checked for both conflict types.
+from every listed slot by :func:`fetch_nodes` — the one metadata read,
+which the scrub and debt repair make too — decoded through the verified
+assembler (corrupt shares are attributed to their CSP, the highest
+verified version wins), merged into the local tree, folded into the
+global chunk table, and checked for both conflict types.
 
 Local change detection (the other half of the paper's sync service) is
 :class:`LocalChangeDetector`: it compares last-modified times first and
@@ -26,6 +27,7 @@ from repro.metadata.codec import (
     parse_metadata_share_name,
 )
 from repro.metadata.conflicts import Conflict, conflicts_for_node
+from repro.metadata.store import NodeAssembler
 from repro.util.hashing import sha1_hex
 
 
@@ -42,6 +44,42 @@ class SyncReport:
     @property
     def duration(self) -> float:
         return self.finished - self.started
+
+
+def fetch_nodes(engine: TransferEngine, store: MetadataStore, wanted,
+                missing=None) -> tuple[list[OpResult], dict[str, NodeAssembler]]:
+    """The one metadata read: a single ``GET_META`` batch.
+
+    ``wanted`` maps node id -> ``[(index, size, csp_id, object name)]``,
+    the slots a listing shows holding the node; every one is fetched.
+    ``missing`` maps node id -> slot indices listed without the object.
+    Each result feeds its node's verified assembler: a share is added,
+    ``ObjectNotFoundError`` notes the slot missing (a hole, owed a
+    debt), any other failure notes it unreachable (no verdict).
+    Returns the results and the unfinished assemblers by node id;
+    ``finish()`` decodes, attributes liars and records debts.
+    """
+    missing = missing or {}
+    assemblers = {node_id: store.assembler(node_id)
+                  for node_id in sorted({*wanted, *missing})}
+    for node_id, indices in missing.items():
+        for index in indices:
+            assemblers[node_id].note_missing(index)
+    slots = [(node_id, index, csp_id, name, size)
+             for node_id, listed in sorted(wanted.items())
+             for index, size, csp_id, name in sorted(listed)]
+    results = engine.execute([
+        TransferOp(kind=OpKind.GET_META, csp_id=csp_id, name=name, size=size)
+        for _node_id, _index, csp_id, name, size in slots
+    ])
+    for (node_id, index, csp_id, _name, _size), result in zip(slots, results):
+        if result.ok:
+            assemblers[node_id].add(index, csp_id, result.data)
+        elif result.error_type == "ObjectNotFoundError":
+            assemblers[node_id].note_missing(index)
+        else:
+            assemblers[node_id].note_unreachable(index)
+    return results, assemblers
 
 
 class SyncService:
@@ -98,51 +136,23 @@ class SyncService:
             for node_id, shares in self._remote_listing().items()
             if len(shares) >= self.store.t
         }
-        all_results: list[OpResult] = []
-        new_nodes = 0
-        conflicts: list[Conflict] = []
-        # one parallel batch: every listed share of each new node.  The
-        # verified decode must see all slots, not the first t — up to
-        # m - t of them may be corrupt, or stale leftovers of an
-        # interrupted publish, and only the full view lets the
-        # assembler prefer the highest verified version
-        ops: list[TransferOp] = []
-        op_index: dict[int, tuple[str, int, str]] = {}
-        for node_id, shares in sorted(wanted.items()):
-            for index, size, csp_id, name in sorted(shares):
-                op_index[len(ops)] = (node_id, index, csp_id)
-                ops.append(
-                    TransferOp(
-                        kind=OpKind.GET_META,
-                        csp_id=csp_id,
-                        name=name,
-                        size=size,
-                    )
-                )
-        results = self.engine.execute(ops)
-        all_results.extend(results)
-        assemblers: dict[str, object] = {}
-        for i, result in enumerate(results):
-            node_id, index, csp_id = op_index[i]
-            asm = assemblers.setdefault(
-                node_id, self.store.assembler(node_id)
-            )
-            if result.ok:
-                asm.add(index, csp_id, result.data)
-            elif result.error_type == "ObjectNotFoundError":
-                asm.note_missing(index)
-            else:
-                asm.note_unreachable(index)
-        decoded_nodes = []
-        for node_id in sorted(assemblers):
-            # finish() verifies, attributes corrupt slots to their CSPs
-            # and records repair debts — identically serial or pooled
-            node = assemblers[node_id].finish()
-            if node is None:
-                continue  # no verified quorum this round; next sync
-            decoded_nodes.append(node)
+        # every listed share of each new node: the verified decode must
+        # see all slots, not the first t — up to m - t of them may be
+        # corrupt, or stale leftovers of an interrupted publish, and only
+        # the full view lets the assembler prefer the highest version
+        results, assemblers = fetch_nodes(self.engine, self.store, wanted)
+        # finish() verifies, attributes corrupt slots to their CSPs and
+        # records repair debts; a node without a verified quorum this
+        # round waits for the next sync
+        decoded_nodes = [
+            node for node in (assemblers[node_id].finish()
+                              for node_id in sorted(assemblers))
+            if node is not None
+        ]
         # merge everything first: a fetched node's ancestor may itself be
         # new this round, and conflict traversal needs the full picture
+        new_nodes = 0
+        conflicts: list[Conflict] = []
         fresh = []
         for node in decoded_nodes:
             if self.tree.add(node):
@@ -161,7 +171,7 @@ class SyncService:
             finished=finished,
             new_nodes=new_nodes,
             conflicts=tuple(unique.values()),
-            fetch_results=tuple(all_results),
+            fetch_results=tuple(results),
         )
 
 

@@ -2,8 +2,8 @@
 
 Scales the paper's 20-user trial (Section 7.4) to hundreds of tenants
 sharing CSP accounts and netsim links, with per-tenant namespaces
-(:class:`repro.csp.NamespacedCSP`), sharded metadata
-(:class:`repro.metadata.ShardedMetadataStore`), fair quota admission
+(:class:`repro.csp.NamespacedCSP`), metadata consistent-hashed across
+CSP groups (:class:`repro.metadata.MetadataStore`), fair quota admission
 (:class:`FleetQuota`) and seeded Zipf/Poisson workloads
 (:mod:`repro.workloads.fleet`).  ``cyrus fleet`` drives it from the
 command line and emits a schema-versioned ``FLEET_report.json``.

@@ -9,9 +9,9 @@ consistent-hash rings.  Per layer:
 * **providers** — every tenant sees the shared accounts through
   :class:`repro.csp.NamespacedCSP`, so object spaces are disjoint by
   construction while links, quotas and failures stay shared;
-* **metadata** — each tenant's files are consistent-hashed across
-  metadata CSP groups by a :class:`repro.metadata.ShardedMetadataStore`
-  (route prefix = tenant id, so tenants spread independently);
+* **metadata** — each tenant's :class:`repro.metadata.MetadataStore`
+  consistent-hashes its files across the metadata CSP groups (route
+  prefix = tenant id, so tenants spread independently);
 * **admission** — one :class:`FleetQuota` splits the fleet's capacity
   equally; ``CyrusClient.put`` reserves against it before any byte
   moves;
@@ -45,7 +45,7 @@ from repro.csp.simulated import SimulatedCSP
 from repro.errors import CyrusError
 from repro.fleet.quota import FleetQuota
 from repro.fleet.report import FLEET_SCHEMA
-from repro.metadata.sharded import ShardedMetadataStore
+from repro.metadata.store import MetadataStore
 from repro.netsim.link import Link
 from repro.obs import (
     Observability,
@@ -193,8 +193,8 @@ class FleetHarness:
         )
         groups = [[wrapped[c] for c in group] for group in topo.group_ids()]
 
-        def sharded_store(client: CyrusClient) -> ShardedMetadataStore:
-            return ShardedMetadataStore(
+        def grouped_store(client: CyrusClient) -> MetadataStore:
+            return MetadataStore(
                 groups, key=client.config.key, t=client.config.meta_t,
                 health=client.health, metrics=client.obs.metrics,
                 ledger=client.debt_ledger, clock=client.engine.clock,
@@ -203,7 +203,7 @@ class FleetHarness:
 
         return CyrusClient.create(
             providers, config, client_id=tenant_id, engine=engine,
-            admission=quota, store_factory=sharded_store,
+            admission=quota, store_factory=grouped_store,
         )
 
     # -- replay ------------------------------------------------------------

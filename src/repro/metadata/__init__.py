@@ -19,7 +19,6 @@ from repro.metadata.codec import (
 )
 from repro.metadata.conflicts import Conflict, detect_conflicts
 from repro.metadata.node import ROOT_ID, ChunkRecord, MetadataNode, ShareRecord
-from repro.metadata.sharded import ShardedMetadataStore
 from repro.metadata.store import MetadataStore
 from repro.metadata.tree import MetadataTree
 
@@ -36,6 +35,5 @@ __all__ = [
     "metadata_share_name",
     "parse_metadata_share_name",
     "MetadataStore",
-    "ShardedMetadataStore",
     "GlobalChunkTable",
 ]

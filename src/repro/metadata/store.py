@@ -2,21 +2,27 @@
 
 Metadata nodes are secret-shared with (t, m) coding "at a fixed set of m
 CSPs" — the paper stores metadata pieces at *all* CSPs so clients can
-always find them.  The store handles encode -> split -> upload and
-list -> download -> join, tolerating up to ``m - t`` unreachable
-providers on both paths.
+always find them.  The store owns two decisions and moves no bytes:
+*where* a node's m slots are, and *how* its shares are framed.  A
+client has one group of m slots; the fleet organises its metadata CSPs
+into several equal groups and consistent-hashes each file's whole
+version tree onto one of them (:class:`repro.hashring.ConsistentHashRing`,
+the ring the data plane uses), so one group's outage degrades exactly
+the files routed to it.  Every byte moves through the transfer engine:
+:meth:`MetadataStore.frames_for` feeds the uploader's ``PUT_META``
+batch, and :func:`repro.core.sync.fetch_nodes` is the one read.
 
-The read path is a **verified quorum fetch**: every downloaded share is
+A read is a **verified quorum fetch**: every downloaded share is
 unframed and checked against its envelope digests
 (:mod:`repro.metadata.codec`), shares are grouped by the node plaintext
-they claim to encode, and the store fails over across all m slots until
-a group of t shares decodes to a plaintext that matches its digest.
-When an interrupted publish leaves slots disagreeing, the group with
-the highest publish stamp wins — the latest version, not the first
-reachable one.  Corrupt shares are attributed to their CSP through the
-shared :class:`repro.csp.resilient.HealthRegistry` (same quarantine and
-breaker rules as data shares), and every missing, stale or corrupt slot
-becomes a metadata repair debt in the attached
+they claim to encode, and a node decodes only when a group of t shares
+joins to a plaintext that matches its digest.  When an interrupted
+publish leaves slots disagreeing, the group with the highest publish
+stamp wins — the latest version, not the first reachable one.  Corrupt
+shares are attributed to their CSP through the shared
+:class:`repro.csp.resilient.HealthRegistry` (same quarantine and breaker
+rules as data shares), and every missing, stale or corrupt slot becomes
+a metadata repair debt in the attached
 :class:`repro.redundancy.DebtLedger`.
 """
 
@@ -25,22 +31,15 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.csp.base import CloudProvider
-from repro.erasure import KeyedSharer, Share
-from repro.errors import (
-    CSPError,
-    CyrusError,
-    InsufficientSharesError,
-    MetadataError,
-    ObjectNotFoundError,
-)
+from repro.erasure import KeyedSharer
+from repro.errors import CyrusError, MetadataError
+from repro.hashring import ConsistentHashRing
 from repro.metadata.codec import (
-    METADATA_PREFIX,
     MetaShareFrame,
     decode_node,
     encode_node,
     metadata_share_name,
     pack_meta_share,
-    parse_metadata_share_name,
     unpack_meta_share,
 )
 from repro.metadata.node import MetadataNode
@@ -55,14 +54,13 @@ META_DEBTS_RECORDED = "cyrus_metadata_debts_recorded_total"
 class NodeAssembler:
     """Incremental verified decode of one metadata node.
 
-    Both fetch paths feed it — :meth:`MetadataStore.fetch` share by
-    share, :class:`repro.core.sync.SyncService` from a parallel GET
-    batch — so serial and async backends verify identically.  Shares
-    are grouped by the node digest their envelope claims; a group
-    decodes only when a t-subset joins to a plaintext matching that
-    digest and naming the requested node id.  :meth:`finish` performs the
-    liar attribution and debt recording against the store's health
-    registry and ledger.
+    :func:`repro.core.sync.fetch_nodes` feeds it from one ``GET_META``
+    batch for every reader — sync, scrub and repair — so serial and
+    pooled engines verify identically.  Shares are grouped by the node
+    digest their envelope claims; a group decodes only when a t-subset
+    joins to a plaintext matching that digest and naming the requested
+    node id.  :meth:`finish` performs the liar attribution and debt
+    recording against the store's health registry and ledger.
     """
 
     def __init__(self, store: "MetadataStore", node_id: str):
@@ -72,7 +70,6 @@ class NodeAssembler:
         self._groups: dict[str, dict[int, tuple[str, MetaShareFrame]]] = {}
         self._stamps: dict[str, int] = {}
         self.missing: set[int] = set()  # slots definitively absent
-        self.tried: set[int] = set()
         # (index, csp_id, detail) failing their own envelope — attributed
         # the moment they are seen, decode success or not
         self.corrupt: list[tuple[int, str, str]] = []
@@ -87,7 +84,6 @@ class NodeAssembler:
 
     def add(self, index: int, csp_id: str, blob: bytes) -> bool:
         """Feed one downloaded share blob; False if it fails its envelope."""
-        self.tried.add(index)
         try:
             frame = unpack_meta_share(blob)
         except MetadataError as exc:
@@ -103,12 +99,10 @@ class NodeAssembler:
 
     def note_missing(self, index: int) -> None:
         """The slot's provider answered and the object is gone."""
-        self.tried.add(index)
         self.missing.add(index)
 
     def note_unreachable(self, index: int) -> None:
         """The slot's provider could not answer; no verdict on the share."""
-        self.tried.add(index)
 
     def _attribute(self, index: int, csp_id: str, detail: str) -> None:
         self.corrupt.append((index, csp_id, detail))
@@ -205,22 +199,17 @@ class NodeAssembler:
             )
         return node
 
-    def raise_unverified(self) -> None:
-        collected = sum(len(g) for g in self._groups.values())
-        raise InsufficientSharesError(
-            f"metadata node {self.node_id[:8]}: no verified t={self.store.t} "
-            f"quorum among {collected} intact shares "
-            f"({len(self.corrupt)} corrupt, {len(self.missing)} missing)"
-        )
-
 
 class MetadataStore:
-    """Reads and writes metadata nodes across a fixed provider set.
+    """Where a node's metadata slots are, and how its shares are framed.
 
     Args:
-        providers: The m metadata CSPs, in a stable order — share index
-            i goes to ``providers[i]`` on every client, so the key-
-            derived codec lines up.
+        groups: The metadata CSP groups, each exactly m providers in a
+            stable order — share index i of a node routed to a group
+            goes to ``group[i]`` on every client, so the key-derived
+            codec lines up.  A client passes one group; the fleet
+            several, all the same size so one (key, t, m) codec serves
+            them all.
         key: The user key string (drives the dispersal matrix).
         t: Shares needed to reconstruct a node (privacy threshold).
         health: Optional :class:`repro.csp.resilient.HealthRegistry`;
@@ -229,50 +218,78 @@ class MetadataStore:
         metrics: Optional metrics registry (``obs.metrics``).
         ledger: Optional :class:`repro.redundancy.DebtLedger`; missing,
             stale and corrupt metadata shares become ``meta`` debts.
-        clock: Optional clock; stamps each publish so a verified fetch
+        clock: Optional clock; stamps each publish so a verified read
             can prefer the latest version when slots disagree.
+        route_prefix: Prepended to file names before hashing onto a
+            group — the fleet passes ``f"{tenant_id}/"`` so each
+            tenant's files spread independently.
     """
 
     def __init__(
         self,
-        providers: Sequence[CloudProvider],
+        groups: Sequence[Sequence[CloudProvider]],
         key: str,
         t: int = 2,
         health=None,
         metrics=None,
         ledger=None,
         clock=None,
+        route_prefix: str = "",
     ):
-        if len(providers) < t:
+        if not groups:
+            raise MetadataError("need at least one metadata group")
+        sizes = {len(g) for g in groups}
+        if len(sizes) != 1:
             raise MetadataError(
-                f"need at least t={t} metadata providers, got {len(providers)}"
+                f"metadata groups must be equal-sized (one (t, m) codec "
+                f"serves all groups), got sizes {sorted(sizes)}"
             )
-        self.providers = list(providers)
-        self.key = key
+        group_ids = ["|".join(p.csp_id for p in g) for g in groups]
+        if len(set(group_ids)) != len(group_ids):
+            raise MetadataError("metadata groups must be distinct")
+        self.groups = [list(g) for g in groups]
+        self.m = len(self.groups[0])
+        if self.m < t:
+            raise MetadataError(
+                f"need at least t={t} metadata providers, got {self.m}"
+            )
+        #: every slot, group-major: what a sync lists
+        self.providers = [p for g in self.groups for p in g]
         self.t = t
         self.health = health
         self.metrics = metrics
         self.ledger = ledger
         self.clock = clock
-        self._sharer = KeyedSharer(key, t, len(self.providers))
+        self.route_prefix = route_prefix
+        self._sharer = KeyedSharer(key, t, self.m)
+        self._ring = ConsistentHashRing()
+        for gid in group_ids:
+            self._ring.add(gid)
+        self._group_of = {gid: i for i, gid in enumerate(group_ids)}
 
-    @property
-    def m(self) -> int:
-        """Number of metadata providers."""
-        return len(self.providers)
+    # -- where a node's slots are ---------------------------------------
 
-    # -- encoding helpers (used by the timed transfer engine too) --------
+    def shard_for(self, name: str) -> int:
+        """Index of the group holding every version of file ``name``."""
+        return self._group_of[self._ring.owner(self.route_prefix + name)]
 
-    def shares_for(self, node: MetadataNode) -> list[tuple[CloudProvider, str, Share]]:
-        """(provider, object name, share) triples for one node."""
-        return self._split(node, encode_node(node))
+    def slots_for(self, name: str) -> list[CloudProvider]:
+        """The m providers of ``name``'s group; slot i is ``[i]``."""
+        return self.groups[self.shard_for(name)]
 
-    def _split(self, node: MetadataNode, payload: bytes):
-        node_id = node.node_id
-        return [
-            (self.providers[s.index], metadata_share_name(node_id, s.index), s)
-            for s in self._sharer.split(payload)
-        ]
+    def slots_of(self, node_id: str, listing) -> list[CloudProvider]:
+        """Slots of a node known only by id, from a per-CSP ``listing``
+        (csp -> object names, unreachable CSPs left out): the first
+        group listing one of the node's shares, else the first group
+        with an unreachable slot (it may hold them), else none."""
+        listed = (g for g in self.groups if any(
+            metadata_share_name(node_id, i) in listing.get(p.csp_id, ())
+            for i, p in enumerate(g)))
+        dark = (g for g in self.groups
+                if any(p.csp_id not in listing for p in g))
+        return next(listed, None) or next(dark, [])
+
+    # -- how its shares are framed ---------------------------------------
 
     def frames_for(
         self, node: MetadataNode, stamp: int | None = None
@@ -287,11 +304,13 @@ class MetadataStore:
         node_digest = sha1_hex(payload)
         if stamp is None:
             stamp = self.publish_stamp()
+        slots = self.slots_for(node.name)
         return [
-            (provider, name,
+            (slots[share.index],
+             metadata_share_name(node.node_id, share.index),
              pack_meta_share(share.data, share.chunk_size, node_digest, stamp),
              share.index)
-            for provider, name, share in self._split(node, payload)
+            for share in self._sharer.split(payload)
         ]
 
     def publish_stamp(self) -> int:
@@ -300,114 +319,10 @@ class MetadataStore:
             return 0
         return max(0, int(self.clock.now() * 1000))
 
-    def decode_shares(self, shares: Sequence[Share]) -> MetadataNode:
-        """Reassemble a node from t+ shares."""
-        return decode_node(self._sharer.join(shares))
-
-    def share_size(self, node: MetadataNode) -> int:
-        """Byte size of one metadata share (for transfer accounting)."""
-        payload_len = len(encode_node(node))
-        return max(1, -(-payload_len // self.t))
-
     def assembler(self, node_id: str) -> NodeAssembler:
         """A verified-decode accumulator bound to this store's health
-        registry and ledger (used by the sync service's batch path)."""
+        registry and ledger (fed by :func:`repro.core.sync.fetch_nodes`)."""
         return NodeAssembler(self, node_id)
-
-    # -- direct (untimed) data plane ------------------------------------
-
-    def publish(self, node: MetadataNode, stamp: int | None = None) -> None:
-        """Upload the node's m shares; tolerates m - t provider failures.
-
-        Failed slots are named (and counted per CSP under
-        ``cyrus_metadata_publish_failures_total``); a degraded publish —
-        accepted, but short of full m-way dispersal — records a ``meta``
-        repair debt so the missing shares are re-dispersed later.
-        """
-        failures: list[tuple[str, CSPError]] = []
-        failed_indices: list[int] = []
-        for provider, name, blob, index in self.frames_for(node, stamp):
-            try:
-                provider.upload(name, blob)
-            except CSPError as exc:
-                failures.append((provider.csp_id, exc))
-                failed_indices.append(index)
-                if self.metrics is not None:
-                    self.metrics.inc(META_PUBLISH_FAILURES, csp=provider.csp_id)
-        stored = self.m - len(failures)
-        if stored < self.t:
-            detail = "; ".join(
-                f"{csp}: {type(exc).__name__}: {exc}" for csp, exc in failures
-            )
-            raise MetadataError(
-                f"metadata node {node.node_id[:8]}: only {stored}/{self.m} "
-                f"shares stored, need t={self.t} for recoverability "
-                f"(failed providers: {detail})"
-            )
-        if failures:
-            self._record_meta_debt(
-                node.node_id,
-                missing=sorted(failed_indices),
-                failed_csps=sorted({csp for csp, _exc in failures}),
-            )
-
-    def fetch(self, node_id: str) -> MetadataNode:
-        """Verified quorum fetch: fail over across all m slots.
-
-        Every share is checked against its envelope; corrupt shares are
-        attributed to their CSP and skipped, shares of distinct publish
-        generations are grouped apart, and the highest-stamped group
-        that decodes to digest-verified plaintext wins.  All reachable
-        slots are probed — stopping at the first t would let up to
-        ``m - t`` stale or lying slots serve an old version.
-        """
-        asm = self.assembler(node_id)
-        for index, provider in enumerate(self.providers):
-            try:
-                blob = provider.download(metadata_share_name(node_id, index))
-            except ObjectNotFoundError:
-                asm.note_missing(index)
-                continue
-            except CSPError:
-                asm.note_unreachable(index)
-                continue
-            asm.add(index, provider.csp_id, blob)
-        node = asm.finish()
-        if node is None:
-            asm.raise_unverified()
-        return node
-
-    def list_node_ids(self) -> set[str]:
-        """Node ids with at least t shares visible across providers.
-
-        The union of per-provider listings, filtered to reconstructible
-        nodes — a node mid-upload (fewer than t shares landed) is
-        invisible, which is what delays visibility until the uploader's
-        final metadata write completes.
-        """
-        counts: dict[str, int] = {}
-        reachable = 0
-        for provider in self.providers:
-            try:
-                infos = provider.list(prefix=METADATA_PREFIX)
-            except CSPError:
-                continue
-            reachable += 1
-            for info in infos:
-                try:
-                    node_id, _ = parse_metadata_share_name(info.name)
-                except MetadataError:
-                    continue
-                counts[node_id] = counts.get(node_id, 0) + 1
-        if reachable < self.t:
-            raise MetadataError(
-                f"only {reachable} metadata providers reachable, need {self.t}"
-            )
-        return {nid for nid, c in counts.items() if c >= self.t}
-
-    def fetch_all(self) -> list[MetadataNode]:
-        """Every reconstructible node (full sync)."""
-        return [self.fetch(nid) for nid in sorted(self.list_node_ids())]
 
     # -- repair-debt plumbing ---------------------------------------------
 

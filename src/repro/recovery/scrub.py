@@ -14,9 +14,10 @@ reads silently decays as providers fail.  The scrub drives
    is fetched and checked, every missing, corrupt or stranded index
    regenerated under a journaled ``migrate`` intent.
 3. **Metadata**: the same census judges each node's slots; listed
-   shares are settled through the store's verified decode, as a fetch
-   settles them, and damage becomes ``meta`` debts for
-   :func:`repro.redundancy.run_repair`.
+   shares are read through :func:`repro.core.sync.fetch_nodes`, the
+   read a sync makes, and damage becomes ``meta`` debts for
+   :func:`repro.redundancy.run_repair`.  Unlike a sync, a scrub also
+   owes a debt for a slot whose provider listed without the object.
 
 The budget counts share *transfers* (downloads + uploads).  A slice
 takes whole chunks: it stops before a chunk whose fetches and known
@@ -35,6 +36,7 @@ import re
 from dataclasses import dataclass, field
 
 from repro.core.naming import chunk_share_object_name
+from repro.core.sync import fetch_nodes
 from repro.core.transfer import OpKind, TransferOp
 from repro.errors import CSPError
 from repro.obs import span_if
@@ -242,28 +244,20 @@ def _census(client, chunk_ids, report) -> dict[str, set[str]]:
 
 
 def _verify_node(client, state, budget, report) -> bool:
-    """Fetch every listed share of one node and settle them through the
-    store's verified decode, which attributes corrupt shares and records
-    a ``meta`` debt for every missing, stale or corrupt slot.  Returns
-    False, fetching nothing, when the budget cannot cover the node."""
+    """Fetch every listed share of one node through the one metadata
+    read, which attributes corrupt shares and records a ``meta`` debt
+    for every missing, stale or corrupt slot; a slot that fails to
+    answer gets no verdict.  Returns False, fetching nothing, when the
+    budget cannot cover the node."""
     if not budget.affords(len(state.present)):
         return False
     budget.spend(len(state.present))
-    asm = client.store.assembler(state.node_id)
-    for index in state.rewrite:  # reachable, object missing
-        asm.note_missing(index)
-    results = client.engine.execute([
-        TransferOp(kind=OpKind.GET_META, csp_id=state.slots[i][0].csp_id,
-                   name=state.slots[i][1])
-        for i in state.present
-    ])
-    for index, result in zip(state.present, results):
-        if result.ok:
-            report.meta_shares_verified += 1
-            asm.add(index, state.slots[index][0].csp_id, result.data)
-        else:
-            asm.note_missing(index)
+    results, assemblers = fetch_nodes(
+        client.engine, client.store, {state.node_id: state.listed()},
+        missing={state.node_id: state.rewrite})  # reachable, object missing
+    asm = assemblers[state.node_id]
     asm.finish()
+    report.meta_shares_verified += sum(1 for r in results if r.ok)
     report.meta_shares_missing += len(asm.missing | asm.stale)
     report.meta_shares_corrupt += len(asm.corrupt)
     report.meta_debts_recorded += bool(asm.missing or asm.stale or asm.corrupt)

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 from repro.core.cloud import CSPStatus
 from repro.core.naming import chunk_share_object_name
+from repro.core.sync import fetch_nodes
 from repro.core.transfer import OpKind, TransferOp
 from repro.core.uploader import get_sharer
 from repro.erasure import Share
@@ -366,6 +367,12 @@ class NodeState:
     dark: list[int]  # not listed: unreachable this pass
     rewrite: list[int]  # reachable and missing, stale or on a suspect
 
+    def listed(self) -> list[tuple[int, None, str, str]]:
+        """The present slots as :func:`repro.core.sync.fetch_nodes`
+        wants them: (index, size, csp, object name)."""
+        return [(index, None, self.slots[index][0].csp_id,
+                 self.slots[index][1]) for index in self.present]
+
 
 def slot_listing(store) -> dict[str, set[str]]:
     """One ``list`` per metadata slot: csp -> the metadata objects it
@@ -386,17 +393,14 @@ def assess_node(client, node_id: str, listing, suspects=(), stale=()
     (:func:`slot_listing` or a census); no I/O.  A reachable slot is
     rewritten when its object is missing, was found ``stale`` (or
     corrupt) earlier, or sits on a suspect."""
-    store = client.store
     try:
         node = client.tree.get(node_id)
     except CyrusError:
         node = None
-    if node is not None:  # the node's own slots (a sharded store's group)
-        slots = {share.index: (provider, name)
-                 for provider, name, share in store.shares_for(node)}
-    else:
-        slots = {index: (provider, metadata_share_name(node_id, index))
-                 for index, provider in enumerate(store.providers)}
+    group = (client.store.slots_for(node.name) if node is not None
+             else client.store.slots_of(node_id, listing))
+    slots = {index: (provider, metadata_share_name(node_id, index))
+             for index, provider in enumerate(group)}
     state = NodeState(client=client, node_id=node_id, node=node, slots=slots,
                       present=[], dark=[], rewrite=[])
     for index, (provider, name) in slots.items():
@@ -415,9 +419,10 @@ def assess_node(client, node_id: str, listing, suspects=(), stale=()
 def reconcile_node(state: NodeState, journal, budget: Budget) -> Outcome:
     """Rewrite the node's owed slots with fresh authenticated frames.
 
-    Slot i lives at provider i forever, so healing overwrites a fixed
-    object name: idempotent under any kill point, never a duplicate.
-    A node the tree lacks is first fetched from a verified quorum.
+    Slot i lives at provider i of the node's group forever, so healing
+    overwrites a fixed object name: idempotent under any kill point,
+    never a duplicate.  A node the tree lacks is first read from its
+    present slots through :func:`repro.core.sync.fetch_nodes`.
     """
     out = Outcome(owed=len(state.rewrite))
     node = state.node
@@ -429,9 +434,11 @@ def reconcile_node(state: NodeState, journal, budget: Budget) -> Outcome:
         return out
     if node is None:
         out.transfers += budget.spend(fetch_cost)
-        try:
-            node = state.client.store.fetch(state.node_id)
-        except CyrusError:
+        _results, assemblers = fetch_nodes(
+            state.client.engine, state.client.store,
+            {state.node_id: state.listed()})
+        node = assemblers[state.node_id].finish()
+        if node is None:
             out.status = UNRECOVERABLE
             return out
     if state.rewrite:

@@ -118,3 +118,49 @@ def second_client(csps, config) -> CyrusClient:
 def deterministic_bytes(size: int, seed: int = 0) -> bytes:
     """Seeded random content (not a fixture so tests can vary params)."""
     return random.Random(seed).randbytes(size)
+
+
+def publish_node(store, node, stamp=None, indices=None) -> None:
+    """Upload a node's framed shares straight to their slots (only the
+    slots in ``indices`` when given): a store-level writer that needs no
+    client."""
+    for provider, name, blob, index in store.frames_for(node, stamp):
+        if indices is None or index in indices:
+            provider.upload(name, blob)
+
+
+def read_nodes(store) -> dict:
+    """Read every node the store's slots list through ``fetch_nodes``:
+    node id -> the verified node, or None when it does not decode.
+
+    Slots come from :func:`slot_listing`; a reachable slot of the
+    node's group that lists without the object is passed as missing,
+    as the scrub does, so a hole records a debt."""
+    from repro.core.sync import fetch_nodes
+    from repro.core.transfer import DirectEngine
+    from repro.metadata.codec import (
+        metadata_share_name,
+        parse_metadata_share_name,
+    )
+    from repro.redundancy.reconcile import slot_listing
+    from repro.util.clock import SimClock
+
+    listing = slot_listing(store)
+    wanted: dict[str, list] = {}
+    missing: dict[str, list[int]] = {}
+    for node_id in sorted({parse_metadata_share_name(name)[0]
+                           for names in listing.values() for name in names}):
+        for index, provider in enumerate(store.slots_of(node_id, listing)):
+            name = metadata_share_name(node_id, index)
+            names = listing.get(provider.csp_id)
+            if names is None:
+                continue
+            if name in names:
+                wanted.setdefault(node_id, []).append(
+                    (index, None, provider.csp_id, name))
+            else:
+                missing.setdefault(node_id, []).append(index)
+    engine = DirectEngine({p.csp_id: p for p in store.providers},
+                          clock=SimClock())
+    _results, assemblers = fetch_nodes(engine, store, wanted, missing)
+    return {node_id: asm.finish() for node_id, asm in assemblers.items()}

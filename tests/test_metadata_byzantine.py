@@ -7,10 +7,12 @@ stale slots left by an interrupted publish, or that are simply down.
 These tests cover the whole stack:
 
 * the authenticated v2 share envelope, the only frame a reader accepts,
-* :class:`MetadataStore`'s verified quorum fetch — all m slots probed,
-  corrupt shares attributed to their CSP, the freshest verified publish
-  generation preferred, damage recorded as ``meta`` repair debts,
-* degraded/failed publishes naming their failed providers,
+* the verified quorum read (:func:`repro.core.sync.fetch_nodes`) — all
+  listed slots probed, corrupt shares attributed to their CSP, the
+  freshest verified publish generation preferred, damage recorded as
+  ``meta`` repair debts,
+* degraded/failed publishes (``Uploader._publish``) naming their failed
+  providers,
 * the end-to-end client matrix (liars x outage, within the m - t
   budget) on a serial and a parallelism-4 engine — which must agree
   bit for bit because both feed the same :class:`NodeAssembler`,
@@ -28,7 +30,7 @@ from repro.core.config import CyrusConfig
 from repro.core.transfer import DirectEngine
 from repro.csp import HealthRegistry
 from repro.csp.memory import InMemoryCSP
-from repro.errors import InsufficientSharesError, MetadataError
+from repro.errors import MetadataError, TransferError
 from repro.faults import FaultKind, FaultPlan, FaultSpec, FaultyProvider
 from repro.faults.plan import SimulatedCrash
 from repro.metadata.codec import (
@@ -51,7 +53,12 @@ from repro.redundancy import DebtLedger, run_repair
 from repro.util.clock import SimClock
 from repro.util.hashing import sha1_hex
 
-from tests.conftest import SMALL_CHUNKS, deterministic_bytes
+from tests.conftest import (
+    SMALL_CHUNKS,
+    deterministic_bytes,
+    publish_node,
+    read_nodes,
+)
 
 CONFIG = dict(key="meta-byz-key", t=2, n=3, **SMALL_CHUNKS)
 
@@ -74,7 +81,7 @@ def _store_world(tmp_path, providers=None, m=3, t=2):
     health = HealthRegistry(clock=clock)
     metrics = MetricsRegistry()
     ledger = DebtLedger(tmp_path / "meta-debts.jsonl", fsync=False)
-    store = MetadataStore(providers, key="meta-byz-key", t=t,
+    store = MetadataStore([providers], key="meta-byz-key", t=t,
                           health=health, metrics=metrics, ledger=ledger,
                           clock=clock)
     return store, providers, health, metrics, ledger
@@ -127,10 +134,10 @@ class TestVerifiedFetch:
     def test_corrupt_slot_survived_and_attributed(self, tmp_path):
         store, providers, health, metrics, ledger = _store_world(tmp_path)
         node = _node()
-        store.publish(node)
+        publish_node(store, node)
         _rot(providers[0], metadata_share_name(node.node_id, 0))
 
-        got = store.fetch(node.node_id)
+        got = read_nodes(store)[node.node_id]
         assert encode_node(got) == encode_node(node)
         # the liar was attributed, the honest slots were not
         assert health.corruption_count("csp0") == 1
@@ -148,14 +155,14 @@ class TestVerifiedFetch:
         # is unauthenticated, so it is rejected and blamed like garbage
         store, providers, health, metrics, ledger = _store_world(tmp_path)
         node = _node()
-        store.publish(node)
+        publish_node(store, node)
         name0 = metadata_share_name(node.node_id, 0)
         honest = unpack_meta_share(providers[0].download(name0))
         providers[0].upload(
             name0, honest.chunk_size.to_bytes(8, "big") + honest.payload,
         )
 
-        got = store.fetch(node.node_id)
+        got = read_nodes(store)[node.node_id]
         assert encode_node(got) == encode_node(node)
         assert metrics.snapshot().counter_total(
             META_CORRUPT_SHARES, csp="csp0") == 1
@@ -167,10 +174,10 @@ class TestVerifiedFetch:
     def test_missing_slot_records_debt_without_blame(self, tmp_path):
         store, providers, health, metrics, ledger = _store_world(tmp_path)
         node = _node()
-        store.publish(node)
+        publish_node(store, node)
         providers[1].delete(metadata_share_name(node.node_id, 1))
 
-        got = store.fetch(node.node_id)
+        got = read_nodes(store)[node.node_id]
         assert encode_node(got) == encode_node(node)
         entry = ledger.debt_for(node.node_id, kind="meta")
         assert entry is not None and 1 in entry.missing
@@ -184,7 +191,7 @@ class TestVerifiedFetch:
         # per-share digest alone cannot catch
         store, providers, health, _metrics, _ledger = _store_world(tmp_path)
         node = _node()
-        store.publish(node)
+        publish_node(store, node)
         name0 = metadata_share_name(node.node_id, 0)
         honest = unpack_meta_share(providers[0].download(name0))
         forged = pack_meta_share(
@@ -193,7 +200,7 @@ class TestVerifiedFetch:
         )
         providers[0].upload(name0, forged)
 
-        got = store.fetch(node.node_id)
+        got = read_nodes(store)[node.node_id]
         assert encode_node(got) == encode_node(node)
         assert health.corruption_count("csp0") == 1
 
@@ -204,12 +211,10 @@ class TestVerifiedFetch:
         store, providers, health, _metrics, ledger = _store_world(tmp_path)
         v1, v2 = _node(modified=1.0), _node(modified=2.0)
         assert v1.node_id == v2.node_id
-        store.publish(v1, stamp=1000)
-        for provider, name, blob, index in store.frames_for(v2, stamp=2000):
-            if index < 2:
-                provider.upload(name, blob)
+        publish_node(store, v1, stamp=1000)
+        publish_node(store, v2, stamp=2000, indices={0, 1})
 
-        got = store.fetch(v1.node_id)
+        got = read_nodes(store)[v1.node_id]
         assert got.modified == 2.0  # the freshest verified generation
         # the left-behind slot is stale — re-dispersal, not quarantine
         assert health.corruption_count("csp2") == 0
@@ -221,64 +226,66 @@ class TestVerifiedFetch:
         # stale, only slot 2 carries the fresh generation
         store, providers, _health, _metrics, _ledger = _store_world(tmp_path)
         v1, v2 = _node(modified=1.0), _node(modified=2.0)
-        store.publish(v1, stamp=1000)
-        frames = store.frames_for(v2, stamp=2000)
+        publish_node(store, v1, stamp=1000)
         # fresher generation reaches a t-quorum, but not the first slots
-        for provider, name, blob, index in frames:
-            if index >= 1:
-                provider.upload(name, blob)
-        assert store.fetch(v1.node_id).modified == 2.0
+        publish_node(store, v2, stamp=2000, indices={1, 2})
+        assert read_nodes(store)[v1.node_id].modified == 2.0
 
-    def test_too_much_rot_raises_insufficient_shares(self, tmp_path):
+    def test_too_much_rot_is_not_decoded(self, tmp_path):
         store, providers, _health, _metrics, _ledger = _store_world(tmp_path)
         node = _node()
-        store.publish(node)
+        publish_node(store, node)
         for index in (0, 1):  # m - t + 1 = 2 bad slots: beyond the budget
             _rot(providers[index], metadata_share_name(node.node_id, index))
-        with pytest.raises(InsufficientSharesError):
-            store.fetch(node.node_id)
+        assert read_nodes(store) == {node.node_id: None}
 
 
 class TestPublishFailures:
     """Satellite: failed publishes name their failed providers."""
 
-    def _flaky_world(self, tmp_path, dead_ids):
+    def _flaky_client(self, tmp_path, dead_ids):
+        """A client whose ``md-*`` uploads to ``dead_ids`` always fail:
+        a put lands every chunk share and only the other metadata slots."""
         clock = SimClock()
         plan = FaultPlan(
             [FaultSpec(kind=FaultKind.OUTAGE, csp_ids=tuple(dead_ids),
-                       ops=("upload",))],
+                       ops=("upload",), name_prefix="md-")],
             seed=1,
         )
         inner = [InMemoryCSP(f"csp{i}") for i in range(3)]
         wrapped = [FaultyProvider(p, plan, clock=clock) for p in inner]
-        return _store_world(tmp_path, providers=wrapped)
+        engine = DirectEngine({p.csp_id: p for p in wrapped}, clock=clock)
+        client = CyrusClient.create(
+            wrapped, CyrusConfig(**CONFIG), client_id="alice", engine=engine,
+            debt_ledger=DebtLedger(tmp_path / "debts.jsonl", fsync=False),
+        )
+        return client, inner
 
     def test_failed_publish_names_the_dead_providers(self, tmp_path):
-        store, _providers, _h, metrics, _ledger = self._flaky_world(
-            tmp_path, ("csp1", "csp2"),
-        )
-        with pytest.raises(MetadataError) as excinfo:
-            store.publish(_node())
+        client, _inner = self._flaky_client(tmp_path, ("csp1", "csp2"))
+        with pytest.raises(TransferError) as excinfo:
+            client.put("report.txt", b"content")
         message = str(excinfo.value)
         assert "csp1" in message and "csp2" in message
-        by_csp = metrics.snapshot().counter_by(META_PUBLISH_FAILURES, "csp")
+        by_csp = client.obs.snapshot().counter_by(META_PUBLISH_FAILURES, "csp")
         assert by_csp == {"csp1": 1.0, "csp2": 1.0}
 
     def test_degraded_publish_records_meta_debt(self, tmp_path):
-        store, _providers, _h, metrics, ledger = self._flaky_world(
-            tmp_path, ("csp2",),
-        )
-        node = _node()
-        store.publish(node)  # t = 2 of 3 landed: accepted but degraded
-        entry = ledger.debt_for(node.node_id, kind="meta")
-        assert entry is not None
+        client, inner = self._flaky_client(tmp_path, ("csp2",))
+        # t = 2 of 3 landed: accepted but degraded
+        node = client.put("report.txt", b"content").node
+        [entry] = client.debt_ledger.open_debts()
+        assert (entry.kind, entry.chunk_id) == ("meta", node.node_id)
         assert entry.missing == (2,)
         assert entry.failed_csps == ("csp2",)
-        snap = metrics.snapshot()
+        snap = client.obs.snapshot()
         assert snap.counter_total(META_DEBTS_RECORDED) == 1
         assert snap.counter_by(META_PUBLISH_FAILURES, "csp") == {"csp2": 1.0}
         # the node is still reconstructible from the slots that landed
-        assert encode_node(store.fetch(node.node_id)) == encode_node(node)
+        reader = CyrusClient.create(inner, CyrusConfig(**CONFIG),
+                                    client_id="reader")
+        reader.sync()
+        assert encode_node(reader.tree.get(node.node_id)) == encode_node(node)
 
 
 def _client_world(tmp_path, seed, liar_ids=(), outage_id=None,
@@ -370,13 +377,13 @@ class TestByzantineClientMatrix:
 
     def test_store_fetch_all_matches_the_writer(self, tmp_path, fault_seed,
                                                 parallelism):
+        # the reader's synced tree is the writer's, node for node
         reader, writer, _payloads = _client_world(
             tmp_path, fault_seed, liar_ids=("csp0",), outage_id="csp3",
             parallelism=parallelism,
         )
-        assert reader.store.list_node_ids() == set(writer.tree.node_ids())
-        fetched = {n.node_id: encode_node(n)
-                   for n in reader.store.fetch_all()}
+        fetched = {nid: encode_node(reader.tree.get(nid))
+                   for nid in reader.tree.node_ids()}
         truth = {nid: encode_node(writer.tree.get(nid))
                  for nid in writer.tree.node_ids()}
         assert fetched == truth
@@ -583,3 +590,26 @@ class TestScrubMetadataPass:
         assert report.meta_shares_missing == 0
         assert not [e for e in client.debt_ledger.open_debts()
                     if e.kind == "meta"]
+
+    def test_unreachable_slot_is_no_hole(self, tmp_path):
+        # csp0 holds every metadata share but fails to serve any of
+        # them: neither a sync nor a scrub may call its slot missing
+        writer, providers, clock = _scrub_world(tmp_path)
+        plan = FaultPlan([FaultSpec(kind=FaultKind.OUTAGE, csp_ids=("csp0",),
+                                    ops=("download",), name_prefix="md-")],
+                         seed=1)
+        wrapped = [FaultyProvider(p, plan, clock=clock) for p in providers]
+        reader = CyrusClient.create(
+            wrapped, CyrusConfig(**CONFIG), client_id="reader",
+            engine=DirectEngine({p.csp_id: p for p in wrapped}, clock=clock),
+            debt_ledger=DebtLedger(tmp_path / "reader-debts.jsonl",
+                                   fsync=False),
+        )
+        reader.sync()
+        assert reader.tree.node_ids() == writer.tree.node_ids()
+        assert reader.debt_ledger.open_debts() == []
+        report = reader.scrub(repair=False)
+        assert report.meta_nodes_scanned == len(reader.tree.node_ids())
+        assert (report.meta_shares_missing, report.meta_debts_recorded) \
+            == (0, 0)
+        assert reader.debt_ledger.open_debts() == []

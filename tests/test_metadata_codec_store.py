@@ -2,17 +2,22 @@
 
 import pytest
 
+from repro.core.sync import SyncService
+from repro.core.transfer import DirectEngine
 from repro.csp import InMemoryCSP
-from repro.errors import InsufficientSharesError, MetadataError
+from repro.errors import MetadataError
 from repro.metadata import (
     GlobalChunkTable,
     MetadataStore,
+    MetadataTree,
     decode_node,
     encode_node,
     metadata_share_name,
     parse_metadata_share_name,
 )
+from repro.util.clock import SimClock
 from repro.util.serialization import canonical_dumps, canonical_loads
+from tests.conftest import publish_node, read_nodes
 from tests.test_metadata_tree import mk
 
 
@@ -75,45 +80,63 @@ class TestCodec:
 class TestStore:
     def make(self, m=4, t=2):
         providers = [InMemoryCSP(f"p{i}") for i in range(m)]
-        return MetadataStore(providers, key="key", t=t), providers
+        return MetadataStore([providers], key="key", t=t), providers
 
     def test_publish_fetch(self):
         store, _ = self.make()
         node = mk("f", "v1")
-        store.publish(node)
-        assert store.fetch(node.node_id) == node
+        publish_node(store, node)
+        assert read_nodes(store) == {node.node_id: node}
 
     def test_shares_land_on_every_slot(self):
         store, providers = self.make()
-        store.publish(mk("f", "v1"))
+        node = mk("f", "v1")
+        assert [(provider, name, index) for provider, name, _blob, index
+                in store.frames_for(node)] == [
+            (p, metadata_share_name(node.node_id, i), i)
+            for i, p in enumerate(providers)]
+        publish_node(store, node)
         assert all(p.object_count == 1 for p in providers)
 
     def test_survives_m_minus_t_failures(self):
         store, providers = self.make(m=4, t=2)
         node = mk("f", "v1")
-        store.publish(node)
+        publish_node(store, node)
         # two providers lose their shares
         for p in providers[:2]:
             for info in p.list():
                 p.delete(info.name)
-        assert store.fetch(node.node_id) == node
+        assert read_nodes(store) == {node.node_id: node}
 
     def test_fails_below_t_shares(self):
         store, providers = self.make(m=3, t=2)
         node = mk("f", "v1")
-        store.publish(node)
+        publish_node(store, node)
         for p in providers[:2]:
             for info in p.list():
                 p.delete(info.name)
-        with pytest.raises(InsufficientSharesError):
-            store.fetch(node.node_id)
+        assert read_nodes(store) == {node.node_id: None}  # not decoded
 
     def test_list_node_ids(self):
+        # the slot listing names exactly the published nodes
+        from repro.metadata.codec import parse_metadata_share_name
+        from repro.redundancy.reconcile import slot_listing
+
         store, _ = self.make()
         a, b = mk("f", "v1"), mk("g", "w1")
-        store.publish(a)
-        store.publish(b)
-        assert store.list_node_ids() == {a.node_id, b.node_id}
+        publish_node(store, a)
+        publish_node(store, b)
+        assert {parse_metadata_share_name(name)[0]
+                for names in slot_listing(store).values()
+                for name in names} == {a.node_id, b.node_id}
+
+    def test_fetch_all(self):
+        # every node the slots list is read back, each from its own shares
+        store, _ = self.make()
+        nodes = [mk("f", "v1"), mk("g1", "w1"), mk("g2", "w2")]
+        for n in nodes:
+            publish_node(store, n)
+        assert read_nodes(store) == {n.node_id: n for n in nodes}
 
     def test_a_publish_encodes_its_node_once(self, monkeypatch):
         import repro.metadata.store as store_module
@@ -127,45 +150,36 @@ class TestStore:
             return encode(node)
 
         monkeypatch.setattr(store_module, "encode_node", counting)
-        store, _ = self.make()
+        store, providers = self.make()
         node = mk("f", "v1")
-        store.publish(node, stamp=7)
-        assert len(calls) == 1
         frames = store.frames_for(node, stamp=7)
-        assert len(calls) == 2
-        # the same bytes as framing each share of the node's shares_for
+        assert len(calls) == 1
+        # the same bytes as framing each share of the node's one split
         payload = encode(node)
         assert frames == [
-            (p, name, pack_meta_share(share.data, share.chunk_size,
-                                      sha1_hex(payload), 7), share.index)
-            for p, name, share in store.shares_for(node)
+            (providers[share.index],
+             metadata_share_name(node.node_id, share.index),
+             pack_meta_share(share.data, share.chunk_size,
+                             sha1_hex(payload), 7), share.index)
+            for share in store._sharer.split(payload)
         ]
 
     def test_partial_upload_invisible(self):
-        # fewer than t shares visible => node not listed (mid-upload)
+        # fewer than t shares visible => a sync neither sees nor fetches
+        # the node (it is mid-upload)
         store, providers = self.make(m=4, t=3)
         node = mk("f", "v1")
-        provider, name, blob, _index = store.frames_for(node)[0]
-        provider.upload(name, blob)
-        assert store.list_node_ids() == set()
-
-    def test_fetch_all(self):
-        store, _ = self.make()
-        nodes = [mk("f", f"v{i}") if i == 0 else mk(f"g{i}", f"w{i}")
-                 for i in range(3)]
-        for n in nodes:
-            store.publish(n)
-        assert {n.node_id for n in store.fetch_all()} == {
-            n.node_id for n in nodes
-        }
+        publish_node(store, node, indices={0})
+        tree = MetadataTree()
+        engine = DirectEngine({p.csp_id: p for p in providers},
+                              clock=SimClock())
+        report = SyncService(store, tree, GlobalChunkTable(), engine).sync()
+        assert (report.new_nodes, report.fetch_results) == (0, ())
+        assert tree.node_ids() == set()
 
     def test_needs_t_providers(self):
         with pytest.raises(MetadataError):
-            MetadataStore([InMemoryCSP("only")], key="k", t=2)
-
-    def test_share_size_positive(self):
-        store, _ = self.make()
-        assert store.share_size(mk("f", "v1")) > 0
+            MetadataStore([[InMemoryCSP("only")]], key="k", t=2)
 
     def test_slot_growth_keeps_old_nodes_decodable(self):
         # metadata slots are append-only; the key-derived dispersal
@@ -173,20 +187,20 @@ class TestStore:
         # decodable by a store rebuilt at m=5
         store4, providers = self.make(m=4, t=2)
         node = mk("f", "v1")
-        store4.publish(node)
+        publish_node(store4, node)
         providers.append(InMemoryCSP("p-new"))
-        store5 = MetadataStore(providers, key="key", t=2)
-        assert store5.fetch(node.node_id) == node
+        store5 = MetadataStore([providers], key="key", t=2)
+        assert read_nodes(store5)[node.node_id] == node
 
     def test_new_nodes_span_grown_slot_set(self):
         store4, providers = self.make(m=4, t=2)
-        providers.append(InMemoryCSP("p-new"))
-        store5 = MetadataStore(providers, key="key", t=2)
+        providers = [*providers, InMemoryCSP("p-new")]
+        store5 = MetadataStore([providers], key="key", t=2)
         node = mk("g", "w1")
-        store5.publish(node)
+        publish_node(store5, node)
         assert providers[-1].object_count == 1  # new slot got a share
         # and a client still on m=4 can read it (needs only t=2 shares)
-        assert store4.fetch(node.node_id) == node
+        assert read_nodes(store4) == {node.node_id: node}
 
 
 class TestChunkTable:

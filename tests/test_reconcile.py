@@ -26,7 +26,7 @@ from repro.core.downloader import Downloader
 from repro.core.transfer import DirectEngine
 from repro.csp.memory import InMemoryCSP
 from repro.errors import CSPUnavailableError
-from repro.metadata.codec import metadata_share_name
+from repro.metadata.codec import METADATA_PREFIX, metadata_share_name
 from repro.recovery import IntentJournal
 from repro.redundancy import DebtLedger, run_repair
 from repro.redundancy.reconcile import assess_chunk
@@ -49,6 +49,23 @@ class CountingCSP(InMemoryCSP):
     def list(self, *, prefix: str = ""):
         self.lists += 1
         return super().list(prefix=prefix)
+
+
+class MetaCountingCSP(InMemoryCSP):
+    """An in-memory CSP that counts the metadata objects it serves and
+    stores, whoever asks."""
+
+    def __init__(self, csp_id: str):
+        super().__init__(csp_id)
+        self.md: Counter[str] = Counter()
+
+    def download(self, name: str) -> bytes:
+        self.md["GET_META"] += name.startswith(METADATA_PREFIX)
+        return super().download(name)
+
+    def upload(self, name: str, data) -> None:
+        self.md["PUT_META"] += name.startswith(METADATA_PREFIX)
+        return super().upload(name, data)
 
 
 class OpSpy:
@@ -228,3 +245,66 @@ def test_meta_repair_lists_each_slot_once_per_pass(tmp_path):
     assert run_repair(client).debts_retired == len(nodes)
     assert sum(p.lists for p in providers) == len(providers)
     assert providers[2].object_count >= len(nodes)
+
+
+def _unknown_node_debt(tmp_path, providers):
+    """A writer's node with its slot-2 share deleted, owed as a ``meta``
+    debt by a second device that never synced it.  Returns (repairer,
+    node)."""
+    writer = _client(tmp_path / "writer", providers, 2, 3)
+    node = writer.put("theirs.bin", deterministic_bytes(300, seed=5)).node
+    providers[2].delete(metadata_share_name(node.node_id, 2))
+    repairer = _client(tmp_path / "repairer", providers, 2, 3)
+    repairer.debt_ledger.record(node.node_id, missing=(2,), kind="meta")
+    assert node.node_id not in repairer.tree.node_ids()
+    return repairer, node
+
+
+def test_unknown_node_repair_reads_through_the_engine(tmp_path):
+    """A node the tree lacks is read from its listed slots through the
+    engine (charged to the budget), then its hole is rewritten."""
+    fixture = BUDGET["unknown_node"]
+    providers = [MetaCountingCSP(f"csp{i}") for i in range(fixture["slots"])]
+    repairer, node = _unknown_node_debt(tmp_path, providers)
+    for provider in providers:
+        provider.md.clear()
+    spy = OpSpy(repairer.engine)
+    spy.active = True
+    report = repairer.repair_debts(sync_first=False)
+    assert report.debts_retired == 1
+    assert report.transfers_used == fixture["get_meta"] + fixture["put_meta"]
+    assert {"get_meta": spy.ops["GET_META"], "put_meta": spy.ops["PUT_META"]} \
+        == {k: fixture[k] for k in ("get_meta", "put_meta")}
+    served = sum((p.md for p in providers), Counter())
+    assert served == Counter(GET_META=fixture["get_meta"],
+                             PUT_META=fixture["put_meta"])
+    assert providers[2].list(prefix=metadata_share_name(node.node_id, 2))
+
+
+def test_no_metadata_byte_bypasses_the_engine(tmp_path):
+    """Every metadata share a provider serves or stores is an engine
+    ``GET_META`` / ``PUT_META``: debt repair of an unknown node, put,
+    get, sync, prune, scrub and the ``add_csp`` back-fill."""
+    providers = [MetaCountingCSP(f"csp{i}") for i in range(3)]
+    repairer, _node = _unknown_node_debt(tmp_path, providers)
+    alice = _client(tmp_path / "alice", providers, 2, 3)
+    for provider in providers:
+        provider.md.clear()
+    spies = [OpSpy(c.engine) for c in (repairer, alice)]
+    for spy in spies:
+        spy.active = True
+    repairer.repair_debts(sync_first=False)  # before a sync: node unknown
+    for v in range(3):
+        alice.put("doc.bin", deterministic_bytes(700, seed=v))
+    repairer.sync()
+    assert repairer.get("doc.bin").data == deterministic_bytes(700, seed=2)
+    alice.prune_history("doc.bin", keep_versions=1)
+    repairer.scrub()
+    fresh = MetaCountingCSP("csp3")
+    repairer.add_csp(fresh)
+    assert fresh.md["PUT_META"] > 0
+    engine_ops = sum((spy.ops for spy in spies), Counter())
+    served = sum((p.md for p in [*providers, fresh]), Counter())
+    assert engine_ops["GET_META"] > 0 and engine_ops["PUT_META"] > 0
+    assert served["GET_META"] == engine_ops["GET_META"]
+    assert served["PUT_META"] == engine_ops["PUT_META"]
