@@ -30,11 +30,11 @@ from typing import Sequence
 
 from repro.chunking import ContentDefinedChunker
 from repro.core.chunkcache import ChunkCache
-from repro.core.cloud import CyrusCloud
+from repro.core.cloud import CSPStatus, CyrusCloud
 from repro.core.config import CyrusConfig
 from repro.core.downloader import Downloader, DownloadReport
 from repro.core.sync import SyncReport, SyncService
-from repro.core.transfer import DirectEngine, TransferEngine
+from repro.core.transfer import DirectEngine, TransferEngine, list_objects
 from repro.core.uploader import Uploader, UploadReport
 from repro.csp.base import CloudProvider
 from repro.csp.resilient import HealthEvent, HealthRegistry, RetryPolicy
@@ -201,8 +201,8 @@ class CyrusClient:
             self.store = self._store_factory(self)
             return
         self.store = MetadataStore(
-            [self.cloud.metadata_slots()], key=self.config.key,
-            t=self.config.meta_t,
+            [[self.cloud.provider(c) for c in self.cloud.metadata_slot_ids()]],
+            key=self.config.key, t=self.config.meta_t,
             health=self.health, metrics=self.obs.metrics,
             ledger=self.debt_ledger, clock=self.engine.clock,
         )
@@ -226,7 +226,7 @@ class CyrusClient:
         self.downloader.ledger = self.debt_ledger
         self.syncer = SyncService(
             store=self.store, tree=self.tree, chunk_table=self.chunk_table,
-            engine=self.engine,
+            engine=self.engine, cloud=self.cloud,
         )
 
     def close(self) -> None:
@@ -571,25 +571,18 @@ class CyrusClient:
 
         Section 5.5: "once this occurs, CYRUS periodically checks if the
         failed CSP is back up.  Until that time, no shares are uploaded
-        to that CSP."  The probe is a cheap listing; call this on a
-        timer (or before large uploads).  Returns the recovered ids.
+        to that CSP."  The probe is one listing batch over the failed
+        CSPs (removed ones stay removed); call this on a timer (or
+        before large uploads).  Returns the recovered ids.
         """
-        from repro.core.cloud import CSPStatus
-        from repro.errors import CSPError
-
-        recovered = []
-        for csp_id in list(self.cloud.unusable_csps()):
-            if self.cloud.status_of(csp_id) is not CSPStatus.FAILED:
-                continue  # removed CSPs stay removed
-            try:
-                self.cloud.provider(csp_id).list(prefix="")
-            except CSPError:
-                continue
+        failed = [csp_id for csp_id in self.cloud.unusable_csps()
+                  if self.cloud.status_of(csp_id) is CSPStatus.FAILED]
+        recovered = sorted(list_objects(self.engine, failed, ""))
+        for csp_id in recovered:
             self.cloud.mark_recovered(csp_id)
             # a successful probe also closes the breaker so the engine
             # resumes dispatching without waiting out the reset timeout
             self.health.record_probe_success(csp_id)
-            recovered.append(csp_id)
         return recovered
 
     # -- maintenance (Section 7.5 extensions) -----------------------------

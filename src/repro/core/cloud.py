@@ -11,10 +11,10 @@ share indices stay valid as the set grows).
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from repro.csp.base import CloudProvider
-from repro.errors import ConfigurationError, CSPUnavailableError, SelectionError
+from repro.errors import ConfigurationError, SelectionError
 from repro.hashring import ConsistentHashRing
 from repro.util.hashing import sha1_hex
 
@@ -25,42 +25,6 @@ class CSPStatus(enum.Enum):
     ACTIVE = "active"
     FAILED = "failed"  # temporarily unreachable; may come back
     REMOVED = "removed"  # permanently gone
-
-
-class _MetadataSlot(CloudProvider):
-    """A fixed metadata slot: proxies to its provider while it is usable.
-
-    Slots are append-only so that metadata share index i always maps to
-    the same provider position; a failed/removed provider makes its slot
-    raise, which the (t, m)-coded metadata store tolerates.
-    """
-
-    def __init__(self, cloud: "CyrusCloud", csp_id: str):
-        super().__init__(csp_id)
-        self._cloud = cloud
-
-    def _target(self) -> CloudProvider:
-        if self._cloud.status_of(self.csp_id) is not CSPStatus.ACTIVE:
-            raise CSPUnavailableError(
-                f"metadata slot {self.csp_id} is {self._cloud.status_of(self.csp_id).value}",
-                csp_id=self.csp_id,
-            )
-        return self._cloud.provider(self.csp_id)
-
-    def authenticate(self, credentials):
-        return self._target().authenticate(credentials)
-
-    def list(self, *, prefix: str = ""):
-        return self._target().list(prefix=prefix)
-
-    def upload(self, name: str, data) -> None:
-        self._target().upload(name, data)
-
-    def download(self, name: str) -> bytes:
-        return self._target().download(name)
-
-    def delete(self, name: str) -> None:
-        self._target().delete(name)
 
 
 class CyrusCloud:
@@ -291,9 +255,7 @@ class CyrusCloud:
 
     # -- metadata slots ------------------------------------------------------
 
-    def metadata_slots(self) -> list[CloudProvider]:
-        """Fixed-order metadata providers (slot i = share index i)."""
-        return [_MetadataSlot(self, csp_id) for csp_id in self._meta_slots]
-
     def metadata_slot_ids(self) -> list[str]:
+        """Fixed-order metadata CSPs (slot i = share index i), including
+        failed and removed ones: a slot keeps its position for good."""
         return list(self._meta_slots)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.naming import chunk_share_object_name
-from repro.core.transfer import OpKind, TransferEngine, TransferOp
+from repro.core.transfer import OpKind, TransferEngine, TransferOp, list_objects
 from repro.errors import CSPError, MetadataError
 from repro.metadata import MetadataStore, MetadataTree
 from repro.metadata.codec import metadata_share_name
@@ -57,10 +57,12 @@ def import_object(client, csp_id: str, object_name: str,
 
     Returns the :class:`repro.core.uploader.UploadReport`.
     """
-    provider = client.cloud.provider(csp_id)
+    listed = list_objects(client.engine, [csp_id], object_name)
+    size = next((info.size for info in listed.get(csp_id, ())
+                 if info.name == object_name), 0)
     results = client.engine.execute(
         [TransferOp(kind=OpKind.GET, csp_id=csp_id, name=object_name,
-                    size=_object_size(provider, object_name))]
+                    size=size)]
     )
     if not results[0].ok:
         raise CSPError(
@@ -70,13 +72,6 @@ def import_object(client, csp_id: str, object_name: str,
         )
     name = target_name or object_name
     return client.put(name, results[0].data, sync_first=True)
-
-
-def _object_size(provider, object_name: str) -> int:
-    for info in provider.list(prefix=object_name):
-        if info.name == object_name:
-            return info.size
-    return 0
 
 
 def prune_history(

@@ -2,12 +2,15 @@
 
 Clients discover remote changes by listing the metadata objects at the
 fixed metadata CSPs — every upload creates a new metadata node, so new
-node ids in the listing are exactly the changes.  New nodes are fetched
-from every listed slot by :func:`fetch_nodes` — the one metadata read,
-which the scrub and debt repair make too — decoded through the verified
-assembler (corrupt shares are attributed to their CSP, the highest
-verified version wins), merged into the local tree, folded into the
-global chunk table, and checked for both conflict types.
+node ids in the listing are exactly the changes.  The listing is one
+``LIST`` engine batch over the ACTIVE slots (:func:`meta_listing`: a
+failed or removed slot is never listed, fetched or published to).
+New nodes are fetched from every listed slot by :func:`fetch_nodes` —
+the one metadata read, which the scrub and debt repair make too —
+decoded through the verified assembler (corrupt shares are attributed
+to their CSP, the highest verified version wins), merged into the local
+tree, folded into the global chunk table, and checked for both conflict
+types.
 
 Local change detection (the other half of the paper's sync service) is
 :class:`LocalChangeDetector`: it compares last-modified times first and
@@ -18,8 +21,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.transfer import OpKind, OpResult, TransferEngine, TransferOp
-from repro.errors import CSPError, MetadataError
+from repro.core.cloud import CSPStatus, CyrusCloud
+from repro.core.transfer import (
+    OpKind,
+    OpResult,
+    TransferEngine,
+    TransferOp,
+    list_objects,
+)
+from repro.csp.base import ObjectInfo
+from repro.errors import MetadataError
 from repro.metadata import GlobalChunkTable, MetadataStore, MetadataTree
 from repro.metadata.codec import (
     METADATA_PREFIX,
@@ -46,6 +57,17 @@ class SyncReport:
         return self.finished - self.started
 
 
+def meta_listing(engine: TransferEngine, cloud: CyrusCloud,
+                 store: MetadataStore) -> dict[str, list[ObjectInfo]]:
+    """One ``LIST`` batch over the store's metadata slots whose CSP is
+    ACTIVE: csp -> its metadata objects.  A slot whose CSP is failed or
+    removed is never listed; one that fails to answer is left out."""
+    return list_objects(engine, [
+        p.csp_id for p in store.providers
+        if cloud.status_of(p.csp_id) is CSPStatus.ACTIVE
+    ], METADATA_PREFIX)
+
+
 def fetch_nodes(engine: TransferEngine, store: MetadataStore, wanted,
                 missing=None) -> tuple[list[OpResult], dict[str, NodeAssembler]]:
     """The one metadata read: a single ``GET_META`` batch.
@@ -68,6 +90,8 @@ def fetch_nodes(engine: TransferEngine, store: MetadataStore, wanted,
     slots = [(node_id, index, csp_id, name, size)
              for node_id, listed in sorted(wanted.items())
              for index, size, csp_id, name in sorted(listed)]
+    if not slots:
+        return [], assemblers
     results = engine.execute([
         TransferOp(kind=OpKind.GET_META, csp_id=csp_id, name=name, size=size)
         for _node_id, _index, csp_id, name, size in slots
@@ -91,11 +115,13 @@ class SyncService:
         tree: MetadataTree,
         chunk_table: GlobalChunkTable,
         engine: TransferEngine,
+        cloud: CyrusCloud,
     ):
         self.store = store
         self.tree = tree
         self.chunk_table = chunk_table
         self.engine = engine
+        self.cloud = cloud
 
     def _remote_listing(self) -> dict[str, list[tuple[int, int, str, str]]]:
         """Unknown node_id -> [(index, size, csp_id, name)] over reachable
@@ -104,13 +130,8 @@ class SyncService:
         listed entry and everything else per *new* entry."""
         listing: dict[str, list[tuple[int, int, str, str]]] = {}
         known = self.tree.node_ids()
-        reachable = 0
-        for provider in self.store.providers:
-            try:
-                infos = provider.list(prefix=METADATA_PREFIX)
-            except CSPError:
-                continue
-            reachable += 1
+        pages = meta_listing(self.engine, self.cloud, self.store)
+        for csp_id, infos in pages.items():
             for info in [
                 i for i in infos if i.name[NODE_ID_SLICE] not in known
             ]:
@@ -119,11 +140,11 @@ class SyncService:
                 except MetadataError:
                     continue
                 listing.setdefault(node_id, []).append(
-                    (index, info.size, provider.csp_id, info.name)
+                    (index, info.size, csp_id, info.name)
                 )
-        if reachable < self.store.t:
+        if len(pages) < self.store.t:
             raise MetadataError(
-                f"only {reachable} metadata providers reachable, "
+                f"only {len(pages)} metadata providers reachable, "
                 f"need {self.store.t}"
             )
         return listing

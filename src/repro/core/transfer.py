@@ -15,6 +15,11 @@ results with timings.  Two engines:
   :class:`repro.util.clock.SimClock`; data operations are applied to
   the providers at their simulated completion instants.
 
+Every provider call of a product path is an engine op, listings too
+(``LIST`` ops from :func:`list_objects`), so health, metrics and the
+tracer see it.  A listing is not priced yet: the simulated engine
+applies it at its batch's start and opens no flow for it.
+
 The paper's event receiver (GET / PUT / GET_META / PUT_META events
 driving ShareComplete, ChunkComplete and FileComplete) is implemented by
 :class:`TransferReceiver`; engines emit one event per op.
@@ -24,14 +29,14 @@ from __future__ import annotations
 
 import enum
 import threading
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Hashable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Hashable, Mapping, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from repro.obs import Observability
 
 from repro.core.parallel import ResultHook, ScatterGatherPool
-from repro.csp.base import CloudProvider
+from repro.csp.base import CloudProvider, ObjectInfo
 from repro.csp.resilient import HealthRegistry
 from repro.errors import CSPError, CSPUnavailableError, TransferError, is_retryable
 from repro.netsim.link import Link
@@ -40,13 +45,15 @@ from repro.util.clock import Clock, SimClock, WallClock, sleep_on
 
 
 class OpKind(enum.Enum):
-    """The four share-transmission event types of Section 5.3."""
+    """The four share-transmission event types of Section 5.3, plus
+    ``DELETE`` and ``LIST`` (its op ``name`` is the prefix)."""
 
     GET = "GET"
     PUT = "PUT"
     GET_META = "GET_META"
     PUT_META = "PUT_META"
-    DELETE = "DELETE"  # maintenance; not part of the paper's event set
+    DELETE = "DELETE"
+    LIST = "LIST"
 
     @property
     def direction(self) -> str:
@@ -116,6 +123,7 @@ class OpResult:
     start: float
     end: float
     data: bytes | None = None
+    listing: list[ObjectInfo] | None = None  # a LIST's page, never data
     error: str | None = None
     error_type: str | None = None
     cancelled: bool = False
@@ -278,21 +286,35 @@ class TransferEngine:
             raise TransferError(f"no provider registered for {csp_id!r}")
         return prov
 
-    def _apply(self, op: TransferOp) -> bytes | None:
-        """Perform the actual data operation; raises CSPError on failure."""
+    def _settle(self, op: TransferOp, start: float,
+                end: float | None) -> OpResult:
+        """Perform the provider call and record its outcome with health.
+        ``end`` is the op's completion instant; None reads the clock
+        once the call returns."""
         provider = self.provider(op.csp_id)
-        if op.kind in (OpKind.PUT, OpKind.PUT_META):
-            data = op.resolve_data()
-            if data is None:
-                raise TransferError(f"PUT without data: {op.name}")
-            provider.upload(op.name, data)
-            return None
-        if op.kind in (OpKind.GET, OpKind.GET_META):
-            return provider.download(op.name)
-        if op.kind == OpKind.DELETE:
-            provider.delete(op.name)
-            return None
-        raise TransferError(f"unknown op kind {op.kind}")  # pragma: no cover
+        data = listing = error = None
+        try:
+            if op.kind in (OpKind.PUT, OpKind.PUT_META):
+                payload = op.resolve_data()
+                if payload is None:
+                    raise TransferError(f"PUT without data: {op.name}")
+                provider.upload(op.name, payload)
+            elif op.kind in (OpKind.GET, OpKind.GET_META):
+                data = provider.download(op.name)
+            elif op.kind is OpKind.DELETE:
+                provider.delete(op.name)
+            else:
+                listing = provider.list(prefix=op.name)
+        except CSPError as exc:
+            error = exc
+        self._record_health(op.csp_id, error)
+        end = self.clock.now() if end is None else end
+        if error is not None:
+            return OpResult(op=op, ok=False, start=start, end=end,
+                            error=str(error), error_type=type(error).__name__,
+                            retryable=is_retryable(error))
+        return OpResult(op=op, ok=True, start=start, end=end, data=data,
+                        listing=listing)
 
     def _emit(self, result: OpResult) -> OpResult:
         if self.obs is not None:
@@ -379,17 +401,7 @@ class DirectEngine(TransferEngine):
         blocked = self._breaker_blocks(op, start)
         if blocked is not None:
             return blocked
-        try:
-            data = self._apply(op)
-            end = self.clock.now()
-            self._record_health(op.csp_id, None)
-            return OpResult(op=op, ok=True, start=start, end=end, data=data)
-        except CSPError as exc:
-            end = self.clock.now()
-            self._record_health(op.csp_id, exc)
-            return OpResult(op=op, ok=False, start=start, end=end,
-                            error=str(exc), error_type=type(exc).__name__,
-                            retryable=is_retryable(exc))
+        return self._settle(op, start, None)
 
     def _cancel_one(self, op: TransferOp) -> OpResult:
         now = self.clock.now()
@@ -470,12 +482,6 @@ class SimulatedEngine(TransferEngine):
         if sim is not None:
             sim.metrics = self._obs.metrics if self._obs else None
 
-    def register_link(self, link: Link) -> None:
-        self._links[link.link_id] = link
-        self._sim = FlowSimulator(self._links, client_up=self._sim.client_up,
-                                  client_down=self._sim.client_down,
-                                  metrics=self._sim.metrics)
-
     def link_caps(self, direction: str) -> dict[str, float]:
         now = self.clock.now()
         return {
@@ -500,7 +506,6 @@ class SimulatedEngine(TransferEngine):
         start_time = self.clock.now()
         results: list[OpResult | None] = [None] * len(ops)
         requests: list[TransferRequest] = []
-        req_to_op: list[int] = []
         for i, op in enumerate(ops):
             provider = self.provider(op.csp_id)
             blocked = self._breaker_blocks(op, start_time)
@@ -519,6 +524,10 @@ class SimulatedEngine(TransferEngine):
                     error_type="CSPUnavailableError", retryable=True,
                 )
                 continue
+            if op.kind is OpKind.LIST:
+                # not priced yet: applied at the batch's start, no flow
+                results[i] = self._settle(op, start_time, start_time)
+                continue
             requests.append(
                 TransferRequest(
                     link_id=op.csp_id,
@@ -529,9 +538,9 @@ class SimulatedEngine(TransferEngine):
                     group=op.group,
                 )
             )
-            req_to_op.append(i)
-        transfer_results = self._sim.run(requests, group_quota=group_quota,
-                                         start_time=start_time)
+        transfer_results = self._sim.run(
+            requests, group_quota=group_quota, start_time=start_time
+        ) if requests else []
         batch_end = start_time
         for tr in transfer_results:
             i = tr.request.tag
@@ -554,17 +563,7 @@ class SimulatedEngine(TransferEngine):
                     error_type="CSPUnavailableError", retryable=True,
                 )
                 continue
-            try:
-                data = self._apply(op)
-                self._record_health(op.csp_id, None)
-                results[i] = OpResult(op=op, ok=True, start=tr.start, end=tr.end,
-                                      data=data)
-            except CSPError as exc:
-                self._record_health(op.csp_id, exc)
-                results[i] = OpResult(op=op, ok=False, start=tr.start, end=tr.end,
-                                      error=str(exc),
-                                      error_type=type(exc).__name__,
-                                      retryable=is_retryable(exc))
+            results[i] = self._settle(op, tr.start, tr.end)
         self.clock.advance_to(max(batch_end, start_time))
         final = [r for r in results if r is not None]
         if len(final) != len(ops):  # pragma: no cover - internal invariant
@@ -572,3 +571,17 @@ class SimulatedEngine(TransferEngine):
         for r in final:
             self._emit(r)
         return final
+
+
+def list_objects(engine: TransferEngine, csp_ids: Sequence[str],
+                 prefix: str) -> dict[str, list[ObjectInfo]]:
+    """Every product listing: one ``LIST`` batch, one op per CSP, each
+    force-dispatched past an open breaker (health still records it).
+    Returns csp -> the objects it lists under ``prefix``; a CSP that
+    fails to answer is left out."""
+    results = engine.execute([
+        TransferOp(kind=OpKind.LIST, csp_id=csp_id, name=prefix,
+                   force_dispatch=True)
+        for csp_id in csp_ids
+    ])
+    return {r.op.csp_id: r.listing for r in results if r.ok}

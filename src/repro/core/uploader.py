@@ -25,7 +25,7 @@ from typing import Sequence
 
 from repro.chunking import Chunk, ContentDefinedChunker
 from repro.core.chunkcache import ChunkCache
-from repro.core.cloud import CyrusCloud
+from repro.core.cloud import CSPStatus, CyrusCloud
 from repro.core.config import CyrusConfig
 from repro.core.naming import chunk_share_object_name
 from repro.core.retry import ShareRetryLoop
@@ -518,9 +518,13 @@ class Uploader:
         as share transfers.  Shares go out in the authenticated v2
         envelope; a publish that lands t but not m shares is accepted
         *and* recorded as a metadata repair debt, with the failed
-        providers named in metrics and (on abort) in the error.
+        providers named in metrics and (on abort) in the error.  A slot
+        whose CSP is not ACTIVE is skipped: owed if failed, never if
+        removed (nothing could pay that debt).
         """
         frames = self.store.frames_for(node)
+        status = {p.csp_id: self.cloud.status_of(p.csp_id) for p, *_ in frames}
+        live = [f for f in frames if status[f[0].csp_id] is CSPStatus.ACTIVE]
         ops = [
             TransferOp(
                 kind=OpKind.PUT_META,
@@ -528,12 +532,14 @@ class Uploader:
                 name=obj_name,
                 data=blob,
             )
-            for provider, obj_name, blob, _index in frames
+            for provider, obj_name, blob, _index in live
         ]
         policy = self.retry_loop.policy
         final: dict[int, OpResult] = {}
         pending = list(enumerate(ops))
         for round_no in range(policy.max_attempts):
+            if not pending:
+                break
             if round_no:
                 self.engine.sleep(policy.delay(round_no))
             batch = self.engine.execute([op for _, op in pending])
@@ -547,33 +553,32 @@ class Uploader:
                                         csp=op.csp_id)
                     retry.append((slot, op))
             pending = retry
-            if not pending:
-                break
         results = [final[i] for i in range(len(ops))]
-        stored = sum(1 for r in results if r.ok)
-        failed = [
-            (frames[i][0].csp_id, frames[i][3], results[i])
-            for i in range(len(ops)) if not results[i].ok
-        ]
+        landed = {live[i][3] for i, r in enumerate(results) if r.ok}
         obs = getattr(self.engine, "obs", None)
         if obs is not None:
             from repro.metadata.store import META_PUBLISH_FAILURES
 
-            for csp_id, _index, _res in failed:
-                obs.metrics.inc(META_PUBLISH_FAILURES, csp=csp_id)
-        if stored < self.store.t:
-            names = ", ".join(sorted({csp for csp, _i, _r in failed}))
+            for op, res in zip(ops, results):
+                if not res.ok:
+                    obs.metrics.inc(META_PUBLISH_FAILURES, csp=op.csp_id)
+        short = [(p.csp_id, index) for p, _name, _blob, index in frames
+                 if index not in landed]
+        if len(landed) < self.store.t:
+            names = ", ".join(sorted({csp for csp, _i in short}))
             raise TransferError(
-                f"metadata for {node.name!r}: only {stored} shares stored, "
-                f"need {self.store.t} (failed providers: {names})"
+                f"metadata for {node.name!r}: only {len(landed)} shares "
+                f"stored, need {self.store.t} (failed providers: {names})"
             )
-        if failed and self.ledger is not None:
+        owed = [(csp, index) for csp, index in short
+                if status[csp] is not CSPStatus.REMOVED]
+        if owed and self.ledger is not None:
             # degraded publish: accepted, but short of m-way dispersal —
             # a durable obligation the repair loop re-disperses
             self.ledger.record(
                 node.node_id,
-                missing=tuple(sorted(index for _c, index, _r in failed)),
-                failed_csps=tuple(sorted({csp for csp, _i, _r in failed})),
+                missing=tuple(sorted(index for _c, index in owed)),
+                failed_csps=tuple(sorted({csp for csp, _i in owed})),
                 kind="meta",
             )
             if obs is not None:

@@ -29,6 +29,7 @@ from repro.obs.metrics import (
     HistogramData,
     MetricsRegistry,
     MetricsSnapshot,
+    _label_key,
 )
 from repro.obs.timeline import TimelineBar, TransferTimeline
 from repro.obs.trace import Span, Tracer
@@ -69,6 +70,12 @@ class Observability:
         self.clock = clock if clock is not None else WallClock()
         self.metrics = MetricsRegistry()
         self.tracer = Tracer(clock=self.clock)
+        # record_op's four metrics, and its label keys per op shape
+        self._ops = self.metrics.counter(OPS_TOTAL)
+        self._bytes = self.metrics.counter(TRANSFER_BYTES)
+        self._failures = self.metrics.counter(OP_FAILURES)
+        self._durations = self.metrics.histogram(OP_DURATION)
+        self._op_keys: dict[tuple, tuple] = {}
 
     # -- engine hook ------------------------------------------------------
 
@@ -85,17 +92,25 @@ class Observability:
         kind = op.kind.value if hasattr(op.kind, "value") else str(op.kind)
         outcome = ("cancelled" if result.cancelled
                    else "ok" if result.ok else "error")
-        self.metrics.inc(OPS_TOTAL, csp=op.csp_id, kind=kind, outcome=outcome)
+        shape = (op.csp_id, op.kind, outcome, result.error_type)
+        keys = self._op_keys.get(shape)
+        if keys is None:
+            keys = self._op_keys[shape] = (
+                _label_key(dict(csp=op.csp_id, kind=kind, outcome=outcome)),
+                _label_key(dict(csp=op.csp_id, direction=op.kind.direction)),
+                _label_key(dict(csp=op.csp_id,
+                                error_type=result.error_type or "unknown")),
+                _label_key(dict(kind=kind)),
+            )
+        self._ops.inc_key(keys[0])
         nbytes = (len(result.data) if result.data is not None
                   else op.payload_size())
         if result.ok:
-            self.metrics.inc(TRANSFER_BYTES, nbytes,
-                             csp=op.csp_id, direction=op.kind.direction)
+            self._bytes.inc_key(keys[1], nbytes)
         elif not result.cancelled:
-            self.metrics.inc(OP_FAILURES, csp=op.csp_id,
-                             error_type=result.error_type or "unknown")
+            self._failures.inc_key(keys[2])
         if not result.cancelled:
-            self.metrics.observe(OP_DURATION, result.duration, kind=kind)
+            self._durations.observe_key(keys[3], result.duration)
         attrs = {
             "csp": op.csp_id,
             "op_kind": kind,

@@ -68,9 +68,12 @@ class Counter:
         self._lock = threading.Lock()
 
     def inc(self, amount: float = 1.0, **labels) -> None:
+        self.inc_key(_label_key(labels), amount)
+
+    def inc_key(self, key: LabelKey, amount: float = 1.0) -> None:
+        """:meth:`inc` for a label key built once by the caller."""
         if amount < 0:
             raise ValueError(f"counter {self.name}: negative increment {amount}")
-        key = _label_key(labels)
         with self._lock:
             self._series[key] = self._series.get(key, 0.0) + amount
 
@@ -181,7 +184,10 @@ class Histogram:
         self._lock = threading.Lock()
 
     def observe(self, value: float, **labels) -> None:
-        key = _label_key(labels)
+        self.observe_key(_label_key(labels), value)
+
+    def observe_key(self, key: LabelKey, value: float) -> None:
+        """:meth:`observe` for a label key built once by the caller."""
         with self._lock:
             state = self._series.get(key)
             if state is None:

@@ -41,8 +41,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.naming import chunk_share_object_name
-from repro.core.transfer import OpKind, TransferOp
-from repro.errors import CSPError, CyrusError
+from repro.core.transfer import OpKind, TransferOp, list_objects
+from repro.errors import CyrusError
 from repro.metadata.codec import decode_node
 from repro.obs import span_if
 from repro.recovery.journal import (
@@ -313,12 +313,12 @@ def _recover_migrate(client, journal, intent, report, actions) -> bool:
         except (TypeError, ValueError, IndexError):
             continue
         try:
-            provider = client.cloud.provider(csp_id)
-            exists = any(info.name == obj_name
-                         for info in provider.list(prefix=obj_name))
-        except (KeyError, CSPError):
-            continue  # unreachable: a live share there is never harmful
-        if not exists:
+            client.cloud.status_of(csp_id)
+        except KeyError:
+            continue
+        # absent, or unreachable: a live share there is never harmful
+        listed = list_objects(client.engine, [csp_id], obj_name)
+        if not any(i.name == obj_name for i in listed.get(csp_id, ())):
             continue
         if client.chunk_table.is_stored(chunk_id):
             location = client.chunk_table.get(chunk_id)

@@ -5,10 +5,10 @@ a dead CSP regenerates it (Section 5.5) — which means a file nobody
 reads silently decays as providers fail.  The scrub drives
 :mod:`repro.redundancy.reconcile` from a census:
 
-1. **Census** (one ``list`` per active CSP, no data transfer): adopt
-   shares the table does not know about (a crashed migration that
-   landed) and flag *orphans* — share-shaped objects no known chunk
-   accounts for.
+1. **Census** (one ``LIST`` batch over the active CSPs, no data
+   transfer): adopt shares the table does not know about (a crashed
+   migration that landed) and flag *orphans* — share-shaped objects no
+   known chunk accounts for.
 2. **Verify + repair**: walk chunks round-robin from a persistent
    cursor and reconcile each against the census — every listed share
    is fetched and checked, every missing, corrupt or stranded index
@@ -37,8 +37,7 @@ from dataclasses import dataclass, field
 
 from repro.core.naming import chunk_share_object_name
 from repro.core.sync import fetch_nodes
-from repro.core.transfer import OpKind, TransferOp
-from repro.errors import CSPError
+from repro.core.transfer import OpKind, TransferOp, list_objects
 from repro.obs import span_if
 from repro.redundancy.reconcile import (
     OVER_BUDGET,
@@ -212,25 +211,22 @@ class Scrubber:
 
 
 def _census(client, chunk_ids, report) -> dict[str, set[str]]:
-    """One listing per active CSP: {csp: object names}, unreachable
-    CSPs left out.  Adopts listed shares of known chunks the table does
-    not record, and reports orphans and unreachable CSPs."""
+    """One ``LIST`` batch over the active CSPs: {csp: object names},
+    unreachable CSPs left out.  Adopts listed shares of known chunks the
+    table does not record, and reports orphans and unreachable CSPs."""
     expected: dict[str, tuple[str, int]] = {}
     for chunk_id in chunk_ids:
         for index in range(client.chunk_table.get(chunk_id).n):
             expected[chunk_share_object_name(index, chunk_id)] = (
                 chunk_id, index)
-    listings: dict[str, set[str]] = {}
+    active = client.cloud.active_csps()
+    pages = list_objects(client.engine, active, "")
+    report.unreachable_csps += tuple(c for c in active if c not in pages)
+    listings = {csp_id: {info.name for info in infos}
+                for csp_id, infos in pages.items()}
     orphans: list[tuple[str, str]] = []
-    for csp_id in client.cloud.active_csps():
-        try:
-            listings[csp_id] = {
-                info.name for info in client.cloud.provider(csp_id).list(prefix="")
-            }
-        except CSPError:
-            report.unreachable_csps += (csp_id,)
-            continue
-        for name in sorted(listings[csp_id]):
+    for csp_id, names in listings.items():
+        for name in sorted(names):
             hit = expected.get(name)
             if hit is None:
                 if _SHARE_NAME.match(name):

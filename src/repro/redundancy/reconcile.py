@@ -22,17 +22,13 @@ from dataclasses import dataclass, field
 
 from repro.core.cloud import CSPStatus
 from repro.core.naming import chunk_share_object_name
-from repro.core.sync import fetch_nodes
+from repro.core.sync import fetch_nodes, meta_listing
 from repro.core.transfer import OpKind, TransferOp
 from repro.core.uploader import get_sharer
 from repro.erasure import Share
 from repro.errors import CyrusError
 from repro.metadata.chunktable import ChunkLocation
-from repro.metadata.codec import (
-    METADATA_PREFIX,
-    encode_node,
-    metadata_share_name,
-)
+from repro.metadata.codec import encode_node, metadata_share_name
 from repro.util.hashing import sha1_hex
 
 #: Outcomes of one reconcile.
@@ -374,17 +370,12 @@ class NodeState:
                  self.slots[index][1]) for index in self.present]
 
 
-def slot_listing(store) -> dict[str, set[str]]:
-    """One ``list`` per metadata slot: csp -> the metadata objects it
-    holds.  Unreachable slots are left out."""
-    listing: dict[str, set[str]] = {}
-    for provider in store.providers:
-        try:
-            listing[provider.csp_id] = {
-                info.name for info in provider.list(prefix=METADATA_PREFIX)}
-        except CyrusError:
-            continue
-    return listing
+def slot_listing(engine, cloud, store) -> dict[str, set[str]]:
+    """csp -> the metadata objects it holds, from one ``LIST`` per ACTIVE
+    metadata slot (:func:`repro.core.sync.meta_listing`).  Slots that
+    are not ACTIVE or do not answer are left out."""
+    return {csp_id: {info.name for info in infos}
+            for csp_id, infos in meta_listing(engine, cloud, store).items()}
 
 
 def assess_node(client, node_id: str, listing, suspects=(), stale=()
@@ -392,7 +383,9 @@ def assess_node(client, node_id: str, listing, suspects=(), stale=()
     """Judge one node's fixed slots against a per-slot ``listing``
     (:func:`slot_listing` or a census); no I/O.  A reachable slot is
     rewritten when its object is missing, was found ``stale`` (or
-    corrupt) earlier, or sits on a suspect."""
+    corrupt) earlier, or sits on a suspect.  An unlisted slot is dark,
+    unless its CSP was removed: nothing could ever fill that slot, so
+    it is owed nothing."""
     try:
         node = client.tree.get(node_id)
     except CyrusError:
@@ -406,7 +399,8 @@ def assess_node(client, node_id: str, listing, suspects=(), stale=()
     for index, (provider, name) in slots.items():
         names = listing.get(provider.csp_id)
         if names is None:
-            state.dark.append(index)
+            if client.cloud.status_of(provider.csp_id) is not CSPStatus.REMOVED:
+                state.dark.append(index)
             continue
         if name in names:
             state.present.append(index)
@@ -472,7 +466,7 @@ def backfill_metadata(client) -> int:
     (Section 5.5) rather than lazily.  One listing per slot serves every
     node.  Returns the number of shares written.
     """
-    listing = slot_listing(client.store)
+    listing = slot_listing(client.engine, client.cloud, client.store)
     journal = getattr(client, "journal", None)
     budget = Budget(None)
     return sum(

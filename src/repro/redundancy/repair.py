@@ -98,7 +98,7 @@ def run_repair(
                 break
             if entry.kind == "meta":
                 if listing is None:
-                    listing = slot_listing(client.store)
+                    listing = slot_listing(client.engine, client.cloud, client.store)
                 out = reconcile_node(assess_node(
                     client, entry.chunk_id, listing, entry.failed_csps,
                     entry.missing), journal, budget)

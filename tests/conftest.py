@@ -136,6 +136,7 @@ def read_nodes(store) -> dict:
     Slots come from :func:`slot_listing`; a reachable slot of the
     node's group that lists without the object is passed as missing,
     as the scrub does, so a hole records a debt."""
+    from repro.core.cloud import CyrusCloud
     from repro.core.sync import fetch_nodes
     from repro.core.transfer import DirectEngine
     from repro.metadata.codec import (
@@ -145,7 +146,10 @@ def read_nodes(store) -> dict:
     from repro.redundancy.reconcile import slot_listing
     from repro.util.clock import SimClock
 
-    listing = slot_listing(store)
+    providers = {p.csp_id: p for p in store.providers}
+    engine = DirectEngine(providers, clock=SimClock())
+    listing = slot_listing(engine, CyrusCloud(list(providers.values())),
+                           store)
     wanted: dict[str, list] = {}
     missing: dict[str, list[int]] = {}
     for node_id in sorted({parse_metadata_share_name(name)[0]
@@ -160,7 +164,5 @@ def read_nodes(store) -> dict:
                     (index, None, provider.csp_id, name))
             else:
                 missing.setdefault(node_id, []).append(index)
-    engine = DirectEngine({p.csp_id: p for p in store.providers},
-                          clock=SimClock())
     _results, assemblers = fetch_nodes(engine, store, wanted, missing)
     return {node_id: asm.finish() for node_id, asm in assemblers.items()}

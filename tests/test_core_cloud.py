@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.cloud import CSPStatus, CyrusCloud
 from repro.csp import InMemoryCSP
-from repro.errors import ConfigurationError, CSPUnavailableError, SelectionError
+from repro.errors import ConfigurationError, SelectionError
 
 
 def make_cloud(count=5, clusters=None):
@@ -131,23 +131,42 @@ class TestMetadataSlots:
         cloud.add_csp(InMemoryCSP("zzz"))
         assert cloud.metadata_slot_ids() == ["csp0", "csp1", "zzz"]
 
-    def test_removed_slot_raises_but_keeps_position(self):
-        cloud, providers = make_cloud(3)
-        cloud.remove_csp("csp1")
-        slots = cloud.metadata_slots()
-        assert [s.csp_id for s in slots] == ["csp0", "csp1", "csp2"]
-        with pytest.raises(CSPUnavailableError):
-            slots[1].upload("x", b"data")
-        slots[0].upload("x", b"data")  # active slots still work
-        assert slots[0].download("x") == b"data"
+    def test_publish_skips_removed_and_failed_slots(self, tmp_path):
+        """A publish writes no metadata share to a removed or a failed
+        slot.  The failed slot is owed a ``meta`` debt, which drains
+        once a probe finds it back; the removed one is owed nothing.
+        Both keep their positions, and the node reads back."""
+        from repro.core.client import CyrusClient
+        from repro.core.config import CyrusConfig
+        from repro.metadata.codec import metadata_share_name
+        from repro.redundancy import DebtLedger
 
-    def test_slot_proxies_all_primitives(self):
-        cloud, providers = make_cloud(2)
-        slot = cloud.metadata_slots()[0]
-        slot.upload("o", b"v")
-        assert slot.download("o") == b"v"
-        assert [i.name for i in slot.list()] == ["o"]
-        slot.delete("o")
-        from repro.csp import Credentials
+        from tests.conftest import SMALL_CHUNKS, deterministic_bytes
 
-        slot.authenticate(Credentials("u"))
+        providers = [InMemoryCSP(f"csp{i}") for i in range(5)]
+        config = CyrusConfig(key="slots", t=2, n=3, **SMALL_CHUNKS)
+        client = CyrusClient.create(
+            providers, config, client_id="a",
+            debt_ledger=DebtLedger(tmp_path / "debts.jsonl", fsync=False))
+        client.remove_csp("csp1")
+        client.cloud.mark_failed("csp2")
+        data = deterministic_bytes(900, seed=5)
+        node = client.put("doc.bin", data).node
+        assert client.cloud.metadata_slot_ids() == [
+            "csp0", "csp1", "csp2", "csp3", "csp4"]
+
+        def holds(index):
+            name = metadata_share_name(node.node_id, index)
+            return [i.name for i in providers[index].list(prefix=name)]
+
+        assert holds(1) == holds(2) == []
+        [debt] = client.debt_ledger.open_debts()
+        assert (debt.kind, debt.chunk_id, debt.missing, debt.failed_csps) \
+            == ("meta", node.node_id, (2,), ("csp2",))
+        assert client.get("doc.bin").data == data
+        fresh = CyrusClient.create(providers, config, client_id="b")
+        assert fresh.get("doc.bin").data == data
+        assert client.probe_failed_csps() == ["csp2"]
+        assert client.repair_debts().debts_retired == 1
+        assert holds(2) and holds(1) == []
+        assert len(client.debt_ledger) == 0

@@ -207,13 +207,12 @@ class TestChaosMetricsAgreement:
         logs, providers, client = _run_scenario(seed=fault_seed)
         snap = client.obs.snapshot()
         for prov, log in zip(providers, logs):
-            # probe list() calls bypass the engine, so count only the
-            # error-kind injections on data ops (every engine dispatch
-            # reaches the provider as an upload or a download)
+            # every provider call is an engine op (listings included),
+            # so each error-kind injection is exactly one failed op
             injected = sum(
                 1 for e in log
                 if e.kind in (FaultKind.TRANSIENT, FaultKind.OUTAGE)
-                and e.op in ("upload", "download")
+                and e.op in ("upload", "download", "list")
             )
             observed = snap.counter_total(
                 "cyrus_op_failures_total",

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.cloud import CyrusCloud
 from repro.core.sync import SyncService
 from repro.core.transfer import DirectEngine
 from repro.csp import InMemoryCSP
@@ -122,12 +123,15 @@ class TestStore:
         from repro.metadata.codec import parse_metadata_share_name
         from repro.redundancy.reconcile import slot_listing
 
-        store, _ = self.make()
+        store, providers = self.make()
         a, b = mk("f", "v1"), mk("g", "w1")
         publish_node(store, a)
         publish_node(store, b)
+        engine = DirectEngine({p.csp_id: p for p in providers},
+                              clock=SimClock())
+        listing = slot_listing(engine, CyrusCloud(providers), store)
         assert {parse_metadata_share_name(name)[0]
-                for names in slot_listing(store).values()
+                for names in listing.values()
                 for name in names} == {a.node_id, b.node_id}
 
     def test_fetch_all(self):
@@ -173,7 +177,8 @@ class TestStore:
         tree = MetadataTree()
         engine = DirectEngine({p.csp_id: p for p in providers},
                               clock=SimClock())
-        report = SyncService(store, tree, GlobalChunkTable(), engine).sync()
+        report = SyncService(store, tree, GlobalChunkTable(), engine,
+                             CyrusCloud(providers)).sync()
         assert (report.new_nodes, report.fetch_results) == (0, ())
         assert tree.node_ids() == set()
 

@@ -13,6 +13,7 @@ Two ends of the truth spectrum:
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 from repro.bench import build_paper_testbed
 from repro.core.client import CyrusClient
@@ -30,6 +31,13 @@ class TestSimulatedAcceptance:
 
     def _run(self):
         env = build_paper_testbed()
+        self.list_calls = Counter()
+        for csp in env.csps.values():
+            def counted(*, prefix="", _csp=csp, _list=csp.list):
+                self.list_calls[_csp.csp_id] += 1
+                return _list(prefix=prefix)
+
+            csp.list = counted
         config = CyrusConfig(key="k", t=2, n=3, **SMALL_CHUNKS)
         client = env.new_client(config)
         files = {
@@ -77,14 +85,19 @@ class TestSimulatedAcceptance:
                 )
 
     def test_op_counts_match_netsim_flow_counts(self):
+        """Every ok op but a listing is one completed flow; a listing
+        opens no flow and is one provider ``list`` call."""
         env, _client = self._run()
         snap = env.obs.snapshot()
+        assert sum(self.list_calls.values()) > 0
         for csp_id in env.csps:
-            ops = snap.counter_total("cyrus_ops_total", csp=csp_id,
-                                     outcome="ok")
+            ok = snap.counter_by("cyrus_ops_total", "kind", csp=csp_id,
+                                 outcome="ok")
+            lists = ok.pop("LIST", 0)
             flows = snap.counter_total("netsim_flows_total", link=csp_id,
                                        outcome="completed")
-            assert ops == flows
+            assert sum(ok.values()) == flows
+            assert lists == self.list_calls[csp_id]
 
     def test_uploaded_bytes_match_stored_objects(self):
         env, _client = self._run()

@@ -23,7 +23,8 @@ from repro.core.client import CyrusClient
 from repro.core.cloud import CSPStatus
 from repro.core.config import CyrusConfig
 from repro.core.downloader import Downloader
-from repro.core.transfer import DirectEngine
+from repro.core.naming import chunk_share_object_name
+from repro.core.transfer import DirectEngine, OpKind
 from repro.csp.memory import InMemoryCSP
 from repro.errors import CSPUnavailableError
 from repro.metadata.codec import METADATA_PREFIX, metadata_share_name
@@ -171,18 +172,16 @@ def test_metadata_backfill_lists_each_slot_once(tmp_path):
     """``add_csp`` back-fills the new slot from one listing per slot,
     journaling each node's write as a ``meta-repair`` intent."""
     fixture = BUDGET["metadata_backfill"]
-    providers = [CountingCSP(f"csp{i}") for i in range(fixture["slots"] - 1)]
+    providers = [InMemoryCSP(f"csp{i}") for i in range(fixture["slots"] - 1)]
     client = _client(tmp_path, providers, 2, 3)
     for i in range(fixture["nodes"]):
         client.put(f"f{i}.bin", deterministic_bytes(40, seed=i))
     assert len(client.tree.node_ids()) == fixture["nodes"]
-    fresh = CountingCSP("csp-new")
+    fresh = InMemoryCSP("csp-new")
     spy = OpSpy(client.engine)
-    for provider in providers:
-        provider.lists = 0
     spy.active = True
     client.add_csp(fresh)
-    assert sum(p.lists for p in [*providers, fresh]) == fixture["list_calls"]
+    assert spy.ops["LIST"] == fixture["list_calls"]
     assert spy.ops["PUT_META"] == fixture["put_meta"]
     assert fresh.object_count == fixture["nodes"]
     repairs = [i for i in client.journal.intents() if i.op == "meta-repair"]
@@ -308,3 +307,57 @@ def test_no_metadata_byte_bypasses_the_engine(tmp_path):
     assert engine_ops["GET_META"] > 0 and engine_ops["PUT_META"] > 0
     assert served["GET_META"] == engine_ops["GET_META"]
     assert served["PUT_META"] == engine_ops["PUT_META"]
+
+
+def test_no_listing_bypasses_the_engine(tmp_path):
+    """Every ``list`` a provider serves is an engine ``LIST`` op on the
+    same CSP, and each product path below lists at least once."""
+    providers = [CountingCSP(f"csp{i}") for i in range(5)]
+    fresh = CountingCSP("csp5")
+    client = _client(tmp_path, providers, 2, 3)
+    listed: Counter[str] = Counter()
+    execute = client.engine.execute
+
+    def spy(ops, *args, **kwargs):
+        listed.update(op.csp_id for op in ops if op.kind is OpKind.LIST)
+        return execute(ops, *args, **kwargs)
+
+    client.engine.execute = spy
+    data = deterministic_bytes(900, seed=8)
+
+    def put_owing_a_debt():
+        client.cloud.mark_failed("csp4")
+        client.put("two.bin", deterministic_bytes(700, seed=9))
+        assert client.debt_ledger.open_debts()  # csp4's metadata slot
+
+    def run_recovery():
+        chunk_id = client.tree.latest("doc.bin").chunks[0].chunk_id
+        index, csp_id = client.chunk_table.get(chunk_id).placements[0]
+        client.journal.begin("migrate", chunk=chunk_id, moves=[
+            [index, csp_id, chunk_share_object_name(index, chunk_id)]])
+        assert client.run_recovery().rolled_forward == 1
+
+    def import_object():
+        providers[1].upload("plain.txt", b"stored outside")
+        client.import_object("csp1", "plain.txt")
+
+    steps = {
+        "put": lambda: client.put("doc.bin", data),
+        "get": lambda: client.get("doc.bin"),
+        "sync": client.sync,
+        "put owing a debt": put_owing_a_debt,
+        "probe_failed_csps": client.probe_failed_csps,
+        "repair_debts": client.repair_debts,
+        "run_recovery": run_recovery,
+        "scrub": client.scrub,
+        "recover": client.recover,
+        "add_csp": lambda: client.add_csp(fresh),
+        "remove_csp": lambda: client.remove_csp("csp0"),
+        "import_object": import_object,
+    }
+    for step, run in steps.items():
+        before = sum(listed.values())
+        run()
+        assert sum(listed.values()) > before, step
+    assert len(client.debt_ledger) == 0
+    assert Counter({p.csp_id: p.lists for p in [*providers, fresh]}) == listed
