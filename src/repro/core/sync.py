@@ -5,12 +5,15 @@ fixed metadata CSPs — every upload creates a new metadata node, so new
 node ids in the listing are exactly the changes.  The listing is one
 ``LIST`` engine batch over the ACTIVE slots (:func:`meta_listing`: a
 failed or removed slot is never listed, fetched or published to).
-New nodes are fetched from every listed slot by :func:`fetch_nodes` —
-the one metadata read, which the scrub and debt repair make too —
-decoded through the verified assembler (corrupt shares are attributed
-to their CSP, the highest verified version wins), merged into the local
-tree, folded into the global chunk table, and checked for both conflict
-types.
+A :class:`SyncService` remembers the listed names whose node its tree
+holds (*settled* names), so a sync pays one set probe per settled
+entry; only a name it has not settled yet is sliced for its node id and
+probed against the tree.  New nodes are fetched from every listed slot
+by :func:`fetch_nodes` — the one metadata read, which the scrub and
+debt repair make too — decoded through the verified assembler (corrupt
+shares are attributed to their CSP, the highest verified version wins),
+merged into the local tree, folded into the global chunk table, and
+checked for both conflict types.
 
 Local change detection (the other half of the paper's sync service) is
 :class:`LocalChangeDetector`: it compares last-modified times first and
@@ -122,25 +125,38 @@ class SyncService:
         self.chunk_table = chunk_table
         self.engine = engine
         self.cloud = cloud
+        # listed object names whose node the tree holds, over every slot
+        # (settledness depends only on the node id), valid while the
+        # tree's removal count stays at ``_removals``
+        self._settled: set[str] = set()
+        self._removals = tree.removals
 
     def _remote_listing(self) -> dict[str, list[tuple[int, int, str, str]]]:
         """Unknown node_id -> [(index, size, csp_id, name)] over reachable
-        slots.  An entry of a node the tree already holds is dropped on
-        its id slice, before any parsing: a sync pays one set probe per
-        listed entry and everything else per *new* entry."""
+        slots.  A settled name costs one probe of a set of strings whose
+        hashes are cached; a name not settled yet pays its id slice and
+        a probe of the tree's ids, and settles when the tree holds its
+        node.  Only the entries of unknown nodes are parsed."""
+        if self.tree.removals != self._removals:
+            # a removed node's names must be listed as new again
+            self._settled.clear()
+            self._removals = self.tree.removals
+        settled = self._settled
         listing: dict[str, list[tuple[int, int, str, str]]] = {}
         known = self.tree.node_ids()
         pages = meta_listing(self.engine, self.cloud, self.store)
         for csp_id, infos in pages.items():
-            for info in [
-                i for i in infos if i.name[NODE_ID_SLICE] not in known
-            ]:
+            for info in [i for i in infos if i.name not in settled]:
+                name = info.name
+                if name[NODE_ID_SLICE] in known:
+                    settled.add(name)
+                    continue
                 try:
-                    node_id, index = parse_metadata_share_name(info.name)
+                    node_id, index = parse_metadata_share_name(name)
                 except MetadataError:
                     continue
                 listing.setdefault(node_id, []).append(
-                    (index, info.size, csp_id, info.name)
+                    (index, info.size, csp_id, name)
                 )
         if len(pages) < self.store.t:
             raise MetadataError(
@@ -182,6 +198,11 @@ class SyncService:
                 self.chunk_table.record_node(node)
         for node in fresh:
             conflicts.extend(conflicts_for_node(self.tree, node))
+        # a node now in the tree settles the names it was listed under;
+        # one that did not decode stays unsettled and is fetched again
+        for node_id, shares in wanted.items():
+            if node_id in self.tree:
+                self._settled.update(name for *_, name in shares)
         finished = self.engine.clock.now()
         # dedupe conflicts (the same divergence can surface per sibling)
         unique = {

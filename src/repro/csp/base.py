@@ -21,9 +21,10 @@ from repro.csp.account import AuthToken, Credentials
 BytesLike = bytes | bytearray | memoryview
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObjectInfo:
-    """Listing entry for one stored object."""
+    """Listing entry for one stored object (slotted: a sync reads the
+    ``name`` of every listed entry, at a fixed offset, no ``__dict__``)."""
 
     name: str
     size: int

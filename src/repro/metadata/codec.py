@@ -169,8 +169,9 @@ def metadata_share_name(node_id: str, index: int) -> str:
     return f"{METADATA_PREFIX}{node_id}-{index:03d}"
 
 
-#: Where a share name carries its node id: sync drops the entries of
-#: nodes it already holds on this slice, without parsing the name.
+#: Where a share name carries its node id: sync drops a listed name it
+#: has not settled yet on this slice when the tree holds the node,
+#: without parsing the name.
 NODE_ID_SLICE = slice(len(METADATA_PREFIX), len(METADATA_PREFIX) + 40)
 
 

@@ -112,8 +112,8 @@ def conflicts_for_node(tree: MetadataTree, node: MetadataNode) -> list[Conflict]
     if node.is_new_file:
         same = [
             n
-            for n in tree.children(ROOT_ID)
-            if n.name == node.name and n.node_id != node.node_id
+            for n in tree.children(ROOT_ID, name=node.name)
+            if n.node_id != node.node_id
         ]
         if same:
             live = _live_branches(tree, same + [node], node.name)
@@ -131,8 +131,9 @@ def conflicts_for_node(tree: MetadataTree, node: MetadataNode) -> list[Conflict]
         if cursor.prev_id not in tree:
             break  # ancestor not (yet) synced; next sync will re-check
         parent = tree.get(cursor.prev_id)
-        siblings = tree.children(cursor.prev_id)
-        if len(siblings) > 1:
+        # a chain step is O(1): only a fork sorts its siblings
+        if tree.child_count(cursor.prev_id) > 1:
+            siblings = tree.children(cursor.prev_id)
             live = _live_branches(tree, siblings, parent.name)
             if len(live) > 1:
                 conflicts.append(

@@ -35,6 +35,9 @@ class MetadataTree:
         self._nodes: dict[str, MetadataNode] = {}
         self._children: dict[str, set[str]] = {}
         self._heads: dict[str, set[str]] = {}  # name -> childless node ids
+        #: bumped by every ``remove``: a cache of "ids this tree holds"
+        #: (the sync's settled names) is stale once it moves
+        self.removals = 0
 
     # -- growth ------------------------------------------------------------
 
@@ -100,6 +103,7 @@ class MetadataTree:
         node = self._nodes.pop(node_id, None)
         if node is None:
             return False
+        self.removals += 1
         self._drop_head(node)
         kids = self._children.get(node.prev_id)
         if kids is not None:
@@ -134,12 +138,18 @@ class MetadataTree:
         """All known node ids: a live, set-like, read-only view."""
         return self._nodes.keys()
 
-    def children(self, node_id: str) -> list[MetadataNode]:
-        """Direct successors of a node (concurrent edits if > 1)."""
-        return sorted(
-            (self._nodes[c] for c in self._children.get(node_id, ())),
-            key=_version_order,
-        )
+    def children(self, node_id: str,
+                 name: str | None = None) -> list[MetadataNode]:
+        """Direct successors of a node (concurrent edits if > 1), only
+        those named ``name`` when given (filtered before sorting)."""
+        kids = (self._nodes[c] for c in self._children.get(node_id, ()))
+        if name is not None:
+            kids = (kid for kid in kids if kid.name == name)
+        return sorted(kids, key=_version_order)
+
+    def child_count(self, node_id: str) -> int:
+        """How many direct successors a node has, in O(1)."""
+        return len(self._children.get(node_id, ()))
 
     def leaves(self) -> list[MetadataNode]:
         """Nodes with no successors — candidate current versions."""

@@ -100,6 +100,31 @@ class TestLookup:
         tree.add(early)
         assert [n.modified for n in tree.children(a.node_id)] == [2.0, 5.0]
 
+    def test_child_count_and_named_children(self):
+        tree = MetadataTree()
+        a = mk("f", "v1")
+        tree.merge([a, mk("g", "w1", modified=4.0),
+                    mk("f", "v2", modified=3.0, client="x"),
+                    mk("f", "v3", prev=a.node_id)])
+        assert tree.child_count(ROOT_ID) == 3
+        assert tree.child_count(a.node_id) == 1
+        assert tree.child_count("0" * 39 + "1") == 0
+        assert tree.children(ROOT_ID, name="f") == [
+            n for n in tree.children(ROOT_ID) if n.name == "f"
+        ]
+        assert len(tree.children(ROOT_ID, name="f")) == 2
+
+    def test_removals_count_only_real_removals(self):
+        tree = MetadataTree()
+        a = mk("f", "v1")
+        tree.add(a)
+        assert tree.removals == 0
+        assert not tree.remove(mk("g", "w1").node_id)
+        assert tree.removals == 0
+        assert tree.remove(a.node_id)
+        tree.add(a)
+        assert tree.removals == 1
+
     def test_leaves(self):
         tree = MetadataTree()
         a = mk("f", "v1")
