@@ -13,7 +13,7 @@ import random
 
 from repro import CSPStatus, CyrusConfig
 from repro.bench import build_environment
-from repro.csp import AvailabilitySchedule
+from repro.faults import FaultKind, FaultPlan, FaultSpec
 from repro.netsim import Link
 from repro.reliability import chunk_failure_probability
 
@@ -34,10 +34,9 @@ def main() -> None:
     # --- build a six-provider simulated cloud; one has a scheduled outage --
     links = {f"cloud-{i}": Link.symmetric(f"cloud-{i}", (10 + 2 * i) * 1e6,
                                           rtt_s=0.02) for i in range(6)}
-    env = build_environment(
-        links,
-        availability={"cloud-2": AvailabilitySchedule([(100.0, 5000.0)])},
-    )
+    outage = FaultSpec(FaultKind.OUTAGE, csp_ids=("cloud-2",),
+                       window_time=(100.0, 5000.0))
+    env = build_environment(links, faults=FaultPlan([outage]))
     client = env.new_client(config, client_id="ops-laptop")
 
     payload = random.Random(0).randbytes(3_000_000)
@@ -101,7 +100,7 @@ def chaos_demo() -> None:
     from repro.core.client import CyrusClient
     from repro.core.transfer import DirectEngine
     from repro.csp.memory import InMemoryCSP
-    from repro.faults import FaultKind, FaultPlan, FaultyProvider
+    from repro.faults import FaultyProvider
     from repro.util.clock import SimClock
 
     clock = SimClock()

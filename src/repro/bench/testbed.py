@@ -4,7 +4,9 @@
 client and seven private cloud servers on 1 Gbps ethernet, shaped with
 tc/netem to four "fast" clouds at 15 MB/s and three "slow" clouds at
 2 MB/s.  :func:`build_environment` builds an environment from arbitrary
-links (Table 2 rates, trial profiles, time-varying traces).
+links (Table 2 rates, trial profiles, time-varying traces); every
+provider is an :class:`InMemoryCSP`, wrapped in a
+:class:`repro.faults.FaultyProvider` when a fault plan is given.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ from typing import Mapping
 from repro.core.client import CyrusClient
 from repro.core.config import CyrusConfig
 from repro.core.transfer import SimulatedEngine, TransferReceiver
-from repro.csp.simulated import AvailabilitySchedule, SimulatedCSP
+from repro.csp.base import CloudProvider
+from repro.csp.memory import InMemoryCSP
+from repro.faults import FaultPlan, FaultyProvider
 from repro.netsim.link import Link
 from repro.obs import Observability
 from repro.util.clock import SimClock
@@ -33,7 +37,7 @@ class SimEnvironment:
 
     clock: SimClock
     links: dict[str, Link]
-    csps: dict[str, SimulatedCSP]
+    csps: dict[str, CloudProvider]
     engine: SimulatedEngine
     receiver: TransferReceiver = field(default_factory=TransferReceiver)
     #: Shared observability (clients created via new_client adopt it)
@@ -62,23 +66,21 @@ def build_environment(
     links: Mapping[str, Link],
     client_up: float = GIGABIT,
     client_down: float = GIGABIT,
-    availability: Mapping[str, AvailabilitySchedule] | None = None,
-    quotas: Mapping[str, float] | None = None,
+    faults: FaultPlan | None = None,
 ) -> SimEnvironment:
-    """An environment from explicit links."""
+    """An environment from explicit links.
+
+    With ``faults`` every store is wrapped in a :class:`FaultyProvider`
+    on the environment's clock (an outage, auth expiry or full quota is
+    a spec of the plan); without it the stores are bare.
+    """
     clock = SimClock()
-    availability = dict(availability or {})
-    quotas = dict(quotas or {})
-    csps = {
-        link_id: SimulatedCSP(
-            link_id,
-            link,
-            clock=clock,
-            availability=availability.get(link_id),
-            quota_bytes=quotas.get(link_id, float("inf")),
-        )
-        for link_id, link in links.items()
+    csps: dict[str, CloudProvider] = {
+        link_id: InMemoryCSP(link_id) for link_id in links
     }
+    if faults is not None:
+        csps = {link_id: FaultyProvider(store, faults, clock=clock)
+                for link_id, store in csps.items()}
     receiver = TransferReceiver()
     obs = Observability(clock=clock)
     engine = SimulatedEngine(

@@ -12,8 +12,9 @@ results with timings.  Two engines:
   Both paths share one per-op dispatch.
 * :class:`SimulatedEngine` — times every op on the flow-level network
   simulator against each provider's link, advancing a shared
-  :class:`repro.util.clock.SimClock`; data operations are applied to
-  the providers at their simulated completion instants.
+  :class:`repro.util.clock.SimClock`; each data operation is applied
+  to its provider at its simulated completion instant, with the clock
+  there, and fails if and only if the provider call fails.
 
 Every provider call of a product path is an engine op, listings too
 (``LIST`` ops from :func:`list_objects`), so health, metrics and the
@@ -447,13 +448,16 @@ class DirectEngine(TransferEngine):
 
 
 class SimulatedEngine(TransferEngine):
-    """Time ops on the flow simulator; apply data ops at completion.
+    """Time ops on the flow simulator; apply each at its completion.
 
-    The engine shares a :class:`SimClock` with the simulated providers,
-    so availability windows, token expiry, and transfer timings all see
-    one timeline.  Provider availability is checked at issue *and* at
-    completion: a CSP that goes down mid-transfer fails the op, as a
-    dropped connection would.
+    The engine shares a :class:`SimClock` with the providers and follows
+    one rule: each op is applied to its provider at its simulated
+    completion instant, with the shared clock there, and it fails if and
+    only if the provider call fails.  A fault window (a
+    :class:`repro.faults.FaultyProvider` outage, say) is therefore judged
+    when the op lands, as a dropped connection would be.  A call that
+    itself advances the clock (an injected latency) pushes back that
+    op's completion and every later one in the batch.
     """
 
     def __init__(
@@ -492,79 +496,43 @@ class SimulatedEngine(TransferEngine):
     def client_cap(self, direction: str) -> float:
         return self._sim.client_capacity(direction)
 
-    @staticmethod
-    def _is_up(provider: CloudProvider, t: float) -> bool:
-        checker = getattr(provider, "is_up", None)
-        return bool(checker(t)) if callable(checker) else True
-
     def execute(
         self,
         ops: Sequence[TransferOp],
         group_quota: Mapping[Hashable, int] | None = None,
     ) -> list[OpResult]:
-        """Run one batch; the shared clock advances to the batch's end."""
+        """Run one batch; the shared clock ends at its last completion."""
         start_time = self.clock.now()
         results: list[OpResult | None] = [None] * len(ops)
         requests: list[TransferRequest] = []
         for i, op in enumerate(ops):
-            provider = self.provider(op.csp_id)
             blocked = self._breaker_blocks(op, start_time)
             if blocked is not None:
                 results[i] = blocked
-                continue
-            if not self._is_up(provider, start_time):
-                self._record_health(
-                    op.csp_id,
-                    CSPUnavailableError(f"{op.csp_id} unavailable",
-                                        csp_id=op.csp_id),
-                )
-                results[i] = OpResult(
-                    op=op, ok=False, start=start_time, end=start_time,
-                    error=f"{op.csp_id} unavailable",
-                    error_type="CSPUnavailableError", retryable=True,
-                )
-                continue
-            if op.kind is OpKind.LIST:
+            elif op.kind is OpKind.LIST:
                 # not priced yet: applied at the batch's start, no flow
-                results[i] = self._settle(op, start_time, start_time)
-                continue
-            requests.append(
-                TransferRequest(
-                    link_id=op.csp_id,
-                    size=op.payload_size(),
-                    direction=op.kind.direction,
-                    start_at=0.0,
-                    tag=i,
-                    group=op.group,
-                )
-            )
+                results[i] = self._settle(op, start_time, None)
+            else:
+                requests.append(TransferRequest(
+                    link_id=op.csp_id, size=op.payload_size(),
+                    direction=op.kind.direction, start_at=0.0,
+                    tag=i, group=op.group,
+                ))
         transfer_results = self._sim.run(
             requests, group_quota=group_quota, start_time=start_time
         ) if requests else []
-        batch_end = start_time
-        for tr in transfer_results:
+        for tr in sorted(transfer_results,
+                         key=lambda r: (r.end, r.request.tag)):
             i = tr.request.tag
             op = ops[i]
-            provider = self.provider(op.csp_id)
-            batch_end = max(batch_end, tr.end)
             if not tr.completed:
-                results[i] = OpResult(op=op, ok=False, start=tr.start, end=tr.end,
-                                      cancelled=True, error="cancelled (quota)")
+                results[i] = OpResult(op=op, ok=False, start=tr.start,
+                                      end=tr.end, cancelled=True,
+                                      error="cancelled (quota)")
                 continue
-            if not self._is_up(provider, tr.end):
-                self._record_health(
-                    op.csp_id,
-                    CSPUnavailableError(f"{op.csp_id} went down mid-transfer",
-                                        csp_id=op.csp_id),
-                )
-                results[i] = OpResult(
-                    op=op, ok=False, start=tr.start, end=tr.end,
-                    error=f"{op.csp_id} went down mid-transfer",
-                    error_type="CSPUnavailableError", retryable=True,
-                )
-                continue
-            results[i] = self._settle(op, tr.start, tr.end)
-        self.clock.advance_to(max(batch_end, start_time))
+            if tr.end > self.clock.now():
+                self.clock.advance_to(tr.end)
+            results[i] = self._settle(op, tr.start, None)
         final = [r for r in results if r is not None]
         if len(final) != len(ops):  # pragma: no cover - internal invariant
             raise TransferError("engine lost an op result")

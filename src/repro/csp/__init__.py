@@ -3,15 +3,17 @@
 CYRUS deliberately uses only the five most basic cloud primitives —
 authenticate, list, upload, download, delete (paper Section 3.1) — so
 that any provider, down to a bare FTP server, can participate.  This
-package defines that interface and three implementations:
+package defines that interface and two implementations:
 
-* :class:`InMemoryCSP` — a dict-backed store for tests;
-* :class:`LocalDirectoryCSP` — a directory on disk (a real, persistent
-  provider usable outside simulations);
-* :class:`SimulatedCSP` — an in-memory store dressed with a network
-  link, quota, authentication, outage schedule, and the vendor
+* :class:`InMemoryCSP` — a dict-backed store with the vendor
   file-handling quirks Table 2 documents (overwrite-by-name vs
-  duplicate-on-upload).
+  duplicate-on-upload); every simulated provider is one, its link lives
+  with the transfer engine and its failures (outages, auth expiry,
+  quota exhaustion) come from :class:`repro.faults.FaultyProvider`;
+* :class:`LocalDirectoryCSP` — a directory on disk (a real, persistent
+  provider usable outside simulations).
+
+:class:`NamespacedCSP` is a per-tenant view over a shared provider.
 
 :mod:`repro.csp.catalog` reproduces the paper's Table 2: the twenty
 commercial CSPs with their protocols, auth schemes, measured RTTs and
@@ -37,7 +39,6 @@ from repro.csp.resilient import (
     HealthRegistry,
     RetryPolicy,
 )
-from repro.csp.simulated import AvailabilitySchedule, SimulatedCSP
 
 __all__ = [
     "CloudProvider",
@@ -47,8 +48,6 @@ __all__ = [
     "LocalDirectoryCSP",
     "NamespacedCSP",
     "namespace_prefix",
-    "SimulatedCSP",
-    "AvailabilitySchedule",
     "AuthToken",
     "Credentials",
     "CSPSpec",

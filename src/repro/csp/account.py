@@ -4,7 +4,7 @@ Table 2 shows CSPs using OAuth 2.0, OAuth 1.0, API keys, ID/password,
 AWS signatures, and more.  CYRUS "utilize[s] existing CSP authentication
 mechanisms ... though such procedures are not mandatory" (Section 6) and
 caches tokens so users log in once (Section 7.5).  We emulate the common
-shape of all of these — credentials in, expiring bearer token out —
+shape of all of these — credentials in, bearer token out —
 without implementing each wire protocol, since nothing above this layer
 depends on the scheme.
 """
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -27,23 +27,14 @@ class Credentials:
 
 @dataclass(frozen=True)
 class AuthToken:
-    """A bearer token with an expiry time (provider clock, seconds)."""
+    """A bearer token for one account.  It never expires on its own:
+    an expiry is injected as :class:`repro.faults.FaultKind` ``AUTH``."""
 
     token: str
     account_id: str
-    expires_at: float = field(default=float("inf"))
-
-    def valid_at(self, t: float) -> bool:
-        """Whether the token is still usable at provider time ``t``."""
-        return t < self.expires_at
 
 
-def issue_token(
-    credentials: Credentials,
-    provider_secret: str,
-    now: float = 0.0,
-    ttl: float = float("inf"),
-) -> AuthToken:
+def issue_token(credentials: Credentials, provider_secret: str) -> AuthToken:
     """Deterministically derive a token for the given credentials.
 
     HMAC of the account over a provider-side secret — deterministic so
@@ -55,5 +46,4 @@ def issue_token(
         f"{credentials.account_id}:{credentials.secret}".encode("utf-8"),
         hashlib.sha256,
     ).hexdigest()
-    return AuthToken(token=mac, account_id=credentials.account_id,
-                     expires_at=now + ttl)
+    return AuthToken(token=mac, account_id=credentials.account_id)

@@ -1,5 +1,5 @@
-"""Dict-backed provider for tests and as the storage engine of
-:class:`repro.csp.simulated.SimulatedCSP`."""
+"""Dict-backed provider: the store of every test, simulated environment
+and fleet run (faults come from :class:`repro.faults.FaultyProvider`)."""
 
 from __future__ import annotations
 

@@ -51,10 +51,9 @@ class NamespacedCSP(CloudProvider):
 
     All five primitives translate names; ``list`` both filters to the
     namespace and strips the prefix, so a client sees exactly the
-    object space it would see on a private account.  ``is_up`` (the
-    netsim availability probe) and quota errors pass through untouched
-    — tenants share the account's fate, which is the point of the
-    multi-tenant simulation.
+    object space it would see on a private account.  Errors (an outage
+    or a full quota) pass through untouched — tenants share the
+    account's fate, which is the point of the multi-tenant simulation.
     """
 
     def __init__(self, inner: CloudProvider, tenant_id: str):
@@ -92,15 +91,6 @@ class NamespacedCSP(CloudProvider):
 
     def delete(self, name: str) -> None:
         self.inner.delete(self._qualify(name))
-
-    # -- simulation passthrough -------------------------------------------
-
-    def is_up(self, t: float | None = None) -> bool:
-        """Availability probe forwarded to simulated providers."""
-        probe = getattr(self.inner, "is_up", None)
-        if probe is None:
-            return True
-        return probe(t) if t is not None else probe()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"<NamespacedCSP {self.csp_id!r} "

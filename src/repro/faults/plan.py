@@ -117,6 +117,9 @@ class FaultSpec:
             raise ValueError("flip_bits must be >= 1")
         if self.max_hits is not None and self.max_hits < 1:
             raise ValueError("max_hits must be >= 1 (or None)")
+        if self.window_time is not None and \
+                self.window_time[1] <= self.window_time[0]:
+            raise ValueError(f"empty window_time {self.window_time}")
 
     def matches(self, csp_id: str, op: str, name: str,
                 op_no: int, now: float) -> bool:

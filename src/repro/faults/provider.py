@@ -181,11 +181,3 @@ class FaultyProvider(CloudProvider):
         with self._lock:
             self.calls_reaching_inner += 1
         self.inner.delete(name)
-
-    # -- passthroughs -----------------------------------------------------
-
-    def is_up(self, t: float | None = None) -> bool:
-        checker = getattr(self.inner, "is_up", None)
-        if callable(checker):
-            return bool(checker(t))
-        return True

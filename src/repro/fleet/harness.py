@@ -2,9 +2,9 @@
 
 Runs N tenants — each a full :class:`repro.core.CyrusClient` with its
 own key, chunk pipeline and metadata plane — against *shared*
-infrastructure: one :class:`SimClock`, one set of CSP accounts (plain
-in-memory stores or netsim-linked :class:`SimulatedCSP`), and the same
-consistent-hash rings.  Per layer:
+infrastructure: one :class:`SimClock`, one set of CSP accounts (in-memory
+stores, behind netsim links or none), and the same consistent-hash
+rings.  Per layer:
 
 * **providers** — every tenant sees the shared accounts through
   :class:`repro.csp.NamespacedCSP`, so object spaces are disjoint by
@@ -34,14 +34,12 @@ from dataclasses import dataclass, field
 from repro.core.client import CyrusClient
 from repro.core.config import CyrusConfig
 from repro.core.transfer import DirectEngine, SimulatedEngine
-from repro.csp.base import CloudProvider
 from repro.csp.memory import InMemoryCSP
 from repro.csp.namespaced import (
     NamespacedCSP,
     namespace_prefix,
     owning_prefix,
 )
-from repro.csp.simulated import SimulatedCSP
 from repro.errors import CyrusError
 from repro.fleet.quota import FleetQuota
 from repro.fleet.report import FLEET_SCHEMA
@@ -154,18 +152,16 @@ class FleetHarness:
         self.topology = topology
         self.seed = seed
         self.clock = SimClock()
-        self.raw_csps: dict[str, CloudProvider] = {}
+        self.raw_csps: dict[str, InMemoryCSP] = {
+            csp_id: InMemoryCSP(csp_id) for csp_id in topology.csp_ids()
+        }
         self.links: dict[str, Link] = {}
         if topology.engine == "netsim":
-            for csp_id in topology.csp_ids():
-                link = Link.symmetric(csp_id, topology.link_rate,
-                                      rtt_s=topology.rtt_s)
-                self.links[csp_id] = link
-                self.raw_csps[csp_id] = SimulatedCSP(csp_id, link,
-                                                     clock=self.clock)
-        else:
-            for csp_id in topology.csp_ids():
-                self.raw_csps[csp_id] = InMemoryCSP(csp_id)
+            self.links = {
+                csp_id: Link.symmetric(csp_id, topology.link_rate,
+                                       rtt_s=topology.rtt_s)
+                for csp_id in topology.csp_ids()
+            }
 
     # -- per-tenant construction ------------------------------------------
 

@@ -1,8 +1,6 @@
 """Unit tests for the bench package (testbed, harness, reporting,
 realworld profile)."""
 
-import math
-
 import pytest
 
 from repro.bench import (
@@ -14,6 +12,9 @@ from repro.bench.harness import DurationSummary, throughputs
 from repro.bench.realworld import REALWORLD_DOWN_RATES, realworld_links
 from repro.bench.reporting import fmt_mb, fmt_mbps, fmt_seconds, render_table
 from repro.core.config import CyrusConfig
+from repro.csp import InMemoryCSP
+from repro.errors import CSPQuotaExceededError, CSPUnavailableError
+from repro.faults import FaultKind, FaultPlan, FaultSpec
 from repro.netsim import Link
 from tests.conftest import SMALL_CHUNKS, deterministic_bytes
 
@@ -30,9 +31,11 @@ class TestTestbed:
 
     def test_environment_shares_one_clock(self):
         env = build_paper_testbed()
-        for csp in env.csps.values():
-            assert csp.clock is env.clock
         assert env.engine.clock is env.clock
+        plan = FaultPlan([FaultSpec(FaultKind.LATENCY, delay_s=1.0)])
+        env = build_environment({"a": Link.symmetric("a", 1e6)},
+                                faults=plan)
+        assert env.csps["a"].clock is env.engine.clock is env.clock
 
     def test_new_client_functional(self):
         env = build_paper_testbed()
@@ -44,16 +47,25 @@ class TestTestbed:
         assert client.get("f.bin").data == data
 
     def test_quotas_and_availability_wired(self):
-        from repro.csp import AvailabilitySchedule
+        links = {"a": Link.symmetric("a", 1e6), "b": Link.symmetric("b", 1e6)}
+        plan = FaultPlan([
+            FaultSpec(FaultKind.QUOTA, csp_ids=("a",), window_ops=(1, None)),
+            FaultSpec(FaultKind.OUTAGE, csp_ids=("b",),
+                      window_time=(1.0, 2.0)),
+        ])
+        env = build_environment(links, faults=plan)
+        a, b = env.csps["a"], env.csps["b"]
+        a.upload("x", b"1")
+        with pytest.raises(CSPQuotaExceededError):
+            a.upload("y", b"2")
+        env.clock.advance_to(1.5)
+        with pytest.raises(CSPUnavailableError):
+            b.list()
+        assert a.inner.stored_bytes == 1
 
-        links = {"a": Link.symmetric("a", 1e6)}
-        env = build_environment(
-            links,
-            quotas={"a": 123},
-            availability={"a": AvailabilitySchedule([(1.0, 2.0)])},
-        )
-        assert env.csps["a"].quota_bytes == 123
-        assert not env.csps["a"].is_up(1.5)
+    def test_no_plan_leaves_the_stores_bare(self):
+        env = build_paper_testbed()
+        assert all(type(csp) is InMemoryCSP for csp in env.csps.values())
 
 
 class TestHarness:

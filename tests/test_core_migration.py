@@ -1,7 +1,5 @@
 """Unit tests for share and metadata migration (Section 5.5, Figure 9)."""
 
-import pytest
-
 from repro.core.cloud import CSPStatus
 from repro.csp import InMemoryCSP
 from repro.redundancy.reconcile import (
@@ -128,14 +126,13 @@ class TestFailureProbing:
 
     def test_probe_skips_still_down_csp(self, config):
         from repro.bench import build_environment
-        from repro.csp import AvailabilitySchedule
+        from repro.faults import FaultKind, FaultPlan, FaultSpec
         from repro.netsim import Link
 
         links = {f"c{i}": Link.symmetric(f"c{i}", 1e6) for i in range(4)}
-        env = build_environment(
-            links,
-            availability={"c0": AvailabilitySchedule([(0.0, 100.0)])},
-        )
+        outage = FaultSpec(FaultKind.OUTAGE, csp_ids=("c0",),
+                           window_time=(0.0, 100.0))
+        env = build_environment(links, faults=FaultPlan([outage]))
         client = env.new_client(config)
         client.cloud.mark_failed("c0")
         assert client.probe_failed_csps() == []  # still in its outage

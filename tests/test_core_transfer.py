@@ -9,8 +9,9 @@ from repro.core.transfer import (
     TransferOp,
     TransferReceiver,
 )
-from repro.csp import AvailabilitySchedule, InMemoryCSP, SimulatedCSP
+from repro.csp import InMemoryCSP
 from repro.errors import TransferError
+from repro.faults import FaultKind, FaultPlan, FaultSpec, FaultyProvider
 from repro.netsim import Link
 from repro.util.clock import SimClock
 
@@ -69,19 +70,22 @@ class TestDirectEngine:
         assert engine.link_caps("down") == {"c0": 1.0, "c1": 1.0}
 
 
+def on_c0(kind, **kwargs):
+    """A one-spec plan aimed at provider c0."""
+    return FaultPlan([FaultSpec(kind, csp_ids=("c0",), **kwargs)])
+
+
 class TestSimulatedEngine:
-    def engine(self, rates=(2e6, 2e6), rtt=0.0, schedules=None, **kwargs):
+    def engine(self, rates=(2e6, 2e6), rtt=0.0, faults=None, **kwargs):
         clock = SimClock()
         links = {
             f"c{i}": Link.symmetric(f"c{i}", rate, rtt_s=rtt)
             for i, rate in enumerate(rates)
         }
-        schedules = schedules or {}
-        providers = {
-            cid: SimulatedCSP(cid, link, clock=clock,
-                              availability=schedules.get(cid))
-            for cid, link in links.items()
-        }
+        providers = {cid: InMemoryCSP(cid) for cid in links}
+        if faults is not None:
+            providers = {cid: FaultyProvider(store, faults, clock=clock)
+                         for cid, store in providers.items()}
         return SimulatedEngine(providers, links, clock, **kwargs), clock
 
     def test_timing(self):
@@ -112,24 +116,73 @@ class TestSimulatedEngine:
         assert res.ok and res.data == b"z" * 500
 
     def test_down_provider_fails_fast(self):
-        engine, _ = self.engine(
-            schedules={"c0": AvailabilitySchedule([(0.0, 100.0)])}
-        )
+        # issued inside the outage: the flow runs, the op fails on landing
+        engine, clock = self.engine(
+            faults=on_c0(FaultKind.OUTAGE, window_time=(0.0, 100.0)))
         res = engine.execute(
-            [TransferOp(OpKind.PUT, "c0", "o", data=b"x")]
+            [TransferOp(OpKind.PUT, "c0", "o", data=b"x" * 2_000)]
         )[0]
-        assert not res.ok and "unavailable" in res.error
+        assert not res.ok
+        assert res.error_type == "CSPUnavailableError" and res.retryable
+        assert res.end == pytest.approx(0.001) == clock.now()
 
     def test_mid_transfer_outage_fails_op(self):
         # provider up at issue, down by completion time
-        engine, _ = self.engine(
+        engine, clock = self.engine(
             rates=(1e6,),
-            schedules={"c0": AvailabilitySchedule([(1.0, 100.0)])},
+            faults=on_c0(FaultKind.OUTAGE, window_time=(1.0, 100.0)),
         )
         res = engine.execute(
             [TransferOp(OpKind.PUT, "c0", "o", data=b"x" * 3_000_000)]
         )[0]
-        assert not res.ok and "mid-transfer" in res.error
+        assert not res.ok
+        assert res.error_type == "CSPUnavailableError" and res.retryable
+        assert res.end == pytest.approx(3.0) == clock.now()
+
+    def test_outage_that_ends_before_completion_lets_the_op_land(self):
+        # down at issue, back up by completion time
+        engine, _ = self.engine(
+            rates=(1e6,),
+            faults=on_c0(FaultKind.OUTAGE, window_time=(0.0, 1.0)),
+        )
+        res = engine.execute(
+            [TransferOp(OpKind.PUT, "c0", "o", data=b"x" * 3_000_000)]
+        )[0]
+        assert res.ok and res.end == pytest.approx(3.0)
+        assert engine.provider("c0").inner.download("o") == b"x" * 3_000_000
+
+    def test_ops_are_applied_in_completion_order_on_the_clock(self):
+        engine, clock = self.engine(rates=(1e6, 4e6))
+        landed = []
+
+        class Stamped(InMemoryCSP):
+            def upload(self, name, data):
+                landed.append((name, clock.now()))
+                super().upload(name, data)
+
+        for cid in ("c0", "c1"):
+            engine.register_provider(Stamped(cid))
+        engine.execute([
+            TransferOp(OpKind.PUT, "c0", "slow", data=b"x" * 1_000_000),
+            TransferOp(OpKind.PUT, "c1", "fast", data=b"y" * 1_000_000),
+        ])
+        assert landed == [("fast", pytest.approx(0.25)),
+                          ("slow", pytest.approx(1.0))]
+
+    def test_injected_latency_pushes_back_later_completions(self):
+        engine, clock = self.engine(
+            faults=on_c0(FaultKind.LATENCY, delay_s=5.0))
+        quick, slow = engine.execute([
+            TransferOp(OpKind.PUT, "c0", "a", data=b"x" * 2_000),
+            TransferOp(OpKind.PUT, "c1", "b", data=b"y" * 1_000_000),
+        ])
+        assert quick.ok and slow.ok
+        assert quick.end == pytest.approx(5.001)
+        assert slow.end == pytest.approx(5.001)  # landed after the delay
+        assert clock.now() == pytest.approx(5.001)
+        listing = engine.execute([TransferOp(OpKind.LIST, "c0", "")])[0]
+        assert listing.ok and [i.name for i in listing.listing] == ["a"]
+        assert listing.end == pytest.approx(10.001) == clock.now()
 
     def test_client_cap_respected(self):
         engine, clock = self.engine(rates=(10e6, 10e6), client_up=10e6)

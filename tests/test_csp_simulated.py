@@ -1,75 +1,71 @@
-"""Unit tests for the simulated CSP: quota, auth, outages."""
+"""Unit tests for a simulated provider's failures: quota, auth, outages.
+
+A simulated provider is an :class:`InMemoryCSP`; every failure it shows
+is a :class:`FaultSpec` applied by a :class:`FaultyProvider` on a shared
+:class:`SimClock`.
+"""
 
 import pytest
 
-from repro.csp import AvailabilitySchedule, Credentials, SimulatedCSP
+from repro.csp import Credentials, InMemoryCSP
 from repro.errors import (
     CSPAuthError,
     CSPQuotaExceededError,
     CSPUnavailableError,
     ObjectNotFoundError,
 )
-from repro.netsim import Link
+from repro.faults import FaultKind, FaultPlan, FaultSpec, FaultyProvider
 from repro.util.clock import SimClock
 
+FOREVER = float("inf")
 
-def make_csp(**kwargs):
-    clock = kwargs.pop("clock", SimClock())
-    return SimulatedCSP(
-        "sim", Link.symmetric("sim", 1e6), clock=clock, **kwargs
-    ), clock
+
+def make_csp(*specs, overwrite=True):
+    clock = SimClock()
+    store = InMemoryCSP("sim", overwrite=overwrite)
+    return FaultyProvider(store, FaultPlan(specs), clock=clock), clock
 
 
 class TestQuota:
     def test_enforced(self):
-        csp, _ = make_csp(quota_bytes=10)
+        # the account fills up after its first upload
+        csp, _ = make_csp(FaultSpec(FaultKind.QUOTA, window_ops=(1, None)))
         csp.upload("a", b"12345")
         with pytest.raises(CSPQuotaExceededError):
             csp.upload("b", b"123456")
+        assert csp.download("a") == b"12345"  # reads are unaffected
 
     def test_replacement_frees_space(self):
-        csp, _ = make_csp(quota_bytes=10)
+        csp, _ = make_csp()
         csp.upload("a", b"1234567890")
-        csp.upload("a", b"abcdefghij")  # same name: replaces, fits
+        csp.upload("a", b"abcdefghij")  # same name: replaces
         assert csp.download("a") == b"abcdefghij"
-
-    def test_overwrite_at_the_limit_and_the_figures_it_reports(self):
-        csp, _ = make_csp(quota_bytes=10)
-        csp.upload("a", b"123456")
-        csp.upload("b", b"12")
-        csp.upload("a", b"12345678")  # 8 - 6 + 8 = 10: exactly fits
-        assert csp.stored_bytes == 10
-        with pytest.raises(CSPQuotaExceededError) as caught:
-            csp.upload("a", b"123456789")  # 10 - 8 + 9 = 11: one over
-        # the message names the total that was compared, not 10 + 9
-        assert "(11 > 10)" in str(caught.value)
-        assert csp.download("a") == b"12345678"
+        assert csp.inner.stored_bytes == 10
 
     def test_revisions_all_count_against_the_quota(self):
-        csp, _ = make_csp(quota_bytes=10, overwrite=False)
+        csp, _ = make_csp(overwrite=False)
         csp.upload("a", b"123456")
-        with pytest.raises(CSPQuotaExceededError) as caught:
-            csp.upload("a", b"12345")  # a new revision replaces nothing
-        assert "(11 > 10)" in str(caught.value)
+        csp.upload("a", b"12345")  # a new revision replaces nothing
+        assert csp.inner.stored_bytes == 11
 
     def test_delete_frees_space(self):
-        csp, _ = make_csp(quota_bytes=10)
+        csp, _ = make_csp()
         csp.upload("a", b"1234567890")
         csp.delete("a")
-        csp.upload("b", b"0987654321")
+        assert csp.inner.stored_bytes == 0
 
     def test_stored_bytes(self):
         csp, _ = make_csp()
         csp.upload("a", b"123")
         csp.upload("b", b"4567")
-        assert csp.stored_bytes == 7
-        assert csp.object_count == 2
+        assert csp.inner.stored_bytes == 7
+        assert csp.inner.object_count == 2
 
 
 class TestOutages:
     def test_down_interval(self):
-        sched = AvailabilitySchedule([(5.0, 10.0)])
-        csp, clock = make_csp(availability=sched)
+        csp, clock = make_csp(
+            FaultSpec(FaultKind.OUTAGE, window_time=(5.0, 10.0)))
         csp.upload("o", b"x")
         clock.advance(6)
         with pytest.raises(CSPUnavailableError):
@@ -78,8 +74,8 @@ class TestOutages:
         assert csp.download("o") == b"x"
 
     def test_all_operations_blocked_when_down(self):
-        sched = AvailabilitySchedule([(0.0, 10.0)])
-        csp, _ = make_csp(availability=sched)
+        csp, _ = make_csp(
+            FaultSpec(FaultKind.OUTAGE, window_time=(0.0, 10.0)))
         for op in (
             lambda: csp.upload("o", b"x"),
             lambda: csp.download("o"),
@@ -89,29 +85,36 @@ class TestOutages:
         ):
             with pytest.raises(CSPUnavailableError):
                 op()
+        assert csp.calls_reaching_inner == 0
 
     def test_is_up(self):
-        sched = AvailabilitySchedule([(5.0, 10.0)])
-        csp, _ = make_csp(availability=sched)
-        assert csp.is_up(0)
-        assert not csp.is_up(7)
-        assert csp.is_up(10)
+        # reachability is what a call sees; the window is half-open
+        csp, clock = make_csp(
+            FaultSpec(FaultKind.OUTAGE, window_time=(5.0, 10.0)))
+        assert csp.list() == []
+        clock.advance_to(7)
+        with pytest.raises(CSPUnavailableError):
+            csp.list()
+        clock.advance_to(10)
+        assert csp.list() == []
 
 
 class TestAuth:
     def test_required(self):
-        csp, _ = make_csp(require_auth=True)
+        csp, _ = make_csp(FaultSpec(FaultKind.AUTH))
         with pytest.raises(CSPAuthError):
             csp.list()
 
     def test_token_grants_access(self):
-        csp, _ = make_csp(require_auth=True)
-        csp.authenticate(Credentials("user", "pw"))
+        csp, _ = make_csp()
+        token = csp.authenticate(Credentials("user", "pw"))
+        assert token.account_id == "user"
         csp.upload("o", b"x")
         assert csp.download("o") == b"x"
 
     def test_token_expiry(self):
-        csp, clock = make_csp(require_auth=True, token_ttl=100.0)
+        csp, clock = make_csp(
+            FaultSpec(FaultKind.AUTH, window_time=(100.0, FOREVER)))
         csp.authenticate(Credentials("user", "pw"))
         csp.upload("o", b"x")
         clock.advance(101)
@@ -119,50 +122,33 @@ class TestAuth:
             csp.download("o")
 
     def test_reauth_after_expiry(self):
-        csp, clock = make_csp(require_auth=True, token_ttl=100.0)
+        csp, clock = make_csp(
+            FaultSpec(FaultKind.AUTH, window_time=(100.0, 200.0)))
         csp.authenticate(Credentials("user", "pw"))
-        clock.advance(200)
+        clock.advance(150)
+        with pytest.raises(CSPAuthError):
+            csp.authenticate(Credentials("user", "pw"))
+        clock.advance(50)
         csp.authenticate(Credentials("user", "pw"))
         csp.list()
 
 
 class TestAvailabilitySchedule:
-    def test_always_up(self):
-        sched = AvailabilitySchedule.always_up()
-        assert sched.is_up(0) and sched.is_up(1e12)
+    """What an outage schedule said, as fault-spec time windows."""
 
-    def test_overlap_rejected(self):
-        with pytest.raises(ValueError):
-            AvailabilitySchedule([(0, 10), (5, 15)])
+    def test_always_up(self):
+        csp, clock = make_csp()
+        csp.list()
+        clock.advance_to(1e12)
+        csp.list()
 
     def test_empty_interval_rejected(self):
         with pytest.raises(ValueError):
-            AvailabilitySchedule([(5, 5)])
-
-    def test_downtime_accounting(self):
-        sched = AvailabilitySchedule([(10, 20), (30, 35)])
-        assert sched.downtime(0, 100) == 15
-        assert sched.downtime(15, 32) == 7
-
-    def test_next_up(self):
-        sched = AvailabilitySchedule([(10, 20)])
-        assert sched.next_up(5) == 5
-        assert sched.next_up(15) == 20
-
-    def test_from_annual_downtime_total(self):
-        year = 365 * 24 * 3600.0
-        sched = AvailabilitySchedule.from_annual_downtime(
-            10.0, horizon_s=year, seed=7
-        )
-        assert sched.downtime(0, year) / 3600 == pytest.approx(10.0, rel=0.2)
-
-    def test_zero_downtime(self):
-        sched = AvailabilitySchedule.from_annual_downtime(0.0, horizon_s=1000)
-        assert sched.is_up(500)
+            FaultSpec(FaultKind.OUTAGE, window_time=(5.0, 5.0))
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            AvailabilitySchedule.from_annual_downtime(-1, horizon_s=100)
+            FaultSpec(FaultKind.OUTAGE, window_time=(10.0, 5.0))
 
 
 class TestMissingObjects:

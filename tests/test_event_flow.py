@@ -103,9 +103,9 @@ class TestDownloadEvents:
         receiver.expect_chunk(cid, shares_needed=2)
         # wipe the shares everywhere: GETs fail, completion never fires
         for csp in env.csps.values():
-            for info in list(csp._store.list()):
+            for info in list(csp.list()):
                 if not info.name.startswith("md-"):
-                    csp._store.delete(info.name)
+                    csp.delete(info.name)
         try:
             client.get("f.bin", sync_first=False)
         except Exception:
@@ -192,7 +192,7 @@ class TestSpanTraces:
         client.get("a.bin", sync_first=False)
         snap = env.obs.snapshot()
         for csp_id, csp in env.csps.items():
-            stored = sum(info.size for info in csp._store.list())
+            stored = csp.stored_bytes
             uploaded = snap.counter_total(
                 "cyrus_transfer_bytes_total", csp=csp_id, direction="up"
             )

@@ -1,10 +1,8 @@
 """Integration tests on the simulated network: timing and failures."""
 
-import pytest
-
 from repro.bench import build_environment, build_paper_testbed
 from repro.core.config import CyrusConfig
-from repro.csp.simulated import AvailabilitySchedule
+from repro.faults import FaultKind, FaultPlan, FaultSpec
 from repro.netsim import Link
 from tests.conftest import SMALL_CHUNKS, deterministic_bytes
 
@@ -63,10 +61,9 @@ class TestOutageInjection:
             links[f"fast{i}"] = Link.symmetric(f"fast{i}", 15e6)
         for i in range(3):
             links[f"slow{i}"] = Link.symmetric(f"slow{i}", 2e6)
-        return build_environment(
-            links,
-            availability={outage_csp: AvailabilitySchedule([window])},
-        )
+        outage = FaultSpec(FaultKind.OUTAGE, csp_ids=(outage_csp,),
+                           window_time=window)
+        return build_environment(links, faults=FaultPlan([outage]))
 
     def test_upload_routes_around_down_csp(self):
         env = self.make_env()
@@ -103,7 +100,10 @@ class TestOutageInjection:
 class TestQuotaPressure:
     def test_quota_exhaustion_fails_over(self):
         links = {f"c{i}": Link.symmetric(f"c{i}", 10e6) for i in range(5)}
-        env = build_environment(links, quotas={"c0": 50_000})
+        # c0's account fills up a few puts in
+        full = FaultSpec(FaultKind.QUOTA, csp_ids=("c0",),
+                         window_ops=(20, None))
+        env = build_environment(links, faults=FaultPlan([full]))
         client = env.new_client(CFG.with_params(**SMALL_CHUNKS))
         # keep uploading; once c0 fills, shares must land elsewhere and
         # every file must stay readable
@@ -113,6 +113,8 @@ class TestQuotaPressure:
             assert client.get(f"f{i}.bin").data == (
                 deterministic_bytes(30_000, 30 + i)
             )
+        assert env.csps["c0"].injected_faults[FaultKind.QUOTA] > 0
+        assert client.cloud.is_write_full("c0")
 
     def test_consistent_hashing_balances_storage(self):
         links = {f"c{i}": Link.symmetric(f"c{i}", 10e6) for i in range(4)}

@@ -1,9 +1,15 @@
-"""No product code lists a provider behind the engine's back.
+"""No product code lists a provider behind the engine's back, and no
+code asks a provider anything beyond the five primitives.
 
 Every listing a client makes is a ``LIST`` engine op
 (:func:`repro.core.transfer.list_objects`), so breakers, health,
 metrics and netsim see it.  This walk over ``src/repro`` fails on any
 ``.list(`` call outside the places that may call a provider directly.
+
+A provider is up exactly when its primitive calls succeed: a second
+walk fails on any ``is_up`` in ``src/repro`` (a definition, an
+attribute access or a ``getattr`` string), the side question the
+simulated engine once probed.
 """
 
 from __future__ import annotations
@@ -80,3 +86,41 @@ def test_the_walk_finds_a_direct_listing():
         "core/sync.py:2", "core/sync.py:4"]
     assert bypasses("fleet/harness.py", source) == ["fleet/harness.py:2"]
     assert bypasses("csp/memory.py", source) == []
+
+
+def is_up_uses(source: str) -> list[int]:
+    """Lines that define, access or name ``is_up``."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name == "is_up")
+        or (isinstance(node, ast.Attribute) and node.attr == "is_up")
+        or (isinstance(node, ast.Constant) and node.value == "is_up")
+    )
+
+
+def test_no_provider_question_beyond_the_five_primitives():
+    offenders = [
+        f"{path.relative_to(SRC).as_posix()}:{line}"
+        for path in sorted(SRC.rglob("*.py"))
+        for line in is_up_uses(path.read_text(encoding="utf-8"))
+    ]
+    assert offenders == [], (
+        "a provider is up when its primitive calls succeed; script "
+        "outages with repro.faults: " + ", ".join(offenders))
+
+
+def test_the_walk_finds_every_is_up():
+    source = (
+        "class P:\n"
+        "    def is_up(self, t):\n"
+        "        return True\n"
+        "def probe(p, t):\n"
+        "    return p.is_up(t)\n"
+        "def duck(p):\n"
+        "    return getattr(p, 'is_up', None)\n"
+        "def fine(schedule):\n"
+        "    return schedule.is_upper\n"
+    )
+    assert is_up_uses(source) == [2, 5, 7]

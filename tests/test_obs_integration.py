@@ -103,7 +103,7 @@ class TestSimulatedAcceptance:
         env, _client = self._run()
         snap = env.obs.snapshot()
         for csp_id, csp in env.csps.items():
-            stored = sum(info.size for info in csp._store.list())
+            stored = csp.stored_bytes
             uploaded = snap.counter_total(
                 "cyrus_transfer_bytes_total", csp=csp_id, direction="up"
             )

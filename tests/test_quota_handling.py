@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.client import CyrusClient
 from repro.core.cloud import CSPStatus, CyrusCloud
 from repro.csp import InMemoryCSP
 from repro.errors import SelectionError
@@ -43,27 +42,18 @@ class TestWriteFullState:
 
 
 class TestQuotaEndToEnd:
-    def make_client(self, config, quota_csp_bytes=6_000):
-        from repro.csp.simulated import SimulatedCSP
+    def make_client(self, config, full_after_ops=8):
+        """Four CSPs; c0's account fills up at its ``full_after_ops``-th
+        operation (a couple of puts in)."""
+        from repro.bench import build_environment
+        from repro.faults import FaultKind, FaultPlan, FaultSpec
         from repro.netsim import Link
-        from repro.util.clock import SimClock
 
-        clock = SimClock()
-        csps = []
-        for i in range(4):
-            quota = quota_csp_bytes if i == 0 else float("inf")
-            csps.append(
-                SimulatedCSP(f"c{i}", Link.symmetric(f"c{i}", 1e9),
-                             clock=clock, quota_bytes=quota)
-            )
-        from repro.core.transfer import SimulatedEngine
-
-        engine = SimulatedEngine(
-            {c.csp_id: c for c in csps},
-            {c.csp_id: c.link for c in csps}, clock,
-        )
-        return CyrusClient.create(csps, config, client_id="q",
-                                  engine=engine), csps
+        links = {f"c{i}": Link.symmetric(f"c{i}", 1e9) for i in range(4)}
+        full = FaultSpec(FaultKind.QUOTA, csp_ids=("c0",),
+                         window_ops=(full_after_ops, None))
+        env = build_environment(links, faults=FaultPlan([full]))
+        return env.new_client(config, client_id="q"), env.csps
 
     def test_full_csp_marked_write_full_not_failed(self, config):
         client, csps = self.make_client(config)
@@ -76,7 +66,8 @@ class TestQuotaEndToEnd:
     def test_old_files_still_readable_from_full_csp(self, config):
         client, csps = self.make_client(config)
         early = deterministic_bytes(2_000, 0)
-        client.put("early.bin", early)
+        stored = client.put("early.bin", early).node
+        assert "c0" in {s.csp_id for s in stored.shares}
         for i in range(10):
             client.put(f"fill{i}.bin", deterministic_bytes(2_000, 10 + i))
         # c0 is full; shares stored there earlier must stay usable
