@@ -41,8 +41,7 @@ from repro.metadata import (
     MetadataTree,
     ShareRecord,
 )
-from repro.metadata.codec import encode_node
-from repro.metadata.node import ROOT_ID
+from repro.metadata.node import ROOT_ID, node_id_of
 from repro.obs import span_if
 from repro.util.hashing import HashLane, LaneJob, file_id_of, sha1_hex
 
@@ -207,8 +206,11 @@ class Uploader:
                     obs.metrics.inc("cyrus_chunks_new_total", len(plans))
                     obs.metrics.inc("cyrus_chunks_dedup_total", dedup_count)
                 # journal the intent (planned share objects = the rollback
-                # set) before any provider is touched
-                intent_id = self._journal_begin("put", name, file_id, plans)
+                # set, and the node id recovery asks the slots about)
+                # before any provider is touched
+                node_id = node_id_of(file_id, prev_id, name, client_id)
+                intent_id = self._journal_begin("put", name, file_id, plans,
+                                                node_id)
                 with span_if(obs, "scatter", chunks=len(plans)):
                     share_results, degraded = self._scatter(plans, intent_id)
                 # degraded writes become durable redundancy debts *inside*
@@ -235,18 +237,10 @@ class Uploader:
                     client_id=client_id, modified=modified, size=len(data),
                     chunks=chunks, plans=plans,
                 )
-                if intent_id is not None:
-                    # the roll-forward payload: shares are all durable now,
-                    # so a crash past this point finishes the publish
-                    self.journal.record(
-                        intent_id, "meta-intent",
-                        node=encode_node(node).decode("utf-8"),
-                    )
+                # the id ``begin`` journaled, from the same four fields
+                node.__dict__["node_id"] = node_id
                 with span_if(obs, "publish_meta"):
                     meta_results = self._publish(node)
-                if intent_id is not None:
-                    self.journal.record(intent_id, "meta-published",
-                                        node_id=node.node_id)
         self.tree.add(node)
         self.chunk_table.record_node(node)
         if intent_id is not None:
@@ -272,8 +266,9 @@ class Uploader:
     # ------------------------------------------------------------------
 
     def _journal_begin(self, op: str, name: str, file_id: str,
-                       plans: list[_ChunkPlan]) -> str | None:
-        """Open a journal intent naming every planned share object."""
+                       plans: list[_ChunkPlan], node_id: str) -> str | None:
+        """Open a journal intent naming every planned share object and
+        the node the operation will publish."""
         if self.journal is None:
             return None
         placements = [
@@ -283,7 +278,8 @@ class Uploader:
             for index, csp in sorted(plan.placements.items())
         ]
         return self.journal.begin(
-            op, name=name, file_id=file_id, placements=placements,
+            op, name=name, file_id=file_id, node_id=node_id,
+            placements=placements,
         )
 
     def _plan_chunks(
@@ -371,11 +367,6 @@ class Uploader:
         def on_success(key, csp: str, result: OpResult) -> None:
             cid, idx = key
             succeeded[cid].add(idx)
-            if intent_id is not None:
-                self.journal.record(
-                    intent_id, "share-uploaded", chunk=cid, index=idx,
-                    csp=csp, object=chunk_share_object_name(idx, cid),
-                )
 
         def on_giveup(key, csp: str, result: OpResult) -> None:
             if result.quota_exceeded:
@@ -613,21 +604,11 @@ class Uploader:
             chunks=head.chunks,
             shares=head.shares,
         )
-        intent_id = None
-        if self.journal is not None:
-            # tombstones create no shares, so the intent is pure
-            # metadata: roll forward from meta-intent, or nothing to undo
-            intent_id = self.journal.begin(
-                "delete", name=name, file_id=head.file_id, placements=[],
-            )
-            self.journal.record(
-                intent_id, "meta-intent",
-                node=encode_node(node).decode("utf-8"),
-            )
+        # tombstones create no shares: recovery acknowledges the node
+        # or deletes its copies, nothing else to undo
+        intent_id = self._journal_begin("delete", name, head.file_id, [],
+                                        node.node_id)
         meta_results = self._publish(node)
-        if intent_id is not None:
-            self.journal.record(intent_id, "meta-published",
-                                node_id=node.node_id)
         self.tree.add(node)
         if intent_id is not None:
             self.journal.commit(intent_id)

@@ -22,6 +22,15 @@ from repro.util.serialization import canonical_dumps
 ROOT_ID = "0" * 40
 
 
+def node_id_of(file_id: str, prev_id: str, name: str, client_id: str) -> str:
+    """A node's identity: SHA-1 over (file_id, prev_id, name, client_id).
+
+    All four are known before a put scatters, so its journal ``begin``
+    names the node it will publish.
+    """
+    return sha1_hex(canonical_dumps([file_id, prev_id, name, client_id]))
+
+
 @dataclass(frozen=True)
 class ChunkRecord:
     """ChunkMap row: one chunk of the file version.
@@ -101,17 +110,15 @@ class MetadataNode:
 
     @cached_property
     def node_id(self) -> str:
-        """Identity: SHA-1 over (file_id, prev_id, name, client_id).
+        """Identity: :func:`node_id_of` over the lineage fields.
 
         Hashed once per node object: the cache lives in the instance
         ``__dict__``, which the frozen dataclass's equality, hash and
-        ``dataclasses.replace`` never look at.
+        ``dataclasses.replace`` never look at (the uploader seeds it
+        there with the id its journal ``begin`` already hashed).
         """
-        return sha1_hex(
-            canonical_dumps(
-                [self.file_id, self.prev_id, self.name, self.client_id]
-            )
-        )
+        return node_id_of(self.file_id, self.prev_id, self.name,
+                          self.client_id)
 
     @property
     def is_new_file(self) -> bool:

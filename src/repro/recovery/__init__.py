@@ -7,10 +7,10 @@ paper Section 5 leaves to lazy repair:
   mutating operation's *intent* (which share objects it will create,
   which metadata node it will publish), appended before the providers
   are touched;
-* :func:`recover_client` — startup replay that rolls each incomplete
-  intent forward (metadata in hand → finish the publish) or back
-  (scatter half-done → delete the recorded orphan shares), returning a
-  :class:`RecoveryReport`;
+* :func:`recover_client` — startup replay that acknowledges each
+  incomplete intent whose node was published or rolls it back (node at
+  fewer than t slots → delete its copies and the recorded orphan
+  shares), returning a :class:`RecoveryReport`;
 * :func:`run_scrub` / :class:`Scrubber` — a budget-limited
   anti-entropy pass over the global chunk table that verifies share
   existence and integrity and eagerly regenerates what lazy migration
@@ -20,8 +20,6 @@ paper Section 5 leaves to lazy repair:
 from repro.recovery.journal import (
     BEGIN,
     COMMIT,
-    META_INTENT,
-    META_PUBLISHED,
     SHARE_INTENT,
     SHARE_UPLOADED,
     STAGES,
@@ -47,8 +45,6 @@ from repro.recovery.scrub import (
 __all__ = [
     "BEGIN",
     "COMMIT",
-    "META_INTENT",
-    "META_PUBLISHED",
     "SHARE_INTENT",
     "SHARE_UPLOADED",
     "STAGES",

@@ -5,35 +5,33 @@ A CYRUS ``put`` is only durable once its metadata node is visible at
 shares — is invisible garbage if the client process dies mid-flight.
 The journal closes that window with DepSky-style commit discipline made
 explicit: before touching any provider, the client appends a ``begin``
-record naming every share object it *intends* to create, then appends
-progress records as the pipeline advances, and finally a ``commit``
-record once local state reflects the published node.  On restart,
-:mod:`repro.recovery.recover` replays any intent without a ``commit``.
+record naming every share object it *intends* to create and the id of
+the node it will publish, then a ``commit`` record once local state
+reflects the published node.  On restart, :mod:`repro.recovery.recover`
+replays any intent without a ``commit``, asking the metadata slots
+whether its node was published.
 
-Record stages, in pipeline order.  Group commit
-(:class:`repro.util.appendlog.AppendLog`): every record reaches the
-kernel at once, but only the four marked * are fsync barriers; a power
-loss keeps everything up to the last one and may tear the final line,
-which the parser drops instead of failing::
+Record stages.  Group commit (:class:`repro.util.appendlog.AppendLog`):
+every record reaches the kernel at once, but only the two marked * are
+fsync barriers; a power loss keeps everything up to the last one and
+may tear the final line, which the parser drops instead of failing::
 
     begin(put|delete|...)        * planned share placements (the
-                                   rollback set), on disk before any
-                                   share leaves
+                                   rollback set) and the node id, on
+                                   disk before any share leaves
     share-intent                 * a failover re-planned one share onto
                                    a new CSP, before the re-dispatch
-    share-uploaded(csp, object)    one share landed (``begin`` already
-                                   names it)
+    share-uploaded(csp, object)    migrate only: one moved share landed
     debt(chunk, missing, failed)   t <= stored < n: a redundancy debt
                                    recovery reconciles into the ledger
-    meta-intent                  * the encoded node about to be
-                                   published (the roll-forward payload);
-                                   its fsync also covers the records
-                                   before it
-    meta-published                 >= t metadata shares landed (if lost,
-                                   recovery re-publishes: idempotent)
-    commit                       * local state updated; intent done
+                                   (the ledger fsyncs its own copy)
+    commit                         local state updated; intent done
 
-A fault-free one-chunk put is 7 writes and 3 fsyncs.  Compaction
+A lost ``commit`` is safe to lose: the next intent's ``begin`` fsync
+makes it durable (one append log), and a replay of a put or delete
+reads ground truth — the node is in the synced tree (acknowledge) or
+at fewer than ``t`` slots (roll back shares no node references).  A
+fault-free one-chunk put is 2 writes and 1 fsync.  Compaction
 (committed intents dropped) is the log's temp file + ``os.replace`` +
 directory fsync: a crash leaves the old or the new journal, never a mix.
 """
@@ -54,16 +52,13 @@ BEGIN = "begin"
 SHARE_INTENT = "share-intent"
 SHARE_UPLOADED = "share-uploaded"
 DEBT = "debt"
-META_INTENT = "meta-intent"
-META_PUBLISHED = "meta-published"
 COMMIT = "commit"
 
-STAGES = (BEGIN, SHARE_INTENT, SHARE_UPLOADED, DEBT, META_INTENT,
-          META_PUBLISHED, COMMIT)
+STAGES = (BEGIN, SHARE_INTENT, SHARE_UPLOADED, DEBT, COMMIT)
 
 #: Stages appended with an fsync (the module docstring says why the
 #: others may be lost).
-BARRIERS = frozenset((BEGIN, SHARE_INTENT, META_INTENT, COMMIT))
+BARRIERS = frozenset((BEGIN, SHARE_INTENT))
 
 #: Operations a ``begin`` record may name.
 OPS = ("put", "delete", "gc", "migrate", "meta-repair")
@@ -137,9 +132,6 @@ class Intent:
     def committed(self) -> bool:
         return any(r.stage == COMMIT for r in self.records)
 
-    def has_stage(self, stage: str) -> bool:
-        return any(r.stage == stage for r in self.records)
-
     def stage_records(self, stage: str) -> list[JournalRecord]:
         return [r for r in self.records if r.stage == stage]
 
@@ -151,8 +143,8 @@ class Intent:
 
     def planned_shares(self) -> list[tuple[str, str, str]]:
         """Every ``(chunk_id, csp, object)`` this intent may have
-        created: the ``begin`` placements plus failover re-plans plus
-        anything confirmed uploaded — the rollback set."""
+        created: the ``begin`` placements plus failover re-plans — the
+        rollback set."""
         out: list[tuple[str, str, str]] = []
         seen: set[tuple[str, str]] = set()
         begin = self.first(BEGIN)
@@ -160,7 +152,7 @@ class Intent:
         if begin is not None:
             sources.extend(begin.fields.get("placements", ()))
         for record in self.records:
-            if record.stage in (SHARE_INTENT, SHARE_UPLOADED):
+            if record.stage == SHARE_INTENT:
                 sources.append(record.fields)
         for entry in sources:
             try:
@@ -193,9 +185,9 @@ class IntentJournal:
         self.compact_after = max(1, compact_after)
         self._seq = max((r.seq for r in self._parse()[0]), default=-1) + 1
         self._commits_since_compact = 0
-        # seq allocation + append are one step: pool workers journal
-        # share-uploaded records concurrently, and on-disk seq order must
-        # match append order (reentrant so commit's record() nests)
+        # seq allocation + append are one step: records may arrive from
+        # several threads, and on-disk seq order must match append order
+        # (reentrant so commit's record() nests)
         self._lock = threading.RLock()
 
     @property

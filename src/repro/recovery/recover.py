@@ -1,24 +1,28 @@
 """Startup replay of incomplete journal intents.
 
-The commit protocol (data before metadata, journal before data) leaves
-exactly three states a crashed operation can be found in, and each has
-one correct repair:
+The commit protocol (data before metadata, journal before data) makes
+a version visible only once its node sits at ``t`` metadata slots, so
+the slots, not the journal, say whether a crashed put or delete was
+published.  Its ``begin`` names the node id; after a fresh sync there
+are two outcomes, each with one correct repair:
 
-* **metadata published** (``meta-published`` present) — the operation
-  is durable and visible to every other client; recovery only has to
-  acknowledge it (``commit``).
-* **metadata in hand but not published** (``meta-intent`` present) —
-  every chunk share landed (the pipeline builds the node only after
-  scatter resolves), so roll *forward*: re-publish the journaled node
-  verbatim.  Metadata share names encode the node id and slot, so a
-  re-publish after a partial publish overwrites identical bytes —
-  idempotent.
-* **no metadata record** — the scatter may have half-happened; roll
-  *back*: delete every share object the intent planned or confirmed,
-  skipping chunks that the (freshly synced) chunk table shows are
-  referenced by some published node — those shares are live data,
-  content-addressed and byte-identical no matter which client wrote
-  them.
+* **published** (the node is in the synced tree) — the operation is
+  durable and visible to every other client; recovery acknowledges it
+  (``commit``) and reconciles its journaled debts.
+* **not published** (every slot of the file's metadata group whose CSP
+  is not removed answers one ``LIST`` for the node, and fewer than
+  ``t`` copies are listed) — roll *back*: delete those copies, then
+  every share object the intent planned, skipping chunks that the
+  chunk table shows are referenced by some published node — those
+  shares are live data, content-addressed and byte-identical no matter
+  which client wrote them.
+
+Anything else — a slot did not answer, or ``t`` copies are listed but
+did not decode — leaves the intent incomplete for the next run: with
+a partial view, a node at ``t`` slots may look unpublished.  A node
+pruned after its put committed is gone from the slots; if that
+``commit`` was lost, the replay rolls back only shares no node
+references, which garbage collection would delete anyway.
 
 ``gc`` intents roll forward (re-delete the recorded doomed chunks that
 are still unreferenced); ``migrate`` intents reconcile (adopt the moved
@@ -40,18 +44,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.cloud import CSPStatus
 from repro.core.naming import chunk_share_object_name
 from repro.core.transfer import OpKind, TransferOp, list_objects
 from repro.errors import CyrusError
-from repro.metadata.codec import decode_node
+from repro.metadata.codec import METADATA_PREFIX, decode_node
 from repro.obs import span_if
-from repro.recovery.journal import (
-    BEGIN,
-    DEBT,
-    META_INTENT,
-    META_PUBLISHED,
-    IntentJournal,
-)
+from repro.recovery.journal import BEGIN, DEBT, IntentJournal
 
 #: Metric names (mirrors the repro.obs constant style).
 RECOVERY_ROLLFORWARD = "cyrus_recovery_rollforward_total"
@@ -158,35 +157,28 @@ def _reconcile_debts(client, intent, report, actions) -> None:
 
 
 def _recover_publish(client, journal, intent, report, actions) -> bool:
-    """Roll a crashed put/delete forward or back."""
-    label = intent.first(BEGIN).fields.get("name", "?")
-    if intent.has_stage(META_PUBLISHED):
+    """Acknowledge a crashed put/delete whose node was published, or
+    roll it back when its node provably reached fewer than t slots."""
+    begin = intent.first(BEGIN).fields
+    label = begin.get("name", "?")
+    node_id = str(begin.get("node_id", ""))
+    if node_id in client.tree:
         # durable before the crash; the sync above already folded it in
         _reconcile_debts(client, intent, report, actions)
         journal.commit(intent.intent_id, outcome="rolled-forward")
         report.rolled_forward += 1
         client.obs.metrics.inc(RECOVERY_ROLLFORWARD, op=intent.op)
-        actions.append(f"{intent.op} {label!r}: metadata was already "
-                       f"published; acknowledged")
+        actions.append(f"{intent.op} {label!r}: metadata was published; "
+                       f"acknowledged")
         return True
-    meta = intent.first(META_INTENT)
-    if meta is not None:
-        # all shares landed; finish the publish with the journaled node
-        node = decode_node(str(meta.fields["node"]).encode("utf-8"))
-        client.uploader._publish(node)  # raises if < t slots reachable
-        client.tree.add(node)
-        if intent.op == "put":
-            client.chunk_table.record_node(node)
-        _reconcile_debts(client, intent, report, actions)
-        journal.commit(intent.intent_id, outcome="rolled-forward")
-        report.rolled_forward += 1
-        report.meta_republished += 1
-        client.obs.metrics.inc(RECOVERY_ROLLFORWARD, op=intent.op)
-        actions.append(f"{intent.op} {label!r}: re-published metadata "
-                       f"node {node.node_id[:12]}")
-        return True
-    # no metadata was attempted: undo the scatter
-    deleted, clean = _delete_unreferenced(client, intent.planned_shares())
+    copies = _listed_copies(client, label, node_id)
+    if copies is None or len(copies) >= client.store.t:
+        actions.append(f"{intent.op} {label!r}: node {node_id[:12]} "
+                       f"neither synced nor provably unpublished; will retry")
+        return False
+    # never visible: undo the partial publish and the scatter
+    deleted, clean = _delete_unreferenced(client, intent.planned_shares(),
+                                          copies)
     report.shares_deleted += deleted
     if deleted:
         client.obs.metrics.inc(RECOVERY_SHARES_DELETED, deleted)
@@ -202,10 +194,26 @@ def _recover_publish(client, journal, intent, report, actions) -> bool:
     return True
 
 
-def _delete_unreferenced(client, shares) -> tuple[int, bool]:
-    """Delete planned share objects whose chunks reached no published
-    node; returns (deleted count, all resolved)."""
-    ops = []
+def _listed_copies(client, name, node_id) -> list[tuple[str, str]] | None:
+    """``(csp, object)`` of every metadata share of ``node_id`` that the
+    slots of ``name``'s group list, or None unless every slot whose CSP
+    is not removed answered."""
+    slots = {p.csp_id for p in client.store.slots_for(name)
+             if client.cloud.status_of(p.csp_id) is not CSPStatus.REMOVED}
+    listing = list_objects(client.engine, sorted(slots),
+                           f"{METADATA_PREFIX}{node_id}-")
+    if len(listing) < len(slots):
+        return None
+    return [(csp, info.name) for csp, infos in sorted(listing.items())
+            for info in infos]
+
+
+def _delete_unreferenced(client, shares, objects=()) -> tuple[int, bool]:
+    """Delete ``objects`` (``(csp, name)`` pairs) and the planned share
+    objects whose chunks reached no published node, in one batch;
+    returns (deleted count, all resolved)."""
+    ops = [TransferOp(kind=OpKind.DELETE, csp_id=csp_id, name=name)
+           for csp_id, name in objects]
     for chunk_id, csp_id, obj_name in shares:
         if client.chunk_table.is_stored(chunk_id):
             # another intent (or client) published this chunk — the

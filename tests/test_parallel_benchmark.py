@@ -6,7 +6,8 @@ back at parallelism 1 and at parallelism 4.  With every request costing
 the same fixed service time, the serial engine pays for each share
 transfer sequentially while the pool overlaps four — so the parallel
 run must be at least 2x faster end to end (theoretical ceiling 4x;
-the 2x floor leaves room for scheduler jitter on CI runners).
+the 2x floor leaves room for scheduler jitter on CI runners).  Each
+side is timed three times, interleaved, and judged by its best run.
 """
 
 from __future__ import annotations
@@ -69,9 +70,17 @@ def _timed_roundtrip(parallelism: int) -> float:
     return elapsed
 
 
+#: Interleaved serial/parallel round trips; each side keeps its best,
+#: so a burst of load from a neighbouring process on a small runner
+#: costs one sample, not the verdict.
+ROUNDS = 3
+
+
 def test_parallelism_4_is_at_least_2x_faster_than_serial():
-    serial = _timed_roundtrip(parallelism=1)
-    parallel = _timed_roundtrip(parallelism=4)
+    samples = [(_timed_roundtrip(parallelism=1),
+                _timed_roundtrip(parallelism=4)) for _ in range(ROUNDS)]
+    serial = min(s for s, _p in samples)
+    parallel = min(p for _s, p in samples)
     assert parallel < serial / 2.0, (
         f"parallel run took {parallel:.3f}s vs serial {serial:.3f}s "
         f"(speedup {serial / parallel:.2f}x, need >= 2x)"

@@ -13,9 +13,9 @@ generations over the same providers and the same journal file:
   journal via :func:`recover_client`.
 
 After recovery the ground truth (a raw listing of every provider) must
-show zero orphan shares, every stored chunk with >= t live shares, all
-committed files byte-intact — and a second recovery run must be a
-no-op.
+show zero orphan shares, no metadata share of a node the survivor's
+tree lacks, every stored chunk with >= t live shares, all committed
+files byte-intact — and a second recovery run must be a no-op.
 
 The put and delete sweeps run under two crash models.  ``process``: the
 process dies, every journal record it wrote survives in the kernel.
@@ -36,6 +36,7 @@ from repro.core.transfer import DirectEngine
 from repro.csp.memory import InMemoryCSP
 from repro.faults import FaultKind, FaultPlan, FaultSpec, FaultyProvider
 from repro.faults.plan import SimulatedCrash
+from repro.metadata.codec import METADATA_PREFIX, parse_metadata_share_name
 from repro.recovery import IntentJournal
 from repro.redundancy import DebtLedger
 from repro.util.clock import SimClock
@@ -93,7 +94,13 @@ def _ground_truth(inner):
 
 
 def _assert_invariants(client, inner):
-    """The acceptance criteria: no orphans, >= t shares per chunk."""
+    """The acceptance criteria: no orphans, >= t shares per chunk, and
+    no metadata share of a node the client's tree lacks."""
+    for provider in inner:
+        for info in provider.list(prefix=METADATA_PREFIX):
+            node_id, _index = parse_metadata_share_name(info.name)
+            assert node_id in client.tree, (
+                f"{provider.csp_id} holds metadata garbage: {info.name}")
     truth = _ground_truth(inner)
     expected: set[str] = set()
     for chunk_id in client.chunk_table.all_chunk_ids():
@@ -327,7 +334,58 @@ class TestPowerLossLedger:
         log_os.power_loss(journal_path, ledger_path)
 
         survivor = _client(inner, journal_path, ledger=DebtLedger(ledger_path))
-        assert survivor.run_recovery().clean  # the put was committed
+        # ``commit`` is no barrier: the put replays, and its node in the
+        # synced tree makes the replay an acknowledgement
+        recovery = survivor.run_recovery()
+        assert recovery.rolled_forward == 1
+        assert recovery.rolled_back == 0 and recovery.shares_deleted == 0
         for chunk_id in report.degraded_chunks:
             entry = survivor.debt_ledger.debt_for(chunk_id)
             assert entry is not None and "csp2" in entry.failed_csps
+        assert survivor.get("wounded.bin").data == \
+            deterministic_bytes(2600, seed=fault_seed)
+
+
+class TestRollbackNeedsFullView:
+    def test_unanswered_slot_holds_the_rollback(self, tmp_path, fault_seed,
+                                                log_os):
+        """A node at exactly t slots, one of them dark at recovery, looks
+        unpublished from the slots that answer: recovery must wait for
+        every slot, then acknowledge — never roll the file back."""
+        clock = SimClock()
+        inner = [InMemoryCSP(f"csp{i}") for i in range(4)]
+        short = FaultPlan([FaultSpec(
+            kind=FaultKind.OUTAGE, csp_ids=("csp2", "csp3"),
+            ops=("upload",), name_prefix=METADATA_PREFIX,
+        )], seed=fault_seed)
+        journal_path = tmp_path / "journal.jsonl"
+        victim = _client([FaultyProvider(p, short, clock=clock)
+                          for p in inner], journal_path, clock=clock,
+                         fsync=True)
+        data = deterministic_bytes(3100, seed=fault_seed)
+        node_id = victim.put("edge.bin", data).node.node_id
+        holders = [p.csp_id for p in inner
+                   if p.list(prefix=f"{METADATA_PREFIX}{node_id}-")]
+        assert holders == ["csp0", "csp1"]  # exactly t copies
+        log_os.power_loss(journal_path)  # the commit was never synced
+        before = _ground_truth(inner)
+
+        clock = SimClock()
+        dark = FaultPlan([FaultSpec(kind=FaultKind.OUTAGE,
+                                    csp_ids=("csp0",),
+                                    window_time=(0.0, 50.0))],
+                         seed=fault_seed)
+        survivor = _client([FaultyProvider(p, dark, clock=clock)
+                            for p in inner], journal_path, clock=clock)
+        report = survivor.run_recovery()
+        assert report.incomplete_remaining == 1
+        assert report.rolled_back == 0 and report.shares_deleted == 0
+        assert _ground_truth(inner) == before
+        assert holders == [p.csp_id for p in inner
+                           if p.list(prefix=f"{METADATA_PREFIX}{node_id}-")]
+
+        clock.advance(100)  # the outage is over
+        report = survivor.run_recovery()
+        assert report.rolled_forward == 1 and report.incomplete_remaining == 0
+        assert survivor.get("edge.bin").data == data
+        assert survivor.run_recovery().clean

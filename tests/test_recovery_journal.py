@@ -23,7 +23,6 @@ from repro.csp.memory import InMemoryCSP
 from repro.recovery import (
     BEGIN,
     COMMIT,
-    META_INTENT,
     SHARE_INTENT,
     SHARE_UPLOADED,
     IntentJournal,
@@ -60,7 +59,7 @@ records = st.builds(
         alphabet="0123456789abcdef", min_size=1, max_size=16
     ),
     stage=st.sampled_from(
-        (BEGIN, SHARE_INTENT, SHARE_UPLOADED, META_INTENT, COMMIT)
+        (BEGIN, SHARE_INTENT, SHARE_UPLOADED, COMMIT)
     ),
     seq=st.integers(min_value=0, max_value=2**31),
     op=st.sampled_from(("", "put", "delete", "gc", "migrate")),

@@ -281,14 +281,15 @@ class TestDebtReconciliation:
         client.put("ok.bin", data)
         [chunk_id] = list(client.chunk_table.all_chunk_ids())[:1]
 
-        # hand-craft the crash remnant: a put intent that reached
-        # meta-published and journaled a debt, but died before the
+        # hand-craft the crash remnant: a put intent whose node was
+        # published and which journaled a debt, but died before the
         # ledger append (and before commit)
-        intent_id = client.journal.begin("put", name="ok.bin")
+        intent_id = client.journal.begin(
+            "put", name="ok.bin",
+            node_id=client.tree.latest("ok.bin").node_id,
+        )
         client.journal.record(intent_id, "debt", chunk=chunk_id,
                               missing=[2], failed=["csp2"])
-        client.journal.record(intent_id, "meta-published",
-                              node=client.tree.latest("ok.bin").node_id)
         assert client.debt_ledger.debt_for(chunk_id) is None
 
         report = client.run_recovery()
