@@ -21,7 +21,7 @@ from repro.csp.base import CloudProvider
 from repro.csp.memory import InMemoryCSP
 from repro.faults import FaultPlan, FaultyProvider
 from repro.netsim.link import Link
-from repro.obs import Observability
+from repro.obs import Observability, Tracer
 from repro.util.clock import SimClock
 
 #: Paper testbed shaping (Section 7.2).
@@ -40,7 +40,8 @@ class SimEnvironment:
     csps: dict[str, CloudProvider]
     engine: SimulatedEngine
     receiver: TransferReceiver = field(default_factory=TransferReceiver)
-    #: Shared observability (clients created via new_client adopt it)
+    #: Shared observability with a tracer attached (clients created via
+    #: new_client adopt it)
     obs: Observability | None = None
 
     def new_client(
@@ -82,7 +83,7 @@ def build_environment(
         csps = {link_id: FaultyProvider(store, faults, clock=clock)
                 for link_id, store in csps.items()}
     receiver = TransferReceiver()
-    obs = Observability(clock=clock)
+    obs = Observability(clock=clock, tracer=Tracer(clock))
     engine = SimulatedEngine(
         csps, dict(links), clock,
         client_up=client_up, client_down=client_down,

@@ -44,6 +44,7 @@ from repro.core.client import CyrusClient
 from repro.core.config import CyrusConfig
 from repro.csp.localfs import LocalDirectoryCSP
 from repro.errors import CyrusError
+from repro.obs import Tracer
 
 CONFIG_NAME = "cyrus.json"
 
@@ -643,6 +644,9 @@ def cmd_trace(args) -> int:
     paper's Figure 14/17 timelines.
     """
     client = build_client(_store_path(args))
+    # attached after the startup recovery and sync, so the trace holds
+    # only the requested op
+    tracer = client.obs.tracer = Tracer(client.obs.clock)
     if args.traced_op == "put":
         source = Path(args.file)
         client.put(args.as_name or source.name, source.read_bytes(),
@@ -652,9 +656,9 @@ def cmd_trace(args) -> int:
     else:  # sync
         client.sync()
     out = Path(args.out)
-    out.write_text(client.obs.tracer.to_chrome_json())
+    out.write_text(tracer.to_chrome_json())
     timeline = client.obs.timeline()
-    spans = len(client.obs.tracer.all_spans())
+    spans = len(tracer.all_spans())
     print(f"wrote {spans} spans to {out} (chrome://tracing)")
     per_csp = timeline.per_csp_bytes()
     if per_csp:

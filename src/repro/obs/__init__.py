@@ -11,11 +11,15 @@ Three cooperating pieces, all driven by the injected
 * :class:`TransferTimeline` — the paper's Figure 14/17 per-CSP parallel
   transfer picture, rebuilt from op results or op spans.
 
-:class:`Observability` bundles one registry + one tracer and owns the
-single integration point with the engines: every ``OpResult`` that flows
-through ``TransferEngine._emit`` lands in :meth:`Observability.record_op`,
-making the metrics layer the one source of byte/retry truth (reports and
-benchmarks derive from it instead of re-counting).
+:class:`Observability` bundles one registry and, when its owner attaches
+one, a tracer.  It owns the single integration point with the engines:
+every ``OpResult`` that flows through ``TransferEngine._emit`` lands in
+:meth:`Observability.record_op`, making the metrics layer the one source
+of byte/retry truth (reports and benchmarks derive from it instead of
+re-counting).  Metrics are always on; spans are recorded only into an
+attached tracer, because a long-lived client that kept a span tree for
+every op it ever ran would grow without bound.  The simulated testbed
+environments and ``cyrus trace`` attach one; a default client does not.
 """
 
 from __future__ import annotations
@@ -64,12 +68,19 @@ OP_DURATION = "cyrus_op_duration_seconds"            # {kind}
 
 
 class Observability:
-    """One metrics registry + one tracer sharing one clock."""
+    """One metrics registry and an optional tracer sharing one clock.
 
-    def __init__(self, clock: Clock | None = None):
+    ``tracer`` is ``None`` unless the owner passes one in (or assigns
+    ``obs.tracer`` later, as ``cyrus trace`` does right before its op);
+    without it :meth:`span` is a no-op and :meth:`record_op` charges
+    the metrics only.
+    """
+
+    def __init__(self, clock: Clock | None = None,
+                 tracer: Tracer | None = None):
         self.clock = clock if clock is not None else WallClock()
         self.metrics = MetricsRegistry()
-        self.tracer = Tracer(clock=self.clock)
+        self.tracer = tracer
         # record_op's four metrics, and its label keys per op shape
         self._ops = self.metrics.counter(OPS_TOTAL)
         self._bytes = self.metrics.counter(TRANSFER_BYTES)
@@ -111,6 +122,9 @@ class Observability:
             self._failures.inc_key(keys[2])
         if not result.cancelled:
             self._durations.observe_key(keys[3], result.duration)
+        tracer = self.tracer
+        if tracer is None:
+            return
         attrs = {
             "csp": op.csp_id,
             "op_kind": kind,
@@ -124,23 +138,28 @@ class Observability:
             attrs["chunk"] = op.chunk_id
         if result.error_type:
             attrs["error_type"] = result.error_type
-        self.tracer.record("op", result.start, result.end, **attrs)
+        tracer.record("op", result.start, result.end, **attrs)
 
     # -- passthroughs -----------------------------------------------------
 
     def span(self, name: str, **attrs):
-        return self.tracer.span(name, **attrs)
+        tracer = self.tracer
+        return (tracer.span(name, **attrs) if tracer is not None
+                else nullcontext())
 
     def snapshot(self) -> MetricsSnapshot:
         return self.metrics.snapshot()
 
     def timeline(self) -> TransferTimeline:
-        return TransferTimeline.from_tracer(self.tracer)
+        tracer = self.tracer
+        return (TransferTimeline.from_tracer(tracer) if tracer is not None
+                else TransferTimeline())
 
 
 def span_if(obs: Observability | None, name: str, **attrs):
-    """A span context when observability is attached, else a no-op —
-    lets instrumented code read the same with or without an observer."""
+    """A span context when observability with a tracer is attached,
+    else a no-op — lets instrumented code read the same with or without
+    an observer."""
     return obs.span(name, **attrs) if obs is not None else nullcontext()
 
 

@@ -7,13 +7,15 @@ as plain JSON (for tests) and as a Chrome-trace ``traceEvents`` file
 (open in ``chrome://tracing`` / Perfetto) where each CSP gets its own
 thread lane.
 
-No globals: a tracer is an explicit object owned by the
-:class:`repro.obs.Observability` facade.  The active-span stack belongs
-to the pipeline thread that opens spans; pool workers attach their
-already-timed op intervals via :meth:`Tracer.record` under the tracer's
-lock, so concurrent recording interleaves children without corrupting
-the tree (attachment order between workers is scheduling-dependent,
-timestamps are not).
+No globals: a tracer is an explicit object that its owner attaches to
+a :class:`repro.obs.Observability` facade, the way the clock is
+injected.  It holds every span it records for its own lifetime, so a
+default client attaches none (see :mod:`repro.obs` for who does).
+The active-span stack belongs to the pipeline thread that opens spans;
+pool workers attach their already-timed op intervals via
+:meth:`Tracer.record` under the tracer's lock, so concurrent recording
+interleaves children without corrupting the tree (attachment order
+between workers is scheduling-dependent, timestamps are not).
 """
 
 from __future__ import annotations

@@ -412,3 +412,42 @@ class TestConflictCommands:
         assert "doc.txt" in capsys.readouterr().out
         assert run(store, "resolve") == 0
         assert run(store, "conflicts") == 0
+
+
+class TestTrace:
+    """``cyrus trace`` writes a Chrome trace of the requested op only:
+    the startup recovery and sync that open the store stay out of it."""
+
+    def _events(self, store, tmp_path, *argv) -> list[str]:
+        out = tmp_path / "trace.json"
+        assert run(store, "trace", "--out", out, *argv) == 0
+        events = json.loads(out.read_text())["traceEvents"]
+        return [e["name"] for e in events if e["ph"] == "X"]
+
+    def _source(self, tmp_path) -> Path:
+        source = tmp_path / "doc.txt"
+        source.write_bytes(b"traced bytes " * 400)
+        return source
+
+    def _put(self, store, tmp_path) -> None:
+        assert run(store, "put", self._source(tmp_path)) == 0
+
+    def test_trace_put(self, store, tmp_path, capsys):
+        names = self._events(store, tmp_path, "put", self._source(tmp_path))
+        assert names.count("upload") == 1
+        assert names.count("op") >= 2
+        assert "sync" not in names
+        assert f"wrote {len(names)} spans" in capsys.readouterr().out
+
+    def test_trace_get_holds_no_startup_sync(self, store, tmp_path):
+        self._put(store, tmp_path)
+        names = self._events(store, tmp_path, "get", "doc.txt")
+        assert names.count("download") == 1
+        assert names.count("op") >= 2
+        assert "sync" not in names
+
+    def test_trace_sync(self, store, tmp_path):
+        self._put(store, tmp_path)
+        names = self._events(store, tmp_path, "sync")
+        assert names.count("sync") == 1
+        assert "upload" not in names and "download" not in names
