@@ -103,10 +103,11 @@ def build_client(store: Path) -> CyrusClient:
     from repro.recovery import IntentJournal
     from repro.redundancy import DebtLedger
 
+    # one local log: intents and redundancy debts share the journal
+    journal = IntentJournal(store / "journal.jsonl")
     client = CyrusClient.create(
         providers, config, client_id=settings["client_id"],
-        journal=IntentJournal(store / "journal.jsonl"),
-        debt_ledger=DebtLedger(store / "debts.jsonl"),
+        journal=journal, debt_ledger=DebtLedger(journal),
     )
     # local metadata copy (Section 3.2): start from the cached tree so
     # the sync only fetches nodes published since the last invocation

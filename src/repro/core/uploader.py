@@ -213,17 +213,12 @@ class Uploader:
                                                 node_id)
                 with span_if(obs, "scatter", chunks=len(plans)):
                     share_results, degraded = self._scatter(plans, intent_id)
-                # degraded writes become durable redundancy debts *inside*
-                # the intent: a crash before commit replays the put, and the
-                # recovery pass reconciles these records into the ledger
+                # degraded writes become durable redundancy debts, each a
+                # barrier: no node reaches the slots before its chunks'
+                # debts are on disk
                 for cid, (missing, failed_csps) in sorted(degraded.items()):
                     if obs is not None:
                         obs.metrics.inc("cyrus_upload_degraded_chunks_total")
-                    if intent_id is not None:
-                        self.journal.record(
-                            intent_id, "debt", chunk=cid,
-                            missing=list(missing), failed=list(failed_csps),
-                        )
                     if self.ledger is not None:
                         self.ledger.record(
                             cid, missing=missing, failed_csps=failed_csps,

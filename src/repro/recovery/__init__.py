@@ -3,10 +3,10 @@
 Three cooperating pieces close the client-side crash window that
 paper Section 5 leaves to lazy repair:
 
-* :class:`IntentJournal` — a local write-ahead journal of every
-  mutating operation's *intent* (which share objects it will create,
-  which metadata node it will publish), appended before the providers
-  are touched;
+* :class:`IntentJournal` — the client's one local log: every mutating
+  operation's *intent* (which share objects it will create, which
+  metadata node it will publish), appended before the providers are
+  touched, and every redundancy debt the client still owes;
 * :func:`recover_client` — startup replay that acknowledges each
   incomplete intent whose node was published or rolls it back (node at
   fewer than t slots → delete its copies and the recorded orphan
@@ -21,7 +21,6 @@ from repro.recovery.journal import (
     BEGIN,
     COMMIT,
     SHARE_INTENT,
-    SHARE_UPLOADED,
     STAGES,
     Intent,
     IntentJournal,
@@ -46,7 +45,6 @@ __all__ = [
     "BEGIN",
     "COMMIT",
     "SHARE_INTENT",
-    "SHARE_UPLOADED",
     "STAGES",
     "Intent",
     "IntentJournal",

@@ -1,4 +1,4 @@
-"""The write-ahead intent journal.
+"""The client's one local log: operation intents and redundancy debts.
 
 A CYRUS ``put`` is only durable once its metadata node is visible at
 ``t`` metadata slots; everything before that — the scattered chunk
@@ -11,9 +11,15 @@ reflects the published node.  On restart, :mod:`repro.recovery.recover`
 replays any intent without a ``commit``, asking the metadata slots
 whether its node was published.
 
+The same log holds what redundancy the client still owes: a write that
+stores ``t <= shares < n`` (or a read that catches a corrupt share)
+opens a **debt** that :mod:`repro.redundancy.repair` drains.  A debt's
+records carry its id where an intent's carry the intent id;
+:class:`repro.redundancy.DebtLedger` is the view repair reads.
+
 Record stages.  Group commit (:class:`repro.util.appendlog.AppendLog`):
-every record reaches the kernel at once, but only the two marked * are
-fsync barriers; a power loss keeps everything up to the last one and
+every record reaches the kernel at once, but only the three marked *
+are fsync barriers; a power loss keeps everything up to the last one and
 may tear the final line, which the parser drops instead of failing::
 
     begin(put|delete|...)        * planned share placements (the
@@ -21,19 +27,25 @@ may tear the final line, which the parser drops instead of failing::
                                    disk before any share leaves
     share-intent                 * a failover re-planned one share onto
                                    a new CSP, before the re-dispatch
-    share-uploaded(csp, object)    migrate only: one moved share landed
-    debt(chunk, missing, failed)   t <= stored < n: a redundancy debt
-                                   recovery reconciles into the ledger
-                                   (the ledger fsyncs its own copy)
     commit                         local state updated; intent done
 
-A lost ``commit`` is safe to lose: the next intent's ``begin`` fsync
-makes it durable (one append log), and a replay of a put or delete
-reads ground truth — the node is in the synced tree (acknowledge) or
-at fewer than ``t`` slots (roll back shares no node references).  A
-fault-free one-chunk put is 2 writes and 1 fsync.  Compaction
-(committed intents dropped) is the log's temp file + ``os.replace`` +
-directory fsync: a crash leaves the old or the new journal, never a mix.
+    debt(chunk, missing, failed, * an object short of its redundancy, on
+         kind)                     disk before a degraded node is
+                                   published; re-records for one object
+                                   merge under one id
+    attempt(ok, detail)            a failed repair try; drives backoff
+                                   (a power loss only resets it)
+    retire                         the object is whole again (a lost one
+                                   reopens the debt; the next repair
+                                   retires it with zero transfers)
+
+A lost ``commit`` is safe to lose: the next barrier makes it durable
+(one append log), and a replay of a put or delete reads ground truth —
+the node is in the synced tree (acknowledge) or at fewer than ``t``
+slots (roll back shares no node references).  A fault-free one-chunk
+put is 2 writes and 1 fsync.  Compaction (committed intents and retired
+debts dropped) is the log's temp file + ``os.replace`` + directory
+fsync: a crash leaves the old or the new journal, never a mix.
 """
 
 from __future__ import annotations
@@ -41,24 +53,27 @@ from __future__ import annotations
 import json
 import threading
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from repro.errors import CyrusError
 from repro.util.appendlog import AppendLog, json_line
 
-#: Stage names, in pipeline order.
+#: Stage names: an intent's in pipeline order, then a debt's in
+#: lifecycle order.
 BEGIN = "begin"
 SHARE_INTENT = "share-intent"
-SHARE_UPLOADED = "share-uploaded"
-DEBT = "debt"
 COMMIT = "commit"
+DEBT = "debt"
+ATTEMPT = "attempt"
+RETIRE = "retire"
 
-STAGES = (BEGIN, SHARE_INTENT, SHARE_UPLOADED, DEBT, COMMIT)
+STAGES = (BEGIN, SHARE_INTENT, COMMIT, DEBT, ATTEMPT, RETIRE)
+DEBT_STAGES = frozenset((DEBT, ATTEMPT, RETIRE))
 
 #: Stages appended with an fsync (the module docstring says why the
 #: others may be lost).
-BARRIERS = frozenset((BEGIN, SHARE_INTENT))
+BARRIERS = frozenset((BEGIN, SHARE_INTENT, DEBT))
 
 #: Operations a ``begin`` record may name.
 OPS = ("put", "delete", "gc", "migrate", "meta-repair")
@@ -132,9 +147,6 @@ class Intent:
     def committed(self) -> bool:
         return any(r.stage == COMMIT for r in self.records)
 
-    def stage_records(self, stage: str) -> list[JournalRecord]:
-        return [r for r in self.records if r.stage == stage]
-
     def first(self, stage: str) -> JournalRecord | None:
         for record in self.records:
             if record.stage == stage:
@@ -168,13 +180,76 @@ class Intent:
         return out
 
 
+@dataclass(frozen=True)
+class DebtEntry:
+    """One open redundancy deficit.
+
+    Attributes:
+        debt_id: Stable id; re-records for the same chunk merge into it.
+        chunk_id: The under-replicated object — a chunk id, or a
+            metadata node id when ``kind == "meta"``.
+        missing: Share indices not verifiably held on a healthy CSP at
+            record time (advisory — the repair loop re-derives the true
+            deficit from the chunk table before acting).
+        failed_csps: Providers that failed the original writes or
+            returned corrupt shares; the repair loop never counts a
+            share held there as satisfying the redundancy target.
+        created: Journal-clock time of the first record.
+        attempts: Failed repair tries so far (drives backoff).
+        last_attempt: Time of the most recent failed try.
+        kind: What the id names: "chunk" (a data chunk) or "meta" (a
+            metadata node id whose scattered shares need re-dispersal).
+    """
+
+    debt_id: str
+    chunk_id: str
+    missing: tuple[int, ...]
+    failed_csps: tuple[str, ...]
+    created: float = 0.0
+    attempts: int = 0
+    last_attempt: float = 0.0
+    kind: str = "chunk"
+
+    def next_due(self, base: float = 30.0, multiplier: float = 2.0,
+                 max_delay: float = 3600.0) -> float:
+        """When the repair loop may try this entry again.
+
+        Exponential per-entry backoff: a debt that keeps failing (the
+        fleet is still unhealthy) steps back so the budget is spent on
+        repairable debts first.  A never-tried entry is due immediately.
+        """
+        if self.attempts <= 0:
+            return self.created
+        delay = min(max_delay, base * multiplier ** (self.attempts - 1))
+        return self.last_attempt + delay
+
+    def fields(self) -> dict:
+        """The payload of this entry's ``debt`` record."""
+        return {"chunk": self.chunk_id, "missing": list(self.missing),
+                "failed": list(self.failed_csps), "kind": self.kind}
+
+
+def _merge(prior: DebtEntry | None, debt_id: str, chunk_id: str,
+           missing, failed, time: float, kind: str) -> DebtEntry:
+    """A new entry, or ``prior`` with the union of indices and suspects."""
+    base = prior or DebtEntry(debt_id=debt_id, chunk_id=chunk_id, missing=(),
+                              failed_csps=(), created=time, kind=kind)
+    return replace(
+        base, missing=tuple(sorted(set(base.missing) | set(missing))),
+        failed_csps=tuple(sorted(set(base.failed_csps) | set(failed))),
+    )
+
+
 class IntentJournal:
-    """Append-only JSONL intent journal with atomic compaction.
+    """Append-only JSONL log of intents and debts, with atomic compaction.
 
     Records go through one :class:`AppendLog` descriptor, fsynced only
     at :data:`BARRIERS`.  The descriptor appends with ``O_APPEND``, so a
     successor generation can append to the path its crashed predecessor
     left open.  ``fsync=False`` keeps every write and skips every fsync.
+    Open debts are folded from disk at construction and kept current by
+    every debt append, so debt reads never re-parse the file; intents
+    are read from disk, by recovery only.
     """
 
     def __init__(self, path: str | Path, clock=None, fsync: bool = True,
@@ -183,11 +258,21 @@ class IntentJournal:
         self.path = self._log.path
         self.clock = clock
         self.compact_after = max(1, compact_after)
-        self._seq = max((r.seq for r in self._parse()[0]), default=-1) + 1
-        self._commits_since_compact = 0
-        # seq allocation + append are one step: records may arrive from
-        # several threads, and on-disk seq order must match append order
-        # (reentrant so commit's record() nests)
+        self._debts: dict[str, DebtEntry] = {}  # open debt id -> entry
+        self._debt_ids: dict[tuple[str, str], str] = {}  # (kind, object) -> id
+        records = self._parse()[0]
+        for record in records:
+            if record.stage in DEBT_STAGES:
+                try:
+                    self._fold(record)
+                except (KeyError, TypeError, ValueError):
+                    continue  # a malformed debt record
+        self._seq = max((r.seq for r in records), default=-1) + 1
+        self._closed_since_compact = 0  # commits + retires
+        # seq allocation + append (+ the debt fold) are one step: records
+        # may arrive from several threads, on-disk seq order must match
+        # append order, and a debt read must see every debt append
+        # (reentrant so commit's record() and the compaction nest)
         self._lock = threading.RLock()
 
     @property
@@ -226,9 +311,74 @@ class IntentJournal:
         """Close an intent; periodically compacts the file."""
         with self._lock:
             self.record(intent_id, COMMIT, outcome=outcome)
-            self._commits_since_compact += 1
-            if self._commits_since_compact >= self.compact_after:
-                self.compact()
+            self._closed()
+
+    def _closed(self) -> None:
+        self._closed_since_compact += 1
+        if self._closed_since_compact >= self.compact_after:
+            self.compact()
+
+    # -- debts ------------------------------------------------------------
+
+    def record_debt(self, chunk_id: str, missing, failed_csps=(),
+                    kind: str = "chunk") -> str:
+        """Record (or merge into) the open debt for one object; returns
+        the debt id.  An identical re-record appends nothing."""
+        with self._lock:
+            debt_id = self._debt_ids.get((kind, chunk_id))
+            prior = self._debts.get(debt_id)
+            entry = _merge(prior, debt_id or uuid.uuid4().hex[:16], chunk_id,
+                           missing, failed_csps, self._now(), kind)
+            if entry != prior:
+                self._fold(self._append(entry.debt_id, DEBT, entry.fields()))
+            return entry.debt_id
+
+    def note_attempt(self, debt_id: str, ok: bool = False,
+                     detail: str = "") -> None:
+        """Record one failed (or partial) repair try of an open debt."""
+        with self._lock:
+            if debt_id in self._debts:
+                self._fold(self._append(debt_id, ATTEMPT,
+                                        {"ok": bool(ok), "detail": detail}))
+
+    def retire(self, debt_id: str) -> None:
+        """Close an open debt; periodically compacts the file."""
+        with self._lock:
+            if debt_id in self._debts:
+                self._fold(self._append(debt_id, RETIRE, {}))
+                self._closed()
+
+    def open_debts(self) -> list[DebtEntry]:
+        """All open debts, oldest first (repair drains in this order)."""
+        with self._lock:
+            return sorted(self._debts.values(),
+                          key=lambda e: (e.created, e.debt_id))
+
+    def debt_for(self, chunk_id: str, kind: str = "chunk") -> DebtEntry | None:
+        """The open debt for one object, if any."""
+        with self._lock:
+            return self._debts.get(self._debt_ids.get((kind, chunk_id)))
+
+    def _fold(self, record: JournalRecord) -> None:
+        """Fold one debt record into the open debts (load and append)."""
+        debt_id, fields = record.intent_id, record.fields
+        prior = self._debts.get(debt_id)
+        if record.stage == DEBT:
+            entry = _merge(prior, debt_id, str(fields["chunk"]),
+                           [int(i) for i in fields["missing"]],
+                           [str(c) for c in fields.get("failed", ())],
+                           record.time, str(fields.get("kind", "chunk")))
+            self._debts[debt_id] = entry
+            self._debt_ids[entry.kind, entry.chunk_id] = debt_id
+        elif prior is None:
+            return  # progress on a debt that is not open
+        elif record.stage == ATTEMPT:
+            self._debts[debt_id] = replace(
+                prior, attempts=prior.attempts + 1, last_attempt=record.time,
+            )
+        else:  # RETIRE
+            del self._debts[debt_id]
+            self._debt_ids.pop((prior.kind, prior.chunk_id), None)
 
     # -- reading ----------------------------------------------------------
 
@@ -252,6 +402,8 @@ class IntentJournal:
         records, _ = self._parse()
         by_id: dict[str, Intent] = {}
         for record in records:
+            if record.stage in DEBT_STAGES:
+                continue
             intent = by_id.get(record.intent_id)
             if intent is None:
                 intent = by_id[record.intent_id] = Intent(
@@ -276,17 +428,32 @@ class IntentJournal:
     # -- compaction -------------------------------------------------------
 
     def compact(self) -> int:
-        """Drop committed intents; returns records removed.
+        """Drop committed intents and retired debts; returns records
+        removed.
 
-        Incomplete intents keep every record.  Atomic: the survivors
+        Incomplete intents keep every record.  An open debt is rewritten
+        as one merged ``debt`` record plus one ``attempt`` per recorded
+        try, which keeps its backoff exactly.  Atomic: the survivors
         replace the journal in one rename (:meth:`AppendLog.rewrite`).
         """
         with self._lock:
             records, skipped = self._parse()
             done = {r.intent_id for r in records if r.stage == COMMIT}
-            survivors = [r for r in records if r.intent_id not in done]
-            removed = len(records) - len(survivors) + skipped
+            survivors: list[JournalRecord] = []
+            for entry in self.open_debts():
+                survivors.append(JournalRecord(
+                    entry.debt_id, DEBT, time=entry.created,
+                    fields=entry.fields()))
+                survivors.extend(JournalRecord(
+                    entry.debt_id, ATTEMPT, time=entry.last_attempt,
+                    fields={"ok": False, "detail": "(compacted)"},
+                ) for _ in range(entry.attempts))
+            survivors.extend(r for r in records if r.stage not in DEBT_STAGES
+                             and r.intent_id not in done)
+            removed = len(records) + skipped - len(survivors)
             if removed:
-                self._log.rewrite(r.encode() for r in survivors)
-            self._commits_since_compact = 0
+                self._log.rewrite(replace(r, seq=seq).encode()
+                                  for seq, r in enumerate(survivors))
+                self._seq = len(survivors)
+            self._closed_since_compact = 0
             return removed

@@ -8,7 +8,8 @@ are two outcomes, each with one correct repair:
 
 * **published** (the node is in the synced tree) — the operation is
   durable and visible to every other client; recovery acknowledges it
-  (``commit``) and reconciles its journaled debts.
+  (``commit``).  Its chunk debts need nothing: the uploader appended
+  each as a barrier before the publish began.
 * **not published** (every slot of the file's metadata group whose CSP
   is not removed answers one ``LIST`` for the node, and fewer than
   ``t`` copies are listed) — roll *back*: delete those copies, then
@@ -50,7 +51,7 @@ from repro.core.transfer import OpKind, TransferOp, list_objects
 from repro.errors import CyrusError
 from repro.metadata.codec import METADATA_PREFIX, decode_node
 from repro.obs import span_if
-from repro.recovery.journal import BEGIN, DEBT, IntentJournal
+from repro.recovery.journal import BEGIN, IntentJournal
 
 #: Metric names (mirrors the repro.obs constant style).
 RECOVERY_ROLLFORWARD = "cyrus_recovery_rollforward_total"
@@ -68,7 +69,6 @@ class RecoveryReport:
     meta_republished: int = 0
     shares_deleted: int = 0
     placements_adopted: int = 0
-    debts_reconciled: int = 0
     incomplete_remaining: int = 0
     actions: tuple[str, ...] = ()
 
@@ -132,30 +132,6 @@ def recover_client(client, journal: IntentJournal | None = None) -> RecoveryRepo
 # -- per-op repair rules ---------------------------------------------------
 
 
-def _reconcile_debts(client, intent, report, actions) -> None:
-    """Fold an intent's journaled redundancy debts into the ledger.
-
-    The uploader records debts in both the journal (inside the intent)
-    and the ledger; a crash between the two appends leaves only the
-    journal copy, so roll-forward re-records it.  The ledger merges
-    per chunk, so re-recording an already-present debt is a no-op.
-    """
-    ledger = getattr(client, "debt_ledger", None)
-    if ledger is None:
-        return
-    for record in intent.stage_records(DEBT):
-        try:
-            chunk_id = str(record.fields["chunk"])
-            missing = tuple(int(i) for i in record.fields["missing"])
-            failed = tuple(str(c) for c in record.fields.get("failed", ()))
-        except (KeyError, TypeError, ValueError):
-            continue
-        ledger.record(chunk_id, missing=missing, failed_csps=failed)
-        report.debts_reconciled += 1
-        actions.append(f"debt {chunk_id[:8]}: reconciled into ledger "
-                       f"(missing {list(missing)})")
-
-
 def _recover_publish(client, journal, intent, report, actions) -> bool:
     """Acknowledge a crashed put/delete whose node was published, or
     roll it back when its node provably reached fewer than t slots."""
@@ -164,7 +140,6 @@ def _recover_publish(client, journal, intent, report, actions) -> bool:
     node_id = str(begin.get("node_id", ""))
     if node_id in client.tree:
         # durable before the crash; the sync above already folded it in
-        _reconcile_debts(client, intent, report, actions)
         journal.commit(intent.intent_id, outcome="rolled-forward")
         report.rolled_forward += 1
         client.obs.metrics.inc(RECOVERY_ROLLFORWARD, op=intent.op)

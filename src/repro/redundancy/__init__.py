@@ -4,10 +4,10 @@ one reconcile path.
 CYRUS accepts a write once ``t`` of ``n`` shares land — recoverable but
 under-dispersed.  This package makes the gap explicit and self-healing:
 :class:`DebtLedger` durably records every redundancy deficit (degraded
-writes, corrupt shares detected at decode time), and :func:`run_repair`
-drains it back to ``n`` verified shares through
-:mod:`repro.redundancy.reconcile`, which also serves the scrub, lazy
-migration and the metadata back-fill.
+writes, corrupt shares detected at decode time) in the client's intent
+journal, and :func:`run_repair` drains it back to ``n`` verified shares
+through :mod:`repro.redundancy.reconcile`, which also serves the scrub,
+lazy migration and the metadata back-fill.
 """
 
 from repro.redundancy.ledger import (
@@ -16,7 +16,6 @@ from repro.redundancy.ledger import (
     DEBT_RETIRED,
     DebtEntry,
     DebtLedger,
-    LedgerError,
     REPAIR_SHARES,
 )
 from repro.redundancy.repair import RepairReport, run_repair
@@ -27,7 +26,6 @@ __all__ = [
     "DEBT_RETIRED",
     "DebtEntry",
     "DebtLedger",
-    "LedgerError",
     "REPAIR_SHARES",
     "RepairReport",
     "run_repair",

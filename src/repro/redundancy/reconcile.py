@@ -320,8 +320,7 @@ def _upload(state: ChunkState, journal, budget: Budget, sharer,
     for index, csp_id in _put(state.client, journal, intent_id, [
         ((index, csp_id),
          TransferOp(kind=OpKind.PUT, csp_id=csp_id, name=name,
-                    data=blob.data, chunk_id=chunk_id),
-         dict(chunk=chunk_id, index=index, csp=csp_id, object=name))
+                    data=blob.data, chunk_id=chunk_id))
         for (index, csp_id), name, blob in zip(moves, names, blobs)
     ]):
         if (index, csp_id) not in state.location.placements:
@@ -334,18 +333,12 @@ def _upload(state: ChunkState, journal, budget: Budget, sharer,
 
 
 def _put(client, journal, intent_id, puts) -> list:
-    """Run each (key, PUT, record) PUT, record every landed one under
-    the intent, commit it; returns the keys of the PUTs that landed."""
-    results = client.engine.execute([op for _key, op, _record in puts])
-    landed = []
-    for (key, _op, record), result in zip(puts, results):
-        if result.ok:
-            if intent_id is not None:
-                journal.record(intent_id, "share-uploaded", **record)
-            landed.append(key)
+    """Run each (key, PUT) PUT and commit the intent; returns the keys
+    of the PUTs that landed (a replay lists the objects itself)."""
+    results = client.engine.execute([op for _key, op in puts])
     if intent_id is not None:
         journal.commit(intent_id)
-    return landed
+    return [key for (key, _op), result in zip(puts, results) if result.ok]
 
 
 # -- metadata nodes ----------------------------------------------------------
@@ -447,8 +440,7 @@ def reconcile_node(state: NodeState, journal, budget: Budget) -> Outcome:
                                              for i in state.rewrite])
         out.written = len(_put(state.client, journal, intent_id, [
             (index, TransferOp(kind=OpKind.PUT_META, csp_id=csp_id,
-                               name=name, data=blob),
-             dict(index=index, csp=csp_id, object=name))
+                               name=name, data=blob))
             for index in state.rewrite
             for csp_id, name, blob in [frames[index]]
         ]))

@@ -1,9 +1,10 @@
 """A durable append-only line log with group commit.
 
-The one file primitive under the intent journal and the debt ledger.
-``append`` is one ``os.write`` to a descriptor kept open between
-records (``O_APPEND``, opened on the first append), so a record is in
-the kernel when the call returns and a *process* crash loses nothing.
+The file primitive under the intent journal, the client's one local
+log of intents and debts.  ``append`` is one ``os.write`` to a
+descriptor kept open between records (``O_APPEND``, opened on the
+first append), so a record is in the kernel when the call returns and
+a *process* crash loses nothing.
 Only a **barrier** append also fsyncs, which makes it and every earlier
 record durable: an OS crash or power loss drops at most what was
 written since the last barrier, and may tear the final line.  When the
@@ -14,7 +15,7 @@ directory fsync, after which the next append opens the new file.
 
 A successor generation may append to a path its crashed predecessor
 still holds open; only one live instance per path may rewrite it.
-Callers serialise access (the journal and the ledger hold their locks).
+Callers serialise access (the journal holds its lock).
 """
 
 from __future__ import annotations

@@ -17,15 +17,17 @@ show zero orphan shares, no metadata share of a node the survivor's
 tree lacks, every stored chunk with >= t live shares, all committed
 files byte-intact — and a second recovery run must be a no-op.
 
-The put and delete sweeps run under two crash models.  ``process``: the
-process dies, every journal record it wrote survives in the kernel.
-``power``: the machine dies, so the journal keeps only what its last
-fsync barrier made durable — the sweep cuts the file back to that
-prefix before the survivor starts, which is what makes the barrier set
-(:data:`repro.recovery.journal.BARRIERS`) a tested claim.
+The put, delete and degraded-put sweeps run under two crash models.
+``process``: the process dies, every journal record it wrote survives
+in the kernel.  ``power``: the machine dies, so the journal keeps only
+what its last fsync barrier made durable — the sweep cuts the file back
+to that prefix before the survivor starts, which is what makes the
+barrier set (:data:`repro.recovery.journal.BARRIERS`) a tested claim.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import pytest
 
@@ -57,14 +59,29 @@ SWEEP = [pytest.param(k, "process", id=str(k)) for k in KILL_POINTS] + [
     pytest.param(k, "power", id=f"power-{k}") for k in KILL_POINTS
 ]
 
+#: A degraded put also dies before each of its log appends (``begin``,
+#: one ``debt`` per short chunk, the metadata ``debt``, ``commit``): no
+#: provider op separates the publish from the records after it.
+LOG_KILL_POINTS = range(0, 10)
+DEGRADED_SWEEP = [
+    pytest.param(where, k, durability,
+                 id=f"{'' if durability == 'process' else 'power-'}{where}-{k}")
+    for durability in ("process", "power")
+    for where, points in (("op", KILL_POINTS), ("append", LOG_KILL_POINTS))
+    for k in points
+]
 
-def _client(providers, journal_path, clock=None, fsync=False, ledger=None):
+
+def _client(providers, journal_path, clock=None, fsync=False, debts=False):
+    """A client on ``journal_path``; ``debts`` keeps its redundancy
+    debts in the same log, as ``cyrus`` does."""
     clock = clock or SimClock()
     engine = DirectEngine({p.csp_id: p for p in providers}, clock=clock)
     journal = IntentJournal(journal_path, clock=clock, fsync=fsync)
     return CyrusClient.create(
         providers, CyrusConfig(**CONFIG), client_id="alice",
-        engine=engine, journal=journal, debt_ledger=ledger,
+        engine=engine, journal=journal,
+        debt_ledger=DebtLedger(journal) if debts else None,
     )
 
 
@@ -78,6 +95,21 @@ def _crash_world(inner, journal_path, kill_op, fsync=False):
     )
     wrapped = [FaultyProvider(p, plan, clock=clock) for p in inner]
     return _client(wrapped, journal_path, clock=clock, fsync=fsync)
+
+
+def _die_before_append(journal, k):
+    """Make ``journal``'s k-th append from now raise SimulatedCrash
+    before its record is written."""
+    log = journal._log
+    append = log.append
+    calls = itertools.count()
+
+    def dying(line, barrier):
+        if next(calls) >= k:
+            raise SimulatedCrash(f"client died before log append #{k}")
+        append(line, barrier)
+
+    log.append = dying
 
 
 def _ground_truth(inner):
@@ -316,24 +348,23 @@ class TestCrashDuringRecovery:
 class TestPowerLossLedger:
     def test_degraded_put_debt_survives_power_loss(self, tmp_path,
                                                    fault_seed, log_os):
-        """A ``debt`` is a ledger barrier: it outlives a power loss even
-        though the journal intent that carried it is committed (and so
-        never replays) — nothing else would remember the deficit."""
+        """A ``debt`` is a barrier of the one log: a power loss after a
+        degraded put keeps it, drops the unsynced ``commit``, and the
+        replay acknowledges the put with its debts still open."""
         clock = SimClock()
         inner = [InMemoryCSP(f"csp{i}") for i in range(3)]
         plan = FaultPlan([FaultSpec(kind=FaultKind.OUTAGE, csp_ids=("csp2",),
                                     ops=("upload",))], seed=fault_seed)
         wrapped = [FaultyProvider(p, plan, clock=clock) for p in inner]
         journal_path = tmp_path / "journal.jsonl"
-        ledger_path = tmp_path / "debts.jsonl"
         victim = _client(wrapped, journal_path, clock=clock, fsync=True,
-                         ledger=DebtLedger(ledger_path, clock=clock))
+                         debts=True)
         report = victim.put("wounded.bin",
                             deterministic_bytes(2600, seed=fault_seed))
         assert report.degraded_chunks
-        log_os.power_loss(journal_path, ledger_path)
+        log_os.power_loss(journal_path)
 
-        survivor = _client(inner, journal_path, ledger=DebtLedger(ledger_path))
+        survivor = _client(inner, journal_path, debts=True)
         # ``commit`` is no barrier: the put replays, and its node in the
         # synced tree makes the replay an acknowledgement
         recovery = survivor.run_recovery()
@@ -344,6 +375,69 @@ class TestPowerLossLedger:
             assert entry is not None and "csp2" in entry.failed_csps
         assert survivor.get("wounded.bin").data == \
             deterministic_bytes(2600, seed=fault_seed)
+
+    @pytest.mark.parametrize("where, kill, durability", DEGRADED_SWEEP)
+    def test_degraded_put_kill_points(self, tmp_path, where, kill,
+                                      durability, fault_seed, log_os):
+        """A put degraded by a csp2 upload outage, killed before each
+        provider op and each log append, on one log.  Recovery restores
+        the invariants; every debt on disk at the crash is still open
+        after it (recovery retires none); every chunk short of n live
+        shares is owed; and once the outage is over, repair drains every
+        debt."""
+        power = durability == "power"
+        journal_path = tmp_path / "journal.jsonl"
+        inner = [InMemoryCSP(f"csp{i}") for i in range(3)]
+        warmup = _client(inner, journal_path, fsync=power, debts=True)
+        stable = deterministic_bytes(2500, seed=fault_seed)
+        warmup.put("stable.bin", stable)
+
+        clock = SimClock()
+        specs = [FaultSpec(kind=FaultKind.OUTAGE, csp_ids=("csp2",),
+                           ops=("upload",))]
+        if where == "op":
+            specs.insert(0, FaultSpec(kind=FaultKind.CRASH,
+                                      window_ops=(kill, None), max_hits=1))
+        plan = FaultPlan(specs, seed=fault_seed)
+        victim = _client([FaultyProvider(p, plan, clock=clock)
+                          for p in inner], journal_path, clock=clock,
+                         fsync=power, debts=True)
+        if where == "append":
+            _die_before_append(victim.journal, kill)
+        attempted = deterministic_bytes(3100, seed=fault_seed + 1)
+        crashed = False
+        try:
+            assert victim.put("victim.bin", attempted).degraded_chunks
+        except SimulatedCrash:
+            crashed = True
+        if power:
+            log_os.power_loss(journal_path)
+        owed = IntentJournal(journal_path).open_debts()
+
+        survivor = _client(inner, journal_path, debts=True)
+        report = survivor.run_recovery()
+        survivor.sync()
+        assert report.incomplete_remaining == 0
+        truth = _assert_invariants(survivor, inner)
+        ledger = survivor.debt_ledger
+        for entry in owed:
+            assert ledger.debt_for(entry.chunk_id, entry.kind) is not None
+        stored = set().union(*truth.values())
+        for chunk_id in survivor.chunk_table.all_chunk_ids():
+            shares = {chunk_share_object_name(index, chunk_id)
+                      for index in range(CONFIG["n"])}
+            if len(shares & stored) < CONFIG["n"]:
+                assert ledger.debt_for(chunk_id) is not None, chunk_id
+
+        assert survivor.get("stable.bin").data == stable
+        visible = {e.name for e in survivor.list_files(sync_first=False)}
+        if "victim.bin" in visible:
+            assert survivor.get("victim.bin").data == attempted
+        else:
+            assert crashed
+        survivor.repair_debts()
+        assert len(ledger) == 0
+        assert survivor.run_recovery().clean
 
 
 class TestRollbackNeedsFullView:

@@ -10,6 +10,8 @@ must round-trip encode/decode byte-exactly for any JSON-safe payload
 from __future__ import annotations
 
 import json
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -20,15 +22,17 @@ from repro.core.client import CyrusClient
 from repro.core.config import CyrusConfig
 from repro.core.transfer import DirectEngine
 from repro.csp.memory import InMemoryCSP
+from repro.faults import FaultKind, FaultPlan, FaultSpec, FaultyProvider
 from repro.recovery import (
     BEGIN,
     COMMIT,
     SHARE_INTENT,
-    SHARE_UPLOADED,
+    STAGES,
     IntentJournal,
     JournalError,
     JournalRecord,
 )
+from repro.redundancy import DebtLedger
 from repro.util.clock import SimClock
 
 from tests.conftest import deterministic_bytes
@@ -58,9 +62,7 @@ records = st.builds(
     intent_id=st.text(
         alphabet="0123456789abcdef", min_size=1, max_size=16
     ),
-    stage=st.sampled_from(
-        (BEGIN, SHARE_INTENT, SHARE_UPLOADED, COMMIT)
-    ),
+    stage=st.sampled_from(STAGES),
     seq=st.integers(min_value=0, max_value=2**31),
     op=st.sampled_from(("", "put", "delete", "gc", "migrate")),
     time=st.floats(min_value=0, allow_nan=False, allow_infinity=False,
@@ -115,7 +117,7 @@ class TestIntentJournal:
             "put", name="a.bin",
             placements=[{"chunk": "c1", "csp": "csp0", "object": "o1"}],
         )
-        journal.record(iid, SHARE_UPLOADED,
+        journal.record(iid, SHARE_INTENT,
                        chunk="c1", csp="csp0", object="o1")
         assert [i.intent_id for i in journal.incomplete()] == [iid]
         journal.commit(iid)
@@ -123,7 +125,7 @@ class TestIntentJournal:
         [intent] = journal.intents()
         assert intent.committed and intent.op == "put"
         assert [r.stage for r in intent.records] == [
-            BEGIN, SHARE_UPLOADED, COMMIT
+            BEGIN, SHARE_INTENT, COMMIT
         ]
 
     def test_unknown_op_rejected(self, journal):
@@ -136,11 +138,11 @@ class TestIntentJournal:
             placements=[{"chunk": "c1", "csp": "csp0", "object": "o1"},
                         {"chunk": "c1", "csp": "csp1", "object": "o1"}],
         )
-        # failover re-plan, then the upload confirmation for the same
-        # object: rollback set must list (csp2, o1) exactly once
+        # two failover re-plans of the same object: the rollback set
+        # must list (csp2, o1) exactly once
         journal.record(iid, SHARE_INTENT, chunk="c1", csp="csp2",
                        object="o1")
-        journal.record(iid, SHARE_UPLOADED, chunk="c1", csp="csp2",
+        journal.record(iid, SHARE_INTENT, chunk="c1", csp="csp2",
                        object="o1")
         [intent] = journal.intents()
         assert intent.planned_shares() == [
@@ -153,7 +155,7 @@ class TestIntentJournal:
         iid2 = journal.begin("delete", placements=[])
         # the one partial write a crash can produce: a torn last line
         with open(journal.path, "ab") as handle:
-            handle.write(b'{"id":"zzzz","seq":99,"stage":"share-up')
+            handle.write(b'{"id":"zzzz","seq":99,"stage":"share-in')
         reopened = IntentJournal(journal.path)
         assert [i.intent_id for i in reopened.incomplete()] == [iid2]
 
@@ -175,15 +177,15 @@ class TestIntentJournal:
 
     def test_compaction_drops_committed_keeps_incomplete(self, journal):
         done = journal.begin("put", placements=[])
-        journal.record(done, SHARE_UPLOADED, chunk="c", csp="x", object="o")
+        journal.record(done, SHARE_INTENT, chunk="c", csp="x", object="o")
         journal.commit(done)
         open_iid = journal.begin(
             "put", placements=[{"chunk": "c2", "csp": "y", "object": "o2"}]
         )
-        journal.record(open_iid, SHARE_UPLOADED,
+        journal.record(open_iid, SHARE_INTENT,
                        chunk="c2", csp="y", object="o2")
         removed = journal.compact()
-        assert removed == 3  # begin + share-uploaded + commit
+        assert removed == 3  # begin + share-intent + commit
         [survivor] = journal.intents()
         assert survivor.intent_id == open_iid
         assert len(survivor.records) == 2  # nothing of the open intent lost
@@ -196,7 +198,7 @@ class TestIntentJournal:
         for _ in range(3):
             journal.commit(journal.begin("put", placements=[]))
         assert journal.intents() == []  # threshold hit, file compacted
-        assert journal._commits_since_compact == 0
+        assert journal._closed_since_compact == 0
 
     def test_compaction_leaves_no_temp_file(self, journal, tmp_path):
         journal.commit(journal.begin("put", placements=[]))
@@ -220,7 +222,7 @@ class TestIntentJournal:
 
     def test_append_after_compaction_lands_in_the_new_file(self, journal):
         journal.commit(journal.begin("put", placements=[]))
-        journal.record(journal.begin("put", placements=[]), SHARE_UPLOADED)
+        journal.record(journal.begin("put", placements=[]), SHARE_INTENT)
         assert journal.compact() == 2
         # the descriptor must follow the rename, not the replaced inode
         iid = journal.begin("delete", placements=[])
@@ -236,12 +238,57 @@ class TestIntentJournal:
     def test_begin_without_commit_from_torn_begin_is_ignored(self, journal):
         # records whose begin line was the torn one are unreplayable:
         # they must not surface as incomplete intents
-        record = JournalRecord(intent_id="feed", stage=SHARE_UPLOADED,
+        record = JournalRecord(intent_id="feed", stage=SHARE_INTENT,
                                seq=500, fields={"chunk": "c"})
         with open(journal.path, "ab") as handle:
             handle.write(record.encode())
         assert journal.incomplete() == []
         assert len(journal.intents()) == 1  # still visible to inspection
+
+
+class TestOneLogThreads:
+    def test_intents_and_debts_from_many_threads(self, tmp_path):
+        """Intents and debts appended from more threads than cores, with
+        compactions in between, share one seq order, and a reopen folds
+        the same open debts."""
+        journal = IntentJournal(tmp_path / "journal.jsonl", fsync=False,
+                                compact_after=16)
+        ledger = DebtLedger(journal)
+        errors: list[BaseException] = []
+
+        def worker(w: int) -> None:
+            try:
+                for i in range(40):
+                    iid = journal.begin("put", placements=[])
+                    debt_id = ledger.record(f"{w:02x}{i:038x}",
+                                            missing=(i % 3,))
+                    ledger.note_attempt(debt_id)
+                    if i % 2:
+                        ledger.retire(debt_id)
+                    journal.commit(iid)
+            except BaseException as exc:  # surfaced by the main thread
+                errors.append(exc)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(w,))
+                       for w in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not errors
+        assert not any(thread.is_alive() for thread in threads)
+        seqs = [r.seq for r in journal._parse()[0]]
+        assert len(seqs) == len(set(seqs))
+        assert len(ledger) == 8 * 20
+        assert all(e.attempts == 1 for e in ledger.open_debts())
+        reopened = IntentJournal(journal.path)
+        assert reopened.open_debts() == journal.open_debts()
+        assert reopened.incomplete() == []
 
 
 # -- group commit: the pinned per-op syscall budget -----------------------
@@ -277,3 +324,31 @@ class TestGroupCommitBudget:
     def test_tombstone_delete(self, client, log_os):
         _, counts = log_os.measure(lambda: client.delete("warm.bin"))
         assert counts == BUDGET["tombstone_delete"]
+
+    def test_degraded_put(self, tmp_path, log_os):
+        """csp2's uploads go dark after a warm-up put opened the log: the
+        next put owes a chunk and a metadata debt, each written once, as
+        a barrier of the same log as its ``begin`` and ``commit``."""
+        clock = SimClock()
+        dark = FaultPlan([FaultSpec(
+            kind=FaultKind.OUTAGE, csp_ids=("csp2",), ops=("upload",),
+            window_time=(1.0, float("inf")),
+        )])
+        providers = [FaultyProvider(InMemoryCSP(f"csp{i}"), dark, clock=clock)
+                     for i in range(3)]
+        engine = DirectEngine({p.csp_id: p for p in providers}, clock=clock)
+        journal = IntentJournal(tmp_path / "journal.jsonl", clock=clock)
+        client = CyrusClient.create(
+            providers, CyrusConfig(key="budget-key", t=2, n=3),
+            client_id="alice", engine=engine, journal=journal,
+            debt_ledger=DebtLedger(journal),
+        )
+        client.put("warm.bin", deterministic_bytes(2048, seed=1))
+        clock.advance(1.0)
+        report, counts = log_os.measure(
+            lambda: client.put("a.bin", deterministic_bytes(2048, seed=2)))
+        assert report.new_chunks == 1 and len(report.degraded_chunks) == 1
+        assert sorted(e.kind for e in client.debt_ledger.open_debts()) == [
+            "chunk", "meta"]
+        assert [p.name for p in tmp_path.iterdir()] == ["journal.jsonl"]
+        assert counts == BUDGET["put_degraded"]

@@ -1,7 +1,7 @@
 """The redundancy-debt ledger: durability, merging, backoff, compaction.
 
-The ledger borrows the intent journal's torn-tail-tolerant JSONL
-discipline, so these tests mirror the journal suite's shape: round-trip
+The ledger is a view over the intent journal's debt records, so these
+tests mirror the journal suite's shape: round-trip
 through reopen, crash-torn tails, merge semantics, and atomic
 compaction that preserves backoff state exactly.
 """
@@ -114,7 +114,7 @@ class TestTornTail:
         # stays one skipped line and every record after it survives
         assert log_os.calls["open"] == 1
         reopened = DebtLedger(path)
-        assert reopened._parse()[1] == 1
+        assert reopened.journal._parse()[1] == 1
         assert sorted((e.chunk_id, e.attempts)
                       for e in reopened.open_debts()) == [
             ("a" * 40, 1), ("b" * 40, 0),

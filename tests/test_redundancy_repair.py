@@ -42,14 +42,14 @@ def _outage_plan(seed, window=OUTAGE_WINDOW):
 
 
 def _client(providers, tmp_path, clock=None, client_id="alice"):
+    """A client whose intents and debts share one log, as ``cyrus``'s."""
     clock = clock or SimClock()
     engine = DirectEngine({p.csp_id: p for p in providers}, clock=clock)
+    journal = IntentJournal(tmp_path / "journal.jsonl", clock=clock,
+                            fsync=False)
     return CyrusClient.create(
         providers, CyrusConfig(**CONFIG), client_id=client_id,
-        engine=engine,
-        journal=IntentJournal(tmp_path / "journal.jsonl", clock=clock,
-                              fsync=False),
-        debt_ledger=DebtLedger(tmp_path / "debts.jsonl", fsync=False),
+        engine=engine, journal=journal, debt_ledger=DebtLedger(journal),
     )
 
 
@@ -119,8 +119,8 @@ class TestDegradedWriteSurface:
             assert entry is not None
             assert "csp2" in entry.failed_csps
             assert entry.missing  # at least one index short
-        # the debt was journaled inside the put's intent, so recovery
-        # replay can reconcile it after a crash
+        # each debt is a record of the client's one log
+        assert [p.name for p in tmp_path.iterdir()] == ["journal.jsonl"]
         assert '"debt"' in (tmp_path / "journal.jsonl").read_text()
 
     def test_degraded_file_still_reads_back(self, tmp_path, fault_seed):
@@ -270,36 +270,39 @@ class TestRepairSearchesSpareShares:
 
 
 class TestDebtReconciliation:
-    """Crash between the journal's debt record and the ledger append:
-    roll-forward re-records the debt from the intent."""
+    """A put killed after its debt barrier and its publish, before its
+    ``commit``: recovery acknowledges it, and the debt, already in the
+    same log, stays open until repair drains it."""
 
-    def test_rollforward_reconciles_journal_only_debt(self, tmp_path):
+    def test_rollforward_keeps_one_log_debt_open(self, tmp_path):
         clock = SimClock()
         inner = [InMemoryCSP(f"csp{i}") for i in range(3)]
         client = _client(inner, tmp_path, clock=clock)
         data = deterministic_bytes(900, seed=3)
         client.put("ok.bin", data)
         [chunk_id] = list(client.chunk_table.all_chunk_ids())[:1]
+        at = dict(client.chunk_table.get(chunk_id).placements)
+        lost = chunk_share_object_name(2, chunk_id)
+        next(p for p in inner if p.csp_id == at[2]).delete(lost)
 
-        # hand-craft the crash remnant: a put intent whose node was
-        # published and which journaled a debt, but died before the
-        # ledger append (and before commit)
-        intent_id = client.journal.begin(
-            "put", name="ok.bin",
-            node_id=client.tree.latest("ok.bin").node_id,
-        )
-        client.journal.record(intent_id, "debt", chunk=chunk_id,
-                              missing=[2], failed=["csp2"])
-        assert client.debt_ledger.debt_for(chunk_id) is None
+        # hand-craft the crash remnant in one log: a put intent whose
+        # node was published and which recorded a debt, but died before
+        # its commit
+        client.journal.begin("put", name="ok.bin",
+                             node_id=client.tree.latest("ok.bin").node_id)
+        debt_id = client.debt_ledger.record(chunk_id, missing=(2,),
+                                            failed_csps=(at[2],))
 
-        report = client.run_recovery()
-        assert report.debts_reconciled == 1
-        entry = client.debt_ledger.debt_for(chunk_id)
-        assert entry is not None
+        survivor = _client(inner, tmp_path, clock=clock)
+        report = survivor.run_recovery()
+        assert report.rolled_forward == 1 and report.rolled_back == 0
+        entry = survivor.debt_ledger.debt_for(chunk_id)
+        assert entry is not None and entry.debt_id == debt_id
         assert entry.missing == (2,)
-        assert entry.failed_csps == ("csp2",)
-        # and the reconciled debt drains like any other
-        assert run_repair(client).debts_open == 0
+        assert entry.failed_csps == (at[2],)
+        # and the debt drains like any other
+        assert run_repair(survivor).debts_open == 0
+        assert survivor.get("ok.bin").data == data
 
 
 class TestRepairKillPoints:
