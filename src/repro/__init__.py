@@ -10,8 +10,10 @@ from optimally chosen providers minimise latency.
 This module is the **stable public API façade**: everything a caller
 needs — the sync and async clients, configuration, the provider
 protocol, the report types and the error hierarchy — imports from
-here.  The implementation modules (``repro.core.client`` ...) remain
-importable for advanced use.
+here.  The façade is lazy: ``import repro`` loads this module alone,
+and each name's implementation module (``repro.core.client`` ...) is
+imported on the name's first access.  The implementation modules
+remain importable for advanced use.
 
 Quickstart (sync)::
 
@@ -39,123 +41,82 @@ See DESIGN.md's "Concurrency model and public API" section for the
 transfer pool, its admission bounds and the async session facade.
 """
 
-from repro.core.async_client import AsyncCyrusClient
-from repro.core.client import CyrusClient, FileEntry
-from repro.core.cloud import CSPStatus, CyrusCloud
-from repro.core.config import CyrusConfig
-from repro.core.downloader import DownloadReport
-from repro.core.retry import ShareRetryLoop
-from repro.core.sync import SyncReport
-from repro.core.transfer import (
-    DirectEngine,
-    OpResult,
-    SimulatedEngine,
-    TransferOp,
-    TransferReceiver,
-)
-from repro.core.uploader import UploadReport
-from repro.csp.base import BytesLike, CloudProvider, ObjectInfo
-from repro.csp.resilient import HealthRegistry, RetryPolicy
-from repro.errors import (
-    Attempt,
-    ChunkingError,
-    CircuitOpenError,
-    CodingError,
-    ConfigurationError,
-    ConflictError,
-    CSPAuthError,
-    CSPError,
-    CSPQuotaExceededError,
-    CSPTimeoutError,
-    CSPUnavailableError,
-    CyrusError,
-    InsufficientSharesError,
-    MetadataError,
-    ObjectNotFoundError,
-    ReliabilityError,
-    SelectionError,
-    ShareGatherError,
-    ShareIntegrityError,
-    TenantQuotaError,
-    TransferError,
-    is_retryable,
-)
-from repro.faults import FaultKind, FaultPlan, FaultSpec, FaultyProvider
-from repro.fleet import (
-    FleetHarness,
-    FleetQuota,
-    FleetResult,
-    FleetTopology,
-    TenantResult,
-    fleet_gate,
-    run_fleet,
-)
-from repro.workloads.fleet import FleetWorkloadSpec, generate_fleet_workload
+import sys
 
 __version__ = "1.2.0"
 
-__all__ = [
+
+def _lazy_exports(package: str, exports: dict[str, tuple[str, ...]]):
+    """PEP 562 hooks that make ``package``'s ``__init__`` a lazy façade.
+
+    ``exports`` maps each implementation module to the names the
+    package re-exports from it.  A name's module is imported on its
+    first access; the value is then bound in the package, so later
+    accesses never reach the hook again.  Returns the package's
+    ``__all__``, ``__getattr__`` and ``__dir__``.
+
+    Every package ``__init__`` under ``repro`` is such a façade and
+    never imports a sibling module itself, so a process pays only for
+    the modules it uses (pinned in ``tests/data/op_budget.json``
+    ``import_graph``).
+    """
+    origin = {name: module for module, names in exports.items()
+              for name in names}
+    namespace = sys.modules[package].__dict__
+
+    def __getattr__(name: str):
+        try:
+            module = origin[name]
+        except KeyError:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}") from None
+        # the builtin, not importlib.import_module: only imports through
+        # it show in ``python -X importtime``
+        __import__(module)
+        value = namespace[name] = getattr(sys.modules[module], name)
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted(namespace.keys() | origin.keys())
+
+    return list(origin), __getattr__, __dir__
+
+
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
     # clients & configuration
-    "CyrusClient",
-    "AsyncCyrusClient",
-    "CyrusConfig",
-    "CyrusCloud",
-    "CSPStatus",
-    "FileEntry",
+    "repro.core.client": ("CyrusClient", "FileEntry"),
+    "repro.core.async_client": ("AsyncCyrusClient",),
+    "repro.core.config": ("CyrusConfig",),
+    "repro.core.cloud": ("CyrusCloud", "CSPStatus"),
     # reports
-    "UploadReport",
-    "DownloadReport",
-    "SyncReport",
+    "repro.core.uploader": ("UploadReport",),
+    "repro.core.downloader": ("DownloadReport",),
+    "repro.core.sync": ("SyncReport",),
     # provider protocol
-    "CloudProvider",
-    "BytesLike",
-    "ObjectInfo",
+    "repro.csp.base": ("CloudProvider", "BytesLike", "ObjectInfo"),
     # engines & retry
-    "DirectEngine",
-    "SimulatedEngine",
-    "TransferOp",
-    "OpResult",
-    "TransferReceiver",
-    "ShareRetryLoop",
+    "repro.core.transfer": ("DirectEngine", "SimulatedEngine", "TransferOp",
+                            "OpResult", "TransferReceiver"),
+    "repro.core.retry": ("ShareRetryLoop",),
     # resilience
-    "HealthRegistry",
-    "RetryPolicy",
-    "FaultKind",
-    "FaultPlan",
-    "FaultSpec",
-    "FaultyProvider",
+    "repro.csp.resilient": ("HealthRegistry", "RetryPolicy"),
+    "repro.faults.plan": ("FaultKind", "FaultPlan", "FaultSpec"),
+    "repro.faults.provider": ("FaultyProvider",),
     # fleet simulation
-    "FleetHarness",
-    "FleetQuota",
-    "FleetResult",
-    "FleetTopology",
-    "FleetWorkloadSpec",
-    "TenantResult",
-    "fleet_gate",
-    "generate_fleet_workload",
-    "run_fleet",
+    "repro.fleet.harness": ("FleetHarness", "FleetResult", "FleetTopology",
+                            "TenantResult", "run_fleet"),
+    "repro.fleet.quota": ("FleetQuota",),
+    "repro.fleet.report": ("fleet_gate",),
+    "repro.workloads.fleet": ("FleetWorkloadSpec", "generate_fleet_workload"),
     # errors
-    "CyrusError",
-    "ConfigurationError",
-    "CodingError",
-    "InsufficientSharesError",
-    "ShareIntegrityError",
-    "ChunkingError",
-    "CSPError",
-    "CSPUnavailableError",
-    "CSPTimeoutError",
-    "CircuitOpenError",
-    "CSPAuthError",
-    "CSPQuotaExceededError",
-    "ObjectNotFoundError",
-    "MetadataError",
-    "TenantQuotaError",
-    "ConflictError",
-    "SelectionError",
-    "ReliabilityError",
-    "TransferError",
-    "ShareGatherError",
-    "Attempt",
-    "is_retryable",
-    "__version__",
-]
+    "repro.errors": (
+        "CyrusError", "ConfigurationError", "CodingError",
+        "InsufficientSharesError", "ShareIntegrityError", "ChunkingError",
+        "CSPError", "CSPUnavailableError", "CSPTimeoutError",
+        "CircuitOpenError", "CSPAuthError", "CSPQuotaExceededError",
+        "ObjectNotFoundError", "MetadataError", "TenantQuotaError",
+        "ConflictError", "SelectionError", "ReliabilityError",
+        "TransferError", "ShareGatherError", "Attempt", "is_retryable",
+    ),
+})
+__all__.append("__version__")

@@ -1,21 +1,8 @@
 """Benchmark harness: testbed construction, runners, and reporting."""
 
-from repro.bench.harness import (
-    download_files,
-    summarize_durations,
-    upload_files,
-)
-from repro.bench.reporting import fmt_mb, fmt_seconds, render_table
-from repro.bench.testbed import SimEnvironment, build_paper_testbed, build_environment
+from repro import _lazy_exports
 
-__all__ = [
-    "SimEnvironment",
-    "build_paper_testbed",
-    "build_environment",
-    "upload_files",
-    "download_files",
-    "summarize_durations",
-    "render_table",
-    "fmt_seconds",
-    "fmt_mb",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.bench.harness": ("summarize_durations",),
+    "repro.bench.testbed": ("build_paper_testbed", "build_environment"),
+})

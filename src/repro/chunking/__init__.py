@@ -11,14 +11,11 @@ keep their identity and are deduplicated.  This package provides:
 * :class:`FixedSizeChunker` — the baseline the paper contrasts against.
 """
 
-from repro.chunking.chunk import Chunk
-from repro.chunking.cdc import ContentDefinedChunker
-from repro.chunking.fixed import FixedSizeChunker
-from repro.chunking.rabin import RabinFingerprint
+from repro import _lazy_exports
 
-__all__ = [
-    "Chunk",
-    "ContentDefinedChunker",
-    "FixedSizeChunker",
-    "RabinFingerprint",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.chunking.chunk": ("Chunk",),
+    "repro.chunking.cdc": ("ContentDefinedChunker",),
+    "repro.chunking.fixed": ("FixedSizeChunker",),
+    "repro.chunking.rabin": ("RabinFingerprint",),
+})

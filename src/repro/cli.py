@@ -44,7 +44,6 @@ from repro.core.client import CyrusClient
 from repro.core.config import CyrusConfig
 from repro.csp.localfs import LocalDirectoryCSP
 from repro.errors import CyrusError
-from repro.obs import Tracer
 
 CONFIG_NAME = "cyrus.json"
 
@@ -403,8 +402,6 @@ def cmd_sync_dir(args) -> int:
     or outdated locally are downloaded.  Conflicts are reported, not
     resolved.
     """
-    from repro.core.sync import LocalChangeDetector
-
     client = build_client(_store_path(args))
     root = Path(args.directory).expanduser()
     root.mkdir(parents=True, exist_ok=True)
@@ -644,6 +641,8 @@ def cmd_trace(args) -> int:
     gets its own lane, so parallel share transfers render as the
     paper's Figure 14/17 timelines.
     """
+    from repro.obs.trace import Tracer
+
     client = build_client(_store_path(args))
     # attached after the startup recovery and sync, so the trace holds
     # only the requested op

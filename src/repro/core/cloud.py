@@ -87,6 +87,10 @@ class CyrusCloud:
             {self.cluster_of(c) for c, s in self._status.items() if s in statuses}
         )
 
+    def csp_count(self, statuses: tuple[CSPStatus, ...] = (CSPStatus.ACTIVE,)) -> int:
+        """CSPs with the given statuses."""
+        return sum(s in statuses for s in self._status.values())
+
     # -- membership -------------------------------------------------------
 
     def provider(self, csp_id: str) -> CloudProvider:

@@ -34,14 +34,13 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Hashable, Mapping, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
+    from repro.netsim.link import Link
     from repro.obs import Observability
 
 from repro.core.parallel import ResultHook, ScatterGatherPool
 from repro.csp.base import CloudProvider, ObjectInfo
 from repro.csp.resilient import HealthRegistry
 from repro.errors import CSPError, CSPUnavailableError, TransferError, is_retryable
-from repro.netsim.link import Link
-from repro.netsim.simulator import FlowSimulator, TransferRequest
 from repro.util.clock import Clock, SimClock, WallClock, sleep_on
 
 
@@ -471,6 +470,9 @@ class SimulatedEngine(TransferEngine):
         health: HealthRegistry | None = None,
         obs: "Observability | None" = None,
     ):
+        # the flow simulator loads only with the first simulated engine
+        from repro.netsim.simulator import FlowSimulator
+
         super().__init__(providers, clock=clock, receiver=receiver,
                          health=health, obs=obs)
         self._links = dict(links)
@@ -502,6 +504,8 @@ class SimulatedEngine(TransferEngine):
         group_quota: Mapping[Hashable, int] | None = None,
     ) -> list[OpResult]:
         """Run one batch; the shared clock ends at its last completion."""
+        from repro.netsim.simulator import TransferRequest
+
         start_time = self.clock.now()
         results: list[OpResult | None] = [None] * len(ops)
         requests: list[TransferRequest] = []

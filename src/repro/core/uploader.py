@@ -285,11 +285,25 @@ class Uploader:
         seen: set[str] = set()
         dedup = 0
         cluster_aware = self.config.respect_clusters
+        t = self.config.t
+        fixed_n = self.config.n is not None
+        # a fixed n codes over every CSP not removed, so a failed or
+        # full one costs a debt, not a share; Eq. (1) sizes n to the
+        # CSPs up now
+        statuses = ((CSPStatus.ACTIVE, CSPStatus.FAILED) if fixed_n
+                    else (CSPStatus.ACTIVE,))
         limit = (
-            self.cloud.cluster_count()
+            self.cloud.cluster_count(statuses)
             if cluster_aware
-            else len(self.cloud.active_csps())
+            else self.cloud.csp_count(statuses)
         )
+        writable = self.cloud.writable_csps()
+        # demote breaker-open providers (quarantined or dark): a share
+        # assigned there costs a guaranteed fail-fast plus a failover
+        # round before landing anywhere useful
+        unhealthy = {
+            c for c in writable if not self.retry_loop.alternate_is_live(c)
+        }
         for chunk in chunks:
             if chunk.id in seen:
                 dedup += 1
@@ -299,21 +313,17 @@ class Uploader:
                 dedup += 1
                 continue
             n = self.config.plan_n(limit)
-            # demote breaker-open providers (quarantined or dark): a
-            # share assigned there costs a guaranteed fail-fast plus a
-            # failover round before landing anywhere useful
-            unhealthy = {
-                c for c in self.cloud.writable_csps()
-                if not self.retry_loop.alternate_is_live(c)
-            }
+            # the shares no writable CSP can take are owed (see
+            # _scatter); fewer than t writable CSPs refuse the put
+            placed = max(t, min(n, len(writable))) if fixed_n else n
             csps = self.cloud.place_chunk(
-                chunk.id, n, respect_clusters=cluster_aware,
+                chunk.id, placed, respect_clusters=cluster_aware,
                 avoid=unhealthy,
             )
             plans.append(
                 _ChunkPlan(
                     chunk=chunk,
-                    t=self.config.t,
+                    t=t,
                     n=n,
                     lane=lane,
                     placements={i: csp for i, csp in enumerate(csps)},
@@ -405,8 +415,9 @@ class Uploader:
         all_results, attempts = self.retry_loop.run(
             items, build_op, on_success, on_giveup, pick_alternate
         )
-        # degraded chunks (t <= stored < n) map to their redundancy
-        # debt: the missing share indices and the CSPs that failed them
+        # degraded chunks (t <= stored < n, whether a share failed or
+        # was never placed) map to their redundancy debt: the missing
+        # share indices and the CSPs that failed them
         degraded: dict[str, tuple[tuple[int, ...], tuple[str, ...]]] = {}
         for cid, plan in outstanding.items():
             stored = len(succeeded[cid])

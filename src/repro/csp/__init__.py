@@ -25,39 +25,16 @@ deterministic jitter, and a per-CSP circuit breaker feeding the shared
 :class:`HealthRegistry`.
 """
 
-from repro.csp.account import AuthToken, Credentials
-from repro.csp.base import BytesLike, CloudProvider, ObjectInfo
-from repro.csp.catalog import CSPSpec, TABLE2, amazon_hosted, spec_by_name
-from repro.csp.localfs import LocalDirectoryCSP
-from repro.csp.memory import InMemoryCSP
-from repro.csp.namespaced import NamespacedCSP, namespace_prefix
-from repro.csp.resilient import (
-    BreakerState,
-    CircuitBreaker,
-    CSPHealth,
-    HealthEvent,
-    HealthRegistry,
-    RetryPolicy,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "CloudProvider",
-    "BytesLike",
-    "ObjectInfo",
-    "InMemoryCSP",
-    "LocalDirectoryCSP",
-    "NamespacedCSP",
-    "namespace_prefix",
-    "AuthToken",
-    "Credentials",
-    "CSPSpec",
-    "TABLE2",
-    "amazon_hosted",
-    "spec_by_name",
-    "BreakerState",
-    "CircuitBreaker",
-    "CSPHealth",
-    "HealthEvent",
-    "HealthRegistry",
-    "RetryPolicy",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.csp.account": ("AuthToken", "Credentials"),
+    "repro.csp.base": ("BytesLike", "CloudProvider", "ObjectInfo"),
+    "repro.csp.catalog": ("CSPSpec", "TABLE2", "amazon_hosted",
+                          "spec_by_name"),
+    "repro.csp.localfs": ("LocalDirectoryCSP",),
+    "repro.csp.memory": ("InMemoryCSP",),
+    "repro.csp.namespaced": ("NamespacedCSP", "namespace_prefix"),
+    "repro.csp.resilient": ("BreakerState", "CircuitBreaker", "CSPHealth",
+                            "HealthEvent", "HealthRegistry", "RetryPolicy"),
+})

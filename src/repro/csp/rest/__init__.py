@@ -24,21 +24,11 @@ runs unmodified over any mix of these — the design claim the tests pin
 down.
 """
 
-from repro.csp.rest.connector import RestConnectorCSP
-from repro.csp.rest.dialects import (
-    DriveStyleDialect,
-    DropboxStyleDialect,
-    S3StyleDialect,
-)
-from repro.csp.rest.server import InProcessRestServer
-from repro.csp.rest.wire import WireRequest, WireResponse
+from repro import _lazy_exports
 
-__all__ = [
-    "RestConnectorCSP",
-    "InProcessRestServer",
-    "DropboxStyleDialect",
-    "DriveStyleDialect",
-    "S3StyleDialect",
-    "WireRequest",
-    "WireResponse",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.csp.rest.connector": ("RestConnectorCSP",),
+    "repro.csp.rest.dialects": ("DriveStyleDialect", "DropboxStyleDialect",
+                                "S3StyleDialect"),
+    "repro.csp.rest.server": ("InProcessRestServer",),
+})

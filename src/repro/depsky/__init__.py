@@ -13,7 +13,8 @@ the paper's comparison probes:
   optimisation).
 """
 
-from repro.depsky.client import DepSkyClient, DepSkyReport
-from repro.depsky.locks import LockProtocol
+from repro import _lazy_exports
 
-__all__ = ["DepSkyClient", "DepSkyReport", "LockProtocol"]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.depsky.client": ("DepSkyClient",),
+})

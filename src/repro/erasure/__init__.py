@@ -8,8 +8,10 @@ matrix whose evaluation points are derived from a hash of the user's key
 string, so decoding additionally requires the key (paper Section 7.1).
 """
 
-from repro.erasure.rs import RSCodec
-from repro.erasure.keyed import KeyedSharer, derive_dispersal_points
-from repro.erasure.share import Share
+from repro import _lazy_exports
 
-__all__ = ["RSCodec", "KeyedSharer", "Share", "derive_dispersal_points"]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.erasure.rs": ("RSCodec",),
+    "repro.erasure.keyed": ("KeyedSharer", "derive_dispersal_points"),
+    "repro.erasure.share": ("Share",),
+})

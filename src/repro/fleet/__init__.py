@@ -9,35 +9,12 @@ CSP groups (:class:`repro.metadata.MetadataStore`), fair quota admission
 command line and emits a schema-versioned ``FLEET_report.json``.
 """
 
-from repro.fleet.harness import (
-    FleetHarness,
-    FleetResult,
-    FleetTopology,
-    TenantResult,
-    run_fleet,
-)
-from repro.fleet.quota import FleetQuota, QuotaGrant
-from repro.fleet.report import (
-    FLEET_SCHEMA,
-    MAX_LOAD_SKEW,
-    fleet_gate,
-    load_fleet_report,
-    validate_fleet_report,
-    write_fleet_report,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "FleetHarness",
-    "FleetResult",
-    "FleetTopology",
-    "TenantResult",
-    "run_fleet",
-    "FleetQuota",
-    "QuotaGrant",
-    "FLEET_SCHEMA",
-    "MAX_LOAD_SKEW",
-    "fleet_gate",
-    "load_fleet_report",
-    "validate_fleet_report",
-    "write_fleet_report",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.fleet.harness": ("FleetHarness", "FleetResult", "FleetTopology",
+                            "TenantResult", "run_fleet"),
+    "repro.fleet.quota": ("FleetQuota",),
+    "repro.fleet.report": ("fleet_gate", "load_fleet_report",
+                           "validate_fleet_report", "write_fleet_report"),
+})

@@ -11,8 +11,6 @@ secret sharing (paper Section 5.1, Figure 5), over the AES polynomial
 * :mod:`repro.gf.scalar` — pure-Python field and matrix operations,
   built from first principles: the oracle the equivalence suites check
   the kernel against, and the source of the codec's matrices.
+
+The package itself exports nothing: import from its modules.
 """
-
-from repro.gf.tables import EXP_TABLE, GF_ORDER, GF_POLY, LOG_TABLE
-
-__all__ = ["GF_ORDER", "GF_POLY", "EXP_TABLE", "LOG_TABLE"]

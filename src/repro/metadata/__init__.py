@@ -10,30 +10,16 @@ shared across a fixed set of CSPs (Section 5.2), so no central metadata
 server exists.
 """
 
-from repro.metadata.chunktable import GlobalChunkTable
-from repro.metadata.codec import (
-    decode_node,
-    encode_node,
-    metadata_share_name,
-    parse_metadata_share_name,
-)
-from repro.metadata.conflicts import Conflict, detect_conflicts
-from repro.metadata.node import ROOT_ID, ChunkRecord, MetadataNode, ShareRecord
-from repro.metadata.store import MetadataStore
-from repro.metadata.tree import MetadataTree
+from repro import _lazy_exports
 
-__all__ = [
-    "MetadataNode",
-    "ChunkRecord",
-    "ShareRecord",
-    "ROOT_ID",
-    "MetadataTree",
-    "Conflict",
-    "detect_conflicts",
-    "encode_node",
-    "decode_node",
-    "metadata_share_name",
-    "parse_metadata_share_name",
-    "MetadataStore",
-    "GlobalChunkTable",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.metadata.chunktable": ("GlobalChunkTable",),
+    "repro.metadata.codec": ("decode_node", "encode_node",
+                             "metadata_share_name",
+                             "parse_metadata_share_name"),
+    "repro.metadata.conflicts": ("detect_conflicts",),
+    "repro.metadata.node": ("ROOT_ID", "ChunkRecord", "MetadataNode",
+                            "ShareRecord"),
+    "repro.metadata.store": ("MetadataStore",),
+    "repro.metadata.tree": ("MetadataTree",),
+})

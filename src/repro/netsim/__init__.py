@@ -16,16 +16,10 @@ contention structure:
   times for arbitrary sets of overlapping transfers.
 """
 
-from repro.netsim.link import Link
-from repro.netsim.simulator import FlowSimulator, TransferRequest, TransferResult
-from repro.netsim.tcp import mathis_throughput
-from repro.netsim.trace import RateTrace
+from repro import _lazy_exports
 
-__all__ = [
-    "Link",
-    "FlowSimulator",
-    "TransferRequest",
-    "TransferResult",
-    "mathis_throughput",
-    "RateTrace",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.netsim.link": ("Link",),
+    "repro.netsim.simulator": ("FlowSimulator", "TransferRequest"),
+    "repro.netsim.trace": ("RateTrace",),
+})

@@ -20,8 +20,8 @@ from __future__ import annotations
 import math
 from typing import Mapping, Sequence
 
-from repro.obs import OPS_TOTAL, TRANSFER_BYTES
 from repro.obs.metrics import MetricsSnapshot
+from repro.obs.observability import OPS_TOTAL, TRANSFER_BYTES
 
 
 def percentile(samples: Sequence[float], q: float) -> float:

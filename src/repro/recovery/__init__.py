@@ -17,46 +17,12 @@ paper Section 5 leaves to lazy repair:
   would only fix at the next read.
 """
 
-from repro.recovery.journal import (
-    BEGIN,
-    COMMIT,
-    SHARE_INTENT,
-    STAGES,
-    Intent,
-    IntentJournal,
-    JournalError,
-    JournalRecord,
-)
-from repro.recovery.recover import (
-    RECOVERY_ROLLBACK,
-    RECOVERY_ROLLFORWARD,
-    RecoveryReport,
-    recover_client,
-)
-from repro.recovery.scrub import (
-    SCRUB_SHARES_REPAIRED,
-    SCRUB_SHARES_VERIFIED,
-    Scrubber,
-    ScrubReport,
-    run_scrub,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "BEGIN",
-    "COMMIT",
-    "SHARE_INTENT",
-    "STAGES",
-    "Intent",
-    "IntentJournal",
-    "JournalError",
-    "JournalRecord",
-    "RECOVERY_ROLLBACK",
-    "RECOVERY_ROLLFORWARD",
-    "RecoveryReport",
-    "recover_client",
-    "SCRUB_SHARES_REPAIRED",
-    "SCRUB_SHARES_VERIFIED",
-    "Scrubber",
-    "ScrubReport",
-    "run_scrub",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.recovery.journal": ("BEGIN", "COMMIT", "SHARE_INTENT", "STAGES",
+                               "IntentJournal", "JournalError",
+                               "JournalRecord"),
+    "repro.recovery.recover": ("RecoveryReport", "recover_client"),
+    "repro.recovery.scrub": ("Scrubber", "ScrubReport", "run_scrub"),
+})

@@ -10,23 +10,9 @@ through :mod:`repro.redundancy.reconcile`, which also serves the scrub,
 lazy migration and the metadata back-fill.
 """
 
-from repro.redundancy.ledger import (
-    DEBT_OPEN,
-    DEBT_RECORDED,
-    DEBT_RETIRED,
-    DebtEntry,
-    DebtLedger,
-    REPAIR_SHARES,
-)
-from repro.redundancy.repair import RepairReport, run_repair
+from repro import _lazy_exports
 
-__all__ = [
-    "DEBT_OPEN",
-    "DEBT_RECORDED",
-    "DEBT_RETIRED",
-    "DebtEntry",
-    "DebtLedger",
-    "REPAIR_SHARES",
-    "RepairReport",
-    "run_repair",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.redundancy.ledger": ("DebtEntry", "DebtLedger"),
+    "repro.redundancy.repair": ("RepairReport", "run_repair"),
+})

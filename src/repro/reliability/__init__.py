@@ -1,16 +1,11 @@
 """Reliability planning and failure simulation (paper Section 4.2, Figure 13)."""
 
-from repro.reliability.failure_model import (
-    FailureEstimator,
-    downtime_to_probability,
-    simulate_request_failures,
-)
-from repro.reliability.planner import chunk_failure_probability, minimum_shares
+from repro import _lazy_exports
 
-__all__ = [
-    "FailureEstimator",
-    "downtime_to_probability",
-    "simulate_request_failures",
-    "chunk_failure_probability",
-    "minimum_shares",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.reliability.failure_model": ("FailureEstimator",
+                                        "downtime_to_probability",
+                                        "simulate_request_failures"),
+    "repro.reliability.planner": ("chunk_failure_probability",
+                                  "minimum_shares"),
+})

@@ -10,32 +10,14 @@ random / round-robin / greedy / brute-force baselines the evaluation
 compares against.
 """
 
-from repro.selection.bandwidth import optimal_bandwidth_allocation
-from repro.selection.baselines import (
-    BruteForceSelector,
-    GreedySelector,
-    RandomSelector,
-    RoundRobinSelector,
-)
-from repro.selection.cyrus import CyrusSelector
-from repro.selection.problem import (
-    ChunkDownload,
-    DownloadProblem,
-    SelectionPlan,
-    evaluate_plan,
-    restrict_to_live,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "ChunkDownload",
-    "DownloadProblem",
-    "SelectionPlan",
-    "evaluate_plan",
-    "restrict_to_live",
-    "optimal_bandwidth_allocation",
-    "CyrusSelector",
-    "RandomSelector",
-    "RoundRobinSelector",
-    "GreedySelector",
-    "BruteForceSelector",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.selection.bandwidth": ("optimal_bandwidth_allocation",),
+    "repro.selection.baselines": ("BruteForceSelector", "GreedySelector",
+                                  "RandomSelector", "RoundRobinSelector"),
+    "repro.selection.cyrus": ("CyrusSelector",),
+    "repro.selection.problem": ("ChunkDownload", "DownloadProblem",
+                                "SelectionPlan", "evaluate_plan",
+                                "restrict_to_live"),
+})

@@ -10,16 +10,11 @@ platform map — the clustering algorithm itself consumes only hop lists,
 exactly as in the paper.
 """
 
-from repro.topology.cluster import cluster_at_level, cluster_csps, render_tree
-from repro.topology.routes import Route, synthesize_routes
-from repro.topology.tree import CLIENT_NODE, route_tree
+from repro import _lazy_exports
 
-__all__ = [
-    "Route",
-    "synthesize_routes",
-    "route_tree",
-    "CLIENT_NODE",
-    "cluster_at_level",
-    "cluster_csps",
-    "render_tree",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.topology.cluster": ("cluster_at_level", "cluster_csps",
+                               "render_tree"),
+    "repro.topology.routes": ("Route", "synthesize_routes"),
+    "repro.topology.tree": ("CLIENT_NODE", "route_tree"),
+})

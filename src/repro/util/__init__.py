@@ -1,19 +1,5 @@
-"""Shared utilities: hashing, canonical serialization, simulated clocks."""
+"""Shared utilities: hashing, canonical serialization, simulated clocks.
 
-from repro.util.clock import Clock, SimClock, WallClock
-from repro.util.hashing import sha1_hex, share_name, stable_hash64
-from repro.util.units import GB, KB, MB, format_bytes, format_rate
-
-__all__ = [
-    "Clock",
-    "SimClock",
-    "WallClock",
-    "sha1_hex",
-    "share_name",
-    "stable_hash64",
-    "KB",
-    "MB",
-    "GB",
-    "format_bytes",
-    "format_rate",
-]
+The package itself exports nothing: import from its modules
+(``repro.util.clock``, ``repro.util.hashing``, ...).
+"""

@@ -1,44 +1,13 @@
 """Workload generation: the Table 4 dataset, the user-trial scenarios,
 and the multi-tenant fleet workloads (Zipf popularity, Poisson arrivals)."""
 
-from repro.workloads.dataset import (
-    TABLE4_PROFILE,
-    DatasetFile,
-    DatasetProfile,
-    ExtensionProfile,
-    generate_dataset,
-)
-from repro.workloads.fleet import (
-    FleetWorkload,
-    FleetWorkloadSpec,
-    TenantPlan,
-    WorkloadOp,
-    derive_rng,
-    generate_fleet_workload,
-    tenant_ids,
-    zipf_weights,
-)
-from repro.workloads.generator import redundant_bytes, random_bytes, edited_copy
-from repro.workloads.trial import TRIAL_PROFILES, TrialProfile, trial_environment
+from repro import _lazy_exports
 
-__all__ = [
-    "DatasetFile",
-    "DatasetProfile",
-    "ExtensionProfile",
-    "TABLE4_PROFILE",
-    "generate_dataset",
-    "random_bytes",
-    "redundant_bytes",
-    "edited_copy",
-    "TrialProfile",
-    "TRIAL_PROFILES",
-    "trial_environment",
-    "FleetWorkload",
-    "FleetWorkloadSpec",
-    "TenantPlan",
-    "WorkloadOp",
-    "derive_rng",
-    "generate_fleet_workload",
-    "tenant_ids",
-    "zipf_weights",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.workloads.dataset": ("TABLE4_PROFILE", "generate_dataset"),
+    "repro.workloads.fleet": ("FleetWorkloadSpec", "derive_rng",
+                              "generate_fleet_workload", "zipf_weights"),
+    "repro.workloads.generator": ("redundant_bytes", "random_bytes",
+                                  "edited_copy"),
+    "repro.workloads.trial": ("TRIAL_PROFILES", "trial_environment"),
+})

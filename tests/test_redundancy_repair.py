@@ -12,12 +12,16 @@ zero transfers and zero duplicates.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.core.client import CyrusClient
+from repro.core.cloud import CSPStatus
 from repro.core.config import CyrusConfig
 from repro.core.daemon import SyncDaemon
 from repro.core.naming import chunk_share_object_name
 from repro.core.transfer import DirectEngine
 from repro.csp.memory import InMemoryCSP
+from repro.errors import SelectionError
 from repro.faults import FaultKind, FaultPlan, FaultSpec, FaultyProvider
 from repro.faults.plan import SimulatedCrash
 from repro.recovery import IntentJournal
@@ -355,3 +359,76 @@ class TestRepairKillPoints:
             assert scrub.shares_corrupt == 0
             assert survivor.get("wounded.bin").data == base
             assert survivor.run_recovery().clean
+
+
+class TestDegradedPlacement:
+    """A fixed-n put while a CSP is failed or full codes at n, places
+    the shares that have a writable CSP and owes the rest; it neither
+    shrinks n silently nor refuses while t CSPs can take shares."""
+
+    def _world(self, tmp_path, fault_seed, spec):
+        clock = SimClock()
+        inner = [InMemoryCSP(f"csp{i}") for i in range(3)]
+        plan = FaultPlan([spec], seed=fault_seed)
+        wrapped = [FaultyProvider(p, plan, clock=clock) for p in inner]
+        return _client(wrapped, tmp_path, clock=clock), inner, clock
+
+    def _put_three(self, client, fault_seed):
+        """Three puts: the first finds csp2 broken, the others plan
+        around it.  Every chunk is coded at n=3, held on 2 CSPs, owed."""
+        reports = [client.put(f"f{i}.bin",
+                              deterministic_bytes(2600, seed=fault_seed + i))
+                   for i in range(3)]
+        for report in reports:
+            assert report.degraded_chunks
+            for record in report.node.chunks:
+                assert (record.t, record.n) == (2, 3)
+            assert {s.csp_id for s in report.node.shares} == {"csp0", "csp1"}
+        for report in reports[1:]:
+            # planned around csp2: nothing was sent there
+            assert all(r.op.csp_id != "csp2" for r in report.share_results)
+            for chunk_id in report.degraded_chunks:
+                assert client.debt_ledger.debt_for(chunk_id).missing
+        owed = {c for r in reports for c in r.degraded_chunks}
+        snap = client.obs.snapshot()
+        assert snap.counter_total("cyrus_upload_degraded_chunks_total") == \
+            len(owed)
+        return owed
+
+    def _heal(self, client, inner, fault_seed, owed):
+        report = client.repair_debts()
+        assert report.debts_retired >= len(owed)
+        assert len(client.debt_ledger) == 0
+        _assert_fully_redundant(client, inner)
+        for i in range(3):
+            assert client.get(f"f{i}.bin").data == \
+                deterministic_bytes(2600, seed=fault_seed + i)
+
+    def test_failed_csp_is_owed_not_dropped(self, tmp_path, fault_seed):
+        client, inner, clock = self._world(tmp_path, fault_seed, FaultSpec(
+            kind=FaultKind.OUTAGE, csp_ids=("csp2",), ops=("upload",),
+            window_time=OUTAGE_WINDOW))
+        owed = self._put_three(client, fault_seed)
+        assert client.cloud.status_of("csp2") is CSPStatus.FAILED
+        clock.advance_to(100.0)
+        client.cloud.mark_recovered("csp2")
+        self._heal(client, inner, fault_seed, owed)
+
+    def test_full_csp_is_owed_not_refused(self, tmp_path, fault_seed):
+        client, inner, clock = self._world(tmp_path, fault_seed, FaultSpec(
+            kind=FaultKind.QUOTA, csp_ids=("csp2",), ops=("upload",),
+            window_time=OUTAGE_WINDOW))
+        owed = self._put_three(client, fault_seed)
+        assert client.cloud.is_write_full("csp2")
+        clock.advance_to(100.0)
+        client.cloud.mark_write_available("csp2")
+        self._heal(client, inner, fault_seed, owed)
+
+    def test_fewer_than_t_writable_refuses(self, tmp_path, fault_seed):
+        client, _inner, _clock = self._world(tmp_path, fault_seed, FaultSpec(
+            kind=FaultKind.OUTAGE, csp_ids=("csp2",), ops=("upload",),
+            window_time=OUTAGE_WINDOW))
+        client.cloud.mark_failed("csp1")
+        client.cloud.mark_write_full("csp2")
+        with pytest.raises(SelectionError, match="need 2 writable"):
+            client.put("f.bin", deterministic_bytes(2600, seed=fault_seed))
