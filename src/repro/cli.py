@@ -72,10 +72,15 @@ def load_settings(store: Path) -> dict:
     return json.loads(path.read_text())
 
 
-#: Clients built during the current command; ``main`` closes them on the
-#: way out, so every command shares one teardown path (the engine's pool
-#: threads) without per-command boilerplate.
-_active_clients: list[CyrusClient] = []
+#: Clients built during the current command, each with its tree-cache
+#: path and its tree's edit count once the cache was loaded; ``main``
+#: saves a tree that changed and closes the client on the way out, so
+#: every command shares one teardown path (the snapshot, the engine's
+#: pool threads) without per-command boilerplate.
+_active_clients: list[tuple[CyrusClient, Path, int]] = []
+
+#: The local copy of the metadata tree (Section 3.2), in the store.
+TREE_CACHE_NAME = "tree-cache.bin"
 
 
 def config_from_settings(settings: dict) -> CyrusConfig:
@@ -110,11 +115,14 @@ def build_client(store: Path) -> CyrusClient:
     )
     # local metadata copy (Section 3.2): start from the cached tree so
     # the sync only fetches nodes published since the last invocation
-    cache_path = store / "tree-cache.json"
+    cache_path = store / TREE_CACHE_NAME
     try:
         client.load_local_state(cache_path)
     except CyrusError:
         pass  # stale/corrupt cache: fall back to a full sync
+    # a command that leaves the tree as loaded (ls, a sync that finds
+    # nothing new) writes no local state
+    _active_clients.append((client, cache_path, client.tree.edits))
     # startup replay: finish or undo whatever a crashed invocation left
     report = client.run_recovery()
     if report is not None and not report.clean:
@@ -123,8 +131,6 @@ def build_client(store: Path) -> CyrusClient:
               f"{report.rolled_back} rolled back, "
               f"{report.shares_deleted} orphaned share(s) deleted)")
     client.sync()
-    client.save_local_state(cache_path)
-    _active_clients.append(client)
     return client
 
 
@@ -897,7 +903,12 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         # the single teardown path: whatever clients the command built
         while _active_clients:
-            _active_clients.pop().close()
+            client, cache_path, loaded = _active_clients.pop()
+            try:
+                if client.tree.edits != loaded:
+                    client.save_local_state(cache_path)
+            finally:
+                client.close()
 
 
 if __name__ == "__main__":  # pragma: no cover

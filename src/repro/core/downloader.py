@@ -35,6 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.core.chunkcache import ChunkCache
 from repro.core.cloud import CSPStatus, CyrusCloud
@@ -70,7 +71,10 @@ from repro.selection import (
     SelectionPlan,
     restrict_to_live,
 )
-from repro.util.hashing import HashLane, LaneJob, file_id_of, sha1_hex
+from repro.util.hashing import HashLane, file_id_of, sha1_hex
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.util.hashing import LaneJob
 
 
 @dataclass

@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import threading
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.chunking import Chunk, ContentDefinedChunker
 from repro.core.chunkcache import ChunkCache
@@ -43,7 +43,10 @@ from repro.metadata import (
 )
 from repro.metadata.node import ROOT_ID, node_id_of
 from repro.obs import span_if
-from repro.util.hashing import HashLane, LaneJob, file_id_of, sha1_hex
+from repro.util.hashing import HashLane, file_id_of, sha1_hex
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.util.hashing import LaneJob
 
 
 @functools.lru_cache(maxsize=64)

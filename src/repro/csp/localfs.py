@@ -52,17 +52,26 @@ class LocalDirectoryCSP(CloudProvider):
         return issue_token(credentials, provider_secret=self.csp_id)
 
     def list(self, *, prefix: str = "") -> list[ObjectInfo]:
-        """List stored objects whose names start with ``prefix``."""
+        """List stored objects whose names start with ``prefix``, by name.
+
+        One directory scan: names are filtered before anything is
+        stat-ed, so a ``md-`` listing costs one ``stat`` per metadata
+        object however many shares sit beside them.
+        """
+        with os.scandir(self.root) as entries:
+            matching = [
+                entry for entry in entries
+                if entry.name.startswith(prefix)
+                # in-flight (or torn) upload temp, not an object
+                and not entry.name.endswith(".part")
+            ]
         out = []
-        for path in sorted(self.root.iterdir()):
-            if not path.is_file() or not path.name.startswith(prefix):
+        for entry in sorted(matching, key=lambda e: e.name):
+            if not entry.is_file():
                 continue
-            if path.name.endswith(".part"):
-                continue  # in-flight (or torn) upload temp, not an object
-            stat = path.stat()
-            out.append(
-                ObjectInfo(name=path.name, size=stat.st_size, modified=stat.st_mtime)
-            )
+            stat = entry.stat()
+            out.append(ObjectInfo(name=entry.name, size=stat.st_size,
+                                  modified=stat.st_mtime))
         return out
 
     def upload(self, name: str, data: BytesLike) -> None:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
+from functools import lru_cache
 
 from repro.errors import SelectionError
 
@@ -23,6 +24,17 @@ from repro.errors import SelectionError
 def _ring_hash(key: str) -> int:
     """Position on the ring: first 8 bytes of SHA-1 (paper uses SHA-1)."""
     return int.from_bytes(hashlib.sha1(key.encode("utf-8")).digest()[:8], "big")
+
+
+@lru_cache(maxsize=1024)
+def _virtual_points(csp_id: str, count: int) -> tuple[int, ...]:
+    """Positions of a CSP's first ``count`` virtual nodes.
+
+    They depend on nothing but the CSP id, so every ring in the process
+    (one per client: a fleet builds hundreds over the same CSP ids)
+    shares one computation.
+    """
+    return tuple(_ring_hash(f"{csp_id}#{i}") for i in range(count))
 
 
 class ConsistentHashRing:
@@ -49,8 +61,7 @@ class ConsistentHashRing:
         if csp_id in self._weights:
             raise ValueError(f"CSP {csp_id!r} already on the ring")
         self._weights[csp_id] = weight
-        for i in range(self.replicas * weight):
-            point = _ring_hash(f"{csp_id}#{i}")
+        for point in _virtual_points(csp_id, self.replicas * weight):
             idx = bisect.bisect(self._points, point)
             self._points.insert(idx, point)
             self._owners.insert(idx, csp_id)

@@ -38,6 +38,9 @@ class MetadataTree:
         #: bumped by every ``remove``: a cache of "ids this tree holds"
         #: (the sync's settled names) is stale once it moves
         self.removals = 0
+        #: bumped by every ``add`` or ``remove`` that changes the tree: a
+        #: copy saved at one count is current while the count holds
+        self.edits = 0
 
     # -- growth ------------------------------------------------------------
 
@@ -62,12 +65,16 @@ class MetadataTree:
                         key=lambda s: (s.chunk_id, s.index, s.csp_id),
                     )
                 )
-                self._nodes[node_id] = replace(existing, shares=merged_shares)
+                merged = replace(existing, shares=merged_shares)
+                if merged != existing:
+                    self._nodes[node_id] = merged
+                    self.edits += 1
                 return False
             raise MetadataError(
                 f"node id collision with differing content: {node_id[:8]}"
             )
         self._nodes[node_id] = node
+        self.edits += 1
         self._children.setdefault(node.prev_id, set()).add(node_id)
         # nodes arrive in any order: a child may already be waiting
         if not self._children.get(node_id):
@@ -104,6 +111,7 @@ class MetadataTree:
         if node is None:
             return False
         self.removals += 1
+        self.edits += 1
         self._drop_head(node)
         kids = self._children.get(node.prev_id)
         if kids is not None:

@@ -255,7 +255,7 @@ def _recover_gc(client, journal, intent, report, actions) -> bool:
 def _recover_meta_repair(client, journal, intent, report, actions) -> bool:
     """Roll a crashed metadata re-dispersal forward.
 
-    The intent carries the node verbatim, so the replay simply
+    The intent carries the node's encoding (hex), so the replay simply
     re-publishes it across every slot — an idempotent overwrite (the
     repaired slots get a fresh envelope stamp; shares of identical
     plaintext group together at fetch regardless of stamp).  The open
@@ -265,8 +265,8 @@ def _recover_meta_repair(client, journal, intent, report, actions) -> bool:
     begin = intent.first(BEGIN)
     node_id = str(begin.fields.get("node_id", ""))[:12]
     try:
-        node = decode_node(str(begin.fields["node"]).encode("utf-8"))
-    except (KeyError, CyrusError):
+        node = decode_node(bytes.fromhex(str(begin.fields["node"])))
+    except (KeyError, ValueError, CyrusError):
         # an unreadable intent cannot be replayed; the debt ledger still
         # holds the obligation, so closing the intent loses nothing
         journal.commit(intent.intent_id, outcome="unreadable")

@@ -435,7 +435,7 @@ def reconcile_node(state: NodeState, journal, budget: Budget) -> Outcome:
         intent_id = None
         if journal is not None:
             intent_id = journal.begin("meta-repair", node_id=state.node_id,
-                                      node=encode_node(node).decode("utf-8"),
+                                      node=encode_node(node).hex(),
                                       slots=[[i, *frames[i][:2]]
                                              for i in state.rewrite])
         out.written = len(_put(state.client, journal, intent_id, [

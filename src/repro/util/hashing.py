@@ -23,8 +23,10 @@ import hashlib
 import os
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor, wait
-from typing import Iterable, Union
+from typing import TYPE_CHECKING, Iterable, Union
+
+if TYPE_CHECKING:  # pragma: no cover - loaded with the first threaded lane
+    from concurrent.futures import Future, ThreadPoolExecutor
 
 
 def sha1_hex(data: bytes) -> str:
@@ -86,6 +88,10 @@ def _lane_pool() -> ThreadPoolExecutor:
     global _pool
     with _pool_lock:
         if _pool is None:
+            # imported here: a process whose ops all hash inline never
+            # pays for concurrent.futures (and its logging import)
+            from concurrent.futures import ThreadPoolExecutor
+
             _pool = ThreadPoolExecutor(max_workers=_cpus(),
                                        thread_name_prefix="cyrus-hash-lane")
         return _pool
@@ -123,8 +129,9 @@ class _Done:
         return self._value
 
 
-#: What :meth:`HashLane.submit` returns; ``result()`` is the job's value.
-LaneJob = Union[Future, _Done]
+if TYPE_CHECKING:  # pragma: no cover
+    #: What :meth:`HashLane.submit` returns; ``result()`` is the job's value.
+    LaneJob = Union[Future, _Done]
 
 
 def _run(job: LaneJob, fn, args) -> None:
@@ -158,7 +165,12 @@ class HashLane:
     def submit(self, kind: str, nbytes: int, fn, *args) -> LaneJob:
         """Run ``fn(*args)``, hashing ``nbytes`` bytes of ``kind``
         (``chunk`` or ``share``)."""
-        job = Future() if self._threaded else _Done()
+        if self._threaded:
+            from concurrent.futures import Future
+
+            job = Future()
+        else:
+            job = _Done()
         with self._lock:
             self._submitted.append(job)
         if not self._threaded:
@@ -186,6 +198,8 @@ class HashLane:
         with self._lock:
             jobs = list(self._submitted)
         if self._threaded:
+            from concurrent.futures import wait
+
             wait(jobs)
         if exc_type is None:
             for job in jobs:

@@ -1,9 +1,11 @@
 """Canonical JSON serialization.
 
-Metadata nodes are content-addressed (their name includes a hash of
-their bytes), so the byte encoding must be canonical: sorted keys, no
-insignificant whitespace, UTF-8.  Two clients serialising the same
-logical node must produce identical bytes.
+A node id is the SHA-1 of its lineage fields in this form
+(:func:`repro.metadata.node.node_id_of`), so the bytes must be
+canonical: sorted keys, no insignificant whitespace, UTF-8.  Two
+clients serialising the same values must produce identical bytes.
+(The node itself is stored in the binary form of
+:mod:`repro.metadata.codec`.)
 """
 
 from __future__ import annotations

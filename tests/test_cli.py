@@ -171,6 +171,37 @@ class TestRecovery:
         assert out.read_bytes() == b"shared state"
 
 
+class TestLocalState:
+    """The tree cache, the local copy of the metadata tree (Section
+    3.2), is rewritten only by a command that changed the tree."""
+
+    def test_ls_leaves_the_cache_and_put_refreshes_it(self, store, tmp_path):
+        import os
+
+        from repro.cli import TREE_CACHE_NAME
+        from repro.metadata.snapshot import load_snapshot
+
+        source = tmp_path / "f.txt"
+        source.write_bytes(b"first")
+        assert run(store, "put", source) == 0
+        cache = store / TREE_CACHE_NAME
+        assert len(load_snapshot(cache.read_bytes())) == 1
+        os.utime(cache, ns=(10**18, 10**18))  # an mtime no write keeps
+        before = cache.read_bytes()
+
+        assert run(store, "ls") == 0
+        assert run(store, "history", "f.txt") == 0
+        assert cache.read_bytes() == before
+        assert cache.stat().st_mtime_ns == 10**18
+
+        source.write_bytes(b"second")
+        assert run(store, "put", source) == 0
+        assert cache.stat().st_mtime_ns != 10**18
+        assert len(load_snapshot(cache.read_bytes())) == 2
+        assert sorted(p.name for p in store.iterdir()
+                      if p.name.startswith("tree-cache")) == [TREE_CACHE_NAME]
+
+
 class TestMembership:
     def test_status(self, store, capsys):
         assert run(store, "status") == 0

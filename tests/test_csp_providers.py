@@ -131,3 +131,63 @@ class TestLocalDirectory:
         csp = LocalDirectoryCSP("disk", tmp_path)
         csp.upload("obj", b"final")
         assert [p.name for p in tmp_path.iterdir()] == ["obj"]
+
+    def test_list_stats_only_what_matches(self, tmp_path, monkeypatch):
+        """A prefixed listing stats each matching object once and no
+        other entry, and returns what a sorted full scan that filters
+        afterwards returns, in the same order."""
+        import os
+
+        csp = LocalDirectoryCSP("disk", tmp_path)
+        for i in range(5):
+            csp.upload(f"md-{i:040x}-{i % 3:03d}", b"m" * i)
+        for i in range(30):
+            csp.upload(f"{i * 7919:040x}", b"share")
+        (tmp_path / "md-torn.part").write_bytes(b"half")
+        (tmp_path / "md-subdir").mkdir()
+
+        def reference(prefix):
+            return [
+                (path.name, path.stat().st_size, path.stat().st_mtime)
+                for path in sorted(tmp_path.iterdir())
+                if path.is_file() and path.name.startswith(prefix)
+                and not path.name.endswith(".part")
+            ]
+
+        expected = {prefix: reference(prefix) for prefix in ("md-", "", "0")}
+        stats = []
+        real_scandir, real_stat = os.scandir, os.stat
+
+        class CountingEntry:
+            def __init__(self, entry):
+                self._entry, self.name = entry, entry.name
+
+            def is_file(self):
+                return self._entry.is_file()
+
+            def stat(self):
+                stats.append(self.name)
+                return self._entry.stat()
+
+        class CountingScan:
+            def __init__(self, path):
+                self._scan = real_scandir(path)
+
+            def __enter__(self):
+                return (CountingEntry(e) for e in self._scan)
+
+            def __exit__(self, *exc):
+                self._scan.close()
+
+        def counting_stat(path, *args, **kwargs):
+            stats.append(os.fspath(path))
+            return real_stat(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "scandir", CountingScan)
+        monkeypatch.setattr(os, "stat", counting_stat)
+        listed = csp.list(prefix="md-")
+        assert len(stats) == 5
+        assert [(o.name, o.size, o.modified) for o in listed] == expected["md-"]
+        for prefix in ("", "0"):
+            assert [(o.name, o.size, o.modified)
+                    for o in csp.list(prefix=prefix)] == expected[prefix]

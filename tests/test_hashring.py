@@ -116,3 +116,33 @@ class TestMinimalRemapping:
         ring.add("b")
         after = {k: ring.owner(k) for k in before}
         assert before == after
+
+
+class TestVirtualPointCache:
+    """A CSP's virtual-node positions are computed once per process and
+    shared by every ring; placement must not depend on the cache."""
+
+    def test_cold_and_warm_rings_place_alike(self):
+        import random
+
+        from repro.hashring import ring as ring_module
+
+        ids = [f"csp{i}" for i in range(6)]
+        ring_module._virtual_points.cache_clear()
+        cold = ring_with(*ids)
+        cold.add("heavy", weight=3)
+        assert ring_module._virtual_points.cache_info().hits == 0
+        warm = ring_with(*ids)
+        warm.add("heavy", weight=3)
+        assert ring_module._virtual_points.cache_info().hits == 7
+        expected = sorted(
+            (ring_module._ring_hash(f"{csp}#{i}"), csp)
+            for csp, count in [*((c, 64) for c in ids), ("heavy", 192)]
+            for i in range(count)
+        )
+        assert list(zip(warm._points, warm._owners)) == expected
+        rng = random.Random(2015)
+        for _ in range(10_000):
+            key = f"{rng.getrandbits(160):040x}"
+            count = rng.randint(1, 7)
+            assert cold.successors(key, count) == warm.successors(key, count)

@@ -17,9 +17,24 @@ from repro.metadata import (
     parse_metadata_share_name,
 )
 from repro.util.clock import SimClock
-from repro.util.serialization import canonical_dumps, canonical_loads
 from tests.conftest import publish_node, read_nodes
+from repro.metadata.codec import CODEC_VERSION
 from tests.test_metadata_tree import mk
+
+
+def _layout(blob: bytes) -> dict[str, int]:
+    """Where the ChunkMap rows, the share digests and the ShareMap rows
+    of an encoded node start."""
+    from repro.metadata import codec
+
+    head = codec._NODE_HEAD.unpack_from(blob)
+    name_len, client_len, n_csps, n_chunks, n_shares = head[6:]
+    pos = codec._NODE_HEAD.size + name_len + client_len
+    for _ in range(n_csps):
+        pos += 1 + blob[pos]
+    return {"chunks": pos,
+            "digests": pos + n_chunks * codec._CHUNK_ROW.size,
+            "shares": len(blob) - n_shares * codec._SHARE_ROW.size}
 
 
 class TestCodec:
@@ -36,30 +51,48 @@ class TestCodec:
             decode_node(b"not json at all")
         with pytest.raises(MetadataError):
             decode_node(b"{}")
+        with pytest.raises(MetadataError):
+            decode_node(b"")
 
     def test_version_rejected(self):
-        blob = encode_node(mk("f", "v1")).replace(b'"v":1', b'"v":99')
-        with pytest.raises(MetadataError):
-            decode_node(blob)
+        blob = bytearray(encode_node(mk("f", "v1")))
+        assert blob[0] == CODEC_VERSION
+        blob[0] = 99
+        with pytest.raises(MetadataError, match="version"):
+            decode_node(bytes(blob))
 
-    def test_five_column_row_rejected(self):
-        doc = canonical_loads(encode_node(mk("f", "v1")))
-        doc["chunkMap"][0] = doc["chunkMap"][0][:5]
-        with pytest.raises(MetadataError):
-            decode_node(canonical_dumps(doc))
+    def test_short_chunk_row_rejected(self):
+        """A ChunkMap row without its share digests (or cut inside its
+        fixed fields) is refused, not read as a shorter node."""
+        blob = encode_node(mk("f", "v1"))
+        at = _layout(blob)
+        for cut in (slice(at["digests"], at["shares"]),  # no digests
+                    slice(at["digests"] - 1, at["digests"])):  # no n
+            with pytest.raises(MetadataError):
+                decode_node(blob[:cut.start] + blob[cut.stop:])
 
     def test_digest_count_must_match_n(self):
-        doc = canonical_loads(encode_node(mk("f", "v1")))
-        for digests in ([], doc["chunkMap"][0][5][:-1]):
-            doc["chunkMap"][0][5] = digests
+        blob = encode_node(mk("f", "v1"))
+        at = _layout(blob)
+        n_at = at["digests"] - 1  # n closes the one chunk row
+        assert blob[n_at] == 3
+        for n in (0, 2, 4):  # digests for 3 shares, rows claiming n
+            forged = blob[:n_at] + bytes((n,)) + blob[n_at + 1:]
             with pytest.raises(MetadataError):
-                decode_node(canonical_dumps(doc))
+                decode_node(forged)
+        for digests in (0, 2):  # n = 3, fewer digests stored
+            forged = (blob[:at["digests"] + 20 * digests]
+                      + blob[at["shares"]:])
+            with pytest.raises(MetadataError):
+                decode_node(forged)
 
     def test_share_index_beyond_n_rejected(self):
-        doc = canonical_loads(encode_node(mk("f", "v1")))
-        doc["shareMap"][0][1] = doc["chunkMap"][0][4]  # index == n
+        blob = bytearray(encode_node(mk("f", "v1")))
+        index_at = _layout(blob)["shares"] + 4  # row u32, then the index
+        assert blob[index_at] == 0
+        blob[index_at] = 3  # index == n
         with pytest.raises(MetadataError, match="out of range"):
-            decode_node(canonical_dumps(doc))
+            decode_node(bytes(blob))
 
     def test_share_names(self):
         node = mk("f", "v1")

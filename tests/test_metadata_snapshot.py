@@ -5,6 +5,7 @@ import pytest
 from repro.errors import MetadataError
 from repro.metadata import MetadataTree
 from repro.metadata.snapshot import (
+    SNAPSHOT_VERSION,
     dump_snapshot,
     load_snapshot,
     load_tree,
@@ -30,9 +31,14 @@ class TestSnapshotCodec:
 
     def test_corrupt_rejected(self):
         with pytest.raises(MetadataError):
-            load_snapshot(b"not json")
+            load_snapshot(b"not a snapshot")
         with pytest.raises(MetadataError):
             load_snapshot(b'{"v": 99, "nodes": []}')
+        blob = bytearray(dump_snapshot([mk("f", "v1")]))
+        assert blob[4] == SNAPSHOT_VERSION  # after the 4-byte magic
+        blob[4] = 99
+        with pytest.raises(MetadataError, match="version"):
+            load_snapshot(bytes(blob))
 
 
 class TestTreePersistence:

@@ -1,5 +1,7 @@
 """Unit tests for the metadata version tree."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import MetadataError
@@ -61,6 +63,24 @@ class TestGrowth:
         assert {(s.index, s.csp_id) for s in merged.shares} == {
             (0, "a"), (1, "b"), (2, "z"),
         }
+
+    def test_edits_count_what_changed_the_tree(self):
+        """``edits`` moves on a new node, a share merge and a removal,
+        never on a re-add of a known node: a saved copy stays current
+        while it holds."""
+        tree = MetadataTree()
+        a = mk("f", "v1")
+        tree.add(a)
+        tree.add(a)
+        assert tree.edits == 1
+        tree.add(replace(a, shares=a.shares[:1]))  # nothing new to merge
+        assert tree.edits == 1
+        tree.add(replace(a, shares=(
+            ShareRecord(chunk_id=a.chunks[0].chunk_id, index=2, csp_id="z"),)))
+        assert tree.edits == 2
+        tree.remove(a.node_id)
+        tree.remove(a.node_id)
+        assert tree.edits == 3
 
     def test_true_collision_raises(self):
         tree = MetadataTree()
