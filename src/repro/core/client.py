@@ -127,7 +127,6 @@ class CyrusClient:
             debt_ledger.clock = engine.clock
         self.last_recovery = None
         self.tree = MetadataTree()
-        self.chunk_table = GlobalChunkTable()
         self._selector = selector
         self._chunker = chunker
         if health is None:
@@ -196,6 +195,11 @@ class CyrusClient:
         client._owns_engine = owns_engine
         return client
 
+    @property
+    def chunk_table(self) -> GlobalChunkTable:
+        """The global chunk table, which the metadata tree keeps."""
+        return self.tree.chunk_table
+
     def _rebuild_store(self) -> None:
         if self._store_factory is not None:
             self.store = self._store_factory(self)
@@ -210,23 +214,22 @@ class CyrusClient:
     def _rebuild_pipelines(self) -> None:
         self.uploader = Uploader(
             cloud=self.cloud, store=self.store, tree=self.tree,
-            chunk_table=self.chunk_table, config=self.config,
-            engine=self.engine, chunker=self._chunker,
+            config=self.config, engine=self.engine, chunker=self._chunker,
             policy=self._retry_policy, health=self.health,
             journal=self.journal, ledger=self.debt_ledger,
             cache=self.chunk_cache,
         )
         self.downloader = Downloader(
-            cloud=self.cloud, tree=self.tree, chunk_table=self.chunk_table,
-            config=self.config, engine=self.engine, selector=self._selector,
+            cloud=self.cloud, tree=self.tree, config=self.config,
+            engine=self.engine, selector=self._selector,
             policy=self._retry_policy, health=self.health,
             cache=self.chunk_cache,
         )
         self.downloader.journal = self.journal
         self.downloader.ledger = self.debt_ledger
         self.syncer = SyncService(
-            store=self.store, tree=self.tree, chunk_table=self.chunk_table,
-            engine=self.engine, cloud=self.cloud,
+            store=self.store, tree=self.tree, engine=self.engine,
+            cloud=self.cloud,
         )
 
     def close(self) -> None:
@@ -417,7 +420,6 @@ class CyrusClient:
         the cloud lives anywhere else.
         """
         self.tree = MetadataTree()
-        self.chunk_table = GlobalChunkTable()
         self._rebuild_pipelines()
         return self.sync()
 
@@ -511,7 +513,6 @@ class CyrusClient:
                 )
                 self.uploader._publish(renamed)
                 self.tree.add(renamed)
-                self.chunk_table.record_node(renamed)
                 created.append(new_name)
         return created
 
@@ -531,10 +532,7 @@ class CyrusClient:
         """Merge a persisted tree snapshot; returns nodes added."""
         from repro.metadata.snapshot import load_tree
 
-        added = load_tree(self.tree, path)
-        if added:
-            self.chunk_table.rebuild(list(self.tree))
-        return added
+        return load_tree(self.tree, path)
 
     def storage_stats(self) -> dict:
         """Logical vs stored bytes and the dedup/redundancy breakdown.

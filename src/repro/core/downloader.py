@@ -55,7 +55,7 @@ from repro.errors import (
     ShareGatherError,
     ShareIntegrityError,
 )
-from repro.metadata import GlobalChunkTable, MetadataNode, MetadataTree
+from repro.metadata import MetadataNode, MetadataTree
 from repro.metadata.conflicts import Conflict, conflicts_for_node
 from repro.obs import span_if
 from repro.redundancy.reconcile import (
@@ -125,7 +125,6 @@ class Downloader:
         self,
         cloud: CyrusCloud,
         tree: MetadataTree,
-        chunk_table: GlobalChunkTable,
         config: CyrusConfig,
         engine: TransferEngine,
         selector=None,
@@ -136,7 +135,6 @@ class Downloader:
     ):
         self.cloud = cloud
         self.tree = tree
-        self.chunk_table = chunk_table
         self.config = config
         self.engine = engine
         self.selector = selector or CyrusSelector(resolve_every=4)
@@ -295,7 +293,7 @@ class Downloader:
             placements: dict[int, str] = {}
             for share in node.shares_of(record.chunk_id):
                 placements[share.index] = share.csp_id
-            table_entry = self.chunk_table.get(record.chunk_id)
+            table_entry = self.tree.chunk_table.get(record.chunk_id)
             if table_entry is not None:
                 for index, csp in table_entry.placements:
                     placements.setdefault(index, csp)
@@ -627,7 +625,7 @@ class Downloader:
         plaintext this read already holds (no share is fetched)."""
         migrations: list[ShareMigration] = []
         for chunk_id, state in states.items():
-            if state.decoded is None or chunk_id not in self.chunk_table:
+            if state.decoded is None or chunk_id not in self.tree.chunk_table:
                 continue
             # the downloader holds every handle a reconcile reads: cloud,
             # chunk table, health, config and engine

@@ -22,7 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.naming import chunk_share_object_name
-from repro.core.transfer import OpKind, TransferEngine, TransferOp, list_objects
+from repro.core.transfer import (
+    OpKind,
+    OpResult,
+    TransferEngine,
+    TransferOp,
+    list_objects,
+)
 from repro.errors import CSPError, MetadataError
 from repro.metadata import MetadataStore, MetadataTree
 from repro.metadata.codec import metadata_share_name
@@ -112,70 +118,81 @@ def prune_history(
 
 def _delete_nodes(tree: MetadataTree, store: MetadataStore,
                   engine: TransferEngine, nodes) -> None:
+    engine.execute([
+        TransferOp(kind=OpKind.DELETE, csp_id=provider.csp_id,
+                   name=metadata_share_name(node.node_id, index))
+        for node in nodes
+        for index, provider in enumerate(store.slots_for(node.name))
+    ])  # failures tolerated: share may not exist
     for node in nodes:
-        engine.execute([
-            TransferOp(kind=OpKind.DELETE, csp_id=provider.csp_id,
-                       name=metadata_share_name(node.node_id, index))
-            for index, provider in enumerate(store.slots_for(node.name))
-        ])  # failures tolerated: share may not exist
         tree.remove(node.node_id)
+
+
+def sweep_chunks(client, entries) -> list[OpResult]:
+    """Delete the recorded share placements of every ``gc`` entry
+    (``{"chunk": id, "placements": [[index, csp], ...]}``) whose chunk
+    no tree node references, in one batch, and forget those chunks.
+
+    Returns the batch's results; failures are tolerated (a share may
+    be gone already, or its CSP unknown to this client).
+    """
+    table = client.chunk_table
+    doomed = []
+    ops = []
+    for entry in entries:
+        chunk_id = str(entry.get("chunk", ""))
+        if not chunk_id or table.references(chunk_id):
+            continue  # resurrected (or garbage record): leave it alone
+        doomed.append(chunk_id)
+        for placement in entry.get("placements", ()):
+            try:
+                index, csp_id = int(placement[0]), str(placement[1])
+                client.cloud.status_of(csp_id)
+            except (KeyError, TypeError, ValueError, IndexError):
+                continue
+            ops.append(TransferOp(
+                kind=OpKind.DELETE, csp_id=csp_id,
+                name=chunk_share_object_name(index, chunk_id),
+                chunk_id=chunk_id,
+            ))
+    results = client.engine.execute(ops) if ops else []
+    for chunk_id in doomed:
+        table.forget(chunk_id)
+    return results
 
 
 def collect_garbage(client) -> GCReport:
     """Delete chunk shares that no remaining metadata node references.
 
-    Syncs first so the reachability set reflects every published
-    version, then walks the global chunk table and deletes the share
-    objects of unreferenced chunks at their recorded providers.
+    Syncs first so the table's reference counts reflect every published
+    version, then deletes the share objects of the chunks no node
+    references at their recorded providers, in one batch.
     """
     client.sync()
-    referenced = client.tree.referenced_chunks()
     table = client.chunk_table
-    doomed = [cid for cid in table.all_chunk_ids() if cid not in referenced]
+    doomed = [table.get(chunk_id) for chunk_id in table.unreferenced()]
+    share_sizes = {location.chunk_id: max(1, -(-location.size // location.t))
+                   for location in doomed}
+    entries = [
+        {
+            "chunk": location.chunk_id,
+            "placements": [[index, csp_id]
+                           for index, csp_id in location.placements],
+        }
+        for location in doomed
+    ]
     # journal the doomed set (with placements) before the first delete:
     # a crashed pass replays as a roll-forward of exactly these deletions
     journal = getattr(client, "journal", None)
     intent_id = None
     if journal is not None and doomed:
-        intent_id = journal.begin("gc", chunks=[
-            {
-                "chunk": chunk_id,
-                "placements": [
-                    [index, csp_id]
-                    for index, csp_id in table.get(chunk_id).placements
-                ],
-            }
-            for chunk_id in doomed
-        ])
-    shares_deleted = 0
-    bytes_reclaimed = 0
-    for chunk_id in doomed:
-        location = table.get(chunk_id)
-        ops = []
-        for index, csp_id in location.placements:
-            try:
-                client.cloud.status_of(csp_id)
-            except KeyError:
-                continue
-            ops.append(
-                TransferOp(
-                    kind=OpKind.DELETE,
-                    csp_id=csp_id,
-                    name=chunk_share_object_name(index, chunk_id),
-                )
-            )
-        results = client.engine.execute(ops)
-        share_size = max(1, -(-location.size // location.t))
-        for result in results:
-            if result.ok:
-                shares_deleted += 1
-                bytes_reclaimed += share_size
-        table.forget(chunk_id)
+        intent_id = journal.begin("gc", chunks=entries)
+    deleted = [r.op.chunk_id for r in sweep_chunks(client, entries) if r.ok]
     if intent_id is not None:
         journal.commit(intent_id)
     return GCReport(
-        chunks_scanned=len(referenced) + len(doomed),
+        chunks_scanned=len(table) + len(doomed),
         chunks_deleted=len(doomed),
-        shares_deleted=shares_deleted,
-        bytes_reclaimed=bytes_reclaimed,
+        shares_deleted=len(deleted),
+        bytes_reclaimed=sum(share_sizes[c] for c in deleted),
     )

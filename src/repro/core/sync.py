@@ -12,7 +12,7 @@ probed against the tree.  New nodes are fetched from every listed slot
 by :func:`fetch_nodes` — the one metadata read, which the scrub and
 debt repair make too — decoded through the verified assembler (corrupt
 shares are attributed to their CSP, the highest verified version wins),
-merged into the local tree, folded into the global chunk table, and
+merged into the local tree (which folds them into its chunk table), and
 checked for both conflict types.
 
 Local change detection (the other half of the paper's sync service) is
@@ -34,7 +34,7 @@ from repro.core.transfer import (
 )
 from repro.csp.base import ObjectInfo
 from repro.errors import MetadataError
-from repro.metadata import GlobalChunkTable, MetadataStore, MetadataTree
+from repro.metadata import MetadataStore, MetadataTree
 from repro.metadata.codec import (
     METADATA_PREFIX,
     NODE_ID_SLICE,
@@ -116,13 +116,11 @@ class SyncService:
         self,
         store: MetadataStore,
         tree: MetadataTree,
-        chunk_table: GlobalChunkTable,
         engine: TransferEngine,
         cloud: CyrusCloud,
     ):
         self.store = store
         self.tree = tree
-        self.chunk_table = chunk_table
         self.engine = engine
         self.cloud = cloud
         # listed object names whose node the tree holds, over every slot
@@ -195,7 +193,6 @@ class SyncService:
             if self.tree.add(node):
                 new_nodes += 1
                 fresh.append(node)
-                self.chunk_table.record_node(node)
         for node in fresh:
             conflicts.extend(conflicts_for_node(self.tree, node))
         # a node now in the tree settles the names it was listed under;

@@ -35,7 +35,6 @@ from repro.erasure import KeyedSharer
 from repro.errors import TransferError
 from repro.metadata import (
     ChunkRecord,
-    GlobalChunkTable,
     MetadataNode,
     MetadataStore,
     MetadataTree,
@@ -129,7 +128,6 @@ class Uploader:
         cloud: CyrusCloud,
         store: MetadataStore,
         tree: MetadataTree,
-        chunk_table: GlobalChunkTable,
         config: CyrusConfig,
         engine: TransferEngine,
         chunker: ContentDefinedChunker | None = None,
@@ -143,7 +141,6 @@ class Uploader:
         self.cloud = cloud
         self.store = store
         self.tree = tree
-        self.chunk_table = chunk_table
         self.config = config
         self.engine = engine
         # optional repro.recovery.IntentJournal: when attached, every
@@ -240,7 +237,6 @@ class Uploader:
                 with span_if(obs, "publish_meta"):
                     meta_results = self._publish(node)
         self.tree.add(node)
-        self.chunk_table.record_node(node)
         if intent_id is not None:
             self.journal.commit(intent_id)
         # every chunk was just hashed to its id: verified plaintext
@@ -312,7 +308,7 @@ class Uploader:
                 dedup += 1
                 continue
             seen.add(chunk.id)
-            if self.chunk_table.is_stored(chunk.id):
+            if self.tree.chunk_table.is_stored(chunk.id):
                 dedup += 1
                 continue
             n = self.config.plan_n(limit)
@@ -472,7 +468,7 @@ class Uploader:
                 t, n = plan.t, plan.n
                 digests = plan.share_digests(self.config.key, obs=obs)
             else:
-                location = self.chunk_table.get(chunk.id)
+                location = self.tree.chunk_table.get(chunk.id)
                 assert location is not None, "dedup chunk missing from table"
                 t, n = location.t, location.n
                 digests = location.share_digests
@@ -492,7 +488,7 @@ class Uploader:
                     for i, c in sorted(plan.placements.items())
                 )
             else:
-                location = self.chunk_table.get(chunk.id)
+                location = self.tree.chunk_table.get(chunk.id)
                 share_records.extend(
                     ShareRecord(chunk_id=chunk.id, index=i, csp_id=c)
                     for i, c in location.placements

@@ -2,12 +2,20 @@
 
 "CYRUS maintains a global chunk table listing the chunks whose shares
 are stored at each CSP."  The table is derivable from the ShareMaps of
-all known metadata nodes, so we maintain it as an index over the local
-metadata tree: rebuilt on sync, updated incrementally on upload.  It
-answers the two questions the upload and download paths ask:
+the metadata nodes, so it is an index the metadata tree keeps: each
+:class:`repro.metadata.tree.MetadataTree` owns one, and the tree's
+``add`` and ``remove`` are the only way a node's ChunkMap and ShareMap
+enter or leave it.  Every chunk counts the tree nodes that name it,
+tombstones included; a chunk whose count reaches zero keeps its
+placements (and stays stored) until a collection forgets it.
+Placements that no ShareMap names come only from repair and migration
+(``add_placement``) and leave with a removed CSP (``drop_csp``).
+
+The table answers three questions:
 
 * dedup — is this chunk already stored (skip re-encoding/upload)?
-* recovery — which shares does a removed CSP take with it?
+* CSP removal — which placements does a removed CSP take with it?
+* collection — which stored chunks does no node reference any more?
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from repro.metadata.node import MetadataNode
+from repro.metadata.node import MetadataNode, ShareRecord
 
 
 @dataclass(frozen=True)
@@ -37,13 +45,11 @@ class ChunkLocation:
         """CSPs currently holding a share of this chunk."""
         return sorted({csp for _, csp in self.placements})
 
-    def indices_at(self, csp_id: str) -> list[int]:
-        """Share indices stored at one CSP."""
-        return sorted(i for i, csp in self.placements if csp == csp_id)
-
 
 class GlobalChunkTable:
-    """Chunk -> share placements, aggregated over all metadata nodes."""
+    """Chunk -> share placements and reference count, over the nodes of
+    the tree that owns it (``_reference`` / ``_release`` / ``_place``
+    are the tree's calls)."""
 
     def __init__(self) -> None:
         self._chunks: dict[str, dict] = {}
@@ -54,28 +60,35 @@ class GlobalChunkTable:
     def __len__(self) -> int:
         return len(self._chunks)
 
-    def record_node(self, node: MetadataNode) -> None:
-        """Fold one metadata node's ChunkMap + ShareMap into the table."""
-        sizes = {
-            c.chunk_id: (c.size, c.t, c.n, c.share_digests)
-            for c in node.chunks
-        }
-        for share in node.shares:
-            size, t, n, digests = sizes[share.chunk_id]
-            # deterministic coding: every node recording this chunk
-            # carries the same digests, so the first one stands
-            entry = self._chunks.setdefault(
-                share.chunk_id,
-                {"size": size, "t": t, "n": n, "placements": set(),
-                 "digests": digests},
-            )
-            entry["placements"].add((share.index, share.csp_id))
+    def _reference(self, node: MetadataNode) -> None:
+        """Fold a node the tree just inserted: one reference to each
+        distinct chunk its ChunkMap names, then its ShareMap rows."""
+        chunks = self._chunks
+        for chunk_id, record in {c.chunk_id: c for c in node.chunks}.items():
+            entry = chunks.get(chunk_id)
+            if entry is None:
+                # deterministic coding: every node naming this chunk
+                # carries the same digests, so the first one stands
+                entry = chunks[chunk_id] = {
+                    "size": record.size, "t": record.t, "n": record.n,
+                    "placements": set(), "digests": record.share_digests,
+                    "refs": 0,
+                }
+            entry["refs"] += 1
+        self._place(node.shares)
 
-    def rebuild(self, nodes: Iterable[MetadataNode]) -> None:
-        """Recompute the table from scratch (used after metadata sync)."""
-        self._chunks.clear()
-        for node in nodes:
-            self.record_node(node)
+    def _place(self, shares: Iterable[ShareRecord]) -> None:
+        """Fold ShareMap rows of chunks a tree node names."""
+        chunks = self._chunks
+        for share in shares:
+            chunks[share.chunk_id]["placements"].add(
+                (share.index, share.csp_id))
+
+    def _release(self, node: MetadataNode) -> None:
+        """Drop the references of a node the tree just removed; its
+        chunks keep their placements until a collection forgets them."""
+        for chunk_id in {c.chunk_id for c in node.chunks}:
+            self._chunks[chunk_id]["refs"] -= 1
 
     def get(self, chunk_id: str) -> ChunkLocation | None:
         """Placement info for one chunk, or None if unknown."""
@@ -95,20 +108,19 @@ class GlobalChunkTable:
         """Dedup test: Algorithm 2's "if chunk is not stored"."""
         return chunk_id in self._chunks
 
-    def chunks_at(self, csp_id: str) -> list[str]:
-        """Chunks with at least one share at the given CSP.
+    def references(self, chunk_id: str) -> int:
+        """How many tree nodes name the chunk (0 when unknown)."""
+        entry = self._chunks.get(chunk_id)
+        return 0 if entry is None else entry["refs"]
 
-        This is the per-CSP view the paper's global chunk table provides;
-        CSP removal uses it to know what needs migration (Section 5.5).
-        """
-        return sorted(
-            chunk_id
-            for chunk_id, entry in self._chunks.items()
-            if any(csp == csp_id for _, csp in entry["placements"])
-        )
+    def unreferenced(self) -> list[str]:
+        """Stored chunks no tree node names (sorted): what a collection
+        may delete."""
+        return sorted(chunk_id for chunk_id, entry in self._chunks.items()
+                      if not entry["refs"])
 
     def add_placement(self, chunk_id: str, index: int, csp_id: str) -> None:
-        """Record a share created after the fact (lazy migration)."""
+        """Record a share created after the fact (repair, migration)."""
         if chunk_id not in self._chunks:
             raise KeyError(f"unknown chunk {chunk_id[:8]}")
         self._chunks[chunk_id]["placements"].add((index, csp_id))
@@ -129,14 +141,6 @@ class GlobalChunkTable:
         return sorted(self._chunks)
 
     def forget(self, chunk_id: str) -> bool:
-        """Drop a chunk entirely (after garbage collection deletes it)."""
+        """Drop an unreferenced chunk entirely (after a collection
+        deleted its shares)."""
         return self._chunks.pop(chunk_id, None) is not None
-
-    def bytes_at(self, csp_id: str) -> int:
-        """Total share bytes stored at one CSP (share size = size/t)."""
-        total = 0
-        for entry in self._chunks.values():
-            share_size = -(-entry["size"] // entry["t"])  # ceil
-            count = sum(1 for _, c in entry["placements"] if c == csp_id)
-            total += share_size * count
-        return total

@@ -13,6 +13,7 @@ from dataclasses import replace
 from typing import Iterable, Iterator, KeysView
 
 from repro.errors import MetadataError
+from repro.metadata.chunktable import GlobalChunkTable
 from repro.metadata.node import ROOT_ID, MetadataNode
 
 
@@ -28,7 +29,8 @@ class MetadataTree:
     child ids by parent id, and leaf ids by file name — so every view
     below costs what it returns, not what the tree holds.  The indexes
     store ids, never node objects, so the share-merge replacement in
-    ``add`` (same id, name, parent and stamp) leaves them valid.
+    ``add`` (same id, name, parent and stamp) leaves them valid.  The
+    same two calls keep :attr:`chunk_table`, the global chunk table.
     """
 
     def __init__(self) -> None:
@@ -41,6 +43,9 @@ class MetadataTree:
         #: bumped by every ``add`` or ``remove`` that changes the tree: a
         #: copy saved at one count is current while the count holds
         self.edits = 0
+        #: every chunk a node here names, with its placements and how
+        #: many nodes name it; ``add`` and ``remove`` keep it
+        self.chunk_table = GlobalChunkTable()
 
     # -- growth ------------------------------------------------------------
 
@@ -69,12 +74,17 @@ class MetadataTree:
                 if merged != existing:
                     self._nodes[node_id] = merged
                     self.edits += 1
+                    # only the rows this copy adds: one the tree already
+                    # held may sit at a CSP ``drop_csp`` took away
+                    self.chunk_table._place(
+                        set(node.shares).difference(existing.shares))
                 return False
             raise MetadataError(
                 f"node id collision with differing content: {node_id[:8]}"
             )
         self._nodes[node_id] = node
         self.edits += 1
+        self.chunk_table._reference(node)
         self._children.setdefault(node.prev_id, set()).add(node_id)
         # nodes arrive in any order: a child may already be waiting
         if not self._children.get(node_id):
@@ -112,6 +122,7 @@ class MetadataTree:
             return False
         self.removals += 1
         self.edits += 1
+        self.chunk_table._release(node)
         self._drop_head(node)
         kids = self._children.get(node.prev_id)
         if kids is not None:
@@ -230,18 +241,3 @@ class MetadataTree:
                 f"{name!r} has only {len(chain)} versions, asked for {back}"
             )
         return chain[back]
-
-    # -- chunk-level views --------------------------------------------------
-
-    def referenced_chunks(self) -> set[str]:
-        """Chunk ids referenced by any non-deleted lineage.
-
-        Used by share garbage-collection: "Shares of the file's component
-        chunks are left alone, since other files may contain these
-        chunks" — a chunk is reclaimable only when *no* version of *any*
-        file references it.
-        """
-        out: set[str] = set()
-        for node in self._nodes.values():
-            out.update(c.chunk_id for c in node.chunks)
-        return out

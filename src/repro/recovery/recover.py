@@ -46,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.cloud import CSPStatus
-from repro.core.naming import chunk_share_object_name
+from repro.core.maintenance import sweep_chunks
 from repro.core.transfer import OpKind, TransferOp, list_objects
 from repro.errors import CyrusError
 from repro.metadata.codec import METADATA_PREFIX, decode_node
@@ -212,31 +212,11 @@ def _delete_unreferenced(client, shares, objects=()) -> tuple[int, bool]:
 
 def _recover_gc(client, journal, intent, report, actions) -> bool:
     """Re-run the recorded deletions of a crashed collection pass."""
-    referenced = client.tree.referenced_chunks()
-    deleted = 0
-    clean = True
-    for entry in intent.first(BEGIN).fields.get("chunks", ()):
-        chunk_id = str(entry.get("chunk", ""))
-        if not chunk_id or chunk_id in referenced:
-            continue  # resurrected (or garbage record): leave it alone
-        ops = []
-        for placement in entry.get("placements", ()):
-            try:
-                index, csp_id = int(placement[0]), str(placement[1])
-                client.cloud.status_of(csp_id)
-            except (KeyError, TypeError, ValueError, IndexError):
-                continue
-            ops.append(TransferOp(
-                kind=OpKind.DELETE, csp_id=csp_id,
-                name=chunk_share_object_name(index, chunk_id),
-                chunk_id=chunk_id,
-            ))
-        results = client.engine.execute(ops)
-        deleted += sum(1 for r in results if r.ok)
-        if not all(r.ok or r.error_type == "ObjectNotFoundError"
-                   for r in results):
-            clean = False
-        client.chunk_table.forget(chunk_id)
+    begin = intent.first(BEGIN)
+    results = sweep_chunks(client, begin.fields.get("chunks", ()))
+    deleted = sum(1 for r in results if r.ok)
+    clean = all(r.ok or r.error_type == "ObjectNotFoundError"
+                for r in results)
     report.shares_deleted += deleted
     if deleted:
         client.obs.metrics.inc(RECOVERY_SHARES_DELETED, deleted)

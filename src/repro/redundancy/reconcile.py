@@ -136,7 +136,7 @@ def assess_chunk(client, chunk_id: str, suspects=(), listing=None
     out): with one, a share counts only if its object was listed, and
     :func:`reconcile_chunk` verifies every share that counts.
     """
-    location = client.chunk_table.get(chunk_id)
+    location = client.tree.chunk_table.get(chunk_id)
     suspects = frozenset(suspects)
     recorded: dict[int, str] = {}
     present: list[tuple[int, str]] = []
@@ -324,7 +324,8 @@ def _upload(state: ChunkState, journal, budget: Budget, sharer,
         for (index, csp_id), name, blob in zip(moves, names, blobs)
     ]):
         if (index, csp_id) not in state.location.placements:
-            state.client.chunk_table.add_placement(chunk_id, index, csp_id)
+            state.client.tree.chunk_table.add_placement(
+                chunk_id, index, csp_id)
         out.moved.append(ShareMigration(
             chunk_id=chunk_id, index=index,
             old_csp=state.recorded.get(index, "(missing)"), new_csp=csp_id,

@@ -1,10 +1,25 @@
-"""Unit tests for maintenance: import, pruning and GC."""
+"""Unit tests for maintenance: import, pruning and GC.
+
+The engine batches and DELETE ops of a prune and the collection that
+follows are pinned in ``tests/data/op_budget.json`` ``maintenance``.
+"""
+
+import json
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from repro.core.client import CyrusClient
-from repro.errors import CSPError, MetadataError
-from tests.conftest import deterministic_bytes
+from repro.core.config import CyrusConfig
+from repro.core.transfer import OpKind
+from repro.csp.memory import InMemoryCSP
+from repro.errors import CSPError, MetadataError, ShareGatherError
+from tests.conftest import SMALL_CHUNKS, deterministic_bytes
+
+BUDGET = json.loads(
+    (Path(__file__).parent / "data" / "op_budget.json").read_text()
+)["maintenance"]
 
 
 class TestImportObject:
@@ -127,3 +142,55 @@ class TestGarbageCollection:
         report = client.collect_garbage()
         assert report.chunks_deleted == 0  # history still references them
         assert client.get("f.bin").data == data
+
+
+class TestMaintenanceOpBudget:
+    def test_prune_and_gc_are_one_delete_batch_each(self):
+        csps = [InMemoryCSP(f"csp{i}") for i in range(BUDGET["csps"])]
+        config = CyrusConfig(key="test-key", t=BUDGET["t"], n=BUDGET["n"],
+                             **SMALL_CHUNKS)
+        client = CyrusClient.create(csps, config, client_id="alice")
+        for i in range(BUDGET["versions"]):
+            client.put("doc.bin",
+                       deterministic_bytes(BUDGET["file_bytes"], 40 + i))
+        seen: Counter[str] = Counter()
+        inner = client.engine.execute
+
+        def execute(ops, *args, **kwargs):
+            seen["batches"] += 1
+            seen["deletes"] += sum(op.kind is OpKind.DELETE for op in ops)
+            return inner(ops, *args, **kwargs)
+
+        client.engine.execute = execute
+        pruned = client.prune_history("doc.bin", keep_versions=1)
+        assert {**seen, "nodes_deleted": pruned.nodes_deleted} == \
+            BUDGET["prune"]
+        seen.clear()
+        report = client.collect_garbage()
+        assert {**seen, "chunks_deleted": report.chunks_deleted} == \
+            BUDGET["gc"]
+        assert report.shares_deleted == BUDGET["gc"]["deletes"]
+        # left: the kept node at every slot and n shares of each chunk
+        assert sum(len(c.list()) for c in csps) == len(csps) + BUDGET[
+            "n"] * len(client.chunk_table)
+
+
+class TestCrossDeviceGC:
+    @pytest.mark.xfail(
+        strict=True, raises=ShareGatherError,
+        reason="ROADMAP item 14: a device that never learns of another "
+               "device's prune dedups against the chunks its collection "
+               "deleted")
+    def test_dedup_after_another_devices_gc(self, client, second_client,
+                                             csps, config):
+        d0 = deterministic_bytes(6000, 50)
+        d1 = deterministic_bytes(6000, 51)
+        client.put("x", d0)
+        client.put("x", d1)
+        second_client.sync()
+        client.prune_history("x", 1)
+        assert client.collect_garbage().chunks_deleted
+        second_client.put("y", d0)
+        assert second_client.get("y").data == d0
+        fresh = CyrusClient.create(csps, config, client_id="carol")
+        assert fresh.get("y").data == d0

@@ -210,7 +210,7 @@ class TestStore:
         tree = MetadataTree()
         engine = DirectEngine({p.csp_id: p for p in providers},
                               clock=SimClock())
-        report = SyncService(store, tree, GlobalChunkTable(), engine,
+        report = SyncService(store, tree, engine,
                              CyrusCloud(providers)).sync()
         assert (report.new_nodes, report.fetch_results) == (0, ())
         assert tree.node_ids() == set()
@@ -243,39 +243,26 @@ class TestStore:
 
 class TestChunkTable:
     def test_record_and_query(self):
-        table = GlobalChunkTable()
+        tree = MetadataTree()
         node = mk("f", "v1")
-        table.record_node(node)
+        tree.add(node)
+        table = tree.chunk_table
         cid = node.chunks[0].chunk_id
         assert table.is_stored(cid)
         loc = table.get(cid)
         assert loc.csps() == ["a", "b"]
-        assert loc.indices_at("a") == [0]
+        assert loc.placements == ((0, "a"), (1, "b"))
 
     def test_unknown_chunk(self):
-        table = GlobalChunkTable()
+        table = MetadataTree().chunk_table
         assert table.get("f" * 40) is None
         assert not table.is_stored("f" * 40)
 
-    def test_chunks_at(self):
-        table = GlobalChunkTable()
-        node = mk("f", "v1")
-        table.record_node(node)
-        assert table.chunks_at("a") == [node.chunks[0].chunk_id]
-        assert table.chunks_at("zzz") == []
-
-    def test_rebuild_resets(self):
-        table = GlobalChunkTable()
-        a, b = mk("f", "v1"), mk("g", "w1")
-        table.record_node(a)
-        table.rebuild([b])
-        assert not table.is_stored(a.chunks[0].chunk_id)
-        assert table.is_stored(b.chunks[0].chunk_id)
-
     def test_add_placement(self):
-        table = GlobalChunkTable()
+        tree = MetadataTree()
         node = mk("f", "v1")
-        table.record_node(node)
+        tree.add(node)
+        table = tree.chunk_table
         cid = node.chunks[0].chunk_id
         table.add_placement(cid, 2, "new-csp")
         assert "new-csp" in table.get(cid).csps()
@@ -285,14 +272,9 @@ class TestChunkTable:
             GlobalChunkTable().add_placement("e" * 40, 0, "x")
 
     def test_drop_csp(self):
-        table = GlobalChunkTable()
+        tree = MetadataTree()
         node = mk("f", "v1")
-        table.record_node(node)
+        tree.add(node)
+        table = tree.chunk_table
         assert table.drop_csp("a") == 1
         assert "a" not in table.get(node.chunks[0].chunk_id).csps()
-
-    def test_bytes_at(self):
-        table = GlobalChunkTable()
-        node = mk("f", "v1")  # one chunk of 5 bytes, t=2 -> share 3 bytes
-        table.record_node(node)
-        assert table.bytes_at("a") == 3

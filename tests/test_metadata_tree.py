@@ -211,11 +211,3 @@ class TestFileViews:
         tree.add(mk("f", "v2a", prev=a.node_id, client="x", modified=2.0))
         tree.add(mk("f", "v2b", prev=a.node_id, client="y", modified=2.5))
         assert len(tree.heads("f")) == 2
-
-    def test_referenced_chunks(self):
-        tree = MetadataTree()
-        a, b = mk("f", "v1"), mk("g", "w1")
-        tree.merge([a, b])
-        assert tree.referenced_chunks() == {
-            a.chunks[0].chunk_id, b.chunks[0].chunk_id,
-        }

@@ -31,7 +31,6 @@ from repro.core.sync import SyncService
 from repro.core.transfer import DirectEngine
 from repro.csp.memory import InMemoryCSP
 from repro.faults import FaultKind, FaultPlan, FaultSpec, FaultyProvider
-from repro.metadata import GlobalChunkTable
 from repro.metadata.codec import METADATA_PREFIX, metadata_share_name
 from repro.metadata.store import MetadataStore
 from repro.redundancy import DebtLedger
@@ -68,7 +67,7 @@ def parity(monkeypatch) -> list:
         quiet = copy.copy(self.store)
         quiet.health = quiet.metrics = quiet.ledger = None
         reference = SyncService(quiet, copy.deepcopy(self.tree),
-                                GlobalChunkTable(), self.engine, self.cloud)
+                                self.engine, self.cloud)
         expected = original(reference)
         report = original(self)
         assert report.new_nodes == expected.new_nodes
