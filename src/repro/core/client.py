@@ -259,6 +259,7 @@ class CyrusClient:
     def add_csp(self, provider: CloudProvider) -> None:
         """Attach a new CSP account; existing shares stay put (Section 5.5)."""
         self.cloud.add_csp(provider)
+        self.chunk_table.readmit_csp(provider.csp_id)
         self.engine.register_provider(provider)
         self._rebuild_store()
         self._rebuild_pipelines()
@@ -605,8 +606,7 @@ class CyrusClient:
         """
         from repro.core.maintenance import prune_history
 
-        return prune_history(self.tree, self.store, self.engine, name,
-                             keep_versions)
+        return prune_history(self, name, keep_versions)
 
     def collect_garbage(self):
         """Delete chunk shares no remaining version references."""

@@ -105,6 +105,11 @@ class CyrusCloud:
             raise KeyError(f"unknown CSP {csp_id!r}")
         return status
 
+    def keeps(self, csp_id: str) -> bool:
+        """Is ``csp_id`` known and not REMOVED: may a client touch it?"""
+        status = self._status.get(csp_id)
+        return status is not None and status is not CSPStatus.REMOVED
+
     def active_csps(self) -> list[str]:
         """CSPs usable for new uploads and downloads."""
         return sorted(

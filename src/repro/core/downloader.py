@@ -32,7 +32,6 @@ not by a get.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -194,8 +193,8 @@ class Downloader:
         read touches only the chunks overlapping the window — for a
         small read out of a large file, a fraction of the shares (and
         the transfer time) of a full download.  The checks are those of
-        :meth:`download`: the whole ChunkMap against the file id and
-        its tiling before any fetch, and every chunk read by its id.
+        :meth:`download`: the whole ChunkMap against the file id before
+        any fetch, and every chunk read by its id.
         """
         if node.deleted:
             raise MetadataError(f"{node.name!r} is deleted at this version")
@@ -487,8 +486,8 @@ class Downloader:
     ) -> bytes:
         """Join the decoded (or cached) chunks in ChunkMap order.
 
-        :func:`_check_chunk_map` proved the records tile ``[0,
-        node.size)`` in order, so the file is built with one copy.
+        :func:`repro.metadata.codec.decode_node` proved the records tile
+        ``[0, node.size)`` in order, so the file is built with one copy.
         """
         return b"".join(_plaintext(states, record) for record in node.chunks)
 
@@ -639,17 +638,11 @@ class Downloader:
 
 def _check_chunk_map(node: MetadataNode) -> None:
     """Fail closed, before any fetch, on a ChunkMap that does not hash
-    to the node's file id or does not tile ``[0, size)`` in order."""
+    to the node's file id (``decode_node`` checked that it tiles)."""
     if file_id_of(node.size, (r.chunk_id for r in node.chunks)) \
             != node.file_id:
         raise MetadataError(
             f"{node.name!r}: ChunkMap does not match its file id")
-    ends = [0, *itertools.accumulate(r.size for r in node.chunks)]
-    if ends[-1] != node.size or any(
-            r.offset != end or r.size <= 0
-            for r, end in zip(node.chunks, ends)):
-        raise MetadataError(f"{node.name!r}: ChunkMap does not tile its "
-                            f"{node.size} bytes in order")
 
 
 def _plaintext(states: dict[str, _ChunkState], record) -> bytes:

@@ -10,7 +10,11 @@ long-lived deployment needs:
 * :func:`prune_history` — drop old versions of a file from the
   metadata, keeping the newest K;
 * :func:`collect_garbage` — delete chunk shares referenced by *no*
-  remaining metadata node.
+  remaining metadata node;
+* :func:`reclaim` — the one path for every object a client deletes.
+  Its callers are the prune, the collection and its ``gc`` replay, the
+  put/delete rollback and ``migrate`` replay of
+  :mod:`repro.recovery.recover`, and the scrub's orphan cleanup.
 
 Pruning and collection change shared state destructively, so — like
 ``git gc`` — they must run while no other client is writing; the
@@ -22,15 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.naming import chunk_share_object_name
-from repro.core.transfer import (
-    OpKind,
-    OpResult,
-    TransferEngine,
-    TransferOp,
-    list_objects,
-)
+from repro.core.transfer import OpKind, OpResult, TransferOp, list_objects
 from repro.errors import CSPError, MetadataError
-from repro.metadata import MetadataStore, MetadataTree
 from repro.metadata.codec import metadata_share_name
 
 
@@ -80,24 +77,19 @@ def import_object(client, csp_id: str, object_name: str,
     return client.put(name, results[0].data, sync_first=True)
 
 
-def prune_history(
-    tree: MetadataTree,
-    store: MetadataStore,
-    engine: TransferEngine,
-    name: str,
-    keep_versions: int = 1,
-) -> PruneReport:
+def prune_history(client, name: str, keep_versions: int = 1) -> PruneReport:
     """Delete all but the newest ``keep_versions`` versions of a file.
 
     Only the single current lineage is pruned; unresolved conflicts
     (multiple heads) must be resolved first, since pruning would have to
-    pick a branch to destroy.  The pruned nodes' metadata shares are
-    deleted at every reachable slot of the file's metadata group, and
-    the nodes are dropped from the local tree; chunk shares are
-    reclaimed separately by :func:`collect_garbage`.
+    pick a branch to destroy.  The pruned nodes' metadata copies at the
+    slots of the file's metadata group are reclaimed, and the nodes are
+    dropped from the local tree; chunk shares are reclaimed separately
+    by :func:`collect_garbage`.
     """
     if keep_versions < 1:
         raise MetadataError("must keep at least one version")
+    tree = client.tree
     heads = tree.heads(name)
     if len(heads) > 1:
         raise MetadataError(
@@ -110,55 +102,63 @@ def prune_history(
         return PruneReport(nodes_deleted=0, versions_kept=len(chain))
     # survivors keep their ids; the oldest kept node's parent reference
     # simply dangles, which history() treats as the start of history
-    _delete_nodes(tree, store, engine, doomed)
+    reclaim(client, [
+        (provider.csp_id, metadata_share_name(node.node_id, index), None)
+        for node in doomed
+        for index, provider in enumerate(client.store.slots_for(node.name))
+    ])  # failures tolerated: share may not exist
+    for node in doomed:
+        tree.remove(node.node_id)
     return PruneReport(
         nodes_deleted=len(doomed), versions_kept=keep_versions
     )
 
 
-def _delete_nodes(tree: MetadataTree, store: MetadataStore,
-                  engine: TransferEngine, nodes) -> None:
-    engine.execute([
-        TransferOp(kind=OpKind.DELETE, csp_id=provider.csp_id,
-                   name=metadata_share_name(node.node_id, index))
-        for node in nodes
-        for index, provider in enumerate(store.slots_for(node.name))
-    ])  # failures tolerated: share may not exist
-    for node in nodes:
-        tree.remove(node.node_id)
+def reclaim(client, objects) -> tuple[list[OpResult], bool]:
+    """Delete ``objects`` -- ``(csp, object name, chunk id or None)``
+    triples -- in one ``DELETE`` batch, under the one rule: never a
+    share of a chunk the table holds (``is_stored``, what dedup trusts:
+    shares are content-addressed, so live whichever client wrote them),
+    and never anything at a CSP the client does not know or has REMOVED.
 
-
-def sweep_chunks(client, entries) -> list[OpResult]:
-    """Delete the recorded share placements of every ``gc`` entry
-    (``{"chunk": id, "placements": [[index, csp], ...]}``) whose chunk
-    no tree node references, in one batch, and forget those chunks.
-
-    Returns the batch's results; failures are tolerated (a share may
-    be gone already, or its CSP unknown to this client).
+    Returns the results and whether the batch came back clean: every
+    op ok or ``ObjectNotFoundError`` (already gone).
     """
     table = client.chunk_table
-    doomed = []
-    ops = []
+    ops = [
+        TransferOp(kind=OpKind.DELETE, csp_id=csp_id, name=name,
+                   chunk_id=chunk_id)
+        for csp_id, name, chunk_id in objects
+        if client.cloud.keeps(csp_id)
+        and (chunk_id is None or not table.is_stored(chunk_id))
+    ]
+    results = client.engine.execute(ops) if ops else []
+    return results, all(r.ok or r.error_type == "ObjectNotFoundError"
+                        for r in results)
+
+
+def sweep_chunks(client, entries) -> list[tuple[str, str, str]]:
+    """Forget every chunk of the ``gc`` entries (``{"chunk": id,
+    "placements": [[index, csp], ...]}``) that no tree node references;
+    returns the recorded placements as objects to :func:`reclaim` (a
+    resurrected chunk stays stored, so the rule keeps its shares).
+    """
+    table = client.chunk_table
+    objects = []
     for entry in entries:
         chunk_id = str(entry.get("chunk", ""))
-        if not chunk_id or table.references(chunk_id):
-            continue  # resurrected (or garbage record): leave it alone
-        doomed.append(chunk_id)
+        if not chunk_id:
+            continue  # a garbage record names nothing
+        if not table.references(chunk_id):
+            table.forget(chunk_id)
         for placement in entry.get("placements", ()):
             try:
                 index, csp_id = int(placement[0]), str(placement[1])
-                client.cloud.status_of(csp_id)
-            except (KeyError, TypeError, ValueError, IndexError):
+            except (TypeError, ValueError, IndexError):
                 continue
-            ops.append(TransferOp(
-                kind=OpKind.DELETE, csp_id=csp_id,
-                name=chunk_share_object_name(index, chunk_id),
-                chunk_id=chunk_id,
-            ))
-    results = client.engine.execute(ops) if ops else []
-    for chunk_id in doomed:
-        table.forget(chunk_id)
-    return results
+            objects.append((csp_id, chunk_share_object_name(index, chunk_id),
+                            chunk_id))
+    return objects
 
 
 def collect_garbage(client) -> GCReport:
@@ -187,8 +187,10 @@ def collect_garbage(client) -> GCReport:
     intent_id = None
     if journal is not None and doomed:
         intent_id = journal.begin("gc", chunks=entries)
-    deleted = [r.op.chunk_id for r in sweep_chunks(client, entries) if r.ok]
-    if intent_id is not None:
+    results, clean = reclaim(client, sweep_chunks(client, entries))
+    deleted = [r.op.chunk_id for r in results if r.ok]
+    if intent_id is not None and clean:
+        # a failed delete leaves the intent open: recovery re-runs it
         journal.commit(intent_id)
     return GCReport(
         chunks_scanned=len(table) + len(doomed),

@@ -9,7 +9,8 @@ enter or leave it.  Every chunk counts the tree nodes that name it,
 tombstones included; a chunk whose count reaches zero keeps its
 placements (and stays stored) until a collection forgets it.
 Placements that no ShareMap names come only from repair and migration
-(``add_placement``) and leave with a removed CSP (``drop_csp``).
+(``add_placement``).  A removed CSP (``drop_csp``) takes its placements
+with it and stays out, ShareMap rows included, until ``readmit_csp``.
 
 The table answers three questions:
 
@@ -53,6 +54,7 @@ class GlobalChunkTable:
 
     def __init__(self) -> None:
         self._chunks: dict[str, dict] = {}
+        self._dropped: set[str] = set()  # CSPs ``drop_csp`` took away
 
     def __contains__(self, chunk_id: str) -> bool:
         return chunk_id in self._chunks
@@ -78,8 +80,11 @@ class GlobalChunkTable:
         self._place(node.shares)
 
     def _place(self, shares: Iterable[ShareRecord]) -> None:
-        """Fold ShareMap rows of chunks a tree node names."""
-        chunks = self._chunks
+        """Fold ShareMap rows of chunks a tree node names (none at a
+        dropped CSP)."""
+        chunks, dropped = self._chunks, self._dropped
+        if dropped:
+            shares = [s for s in shares if s.csp_id not in dropped]
         for share in shares:
             chunks[share.chunk_id]["placements"].add(
                 (share.index, share.csp_id))
@@ -123,10 +128,13 @@ class GlobalChunkTable:
         """Record a share created after the fact (repair, migration)."""
         if chunk_id not in self._chunks:
             raise KeyError(f"unknown chunk {chunk_id[:8]}")
-        self._chunks[chunk_id]["placements"].add((index, csp_id))
+        if csp_id not in self._dropped:
+            self._chunks[chunk_id]["placements"].add((index, csp_id))
 
     def drop_csp(self, csp_id: str) -> int:
-        """Forget all placements at a removed CSP; returns count dropped."""
+        """Forget all placements at a removed CSP, and keep out every
+        later one until :meth:`readmit_csp`; returns count dropped."""
+        self._dropped.add(csp_id)
         dropped = 0
         for entry in self._chunks.values():
             before = len(entry["placements"])
@@ -135,6 +143,10 @@ class GlobalChunkTable:
             }
             dropped += before - len(entry["placements"])
         return dropped
+
+    def readmit_csp(self, csp_id: str) -> None:
+        """Take placements at a CSP re-added after ``drop_csp`` again."""
+        self._dropped.discard(csp_id)
 
     def all_chunk_ids(self) -> list[str]:
         """Every chunk the table knows about (sorted)."""

@@ -18,8 +18,9 @@ local tree snapshot hold::
 
 The decoder fails closed: every length is bounded before it is sliced,
 and truncation, trailing bytes, invalid UTF-8, an unknown version or
-flag, a non-finite ``modified``, an out-of-range chunk row or CSP slot,
-a non-canonical table or row reference, and everything
+flag, a non-finite ``modified``, a ChunkMap that does not tile
+``[0, size)`` in order with non-empty chunks, an out-of-range chunk row
+or CSP slot, a non-canonical table or row reference, and everything
 :class:`MetadataNode` refuses raise :class:`MetadataError`.  What it
 accepts re-encodes to exactly the bytes it was given.
 
@@ -200,13 +201,18 @@ def _decode(data: bytes) -> MetadataNode:
         raise MetadataError("trailing bytes after metadata node")
     chunks = []
     first_row: dict[str, int] = {}
-    at = 0
+    at = tiled = 0  # digests consumed; bytes the rows cover so far
     for row, (raw_id, offset, chunk_size, t, n) in enumerate(chunk_rows):
+        if offset != tiled or not chunk_size:
+            raise MetadataError(f"ChunkMap row {row} breaks the tiling")
+        tiled += chunk_size
         chunk_id = raw_id.hex()
         first_row.setdefault(chunk_id, row)
         chunks.append(ChunkRecord(chunk_id, offset, chunk_size, t, n,
                                   tuple(digests[at:at + n])))
         at += n
+    if tiled != size:
+        raise MetadataError(f"ChunkMap covers {tiled} of {size} bytes")
     shares = []
     used = 0  # CSP-table slots seen so far; a new one must be the next
     for row, index, slot in _SHARE_ROW.iter_unpack(data[pos:]):

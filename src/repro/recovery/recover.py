@@ -12,11 +12,8 @@ are two outcomes, each with one correct repair:
   each as a barrier before the publish began.
 * **not published** (every slot of the file's metadata group whose CSP
   is not removed answers one ``LIST`` for the node, and fewer than
-  ``t`` copies are listed) — roll *back*: delete those copies, then
-  every share object the intent planned, skipping chunks that the
-  chunk table shows are referenced by some published node — those
-  shares are live data, content-addressed and byte-identical no matter
-  which client wrote them.
+  ``t`` copies are listed) — roll *back*: reclaim those copies and
+  every share object the intent planned.
 
 Anything else — a slot did not answer, or ``t`` copies are listed but
 did not decode — leaves the intent incomplete for the next run: with
@@ -25,28 +22,34 @@ pruned after its put committed is gone from the slots; if that
 ``commit`` was lost, the replay rolls back only shares no node
 references, which garbage collection would delete anyway.
 
-``gc`` intents roll forward (re-delete the recorded doomed chunks that
-are still unreferenced); ``migrate`` intents reconcile (adopt the moved
-share into the chunk table if it landed, delete it if its chunk is no
-longer known); ``meta-repair`` intents roll forward (re-publish the
+``gc`` intents roll forward (forget the recorded doomed chunks that
+are still unreferenced, then reclaim their placements); ``migrate``
+intents reconcile (reclaim the moves of a chunk the table no longer
+holds; check a live chunk's moves with one ``LIST`` batch and adopt the
+shares that landed); ``meta-repair`` intents roll forward (re-publish the
 journaled node verbatim — metadata slot names are fixed per node and
 index, so the replay overwrites identical-meaning bytes and can never
 duplicate a share).
+
+Every deletion is one :func:`repro.core.maintenance.reclaim` batch
+under its one rule: a share of a chunk the freshly synced table holds
+is live data (content-addressed, whichever client wrote it), and a CSP
+this client does not know or has removed is never touched.
 
 Every repair action is idempotent — deletes tolerate already-gone
 objects, re-publishes overwrite identical bytes, adoption is a set
 insert — so a crash *during* recovery is recovered by simply running
 recovery again.  The ``commit`` record is written only after an
-intent's repairs all succeeded; an intent whose repair hits an
-unreachable provider stays incomplete and is retried on the next run.
+intent's repairs all succeeded (a reclaim only when its batch came back
+clean); an intent whose repair hits an unreachable provider stays
+incomplete and is retried on the next run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.cloud import CSPStatus
-from repro.core.maintenance import sweep_chunks
+from repro.core.maintenance import reclaim, sweep_chunks
 from repro.core.transfer import OpKind, TransferOp, list_objects
 from repro.errors import CyrusError
 from repro.metadata.codec import METADATA_PREFIX, decode_node
@@ -140,26 +143,21 @@ def _recover_publish(client, journal, intent, report, actions) -> bool:
     node_id = str(begin.get("node_id", ""))
     if node_id in client.tree:
         # durable before the crash; the sync above already folded it in
-        journal.commit(intent.intent_id, outcome="rolled-forward")
-        report.rolled_forward += 1
-        client.obs.metrics.inc(RECOVERY_ROLLFORWARD, op=intent.op)
-        actions.append(f"{intent.op} {label!r}: metadata was published; "
-                       f"acknowledged")
-        return True
+        return _roll_forward(client, journal, intent, report, actions,
+                             f"{intent.op} {label!r}: metadata was "
+                             f"published; acknowledged")
     copies = _listed_copies(client, label, node_id)
     if copies is None or len(copies) >= client.store.t:
         actions.append(f"{intent.op} {label!r}: node {node_id[:12]} "
                        f"neither synced nor provably unpublished; will retry")
         return False
     # never visible: undo the partial publish and the scatter
-    deleted, clean = _delete_unreferenced(client, intent.planned_shares(),
-                                          copies)
-    report.shares_deleted += deleted
-    if deleted:
-        client.obs.metrics.inc(RECOVERY_SHARES_DELETED, deleted)
-    if not clean:
-        actions.append(f"{intent.op} {label!r}: rollback incomplete "
-                       f"(provider unreachable); will retry")
+    deleted = _reclaim(client, report, actions, f"{intent.op} {label!r}", [
+        *copies,
+        *((csp_id, name, chunk_id)
+          for chunk_id, csp_id, name in intent.planned_shares()),
+    ])
+    if deleted is None:
         return False
     journal.commit(intent.intent_id, outcome="rolled-back")
     report.rolled_back += 1
@@ -169,67 +167,54 @@ def _recover_publish(client, journal, intent, report, actions) -> bool:
     return True
 
 
-def _listed_copies(client, name, node_id) -> list[tuple[str, str]] | None:
-    """``(csp, object)`` of every metadata share of ``node_id`` that the
-    slots of ``name``'s group list, or None unless every slot whose CSP
-    is not removed answered."""
+def _roll_forward(client, journal, intent, report, actions, note) -> bool:
+    """Commit an intent whose repair is done (or was never needed)."""
+    journal.commit(intent.intent_id, outcome="rolled-forward")
+    report.rolled_forward += 1
+    client.obs.metrics.inc(RECOVERY_ROLLFORWARD, op=intent.op)
+    actions.append(note)
+    return True
+
+
+def _reclaim(client, report, actions, label, objects) -> int | None:
+    """:func:`reclaim` ``objects`` for one intent and count the deleted
+    shares; None, noted for a retry, unless the batch came back clean."""
+    results, clean = reclaim(client, objects)
+    deleted = sum(1 for r in results if r.ok)
+    report.shares_deleted += deleted
+    if deleted:
+        client.obs.metrics.inc(RECOVERY_SHARES_DELETED, deleted)
+    if not clean:
+        actions.append(f"{label}: reclaim incomplete (provider "
+                       f"unreachable); will retry")
+        return None
+    return deleted
+
+
+def _listed_copies(client, name, node_id) -> list[tuple] | None:
+    """``(csp, object, None)`` of every metadata share of ``node_id``
+    that the slots of ``name``'s group list (objects to reclaim), or
+    None unless every slot whose CSP is not removed answered."""
     slots = {p.csp_id for p in client.store.slots_for(name)
-             if client.cloud.status_of(p.csp_id) is not CSPStatus.REMOVED}
+             if client.cloud.keeps(p.csp_id)}
     listing = list_objects(client.engine, sorted(slots),
                            f"{METADATA_PREFIX}{node_id}-")
     if len(listing) < len(slots):
         return None
-    return [(csp, info.name) for csp, infos in sorted(listing.items())
+    return [(csp, info.name, None) for csp, infos in sorted(listing.items())
             for info in infos]
-
-
-def _delete_unreferenced(client, shares, objects=()) -> tuple[int, bool]:
-    """Delete ``objects`` (``(csp, name)`` pairs) and the planned share
-    objects whose chunks reached no published node, in one batch;
-    returns (deleted count, all resolved)."""
-    ops = [TransferOp(kind=OpKind.DELETE, csp_id=csp_id, name=name)
-           for csp_id, name in objects]
-    for chunk_id, csp_id, obj_name in shares:
-        if client.chunk_table.is_stored(chunk_id):
-            # another intent (or client) published this chunk — the
-            # share bytes are content-addressed, hence identical: live
-            continue
-        try:
-            client.cloud.status_of(csp_id)
-        except KeyError:
-            continue  # a CSP this client no longer knows
-        ops.append(TransferOp(kind=OpKind.DELETE, csp_id=csp_id,
-                              name=obj_name, chunk_id=chunk_id))
-    if not ops:
-        return 0, True
-    results = client.engine.execute(ops)
-    deleted = sum(1 for r in results if r.ok)
-    clean = all(
-        r.ok or r.error_type == "ObjectNotFoundError" for r in results
-    )
-    return deleted, clean
 
 
 def _recover_gc(client, journal, intent, report, actions) -> bool:
     """Re-run the recorded deletions of a crashed collection pass."""
     begin = intent.first(BEGIN)
-    results = sweep_chunks(client, begin.fields.get("chunks", ()))
-    deleted = sum(1 for r in results if r.ok)
-    clean = all(r.ok or r.error_type == "ObjectNotFoundError"
-                for r in results)
-    report.shares_deleted += deleted
-    if deleted:
-        client.obs.metrics.inc(RECOVERY_SHARES_DELETED, deleted)
-    if not clean:
-        actions.append("gc: re-deletion incomplete (provider unreachable); "
-                       "will retry")
+    deleted = _reclaim(client, report, actions, "gc", sweep_chunks(
+        client, begin.fields.get("chunks", ())))
+    if deleted is None:
         return False
-    journal.commit(intent.intent_id, outcome="rolled-forward")
-    report.rolled_forward += 1
-    client.obs.metrics.inc(RECOVERY_ROLLFORWARD, op="gc")
-    actions.append(f"gc: re-deleted {deleted} share(s) of recorded "
-                   f"unreferenced chunks")
-    return True
+    return _roll_forward(client, journal, intent, report, actions,
+                         f"gc: re-deleted {deleted} share(s) of recorded "
+                         f"unreferenced chunks")
 
 
 def _recover_meta_repair(client, journal, intent, report, actions) -> bool:
@@ -255,51 +240,46 @@ def _recover_meta_repair(client, journal, intent, report, actions) -> bool:
         return True
     client.uploader._publish(node)  # raises if < t slots reachable
     client.tree.add(node)
-    journal.commit(intent.intent_id, outcome="rolled-forward")
-    report.rolled_forward += 1
     report.meta_republished += 1
-    client.obs.metrics.inc(RECOVERY_ROLLFORWARD, op="meta-repair")
-    actions.append(f"meta-repair {node_id}: re-published metadata node")
-    return True
+    return _roll_forward(client, journal, intent, report, actions,
+                         f"meta-repair {node_id}: re-published metadata node")
 
 
 def _recover_migrate(client, journal, intent, report, actions) -> bool:
-    """Reconcile a crashed lazy migration: adopt landed shares of live
-    chunks, delete landed shares of forgotten chunks."""
+    """Reconcile a crashed lazy migration: reclaim the moves of a
+    forgotten chunk, and adopt the landed shares of a live one."""
     begin = intent.first(BEGIN)
     chunk_id = str(begin.fields.get("chunk", ""))
-    adopted = 0
-    deleted = 0
+    moves = []
     for move in begin.fields.get("moves", ()):
         try:
-            index, csp_id, obj_name = int(move[0]), str(move[1]), str(move[2])
+            moves.append((int(move[0]), str(move[1]), str(move[2])))
         except (TypeError, ValueError, IndexError):
             continue
-        try:
-            client.cloud.status_of(csp_id)
-        except KeyError:
-            continue
+    table = client.chunk_table
+    adopted = deleted = 0
+    if not table.is_stored(chunk_id):
+        # nothing lists first: a move that never landed is not found
+        deleted = _reclaim(client, report, actions, f"migrate {chunk_id[:8]}",
+                           [(csp_id, name, chunk_id)
+                            for _i, csp_id, name in moves])
+        if deleted is None:
+            return False
+    else:
         # absent, or unreachable: a live share there is never harmful
-        listed = list_objects(client.engine, [csp_id], obj_name)
-        if not any(i.name == obj_name for i in listed.get(csp_id, ())):
-            continue
-        if client.chunk_table.is_stored(chunk_id):
-            location = client.chunk_table.get(chunk_id)
-            if (index, csp_id) not in location.placements:
-                client.chunk_table.add_placement(chunk_id, index, csp_id)
+        moves = [m for m in moves if client.cloud.keeps(m[1])]
+        results = client.engine.execute([
+            TransferOp(kind=OpKind.LIST, csp_id=csp_id, name=name,
+                       force_dispatch=True)
+            for _i, csp_id, name in moves
+        ]) if moves else []
+        placements = table.get(chunk_id).placements
+        for (index, csp_id, name), result in zip(moves, results):
+            if (result.ok and (index, csp_id) not in placements
+                    and any(i.name == name for i in result.listing)):
+                table.add_placement(chunk_id, index, csp_id)
                 adopted += 1
-        else:
-            [result] = client.engine.execute([TransferOp(
-                kind=OpKind.DELETE, csp_id=csp_id, name=obj_name,
-                chunk_id=chunk_id,
-            )])
-            if result.ok:
-                deleted += 1
     report.placements_adopted += adopted
-    report.shares_deleted += deleted
-    journal.commit(intent.intent_id, outcome="rolled-forward")
-    report.rolled_forward += 1
-    client.obs.metrics.inc(RECOVERY_ROLLFORWARD, op="migrate")
-    actions.append(f"migrate {chunk_id[:8]}: adopted {adopted}, "
-                   f"deleted {deleted} share(s)")
-    return True
+    return _roll_forward(client, journal, intent, report, actions,
+                         f"migrate {chunk_id[:8]}: adopted {adopted}, "
+                         f"deleted {deleted} share(s)")

@@ -35,9 +35,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
+from repro.core.maintenance import reclaim
 from repro.core.naming import chunk_share_object_name
 from repro.core.sync import fetch_nodes
-from repro.core.transfer import OpKind, TransferOp, list_objects
+from repro.core.transfer import list_objects
 from repro.obs import span_if
 from repro.redundancy.reconcile import (
     OVER_BUDGET,
@@ -129,10 +130,8 @@ def run_scrub(
         if report.orphans:
             obs.metrics.inc(SCRUB_ORPHANS_FOUND, len(report.orphans))
         if delete_orphans and report.orphans:
-            results = client.engine.execute([
-                TransferOp(kind=OpKind.DELETE, csp_id=csp_id, name=name)
-                for csp_id, name in report.orphans
-            ])
+            results, _clean = reclaim(client, [
+                (csp_id, name, None) for csp_id, name in report.orphans])
             report.orphans_deleted = sum(1 for r in results if r.ok)
         if scrub_metadata:
             meta_budget = Budget(budget_shares, at_least_one=True)

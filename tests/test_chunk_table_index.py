@@ -4,9 +4,11 @@
 tree's table and references each distinct chunk it names once;
 ``remove`` drops those references and leaves the placements.  After any
 sequence of tree adds (a re-add of a known node with extra ShareMap
-rows included), removes, repair placements, CSP drops and forgets of
-unreferenced chunks, the table must agree with the nodes the tree holds
-and with a placement history replayed beside it.
+rows included), removes, repair placements, CSP drops and re-admits and
+forgets of unreferenced chunks, the table must agree with the nodes the
+tree holds and with a placement history replayed beside it.  A dropped
+CSP stays out of every placement, ShareMap rows folded later included,
+until it is re-admitted.
 """
 
 from __future__ import annotations
@@ -64,18 +66,21 @@ OPS = st.one_of(
     st.tuples(st.just("add_placement"), st.integers(0, 4),
               st.integers(0, 2), st.sampled_from(CSPS + ("d",))),
     st.tuples(st.just("drop_csp"), st.sampled_from(CSPS + ("d",))),
+    st.tuples(st.just("readmit_csp"), st.sampled_from(CSPS + ("d",))),
     st.tuples(st.just("forget"), st.integers(0, 50)),
 )
 
 
-def _fold(placed: dict[str, set], node: MetadataNode,
+def _fold(placed: dict[str, set], dropped: set[str], node: MetadataNode,
           known: MetadataNode | None = None) -> None:
     """Replay an add: a new node's chunks and rows, or the rows a
-    re-added node brings beyond ``known`` (its copy in the tree)."""
+    re-added node brings beyond ``known`` (its copy in the tree), but
+    no row at a ``dropped`` CSP."""
     for record in node.chunks:
         placed.setdefault(record.chunk_id, set())
     for share in set(node.shares) - set(known.shares if known else ()):
-        placed[share.chunk_id].add((share.index, share.csp_id))
+        if share.csp_id not in dropped:
+            placed[share.chunk_id].add((share.index, share.csp_id))
 
 
 def _check(tree: MetadataTree, placed: dict[str, set]) -> None:
@@ -100,22 +105,23 @@ def test_table_is_the_index_of_the_tree(ops):
     table = tree.chunk_table
     # the placement history replayed beside the table: rows of nodes
     # when added, rows a re-add brings, repair placements, minus the
-    # placements at each dropped CSP
+    # placements at each dropped CSP, which take nothing until re-admitted
     placed: dict[str, set] = {}
+    dropped: set[str] = set()
     for op in ops:
         kind, *args = op
         nodes = sorted(tree, key=lambda n: n.node_id)
         if kind == "add":
             node = _node(*args)
             known = tree.get(node.node_id) if node.node_id in tree else None
-            _fold(placed, node, known)
+            _fold(placed, dropped, node, known)
             tree.add(node)
         elif kind == "readd" and nodes:
             known = nodes[args[0] % len(nodes)]
             picks = tuple(CHUNKS.index(c.chunk_id) for c in known.chunks)
             node = _node(known.name, picks, known.deleted, args[1])
             assert node.node_id == known.node_id
-            _fold(placed, node, known)
+            _fold(placed, dropped, node, known)
             tree.add(node)
         elif kind == "remove" and nodes:
             tree.remove(nodes[args[0] % len(nodes)].node_id)
@@ -123,11 +129,16 @@ def test_table_is_the_index_of_the_tree(ops):
             chunk_id, index, csp = CHUNKS[args[0]], args[1], args[2]
             if chunk_id in placed:
                 table.add_placement(chunk_id, index, csp)
-                placed[chunk_id].add((index, csp))
+                if csp not in dropped:
+                    placed[chunk_id].add((index, csp))
         elif kind == "drop_csp":
             table.drop_csp(args[0])
+            dropped.add(args[0])
             for entry in placed.values():
                 entry -= {p for p in entry if p[1] == args[0]}
+        elif kind == "readmit_csp":
+            table.readmit_csp(args[0])
+            dropped.discard(args[0])
         elif kind == "forget" and table.unreferenced():
             doomed = table.unreferenced()
             chunk_id = doomed[args[0] % len(doomed)]

@@ -64,12 +64,13 @@ CONFIG = dict(key="meta-byz-key", t=2, n=3, **SMALL_CHUNKS)
 
 
 def _node(modified: float = 1.0, name: str = "report.txt") -> MetadataNode:
-    """A minimal node.  ``modified`` is *not* part of the node id, so
-    two calls with different stamps model an interrupted re-publish:
-    same object names, disagreeing slot contents."""
+    """A minimal node: an empty file, whose empty ChunkMap tiles its 0
+    bytes.  ``modified`` is *not* part of the node id, so two calls with
+    different stamps model an interrupted re-publish: same object names,
+    disagreeing slot contents."""
     return MetadataNode(
         file_id=sha1_hex(b"content"), prev_id=ROOT_ID, client_id="alice",
-        name=name, deleted=False, modified=modified, size=7,
+        name=name, deleted=False, modified=modified, size=0,
     )
 
 

@@ -18,7 +18,7 @@ import struct
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import MetadataError
@@ -308,7 +308,10 @@ _hex_ids = st.binary(min_size=20, max_size=20).map(bytes.hex)
 
 
 @st.composite
-def nodes(draw) -> MetadataNode:
+def nodes(draw, tiling: bool = True) -> MetadataNode:
+    """A node the encoder accepts; with ``tiling`` its ChunkMap tiles
+    ``[0, size)`` in order (what the decoder accepts), else offsets,
+    chunk sizes and the file size are drawn freely."""
     contents = []  # (chunk id, t, n, digests): a repeated chunk agrees
     for chunk_id in draw(st.lists(_hex_ids, min_size=1, max_size=3,
                                   unique=True)):
@@ -317,14 +320,16 @@ def nodes(draw) -> MetadataNode:
             draw(st.lists(_hex_ids, min_size=n, max_size=n)))))
     csp_ids = draw(st.lists(st.text(_text, min_size=1, max_size=6),
                             min_size=1, max_size=4))
-    chunks = []
+    chunks, end = [], 0
     for _ in range(draw(st.integers(0, 4))):
         chunk_id, t, n, digests = draw(st.sampled_from(contents))
+        offset = end if tiling else draw(st.integers(0, 2**64 - 1))
+        size = draw(st.integers(1 if tiling else 0, 2**32 - 1))
         chunks.append(ChunkRecord(
-            chunk_id=chunk_id, offset=draw(st.integers(0, 2**64 - 1)),
-            size=draw(st.integers(0, 2**32 - 1)), t=t, n=n,
+            chunk_id=chunk_id, offset=offset, size=size, t=t, n=n,
             share_digests=digests,
         ))
+        end += size
     shares = []
     if chunks:
         for _ in range(draw(st.integers(0, 6))):
@@ -338,7 +343,7 @@ def nodes(draw) -> MetadataNode:
         name=draw(st.text(_text, min_size=1, max_size=12)),
         deleted=draw(st.booleans()),
         modified=draw(st.floats(allow_nan=False, allow_infinity=False)),
-        size=draw(st.integers(0, 2**64 - 1)),
+        size=end if tiling else draw(st.integers(0, 2**64 - 1)),
         chunks=tuple(chunks), shares=tuple(shares),
     )
 
@@ -395,6 +400,27 @@ def test_node_mutations_fail_closed(node, data):
 @given(node_list=st.lists(nodes(), max_size=3), data=st.data())
 def test_snapshot_mutations_fail_closed(node_list, data):
     _snapshot_fails_closed(node_list, data)
+
+
+def _tiles(node: MetadataNode) -> bool:
+    end = 0
+    for chunk in node.chunks:
+        if chunk.offset != end or not chunk.size:
+            return False
+        end += chunk.size
+    return end == node.size
+
+
+@TIER1
+@given(node=nodes(tiling=False))
+def test_decode_refuses_a_chunk_map_that_does_not_tile(node):
+    assume(not _tiles(node))
+    try:
+        blob = encode_node(node)
+    except MetadataError:
+        assume(False)  # only what the encoder accepts
+    with pytest.raises(MetadataError):
+        decode_node(blob)
 
 
 @pytest.mark.slow
