@@ -88,7 +88,7 @@ def test_ablation_operational_with_one_provider_down(benchmark):
                                  chunk_avg=1024, chunk_max=8192)
             client = CyrusClient.create(csps, config, client_id="ops")
             client.put("pre-outage.bin", b"written before " * 100)
-            client.cloud.mark_failed(f"p{victim}")
+            client.health.trip(f"p{victim}")
             # all core operations with one provider dark:
             client.put("during.bin", b"written during " * 120)
             ok_read = client.get("pre-outage.bin").data == (
@@ -97,7 +97,7 @@ def test_ablation_operational_with_one_provider_down(benchmark):
             listing = {e.name for e in client.list_files()}
             client.delete("during.bin")
             fresh = CyrusClient.create(csps, config, client_id="fresh")
-            fresh.cloud.mark_failed(f"p{victim}")
+            fresh.health.trip(f"p{victim}")
             fresh.recover()
             ok_recover = fresh.get("pre-outage.bin",
                                    sync_first=False).data == (

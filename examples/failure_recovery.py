@@ -4,14 +4,15 @@ and lazy share migration after a provider disappears.
 
 Walks the paper's Section 4.2 and 5.5 machinery end to end on the
 network simulator: an epsilon-driven share count, a mid-day provider
-outage, a permanent removal, and the Figure 9 lazy re-homing of shares.
+outage (the provider is dark until a probe finds it back), a permanent
+removal, and the Figure 9 lazy re-homing of shares.
 
 Run:  python examples/failure_recovery.py
 """
 
 import random
 
-from repro import CSPStatus, CyrusConfig
+from repro import CyrusConfig
 from repro.bench import build_environment
 from repro.faults import FaultKind, FaultPlan, FaultSpec
 from repro.netsim import Link
@@ -50,6 +51,15 @@ def main() -> None:
     assert got.data == payload
     print(f"during cloud-2's outage: download still OK "
           f"({got.duration:.2f}s, rerouted around the outage)")
+    # a transfer that gives up on cloud-2 trips its breaker: it is dark,
+    # and takes no shares until a probe finds it back (the breaker's own
+    # half-open probe op after its reset timeout, or this explicit check)
+    client.health.trip("cloud-2", "outage seen")
+    print(f"cloud-2 dark: {client.health.dark('cloud-2')}; probe during "
+          f"the outage finds back up: {client.probe_failed_csps()}")
+    env.clock.advance_to(6000.0)
+    print(f"after the outage the probe finds back up: "
+          f"{client.probe_failed_csps()}")
 
     # --- permanent removal + lazy migration (Figure 9) ---------------------
     client.remove_csp("cloud-5")
@@ -65,10 +75,7 @@ def main() -> None:
     # reliability is restored: every chunk has n live shares again
     for record in got.node.chunks:
         location = client.chunk_table.get(record.chunk_id)
-        live = [
-            c for c in location.csps()
-            if client.cloud.status_of(c) is CSPStatus.ACTIVE
-        ]
+        live = [c for c in location.csps() if client.health.up(c, client.cloud)]
         assert len(live) >= record.n
     print("every chunk is back to full redundancy on live providers")
 

@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from repro.core.client import CyrusClient
 from repro.core.downloader import DownloadReport
 from repro.core.uploader import UploadReport
 
@@ -38,27 +37,6 @@ class DurationSummary:
             minimum=ordered[0],
             maximum=ordered[-1],
         )
-
-
-def upload_files(
-    client: CyrusClient,
-    files: Iterable[tuple[str, bytes]],
-    sync_first: bool = False,
-) -> list[UploadReport]:
-    """Put every (name, content) pair; returns per-file reports."""
-    return [
-        client.put(name, content, sync_first=sync_first)
-        for name, content in files
-    ]
-
-
-def download_files(
-    client: CyrusClient,
-    names: Iterable[str],
-    sync_first: bool = False,
-) -> list[DownloadReport]:
-    """Get every named file; returns per-file reports."""
-    return [client.get(name, sync_first=sync_first) for name in names]
 
 
 def summarize_durations(

@@ -30,7 +30,7 @@ from typing import Sequence
 
 from repro.chunking import ContentDefinedChunker
 from repro.core.chunkcache import ChunkCache
-from repro.core.cloud import CSPStatus, CyrusCloud
+from repro.core.cloud import CyrusCloud
 from repro.core.config import CyrusConfig
 from repro.core.downloader import Downloader, DownloadReport
 from repro.core.sync import SyncReport, SyncService
@@ -566,21 +566,21 @@ class CyrusClient:
         }
 
     def probe_failed_csps(self) -> list[str]:
-        """Re-check failed CSPs; mark the responsive ones recovered.
+        """Re-check the dark CSPs; close the breakers of those that answer.
 
         Section 5.5: "once this occurs, CYRUS periodically checks if the
         failed CSP is back up.  Until that time, no shares are uploaded
-        to that CSP."  The probe is one listing batch over the failed
-        CSPs (removed ones stay removed); call this on a timer (or
-        before large uploads).  Returns the recovered ids.
+        to that CSP."  A member is dark while its breaker is not CLOSED
+        and it has no corruption strikes (a quarantine ends only through
+        its breaker's own probe).  A breaker half-opens by itself after
+        its reset timeout and admits one probe op; this call is the
+        explicit re-check: one listing batch over the dark members
+        (removed ones are never probed), to run on a timer or before a
+        large upload.  Returns the ids found back up.
         """
-        failed = [csp_id for csp_id in self.cloud.unusable_csps()
-                  if self.cloud.status_of(csp_id) is CSPStatus.FAILED]
-        recovered = sorted(list_objects(self.engine, failed, ""))
+        dark = [c for c in self.cloud.active_csps() if self.health.dark(c)]
+        recovered = sorted(list_objects(self.engine, dark, ""))
         for csp_id in recovered:
-            self.cloud.mark_recovered(csp_id)
-            # a successful probe also closes the breaker so the engine
-            # resumes dispatching without waiting out the reset timeout
             self.health.record_probe_success(csp_id)
         return recovered
 

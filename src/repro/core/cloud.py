@@ -1,6 +1,7 @@
 """The CYRUS cloud: a user's federation of CSP accounts.
 
-Tracks provider membership and status (active / failed / removed),
+Tracks provider membership (active / removed; whether a member is up
+is its :class:`repro.csp.resilient.HealthRegistry` breaker's answer),
 owns the consistent-hash ring used for uplink placement, honours
 platform clusters (at most one share of a chunk per cluster, Section
 4.1), and manages the append-only metadata provider slots (metadata is
@@ -20,10 +21,12 @@ from repro.util.hashing import sha1_hex
 
 
 class CSPStatus(enum.Enum):
-    """Lifecycle of a CSP account inside one CYRUS cloud (Section 5.5)."""
+    """Membership of a CSP account in one CYRUS cloud (Section 5.5).
+
+    A member that is down stays ACTIVE: its breaker says so.
+    """
 
     ACTIVE = "active"
-    FAILED = "failed"  # temporarily unreachable; may come back
     REMOVED = "removed"  # permanently gone
 
 
@@ -81,15 +84,9 @@ class CyrusCloud:
         """Cluster label (CSPs without a declared cluster are singletons)."""
         return self._cluster_of.get(csp_id, f"solo-{csp_id}")
 
-    def cluster_count(self, statuses: tuple[CSPStatus, ...] = (CSPStatus.ACTIVE,)) -> int:
-        """Distinct clusters among CSPs with the given statuses."""
-        return len(
-            {self.cluster_of(c) for c, s in self._status.items() if s in statuses}
-        )
-
-    def csp_count(self, statuses: tuple[CSPStatus, ...] = (CSPStatus.ACTIVE,)) -> int:
-        """CSPs with the given statuses."""
-        return sum(s in statuses for s in self._status.values())
+    def cluster_count(self) -> int:
+        """Distinct clusters among the member CSPs."""
+        return len({self.cluster_of(c) for c in self.active_csps()})
 
     # -- membership -------------------------------------------------------
 
@@ -111,15 +108,9 @@ class CyrusCloud:
         return status is not None and status is not CSPStatus.REMOVED
 
     def active_csps(self) -> list[str]:
-        """CSPs usable for new uploads and downloads."""
+        """Member CSPs, up or down (:meth:`HealthRegistry.up` says which)."""
         return sorted(
             c for c, s in self._status.items() if s is CSPStatus.ACTIVE
-        )
-
-    def unusable_csps(self) -> list[str]:
-        """Failed or removed CSPs (their shares need eventual migration)."""
-        return sorted(
-            c for c, s in self._status.items() if s is not CSPStatus.ACTIVE
         )
 
     def add_csp(self, provider: CloudProvider) -> None:
@@ -146,26 +137,12 @@ class CyrusCloud:
         if csp_id in self._ring:
             self._ring.remove(csp_id)
 
-    def mark_failed(self, csp_id: str) -> None:
-        """Record a detected failure; no uploads go there until recovery."""
-        if self.status_of(csp_id) is CSPStatus.ACTIVE:
-            self._status[csp_id] = CSPStatus.FAILED
-            if csp_id in self._ring:
-                self._ring.remove(csp_id)
-
-    def mark_recovered(self, csp_id: str) -> None:
-        """A failed CSP came back up."""
-        if self.status_of(csp_id) is CSPStatus.FAILED:
-            self._status[csp_id] = CSPStatus.ACTIVE
-            if csp_id not in self._ring:
-                self._ring.add(csp_id)
-
     def mark_write_full(self, csp_id: str) -> None:
         """The account is out of quota: stop placing shares there.
 
-        Unlike :meth:`mark_failed`, a full CSP stays ACTIVE — its stored
-        shares remain downloadable; it just takes no new ones until the
-        user frees space or buys storage (the paper's Section 8 economic
+        The CSP is up, so its breaker stays closed and its stored shares
+        remain downloadable; it just takes no new ones until the user
+        frees space or buys storage (the paper's Section 8 economic
         point: CYRUS users buy capacity where it runs out).
         """
         self.status_of(csp_id)  # raises on unknown
@@ -185,7 +162,7 @@ class CyrusCloud:
         return csp_id in self._write_full
 
     def writable_csps(self) -> list[str]:
-        """Active CSPs that can accept new shares."""
+        """Member CSPs not quota-full (down ones included)."""
         return [c for c in self.active_csps() if c not in self._write_full]
 
     # -- placement ----------------------------------------------------------
@@ -198,7 +175,7 @@ class CyrusCloud:
         Consistent hashing on the chunk id (Section 5.3), walking the
         ring and — when cluster placement is on — skipping CSPs whose
         platform cluster already holds a share (Section 4.1).  Only
-        writable CSPs (active and not quota-full) are candidates.
+        writable CSPs (members not quota-full) are candidates.
 
         ``avoid`` *demotes* candidates without excluding them: providers
         whose breaker is open would cost a guaranteed failed dispatch,
@@ -266,5 +243,5 @@ class CyrusCloud:
 
     def metadata_slot_ids(self) -> list[str]:
         """Fixed-order metadata CSPs (slot i = share index i), including
-        failed and removed ones: a slot keeps its position for good."""
+        dark and removed ones: a slot keeps its position for good."""
         return list(self._meta_slots)

@@ -8,7 +8,10 @@ shares through the shared :class:`repro.core.retry.ShareRetryLoop`
 (transient failures back off and retry, permanent ones fail over to the
 chunk's remaining CSPs), decode, verify each chunk by id, assemble,
 check for conflicts (Section 5.4), and lazily migrate shares stranded
-on removed/failed CSPs (Section 5.5, Figure 9).
+on removed or down CSPs (Section 5.5, Figure 9).  A provider a fetch
+gives up on for unavailability has its breaker tripped: it is down
+until the breaker half-opens and a probe op gets through, or
+``CyrusClient.probe_failed_csps`` finds it back up.
 
 The chunk-id check after decode is the one integrity check a fault-free
 read pays: with exactly t shares the decode is an invertible map, so a
@@ -37,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.core.chunkcache import ChunkCache
-from repro.core.cloud import CSPStatus, CyrusCloud
+from repro.core.cloud import CyrusCloud
 from repro.core.config import CyrusConfig
 from repro.core.naming import chunk_share_object_name
 from repro.core.retry import ShareRetryLoop
@@ -137,7 +140,9 @@ class Downloader:
         self.config = config
         self.engine = engine
         self.selector = selector or CyrusSelector(resolve_every=4)
-        self.health = health if health is not None else engine.health
+        if health is None:
+            health = engine.health or HealthRegistry(clock=engine.clock)
+        self.health = health
         self.retry_loop = ShareRetryLoop(engine, policy=policy,
                                          health=self.health)
         # set by the client so migrations are crash-journaled (optional)
@@ -296,11 +301,10 @@ class Downloader:
             if table_entry is not None:
                 for index, csp in table_entry.placements:
                     placements.setdefault(index, csp)
-            active = set(self.cloud.active_csps())
             usable = {
                 index: csp
                 for index, csp in placements.items()
-                if csp in active and self.retry_loop.alternate_is_live(csp)
+                if self.health.up(csp, self.cloud)
             }
             if len({csp for csp in usable.values()}) < record.t:
                 raise InsufficientSharesError(
@@ -326,7 +330,6 @@ class Downloader:
         by_t: dict[int, list[_ChunkState]] = {}
         for state in states.values():
             by_t.setdefault(state.t, []).append(state)
-        health = self.retry_loop.health
         plans = []
         for t, members in sorted(by_t.items()):
             problem = DownloadProblem(
@@ -342,10 +345,8 @@ class Downloader:
                 link_caps=caps,
                 client_cap=client_cap,
             )
-            if health is not None:
-                problem = restrict_to_live(
-                    problem, health.live(problem.csps)
-                )
+            problem = restrict_to_live(problem,
+                                       self.health.live(problem.csps))
             plans.append(self.selector.select(problem))
         return plans
 
@@ -389,7 +390,7 @@ class Downloader:
             if result.error_type not in (
                 "CircuitOpenError", "ObjectNotFoundError",
             ):
-                self.cloud.mark_failed(csp)
+                self.health.trip(csp, result.error or "download failed")
 
         def pick_alternate(key, failed_csp: str, tried: set[str]) -> str | None:
             state = states[key[0]]
@@ -435,7 +436,7 @@ class Downloader:
         return all_results
 
     def _holders(self, csps) -> tuple[list[str], list[str]]:
-        """Split the ACTIVE ``csps`` into live ones and corruption
+        """Split the member ``csps`` into up ones and corruption
         suspects whose breaker is open (DESIGN.md, "Quarantine is a
         preference", rule 1).
 
@@ -449,14 +450,10 @@ class Downloader:
         A breaker opened for *unavailability* is never a candidate:
         forcing it is the hammering fail-fast exists to prevent.
         """
-        active = [c for c in csps
-                  if self.cloud.status_of(c) is CSPStatus.ACTIVE]
-        live = [c for c in active if self.retry_loop.alternate_is_live(c)]
-        health = self.retry_loop.health
-        suspects = [] if health is None else [
-            c for c in active
-            if c not in live and health.corruption_count(c) > 0
-        ]
+        members = [c for c in csps if self.cloud.keeps(c)]
+        live = [c for c in members if self.health.up(c, self.cloud)]
+        suspects = [c for c in members if c not in live
+                    and self.health.corruption_count(c) > 0]
         return live, suspects
 
     def _note_corruption(self, state: _ChunkState, index: int,
@@ -469,13 +466,7 @@ class Downloader:
         somewhere it can be trusted.
         """
         detail = f"chunk {state.chunk_id[:8]} share {index}: digest mismatch"
-        health = self.retry_loop.health
-        if health is not None:
-            health.record_corruption(csp, detail=detail)
-        else:
-            obs = getattr(self.engine, "obs", None)
-            if obs is not None:
-                obs.metrics.inc("cyrus_corrupt_shares_total", csp=csp)
+        self.health.record_corruption(csp, detail=detail)
         if self.ledger is not None:
             self.ledger.record(
                 state.chunk_id, missing=(index,), failed_csps=(csp,),

@@ -24,7 +24,7 @@ from __future__ import annotations
 import threading
 from typing import Callable, Hashable, Sequence
 
-from repro.core.transfer import OpResult, TransferEngine, TransferOp
+from repro.core.transfer import OpKind, OpResult, TransferEngine, TransferOp
 from repro.csp.resilient import HealthRegistry, RetryPolicy
 from repro.errors import Attempt
 
@@ -138,8 +138,10 @@ class ShareRetryLoop:
                             and tries < self.policy.max_attempts
                             and self.alternate_is_live(csp)):
                         if obs is not None:
-                            obs.metrics.inc("cyrus_share_retries_total",
-                                            csp=csp)
+                            obs.metrics.inc(
+                                "cyrus_meta_retries_total"
+                                if result.op.kind is OpKind.PUT_META
+                                else "cyrus_share_retries_total", csp=csp)
                         _deferred.append((key, csp))
                         return None
                     on_giveup(key, csp, result)

@@ -3,8 +3,9 @@
 Clients discover remote changes by listing the metadata objects at the
 fixed metadata CSPs — every upload creates a new metadata node, so new
 node ids in the listing are exactly the changes.  The listing is one
-``LIST`` engine batch over the ACTIVE slots (:func:`meta_listing`: a
-failed or removed slot is never listed, fetched or published to).
+``LIST`` engine batch over the member slots not dark
+(:func:`meta_listing`: a dark or removed slot is never listed, fetched
+or published to).
 A :class:`SyncService` remembers the listed names whose node its tree
 holds (*settled* names), so a sync pays one set probe per settled
 entry; only a name it has not settled yet is sliced for its node id and
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.cloud import CSPStatus, CyrusCloud
+from repro.core.cloud import CyrusCloud
 from repro.core.transfer import (
     OpKind,
     OpResult,
@@ -62,12 +63,15 @@ class SyncReport:
 
 def meta_listing(engine: TransferEngine, cloud: CyrusCloud,
                  store: MetadataStore) -> dict[str, list[ObjectInfo]]:
-    """One ``LIST`` batch over the store's metadata slots whose CSP is
-    ACTIVE: csp -> its metadata objects.  A slot whose CSP is failed or
-    removed is never listed; one that fails to answer is left out."""
+    """One ``LIST`` batch over the store's metadata slots whose CSP is a
+    member and not dark (the engine's health registry): csp -> its
+    metadata objects.  A dark or removed slot is never listed; one that
+    fails to answer is left out."""
+    health = engine.health
     return list_objects(engine, [
         p.csp_id for p in store.providers
-        if cloud.status_of(p.csp_id) is CSPStatus.ACTIVE
+        if cloud.keeps(p.csp_id)
+        and not (health is not None and health.dark(p.csp_id))
     ], METADATA_PREFIX)
 
 

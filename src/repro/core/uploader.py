@@ -9,8 +9,8 @@ will attempt to download the file before all shares have been uploaded."
 
 Upload failures run through the shared :class:`ShareRetryLoop`:
 transient errors back off and retry the same provider, permanent ones
-fail over to a health-checked replacement, and exhausted providers are
-marked failed (or write-full on quota).  A chunk that cannot reach ``t``
+fail over to a health-checked replacement, and exhausted providers
+have their breaker tripped (or are marked write-full on quota).  A chunk that cannot reach ``t``
 stored shares aborts the upload (the data would be unrecoverable) with
 the full per-CSP attempt history; one that reaches ``t`` but not ``n``
 is accepted and reported as degraded.
@@ -25,14 +25,14 @@ from typing import TYPE_CHECKING, Sequence
 
 from repro.chunking import Chunk, ContentDefinedChunker
 from repro.core.chunkcache import ChunkCache
-from repro.core.cloud import CSPStatus, CyrusCloud
+from repro.core.cloud import CyrusCloud
 from repro.core.config import CyrusConfig
 from repro.core.naming import chunk_share_object_name
 from repro.core.retry import ShareRetryLoop
 from repro.core.transfer import OpKind, OpResult, TransferEngine, TransferOp
 from repro.csp.resilient import HealthRegistry, RetryPolicy
 from repro.erasure import KeyedSharer
-from repro.errors import TransferError
+from repro.errors import SelectionError, TransferError
 from repro.metadata import (
     ChunkRecord,
     MetadataNode,
@@ -156,10 +156,10 @@ class Uploader:
             avg_size=config.chunk_avg,
             max_size=config.chunk_max,
         )
-        self.retry_loop = ShareRetryLoop(
-            engine, policy=policy,
-            health=health if health is not None else engine.health,
-        )
+        if health is None:
+            health = engine.health or HealthRegistry(clock=engine.clock)
+        self.health = health
+        self.retry_loop = ShareRetryLoop(engine, policy=policy, health=health)
 
     # ------------------------------------------------------------------
 
@@ -286,23 +286,15 @@ class Uploader:
         cluster_aware = self.config.respect_clusters
         t = self.config.t
         fixed_n = self.config.n is not None
-        # a fixed n codes over every CSP not removed, so a failed or
-        # full one costs a debt, not a share; Eq. (1) sizes n to the
-        # CSPs up now
-        statuses = ((CSPStatus.ACTIVE, CSPStatus.FAILED) if fixed_n
-                    else (CSPStatus.ACTIVE,))
-        limit = (
-            self.cloud.cluster_count(statuses)
-            if cluster_aware
-            else self.cloud.csp_count(statuses)
-        )
-        writable = self.cloud.writable_csps()
-        # demote breaker-open providers (quarantined or dark): a share
-        # assigned there costs a guaranteed fail-fast plus a failover
-        # round before landing anywhere useful
-        unhealthy = {
-            c for c in writable if not self.retry_loop.alternate_is_live(c)
-        }
+        # a fixed n codes over every member, so a dark or full one costs
+        # a debt, not a share; Eq. (1) sizes n to the members not dark
+        members = [c for c in self.cloud.active_csps()
+                   if fixed_n or not self.health.dark(c)]
+        limit = (len({self.cloud.cluster_of(c) for c in members})
+                 if cluster_aware else len(members))
+        unhealthy = self._unhealthy()  # holds every dark writable CSP
+        ready = len(self.cloud.writable_csps()) - sum(
+            map(self.health.dark, unhealthy))
         for chunk in chunks:
             if chunk.id in seen:
                 dedup += 1
@@ -312,9 +304,13 @@ class Uploader:
                 dedup += 1
                 continue
             n = self.config.plan_n(limit)
-            # the shares no writable CSP can take are owed (see
-            # _scatter); fewer than t writable CSPs refuse the put
-            placed = max(t, min(n, len(writable))) if fixed_n else n
+            # the shares no writable CSP up now can take are owed (see
+            # _scatter); fewer than t of them refuse the put
+            placed = max(t, min(n, ready)) if fixed_n else n
+            if placed > ready:
+                raise SelectionError(
+                    f"need {placed} writable CSPs for placement, "
+                    f"have {ready}")
             csps = self.cloud.place_chunk(
                 chunk.id, placed, respect_clusters=cluster_aware,
                 avoid=unhealthy,
@@ -329,6 +325,14 @@ class Uploader:
                 )
             )
         return plans, dedup
+
+    def _unhealthy(self) -> set[str]:
+        """Writable CSPs demoted for placement: breaker-open (dark or
+        quarantined) or dark and half-open.  A share assigned there
+        costs a fail-fast plus a failover round before landing
+        anywhere useful."""
+        return {c for c in self.cloud.writable_csps()
+                if self.health.dark(c) or not self.health.is_live(c)}
 
     def _scatter(
         self, plans: list[_ChunkPlan], intent_id: str | None = None
@@ -379,18 +383,15 @@ class Uploader:
                 self.cloud.mark_write_full(csp)
             elif result.error_type != "CircuitOpenError":
                 # genuine provider failure, retries exhausted; an open
-                # breaker already embargoes the CSP without a status flip
-                self.cloud.mark_failed(csp)
+                # breaker already embargoes the CSP
+                self.health.trip(csp, result.error or "upload failed")
 
         def pick_alternate(key, failed_csp: str, tried: set[str]) -> str | None:
             cid, idx = key
             plan = outstanding[cid]
-            dead = {
-                c for c in self.cloud.writable_csps()
-                if not self.retry_loop.alternate_is_live(c)
-            }
             replacement = self.cloud.replacement_csp(
-                cid, holding=plan.placements.values(), exclude=tried | dead
+                cid, holding=plan.placements.values(),
+                exclude=tried | self._unhealthy(),
             )
             if replacement is None:
                 plan.placements.pop(idx, None)
@@ -508,56 +509,41 @@ class Uploader:
     def _publish(self, node: MetadataNode) -> list[OpResult]:
         """Scatter the node's metadata shares (PUT_META batch).
 
-        Metadata slots are fixed (the name encodes the slot), so there
-        is no failing over to an alternate CSP — but transient failures
-        are retried in place with backoff, on the same attempt budget
-        as share transfers.  Shares go out in the authenticated v2
-        envelope; a publish that lands t but not m shares is accepted
-        *and* recorded as a metadata repair debt, with the failed
-        providers named in metrics and (on abort) in the error.  A slot
-        whose CSP is not ACTIVE is skipped: owed if failed, never if
-        removed (nothing could pay that debt).
+        Metadata slots are fixed (the name encodes the slot), so the
+        shared retry loop retries transient failures in place, with
+        backoff, and never fails over.  Shares go out in the
+        authenticated v2 envelope; a publish that lands t but not m
+        shares is accepted *and* recorded as a metadata repair debt,
+        with the failed providers named in metrics and (on abort) in
+        the error.  A dark slot is skipped and owed; a removed one is
+        skipped and never owed (nothing could pay that debt).
         """
         frames = self.store.frames_for(node)
-        status = {p.csp_id: self.cloud.status_of(p.csp_id) for p, *_ in frames}
-        live = [f for f in frames if status[f[0].csp_id] is CSPStatus.ACTIVE]
-        ops = [
-            TransferOp(
-                kind=OpKind.PUT_META,
-                csp_id=provider.csp_id,
-                name=obj_name,
-                data=blob,
-            )
-            for provider, obj_name, blob, _index in live
-        ]
-        policy = self.retry_loop.policy
-        final: dict[int, OpResult] = {}
-        pending = list(enumerate(ops))
-        for round_no in range(policy.max_attempts):
-            if not pending:
-                break
-            if round_no:
-                self.engine.sleep(policy.delay(round_no))
-            batch = self.engine.execute([op for _, op in pending])
-            retry: list[tuple[int, TransferOp]] = []
-            obs = getattr(self.engine, "obs", None)
-            for (slot, op), res in zip(pending, batch):
-                final[slot] = res
-                if not res.ok and res.retryable and round_no + 1 < policy.max_attempts:
-                    if obs is not None:
-                        obs.metrics.inc("cyrus_meta_retries_total",
-                                        csp=op.csp_id)
-                    retry.append((slot, op))
-            pending = retry
-        results = [final[i] for i in range(len(ops))]
-        landed = {live[i][3] for i, r in enumerate(results) if r.ok}
+        sent = {index: (provider.csp_id, name, blob)
+                for provider, name, blob, index in frames
+                if self.cloud.keeps(provider.csp_id)
+                and not self.health.dark(provider.csp_id)}
+        landed: set[int] = set()
+
+        def build_op(index, csp: str) -> TransferOp:
+            _csp, name, blob = sent[index]
+            return TransferOp(kind=OpKind.PUT_META, csp_id=csp, name=name,
+                              data=blob)
+
+        results, _attempts = self.retry_loop.run(
+            [(index, csp) for index, (csp, _name, _blob) in sorted(sent.items())],
+            build_op,
+            lambda index, _csp, _result: landed.add(index),
+            lambda *_giveup: None,
+            lambda *_alternate: None,
+        )
         obs = getattr(self.engine, "obs", None)
         if obs is not None:
             from repro.metadata.store import META_PUBLISH_FAILURES
 
-            for op, res in zip(ops, results):
-                if not res.ok:
-                    obs.metrics.inc(META_PUBLISH_FAILURES, csp=op.csp_id)
+            for index, (csp, _name, _blob) in sorted(sent.items()):
+                if index not in landed:
+                    obs.metrics.inc(META_PUBLISH_FAILURES, csp=csp)
         short = [(p.csp_id, index) for p, _name, _blob, index in frames
                  if index not in landed]
         if len(landed) < self.store.t:
@@ -567,7 +553,7 @@ class Uploader:
                 f"stored, need {self.store.t} (failed providers: {names})"
             )
         owed = [(csp, index) for csp, index in short
-                if status[csp] is not CSPStatus.REMOVED]
+                if self.cloud.keeps(csp)]
         if owed and self.ledger is not None:
             # degraded publish: accepted, but short of m-way dispersal —
             # a durable obligation the repair loop re-disperses

@@ -359,6 +359,19 @@ class HealthRegistry:
             self.emit("breaker_close", csp_id,
                       "probe succeeded; circuit closed")
 
+    def trip(self, csp_id: str, reason: str = "unavailable") -> None:
+        """A transfer gave up on this provider for unavailability: open
+        its circuit at once (paper Section 5.5, "no shares are uploaded
+        to that CSP" until it is back).  The breaker half-opens after
+        its reset timeout and admits one probe op;
+        ``CyrusClient.probe_failed_csps`` closes it at once when the
+        provider answers a listing."""
+        brk = self.breaker(csp_id)
+        already_open = brk.state is BreakerState.OPEN
+        brk.trip()
+        if not already_open:
+            self.emit("breaker_open", csp_id, f"gave up: {reason}")
+
     def record_corruption(self, csp_id: str, detail: str = "") -> None:
         """A verified-corrupt share came back from this provider.
 
@@ -404,6 +417,22 @@ class HealthRegistry:
         with self._lock:
             brk = self._breakers.get(csp_id)
         return brk is None or brk.state is not BreakerState.OPEN
+
+    def up(self, csp_id: str, cloud) -> bool:
+        """The one rule for "may a share there be used": ``cloud`` (a
+        :class:`repro.core.cloud.CyrusCloud`) keeps the CSP as a member
+        and its breaker is not OPEN."""
+        return cloud.keeps(csp_id) and self.is_live(csp_id)
+
+    def dark(self, csp_id: str) -> bool:
+        """Down for availability: the breaker is not CLOSED and the
+        provider has no corruption strikes (a quarantined one answers,
+        so it stays a suspect, not dark)."""
+        with self._lock:
+            brk = self._breakers.get(csp_id)
+            strikes = self._corruptions.get(csp_id, 0)
+        return (brk is not None and brk.state is not BreakerState.CLOSED
+                and not strikes)
 
     def live(self, csp_ids: Iterable[str]) -> list[str]:
         return [c for c in csp_ids if self.is_live(c)]

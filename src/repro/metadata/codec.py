@@ -43,6 +43,7 @@ does not open with the magic marker is rejected like any other garbage.
 from __future__ import annotations
 
 import math
+import re
 import struct
 from dataclasses import dataclass
 
@@ -311,12 +312,18 @@ def metadata_share_name(node_id: str, index: int) -> str:
 NODE_ID_SLICE = slice(len(METADATA_PREFIX), len(METADATA_PREFIX) + 40)
 
 
+#: A share name's shape: lowercase hex node id, ASCII decimal index.
+_SHARE_NAME = re.compile(
+    re.escape(METADATA_PREFIX) + r"([0-9a-f]{40})-([0-9]{3,})\Z")
+
+
 def parse_metadata_share_name(name: str) -> tuple[str, int]:
-    """Extract ``(node_id, index)``; raises MetadataError on other names."""
-    if not name.startswith(METADATA_PREFIX):
-        raise MetadataError(f"not a metadata share name: {name!r}")
-    body = name[len(METADATA_PREFIX):]
-    node_id, _, idx = body.rpartition("-")
-    if len(node_id) != 40 or not idx.isdigit():
-        raise MetadataError(f"malformed metadata share name: {name!r}")
-    return node_id, int(idx)
+    """Extract ``(node_id, index)``.  Fails closed: any name that
+    :func:`metadata_share_name` would not produce (a planted object, a
+    non-ASCII digit, a padded index) raises MetadataError."""
+    match = _SHARE_NAME.match(name)
+    if match is not None:
+        node_id, index = match[1], int(match[2])
+        if metadata_share_name(node_id, index) == name:
+            return node_id, index
+    raise MetadataError(f"not a metadata share name: {name!r}")

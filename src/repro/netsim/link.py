@@ -9,7 +9,6 @@ simulator, since it is shared across links.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from repro.netsim.tcp import mathis_throughput
@@ -70,16 +69,3 @@ class Link:
         if direction == "down":
             return self.down
         raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
-
-    def mean_capacity(self, direction: str, horizon_s: float = 48 * 3600) -> float:
-        """Time-average capacity over [0, horizon] (for planning)."""
-        trace = self._trace(direction)
-        total = 0.0
-        t = 0.0
-        while t < horizon_s:
-            nxt = min(trace.next_change_after(t), horizon_s)
-            total += trace.rate_at(t) * (nxt - t)
-            if math.isinf(nxt):
-                break
-            t = nxt
-        return total / horizon_s

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.cloud import CSPStatus
 from repro.core.naming import chunk_share_object_name
 from repro.core.sync import fetch_nodes, meta_listing
 from repro.core.transfer import OpKind, TransferOp
@@ -94,16 +93,12 @@ class Outcome:
 
 
 def usable(client, csp_id: str, suspects=frozenset(), listing=None) -> bool:
-    """The one rule for "a share here counts": the CSP is ACTIVE, its
-    breaker is not open, it is not a suspect, and a census (when given)
-    listed it."""
+    """Whether a share here counts: the CSP is up
+    (:meth:`repro.csp.resilient.HealthRegistry.up`), not a suspect, and
+    a census (when given) listed it."""
     if csp_id in suspects or (listing is not None and csp_id not in listing):
         return False
-    try:
-        status = client.cloud.status_of(csp_id)
-    except KeyError:
-        return False  # a CSP this client has never heard of
-    return status is CSPStatus.ACTIVE and client.health.is_live(csp_id)
+    return client.health.up(csp_id, client.cloud)
 
 
 # -- chunks ------------------------------------------------------------------
@@ -365,9 +360,9 @@ class NodeState:
 
 
 def slot_listing(engine, cloud, store) -> dict[str, set[str]]:
-    """csp -> the metadata objects it holds, from one ``LIST`` per ACTIVE
-    metadata slot (:func:`repro.core.sync.meta_listing`).  Slots that
-    are not ACTIVE or do not answer are left out."""
+    """csp -> the metadata objects it holds, from one ``LIST`` per
+    member metadata slot not dark (:func:`repro.core.sync.meta_listing`).
+    Slots that are dark, removed or do not answer are left out."""
     return {csp_id: {info.name for info in infos}
             for csp_id, infos in meta_listing(engine, cloud, store).items()}
 
@@ -393,7 +388,7 @@ def assess_node(client, node_id: str, listing, suspects=(), stale=()
     for index, (provider, name) in slots.items():
         names = listing.get(provider.csp_id)
         if names is None:
-            if client.cloud.status_of(provider.csp_id) is not CSPStatus.REMOVED:
+            if client.cloud.keeps(provider.csp_id):
                 state.dark.append(index)
             continue
         if name in names:

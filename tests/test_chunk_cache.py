@@ -294,7 +294,7 @@ class TestSafety:
             client.chunk_cache._entries)
         world.clock.advance(100.0)
         for provider in world.providers:
-            client.cloud.mark_failed(provider.csp_id)
+            client.health.trip(provider.csp_id)
         with pytest.raises(InsufficientSharesError):
             client.get("doc.bin")
 

@@ -7,6 +7,17 @@ from repro.csp import InMemoryCSP
 from repro.errors import ConfigurationError, SelectionError
 
 
+def _client(count):
+    from repro.core.client import CyrusClient
+    from repro.core.config import CyrusConfig
+
+    from tests.conftest import SMALL_CHUNKS
+
+    return CyrusClient.create(
+        [InMemoryCSP(f"csp{i}") for i in range(count)],
+        CyrusConfig(key="cloud", t=2, n=3, **SMALL_CHUNKS))
+
+
 def make_cloud(count=5, clusters=None):
     providers = [InMemoryCSP(f"csp{i}") for i in range(count)]
     return CyrusCloud(providers, clusters=clusters), providers
@@ -41,20 +52,27 @@ class TestMembership:
         cloud.remove_csp("csp1")
         assert cloud.status_of("csp1") is CSPStatus.REMOVED
         assert "csp1" not in cloud.active_csps()
-        assert "csp1" in cloud.unusable_csps()
+        assert not cloud.keeps("csp1")
 
     def test_fail_and_recover(self):
-        cloud, _ = make_cloud(3)
-        cloud.mark_failed("csp0")
-        assert cloud.status_of("csp0") is CSPStatus.FAILED
-        cloud.mark_recovered("csp0")
-        assert cloud.status_of("csp0") is CSPStatus.ACTIVE
+        """A give-up trips the breaker: the CSP is dark, not up, and
+        still a member; a probe that finds it back closes the breaker."""
+        client = _client(3)
+        client.health.trip("csp0")
+        assert client.health.dark("csp0")
+        assert not client.health.up("csp0", client.cloud)
+        assert client.cloud.status_of("csp0") is CSPStatus.ACTIVE
+        assert client.probe_failed_csps() == ["csp0"]
+        assert not client.health.dark("csp0")
+        assert client.health.up("csp0", client.cloud)
 
     def test_recover_does_not_resurrect_removed(self):
-        cloud, _ = make_cloud(3)
-        cloud.remove_csp("csp0")
-        cloud.mark_recovered("csp0")
-        assert cloud.status_of("csp0") is CSPStatus.REMOVED
+        client = _client(3)
+        client.remove_csp("csp0")
+        client.health.trip("csp0")
+        assert client.probe_failed_csps() == []
+        assert client.cloud.status_of("csp0") is CSPStatus.REMOVED
+        assert not client.health.up("csp0", client.cloud)
 
     def test_unknown_csp(self):
         cloud, _ = make_cloud(2)
@@ -75,10 +93,14 @@ class TestPlacement:
         assert cloud.place_chunk("b" * 40, 3) == cloud.place_chunk("b" * 40, 3)
 
     def test_skips_failed(self):
-        cloud, _ = make_cloud(4)
-        cloud.mark_failed("csp0")
-        for key in ("k1", "k2", "k3"):
-            assert "csp0" not in cloud.place_chunk(key, 3)
+        """No share and no metadata slot goes to a CSP whose breaker a
+        give-up tripped."""
+        client = _client(4)
+        client.health.trip("csp0")
+        for i in range(3):
+            node = client.put(f"k{i}", bytes([i]) * 3000).node
+            assert "csp0" not in {s.csp_id for s in node.shares}
+        assert client.cloud.provider("csp0").object_count == 0
 
     def test_too_few_active(self):
         cloud, _ = make_cloud(3)
@@ -149,7 +171,7 @@ class TestMetadataSlots:
             providers, config, client_id="a",
             debt_ledger=DebtLedger(tmp_path / "debts.jsonl", fsync=False))
         client.remove_csp("csp1")
-        client.cloud.mark_failed("csp2")
+        client.health.trip("csp2")
         data = deterministic_bytes(900, seed=5)
         node = client.put("doc.bin", data).node
         assert client.cloud.metadata_slot_ids() == [

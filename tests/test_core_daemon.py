@@ -47,7 +47,7 @@ class TestTicks:
         assert not client.conflicts()
 
     def test_probe_recovery_in_tick(self, client):
-        client.cloud.mark_failed("csp1")
+        client.health.trip("csp1")
         daemon = SyncDaemon(client)
         entry = daemon.tick(now=0.0)
         assert entry.csps_recovered == ("csp1",)

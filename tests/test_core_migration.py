@@ -1,6 +1,7 @@
 """Unit tests for share and metadata migration (Section 5.5, Figure 9)."""
 
-from repro.core.cloud import CSPStatus
+import pytest
+
 from repro.csp import InMemoryCSP
 from repro.redundancy.reconcile import (
     Budget,
@@ -35,13 +36,13 @@ class TestPlanning:
     def test_moves_planned_after_failure(self, client, csps):
         data, node = self.setup_state(client, csps)
         victim = node.shares[0].csp_id
-        client.cloud.mark_failed(victim)
+        client.health.trip(victim)
         moved_any = False
         for record in node.chunks:
             location = client.chunk_table.get(record.chunk_id)
             for index, old, new in _plan(client, record, data):
                 moved_any = True
-                assert client.cloud.status_of(new) is CSPStatus.ACTIVE
+                assert client.health.up(new, client.cloud)
                 assert new not in location.csps()
         assert moved_any
 
@@ -52,9 +53,9 @@ class TestPlanning:
         location = client.chunk_table.get(record.chunk_id)
         for csp in client.cloud.active_csps():
             if csp not in location.csps():
-                client.cloud.mark_failed(csp)
+                client.health.trip(csp)
         victim = location.csps()[0]
-        client.cloud.mark_failed(victim)
+        client.health.trip(victim)
         moves = _plan(client, record, data)
         assert moves == []
 
@@ -72,8 +73,7 @@ class TestLazyMigration:
         # table now shows n live placements per chunk
         for record in report.node.chunks:
             loc = client.chunk_table.get(record.chunk_id)
-            live = {c for c in loc.csps()
-                    if client.cloud.status_of(c) is CSPStatus.ACTIVE}
+            live = {c for c in loc.csps() if client.health.up(c, client.cloud)}
             assert len(live) >= record.n
 
     def test_migration_happens_once(self, client):
@@ -119,10 +119,11 @@ class TestMetadataMigration:
 
 class TestFailureProbing:
     def test_probe_recovers_responsive_csp(self, client, csps):
-        client.cloud.mark_failed("csp1")
+        client.health.trip("csp1")
         recovered = client.probe_failed_csps()
         assert recovered == ["csp1"]
-        assert client.cloud.status_of("csp1").value == "active"
+        assert not client.health.dark("csp1")
+        assert client.health.up("csp1", client.cloud)
 
     def test_probe_skips_still_down_csp(self, config):
         from repro.bench import build_environment
@@ -134,18 +135,19 @@ class TestFailureProbing:
                            window_time=(0.0, 100.0))
         env = build_environment(links, faults=FaultPlan([outage]))
         client = env.new_client(config)
-        client.cloud.mark_failed("c0")
+        client.health.trip("c0")
         assert client.probe_failed_csps() == []  # still in its outage
         env.clock.advance_to(200.0)
         assert client.probe_failed_csps() == ["c0"]
 
     def test_probe_never_resurrects_removed(self, client):
         client.remove_csp("csp2")
+        client.health.trip("csp2")
         assert client.probe_failed_csps() == []
         assert client.cloud.status_of("csp2").value == "removed"
 
     def test_recovered_csp_receives_uploads_again(self, client):
-        client.cloud.mark_failed("csp0")
+        client.health.trip("csp0")
         client.probe_failed_csps()
         placed = set()
         for i in range(10):
@@ -154,6 +156,45 @@ class TestFailureProbing:
             ).node
             placed |= {s.csp_id for s in node.shares}
         assert "csp0" in placed
+
+
+    def test_probe_never_ends_a_corruption_quarantine(self, client):
+        """A quarantined CSP answers listings, but its strikes make it a
+        suspect, not dark: the probe skips it and its breaker stays
+        open."""
+        from repro.csp.resilient import BreakerState
+
+        for _ in range(client.health.corruption_threshold):
+            client.health.record_corruption("csp1", "bad share")
+        assert not client.health.dark("csp1")
+        assert client.probe_failed_csps() == []
+        assert client.health.breaker("csp1").state is BreakerState.OPEN
+
+    def test_tripped_breaker_half_opens_for_one_probe_op(self, config):
+        """Section 5.5's "periodically checks": a CSP a give-up tripped
+        is dark until its breaker half-opens after ``reset_timeout``;
+        then the next read admits one probe op there, which closes the
+        breaker, with no explicit probe call."""
+        from repro.core.client import CyrusClient
+        from repro.core.transfer import DirectEngine
+        from repro.util.clock import SimClock
+
+        csps = [InMemoryCSP(f"csp{i}") for i in range(3)]
+        clock = SimClock()
+        engine = DirectEngine({p.csp_id: p for p in csps}, clock=clock)
+        client = CyrusClient.create(csps, config, client_id="a",
+                                    engine=engine)
+        data = deterministic_bytes(3000, 70)
+        client.put("f.bin", data)
+        client.remove_csp("csp1")  # csp0 and csp2 hold the only shares
+        client.health.trip("csp0")
+        assert client.health.dark("csp0")
+        assert not client.health.up("csp0", client.cloud)
+        clock.advance(client.health.reset_timeout)
+        assert client.health.up("csp0", client.cloud)  # half-open
+        client.probe_failed_csps = lambda: pytest.fail("explicit probe")
+        assert client.get("f.bin").data == data
+        assert not client.health.dark("csp0")
 
 
 class TestCSPAddition:

@@ -123,7 +123,6 @@ class TestDedup:
 class TestFailureHandling:
     def test_upload_retries_on_failed_csp(self, csps, config):
         from repro.core.client import CyrusClient
-        from repro.core.cloud import CSPStatus
         from repro.csp import InMemoryCSP
         from repro.errors import CSPUnavailableError
 
@@ -136,8 +135,8 @@ class TestFailureHandling:
         client = CyrusClient.create(providers, config, client_id="a")
         data = deterministic_bytes(5000, 12)
         report = client.put("f.bin", data)
-        # the bad CSP got marked failed and shares landed elsewhere
-        assert client.cloud.status_of("bad") is CSPStatus.FAILED
+        # the bad CSP's breaker tripped and shares landed elsewhere
+        assert client.health.dark("bad")
         assert {s.csp_id for s in report.node.shares} <= {"ok0", "ok1", "ok2"}
         assert client.get("f.bin").data == data
 

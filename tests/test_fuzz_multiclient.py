@@ -109,13 +109,10 @@ def test_fuzz_with_provider_failures(seed):
         if rng.random() < 0.15:
             victim = rng.choice(csps).csp_id
             for c in clients:
-                if c.cloud.status_of(victim).value == "active":
-                    c.cloud.mark_failed(victim)
+                c.health.trip(victim)
         if rng.random() < 0.30:
             for c in clients:
-                for csp in csps:
-                    if c.cloud.status_of(csp.csp_id).value == "failed":
-                        c.cloud.mark_recovered(csp.csp_id)
+                c.probe_failed_csps()
         name = rng.choice(NAMES)
         if rng.random() < 0.5:
             payload = rng.randbytes(rng.randint(100, 2000))
@@ -133,9 +130,7 @@ def test_fuzz_with_provider_failures(seed):
 
     # recover all providers; the latest surviving writes must be readable
     for c in clients:
-        for csp in csps:
-            if c.cloud.status_of(csp.csp_id).value == "failed":
-                c.cloud.mark_recovered(csp.csp_id)
+        c.probe_failed_csps()
     probe = clients[0]
     probe.sync()
     for name in probe.tree.file_names():

@@ -233,7 +233,7 @@ def _total_outage_get():
     client.put("doc.bin", _edit(data, 4_000, seed=4))  # cached, too
     clock.advance(100.0)
     for provider in csps:
-        client.cloud.mark_failed(provider.csp_id)
+        client.health.trip(provider.csp_id)
     with pytest.raises(InsufficientSharesError) as caught:
         client.get("doc.bin")
     return str(caught.value), _repairs(client), _blamed(client)

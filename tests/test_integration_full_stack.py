@@ -63,7 +63,7 @@ class TestTwentyProviderCloud:
         data = deterministic_bytes(12_000, 2)
         client.put("resilient.bin", data)
         for name in AMAZON:
-            client.cloud.mark_failed(name)
+            client.health.trip(name)
         assert client.get("resilient.bin").data == data
 
     def test_storage_spreads_widely(self, full_catalog_cloud):

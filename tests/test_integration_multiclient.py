@@ -138,7 +138,7 @@ class TestReliabilityInvariants:
         client.put("f.bin", data)
         for victim in csps:
             fresh = CyrusClient.create(csps, config, client_id="probe")
-            fresh.cloud.mark_failed(victim.csp_id)
+            fresh.health.trip(victim.csp_id)
             fresh.recover()
             assert fresh.get("f.bin", sync_first=False).data == data
 
@@ -148,5 +148,5 @@ class TestReliabilityInvariants:
         # killing two may or may not strand a chunk (not guaranteed)
         data = deterministic_bytes(15_000, 10)
         client.put("f.bin", data)
-        client.cloud.mark_failed(csps[3].csp_id)
+        client.health.trip(csps[3].csp_id)
         assert client.get("f.bin").data == data

@@ -85,9 +85,9 @@ class TestOutageInjection:
         env = self.make_env(outage_csp="fast0", window=(0.0, 50.0))
         client = env.new_client(CFG)
         client.put("a.bin", deterministic_bytes(500_000, 8))
-        assert client.cloud.status_of("fast0").value == "failed"
+        assert client.health.dark("fast0")
         env.clock.advance_to(60.0)
-        client.cloud.mark_recovered("fast0")
+        assert client.probe_failed_csps() == ["fast0"]
         placed = set()
         for i in range(8):
             node = client.put(

@@ -1,6 +1,8 @@
 """Unit tests for metadata serialization and scattered storage."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.cloud import CyrusCloud
 from repro.core.sync import SyncService
@@ -109,6 +111,55 @@ class TestCodec:
             parse_metadata_share_name("sh-whatever")
         with pytest.raises(MetadataError):
             parse_metadata_share_name("md-tooshort-1")
+
+    @pytest.mark.parametrize("suffix", ["-\u00b2", "-\u0661", "-0001",
+                                        "-01", "-001\n"])
+    def test_share_name_fails_closed(self, suffix):
+        """Names ``metadata_share_name`` never makes: a superscript or an
+        Arabic-Indic digit (``str.isdigit`` accepts both), a padded or
+        short index, a trailing newline."""
+        with pytest.raises(MetadataError):
+            parse_metadata_share_name("md-" + "ab" * 20 + suffix)
+        with pytest.raises(MetadataError):
+            parse_metadata_share_name("md-" + "AB" * 20 + "-001")
+
+    @settings(max_examples=300, deadline=None)
+    @given(node_id=st.text("0123456789abcdef", min_size=40, max_size=40),
+           index=st.integers(0, 5000), data=st.data())
+    def test_share_name_mutations_round_trip_or_fail_closed(
+            self, node_id, index, data):
+        name = metadata_share_name(node_id, index)
+        at = data.draw(st.integers(0, len(name)))
+        char = data.draw(st.characters())
+        mutated = data.draw(st.sampled_from([
+            name[:at] + char + name[at + 1:],  # replace
+            name[:at] + char + name[at:],  # insert
+            name[:at] + name[at + 1:],  # delete
+        ]))
+        try:
+            got = parse_metadata_share_name(mutated)
+        except MetadataError:
+            return
+        assert metadata_share_name(*got) == mutated
+
+    def test_planted_name_does_not_brick_sync(self):
+        """One object under a name the parser used to crash on
+        (``int("\u00b2")``) is skipped: another device still syncs and
+        reads."""
+        from repro.core.client import CyrusClient
+        from repro.core.config import CyrusConfig
+
+        from tests.conftest import SMALL_CHUNKS, deterministic_bytes
+
+        csps = [InMemoryCSP(f"csp{i}") for i in range(4)]
+        config = CyrusConfig(key="names", t=2, n=3, **SMALL_CHUNKS)
+        a = CyrusClient.create(csps, config, client_id="a")
+        data = deterministic_bytes(1500, seed=3)
+        a.put("x", data)
+        csps[0].upload("md-" + "ab" * 20 + "-\u00b2", b"junk")
+        b = CyrusClient.create(csps, config, client_id="b")
+        assert b.sync().new_nodes == 1
+        assert b.get("x").data == data
 
 
 class TestStore:

@@ -67,7 +67,7 @@ def test_fresh_device_recovers_everything(data):
 def test_any_single_csp_loss_harmless(data, victim):
     client, csps, _ = fresh_client()
     client.put("f.bin", data)
-    client.cloud.mark_failed(csps[victim].csp_id)
+    client.health.trip(csps[victim].csp_id)
     assert client.get("f.bin").data == data
 
 

@@ -136,6 +136,7 @@ class TestGetRangeReadsLikeGet:
         node = client.put("f.bin", data).node
         # sideline two of the chunk's three holders, though both are up
         for share in node.shares[:2]:
-            client.cloud.mark_failed(share.csp_id)
+            client.health.trip(share.csp_id)
         assert client.get_range("f.bin", 10, 100).data == data[10:110]
-        assert not client.cloud.unusable_csps()
+        assert not [c for c in client.cloud.active_csps()
+                    if client.health.dark(c)]

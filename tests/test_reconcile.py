@@ -20,7 +20,6 @@ from pathlib import Path
 import pytest
 
 from repro.core.client import CyrusClient
-from repro.core.cloud import CSPStatus
 from repro.core.config import CyrusConfig
 from repro.core.downloader import Downloader
 from repro.core.naming import chunk_share_object_name
@@ -100,7 +99,8 @@ def _client(tmp_path, providers, t, n):
 
 def _stranded(tmp_path, how="failed"):
     """One chunk, one of its shares stranded and owed as a debt:
-    ``failed`` marks its CSP failed and names it in the debt;
+    ``failed`` trips its CSP's breaker as a give-up does and names it
+    in the debt;
     ``breaker`` only opens the CSP's breaker (the debt names no
     suspect), which the one usable rule alone must catch.  Returns
     (client, chunk id, stranded CSP, spy)."""
@@ -111,7 +111,7 @@ def _stranded(tmp_path, how="failed"):
     [chunk_id] = client.chunk_table.all_chunk_ids()
     index, csp_id = client.chunk_table.get(chunk_id).placements[0]
     if how == "failed":
-        client.cloud.mark_failed(csp_id)
+        client.health.trip(csp_id)
     else:
         client.health.breaker(csp_id).trip()
     client.debt_ledger.record(chunk_id, missing=(index,), failed_csps=(
@@ -190,8 +190,8 @@ def test_metadata_backfill_lists_each_slot_once(tmp_path):
 
 
 def test_failed_rehome_upload_leaves_the_csp_active(tmp_path, monkeypatch):
-    """A lazy migration whose upload fails no longer marks the target
-    CSP failed (the scrub and repair never did): the breaker counts the
+    """A lazy migration whose upload fails does not take the target CSP
+    dark (the scrub and repair never did): the breaker counts the
     failure, and the share stays owed."""
     client, chunk_id, _stranded_csp, _spy = _stranded(tmp_path)
     [spare] = [c for c in client.cloud.active_csps()
@@ -202,7 +202,7 @@ def test_failed_rehome_upload_leaves_the_csp_active(tmp_path, monkeypatch):
 
     monkeypatch.setattr(client.cloud.provider(spare), "upload", refuse)
     assert client.get("one.bin").migrations == ()
-    assert client.cloud.status_of(spare) is CSPStatus.ACTIVE
+    assert not client.health.dark(spare)
     assert assess_chunk(client, chunk_id).regenerate
 
 
@@ -326,7 +326,7 @@ def test_no_listing_bypasses_the_engine(tmp_path):
     data = deterministic_bytes(900, seed=8)
 
     def put_owing_a_debt():
-        client.cloud.mark_failed("csp4")
+        client.health.trip("csp4")
         client.put("two.bin", deterministic_bytes(700, seed=9))
         assert client.debt_ledger.open_debts()  # csp4's metadata slot
 

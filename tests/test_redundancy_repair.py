@@ -15,7 +15,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core.client import CyrusClient
-from repro.core.cloud import CSPStatus
 from repro.core.config import CyrusConfig
 from repro.core.daemon import SyncDaemon
 from repro.core.naming import chunk_share_object_name
@@ -409,9 +408,9 @@ class TestDegradedPlacement:
             kind=FaultKind.OUTAGE, csp_ids=("csp2",), ops=("upload",),
             window_time=OUTAGE_WINDOW))
         owed = self._put_three(client, fault_seed)
-        assert client.cloud.status_of("csp2") is CSPStatus.FAILED
+        assert client.health.dark("csp2")
         clock.advance_to(100.0)
-        client.cloud.mark_recovered("csp2")
+        assert client.probe_failed_csps() == ["csp2"]
         self._heal(client, inner, fault_seed, owed)
 
     def test_full_csp_is_owed_not_refused(self, tmp_path, fault_seed):
@@ -428,7 +427,7 @@ class TestDegradedPlacement:
         client, _inner, _clock = self._world(tmp_path, fault_seed, FaultSpec(
             kind=FaultKind.OUTAGE, csp_ids=("csp2",), ops=("upload",),
             window_time=OUTAGE_WINDOW))
-        client.cloud.mark_failed("csp1")
+        client.health.trip("csp1")
         client.cloud.mark_write_full("csp2")
         with pytest.raises(SelectionError, match="need 2 writable"):
             client.put("f.bin", deterministic_bytes(2600, seed=fault_seed))

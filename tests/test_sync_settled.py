@@ -136,7 +136,7 @@ def test_settled_sync_matches_a_fresh_sync(tmp_path, parity, groups):
     w = a.put("w.txt", deterministic_bytes(500, seed=20)).node
     clock_a.advance_to(OUTAGE[1])
     assert len(a.debt_ledger.open_debts()) == 1
-    b.cloud.mark_failed(w_slots[0].csp_id)
+    b.health.trip(w_slots[0].csp_id)
     assert b.sync().new_nodes == 0
     assert not _names(b, w.node_id) & b.syncer._settled
     a.repair_debts()
